@@ -4,8 +4,9 @@ The decomposition engine
 
 Any order-n tensor splits uniquely into embedded deviators: J_s^n parts of
 each order s, mutually orthogonal, rotation-equivariant, and summing back
-to the input.  The engine works for every n through a recursion over the
-first index; the deviator triple map (combine/split) is its workhorse.
+to the input.  For every n the engine is one change of basis, built once
+per order by a recursion over the first index whose inner step is the
+deviator triple map (combine/split).
 """
 
 import numpy as np

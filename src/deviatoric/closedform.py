@@ -1,7 +1,8 @@
 """Explicit assembly formulas for order-3 and order-4 decompositions.
 
 The decomposition engine expresses a tensor as a sum of embedded deviators
-through recursively replayed maps.  For orders 3 and 4 the embedding maps
+through a cached change of basis, built once per order by replaying the
+recursion's forward maps.  For orders 3 and 4 the embedding maps
 also have short explicit forms built from delta, epsilon, and the lift
 kernel below.  This module encodes those term structures and calibrates
 their scalar factors against the engine.

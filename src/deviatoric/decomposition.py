@@ -1,4 +1,4 @@
-"""Recursive orthogonal irreducible decomposition of 3-D tensors.
+"""Orthogonal irreducible decomposition of 3-D tensors.
 
 An arbitrary order-n tensor splits uniquely into embedded deviators: a sum of
 terms, one per (s, J) slot, where s is the deviator order (0 <= s <= n) and
@@ -6,18 +6,30 @@ J = 1..count_parts(n, s) labels the multiplicity.  Each part carries both the
 deviator itself and its embedded order-n image; embedded images of different
 parts are mutually Frobenius-orthogonal and sum back to the input.
 
-The decomposition is computed by recursion on the order.  Slicing along the
-first index writes t = sum_k e_k x T_k with order-(n-1) slices T_k.  Each
-slice is decomposed, and the three deviators that share a slot are regrouped:
+The decomposition is linear, so for each order n it is one fixed change of
+basis.  The 3^n x 3^n matrix E has one row per (slot, basis deviator): the
+embedded image of that element of the slot's orthonormal deviator basis.
+Images of different slots are orthogonal and each slot's block is a multiple
+of an isometry (Schur's lemma), so E E^T = diag(lambda) and the coordinates
+of t are c = E t / lambda.  A slot's deviator is c_p . B_s and its embedded
+part is c_p . E_p.  The same kind of Cartesian-to-irreducible change of basis
+is computed by e3nn's ``CartesianTensor`` / ``ReducedTensorProducts``
+(Geiger & Smidt, arXiv:2207.09453).
 
-* three scalars form a vector (a new order-1 deviator),
-* three vectors form an order-2 tensor, split by ``decompose_order2``,
-* three order-s deviators (s >= 2) form a tensor that is totally symmetric
-  and traceless in its trailing s indices; ``split_deviator_triple`` resolves
-  it into deviators of orders s-1, s, s+1.
+E is built once per order, and cached, from the paper's recursion on the
+order.  Slicing along the first index writes t = sum_k e_k x T_k with
+order-(n-1) slices T_k; the three deviators that share a slot of the slices
+regroup into
 
-The split inverts ``combine_deviator_triple``, which maps a triple
-(d_lo, d_mid, d_hi) of orders (n-1, n, n+1) to the order-(n+1) tensor
+* a vector (a new order-1 deviator) when they are scalars,
+* an order-2 tensor t = alpha*delta + epsilon.v + D when they are vectors,
+* a tensor that is totally symmetric and traceless in its trailing s indices
+  when they are order-s deviators (s >= 2); ``combine_deviator_triple`` builds
+  it from deviators of orders s-1, s, s+1 and ``split_deviator_triple``
+  resolves it back.
+
+``combine_deviator_triple`` maps a triple (d_lo, d_mid, d_hi) of orders
+(n-1, n, n+1) to the order-(n+1) tensor
 
     (2n-1)/(n-1) * sym(delta x d_lo) - sym(delta-shift x d_lo)
     + sym(epsilon . d_mid) + d_hi
@@ -26,11 +38,9 @@ with symmetrization over the n trailing indices; the first index stays free.
 The two delta terms keep a fixed coefficient ratio so their sum is traceless
 in the trailing indices, which is why they act as a single map of d_lo.
 
-Embedded images are linear in the leaf deviators, so they are obtained by
-replaying the forward maps up the recursion with a single basis deviator set
-and every other slot zeroed.  The replayed images only depend on (order,
-slot), so they are computed once per order and cached; per-input embedded
-parts are coordinate combinations of the cached images.
+The rows of E for order n replay these forward maps on each basis deviator
+of a child slot and push the result through the order-(n-1) rows of the
+parent slot.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import as_tensor, epsilon, symmetrize
-from .harmonic import build_basis, from_coords
+from .harmonic import build_basis, coords, from_coords
 
 __all__ = [
     "trinomial",
@@ -63,7 +73,6 @@ _EPS = epsilon()
 _EYE = np.eye(3)
 
 SPLIT_INPUT_TOL = 1e-9
-DEVIATOR_INPUT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +115,12 @@ def counts_row(n: int) -> tuple[int, ...]:
     return tuple(count_parts(n, s) for s in range(n + 1))
 
 
+def _children(s: int) -> tuple[int, ...]:
+    """Deviator orders of the slots that an order-s slot splits into one
+    tensor order up."""
+    return (1,) if s == 0 else (s - 1, s, s + 1)
+
+
 @lru_cache(maxsize=None)
 def part_orders(n: int) -> tuple[int, ...]:
     """Deviator orders of the parts of an order-n decomposition, in traversal order."""
@@ -113,19 +128,7 @@ def part_orders(n: int) -> tuple[int, ...]:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return (0,)
-    if n == 1:
-        return (1,)
-    if n == 2:
-        return (0, 1, 2)
-    out: list[int] = []
-    for s in part_orders(n - 1):
-        if s == 0:
-            out.append(1)
-        elif s == 1:
-            out.extend((0, 1, 2))
-        else:
-            out.extend((s - 1, s, s + 1))
-    return tuple(out)
+    return tuple(c for s in part_orders(n - 1) for c in _children(s))
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +203,6 @@ def _spin(mid: np.ndarray, n: int) -> np.ndarray:
     return symmetrize(e, trailing)
 
 
-def _check_deviator(t: np.ndarray, name: str) -> None:
-    basis = build_basis(t.ndim)
-    flat = t.ravel()
-    c = basis.flat @ flat
-    residual = np.linalg.norm(flat - c @ basis.flat)
-    if residual > DEVIATOR_INPUT_TOL * max(np.linalg.norm(flat), 1.0):
-        raise ValueError(f"{name} is not a deviator (residual {residual:.3e})")
-
-
 def combine_deviator_triple(lo, mid, hi, *, validate: bool = True) -> np.ndarray:
     """Map deviators of orders (n-1, n, n+1) into one order-(n+1) tensor.
 
@@ -225,9 +219,8 @@ def combine_deviator_triple(lo, mid, hi, *, validate: bool = True) -> np.ndarray
             f"got ({lo.ndim}, {mid.ndim}, {hi.ndim})"
         )
     if validate:
-        _check_deviator(lo, "lo")
-        _check_deviator(mid, "mid")
-        _check_deviator(hi, "hi")
+        for d in (lo, mid, hi):
+            coords(d)
     return _lift(lo, n) + _spin(mid, n) + hi
 
 
@@ -281,83 +274,46 @@ def split_deviator_triple(g, *, validate: bool = True) -> tuple[np.ndarray, np.n
 
 
 # ---------------------------------------------------------------------------
-# the recursion
+# the change of basis
 
-def _order2_values(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    alpha = np.trace(t) / 3.0
-    v = 0.5 * np.einsum("ijs,ij->s", _EPS, t)
-    dev = symmetrize(t) - alpha * _EYE
-    return np.asarray(alpha), v, dev
-
-
-def _split_values(t: np.ndarray) -> list[np.ndarray]:
-    """Leaf deviators of t in traversal order (no embedded images)."""
-    n = t.ndim
-    if n <= 1:
-        return [t]
-    if n == 2:
-        return list(_order2_values(t))
-    subs = [_split_values(t[k]) for k in range(3)]
-    out: list[np.ndarray] = []
-    for p, s in enumerate(part_orders(n - 1)):
-        triple = (subs[0][p], subs[1][p], subs[2][p])
-        if s == 0:
-            out.append(np.array([float(x) for x in triple]))
-        elif s == 1:
-            out.extend(_order2_values(np.stack(triple)))
-        else:
-            out.extend(split_deviator_triple(np.stack(triple), validate=False))
-    return out
+def _forward(s: int, child: int, b: np.ndarray) -> np.ndarray:
+    """Order-(s+1) tensor that a deviator ``b`` in an order-``child`` slot
+    contributes to its order-s parent slot (first index free, trailing s
+    indices in the parent's deviator space)."""
+    if child == s + 1:
+        return b
+    if s == 1:
+        return float(b) * _EYE if child == 0 else np.einsum("ijs,s->ij", _EPS, b)
+    return _lift(b, s) if child == s - 1 else _spin(b, s)
 
 
 @lru_cache(maxsize=None)
-def _embedding_images(n: int) -> tuple[np.ndarray, ...]:
-    """Embedded order-n images of the deviator basis, one stack per slot.
+def _change_of_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-n change of basis E and its squared row norms lambda.
 
-    Entry p has shape (2*s_p + 1,) + (3,)*n: the images of the orthonormal
-    basis of the slot's deviator space under the slot's embedding map.
+    Row r of the read-only (3^n, 3^n) matrix is the flattened embedded image
+    of one orthonormal basis deviator of one slot; slots follow
+    ``part_orders(n)`` and take 2s+1 consecutive rows each.
     """
     if n == 0:
-        return (np.ones((1,)),)
-    if n == 1:
-        return (np.array(build_basis(1).tensors),)
-    if n == 2:
-        vec_images = np.einsum("ijs,bs->bij", _EPS, build_basis(1).tensors)
-        return (
-            _EYE[np.newaxis],
-            vec_images,
-            np.array(build_basis(2).tensors),
-        )
-    prev = _embedding_images(n - 1)
-    out: list[np.ndarray] = []
-    for p, s in enumerate(part_orders(n - 1)):
-        parent_flat = prev[p].reshape(2 * s + 1, -1)
-        parent_basis = build_basis(s).flat
-
-        def expand(g: np.ndarray) -> np.ndarray:
-            # push a slot tensor (order s+1) through the parent embedding
-            c = g.reshape(3, -1) @ parent_basis.T
-            return (c @ parent_flat).reshape((3,) * n)
-
-        if s == 0:
-            children = [(1, lambda b: b)]
-        elif s == 1:
-            children = [
-                (0, lambda b: float(b) * _EYE),
-                (1, lambda b: np.einsum("ijs,s->ij", _EPS, b)),
-                (2, lambda b: b),
-            ]
-        else:
-            children = [
-                (s - 1, lambda b, s=s: _lift(b, s)),
-                (s, lambda b, s=s: _spin(b, s)),
-                (s + 1, lambda b: b),
-            ]
-        for child_s, forward in children:
-            stack = np.stack([expand(forward(b)) for b in build_basis(child_s)])
-            stack.flags.writeable = False
-            out.append(stack)
-    return tuple(out)
+        rows = np.ones((1, 1))
+    else:
+        prev, _ = _change_of_basis(n - 1)
+        rows = np.empty((3**n, 3**n))
+        r = p = 0
+        for s in part_orders(n - 1):
+            parent = prev[p : p + 2 * s + 1]
+            p += 2 * s + 1
+            to_parent = build_basis(s).flat.T
+            for child in _children(s):
+                for b in build_basis(child):
+                    c = _forward(s, child, b).reshape(3, -1) @ to_parent
+                    rows[r] = (c @ parent).ravel()
+                    r += 1
+    norms = np.einsum("ij,ij->i", rows, rows)
+    rows.flags.writeable = False
+    norms.flags.writeable = False
+    return rows, norms
 
 
 def decompose(t) -> Decomposition:
@@ -368,16 +324,24 @@ def decompose(t) -> Decomposition:
     """
     t = as_tensor(t)
     n = t.ndim
-    values = _split_values(t)
-    images = _embedding_images(n)
-    labels = part_orders(n)
+    rows, norms = _change_of_basis(n)
+    c = (rows @ t.ravel()) / norms
     parts: list[IrreduciblePart] = []
     seen: dict[int, int] = {}
-    for s, dev, image_stack in zip(labels, values, images):
-        c = build_basis(s).flat @ dev.ravel()
-        embedded = (c @ image_stack.reshape(len(c), -1)).reshape((3,) * n)
+    start = 0
+    for s in part_orders(n):
+        stop = start + 2 * s + 1
+        c_p = c[start:stop]
         seen[s] = seen.get(s, 0) + 1
-        parts.append(IrreduciblePart(s=s, J=seen[s], deviator=dev, embedded=embedded))
+        parts.append(
+            IrreduciblePart(
+                s=s,
+                J=seen[s],
+                deviator=(c_p @ build_basis(s).flat).reshape((3,) * s),
+                embedded=(c_p @ rows[start:stop]).reshape((3,) * n),
+            )
+        )
+        start = stop
     return Decomposition(order=n, parts=tuple(parts))
 
 

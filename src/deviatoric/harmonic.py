@@ -11,6 +11,11 @@ constructs a Frobenius-orthonormal basis once per order and caches it:
 
 The construction involves no randomness, so repeated calls return the same
 cached, read-only arrays.
+
+Membership in a deviator space is tested relative to the tensor's own norm,
+so it does not depend on the units of the input: ``t`` is a deviator when
+the residual of its projection is at most ``tol * |t|``.  The zero tensor
+has zero residual and is a deviator.
 """
 
 from __future__ import annotations
@@ -133,7 +138,7 @@ def coords(t, basis: DeviatorBasis | None = None) -> np.ndarray:
     """Coordinates of a deviator in the orthonormal basis of its order.
 
     Raises ``ValueError`` if ``t`` lies outside the deviator space by more
-    than ``MEMBERSHIP_TOL`` relative to its norm.
+    than ``MEMBERSHIP_TOL`` relative to its norm; the zero tensor passes.
     """
     t = as_tensor(t)
     if basis is None:
@@ -144,7 +149,7 @@ def coords(t, basis: DeviatorBasis | None = None) -> np.ndarray:
     c = basis.flat @ flat
     residual = np.linalg.norm(flat - c @ basis.flat)
     norm = np.linalg.norm(flat)
-    if residual > MEMBERSHIP_TOL * max(norm, 1.0):
+    if residual > MEMBERSHIP_TOL * norm:
         raise ValueError(
             f"tensor is not an order-{t.ndim} deviator "
             f"(projection residual {residual:.3e}, norm {norm:.3e})"
@@ -163,7 +168,8 @@ def from_coords(c, basis: DeviatorBasis | int) -> np.ndarray:
 
 
 def is_deviator(t, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether ``t`` is totally symmetric and traceless within ``tol``."""
+    """Whether ``t`` is totally symmetric and traceless within ``tol``
+    relative to its norm; the zero tensor is a deviator."""
     t = as_tensor(t)
     residual = np.linalg.norm((t - project_deviator(t)).ravel())
-    return bool(residual <= tol * max(np.linalg.norm(t.ravel()), 1.0))
+    return bool(residual <= tol * np.linalg.norm(t.ravel()))

@@ -8,13 +8,16 @@ a JSON array of 6 rows or as whitespace-delimited 6-line text.
 Writers are hand-rolled for these fixed shapes so every float is emitted
 with 17 significant digits; that makes write/read round-trips lossless and
 output byte-stable, which the stdlib json encoder does not let us control.
-Readers use ``json.loads`` plus validation that names the offending field.
+Readers use ``json.loads`` plus validation that names the offending field;
+they reject non-finite numbers (``NaN``/``Infinity`` tokens, overflowing
+literals), which ``json.loads`` and ``float`` would otherwise let through.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -69,6 +72,14 @@ def _get(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _check_number(x, context: str, where: str) -> None:
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        _fail(context, f"{where} is not a number: {x!r}")
+    # also false for NaN, and for ints beyond the float range
+    if not abs(x) <= sys.float_info.max:
+        _fail(context, f"{where} is not a finite number: {x!r}")
+
+
 def _tensor_from_obj(obj, context: str) -> np.ndarray:
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -83,8 +94,7 @@ def _tensor_from_obj(obj, context: str) -> np.ndarray:
             f"field 'components' has length {len(components)}, expected 3^{order} = {expected}",
         )
     for i, c in enumerate(components):
-        if not isinstance(c, (int, float)) or isinstance(c, bool):
-            _fail(context, f"components[{i}] is not a number: {c!r}")
+        _check_number(c, context, f"components[{i}]")
     return np.array(components, dtype=float).reshape((3,) * order)
 
 
@@ -185,23 +195,24 @@ def voigt_from_text(text: str, context: str = "voigt") -> np.ndarray:
     """Parse a Voigt matrix from JSON rows or whitespace-delimited text."""
     stripped = text.lstrip()
     if stripped.startswith("["):
-        obj = _loads(text, context)
-        if not isinstance(obj, list) or len(obj) != 6:
+        rows = _loads(text, context)
+        if not isinstance(rows, list) or len(rows) != 6:
             _fail(context, "expected a JSON array of 6 rows")
-        for i, row in enumerate(obj):
+        for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 6:
                 _fail(context, f"row {i} must be an array of 6 numbers")
-            for j, x in enumerate(row):
-                if not isinstance(x, (int, float)) or isinstance(x, bool):
-                    _fail(context, f"entry [{i}][{j}] is not a number: {x!r}")
-        return np.array(obj, dtype=float)
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if len(rows) != 6 or any(len(row) != 6 for row in rows):
-        _fail(context, "expected 6 lines of 6 whitespace-delimited numbers")
-    try:
-        return np.array([[float(x) for x in row] for row in rows])
-    except ValueError:
-        _fail(context, "non-numeric entry in whitespace-delimited matrix")
+    else:
+        rows = [line.split() for line in text.splitlines() if line.strip()]
+        if len(rows) != 6 or any(len(row) != 6 for row in rows):
+            _fail(context, "expected 6 lines of 6 whitespace-delimited numbers")
+        try:
+            rows = [[float(x) for x in row] for row in rows]
+        except ValueError:
+            _fail(context, "non-numeric entry in whitespace-delimited matrix")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            _check_number(x, context, f"entry [{i}][{j}]")
+    return np.array(rows, dtype=float)
 
 
 def save_voigt(path, m, fmt: str = "json") -> None:

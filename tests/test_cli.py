@@ -131,6 +131,17 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "line 1 column 1" in err
 
 
+def test_non_finite_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"order": 1, "components": [0.5, NaN, 1]}')
+    out_path = tmp_path / "d.json"
+    code, out, err = run(capsys, "decompose", "--input", str(bad), "--output", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "nan.json" in err and "components[1] is not a finite number" in err
+    assert not out_path.exists()
+
+
 def test_stiffness_command_all_input_forms(tmp_path, capsys):
     c = isotropic_stiffness(2.0, 1.0)
     m = tensor_to_voigt(c)

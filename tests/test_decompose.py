@@ -1,4 +1,7 @@
-"""Recursive decomposition engine: counts, round-trips, invariances."""
+"""Decomposition engine: counts, round-trips, invariances, and agreement
+with the paper's per-input recursion."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from numpy.testing import assert_allclose
 from deviatoric import (
     Decomposition,
     IrreduciblePart,
+    build_basis,
     combine_deviator_triple,
     count_parts,
     counts_row,
@@ -22,6 +26,7 @@ from deviatoric import (
     trinomial,
     verify,
 )
+from deviatoric.decomposition import _change_of_basis
 
 # number of independent deviators of each order s for tensor order n <= 6
 COUNTS_TABLE = {
@@ -42,6 +47,109 @@ for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
 
 def random_deviator(rng, s):
     return from_coords(rng.standard_normal(2 * s + 1), s)
+
+
+# ---------------------------------------------------------------------------
+# reference: the paper's recursion, run per input through the public triple
+# maps.  Slicing along the first index writes t = sum_k e_k x T_k; the three
+# slice deviators of each slot regroup into a vector, an order-2 tensor, or a
+# block that ``split_deviator_triple`` resolves.
+
+def reference_order2(t):
+    alpha = np.trace(t) / 3.0
+    spin = 0.5 * np.einsum("ijs,ij->s", _EPSILON, t)
+    return [np.asarray(alpha), spin, 0.5 * (t + t.T) - alpha * np.eye(3)]
+
+
+def reference_deviators(t):
+    """Leaf deviators of t in traversal order, by recursion on the slices."""
+    n = t.ndim
+    if n <= 1:
+        return [t]
+    if n == 2:
+        return reference_order2(t)
+    subs = [reference_deviators(t[k]) for k in range(3)]
+    out = []
+    for p, s in enumerate(part_orders(n - 1)):
+        g = np.stack([sub[p] for sub in subs])
+        if s == 0:
+            out.append(g)
+        elif s == 1:
+            out.extend(reference_order2(g))
+        else:
+            out.extend(split_deviator_triple(g, validate=False))
+    return out
+
+
+def reference_forward(s, which, b):
+    """Order-(s+1) tensor that deviator b contributes to its order-s parent
+    slot from child slot `which` (orders s-1, s, s+1; order 1 alone when
+    s = 0)."""
+    if s == 0 or which == 2:
+        return b
+    if s == 1:
+        return float(b) * np.eye(3) if which == 0 else np.einsum("ijs,s->ij", _EPSILON, b)
+    triple = [np.zeros((3,) * (s - 1)), np.zeros((3,) * s), np.zeros((3,) * (s + 1))]
+    triple[which] = b
+    return combine_deviator_triple(*triple, validate=False)
+
+
+@lru_cache(maxsize=None)
+def reference_images(n):
+    """Per slot, the embedded order-n images of its orthonormal basis, got by
+    pushing each basis deviator forward through the parent slot's images."""
+    if n == 0:
+        return (np.ones((1,)),)
+    out = []
+    for p, s in enumerate(part_orders(n - 1)):
+        parent = reference_images(n - 1)[p].reshape(2 * s + 1, -1)
+        children = (1,) if s == 0 else (s - 1, s, s + 1)
+        for which, child in enumerate(children):
+            images = []
+            for b in build_basis(child):
+                c = reference_forward(s, which, b).reshape(3, -1) @ build_basis(s).flat.T
+                images.append((c @ parent).reshape((3,) * n))
+            out.append(np.stack(images))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_engine_matches_reference_recursion(order):
+    labels = part_orders(order)
+    images = reference_images(order)
+    for seed in range(3):
+        t = np.random.default_rng(700 + 10 * order + seed).standard_normal((3,) * order)
+        parts = decompose(t).parts
+        devs = reference_deviators(t)
+        assert [(p.s, p.J) for p in parts] == [
+            (s, labels[: i + 1].count(s)) for i, s in enumerate(labels)
+        ]
+        assert len(devs) == len(parts)
+        for p, dev, stack in zip(parts, devs, images):
+            embedded = (build_basis(p.s).flat @ dev.ravel()) @ stack.reshape(2 * p.s + 1, -1)
+            embedded = embedded.reshape((3,) * order)
+            assert np.linalg.norm((p.deviator - dev).ravel()) <= 1e-12 * np.linalg.norm(dev.ravel())
+            assert np.linalg.norm((p.embedded - embedded).ravel()) <= 1e-12 * np.linalg.norm(
+                embedded.ravel()
+            )
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_change_of_basis_rows_are_orthogonal(order):
+    # E E^T = diag(lambda), with lambda constant on each slot (Schur's lemma)
+    rows, norms = _change_of_basis(order)
+    assert rows.shape == (3**order, 3**order)
+    assert not rows.flags.writeable and not norms.flags.writeable
+    gram = rows @ rows.T
+    assert_allclose(np.diag(gram), norms, rtol=1e-13)
+    off = gram - np.diag(np.diag(gram))
+    assert np.abs(off).max() <= 1e-13 * norms.max()
+    start = 0
+    for s in part_orders(order):
+        block = norms[start : start + 2 * s + 1]
+        assert block.max() - block.min() <= 1e-13 * block.max()
+        start += 2 * s + 1
+    assert start == 3**order
 
 
 def test_trinomial_against_polynomial_oracle():

@@ -91,6 +91,22 @@ def test_is_deviator():
     assert is_deviator(np.zeros((3, 3)))
 
 
+def test_membership_is_relative_to_scale():
+    rng = np.random.default_rng(22)
+    tiny = 1e-12 * rng.standard_normal((3, 3))
+    assert not is_deviator(tiny)
+    with pytest.raises(ValueError):
+        coords(tiny)
+    zero = np.zeros((3, 3, 3))
+    assert is_deviator(zero)
+    assert_allclose(coords(zero), np.zeros(7))
+    for s in (2, 3, 4):
+        d = from_coords(rng.standard_normal(2 * s + 1), s)
+        for scale in (1e-12, 1e12):
+            assert is_deviator(scale * d)
+            assert_allclose(coords(scale * d), scale * coords(d), rtol=1e-12)
+
+
 def test_deviator_space_is_rotation_invariant():
     rng = np.random.default_rng(15)
     for s in (2, 3):

@@ -62,6 +62,23 @@ def test_tensor_json_error_messages():
         tensor_from_json("[]", context="myfile.json")
 
 
+@pytest.mark.parametrize(
+    "token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400], ids=lambda t: t[:8]
+)
+def test_tensor_json_rejects_non_finite(tmp_path, token):
+    text = f'{{"order": 1, "components": [1, {token}, 3]}}'
+    with pytest.raises(ValueError, match=r"components\[1\] is not a finite number"):
+        tensor_from_json(text)
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="t.json"):
+        load_tensor(path)
+    part = f'{{"s": 0, "J": 1, "deviator": {{"order": 0, "components": [{token}]}}, '
+    part += '"embedded": {"order": 0, "components": [1]}}'
+    with pytest.raises(ValueError, match=r"parts\[0\]\.deviator: components\[0\]"):
+        decomposition_from_json(f'{{"order": 0, "parts": [{part}]}}')
+
+
 def test_decomposition_round_trip():
     rng = np.random.default_rng(41)
     t = rng.standard_normal((3, 3, 3))
@@ -131,6 +148,18 @@ def test_voigt_parse_errors():
         voigt_from_text("\n".join(["1 2 3 4 5 x"] + ["1 2 3 4 5 6"] * 5))
     with pytest.raises(ValueError, match="not a number"):
         voigt_from_text("[" + ", ".join(['[1, 2, 3, 4, 5, "x"]'] + ["[1, 2, 3, 4, 5, 6]"] * 5) + "]")
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_voigt_rejects_non_finite(token):
+    text = "\n".join(["1 2 3 4 5 6"] * 2 + [f"1 2 {token} 4 5 6"] + ["1 2 3 4 5 6"] * 3)
+    with pytest.raises(ValueError, match=r"entry \[2\]\[2\] is not a finite number"):
+        voigt_from_text(text)
+    json_token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(token, token)
+    rows = ["[1, 2, 3, 4, 5, 6]"] * 6
+    rows[4] = f"[1, {json_token}, 3, 4, 5, 6]"
+    with pytest.raises(ValueError, match=r"entry \[4\]\[1\] is not a finite number"):
+        voigt_from_text("[" + ", ".join(rows) + "]")
 
 
 def test_writer_output_is_deterministic():
