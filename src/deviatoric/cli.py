@@ -142,12 +142,13 @@ def _cmd_decompose(args) -> int:
         print(payload)
         return 0
     _emit(payload, args.output)
-    report = verify(d, t)
+    t_norm = np.linalg.norm(t.ravel())
+    res = float(np.linalg.norm((reconstruct(d) - t).ravel()))
     _report(
         [
             ("order", d.order),
             ("parts", len(d.parts)),
-            ("reconstruction_relative", report.reconstruction_relative),
+            ("reconstruction_relative", res / t_norm if t_norm > 0.0 else res),
         ],
         args.format,
     )
@@ -168,16 +169,17 @@ def _cmd_reconstruct(args) -> int:
 
 def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     """How far the file's parts sit from the canonical decomposition of the
-    reference tensor; infinite when the part layout itself is wrong."""
+    reference tensor, relative to its norm (absolute for the zero tensor);
+    infinite when the part layout itself is wrong."""
     fresh = decompose(reference)
     if [(p.s, p.J) for p in fresh.parts] != [(p.s, p.J) for p in d.parts]:
         return float("inf")
-    scale = max(float(np.linalg.norm(reference.ravel())), 1.0)
     worst = 0.0
     for ours, theirs in zip(d.parts, fresh.parts):
-        worst = max(worst, float(np.linalg.norm((ours.embedded - theirs.embedded).ravel())) / scale)
-        worst = max(worst, float(np.linalg.norm((ours.deviator - theirs.deviator).ravel())) / scale)
-    return worst
+        worst = max(worst, float(np.linalg.norm((ours.embedded - theirs.embedded).ravel())))
+        worst = max(worst, float(np.linalg.norm((ours.deviator - theirs.deviator).ravel())))
+    scale = float(np.linalg.norm(reference.ravel()))
+    return worst / scale if scale > 0.0 else worst
 
 
 def _cmd_verify(args) -> int:

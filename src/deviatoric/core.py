@@ -17,8 +17,7 @@ All functions are pure and never modify their inputs.
 
 from __future__ import annotations
 
-import itertools
-import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,6 +102,24 @@ def contract_double(a, b) -> np.ndarray:
     return np.tensordot(a, b, axes=([a.ndim - 2, a.ndim - 1], [0, 1]))
 
 
+@lru_cache(maxsize=None)
+def _orbit_map(ndim: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit code of every component under permutations of ``axes``, and the
+    reciprocal orbit size for each code.
+
+    A component's code is the flat index of its multi-index with the entries
+    at ``axes`` sorted, i.e. of the orbit's canonical member.
+    """
+    shape = (3,) * ndim
+    index = np.indices(shape).reshape(ndim, -1)
+    index[list(axes)] = np.sort(index[list(axes)], axis=0)
+    code = np.ravel_multi_index(index, shape)
+    weight = 1.0 / np.maximum(np.bincount(code, minlength=3**ndim), 1)
+    code.flags.writeable = False
+    weight.flags.writeable = False
+    return code, weight
+
+
 def symmetrize(t, positions=None) -> np.ndarray:
     """Average ``t`` over all permutations of the given index positions.
 
@@ -117,6 +134,9 @@ def symmetrize(t, positions=None) -> np.ndarray:
     Notes
     -----
     Symmetrization is a projection: applying it twice gives the same result.
+    Every permutation maps each component onto each member of its orbit
+    equally often, so the average over permutations is the mean over the
+    component's orbit, computed in O(3^n) from a cached orbit map.
     """
     t = as_tensor(t)
     axes = tuple(range(t.ndim)) if positions is None else tuple(positions)
@@ -126,13 +146,9 @@ def symmetrize(t, positions=None) -> np.ndarray:
         raise ValueError(f"positions {axes} out of range for order {t.ndim}")
     if len(axes) < 2:
         return t.copy()
-    acc = np.zeros_like(t)
-    for perm in itertools.permutations(axes):
-        order = list(range(t.ndim))
-        for slot, src in zip(axes, perm):
-            order[slot] = src
-        acc += t.transpose(order)
-    return acc / math.factorial(len(axes))
+    code, weight = _orbit_map(t.ndim, tuple(sorted(axes)))
+    means = np.bincount(code, weights=t.ravel(), minlength=code.size) * weight
+    return means[code].reshape(t.shape)
 
 
 def trace_pair(t, p: int, q: int) -> np.ndarray:

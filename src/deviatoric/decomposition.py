@@ -161,7 +161,11 @@ class Decomposition:
 class VerifyReport:
     """Residuals of a decomposition against its source tensor.
 
-    All residuals are relative (unit floor for near-zero denominators).
+    Residuals are relative: the reconstruction to the source tensor's norm,
+    each part's symmetry and trace to that part's deviator norm, and each
+    cross-correlation to the two images' norms.  A zero denominator gives
+    the absolute residual for the reconstruction and residual 0 for a zero
+    part, which is trivially symmetric, traceless and orthogonal.
     """
 
     order: int
@@ -251,7 +255,7 @@ def split_deviator_triple(g, *, validate: bool = True) -> tuple[np.ndarray, np.n
 
     Inverts ``combine_deviator_triple``.  With ``validate`` the input is
     checked to lie in the admissible space within ``SPLIT_INPUT_TOL``
-    (relative, unit floor).
+    relative to its norm; the zero tensor passes.
     """
     g = as_tensor(g)
     n = g.ndim - 1
@@ -261,7 +265,7 @@ def split_deviator_triple(g, *, validate: bool = True) -> tuple[np.ndarray, np.n
     slice_coords = g.reshape(3, -1) @ mid_flat.T          # (3, 2n+1)
     if validate:
         residual = np.linalg.norm(g.reshape(3, -1) - slice_coords @ mid_flat)
-        if residual > SPLIT_INPUT_TOL * max(np.linalg.norm(g.ravel()), 1.0):
+        if residual > SPLIT_INPUT_TOL * np.linalg.norm(g.ravel()):
             raise ValueError(
                 "input is not symmetric and traceless in its trailing "
                 f"indices (residual {residual:.3e})"
@@ -363,12 +367,57 @@ def reconstruct(d: Decomposition) -> np.ndarray:
             raise ValueError(
                 f"part (s={p.s}, J={p.J}) embedded order {e.ndim} != {d.order}"
             )
-        total = total + e
+        total += e
     return total
 
 
+# Bytes per row block of the Gram product in ``verify``.  Two blocks are live
+# at a time, so its transient memory stays fixed while the images grow as 3^n.
+_GRAM_BLOCK_BYTES = 3 << 18
+
+
+def _max_cross_correlation(images: list[np.ndarray]) -> float:
+    """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
+    images, from the Gram matrix F F^T taken in row blocks of F."""
+    flats = [f.reshape(-1) for f in images]
+    norms = np.sqrt([f @ f for f in flats])
+    flats = [f for f, norm in zip(flats, norms) if norm > 0.0]
+    norms = norms[norms > 0.0]
+    if not flats:
+        return 0.0
+    rows = max(1, _GRAM_BLOCK_BYTES // flats[0].nbytes)
+    # blocks after the first are at most min(rows, parts - rows) long
+    left = np.empty((min(rows, len(flats)), flats[0].size))
+    right = np.empty((min(rows, max(len(flats) - rows, 0)), flats[0].size))
+    gram = np.empty((len(left), len(left)))
+
+    def block(start: int, out: np.ndarray) -> np.ndarray:
+        chunk = flats[start : start + rows]
+        return np.stack(chunk, out=out[: len(chunk)])
+
+    worst = 0.0
+    for i in range(0, len(flats), rows):
+        a = block(i, left)
+        for j in range(i, len(flats), rows):
+            b = a if j == i else block(j, right)
+            g = np.matmul(a, b.T, out=gram[: len(a), : len(b)])
+            np.abs(g, out=g)
+            g /= norms[i : i + len(a), None]
+            g /= norms[None, j : j + len(b)]
+            if j == i:
+                np.fill_diagonal(g, 0.0)
+            worst = max(worst, float(g.max()))
+    return worst
+
+
 def verify(d: Decomposition, t) -> VerifyReport:
-    """Residual report of a decomposition against the tensor it came from."""
+    """Residual report of a decomposition against the tensor it came from.
+
+    The cross-correlation check reads every stored embedded image, so an
+    edited image fails it.  Its Gram product costs O(parts^2 * 3^n) flops in
+    BLAS and holds at most two row blocks of 768 KiB each at a time, however
+    large the order.
+    """
     t = as_tensor(t, order=d.order)
     t_norm = np.linalg.norm(t.ravel())
     res = float(np.linalg.norm((reconstruct(d) - t).ravel()))
@@ -378,24 +427,15 @@ def verify(d: Decomposition, t) -> VerifyReport:
     trace_res: list[float] = []
     for p in d.parts:
         dev = as_tensor(p.deviator, order=p.s)
-        dn = max(np.linalg.norm(dev.ravel()), 1.0)
-        if p.s >= 2:
+        dn = np.linalg.norm(dev.ravel())
+        if p.s >= 2 and dn > 0.0:
             sym_res.append(float(np.linalg.norm((dev - symmetrize(dev)).ravel()) / dn))
             trace_res.append(float(np.linalg.norm(np.trace(dev, axis1=0, axis2=1).ravel()) / dn))
         else:
             sym_res.append(0.0)
             trace_res.append(0.0)
 
-    max_cross = 0.0
-    flats = [p.embedded.reshape(-1) for p in d.parts]
-    norms = [np.linalg.norm(f) for f in flats]
-    for i in range(len(flats)):
-        if norms[i] == 0.0:
-            continue
-        for j in range(i + 1, len(flats)):
-            if norms[j] == 0.0:
-                continue
-            max_cross = max(max_cross, abs(float(flats[i] @ flats[j])) / (norms[i] * norms[j]))
+    max_cross = _max_cross_correlation([p.embedded for p in d.parts])
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
     actual = d.counts()

@@ -85,9 +85,10 @@ class CouplingDeviators:
 
 
 def validate_coupling(h, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Check the symmetry H_ijk = H_jik and return the tensor."""
+    """Check the symmetry H_ijk = H_jik, relative to the largest entry, and
+    return the tensor; the zero tensor passes."""
     h = as_tensor(h, order=3)
-    scale = max(np.max(np.abs(h)), 1.0)
+    scale = np.max(np.abs(h))
     if np.max(np.abs(h - h.swapaxes(0, 1))) > tol * scale:
         raise ValueError("tensor violates the coupling symmetry H_ijk = H_jik")
     return h
@@ -221,12 +222,16 @@ def coupling_decompose(h, coefficients: str = "fitted") -> CouplingDeviators:
         raise ValueError(f"coefficients must be 'printed' or 'fitted', got {coefficients!r}")
     pinv, forward = _coupling_solver()
     x = pinv @ h.ravel()
-    residual = np.linalg.norm(forward @ x - h.ravel())
-    if residual > 1e-9 * max(np.linalg.norm(h.ravel()), 1.0):
-        raise ValueError(
-            f"tensor is not representable by the four coupling deviators "
-            f"(residual {residual:.3e}); is the coupling symmetry satisfied?"
-        )
+    # relative residual, with both sides divided by the largest entry so
+    # that no norm overflows or underflows; the zero tensor is representable
+    scale = np.max(np.abs(h))
+    if scale > 0.0:
+        residual = np.linalg.norm((forward @ x - h.ravel()) / scale)
+        if residual > 1e-9 * np.linalg.norm(h.ravel() / scale):
+            raise ValueError(
+                f"tensor is not representable by the four coupling deviators "
+                f"(relative residual {residual:.3e}); is the coupling symmetry satisfied?"
+            )
     return CouplingDeviators(
         v2=x[0:3],
         v3=x[3:6],
@@ -310,9 +315,10 @@ class StiffnessDeviators:
 
 
 def validate_stiffness(c, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Check minor (ijkl = jikl = ijlk) and major (ijkl = klij) symmetries."""
+    """Check minor (ijkl = jikl = ijlk) and major (ijkl = klij) symmetries,
+    relative to the largest entry; the zero tensor passes."""
     c = as_tensor(c, order=4)
-    scale = max(np.max(np.abs(c)), 1.0)
+    scale = np.max(np.abs(c))
     if np.max(np.abs(c - c.swapaxes(0, 1))) > tol * scale:
         raise ValueError("tensor violates the minor symmetry C_ijkl = C_jikl")
     if np.max(np.abs(c - c.swapaxes(2, 3))) > tol * scale:
@@ -386,10 +392,13 @@ def tensor_to_voigt(c) -> np.ndarray:
 
 
 def voigt_to_tensor(m) -> np.ndarray:
-    """Stiffness tensor of a symmetric 6x6 Voigt matrix; pure relabeling."""
+    """Stiffness tensor of a symmetric 6x6 Voigt matrix; pure relabeling.
+
+    Symmetry is checked relative to the largest entry; the zero matrix passes.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * max(np.max(np.abs(m)), 1.0):
+    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * np.max(np.abs(m)):
         raise ValueError("Voigt matrix must be symmetric")
     return m[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX[None, None, :, :]]

@@ -5,9 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from deviatoric import isotropic_stiffness, save_tensor, save_voigt, tensor_to_voigt
+from deviatoric import (
+    decompose,
+    isotropic_stiffness,
+    save_tensor,
+    save_voigt,
+    tensor_to_voigt,
+    verify,
+)
 from deviatoric.cli import main
-from deviatoric.serialization import load_decomposition, load_tensor, save_decomposition
+from deviatoric.serialization import fmt_float, load_decomposition, load_tensor, save_decomposition
 
 
 def run(capsys, *argv):
@@ -98,6 +105,48 @@ def test_verify_catches_corruption(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["passes"] is False
     code, _, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
+    assert code == 1
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12, 1.0])
+def test_decompose_report_matches_verify(tmp_path, capsys, scale):
+    t_path = tmp_path / "t.json"
+    d_path = tmp_path / "d.json"
+    save_tensor(t_path, scale * np.random.default_rng(6).standard_normal((3, 3, 3, 3)))
+    t = load_tensor(t_path)
+    rel = verify(decompose(t), t).reconstruction_relative
+    code, out, _ = run(capsys, "decompose", "--input", str(t_path), "--output", str(d_path))
+    assert code == 0
+    assert out == f"order = 4\nparts = 19\nreconstruction_relative = {rel:.12g}\n"
+    code, out, _ = run(
+        capsys, "decompose", "--input", str(t_path), "--output", str(d_path), "--format", "json"
+    )
+    assert code == 0
+    assert out == f'{{"order": 4, "parts": 19, "reconstruction_relative": {fmt_float(rel)}}}\n'
+
+
+def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
+    # two order-1 parts with their contents swapped still sum to the tensor
+    # and stay orthogonal; only the comparison with the canonical
+    # decomposition catches them, at any scale of the tensor
+    t_path = tmp_path / "t.json"
+    d_path = tmp_path / "d.json"
+    save_tensor(t_path, 1e-12 * np.random.default_rng(7).standard_normal((3, 3, 3)))
+    d = decompose(load_tensor(t_path))
+    i, j = [k for k, p in enumerate(d.parts) if p.s == 1][:2]
+    parts = list(d.parts)
+    for a, b in ((i, j), (j, i)):
+        parts[a] = type(parts[a])(
+            s=1, J=parts[a].J, deviator=d.parts[b].deviator, embedded=d.parts[b].embedded
+        )
+    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    code, out, _ = run(
+        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
+    )
+    report = json.loads(out)
+    assert report["reconstruction_relative"] <= 1e-10
+    assert report["max_cross_correlation"] <= 1e-10
+    assert report["canonical_residual"] > 1e-3
     assert code == 1
 
 

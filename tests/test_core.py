@@ -1,7 +1,12 @@
 """Dense tensor primitives: construction, contraction, symmetrization."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deviatoric import (
@@ -99,6 +104,42 @@ def test_symmetrize_idempotent():
     once = symmetrize(t, (1, 3))
     assert_allclose(symmetrize(once, (1, 3)), once)
     assert_allclose(symmetrize(symmetrize(t)), symmetrize(t))
+
+
+def reference_symmetrize(t, axes):
+    """Average over every permutation of ``axes`` by explicit transposes."""
+    if len(axes) < 2:
+        return t.copy()
+    acc = np.zeros_like(t)
+    for perm in itertools.permutations(axes):
+        order = list(range(t.ndim))
+        for slot, src in zip(axes, perm):
+            order[slot] = src
+        acc += t.transpose(order)
+    return acc / math.factorial(len(axes))
+
+
+@st.composite
+def tensors_and_positions(draw):
+    order = draw(st.integers(0, 6))
+    positions = draw(st.permutations(range(order)))[: draw(st.integers(0, order))]
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.sampled_from([1e-300, 1e-12, 1.0, 1e12, 1e300]))
+    t = scale * np.random.default_rng(seed).standard_normal((3,) * order)
+    return t, tuple(positions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors_and_positions())
+def test_symmetrize_matches_permutation_average(case):
+    t, positions = case
+    # max-norm comparisons, which neither overflow nor underflow at the
+    # extreme scales
+    got = symmetrize(t, positions)
+    want = reference_symmetrize(t, positions)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    again = symmetrize(got, positions)
+    assert np.max(np.abs(again - got)) <= 1e-13 * np.max(np.abs(got))
 
 
 def test_symmetrize_validates_positions():

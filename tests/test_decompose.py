@@ -1,6 +1,7 @@
 """Decomposition engine: counts, round-trips, invariances, and agreement
 with the paper's per-input recursion."""
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -347,6 +348,17 @@ def test_split_rejects_tensors_outside_the_image():
         split_deviator_triple(rng.standard_normal((3, 3, 3)))
 
 
+def test_split_membership_is_relative_to_scale():
+    rng = np.random.default_rng(22)
+    with pytest.raises(ValueError):
+        split_deviator_triple(1e-12 * rng.standard_normal((3, 3, 3)))
+    g = combine_deviator_triple(*(random_deviator(rng, s) for s in (1, 2, 3)))
+    for scale in (1e-12, 1e12):
+        split_deviator_triple(scale * g)
+    for part in split_deviator_triple(np.zeros((3, 3, 3))):
+        assert not part.any()
+
+
 def test_verify_report_passes_and_fails():
     rng = np.random.default_rng(21)
     t = rng.standard_normal((3, 3, 3))
@@ -362,6 +374,95 @@ def test_verify_report_passes_and_fails():
     bad_parts[2] = IrreduciblePart(s=p.s, J=p.J, deviator=p.deviator, embedded=bumped)
     bad = Decomposition(order=3, parts=tuple(bad_parts))
     assert not verify(bad, t).passes(1e-10)
+
+
+def reference_cross_correlation(d):
+    """The pairwise loop over part images that the Gram product replaced."""
+    flats = [p.embedded.reshape(-1) for p in d.parts]
+    norms = [np.linalg.norm(f) for f in flats]
+    worst = 0.0
+    for i in range(len(flats)):
+        if norms[i] == 0.0:
+            continue
+        for j in range(i + 1, len(flats)):
+            if norms[j] == 0.0:
+                continue
+            worst = max(worst, abs(float(flats[i] @ flats[j])) / (norms[i] * norms[j]))
+    return worst
+
+
+def with_parts(d, changes):
+    """Copy of ``d`` with the parts at the given indices replaced by
+    (deviator, embedded) pairs."""
+    parts = list(d.parts)
+    for k, (deviator, embedded) in changes.items():
+        parts[k] = IrreduciblePart(s=parts[k].s, J=parts[k].J, deviator=deviator, embedded=embedded)
+    return Decomposition(order=d.order, parts=tuple(parts))
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_cross_correlation_matches_pairwise_reference(order):
+    t = np.random.default_rng(400 + order).standard_normal((3,) * order)
+    d = decompose(t)
+    report = verify(d, t)
+    assert abs(report.max_cross_correlation - reference_cross_correlation(d)) <= 1e-13
+    assert report.passes(1e-10)
+    if len(d.parts) < 2:
+        return
+    # mix the first and the last image; the sum and the deviators stay as
+    # they were, so only the cross-correlation of the stored images can fail
+    first, last = d.parts[0], d.parts[-1]
+    mixed = with_parts(
+        d,
+        {
+            0: (first.deviator, first.embedded + 0.3 * last.embedded),
+            len(d.parts) - 1: (last.deviator, 0.7 * last.embedded),
+        },
+    )
+    report = verify(mixed, t)
+    assert report.reconstruction_relative <= 1e-12
+    assert report.max_cross_correlation > 1e-3
+    assert abs(report.max_cross_correlation - reference_cross_correlation(mixed)) <= 1e-13
+    assert not report.passes(1e-10)
+
+
+@pytest.mark.parametrize("order", [3, 6])
+def test_verify_skips_zero_parts(order):
+    t = np.random.default_rng(410 + order).standard_normal((3,) * order)
+    d = decompose(t)
+    k = next(i for i, p in enumerate(d.parts) if p.s >= 2)
+    p = d.parts[k]
+    zeroed = with_parts(d, {k: (np.zeros_like(p.deviator), np.zeros_like(p.embedded))})
+    report = verify(zeroed, reconstruct(zeroed))
+    assert report.part_symmetry[k] == 0.0 and report.part_trace[k] == 0.0
+    assert abs(report.max_cross_correlation - reference_cross_correlation(zeroed)) <= 1e-13
+    assert report.passes(1e-10)
+
+
+def test_verify_part_residuals_are_relative_to_each_part():
+    t = 1e-12 * np.random.default_rng(42).standard_normal((3,) * 4)
+    d = decompose(t)
+    assert verify(d, t).passes(1e-10)
+    k = next(i for i, p in enumerate(d.parts) if p.s == 2)
+    skew = d.parts[k].deviator.copy()
+    skew[0, 1] += 0.1 * np.linalg.norm(skew)
+    report = verify(with_parts(d, {k: (skew, d.parts[k].embedded)}), t)
+    assert report.max_part_residual > 1e-3
+    assert not report.passes(1e-10)
+
+
+def test_verify_transient_memory_is_bounded():
+    t = np.random.default_rng(43).standard_normal((3,) * 7)
+    d = decompose(t)
+    verify(d, t)  # builds the cached orbit maps used by the symmetry check
+    tracemalloc.start()
+    try:
+        verify(d, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one stack of all 393 images would take 393 * 3^7 * 8 bytes = 6.9 MB
+    assert peak < 4 * 2**20
 
 
 def test_reconstruct_validates_order():

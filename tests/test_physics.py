@@ -290,3 +290,32 @@ def test_voigt_rejects_bad_input():
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
         voigt_to_tensor(skew)
+
+
+# ---------------------------------------------------------------------------
+# symmetry checks are relative to the input's scale
+
+
+def test_asymmetric_inputs_are_rejected_at_small_scale():
+    rng = np.random.default_rng(36)
+    with pytest.raises(ValueError):
+        stiffness_decompose(1e-14 * rng.standard_normal((3, 3, 3, 3)))
+    for variant in ("printed", "fitted"):
+        with pytest.raises(ValueError):
+            coupling_decompose(1e-14 * rng.standard_normal((3, 3, 3)), coefficients=variant)
+    with pytest.raises(ValueError):
+        voigt_to_tensor(1e-14 * rng.standard_normal((6, 6)))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-14, 1.0, 1e14, 1e300])
+def test_symmetric_inputs_pass_at_every_scale(scale):
+    # max-norm bounds, which neither overflow nor underflow at the extremes
+    rng = np.random.default_rng(37)
+    c = scale * random_stiffness(rng)
+    bound = 1e-12 * np.max(np.abs(c))
+    assert np.max(np.abs(stiffness_reconstruct(stiffness_decompose(c)) - c)) <= bound
+    assert np.array_equal(voigt_to_tensor(tensor_to_voigt(c)), c)
+    h = scale * random_coupling(rng)
+    bound = 1e-12 * np.max(np.abs(h))
+    assert np.max(np.abs(coupling_reconstruct(coupling_decompose(h)) - h)) <= bound
+    coupling_decompose(h, coefficients="printed")
