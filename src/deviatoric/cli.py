@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .core import frobenius_norm
 from .decomposition import Decomposition, counts_row, decompose, reconstruct, verify
 from .physics import (
     coupling_decompose,
@@ -142,8 +143,8 @@ def _cmd_decompose(args) -> int:
         print(payload)
         return 0
     _emit(payload, args.output)
-    t_norm = np.linalg.norm(t.ravel())
-    res = float(np.linalg.norm((reconstruct(d) - t).ravel()))
+    t_norm = frobenius_norm(t)
+    res = frobenius_norm(reconstruct(d) - t)
     _report(
         [
             ("order", d.order),
@@ -163,7 +164,7 @@ def _cmd_reconstruct(args) -> int:
         print(payload)
         return 0
     _emit(payload, args.output)
-    _report([("order", d.order), ("norm", float(np.linalg.norm(t.ravel())))], args.format)
+    _report([("order", d.order), ("norm", frobenius_norm(t))], args.format)
     return 0
 
 
@@ -176,9 +177,9 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
         return float("inf")
     worst = 0.0
     for ours, theirs in zip(d.parts, fresh.parts):
-        worst = max(worst, float(np.linalg.norm((ours.embedded - theirs.embedded).ravel())))
-        worst = max(worst, float(np.linalg.norm((ours.deviator - theirs.deviator).ravel())))
-    scale = float(np.linalg.norm(reference.ravel()))
+        worst = max(worst, frobenius_norm(ours.embedded - theirs.embedded))
+        worst = max(worst, frobenius_norm(ours.deviator - theirs.deviator))
+    scale = frobenius_norm(reference)
     return worst / scale if scale > 0.0 else worst
 
 

@@ -17,6 +17,7 @@ All functions are pure and never modify their inputs.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "contract_single",
     "contract_double",
     "symmetrize",
+    "symmetrize_stack",
     "trace_pair",
     "delta",
     "epsilon",
@@ -151,6 +153,27 @@ def symmetrize(t, positions=None) -> np.ndarray:
     return means[code].reshape(t.shape)
 
 
+def symmetrize_stack(ts) -> np.ndarray:
+    """Total symmetrization of each tensor in a stack of shape
+    ``(k,) + (3,) * n``.
+
+    One ``bincount`` over the cached orbit codes of all k tensors, offset by
+    ``3**n`` per tensor, gives every orbit mean of the stack at once; each
+    tensor comes out as ``symmetrize`` would return it.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim < 1 or any(d != 3 for d in ts.shape[1:]):
+        raise ValueError(f"expected a stack of shape (k, 3, ..., 3), got {ts.shape}")
+    k, n = ts.shape[0], ts.ndim - 1
+    if n < 2:
+        return ts.copy()
+    code, weight = _orbit_map(n, tuple(range(n)))
+    codes = code + code.size * np.arange(k)[:, None]
+    means = np.bincount(codes.ravel(), weights=ts.ravel(), minlength=codes.size)
+    means = means.reshape(k, code.size) * weight
+    return means[:, code].reshape(ts.shape)
+
+
 def trace_pair(t, p: int, q: int) -> np.ndarray:
     """Contract index positions ``p`` and ``q`` of ``t`` with each other."""
     t = as_tensor(t)
@@ -183,8 +206,18 @@ def frobenius(a, b) -> float:
 
 
 def frobenius_norm(t) -> float:
-    """Frobenius norm, the square root of ``frobenius(t, t)``."""
-    return float(np.linalg.norm(as_tensor(t).ravel()))
+    """Frobenius norm, the square root of ``frobenius(t, t)``.
+
+    The components are first divided by a power of two near the largest of
+    them, exactly, so the sum of squares neither overflows nor underflows
+    at any scale of ``t``.
+    """
+    flat = as_tensor(t).ravel()
+    top = float(np.max(np.abs(flat)))
+    if not 0.0 < top < math.inf:  # zero, or a non-finite component
+        return float(np.linalg.norm(flat))
+    exponent = math.frexp(top)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(flat, -exponent))), exponent)
 
 
 def add(a, b) -> np.ndarray:

@@ -45,12 +45,13 @@ parent slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import as_tensor, epsilon, symmetrize
+from .core import as_tensor, epsilon, frobenius_norm, symmetrize, symmetrize_stack
 from .harmonic import build_basis, coords, from_coords
 
 __all__ = [
@@ -292,6 +293,17 @@ def _forward(s: int, child: int, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _forward_matrix(s: int, child: int) -> np.ndarray:
+    """Read-only (2c+1, 3, 2s+1) array: for each basis deviator of an
+    order-``child`` slot, ``_forward`` of it with its trailing s indices in
+    the parent's deviator coordinates."""
+    to_parent = build_basis(s).flat.T
+    f = np.stack([_forward(s, child, b).reshape(3, -1) @ to_parent for b in build_basis(child)])
+    f.flags.writeable = False
+    return f
+
+
+@lru_cache(maxsize=None)
 def _change_of_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-n change of basis E and its squared row norms lambda.
 
@@ -308,12 +320,11 @@ def _change_of_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
         for s in part_orders(n - 1):
             parent = prev[p : p + 2 * s + 1]
             p += 2 * s + 1
-            to_parent = build_basis(s).flat.T
             for child in _children(s):
-                for b in build_basis(child):
-                    c = _forward(s, child, b).reshape(3, -1) @ to_parent
-                    rows[r] = (c @ parent).ravel()
-                    r += 1
+                f = _forward_matrix(s, child)
+                block = rows[r : r + len(f)].reshape(len(f), 3, -1)
+                np.matmul(f, parent, out=block)
+                r += len(f)
     norms = np.einsum("ij,ij->i", rows, rows)
     rows.flags.writeable = False
     norms.flags.writeable = False
@@ -324,25 +335,31 @@ def decompose(t) -> Decomposition:
     """Orthogonal irreducible decomposition of an arbitrary 3-D tensor.
 
     Returns one part per (s, J) slot in deterministic traversal order; the
-    embedded images sum to ``t`` and are mutually orthogonal.
+    embedded images sum to ``t`` and are mutually orthogonal.  The images are
+    the rows of one (parts, 3^n) array, and each ``embedded`` is a view of
+    its row, so ``verify`` reads them all without a copy.
     """
     t = as_tensor(t)
     n = t.ndim
     rows, norms = _change_of_basis(n)
     c = (rows @ t.ravel()) / norms
+    orders = part_orders(n)
+    images = np.empty((len(orders), rows.shape[1]))
     parts: list[IrreduciblePart] = []
     seen: dict[int, int] = {}
     start = 0
-    for s in part_orders(n):
+    for i, s in enumerate(orders):
         stop = start + 2 * s + 1
         c_p = c[start:stop]
         seen[s] = seen.get(s, 0) + 1
+        image = images[i]
+        np.dot(c_p, rows[start:stop], out=image)
         parts.append(
             IrreduciblePart(
                 s=s,
                 J=seen[s],
                 deviator=(c_p @ build_basis(s).flat).reshape((3,) * s),
-                embedded=(c_p @ rows[start:stop]).reshape((3,) * n),
+                embedded=image.reshape((3,) * n),
             )
         )
         start = stop
@@ -371,43 +388,115 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     return total
 
 
-# Bytes per row block of the Gram product in ``verify``.  Two blocks are live
-# at a time, so its transient memory stays fixed while the images grow as 3^n.
-_GRAM_BLOCK_BYTES = 3 << 18
+def _image_rows(d: Decomposition) -> np.ndarray:
+    """The embedded images of ``d`` as the rows of one (parts, 3^n) array.
+
+    For the output of ``decompose`` or ``load_decomposition`` image i is
+    exactly row i of one C-contiguous float64 array, and that array is
+    returned as is.  Any other layout, such as a hand-built decomposition or
+    one with a part replaced, removed or moved, is copied into a new stack,
+    so the images that are checked are always the ones stored in the parts.
+    """
+    shape = (3,) * d.order
+    images = [p.embedded for p in d.parts]
+    base = getattr(images[0], "base", None) if images else None
+    if (
+        isinstance(base, np.ndarray)
+        and base.dtype == np.float64
+        and base.flags.c_contiguous
+        and base.shape == (len(images), 3**d.order)
+    ):
+        address = base.__array_interface__["data"][0]
+        step = base.strides[0]
+        if all(
+            getattr(e, "base", None) is base
+            and e.dtype == base.dtype
+            and e.shape == shape
+            and e.flags.c_contiguous
+            and e.__array_interface__["data"][0] == address + i * step
+            for i, e in enumerate(images)
+        ):
+            return base
+    return _stack(images, d.order).reshape(len(images), 3**d.order)
 
 
-def _max_cross_correlation(images: list[np.ndarray]) -> float:
+def _stack(tensors: list, order: int) -> np.ndarray:
+    """New (k,) + (3,)*order array of the given tensors; raises the error of
+    ``as_tensor`` for the first one of another shape."""
+    shape = (len(tensors),) + (3,) * order
+    try:
+        stack = np.array(tensors, dtype=float)
+    except ValueError:  # ragged
+        stack = None
+    if stack is not None and (stack.shape == shape or not tensors):
+        return stack.reshape(shape)
+    for x in tensors:
+        as_tensor(x, order=order)
+    raise ValueError(f"expected {len(tensors)} order-{order} tensors")
+
+
+# A Gram product of rows whose largest squared norm lies outside this range
+# could overflow, or lose precision to subnormal products.
+_GRAM_RANGE = (2.0**-600, 2.0**600)
+
+
+def _max_cross_correlation(rows: np.ndarray) -> float:
     """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
-    images, from the Gram matrix F F^T taken in row blocks of F."""
-    flats = [f.reshape(-1) for f in images]
-    norms = np.sqrt([f @ f for f in flats])
-    flats = [f for f, norm in zip(flats, norms) if norm > 0.0]
-    norms = norms[norms > 0.0]
-    if not flats:
+    rows f, from one Gram product F F^T.
+
+    At extreme scales (see ``_GRAM_RANGE``) the product is taken over a
+    copy of F divided, exactly, by a power of two near max |F|: the one case
+    in which the images of ``decompose`` output are copied.
+    """
+    squares = np.einsum("ij,ij->i", rows, rows)
+    if len(squares) and not _GRAM_RANGE[0] <= squares.max() <= _GRAM_RANGE[1]:
+        top = max(float(rows.max()), -float(rows.min()))
+        if 0.0 < top < math.inf:
+            rows = np.ldexp(rows, -math.frexp(top)[1])
+            squares = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(squares)
+    nonzero = norms > 0.0
+    if np.count_nonzero(nonzero) < 2:
         return 0.0
-    rows = max(1, _GRAM_BLOCK_BYTES // flats[0].nbytes)
-    # blocks after the first are at most min(rows, parts - rows) long
-    left = np.empty((min(rows, len(flats)), flats[0].size))
-    right = np.empty((min(rows, max(len(flats) - rows, 0)), flats[0].size))
-    gram = np.empty((len(left), len(left)))
+    gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
+    if not nonzero.all():
+        gram = gram[np.ix_(nonzero, nonzero)]
+        norms = norms[nonzero]
+    np.abs(gram, out=gram)
+    gram /= norms[:, None]
+    gram /= norms[None, :]
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
 
-    def block(start: int, out: np.ndarray) -> np.ndarray:
-        chunk = flats[start : start + rows]
-        return np.stack(chunk, out=out[: len(chunk)])
 
-    worst = 0.0
-    for i in range(0, len(flats), rows):
-        a = block(i, left)
-        for j in range(i, len(flats), rows):
-            b = a if j == i else block(j, right)
-            g = np.matmul(a, b.T, out=gram[: len(a), : len(b)])
-            np.abs(g, out=g)
-            g /= norms[i : i + len(a), None]
-            g /= norms[None, j : j + len(b)]
-            if j == i:
-                np.fill_diagonal(g, 0.0)
-            worst = max(worst, float(g.max()))
-    return worst
+def _part_residuals(parts) -> tuple[list[float], list[float]]:
+    """Symmetry and trace residual of each part's deviator relative to the
+    deviator's norm, 0 for orders below 2 and for a zero deviator.
+
+    Deviators of one order are stacked and checked together.  Each is first
+    divided, exactly, by a power of two near its largest component, which
+    leaves the ratios as they are but keeps their norms from overflowing or
+    underflowing at any scale.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(parts):
+        groups.setdefault(p.s, []).append(i)
+    sym_res = np.zeros(len(parts))
+    trace_res = np.zeros(len(parts))
+    for s, index in groups.items():
+        devs = _stack([parts[i].deviator for i in index], s)
+        if s < 2:
+            continue  # checked for shape only
+        flat = devs.reshape(len(index), -1)
+        flat = np.ldexp(flat, -np.frexp(np.max(np.abs(flat), axis=1))[1][:, None])
+        devs = flat.reshape(devs.shape)
+        norms = np.linalg.norm(flat, axis=1)
+        sym = np.linalg.norm(flat - symmetrize_stack(devs).reshape(flat.shape), axis=1)
+        trace = np.linalg.norm(np.trace(devs, axis1=1, axis2=2).reshape(len(index), -1), axis=1)
+        nonzero = norms > 0.0
+        sym_res[index] = np.divide(sym, norms, out=np.zeros_like(sym), where=nonzero)
+        trace_res[index] = np.divide(trace, norms, out=np.zeros_like(trace), where=nonzero)
+    return sym_res.tolist(), trace_res.tolist()
 
 
 def verify(d: Decomposition, t) -> VerifyReport:
@@ -415,27 +504,18 @@ def verify(d: Decomposition, t) -> VerifyReport:
 
     The cross-correlation check reads every stored embedded image, so an
     edited image fails it.  Its Gram product costs O(parts^2 * 3^n) flops in
-    BLAS and holds at most two row blocks of 768 KiB each at a time, however
-    large the order.
+    BLAS and a (parts, parts) matrix.  The images of ``decompose`` and
+    ``load_decomposition`` output are read in place; any other decomposition
+    is first copied into one (parts, 3^n) stack.  Every residual is computed
+    on exactly rescaled values, so it does not depend on the scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
-    t_norm = np.linalg.norm(t.ravel())
-    res = float(np.linalg.norm((reconstruct(d) - t).ravel()))
+    t_norm = frobenius_norm(t)
+    res = frobenius_norm(reconstruct(d) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    sym_res: list[float] = []
-    trace_res: list[float] = []
-    for p in d.parts:
-        dev = as_tensor(p.deviator, order=p.s)
-        dn = np.linalg.norm(dev.ravel())
-        if p.s >= 2 and dn > 0.0:
-            sym_res.append(float(np.linalg.norm((dev - symmetrize(dev)).ravel()) / dn))
-            trace_res.append(float(np.linalg.norm(np.trace(dev, axis1=0, axis2=1).ravel()) / dn))
-        else:
-            sym_res.append(0.0)
-            trace_res.append(0.0)
-
-    max_cross = _max_cross_correlation([p.embedded for p in d.parts])
+    sym_res, trace_res = _part_residuals(d.parts)
+    max_cross = _max_cross_correlation(_image_rows(d))
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
     actual = d.counts()

@@ -20,14 +20,12 @@ has zero residual and is a deviator.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import as_tensor, trace_pair
+from .core import _orbit_map, as_tensor
 
 __all__ = [
     "DeviatorBasis",
@@ -67,22 +65,18 @@ class DeviatorBasis:
         return self.tensors.reshape(len(self), -1)
 
 
-def _symmetric_monomial(index: tuple[int, ...]) -> np.ndarray:
-    """Symmetrized outer product of basis vectors picked by ``index``."""
-    s = len(index)
-    t = np.zeros((3,) * s)
-    counts = [index.count(i) for i in range(3)]
-    value = math.prod(math.factorial(c) for c in counts) / math.factorial(s)
-    for perm in set(itertools.permutations(index)):
-        t[perm] = value
-    return t
+def _monomials(s: int) -> np.ndarray:
+    """Symmetrized monomials ``sym(e_i1 x ... x e_is)``, i1 <= ... <= is in
+    lexicographic order, as the rows of a ``(count, 3**s)`` matrix.
 
-
-def _monomials(s: int) -> list[np.ndarray]:
-    return [
-        _symmetric_monomial(idx)
-        for idx in itertools.combinations_with_replacement(range(3), s)
-    ]
+    Such a monomial is 1/|orbit| on the orbit of (i1, ..., is) under index
+    permutations and 0 elsewhere.  The orbit's code in the cached orbit map
+    is the flat index of its sorted member, and sorted multi-indices in
+    lexicographic order have increasing flat indices.
+    """
+    code, weight = _orbit_map(s, tuple(range(s)))
+    canonical = np.flatnonzero(code == np.arange(code.size))
+    return (code == canonical[:, None]) * weight[canonical, None]
 
 
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
@@ -108,9 +102,8 @@ def build_basis(order: int) -> DeviatorBasis:
     elif order == 1:
         stack = np.eye(3)
     else:
-        monomials = _monomials(order)
-        flat = np.stack([m.ravel() for m in monomials])
-        traces = np.stack([trace_pair(m, 0, 1).ravel() for m in monomials])
+        flat = _monomials(order)
+        traces = np.trace(flat.reshape(len(flat), 3, 3, -1), axis1=1, axis2=2)
         u, sigma, _ = np.linalg.svd(traces)
         rank = int(np.sum(sigma > _RANK_TOL * sigma[0]))
         null = u[:, rank:].T  # coefficient rows spanning the traceless subspace

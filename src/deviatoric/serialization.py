@@ -51,7 +51,12 @@ def fmt_float(x: float) -> str:
 
 
 def _components(t: np.ndarray) -> str:
-    return ", ".join(fmt_float(c) for c in t.ravel())
+    flat = t.ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        fmt_float(flat[~finite][0])  # raises for the first non-finite value
+    # "%.17g" formats a float exactly as fmt_float does
+    return ", ".join(["%.17g"] * flat.size) % tuple(flat.tolist())
 
 
 def tensor_to_json(t) -> str:
@@ -80,7 +85,10 @@ def _check_number(x, context: str, where: str) -> None:
         _fail(context, f"{where} is not a finite number: {x!r}")
 
 
-def _tensor_from_obj(obj, context: str) -> np.ndarray:
+def _tensor_from_obj(obj, context: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Tensor of a ``{"order", "components"}`` object.  The components are
+    written into ``out`` when it has 3^order entries, else into a new array;
+    the result has the tensor's shape."""
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         _fail(context, f"field 'order' must be a non-negative integer, got {order!r}")
@@ -93,9 +101,28 @@ def _tensor_from_obj(obj, context: str) -> np.ndarray:
             context,
             f"field 'components' has length {len(components)}, expected 3^{order} = {expected}",
         )
-    for i, c in enumerate(components):
-        _check_number(c, context, f"components[{i}]")
-    return np.array(components, dtype=float).reshape((3,) * order)
+    if out is None or out.size != expected:
+        out = np.empty(expected)
+    if not _fill(out, components):
+        # name the first bad component
+        for i, c in enumerate(components):
+            _check_number(c, context, f"components[{i}]")
+        out[:] = components
+    return out.reshape((3,) * order)
+
+
+def _fill(out: np.ndarray, components: list) -> bool:
+    """Write JSON numbers into ``out`` in one pass; False, with ``out`` in
+    an unspecified state, unless all of them are ints or floats within the
+    float range.  An int just above the largest float rounds down to it, so
+    a value of that magnitude is left to the per-element check."""
+    if not set(map(type, components)) <= {float, int}:
+        return False
+    try:
+        out[:] = components
+    except OverflowError:  # an int beyond the float range
+        return False
+    return bool(np.all(np.abs(out) < sys.float_info.max))
 
 
 def _loads(text: str, context: str):
@@ -141,6 +168,14 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
     raw_parts = _get(obj, "parts", context)
     if not isinstance(raw_parts, list):
         _fail(context, "field 'parts' must be an array")
+    # The embedded images are read into the rows of one array, which
+    # ``verify`` then reads in place.  A text too short to hold that many
+    # components cannot be a valid file; its parts get arrays of their own
+    # and fail one by one.  The order is bounded by the text length first,
+    # so that 3**order stays small for any input.
+    images = None
+    if raw_parts and order <= len(text).bit_length() and len(raw_parts) * 3**order <= len(text):
+        images = np.empty((len(raw_parts), 3**order))
     parts = []
     for i, raw in enumerate(raw_parts):
         where = f"{context}: parts[{i}]"
@@ -150,7 +185,11 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 _fail(where, f"field {name!r} must be a non-negative integer, got {value!r}")
         deviator = _tensor_from_obj(_get(raw, "deviator", where), f"{where}.deviator")
-        embedded = _tensor_from_obj(_get(raw, "embedded", where), f"{where}.embedded")
+        embedded = _tensor_from_obj(
+            _get(raw, "embedded", where),
+            f"{where}.embedded",
+            out=None if images is None else images[i],
+        )
         if deviator.ndim != s:
             _fail(where, f"deviator order {deviator.ndim} does not match s = {s}")
         if embedded.ndim != order:

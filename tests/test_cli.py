@@ -150,6 +150,39 @@ def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_verify_at_extreme_scales(tmp_path, capsys, scale):
+    t_path = tmp_path / "t.json"
+    d_path = tmp_path / "d.json"
+    save_tensor(t_path, scale * np.random.default_rng(8).standard_normal((3, 3, 3)))
+    code, out, _ = run(
+        capsys, "decompose", "--input", str(t_path), "--output", str(d_path), "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["reconstruction_relative"] <= 1e-15
+    code, out, _ = run(
+        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
+    )
+    report = json.loads(out)
+    assert code == 0 and report["passes"]
+    assert report["canonical_residual"] == 0.0
+    # the same swap of two order-1 parts as above fails at this scale too
+    d = load_decomposition(d_path)
+    i, j = [k for k, p in enumerate(d.parts) if p.s == 1][:2]
+    parts = list(d.parts)
+    for a, b in ((i, j), (j, i)):
+        parts[a] = type(parts[a])(
+            s=1, J=d.parts[a].J, deviator=d.parts[b].deviator, embedded=d.parts[b].embedded
+        )
+    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    code, out, _ = run(
+        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
+    )
+    report = json.loads(out)
+    assert report["canonical_residual"] > 1e-3
+    assert code == 1
+
+
 def test_verify_order_mismatch_is_input_error(tmp_path, capsys):
     t_path = tmp_path / "t.json"
     d_path = tmp_path / "d.json"

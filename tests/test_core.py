@@ -25,6 +25,7 @@ from deviatoric import (
     symmetrize,
     trace_pair,
 )
+from deviatoric.core import symmetrize_stack
 
 V = np.array([1.0, 2.0, 3.0])
 
@@ -142,6 +143,20 @@ def test_symmetrize_matches_permutation_average(case):
     assert np.max(np.abs(again - got)) <= 1e-13 * np.max(np.abs(got))
 
 
+@pytest.mark.parametrize("order", range(8))
+def test_symmetrize_stack_matches_symmetrize(order):
+    stack = np.random.default_rng(60 + order).standard_normal((5,) + (3,) * order)
+    stack[2] *= 1e-200
+    stack[3] = 0.0
+    got = symmetrize_stack(stack)
+    assert got.shape == stack.shape
+    for t, s in zip(stack, got):
+        np.testing.assert_array_equal(s, symmetrize(t))
+    assert symmetrize_stack(np.empty((0,) + (3,) * order)).shape == (0,) + (3,) * order
+    with pytest.raises(ValueError):
+        symmetrize_stack(np.zeros((2, 3, 4)))
+
+
 def test_symmetrize_validates_positions():
     t = np.zeros((3, 3))
     with pytest.raises(ValueError):
@@ -180,6 +195,18 @@ def test_frobenius():
     assert frobenius_norm(delta()) == pytest.approx(np.sqrt(3.0))
     with pytest.raises(ValueError):
         frobenius(delta(), V)
+
+
+@pytest.mark.parametrize("exponent", [-300, -200, -160, -100, 0, 100, 160, 200, 300])
+def test_frobenius_norm_is_scale_covariant(exponent):
+    t = np.random.default_rng(61).standard_normal((3,) * 5)
+    unit = frobenius_norm(t)
+    assert unit == float(np.linalg.norm(t.ravel()))
+    scaled = frobenius_norm(10.0**exponent * t)
+    assert scaled == pytest.approx(10.0**exponent * unit, rel=1e-14)
+    assert frobenius_norm(np.zeros((3, 3))) == 0.0
+    assert math.isnan(frobenius_norm(np.full((3,), np.nan)))
+    assert frobenius_norm(np.array([np.inf, 1.0, 0.0])) == math.inf
 
 
 def test_add_subtract_scale():

@@ -24,10 +24,12 @@ from deviatoric import (
     reconstruct,
     rotate,
     split_deviator_triple,
+    symmetrize,
     trinomial,
     verify,
 )
-from deviatoric.decomposition import _change_of_basis
+from deviatoric.decomposition import _change_of_basis, _forward, _image_rows
+from deviatoric.serialization import decomposition_from_json, decomposition_to_json
 
 # number of independent deviators of each order s for tensor order n <= 6
 COUNTS_TABLE = {
@@ -463,6 +465,164 @@ def test_verify_transient_memory_is_bounded():
         tracemalloc.stop()
     # one stack of all 393 images would take 393 * 3^7 * 8 bytes = 6.9 MB
     assert peak < 4 * 2**20
+
+
+def test_verify_reads_loaded_images_in_place():
+    t = np.random.default_rng(44).standard_normal((3,) * 7)
+    d = decomposition_from_json(decomposition_to_json(decompose(t)))
+    assert _image_rows(d) is d.parts[0].embedded.base
+    verify(d, t)
+    tracemalloc.start()
+    try:
+        verify(d, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def replaced_embedded(d, k, embedded):
+    return with_parts(d, {k: (d.parts[k].deviator, embedded)})
+
+
+def test_image_rows_are_read_in_place_or_copied():
+    t = np.random.default_rng(45).standard_normal((3,) * 5)
+    d = decompose(t)
+    rows = _image_rows(d)
+    assert rows.shape == (len(d.parts), 3**5)
+    assert all(p.embedded.base is rows for p in d.parts)
+    np.testing.assert_array_equal(rows, np.stack([p.embedded.ravel() for p in d.parts]))
+
+    copied = Decomposition(
+        order=d.order,
+        parts=tuple(
+            IrreduciblePart(s=p.s, J=p.J, deviator=p.deviator, embedded=p.embedded.copy())
+            for p in d.parts
+        ),
+    )
+    assert not np.shares_memory(_image_rows(copied), rows)
+    assert verify(copied, t) == verify(d, t)
+
+    # each of these shares memory with the rows of d, but image i is not
+    # exactly row i, so the stored images are copied as they are
+    moved = Decomposition(order=d.order, parts=(d.parts[1], d.parts[0]) + d.parts[2:])
+    dropped = Decomposition(order=d.order, parts=d.parts[:-1])
+    other_row = replaced_embedded(d, 0, d.parts[1].embedded)
+    transposed = replaced_embedded(d, 0, d.parts[0].embedded.transpose(1, 0, 2, 3, 4))
+    shifted = replaced_embedded(d, 0, rows.ravel()[1 : 1 + 3**5].reshape((3,) * 5))
+    for edited in (moved, dropped, other_row, transposed, shifted):
+        got = _image_rows(edited)
+        assert got is not rows
+        np.testing.assert_array_equal(got, np.stack([p.embedded.ravel() for p in edited.parts]))
+    assert verify(moved, t).max_cross_correlation <= 1e-10
+    listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
+    assert verify(listed, t) == verify(d, t)
+    empty = verify(Decomposition(order=d.order, parts=()), np.zeros_like(t))
+    assert empty.max_cross_correlation == 0.0 and not empty.counts_ok
+    assert verify(other_row, reconstruct(other_row)).max_cross_correlation == pytest.approx(1.0)
+
+
+def reference_part_residuals(d):
+    """The per-part symmetry and trace loop that the batched residuals replaced."""
+    sym, trace = [], []
+    for p in d.parts:
+        dev = p.deviator
+        dn = np.linalg.norm(dev.ravel())
+        if p.s >= 2 and dn > 0.0:
+            sym.append(np.linalg.norm((dev - symmetrize(dev)).ravel()) / dn)
+            trace.append(np.linalg.norm(np.trace(dev, axis1=0, axis2=1).ravel()) / dn)
+        else:
+            sym.append(0.0)
+            trace.append(0.0)
+    return sym, trace
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_part_residuals_match_per_part_loop(order):
+    rng = np.random.default_rng(420 + order)
+    d = decompose(rng.standard_normal((3,) * order))
+    # spoil every third deviator of order >= 2 and zero another
+    changes = {}
+    for k, p in enumerate(d.parts):
+        if p.s >= 2 and k % 3 == 0:
+            noise = rng.standard_normal(p.deviator.shape) * 10.0 ** rng.integers(-8, 0)
+            changes[k] = (p.deviator + noise * np.linalg.norm(p.deviator), p.embedded)
+        elif p.s >= 2 and k % 3 == 1:
+            changes[k] = (np.zeros_like(p.deviator), p.embedded)
+    spoiled = with_parts(d, changes)
+    for case in (d, spoiled):
+        report = verify(case, reconstruct(case))
+        want_sym, want_trace = reference_part_residuals(case)
+        assert np.max(np.abs(np.subtract(report.part_symmetry, want_sym)), initial=0.0) <= 1e-13
+        assert np.max(np.abs(np.subtract(report.part_trace, want_trace)), initial=0.0) <= 1e-13
+    if any(k % 3 == 0 for k in changes):
+        assert not verify(spoiled, reconstruct(spoiled)).passes(1e-10)
+
+
+def test_verify_rejects_a_deviator_of_the_wrong_order():
+    d = decompose(np.random.default_rng(46).standard_normal((3,) * 4))
+    k = next(i for i, p in enumerate(d.parts) if p.s == 2)
+    bad = with_parts(d, {k: (np.zeros(9), d.parts[k].embedded)})
+    with pytest.raises(ValueError, match="axes must all have length 3"):
+        verify(bad, reconstruct(d))
+    bad = with_parts(d, {k: (np.zeros((3, 3, 3)), d.parts[k].embedded)})
+    with pytest.raises(ValueError, match="expected an order-2 tensor, got order 3"):
+        verify(bad, reconstruct(d))
+
+
+def mix_first_and_last(d):
+    """Copy of ``d`` with the first image mixed with the last: the sum and
+    the deviators stay as they were."""
+    first, last = d.parts[0], d.parts[-1]
+    return with_parts(
+        d,
+        {
+            0: (first.deviator, first.embedded + 0.3 * last.embedded),
+            len(d.parts) - 1: (last.deviator, 0.7 * last.embedded),
+        },
+    )
+
+
+@pytest.mark.parametrize("exponent", [-300, -250, -200, -150, -100, 0, 100, 150, 200, 250, 300])
+def test_verify_is_scale_invariant(exponent):
+    t = np.random.default_rng(47).standard_normal((3,) * 4)
+    unit_d = decompose(t)
+    unit = verify(unit_d, t)
+    unit_mixed = verify(mix_first_and_last(unit_d), t)
+    scale = 10.0**exponent
+    d = decompose(scale * t)
+    report = verify(d, scale * t)
+    assert report.passes(1e-10)
+    assert report.reconstruction_residual <= 1e-13 * scale * np.linalg.norm(t.ravel())
+    for got, want in ((report, unit), (verify(mix_first_and_last(d), scale * t), unit_mixed)):
+        assert abs(got.reconstruction_relative - want.reconstruction_relative) <= 1e-14
+        assert abs(got.max_cross_correlation - want.max_cross_correlation) <= 1e-13
+        assert np.max(np.abs(np.subtract(got.part_symmetry, want.part_symmetry))) <= 1e-14
+        assert np.max(np.abs(np.subtract(got.part_trace, want.part_trace))) <= 1e-14
+    assert not verify(mix_first_and_last(d), scale * t).passes(1e-10)
+
+
+def reference_change_of_basis(n):
+    """E built one basis deviator at a time through ``_forward``."""
+    if n == 0:
+        return np.ones((1, 1))
+    prev = _change_of_basis(n - 1)[0]
+    rows = np.empty((3**n, 3**n))
+    r = p = 0
+    for s in part_orders(n - 1):
+        parent = prev[p : p + 2 * s + 1]
+        p += 2 * s + 1
+        to_parent = build_basis(s).flat.T
+        for child in (1,) if s == 0 else (s - 1, s, s + 1):
+            for b in build_basis(child):
+                rows[r] = ((_forward(s, child, b).reshape(3, -1) @ to_parent) @ parent).ravel()
+                r += 1
+    return rows
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_change_of_basis_matches_per_deviator_forward_maps(order):
+    np.testing.assert_array_equal(_change_of_basis(order)[0], reference_change_of_basis(order))
 
 
 def test_reconstruct_validates_order():

@@ -1,5 +1,8 @@
 """Orthonormal bases of the deviator spaces and projection onto them."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +18,9 @@ from deviatoric import (
     random_rotation,
     rotate,
     symmetrize,
+    trace_pair,
 )
+from deviatoric.harmonic import _RANK_TOL, _gram_schmidt, _monomials
 
 
 @pytest.mark.parametrize("s", range(9))
@@ -115,3 +120,33 @@ def test_deviator_space_is_rotation_invariant():
         rotated = rotate(d, r)
         assert is_deviator(rotated)
         assert_allclose(project_deviator(rotated), rotated, atol=1e-12)
+
+
+def reference_monomial(index):
+    """sym(e_i1 x ... x e_is) by listing every permutation of ``index``."""
+    s = len(index)
+    t = np.zeros((3,) * s)
+    counts = [index.count(i) for i in range(3)]
+    value = math.prod(math.factorial(c) for c in counts) / math.factorial(s)
+    for perm in set(itertools.permutations(index)):
+        t[perm] = value
+    return t
+
+
+def reference_basis(s):
+    """The basis built from the permutation-listed monomials."""
+    monomials = [
+        reference_monomial(idx) for idx in itertools.combinations_with_replacement(range(3), s)
+    ]
+    flat = np.stack([m.ravel() for m in monomials])
+    traces = np.stack([trace_pair(m, 0, 1).ravel() for m in monomials])
+    u, sigma, _ = np.linalg.svd(traces)
+    rank = int(np.sum(sigma > _RANK_TOL * sigma[0]))
+    return flat, _gram_schmidt(u[:, rank:].T @ flat)
+
+
+@pytest.mark.parametrize("s", range(2, 9))
+def test_basis_matches_permutation_listed_monomials(s):
+    flat, basis = reference_basis(s)
+    np.testing.assert_array_equal(_monomials(s), flat)
+    np.testing.assert_array_equal(build_basis(s).flat, basis)

@@ -21,6 +21,7 @@ from deviatoric import (
     voigt_to_json,
     voigt_to_text,
 )
+from deviatoric.decomposition import _image_rows
 from deviatoric.serialization import fmt_float
 
 
@@ -166,3 +167,68 @@ def test_writer_output_is_deterministic():
     rng = np.random.default_rng(44)
     t = rng.standard_normal((3, 3, 3))
     assert tensor_to_json(t) == tensor_to_json(t.copy())
+
+
+def reference_tensor_json(t):
+    """The writer that formatted one float at a time."""
+    components = ", ".join(fmt_float(c) for c in t.ravel())
+    return f'{{"order": {t.ndim}, "components": [{components}]}}'
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_writer_matches_per_float_formatting(order):
+    rng = np.random.default_rng(45 + order)
+    values = rng.standard_normal(3**order) * 10.0 ** rng.integers(-320, 300, 3**order)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 1e16, 1e17]
+    values[: len(special)] = special[: len(values)]
+    t = values.reshape((3,) * order)
+    assert tensor_to_json(t) == reference_tensor_json(t)
+    d = decompose(rng.standard_normal((3,) * order))
+    lines = decomposition_to_json(d).split("\n")
+    for line, p in zip(lines[1:-1], d.parts):
+        assert reference_tensor_json(p.embedded) in line
+        assert reference_tensor_json(p.deviator) in line
+    for bad in (np.nan, np.inf, -np.inf):
+        t = np.zeros((3, 3))
+        t[1, 2] = bad
+        with pytest.raises(ValueError, match="cannot serialize non-finite value"):
+            tensor_to_json(t)
+
+
+def test_loaded_images_are_rows_of_one_array(tmp_path):
+    t = np.random.default_rng(46).standard_normal((3,) * 4)
+    path = tmp_path / "d.json"
+    save_decomposition(path, decompose(t))
+    d = load_decomposition(path)
+    rows = _image_rows(d)
+    assert rows.shape == (len(d.parts), 3**4)
+    assert all(p.embedded.base is rows for p in d.parts)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("true", "components\\[1\\] is not a number: True"),
+        ('"x"', "components\\[1\\] is not a number: 'x'"),
+        ("null", "components\\[1\\] is not a number: None"),
+        ("1e400", "components\\[1\\] is not a finite number: inf"),
+        # an int that rounds down to the largest float, and one that overflows
+        (str(2**1024 - 2**970 - 1), "components\\[1\\] is not a finite number: 1797"),
+        (str(2**1024), "components\\[1\\] is not a finite number: 1797"),
+    ],
+)
+def test_reader_names_the_bad_component(token, message):
+    with pytest.raises(ValueError, match=message):
+        tensor_from_json(f'{{"order": 1, "components": [0, {token}, 2]}}')
+    part = (
+        '{"s": 1, "J": 1, "deviator": {"order": 1, "components": [0, 1, 2]}, '
+        f'"embedded": {{"order": 1, "components": [0, {token}, 2]}}}}'
+    )
+    with pytest.raises(ValueError, match="parts\\[0\\].embedded: " + message):
+        decomposition_from_json(f'{{"order": 1, "parts": [{part}]}}')
+
+
+def test_reader_accepts_the_largest_float_and_ints():
+    big = 1.7976931348623157e308
+    got = tensor_from_json(f'{{"order": 1, "components": [{big!r}, -3, 0]}}')
+    np.testing.assert_array_equal(got, [big, -3.0, 0.0])
