@@ -16,10 +16,11 @@ part is c_p . E_p.  The same kind of Cartesian-to-irreducible change of basis
 is computed by e3nn's ``CartesianTensor`` / ``ReducedTensorProducts``
 (Geiger & Smidt, arXiv:2207.09453).
 
-E is built once per order, and cached, from the paper's recursion on the
-order.  Slicing along the first index writes t = sum_k e_k x T_k with
-order-(n-1) slices T_k; the three deviators that share a slot of the slices
-regroup into
+``decompose`` applies E in factored form: one level of the paper's
+recursion on the order, over the cached order-(n-1) matrix.  Slicing along
+the first index writes t = sum_k e_k x T_k with order-(n-1) slices T_k; one
+product with E_{n-1} gives the coordinates of all three slices, and the
+three deviators that share a slot of the slices regroup into
 
 * a vector (a new order-1 deviator) when they are scalars,
 * an order-2 tensor t = alpha*delta + epsilon.v + D when they are vectors,
@@ -27,6 +28,13 @@ regroup into
   when they are order-s deviators (s >= 2); ``combine_deviator_triple`` builds
   it from deviators of orders s-1, s, s+1 and ``split_deviator_triple``
   resolves it back.
+
+For a parent slot of order s the regrouping is one fixed 3(2s+1)-square
+matrix, and the images of the parent's children are one product of their
+coefficients with the parent's rows of E_{n-1}.  So an order-n call reads
+the 9^(n-1) doubles of E_{n-1} (4.3 MB at order 7), not the 9^n of E_n.
+The matrices E_0 .. E_{n-1} are built once each and cached, each from the
+one below by the same rule.
 
 ``combine_deviator_triple`` maps a triple (d_lo, d_mid, d_hi) of orders
 (n-1, n, n+1) to the order-(n+1) tensor
@@ -48,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -304,17 +313,18 @@ def _forward_matrix(s: int, child: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _change_of_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order-n change of basis E and its squared row norms lambda.
+def _change_of_basis(n: int) -> np.ndarray:
+    """The order-n change of basis E.
 
     Row r of the read-only (3^n, 3^n) matrix is the flattened embedded image
     of one orthonormal basis deviator of one slot; slots follow
-    ``part_orders(n)`` and take 2s+1 consecutive rows each.
+    ``part_orders(n)`` and take 2s+1 consecutive rows each.  ``decompose``
+    of order n reads the order-(n-1) matrix through ``_plan(n)``.
     """
     if n == 0:
         rows = np.ones((1, 1))
     else:
-        prev, _ = _change_of_basis(n - 1)
+        prev = _change_of_basis(n - 1)
         rows = np.empty((3**n, 3**n))
         r = p = 0
         for s in part_orders(n - 1):
@@ -325,10 +335,135 @@ def _change_of_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
                 block = rows[r : r + len(f)].reshape(len(f), 3, -1)
                 np.matmul(f, parent, out=block)
                 r += len(f)
-    norms = np.einsum("ij,ij->i", rows, rows)
     rows.flags.writeable = False
-    norms.flags.writeable = False
-    return rows, norms
+    return rows
+
+
+class _Group(NamedTuple):
+    """The order-(n-1) slots of one deviator order s, as parents of their
+    order-n children.
+
+    A parent whose rows of E_{n-1} start at row p has its children's 3(2s+1)
+    rows of E_n start at row 3p.  Position 3(p+j)+k of y, the three products
+    E_{n-1} t[k] interleaved, holds (E_{n-1} t[k])_{p+j}.  So one index
+    array gathers a parent's slice coordinates from y and places its
+    children's coordinates in c.
+    """
+
+    rows: np.ndarray  # (P_s, 3(2s+1)) positions in y and in c
+    to_children: np.ndarray  # (3(2s+1), 3(2s+1)): slice coordinates -> E_n t
+    norms: np.ndarray  # (P_s, 3(2s+1)) lambda of the children's rows
+    to_images: np.ndarray  # (3(2s+1), children * 3(2s+1)): c -> image coefficients
+    blocks: tuple  # per parent: its rows of E_{n-1}, its children's rows of the slice view
+
+
+class _Plan(NamedTuple):
+    """What ``decompose`` needs for order n, built once per order."""
+
+    orders: tuple[int, ...]  # s of each part, in traversal order
+    labels: tuple[int, ...]  # J of each part
+    prev: np.ndarray | None  # E_{n-1}; None for n = 0
+    groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
+    deviators: tuple  # per deviator order s: (s, (J_s, 2s+1) positions in c, B_s.flat)
+    by_order: tuple[int, ...]  # each part's position among the deviators grouped by s
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _plan(n: int) -> _Plan:
+    """The order-n change of basis in factored form, over the cached
+    order-(n-1) matrix; E_n itself is never built.
+
+    Row r of E_n, for a child of parent slot p, is sum_j F[r, k, j] times row
+    j of E_{n-1, p} in slice k (F = ``_forward_matrix``), so
+    (E_n t)_r = sum_{k,j} F[r, k, j] (E_{n-1} t[k])_{p,j} and the image of
+    coordinates c is (sum_r c_r F[r, k, :]) E_{n-1, p} in slice k.  The
+    squared row norms are lambda_r = sum_k F[r, k, :] G_p F[r, k, :]^T with
+    G_p = E_{n-1, p} E_{n-1, p}^T.
+    """
+    orders = part_orders(n)
+    seen: dict[int, int] = {}
+    labels = []
+    for s in orders:
+        seen[s] = seen.get(s, 0) + 1
+        labels.append(seen[s])
+    starts = np.cumsum([0] + [2 * s + 1 for s in orders])
+    deviators = []
+    grouped: list[int] = []
+    for s in sorted(seen):
+        index = [i for i, o in enumerate(orders) if o == s]
+        rows = starts[index][:, None] + np.arange(2 * s + 1)
+        _read_only(rows)
+        deviators.append((s, rows, build_basis(s).flat))
+        grouped += index
+    by_order = [0] * len(orders)
+    for k, i in enumerate(grouped):
+        by_order[i] = k
+    if n == 0:
+        return _Plan(orders, tuple(labels), None, (), tuple(deviators), tuple(by_order))
+
+    prev = _change_of_basis(n - 1)
+    parents = part_orders(n - 1)
+    prev_starts = np.cumsum([0] + [2 * s + 1 for s in parents])
+    first_child = np.cumsum([0] + [len(_children(s)) for s in parents])
+    groups = []
+    for s in sorted(set(parents)):
+        width = 2 * s + 1
+        index = [q for q, o in enumerate(parents) if o == s]
+        firsts = prev_starts[index].tolist()
+        fs = [_forward_matrix(s, c) for c in _children(s)]
+        f = np.concatenate(fs)  # (3 width, 3, width), children's rows in order
+        rows = 3 * np.array(firsts)[:, None] + np.arange(3 * width)
+        gram = np.stack([prev[p : p + width] @ prev[p : p + width].T for p in firsts])
+        norms = np.einsum("rkj,pjl,rkl->pr", f, gram, f)
+        to_children = f.transpose(2, 1, 0).reshape(3 * width, 3 * width)
+        to_images = np.zeros((3 * width, len(fs), 3 * width))
+        r = 0
+        for i, fc in enumerate(fs):
+            to_images[r : r + len(fc), i] = fc.reshape(len(fc), -1)
+            r += len(fc)
+        to_images = to_images.reshape(3 * width, -1)
+        blocks = tuple(
+            (prev[p : p + width], 3 * first_child[q], 3 * first_child[q + 1])
+            for q, p in zip(index, firsts)
+        )
+        _read_only(rows, to_children, norms, to_images)
+        groups.append(_Group(rows, to_children, norms, to_images, blocks))
+    return _Plan(orders, tuple(labels), prev, tuple(groups), tuple(deviators), tuple(by_order))
+
+
+def _coordinates_and_images(plan: _Plan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates c = E_n t / lambda of an order-n ``t`` and the
+    (parts, 3^n) array of its embedded images, image i in row i, from the
+    order-n ``plan``."""
+    n = t.ndim
+    if n == 0:
+        images = np.array([[float(t)]])
+        return images[0], images
+    # y[3p + k] = (E_{n-1} t[k])_p, one product over the order-(n-1) matrix;
+    # each group then overwrites its positions with the coordinates
+    c = np.dot(plan.prev, t.reshape(3, -1).T).ravel()
+    images = np.empty((len(plan.orders), 3**n))
+    slices = images.reshape(-1, 3 ** (n - 1))  # row 3i + k: slice k of image i
+    for g in plan.groups:
+        c_g = np.dot(c[g.rows], g.to_children)
+        c_g /= g.norms
+        c[g.rows] = c_g
+        coeffs = np.dot(c_g, g.to_images).reshape(len(g.blocks), -1, g.blocks[0][0].shape[0])
+        for a, (block, start, stop) in zip(coeffs, g.blocks):
+            np.dot(a, block, out=slices[start:stop])
+    return c, images
+
+
+def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
+    """Each row of a 2-D array as a view of shape (3,) * order."""
+    if order == 0:
+        return [r.reshape(()) for r in rows]
+    return list(rows.reshape((-1,) + (3,) * order))
 
 
 def decompose(t) -> Decomposition:
@@ -340,30 +475,17 @@ def decompose(t) -> Decomposition:
     its row, so ``verify`` reads them all without a copy.
     """
     t = as_tensor(t)
-    n = t.ndim
-    rows, norms = _change_of_basis(n)
-    c = (rows @ t.ravel()) / norms
-    orders = part_orders(n)
-    images = np.empty((len(orders), rows.shape[1]))
-    parts: list[IrreduciblePart] = []
-    seen: dict[int, int] = {}
-    start = 0
-    for i, s in enumerate(orders):
-        stop = start + 2 * s + 1
-        c_p = c[start:stop]
-        seen[s] = seen.get(s, 0) + 1
-        image = images[i]
-        np.dot(c_p, rows[start:stop], out=image)
-        parts.append(
-            IrreduciblePart(
-                s=s,
-                J=seen[s],
-                deviator=(c_p @ build_basis(s).flat).reshape((3,) * s),
-                embedded=image.reshape((3,) * n),
-            )
-        )
-        start = stop
-    return Decomposition(order=n, parts=tuple(parts))
+    plan = _plan(t.ndim)
+    c, images = _coordinates_and_images(plan, t)
+    grouped: list[np.ndarray] = []
+    for s, rows, basis in plan.deviators:
+        grouped += _views(np.dot(c[rows], basis), s)
+    deviators = [grouped[k] for k in plan.by_order]
+    # a list first: tuple() of an iterator of unknown length resizes its
+    # result, and CPython keeps each freed tuple of under 20 items on a
+    # per-size free list of up to 2000 that resizing never draws from
+    parts = list(map(IrreduciblePart, plan.orders, plan.labels, deviators, _views(images, t.ndim)))
+    return Decomposition(order=t.ndim, parts=tuple(parts))
 
 
 def decompose_order2(t) -> Decomposition:
@@ -442,23 +564,26 @@ _GRAM_RANGE = (2.0**-600, 2.0**600)
 
 def _max_cross_correlation(rows: np.ndarray) -> float:
     """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
-    rows f, from one Gram product F F^T.
+    rows f, from one Gram product F F^T; its diagonal gives the squared row
+    norms.
 
     At extreme scales (see ``_GRAM_RANGE``) the product is taken over a
     copy of F divided, exactly, by a power of two near max |F|: the one case
     in which the images of ``decompose`` output are copied.
     """
-    squares = np.einsum("ij,ij->i", rows, rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
+        gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
+    squares = gram.diagonal()
     if len(squares) and not _GRAM_RANGE[0] <= squares.max() <= _GRAM_RANGE[1]:
         top = max(float(rows.max()), -float(rows.min()))
         if 0.0 < top < math.inf:
             rows = np.ldexp(rows, -math.frexp(top)[1])
-            squares = np.einsum("ij,ij->i", rows, rows)
+            gram = rows @ rows.T
+            squares = gram.diagonal()
     norms = np.sqrt(squares)
     nonzero = norms > 0.0
     if np.count_nonzero(nonzero) < 2:
         return 0.0
-    gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
     if not nonzero.all():
         gram = gram[np.ix_(nonzero, nonzero)]
         norms = norms[nonzero]

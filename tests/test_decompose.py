@@ -2,10 +2,13 @@
 with the paper's per-input recursion."""
 
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deviatoric import (
@@ -28,7 +31,15 @@ from deviatoric import (
     trinomial,
     verify,
 )
-from deviatoric.decomposition import _change_of_basis, _forward, _image_rows
+from deviatoric.core import frobenius_norm
+from deviatoric.decomposition import (
+    _change_of_basis,
+    _coordinates_and_images,
+    _forward,
+    _forward_matrix,
+    _image_rows,
+    _plan,
+)
 from deviatoric.serialization import decomposition_from_json, decomposition_to_json
 
 # number of independent deviators of each order s for tensor order n <= 6
@@ -140,9 +151,9 @@ def test_engine_matches_reference_recursion(order):
 @pytest.mark.parametrize("order", range(7))
 def test_change_of_basis_rows_are_orthogonal(order):
     # E E^T = diag(lambda), with lambda constant on each slot (Schur's lemma)
-    rows, norms = _change_of_basis(order)
+    rows, norms = _change_of_basis(order), plan_norms(order)
     assert rows.shape == (3**order, 3**order)
-    assert not rows.flags.writeable and not norms.flags.writeable
+    assert not rows.flags.writeable  # the plan's arrays: test_plan_arrays_are_read_only
     gram = rows @ rows.T
     assert_allclose(np.diag(gram), norms, rtol=1e-13)
     off = gram - np.diag(np.diag(gram))
@@ -606,7 +617,7 @@ def reference_change_of_basis(n):
     """E built one basis deviator at a time through ``_forward``."""
     if n == 0:
         return np.ones((1, 1))
-    prev = _change_of_basis(n - 1)[0]
+    prev = _change_of_basis(n - 1)
     rows = np.empty((3**n, 3**n))
     r = p = 0
     for s in part_orders(n - 1):
@@ -622,7 +633,7 @@ def reference_change_of_basis(n):
 
 @pytest.mark.parametrize("order", range(7))
 def test_change_of_basis_matches_per_deviator_forward_maps(order):
-    np.testing.assert_array_equal(_change_of_basis(order)[0], reference_change_of_basis(order))
+    np.testing.assert_array_equal(_change_of_basis(order), reference_change_of_basis(order))
 
 
 def test_reconstruct_validates_order():
@@ -630,3 +641,158 @@ def test_reconstruct_validates_order():
     bad = Decomposition(order=3, parts=d.parts)
     with pytest.raises(ValueError):
         reconstruct(bad)
+
+
+# ---------------------------------------------------------------------------
+# the factored change of basis: decompose applies E_n through the order n-1
+# matrix and never builds E_n
+
+
+def plan_norms(order):
+    """lambda of E_n, gathered from the groups of ``_plan``."""
+    norms = np.ones(3**order)
+    for g in _plan(order).groups:
+        norms[g.rows] = g.norms
+    return norms
+
+
+def relative(got, want):
+    return np.linalg.norm(np.ravel(got - want)) / np.linalg.norm(np.ravel(want))
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_factored_path_matches_materialized_change_of_basis(order):
+    plan = _plan(order)
+    rows = _change_of_basis(order)
+    # squared row norms of E_n, summed in extended precision
+    wide = rows.astype(np.longdouble)
+    norms = np.einsum("ij,ij->i", wide, wide).astype(float)
+    assert np.max(np.abs(plan_norms(order) - norms) / norms) <= 1e-14
+    labels = part_orders(order)
+    assert plan.orders == labels
+    assert plan.labels == tuple(labels[: i + 1].count(s) for i, s in enumerate(labels))
+    for seed in range(3):
+        t = np.random.default_rng(900 + 10 * order + seed).standard_normal((3,) * order)
+        c_ref = (rows @ t.ravel()) / norms
+        c, images = _coordinates_and_images(plan, t)
+        parts = decompose(t).parts
+        assert [(p.s, p.J) for p in parts] == list(zip(plan.orders, plan.labels))
+        start = 0
+        for i, p in enumerate(parts):
+            stop = start + 2 * p.s + 1
+            c_p = c_ref[start:stop]
+            assert relative(c[start:stop], c_p) <= 1e-13
+            assert relative(p.deviator.ravel(), c_p @ build_basis(p.s).flat) <= 1e-13
+            image = c_p @ rows[start:stop]
+            assert relative(images[i], image) <= 1e-13
+            assert relative(p.embedded.ravel(), image) <= 1e-13
+            start = stop
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_plan_arrays_are_read_only(order):
+    plan = _plan(order)
+    arrays = [rows for _, rows, _ in plan.deviators]
+    if order:
+        arrays.append(plan.prev)
+    for g in plan.groups:
+        arrays += [g.rows, g.to_children, g.norms, g.to_images]
+        arrays += [block for block, _, _ in g.blocks]
+    assert all(not a.flags.writeable for a in arrays)
+
+
+def clear_decomposition_caches():
+    for cache in (_change_of_basis, _plan, _forward_matrix):
+        cache.cache_clear()
+
+
+def test_decompose_holds_only_the_lower_order_change_of_basis():
+    t = np.random.default_rng(48).standard_normal((3,) * 7)
+    build_basis(7)
+    clear_decomposition_caches()
+    tracemalloc.start()
+    try:
+        d = decompose(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # E_0 .. E_6; E_7 alone would take 3^14 * 8 bytes = 38 MB
+    assert _change_of_basis.cache_info().currsize == 7
+    assert _change_of_basis(6).nbytes == 9**6 * 8
+    # E_6 (4.3 MB), E_5 and the 393 images (6.9 MB)
+    assert peak < 20 * 2**20
+    assert verify(d, t).passes(1e-12)
+
+
+def test_repeated_decompose_holds_no_memory():
+    # CPython keeps freed tuples of fewer than 20 items on per-size free
+    # lists of up to 2000; a parts tuple built by resizing is never taken
+    # back from them, so it would hold ~0.7 MB after some thousand calls.
+    tensors = [np.random.default_rng(50 + n).standard_normal((3,) * n) for n in (2, 3, 4)]
+    for t in tensors:
+        decompose(t)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(200):
+            for t in tensors:
+                decompose(t)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # ~70 KiB with the resized tuple
+    assert after - before < 16 * 2**10
+
+
+def assert_parts_close(got, want, rtol, atol):
+    """Each deviator and image of ``got`` is within rtol of its own size plus
+    atol of ``want``, in the max norm.  Rounding error of a linear map scales
+    with the input, not with the part, so atol is what bounds a part much
+    smaller than the tensor."""
+    assert [(p.s, p.J) for p in got.parts] == [(p.s, p.J) for p in want.parts]
+    for p, q in zip(got.parts, want.parts):
+        for a, b in ((p.deviator, q.deviator), (p.embedded, q.embedded)):
+            assert np.max(np.abs(a - b), initial=0.0) <= rtol * np.max(np.abs(b)) + atol
+
+
+def mapped(d, f):
+    """``d`` with ``f`` applied to every deviator and image."""
+    parts = tuple(IrreduciblePart(p.s, p.J, f(p.deviator), f(p.embedded)) for p in d.parts)
+    return Decomposition(d.order, parts)
+
+
+@st.composite
+def tensors(draw):
+    order = draw(st.integers(0, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).standard_normal((3,) * order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), st.integers(-300, 300))
+def test_decompose_is_scale_covariant(t, exponent):
+    scale = 10.0**exponent
+    unscaled = mapped(decompose(scale * t), lambda x: x / scale)
+    assert_parts_close(unscaled, decompose(t), 1e-13, 1e-14 * np.max(np.abs(t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), st.integers(-300, 300))
+def test_round_trip_at_every_scale(t, exponent):
+    t = 10.0**exponent * t
+    assert frobenius_norm(reconstruct(decompose(t)) - t) <= 1e-12 * frobenius_norm(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(), st.integers(0, 2**32 - 1))
+def test_decompose_is_rotation_equivariant(t, seed):
+    r = random_rotation(np.random.default_rng(seed))
+    rotated = mapped(decompose(t), lambda x: rotate(x, r))
+    assert_parts_close(decompose(rotate(t, r)), rotated, 1e-11, 1e-13 * np.max(np.abs(t)))
+
+
+def test_verify_at_extreme_scale_warns_nothing():
+    t = 1e300 * np.random.default_rng(49).standard_normal((3,) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify(decompose(t), t).passes(1e-10)
