@@ -1,7 +1,6 @@
 """Orthogonal irreducible decomposition of tensors over 3-D space."""
 
 from .core import (
-    add,
     as_tensor,
     contract_complete,
     contract_double,
@@ -11,8 +10,6 @@ from .core import (
     frobenius,
     frobenius_norm,
     outer,
-    scale,
-    subtract,
     symmetrize,
     trace_pair,
 )
@@ -44,7 +41,6 @@ from .closedform import (
     assemble_order3,
     assemble_order4,
     fit_structural_coefficients,
-    lift_deviator,
     lift_kernel4,
     structural_coefficients,
 )

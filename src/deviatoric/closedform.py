@@ -39,7 +39,6 @@ from .harmonic import build_basis
 
 __all__ = [
     "lift_kernel4",
-    "lift_deviator",
     "assemble_order3",
     "assemble_order4",
     "fit_structural_coefficients",
@@ -60,20 +59,6 @@ def lift_kernel4() -> np.ndarray:
         1.5 * (np.einsum("ij,kl->ijkl", _EYE, _EYE) + np.einsum("ik,jl->ijkl", _EYE, _EYE))
         - np.einsum("il,jk->ijkl", _EYE, _EYE)
     )
-
-
-def lift_deviator(s: int, d) -> np.ndarray:
-    """Lift an order-(s-1) deviator into the order-(s+1) slot space.
-
-    Output components: (2s-1)/(s-1) * sym(delta_{k j1} d_{j2..js})
-    - sym(delta_{j1 j2} d_{j3..js k}), symmetrized over j1..js.  This is the
-    delta part of ``combine_deviator_triple``; contracting the order-4
-    kernel above against a vector gives the s = 2 case.
-    """
-    if s < 2:
-        raise ValueError(f"lift requires s >= 2, got {s}")
-    d = as_tensor(d, order=s - 1)
-    return _lift(d, s)
 
 
 # ---------------------------------------------------------------------------

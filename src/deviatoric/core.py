@@ -35,9 +35,6 @@ __all__ = [
     "epsilon",
     "frobenius",
     "frobenius_norm",
-    "add",
-    "subtract",
-    "scale",
 ]
 
 
@@ -218,24 +215,3 @@ def frobenius_norm(t) -> float:
         return float(np.linalg.norm(flat))
     exponent = math.frexp(top)[1]
     return math.ldexp(float(np.linalg.norm(np.ldexp(flat, -exponent))), exponent)
-
-
-def add(a, b) -> np.ndarray:
-    """Elementwise sum of two equal-order tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != b.ndim:
-        raise ValueError(f"order mismatch: {a.ndim} vs {b.ndim}")
-    return a + b
-
-
-def subtract(a, b) -> np.ndarray:
-    """Elementwise difference of two equal-order tensors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != b.ndim:
-        raise ValueError(f"order mismatch: {a.ndim} vs {b.ndim}")
-    return a - b
-
-
-def scale(t, c: float) -> np.ndarray:
-    """Multiply a tensor by a scalar."""
-    return as_tensor(t) * float(c)

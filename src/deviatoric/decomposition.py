@@ -54,7 +54,7 @@ parent slot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -120,6 +120,7 @@ def count_parts(n: int, s: int) -> int:
     return trinomial(n, s) - trinomial(n, s + 1)
 
 
+@lru_cache(maxsize=None)
 def counts_row(n: int) -> tuple[int, ...]:
     """The multiplicities (count_parts(n, 0), ..., count_parts(n, n))."""
     return tuple(count_parts(n, s) for s in range(n + 1))
@@ -159,6 +160,13 @@ class IrreduciblePart:
 class Decomposition:
     order: int
     parts: tuple[IrreduciblePart, ...]
+    # the (parts, 3^n) array whose row i is parts[i].embedded; set only by
+    # ``_from_rows``, so a hand-built or ``replace``d decomposition has none
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # copies keep no rows: pickle and deepcopy give each part an array of its own
+        return {"order": self.order, "parts": self.parts}
 
     def counts(self) -> dict[int, int]:
         actual: dict[int, int] = {}
@@ -240,21 +248,11 @@ def combine_deviator_triple(lo, mid, hi, *, validate: bool = True) -> np.ndarray
 
 @lru_cache(maxsize=None)
 def _split_solver(n: int) -> np.ndarray:
-    """Pseudo-inverse of the combine map in deviator coordinates."""
-    bases = [build_basis(n - 1), build_basis(n), build_basis(n + 1)]
-    mid_flat = bases[1].flat
-    total = sum(len(b) for b in bases)
-    m = np.empty((3 * len(bases[1]), total))
-    zeros = [np.zeros((3,) * (n - 1)), np.zeros((3,) * n), np.zeros((3,) * (n + 1))]
-    col = 0
-    for which, basis in enumerate(bases):
-        for elem in basis:
-            triple = list(zeros)
-            triple[which] = elem
-            g = combine_deviator_triple(*triple, validate=False)
-            m[:, col] = (g.reshape(3, -1) @ mid_flat.T).ravel()
-            col += 1
-    pinv = np.linalg.pinv(m)
+    """Pseudo-inverse of the combine map in deviator coordinates.  The
+    map's column for a basis deviator of slot n-1, n or n+1 is that
+    deviator's row of ``_forward_matrix``."""
+    m = np.concatenate([_forward_matrix(n, c) for c in _children(n)])
+    pinv = np.linalg.pinv(m.reshape(-1, 3 * (2 * n + 1)).T)
     pinv.flags.writeable = False
     return pinv
 
@@ -466,13 +464,28 @@ def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
     return list(rows.reshape((-1,) + (3,) * order))
 
 
+def _from_rows(order: int, orders, labels, deviators, rows: np.ndarray) -> Decomposition:
+    """Decomposition whose part i has order ``orders[i]``, label
+    ``labels[i]``, deviator ``deviators[i]`` and, as its embedded image, a
+    view of row i of the (parts, 3^order) array ``rows``, which it records
+    for ``reconstruct`` and ``verify``."""
+    # a list first: tuple() of an iterator of unknown length resizes its
+    # result, and CPython keeps each freed tuple of under 20 items on a
+    # per-size free list of up to 2000 that resizing never draws from
+    parts = list(map(IrreduciblePart, orders, labels, deviators, _views(rows, order)))
+    d = Decomposition(order=order, parts=tuple(parts))
+    object.__setattr__(d, "_rows", rows)
+    return d
+
+
 def decompose(t) -> Decomposition:
     """Orthogonal irreducible decomposition of an arbitrary 3-D tensor.
 
     Returns one part per (s, J) slot in deterministic traversal order; the
     embedded images sum to ``t`` and are mutually orthogonal.  The images are
-    the rows of one (parts, 3^n) array, and each ``embedded`` is a view of
-    its row, so ``verify`` reads them all without a copy.
+    the rows of one (parts, 3^n) array that the decomposition records, and
+    each ``embedded`` is a view of its row, so ``reconstruct`` and ``verify``
+    read them all without a copy.
     """
     t = as_tensor(t)
     plan = _plan(t.ndim)
@@ -481,11 +494,7 @@ def decompose(t) -> Decomposition:
     for s, rows, basis in plan.deviators:
         grouped += _views(np.dot(c[rows], basis), s)
     deviators = [grouped[k] for k in plan.by_order]
-    # a list first: tuple() of an iterator of unknown length resizes its
-    # result, and CPython keeps each freed tuple of under 20 items on a
-    # per-size free list of up to 2000 that resizing never draws from
-    parts = list(map(IrreduciblePart, plan.orders, plan.labels, deviators, _views(images, t.ndim)))
-    return Decomposition(order=t.ndim, parts=tuple(parts))
+    return _from_rows(t.ndim, plan.orders, plan.labels, deviators, images)
 
 
 def decompose_order2(t) -> Decomposition:
@@ -499,47 +508,21 @@ def decompose_order2(t) -> Decomposition:
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of the embedded parts; inverse of ``decompose``."""
-    total = np.zeros((3,) * d.order)
-    for p in d.parts:
-        e = as_tensor(p.embedded)
-        if e.ndim != d.order:
-            raise ValueError(
-                f"part (s={p.s}, J={p.J}) embedded order {e.ndim} != {d.order}"
-            )
-        total += e
-    return total
+    return _image_rows(d).sum(axis=0).reshape((3,) * d.order)
 
 
 def _image_rows(d: Decomposition) -> np.ndarray:
     """The embedded images of ``d`` as the rows of one (parts, 3^n) array.
 
-    For the output of ``decompose`` or ``load_decomposition`` image i is
-    exactly row i of one C-contiguous float64 array, and that array is
-    returned as is.  Any other layout, such as a hand-built decomposition or
-    one with a part replaced, removed or moved, is copied into a new stack,
+    The output of ``decompose`` and ``load_decomposition`` records that
+    array, and it is returned as is; an in-place edit of a part's image is
+    an edit of its row.  Any other decomposition, such as a hand-built one,
+    a ``dataclasses.replace``d one or any copy, is stacked into a new array,
     so the images that are checked are always the ones stored in the parts.
     """
-    shape = (3,) * d.order
-    images = [p.embedded for p in d.parts]
-    base = getattr(images[0], "base", None) if images else None
-    if (
-        isinstance(base, np.ndarray)
-        and base.dtype == np.float64
-        and base.flags.c_contiguous
-        and base.shape == (len(images), 3**d.order)
-    ):
-        address = base.__array_interface__["data"][0]
-        step = base.strides[0]
-        if all(
-            getattr(e, "base", None) is base
-            and e.dtype == base.dtype
-            and e.shape == shape
-            and e.flags.c_contiguous
-            and e.__array_interface__["data"][0] == address + i * step
-            for i, e in enumerate(images)
-        ):
-            return base
-    return _stack(images, d.order).reshape(len(images), 3**d.order)
+    if d._rows is not None:
+        return d._rows
+    return _stack([p.embedded for p in d.parts], d.order).reshape(len(d.parts), 3**d.order)
 
 
 def _stack(tensors: list, order: int) -> np.ndarray:
@@ -627,20 +610,22 @@ def _part_residuals(parts) -> tuple[list[float], list[float]]:
 def verify(d: Decomposition, t) -> VerifyReport:
     """Residual report of a decomposition against the tensor it came from.
 
-    The cross-correlation check reads every stored embedded image, so an
-    edited image fails it.  Its Gram product costs O(parts^2 * 3^n) flops in
-    BLAS and a (parts, parts) matrix.  The images of ``decompose`` and
-    ``load_decomposition`` output are read in place; any other decomposition
-    is first copied into one (parts, 3^n) stack.  Every residual is computed
-    on exactly rescaled values, so it does not depend on the scale of ``t``.
+    The reconstruction and cross-correlation checks read every stored
+    embedded image, so an edited image fails them.  The Gram product costs
+    O(parts^2 * 3^n) flops in BLAS and a (parts, parts) matrix.  Both checks
+    read the image rows that ``decompose`` and ``load_decomposition`` output
+    records; any other decomposition is first copied, once, into one
+    (parts, 3^n) stack.  Every residual is computed on exactly rescaled
+    values, so it does not depend on the scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
+    rows = _image_rows(d)
     t_norm = frobenius_norm(t)
-    res = frobenius_norm(reconstruct(d) - t)
+    res = frobenius_norm(rows.sum(axis=0).reshape(t.shape) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
     sym_res, trace_res = _part_residuals(d.parts)
-    max_cross = _max_cross_correlation(_image_rows(d))
+    max_cross = _max_cross_correlation(rows)
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
     actual = d.counts()

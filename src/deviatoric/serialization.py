@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, IrreduciblePart
+from .decomposition import Decomposition, IrreduciblePart, _from_rows
 
 __all__ = [
     "fmt_float",
@@ -168,15 +168,15 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
     raw_parts = _get(obj, "parts", context)
     if not isinstance(raw_parts, list):
         _fail(context, "field 'parts' must be an array")
-    # The embedded images are read into the rows of one array, which
-    # ``verify`` then reads in place.  A text too short to hold that many
-    # components cannot be a valid file; its parts get arrays of their own
-    # and fail one by one.  The order is bounded by the text length first,
-    # so that 3**order stays small for any input.
+    # The embedded images are read into the rows of one array, which the
+    # decomposition records.  A text too short to hold that many components
+    # cannot be a valid file; its parts get arrays of their own and fail one
+    # by one.  The order is bounded by the text length first, so that
+    # 3**order stays small for any input.
     images = None
     if raw_parts and order <= len(text).bit_length() and len(raw_parts) * 3**order <= len(text):
         images = np.empty((len(raw_parts), 3**order))
-    parts = []
+    read = []
     for i, raw in enumerate(raw_parts):
         where = f"{context}: parts[{i}]"
         s = _get(raw, "s", where)
@@ -194,8 +194,11 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
             _fail(where, f"deviator order {deviator.ndim} does not match s = {s}")
         if embedded.ndim != order:
             _fail(where, f"embedded order {embedded.ndim} does not match tensor order {order}")
-        parts.append(IrreduciblePart(s=s, J=j, deviator=deviator, embedded=embedded))
-    return Decomposition(order=order, parts=tuple(parts))
+        read.append((s, j, deviator, embedded))
+    if images is None:  # no parts; a text too short for the rows failed above
+        return Decomposition(order=order, parts=tuple(IrreduciblePart(*p) for p in read))
+    orders, labels, deviators, _ = zip(*read)
+    return _from_rows(order, orders, labels, deviators, images)
 
 
 def save_decomposition(path, d: Decomposition) -> None:

@@ -10,8 +10,6 @@ from deviatoric import (
     combine_deviator_triple,
     decompose,
     fit_structural_coefficients,
-    from_coords,
-    lift_deviator,
     lift_kernel4,
     structural_coefficients,
 )
@@ -39,22 +37,6 @@ def test_lift_kernel4_applies_the_order1_lift():
     lifted = np.einsum("ijks,s->ijk", lift_kernel4(), v)
     # lifting a vector must reproduce the triple map with mid = hi = 0 at n = 2
     assert_allclose(lifted, combine_deviator_triple(v, np.zeros((3, 3)), np.zeros((3, 3, 3))))
-
-
-@pytest.mark.parametrize("s", (2, 3, 4))
-def test_lift_deviator_matches_triple_map(s):
-    # lift_deviator(s, .) embeds an order-(s-1) deviator, i.e. the lo branch
-    # of the triple map at n = s
-    rng = np.random.default_rng(23 + s)
-    d = from_coords(rng.standard_normal(2 * (s - 1) + 1), s - 1)
-    zero_mid = np.zeros((3,) * s)
-    zero_hi = np.zeros((3,) * (s + 1))
-    assert_allclose(lift_deviator(s, d), combine_deviator_triple(d, zero_mid, zero_hi))
-
-
-def test_lift_deviator_rejects_low_order():
-    with pytest.raises(ValueError):
-        lift_deviator(1, np.zeros(3))
 
 
 @pytest.mark.parametrize("order", (3, 4))

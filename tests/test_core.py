@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deviatoric import (
-    add,
     as_tensor,
     contract_complete,
     contract_double,
@@ -20,8 +19,6 @@ from deviatoric import (
     frobenius,
     frobenius_norm,
     outer,
-    scale,
-    subtract,
     symmetrize,
     trace_pair,
 )
@@ -207,12 +204,3 @@ def test_frobenius_norm_is_scale_covariant(exponent):
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
     assert math.isnan(frobenius_norm(np.full((3,), np.nan)))
     assert frobenius_norm(np.array([np.inf, 1.0, 0.0])) == math.inf
-
-
-def test_add_subtract_scale():
-    a = outer(V, V)
-    assert_allclose(add(a, a), 2.0 * a)
-    assert_allclose(subtract(a, a), np.zeros((3, 3)))
-    assert_allclose(scale(a, 0.5), 0.5 * a)
-    with pytest.raises(ValueError):
-        add(a, V)

@@ -1,6 +1,9 @@
 """Decomposition engine: counts, round-trips, invariances, and agreement
 with the paper's per-input recursion."""
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 import warnings
 from functools import lru_cache
@@ -531,6 +534,92 @@ def test_image_rows_are_read_in_place_or_copied():
     empty = verify(Decomposition(order=d.order, parts=()), np.zeros_like(t))
     assert empty.max_cross_correlation == 0.0 and not empty.counts_ok
     assert verify(other_row, reconstruct(other_row)).max_cross_correlation == pytest.approx(1.0)
+
+
+def assert_rows_are_recorded(d):
+    """``d`` records its image rows, and part i's image is a view of row i."""
+    rows = _image_rows(d)
+    assert rows is d._rows
+    assert rows.shape == (len(d.parts), 3**d.order)
+    for row, p in zip(rows, d.parts):
+        assert p.embedded.base is rows and p.embedded.shape == (3,) * d.order
+        assert p.embedded.__array_interface__["data"] == row.__array_interface__["data"]
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 7])
+def test_decompose_records_its_image_rows(order):
+    assert_rows_are_recorded(decompose(np.random.default_rng(60 + order).standard_normal((3,) * order)))
+
+
+COPIES = {
+    "pickle": lambda d: pickle.loads(pickle.dumps(d)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+    "replace": dataclasses.replace,
+    "replace moved": lambda d: dataclasses.replace(d, parts=d.parts[1:] + d.parts[:1]),
+}
+
+
+@pytest.mark.parametrize("kind", COPIES)
+def test_copies_record_no_rows(kind):
+    t = np.random.default_rng(61).standard_normal((3,) * 5)
+    d = decompose(t)
+    c = COPIES[kind](d)
+    assert c._rows is None
+    assert np.array_equal(_image_rows(c), np.stack([p.embedded.ravel() for p in c.parts]))
+    assert verify(c, t).passes(1e-10)
+    # the sum and the deviators stay as they were; a check that read rows
+    # other than the ones stored in the parts would still pass
+    c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
+    report = verify(c, reconstruct(c))
+    assert report.max_cross_correlation > 1e-3 and not report.passes(1e-10)
+
+
+def test_in_place_edit_of_a_part_reaches_the_rows():
+    t = np.random.default_rng(62).standard_normal((3,) * 5)
+    d = decompose(t)
+    d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
+    assert_rows_are_recorded(d)
+    report = verify(d, reconstruct(d))
+    assert report.max_cross_correlation > 1e-3 and not report.passes(1e-10)
+    assert not verify(d, t).passes(1e-10)
+
+
+def reference_reconstruct(d):
+    """The per-part loop that the row sum replaced."""
+    total = np.zeros((3,) * d.order)
+    for p in d.parts:
+        total += p.embedded
+    return total
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_reconstruct_matches_per_part_loop(order):
+    d = decompose(np.random.default_rng(63 + order).standard_normal((3,) * order))
+    built = Decomposition(
+        order=d.order,
+        parts=tuple(IrreduciblePart(p.s, p.J, p.deviator, p.embedded.copy()) for p in d.parts),
+    )
+    assert built._rows is None
+    for case in (d, built):
+        assert np.array_equal(reconstruct(case), reference_reconstruct(case))
+
+
+def test_repeated_counts_row_holds_no_memory():
+    # a tuple built by resizing is never taken back from CPython's per-size
+    # free lists of freed tuples, so uncached calls would hold ~0.5 MB
+    for n in range(2, 8):
+        counts_row(n)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in range(1000):
+            for n in range(2, 8):
+                counts_row(n)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 16 * 2**10
 
 
 def reference_part_residuals(d):

@@ -17,6 +17,7 @@ from deviatoric import (
     save_voigt,
     tensor_from_json,
     tensor_to_json,
+    verify,
     voigt_from_text,
     voigt_to_json,
     voigt_to_text,
@@ -203,6 +204,22 @@ def test_loaded_images_are_rows_of_one_array(tmp_path):
     rows = _image_rows(d)
     assert rows.shape == (len(d.parts), 3**4)
     assert all(p.embedded.base is rows for p in d.parts)
+
+
+def test_loaded_decomposition_records_its_image_rows():
+    t = np.random.default_rng(47).standard_normal((3,) * 5)
+    d = decomposition_from_json(decomposition_to_json(decompose(t)))
+    rows = _image_rows(d)
+    assert rows is d._rows
+    for row, p in zip(rows, d.parts):
+        assert p.embedded.base is rows
+        assert p.embedded.__array_interface__["data"] == row.__array_interface__["data"]
+    assert verify(d, t).passes(1e-10)
+    d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
+    assert verify(d, reconstruct(d)).max_cross_correlation > 1e-3
+    empty = decomposition_from_json('{"order": 3, "parts": []}')
+    assert empty.parts == () and empty._rows is None
+    np.testing.assert_array_equal(reconstruct(empty), np.zeros((3, 3, 3)))
 
 
 @pytest.mark.parametrize(
