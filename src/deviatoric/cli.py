@@ -258,9 +258,9 @@ def _cmd_stiffness(args) -> int:
         [
             ("lam", float(sd.lam)),
             ("mu", float(sd.mu)),
-            ("norm_d1", float(np.linalg.norm(sd.d1.ravel()))),
-            ("norm_d2", float(np.linalg.norm(sd.d2.ravel()))),
-            ("norm_d4", float(np.linalg.norm(sd.d4.ravel()))),
+            ("norm_d1", frobenius_norm(sd.d1)),
+            ("norm_d2", frobenius_norm(sd.d2)),
+            ("norm_d4", frobenius_norm(sd.d4)),
         ],
         args.format,
     )
@@ -289,14 +289,14 @@ def _cmd_coupling(args) -> int:
         print(payload)
         return 0
     _emit(payload, args.output)
-    residual = float(np.linalg.norm((coupling_reconstruct(cd) - h).ravel()))
+    residual = frobenius_norm(coupling_reconstruct(cd) - h)
     _report(
         [
             ("coefficients", args.coefficients),
-            ("norm_v2", float(np.linalg.norm(cd.v2))),
-            ("norm_v3", float(np.linalg.norm(cd.v3))),
-            ("norm_d1", float(np.linalg.norm(cd.d1.ravel()))),
-            ("norm_d3", float(np.linalg.norm(cd.d3.ravel()))),
+            ("norm_v2", frobenius_norm(cd.v2)),
+            ("norm_v3", frobenius_norm(cd.v3)),
+            ("norm_d1", frobenius_norm(cd.d1)),
+            ("norm_d3", frobenius_norm(cd.d3)),
             ("reconstruction_residual", residual),
         ],
         args.format,

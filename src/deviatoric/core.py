@@ -203,15 +203,18 @@ def frobenius(a, b) -> float:
 
 
 def frobenius_norm(t) -> float:
-    """Frobenius norm, the square root of ``frobenius(t, t)``.
+    """Frobenius norm, the square root of ``frobenius(t, t)``, taken on
+    ``_scaled_rows`` of the flattened tensor, so the sum of squares neither
+    overflows nor underflows at any scale of ``t``."""
+    scaled, exponents = _scaled_rows(as_tensor(t).reshape(1, -1))
+    return math.ldexp(float(np.linalg.norm(scaled[0])), int(exponents[0]))
 
-    The components are first divided by a power of two near the largest of
-    them, exactly, so the sum of squares neither overflows nor underflows
-    at any scale of ``t``.
-    """
-    flat = as_tensor(t).ravel()
-    top = float(np.max(np.abs(flat)))
-    if not 0.0 < top < math.inf:  # zero, or a non-finite component
-        return float(np.linalg.norm(flat))
-    exponent = math.frexp(top)[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(flat, -exponent))), exponent)
+
+def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a 2-D array divided, exactly, by 2**e, and the e's; e is
+    the binary exponent of the row's largest |entry|, 0 for a zero or
+    non-finite row.  A scaled row's sum of squares lies in [1/4, row
+    length), so no norm of it overflows or underflows, and a ratio of two
+    norms taken on one scaled row is the unscaled one."""
+    exponents = np.frexp(np.max(np.abs(rows), axis=1))[1]
+    return np.ldexp(rows, -exponents[:, None]), exponents

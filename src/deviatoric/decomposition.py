@@ -53,14 +53,13 @@ parent slot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_tensor, epsilon, frobenius_norm, symmetrize, symmetrize_stack
+from .core import _scaled_rows, as_tensor, epsilon, frobenius_norm, symmetrize, symmetrize_stack
 from .harmonic import build_basis, coords, from_coords
 
 __all__ = [
@@ -272,8 +271,8 @@ def split_deviator_triple(g, *, validate: bool = True) -> tuple[np.ndarray, np.n
     mid_flat = build_basis(n).flat
     slice_coords = g.reshape(3, -1) @ mid_flat.T          # (3, 2n+1)
     if validate:
-        residual = np.linalg.norm(g.reshape(3, -1) - slice_coords @ mid_flat)
-        if residual > SPLIT_INPUT_TOL * np.linalg.norm(g.ravel()):
+        residual = frobenius_norm(g - (slice_coords @ mid_flat).reshape(g.shape))
+        if residual > SPLIT_INPUT_TOL * frobenius_norm(g):
             raise ValueError(
                 "input is not symmetric and traceless in its trailing "
                 f"indices (residual {residual:.3e})"
@@ -550,19 +549,17 @@ def _max_cross_correlation(rows: np.ndarray) -> float:
     rows f, from one Gram product F F^T; its diagonal gives the squared row
     norms.
 
-    At extreme scales (see ``_GRAM_RANGE``) the product is taken over a
-    copy of F divided, exactly, by a power of two near max |F|: the one case
+    At extreme scales (see ``_GRAM_RANGE``) the product is taken over
+    ``_scaled_rows`` of F, which leaves every ratio as it is: the one case
     in which the images of ``decompose`` output are copied.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
         gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
     squares = gram.diagonal()
     if len(squares) and not _GRAM_RANGE[0] <= squares.max() <= _GRAM_RANGE[1]:
-        top = max(float(rows.max()), -float(rows.min()))
-        if 0.0 < top < math.inf:
-            rows = np.ldexp(rows, -math.frexp(top)[1])
-            gram = rows @ rows.T
-            squares = gram.diagonal()
+        rows = _scaled_rows(rows)[0]
+        gram = rows @ rows.T
+        squares = gram.diagonal()
     norms = np.sqrt(squares)
     nonzero = norms > 0.0
     if np.count_nonzero(nonzero) < 2:
@@ -581,10 +578,9 @@ def _part_residuals(parts) -> tuple[list[float], list[float]]:
     """Symmetry and trace residual of each part's deviator relative to the
     deviator's norm, 0 for orders below 2 and for a zero deviator.
 
-    Deviators of one order are stacked and checked together.  Each is first
-    divided, exactly, by a power of two near its largest component, which
-    leaves the ratios as they are but keeps their norms from overflowing or
-    underflowing at any scale.
+    Deviators of one order are stacked and checked together, on
+    ``_scaled_rows`` of the stack, so no norm overflows or underflows at any
+    scale.
     """
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(parts):
@@ -595,8 +591,7 @@ def _part_residuals(parts) -> tuple[list[float], list[float]]:
         devs = _stack([parts[i].deviator for i in index], s)
         if s < 2:
             continue  # checked for shape only
-        flat = devs.reshape(len(index), -1)
-        flat = np.ldexp(flat, -np.frexp(np.max(np.abs(flat), axis=1))[1][:, None])
+        flat = _scaled_rows(devs.reshape(len(index), -1))[0]
         devs = flat.reshape(devs.shape)
         norms = np.linalg.norm(flat, axis=1)
         sym = np.linalg.norm(flat - symmetrize_stack(devs).reshape(flat.shape), axis=1)

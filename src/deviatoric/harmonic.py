@@ -13,9 +13,9 @@ The construction involves no randomness, so repeated calls return the same
 cached, read-only arrays.
 
 Membership in a deviator space is tested relative to the tensor's own norm,
-so it does not depend on the units of the input: ``t`` is a deviator when
-the residual of its projection is at most ``tol * |t|``.  The zero tensor
-has zero residual and is a deviator.
+both taken with ``frobenius_norm``, so it does not depend on the units of
+the input: ``t`` is a deviator when the residual of its projection is at
+most ``tol * |t|``.  The zero tensor has zero residual and is a deviator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _orbit_map, as_tensor
+from .core import _orbit_map, as_tensor, frobenius_norm
 
 __all__ = [
     "DeviatorBasis",
@@ -138,10 +138,9 @@ def coords(t, basis: DeviatorBasis | None = None) -> np.ndarray:
         basis = build_basis(t.ndim)
     elif basis.order != t.ndim:
         raise ValueError(f"basis order {basis.order} does not match tensor order {t.ndim}")
-    flat = t.ravel()
-    c = basis.flat @ flat
-    residual = np.linalg.norm(flat - c @ basis.flat)
-    norm = np.linalg.norm(flat)
+    c = basis.flat @ t.ravel()
+    residual = frobenius_norm(t - (c @ basis.flat).reshape(t.shape))
+    norm = frobenius_norm(t)
     if residual > MEMBERSHIP_TOL * norm:
         raise ValueError(
             f"tensor is not an order-{t.ndim} deviator "
@@ -164,5 +163,5 @@ def is_deviator(t, tol: float = MEMBERSHIP_TOL) -> bool:
     """Whether ``t`` is totally symmetric and traceless within ``tol``
     relative to its norm; the zero tensor is a deviator."""
     t = as_tensor(t)
-    residual = np.linalg.norm((t - project_deviator(t)).ravel())
-    return bool(residual <= tol * np.linalg.norm(t.ravel()))
+    residual = frobenius_norm(t - project_deviator(t))
+    return bool(residual <= tol * frobenius_norm(t))

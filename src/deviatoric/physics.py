@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import lift_kernel4
-from .core import as_tensor, epsilon
+from .core import as_tensor, epsilon, frobenius_norm
 from .harmonic import build_basis, from_coords
 
 __all__ = [
@@ -222,16 +222,14 @@ def coupling_decompose(h, coefficients: str = "fitted") -> CouplingDeviators:
         raise ValueError(f"coefficients must be 'printed' or 'fitted', got {coefficients!r}")
     pinv, forward = _coupling_solver()
     x = pinv @ h.ravel()
-    # relative residual, with both sides divided by the largest entry so
-    # that no norm overflows or underflows; the zero tensor is representable
-    scale = np.max(np.abs(h))
-    if scale > 0.0:
-        residual = np.linalg.norm((forward @ x - h.ravel()) / scale)
-        if residual > 1e-9 * np.linalg.norm(h.ravel() / scale):
-            raise ValueError(
-                f"tensor is not representable by the four coupling deviators "
-                f"(relative residual {residual:.3e}); is the coupling symmetry satisfied?"
-            )
+    # relative residual; the zero tensor is representable
+    h_norm = frobenius_norm(h)
+    residual = frobenius_norm((forward @ x).reshape(h.shape) - h)
+    if residual > 1e-9 * h_norm:
+        raise ValueError(
+            "tensor is not representable by the four coupling deviators (relative "
+            f"residual {residual / h_norm:.3e}); is the coupling symmetry satisfied?"
+        )
     return CouplingDeviators(
         v2=x[0:3],
         v3=x[3:6],
@@ -379,16 +377,13 @@ def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
 _VOIGT_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+_VOIGT_FIRST, _VOIGT_SECOND = np.array(VOIGT_PAIRS).T  # tensor index pair of each Voigt index
 
 
 def tensor_to_voigt(c) -> np.ndarray:
     """6x6 Voigt matrix of a stiffness tensor; pure relabeling, no weights."""
     c = validate_stiffness(c)
-    m = np.empty((6, 6))
-    for a, (i, j) in enumerate(VOIGT_PAIRS):
-        for b, (k, l) in enumerate(VOIGT_PAIRS):
-            m[a, b] = c[i, j, k, l]
-    return m
+    return c[_VOIGT_FIRST[:, None], _VOIGT_SECOND[:, None], _VOIGT_FIRST, _VOIGT_SECOND]
 
 
 def voigt_to_tensor(m) -> np.ndarray:

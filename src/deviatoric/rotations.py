@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_tensor
+from .core import as_tensor, frobenius_norm
 
 __all__ = ["check_rotation", "rotate", "rotation_about", "random_rotation"]
 
@@ -44,11 +44,11 @@ def rotate(t, r) -> np.ndarray:
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` (radians) about ``axis`` (Rodrigues formula)."""
+    """Rotation by ``angle`` (radians) about ``axis`` of any length (Rodrigues formula)."""
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
-    n = np.linalg.norm(axis)
+    n = frobenius_norm(axis)
     if n == 0.0:
         raise ValueError("axis must be nonzero")
     u = axis / n

@@ -95,6 +95,8 @@ def _tensor_from_obj(obj, context: str, out: np.ndarray | None = None) -> np.nda
     components = _get(obj, "components", context)
     if not isinstance(components, list):
         _fail(context, "field 'components' must be an array")
+    if order > len(components).bit_length():  # then 3**order > len(components)
+        _fail(context, f"field 'components' has length {len(components)}, expected 3^{order}")
     expected = 3**order
     if len(components) != expected:
         _fail(

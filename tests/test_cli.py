@@ -202,6 +202,11 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
     assert "expected 3^2 = 9" in err
 
+    bad.write_text('{"order": 10000000, "components": [1.0]}')
+    code, _, err = run(capsys, "decompose", "--input", str(bad))
+    assert code == 2
+    assert "field 'components' has length 1" in err
+
     code, _, err = run(capsys, "decompose", "--input", str(tmp_path / "missing.json"))
     assert code == 2
     assert "missing.json" in err
@@ -305,6 +310,38 @@ def test_coupling_command_variants(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["coefficients"] == "printed"
+
+
+def material_reports(tmp_path, capsys, scale):
+    """The JSON reports of ``stiffness`` and ``coupling`` on fixed inputs
+    multiplied by ``scale``."""
+    rng = np.random.default_rng(46)
+    m = rng.standard_normal((6, 6))
+    h = rng.standard_normal((3, 3, 3))
+    c_path, h_path, out_path = tmp_path / "c.txt", tmp_path / "h.json", tmp_path / "parts.json"
+    save_voigt(c_path, scale * (m + m.T), fmt="text")
+    save_tensor(h_path, scale * (h + h.swapaxes(0, 1)))
+    reports = []
+    for command, path in (("stiffness", c_path), ("coupling", h_path)):
+        code, out, err = run(
+            capsys, command, "--input", str(path), "--output", str(out_path), "--format", "json"
+        )
+        assert code == 0, err
+        reports.append(json.loads(out))
+    return reports
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_material_reports_at_extreme_scales(tmp_path, capsys, scale):
+    stiffness, coupling = material_reports(tmp_path, capsys, scale)
+    ref_stiffness, ref_coupling = material_reports(tmp_path, capsys, 1.0)
+    for report, ref in ((stiffness, ref_stiffness), (coupling, ref_coupling)):
+        norms = [key for key in ref if key.startswith("norm_")]
+        assert len(norms) >= 3
+        for key in norms + [key for key in ("lam", "mu") if key in ref]:
+            assert report[key] == pytest.approx(scale * ref[key], rel=1e-13, abs=0), key
+    rel = coupling["reconstruction_residual"] / (scale * ref_coupling["norm_d3"])
+    assert 0.0 <= rel <= 1e-13
 
 
 def test_coupling_rejects_wrong_order(tmp_path, capsys):

@@ -369,8 +369,17 @@ def test_split_membership_is_relative_to_scale():
     with pytest.raises(ValueError):
         split_deviator_triple(1e-12 * rng.standard_normal((3, 3, 3)))
     g = combine_deviator_triple(*(random_deviator(rng, s) for s in (1, 2, 3)))
-    for scale in (1e-12, 1e12):
+    lo, mid, hi = (random_deviator(rng, s) for s in (1, 2, 3))
+    other = rng.standard_normal((3, 3, 3))
+    for scale in (1e-300, 1e-200, 1e-12, 1e12, 1e200, 1e300):
+        with pytest.raises(ValueError):
+            split_deviator_triple(scale * other)
         split_deviator_triple(scale * g)
+        with pytest.raises(ValueError):
+            combine_deviator_triple(scale * lo, scale * rng.standard_normal((3, 3)), scale * hi)
+        with pytest.raises(ValueError):
+            combine_deviator_triple(scale * lo, scale * mid, scale * other)
+        combine_deviator_triple(scale * lo, scale * mid, scale * hi)
     for part in split_deviator_triple(np.zeros((3, 3, 3))):
         assert not part.any()
 

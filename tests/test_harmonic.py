@@ -96,6 +96,9 @@ def test_is_deviator():
     assert is_deviator(np.zeros((3, 3)))
 
 
+SCALES = (1e-300, 1e-200, 1e-12, 1e12, 1e200, 1e300)
+
+
 def test_membership_is_relative_to_scale():
     rng = np.random.default_rng(22)
     tiny = 1e-12 * rng.standard_normal((3, 3))
@@ -107,9 +110,15 @@ def test_membership_is_relative_to_scale():
     assert_allclose(coords(zero), np.zeros(7))
     for s in (2, 3, 4):
         d = from_coords(rng.standard_normal(2 * s + 1), s)
-        for scale in (1e-12, 1e12):
+        for scale in SCALES:
             assert is_deviator(scale * d)
             assert_allclose(coords(scale * d), scale * coords(d), rtol=1e-12)
+    for s in (2, 3, 4):
+        other = rng.standard_normal((3,) * s)
+        for scale in SCALES:
+            assert not is_deviator(scale * other)
+            with pytest.raises(ValueError):
+                coords(scale * other)
 
 
 def test_deviator_space_is_rotation_invariant():

@@ -21,6 +21,16 @@ def test_rotation_about_z_quarter_turn():
     assert_allclose(rotate(np.array([1.0, 0.0, 0.0]), r), [0.0, 1.0, 0.0], atol=1e-15)
 
 
+def test_rotation_about_ignores_axis_length():
+    rng = np.random.default_rng(4)
+    for axis in ([0.0, 0.0, 1.0], rng.standard_normal(3)):
+        axis = np.asarray(axis)
+        angle = rng.uniform(-np.pi, np.pi)
+        unit = rotation_about(axis / np.sqrt(axis @ axis), angle)
+        for scale in (1e-300, 1e-200, 1e-12, 1e12, 1e200, 1e300):
+            assert_allclose(rotation_about(scale * axis, angle), unit, rtol=0, atol=1e-15)
+
+
 def test_rotate_matches_per_factor_action():
     rng = np.random.default_rng(5)
     r = random_rotation(rng)

@@ -1,5 +1,7 @@
 """JSON/text persistence: lossless round-trips and diagnostic errors."""
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -107,6 +109,19 @@ def test_decomposition_error_messages():
     )
     with pytest.raises(ValueError, match="does not match s"):
         decomposition_from_json(bad)
+
+
+def test_reader_rejects_a_huge_order_before_computing_it():
+    huge = '{"order": 10000000, "components": [1.0]}'
+    part = '{"s": 1, "J": 1, "deviator": {"order": 1, "components": [1, 2, 3]}, "embedded": %s}'
+    for read, text in (
+        (tensor_from_json, huge),
+        (decomposition_from_json, '{"order": 1, "parts": [%s]}' % (part % huge)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="field 'components' has length 1, expected 3"):
+            read(text)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_file_round_trips(tmp_path):
