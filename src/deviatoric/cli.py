@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -100,15 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: str, output: str | None) -> None:
-    if output is None:
-        print(payload)
-    else:
-        with open(output, "w") as fh:
-            fh.write(payload)
-            fh.write("\n")
-
-
 def _json_report(fields: list[tuple[str, object]]) -> str:
     chunks = []
     for key, value in fields:
@@ -135,37 +127,42 @@ def _report(fields: list[tuple[str, object]], fmt: str) -> None:
             print(f"{key} = {value}")
 
 
-def _cmd_decompose(args) -> int:
-    t = load_tensor(args.input)
-    d = decompose(t)
-    payload = decomposition_to_json(d)
+def _deliver(args, payload: str, report: Callable[[], list] | None = None) -> int:
+    """Print the payload, or write it to ``--output`` and print the fields
+    of ``report()``, if given."""
     if args.output is None:
         print(payload)
         return 0
-    _emit(payload, args.output)
-    t_norm = frobenius_norm(t)
-    res = frobenius_norm(reconstruct(d) - t)
-    _report(
-        [
+    with open(args.output, "w") as fh:
+        fh.write(payload)
+        fh.write("\n")
+    if report is not None:
+        _report(report(), args.format)
+    return 0
+
+
+def _cmd_decompose(args) -> int:
+    t = load_tensor(args.input)
+    d = decompose(t)
+
+    def report():
+        t_norm = frobenius_norm(t)
+        res = frobenius_norm(reconstruct(d) - t)
+        return [
             ("order", d.order),
             ("parts", len(d.parts)),
             ("reconstruction_relative", res / t_norm if t_norm > 0.0 else res),
-        ],
-        args.format,
-    )
-    return 0
+        ]
+
+    return _deliver(args, decomposition_to_json(d), report)
 
 
 def _cmd_reconstruct(args) -> int:
     d = load_decomposition(args.input)
     t = reconstruct(d)
-    payload = tensor_to_json(t)
-    if args.output is None:
-        print(payload)
-        return 0
-    _emit(payload, args.output)
-    _report([("order", d.order), ("norm", frobenius_norm(t))], args.format)
-    return 0
+    return _deliver(
+        args, tensor_to_json(t), lambda: [("order", d.order), ("norm", frobenius_norm(t))]
+    )
 
 
 def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
@@ -250,21 +247,17 @@ def _cmd_stiffness(args) -> int:
             "}",
         ]
     )
-    if args.output is None:
-        print(payload)
-        return 0
-    _emit(payload, args.output)
-    _report(
-        [
+    return _deliver(
+        args,
+        payload,
+        lambda: [
             ("lam", float(sd.lam)),
             ("mu", float(sd.mu)),
             ("norm_d1", frobenius_norm(sd.d1)),
             ("norm_d2", frobenius_norm(sd.d2)),
             ("norm_d4", frobenius_norm(sd.d4)),
         ],
-        args.format,
     )
-    return 0
 
 
 def _cmd_coupling(args) -> int:
@@ -285,23 +278,18 @@ def _cmd_coupling(args) -> int:
             "}",
         ]
     )
-    if args.output is None:
-        print(payload)
-        return 0
-    _emit(payload, args.output)
-    residual = frobenius_norm(coupling_reconstruct(cd) - h)
-    _report(
-        [
+    return _deliver(
+        args,
+        payload,
+        lambda: [
             ("coefficients", args.coefficients),
             ("norm_v2", frobenius_norm(cd.v2)),
             ("norm_v3", frobenius_norm(cd.v3)),
             ("norm_d1", frobenius_norm(cd.d1)),
             ("norm_d3", frobenius_norm(cd.d3)),
-            ("reconstruction_residual", residual),
+            ("reconstruction_residual", frobenius_norm(coupling_reconstruct(cd) - h)),
         ],
-        args.format,
     )
-    return 0
 
 
 def _cmd_random(args) -> int:
@@ -309,8 +297,7 @@ def _cmd_random(args) -> int:
         raise ValueError(f"order must be >= 0, got {args.order}")
     rng = np.random.default_rng(args.seed)
     t = rng.standard_normal((3,) * args.order)
-    _emit(tensor_to_json(t), args.output)
-    return 0
+    return _deliver(args, tensor_to_json(t))
 
 
 _COMMANDS = {

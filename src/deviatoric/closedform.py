@@ -35,7 +35,6 @@ import numpy as np
 
 from .core import as_tensor, delta, epsilon, symmetrize
 from .decomposition import Decomposition, IrreduciblePart, count_parts, decompose, _lift
-from .harmonic import build_basis
 
 __all__ = [
     "lift_kernel4",

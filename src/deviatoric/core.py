@@ -17,7 +17,6 @@ All functions are pure and never modify their inputs.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -205,9 +204,10 @@ def frobenius(a, b) -> float:
 def frobenius_norm(t) -> float:
     """Frobenius norm, the square root of ``frobenius(t, t)``, taken on
     ``_scaled_rows`` of the flattened tensor, so the sum of squares neither
-    overflows nor underflows at any scale of ``t``."""
+    overflows nor underflows at any scale of ``t``; a norm beyond the float
+    range is ``inf``."""
     scaled, exponents = _scaled_rows(as_tensor(t).reshape(1, -1))
-    return math.ldexp(float(np.linalg.norm(scaled[0])), int(exponents[0]))
+    return float(_scaled_back(exponents[0], np.linalg.norm(scaled[0]))[0])
 
 
 def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -218,3 +218,27 @@ def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms taken on one scaled row is the unscaled one."""
     exponents = np.frexp(np.max(np.abs(rows), axis=1))[1]
     return np.ldexp(rows, -exponents[:, None]), exponents
+
+
+def _project(
+    rows: np.ndarray, to_coords: np.ndarray, from_coords: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Coordinates ``rows @ to_coords`` of a 2-D array and the residual of
+    ``coordinates @ from_coords`` relative to the rows' norm (absolute for
+    zero rows), both on ``_scaled_rows`` of the whole array; so a test
+    ``residual <= tol`` is scale-free and rejects NaN and inf entries."""
+    scaled, exponent = _scaled_rows(rows.reshape(1, -1))
+    scaled = scaled.reshape(rows.shape)
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives a NaN residual
+        c = scaled @ to_coords
+        residual = np.linalg.norm(c @ from_coords - scaled)
+        norm = np.linalg.norm(scaled)
+        residual = float(residual / norm if norm > 0.0 else residual)
+    return _scaled_back(exponent[0], c)[0], residual
+
+
+def _scaled_back(exponent: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each array times 2**exponent, exactly, undoing ``_scaled_rows``;
+    values beyond the float range are +-inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return tuple(np.ldexp(a, exponent) for a in arrays)

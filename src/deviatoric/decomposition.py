@@ -59,7 +59,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _scaled_rows, as_tensor, epsilon, frobenius_norm, symmetrize, symmetrize_stack
+from .core import (
+    _project, _scaled_back, _scaled_rows, as_tensor, epsilon, frobenius_norm, symmetrize,
+    symmetrize_stack,
+)
 from .harmonic import build_basis, coords, from_coords
 
 __all__ = [
@@ -224,11 +227,11 @@ def _spin(mid: np.ndarray, n: int) -> np.ndarray:
     return symmetrize(e, trailing)
 
 
-def combine_deviator_triple(lo, mid, hi, *, validate: bool = True) -> np.ndarray:
+def combine_deviator_triple(lo, mid, hi) -> np.ndarray:
     """Map deviators of orders (n-1, n, n+1) into one order-(n+1) tensor.
 
     The result is totally symmetric and traceless in its trailing n indices;
-    the first index is free.  Requires n >= 2.
+    the first index is free.  Requires n >= 2 and deviators that pass ``coords``.
     """
     lo, mid, hi = as_tensor(lo), as_tensor(mid), as_tensor(hi)
     n = mid.ndim
@@ -239,9 +242,8 @@ def combine_deviator_triple(lo, mid, hi, *, validate: bool = True) -> np.ndarray
             f"order mismatch: expected ({n - 1}, {n}, {n + 1}), "
             f"got ({lo.ndim}, {mid.ndim}, {hi.ndim})"
         )
-    if validate:
-        for d in (lo, mid, hi):
-            coords(d)
+    for d in (lo, mid, hi):
+        coords(d)
     return _lift(lo, n) + _spin(mid, n) + hi
 
 
@@ -249,39 +251,40 @@ def combine_deviator_triple(lo, mid, hi, *, validate: bool = True) -> np.ndarray
 def _split_solver(n: int) -> np.ndarray:
     """Pseudo-inverse of the combine map in deviator coordinates.  The
     map's column for a basis deviator of slot n-1, n or n+1 is that
-    deviator's row of ``_forward_matrix``."""
-    m = np.concatenate([_forward_matrix(n, c) for c in _children(n)])
-    pinv = np.linalg.pinv(m.reshape(-1, 3 * (2 * n + 1)).T)
+    deviator's row of ``_regroup(n)``."""
+    pinv = np.linalg.pinv(_regroup(n).reshape(-1, 3 * (2 * n + 1)).T)
     pinv.flags.writeable = False
     return pinv
 
 
-def split_deviator_triple(g, *, validate: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def split_deviator_triple(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resolve an order-(n+1) tensor that is symmetric and traceless in its
     trailing n indices into deviators of orders (n-1, n, n+1).
 
-    Inverts ``combine_deviator_triple``.  With ``validate`` the input is
-    checked to lie in the admissible space within ``SPLIT_INPUT_TOL``
-    relative to its norm; the zero tensor passes.
+    Inverts ``combine_deviator_triple``.  The input must lie in the
+    admissible space within ``SPLIT_INPUT_TOL`` relative to its norm.  The
+    deviators are resolved on ``_scaled_rows`` of the input and scaled back,
+    exact up to the float limit even where their coordinates overflow.
     """
     g = as_tensor(g)
     n = g.ndim - 1
     if n < 2:
         raise ValueError(f"split needs an input of order >= 3, got {g.ndim}")
     mid_flat = build_basis(n).flat
-    slice_coords = g.reshape(3, -1) @ mid_flat.T          # (3, 2n+1)
-    if validate:
-        residual = frobenius_norm(g - (slice_coords @ mid_flat).reshape(g.shape))
-        if residual > SPLIT_INPUT_TOL * frobenius_norm(g):
-            raise ValueError(
-                "input is not symmetric and traceless in its trailing "
-                f"indices (residual {residual:.3e})"
-            )
+    scaled, exponent = _scaled_rows(g.reshape(1, -1))
+    slice_coords, residual = _project(scaled.reshape(3, -1), mid_flat.T, mid_flat)
+    if not residual <= SPLIT_INPUT_TOL:
+        raise ValueError(
+            "input is not symmetric and traceless in its trailing "
+            f"indices (relative residual {residual:.3e})"
+        )
     x = _split_solver(n) @ slice_coords.ravel()
-    d_lo = from_coords(x[: 2 * n - 1], n - 1)
-    d_mid = from_coords(x[2 * n - 1 : 4 * n], n)
-    d_hi = from_coords(x[4 * n :], n + 1)
-    return d_lo, d_mid, d_hi
+    return _scaled_back(
+        exponent[0],
+        from_coords(x[: 2 * n - 1], n - 1),
+        from_coords(x[2 * n - 1 : 4 * n], n),
+        from_coords(x[4 * n :], n + 1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +302,13 @@ def _forward(s: int, child: int, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _forward_matrix(s: int, child: int) -> np.ndarray:
-    """Read-only (2c+1, 3, 2s+1) array: for each basis deviator of an
-    order-``child`` slot, ``_forward`` of it with its trailing s indices in
-    the parent's deviator coordinates."""
+def _regroup(s: int) -> np.ndarray:
+    """Read-only (3(2s+1), 3, 2s+1) array: ``_forward`` of each basis
+    deviator of each child of an order-s slot, in ``_children(s)`` order,
+    with its trailing s indices in the parent's deviator coordinates."""
     to_parent = build_basis(s).flat.T
-    f = np.stack([_forward(s, child, b).reshape(3, -1) @ to_parent for b in build_basis(child)])
+    f = np.stack([_forward(s, c, b).reshape(3, -1) @ to_parent
+                  for c in _children(s) for b in build_basis(c)])
     f.flags.writeable = False
     return f
 
@@ -323,15 +327,12 @@ def _change_of_basis(n: int) -> np.ndarray:
     else:
         prev = _change_of_basis(n - 1)
         rows = np.empty((3**n, 3**n))
-        r = p = 0
+        p = 0
         for s in part_orders(n - 1):
-            parent = prev[p : p + 2 * s + 1]
+            f = _regroup(s)  # a parent's rows start at p, its children's at 3p
+            block = rows[3 * p : 3 * p + len(f)].reshape(len(f), 3, -1)
+            np.matmul(f, prev[p : p + 2 * s + 1], out=block)
             p += 2 * s + 1
-            for child in _children(s):
-                f = _forward_matrix(s, child)
-                block = rows[r : r + len(f)].reshape(len(f), 3, -1)
-                np.matmul(f, parent, out=block)
-                r += len(f)
     rows.flags.writeable = False
     return rows
 
@@ -376,11 +377,11 @@ def _plan(n: int) -> _Plan:
     order-(n-1) matrix; E_n itself is never built.
 
     Row r of E_n, for a child of parent slot p, is sum_j F[r, k, j] times row
-    j of E_{n-1, p} in slice k (F = ``_forward_matrix``), so
+    j of E_{n-1, p} in slice k (F = ``_regroup``), so
     (E_n t)_r = sum_{k,j} F[r, k, j] (E_{n-1} t[k])_{p,j} and the image of
-    coordinates c is (sum_r c_r F[r, k, :]) E_{n-1, p} in slice k.  The
-    squared row norms are lambda_r = sum_k F[r, k, :] G_p F[r, k, :]^T with
-    G_p = E_{n-1, p} E_{n-1, p}^T.
+    coordinates c is (sum_r c_r F[r, k, :]) E_{n-1, p} in slice k.  The rows
+    of E_{n-1, p} are orthogonal (Schur's lemma), so lambda_r =
+    sum_{k,j} F[r, k, j]^2 lam_{p,j}, lam the squared row norms of E_{n-1}.
     """
     orders = part_orders(n)
     seen: dict[int, int] = {}
@@ -404,6 +405,7 @@ def _plan(n: int) -> _Plan:
         return _Plan(orders, tuple(labels), None, (), tuple(deviators), tuple(by_order))
 
     prev = _change_of_basis(n - 1)
+    lam = np.einsum("ij,ij->i", prev, prev)
     parents = part_orders(n - 1)
     prev_starts = np.cumsum([0] + [2 * s + 1 for s in parents])
     first_child = np.cumsum([0] + [len(_children(s)) for s in parents])
@@ -411,22 +413,20 @@ def _plan(n: int) -> _Plan:
     for s in sorted(set(parents)):
         width = 2 * s + 1
         index = [q for q, o in enumerate(parents) if o == s]
-        firsts = prev_starts[index].tolist()
-        fs = [_forward_matrix(s, c) for c in _children(s)]
-        f = np.concatenate(fs)  # (3 width, 3, width), children's rows in order
-        rows = 3 * np.array(firsts)[:, None] + np.arange(3 * width)
-        gram = np.stack([prev[p : p + width] @ prev[p : p + width].T for p in firsts])
-        norms = np.einsum("rkj,pjl,rkl->pr", f, gram, f)
+        firsts = prev_starts[index]
+        f = _regroup(s)  # (3 width, 3, width)
+        parent_rows = firsts[:, None] + np.arange(width)
+        rows = 3 * firsts[:, None] + np.arange(3 * width)
+        norms = lam[parent_rows] @ (f * f).sum(axis=1).T
         to_children = f.transpose(2, 1, 0).reshape(3 * width, 3 * width)
-        to_images = np.zeros((3 * width, len(fs), 3 * width))
-        r = 0
-        for i, fc in enumerate(fs):
-            to_images[r : r + len(fc), i] = fc.reshape(len(fc), -1)
-            r += len(fc)
+        # row r of c_g, a coordinate of child i, puts F[r] in column block i
+        child = np.repeat(np.arange(len(_children(s))), [2 * c + 1 for c in _children(s)])
+        to_images = np.zeros((3 * width, len(_children(s)), 3 * width))
+        to_images[np.arange(3 * width), child] = f.reshape(3 * width, -1)
         to_images = to_images.reshape(3 * width, -1)
         blocks = tuple(
             (prev[p : p + width], 3 * first_child[q], 3 * first_child[q + 1])
-            for q, p in zip(index, firsts)
+            for q, p in zip(index, firsts.tolist())
         )
         _read_only(rows, to_children, norms, to_images)
         groups.append(_Group(rows, to_children, norms, to_images, blocks))

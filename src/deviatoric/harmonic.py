@@ -12,10 +12,11 @@ constructs a Frobenius-orthonormal basis once per order and caches it:
 The construction involves no randomness, so repeated calls return the same
 cached, read-only arrays.
 
-Membership in a deviator space is tested relative to the tensor's own norm,
-both taken with ``frobenius_norm``, so it does not depend on the units of
-the input: ``t`` is a deviator when the residual of its projection is at
-most ``tol * |t|``.  The zero tensor has zero residual and is a deviator.
+Membership in a deviator space is decided by ``core._project`` on the
+tensor divided exactly by a power of two, so up to the float limit it does
+not depend on the units of the input: ``t`` is a deviator when the residual
+of its projection is at most ``MEMBERSHIP_TOL * |t|``.  The zero tensor is
+a deviator; a tensor with a NaN entry is not.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _orbit_map, as_tensor, frobenius_norm
+from .core import _orbit_map, _project, as_tensor
 
 __all__ = [
     "DeviatorBasis",
@@ -127,41 +128,35 @@ def project_deviator(t) -> np.ndarray:
     return (c @ basis.flat).reshape(t.shape)
 
 
-def coords(t, basis: DeviatorBasis | None = None) -> np.ndarray:
+def coords(t) -> np.ndarray:
     """Coordinates of a deviator in the orthonormal basis of its order.
 
-    Raises ``ValueError`` if ``t`` lies outside the deviator space by more
-    than ``MEMBERSHIP_TOL`` relative to its norm; the zero tensor passes.
+    Raises ``ValueError`` unless ``is_deviator(t)``; the zero tensor passes
+    and NaN fails.
     """
     t = as_tensor(t)
-    if basis is None:
-        basis = build_basis(t.ndim)
-    elif basis.order != t.ndim:
-        raise ValueError(f"basis order {basis.order} does not match tensor order {t.ndim}")
-    c = basis.flat @ t.ravel()
-    residual = frobenius_norm(t - (c @ basis.flat).reshape(t.shape))
-    norm = frobenius_norm(t)
-    if residual > MEMBERSHIP_TOL * norm:
+    flat = build_basis(t.ndim).flat
+    c, residual = _project(t.reshape(1, -1), flat.T, flat)
+    if not residual <= MEMBERSHIP_TOL:
         raise ValueError(
             f"tensor is not an order-{t.ndim} deviator "
-            f"(projection residual {residual:.3e}, norm {norm:.3e})"
+            f"(relative projection residual {residual:.3e})"
         )
-    return c
+    return c[0]
 
 
-def from_coords(c, basis: DeviatorBasis | int) -> np.ndarray:
-    """Deviator with the given coordinates in the basis (or basis order)."""
-    if isinstance(basis, int):
-        basis = build_basis(basis)
+def from_coords(c, order: int) -> np.ndarray:
+    """Deviator of the given order with the given coordinates."""
+    flat = build_basis(order).flat
     c = np.asarray(c, dtype=float)
-    if c.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} coordinates, got shape {c.shape}")
-    return (c @ basis.flat).reshape((3,) * basis.order)
+    if c.shape != (len(flat),):
+        raise ValueError(f"expected {len(flat)} coordinates, got shape {c.shape}")
+    return (c @ flat).reshape((3,) * order)
 
 
-def is_deviator(t, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether ``t`` is totally symmetric and traceless within ``tol``
-    relative to its norm; the zero tensor is a deviator."""
+def is_deviator(t) -> bool:
+    """Whether ``t`` is totally symmetric and traceless within
+    ``MEMBERSHIP_TOL`` relative to its norm; the zero tensor is a deviator."""
     t = as_tensor(t)
-    residual = frobenius_norm(t - project_deviator(t))
-    return bool(residual <= tol * frobenius_norm(t))
+    flat = build_basis(t.ndim).flat
+    return bool(_project(t.reshape(1, -1), flat.T, flat)[1] <= MEMBERSHIP_TOL)

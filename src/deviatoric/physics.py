@@ -33,8 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import lift_kernel4
-from .core import as_tensor, epsilon, frobenius_norm
-from .harmonic import build_basis, from_coords
+from .core import _project, _scaled_back, _scaled_rows, as_tensor, epsilon
+from .harmonic import from_coords
 
 __all__ = [
     "CouplingDeviators",
@@ -84,12 +84,11 @@ class CouplingDeviators:
         return -(2.0 / 3.0) * self.d1
 
 
-def validate_coupling(h, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def validate_coupling(h) -> np.ndarray:
     """Check the symmetry H_ijk = H_jik, relative to the largest entry, and
-    return the tensor; the zero tensor passes."""
+    return the tensor; the zero tensor passes and NaN fails."""
     h = as_tensor(h, order=3)
-    scale = np.max(np.abs(h))
-    if np.max(np.abs(h - h.swapaxes(0, 1))) > tol * scale:
+    if not np.max(np.abs(h - h.swapaxes(0, 1))) <= SYMMETRY_TOL * np.max(np.abs(h)):
         raise ValueError("tensor violates the coupling symmetry H_ijk = H_jik")
     return h
 
@@ -180,29 +179,17 @@ def _printed_coupling_tables(h: np.ndarray) -> CouplingDeviators:
     return CouplingDeviators(v2=v2, v3=v3, d1=d1, d3=d3)
 
 
+def _coupling_parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(v2, v3, D1, D3) of the 18 coupling coordinates ``x``."""
+    return x[0:3], x[3:6], from_coords(x[6:11], 2), from_coords(x[11:18], 3)
+
+
 @lru_cache(maxsize=None)
 def _coupling_solver() -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse of the reconstruction display over its 18 deviator
     coordinates, plus the forward matrix."""
-    basis2 = build_basis(2)
-    basis3 = build_basis(3)
-    columns = []
-    for slot in range(18):
-        v2 = np.zeros(3)
-        v3 = np.zeros(3)
-        d1 = np.zeros((3, 3))
-        d3 = np.zeros((3, 3, 3))
-        if slot < 3:
-            v2[slot] = 1.0
-        elif slot < 6:
-            v3[slot - 3] = 1.0
-        elif slot < 11:
-            d1 = np.array(basis2[slot - 6])
-        else:
-            d3 = np.array(basis3[slot - 11])
-        cd = CouplingDeviators(v2=v2, v3=v3, d1=d1, d3=d3)
-        columns.append(coupling_reconstruct(cd).ravel())
-    forward = np.stack(columns, axis=1)
+    columns = [coupling_reconstruct(CouplingDeviators(*_coupling_parts(x))) for x in np.eye(18)]
+    forward = np.stack([c.ravel() for c in columns], axis=1)
     pinv = np.linalg.pinv(forward)
     pinv.flags.writeable = False
     forward.flags.writeable = False
@@ -213,29 +200,26 @@ def coupling_decompose(h, coefficients: str = "fitted") -> CouplingDeviators:
     """Deviators of a coupling tensor.
 
     ``coefficients`` selects the published tables ("printed") or the exact
-    inversion of the reconstruction display ("fitted").
+    inversion of the reconstruction display ("fitted"), either one taken on
+    ``_scaled_rows`` of the tensor and scaled back, exact up to the float limit.
     """
     h = validate_coupling(h)
-    if coefficients == "printed":
-        return _printed_coupling_tables(h)
-    if coefficients != "fitted":
+    if coefficients not in ("printed", "fitted"):
         raise ValueError(f"coefficients must be 'printed' or 'fitted', got {coefficients!r}")
-    pinv, forward = _coupling_solver()
-    x = pinv @ h.ravel()
-    # relative residual; the zero tensor is representable
-    h_norm = frobenius_norm(h)
-    residual = frobenius_norm((forward @ x).reshape(h.shape) - h)
-    if residual > 1e-9 * h_norm:
-        raise ValueError(
-            "tensor is not representable by the four coupling deviators (relative "
-            f"residual {residual / h_norm:.3e}); is the coupling symmetry satisfied?"
-        )
-    return CouplingDeviators(
-        v2=x[0:3],
-        v3=x[3:6],
-        d1=from_coords(x[6:11], 2),
-        d3=from_coords(x[11:18], 3),
-    )
+    scaled, exponent = _scaled_rows(h.reshape(1, -1))
+    if coefficients == "printed":
+        cd = _printed_coupling_tables(scaled.reshape(h.shape))
+        parts = (cd.v2, cd.v3, cd.d1, cd.d3)
+    else:
+        pinv, forward = _coupling_solver()
+        x, residual = _project(scaled, pinv.T, forward.T)
+        if not residual <= 1e-9:  # the zero tensor is representable
+            raise ValueError(
+                "tensor is not representable by the four coupling deviators (relative "
+                f"residual {residual:.3e}); is the coupling symmetry satisfied?"
+            )
+        parts = _coupling_parts(x[0])
+    return CouplingDeviators(*_scaled_back(exponent[0], *parts))
 
 
 def coupling_coefficient_diff(tol: float = 1e-9) -> dict:
@@ -312,16 +296,16 @@ class StiffnessDeviators:
     d4: np.ndarray
 
 
-def validate_stiffness(c, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def validate_stiffness(c) -> np.ndarray:
     """Check minor (ijkl = jikl = ijlk) and major (ijkl = klij) symmetries,
-    relative to the largest entry; the zero tensor passes."""
+    relative to the largest entry; the zero tensor passes and NaN fails."""
     c = as_tensor(c, order=4)
-    scale = np.max(np.abs(c))
-    if np.max(np.abs(c - c.swapaxes(0, 1))) > tol * scale:
+    bound = SYMMETRY_TOL * np.max(np.abs(c))
+    if not np.max(np.abs(c - c.swapaxes(0, 1))) <= bound:
         raise ValueError("tensor violates the minor symmetry C_ijkl = C_jikl")
-    if np.max(np.abs(c - c.swapaxes(2, 3))) > tol * scale:
+    if not np.max(np.abs(c - c.swapaxes(2, 3))) <= bound:
         raise ValueError("tensor violates the minor symmetry C_ijkl = C_ijlk")
-    if np.max(np.abs(c - c.transpose(2, 3, 0, 1))) > tol * scale:
+    if not np.max(np.abs(c - c.transpose(2, 3, 0, 1))) <= bound:
         raise ValueError("tensor violates the major symmetry C_ijkl = C_klij")
     return c
 
@@ -389,11 +373,12 @@ def tensor_to_voigt(c) -> np.ndarray:
 def voigt_to_tensor(m) -> np.ndarray:
     """Stiffness tensor of a symmetric 6x6 Voigt matrix; pure relabeling.
 
-    Symmetry is checked relative to the largest entry; the zero matrix passes.
+    Symmetry is checked relative to the largest entry; the zero matrix
+    passes and NaN fails.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL * np.max(np.abs(m)):
+    if not np.max(np.abs(m - m.T)) <= SYMMETRY_TOL * np.max(np.abs(m)):
         raise ValueError("Voigt matrix must be symmetric")
     return m[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX[None, None, :, :]]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_tensor, frobenius_norm
+from .core import _scaled_rows, as_tensor
 
 __all__ = ["check_rotation", "rotate", "rotation_about", "random_rotation"]
 
@@ -21,9 +21,9 @@ def check_rotation(r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    if np.max(np.abs(r @ r.T - np.eye(3))) > _ORTHO_TOL:
+    if not np.max(np.abs(r @ r.T - np.eye(3))) <= _ORTHO_TOL:
         raise ValueError("matrix is not orthogonal")
-    if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
+    if not abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL:
         raise ValueError("matrix is not a proper rotation (det != +1)")
     return r
 
@@ -48,10 +48,11 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
-    n = frobenius_norm(axis)
+    scaled = _scaled_rows(axis.reshape(1, 3))[0][0]
+    n = np.linalg.norm(scaled)
     if n == 0.0:
         raise ValueError("axis must be nonzero")
-    u = axis / n
+    u = scaled / n
     k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 

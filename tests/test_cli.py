@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, file pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from deviatoric import (
 )
 from deviatoric.cli import main
 from deviatoric.serialization import fmt_float, load_decomposition, load_tensor, save_decomposition
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -342,6 +348,26 @@ def test_material_reports_at_extreme_scales(tmp_path, capsys, scale):
             assert report[key] == pytest.approx(scale * ref[key], rel=1e-13, abs=0), key
     rel = coupling["reconstruction_residual"] / (scale * ref_coupling["norm_d3"])
     assert 0.0 <= rel <= 1e-13
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coupling_at_the_float_limit(tmp_path, fmt):
+    """A coupling file with entries up to 1.7e308, run as a process: the
+    norms in the report may overflow, and a JSON report then fails as an
+    input error, but nothing escapes as an exception."""
+    h = np.random.default_rng(28).standard_normal((3, 3, 3))
+    h = h + h.swapaxes(0, 1)
+    h_path, out_path = tmp_path / "h.json", tmp_path / "parts.json"
+    save_tensor(h_path, h / np.abs(h).max() * 1.7e308)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "deviatoric.cli", "coupling", "--input", str(h_path),
+         "--output", str(out_path), "--format", fmt],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_coupling_rejects_wrong_order(tmp_path, capsys):

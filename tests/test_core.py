@@ -22,7 +22,7 @@ from deviatoric import (
     symmetrize,
     trace_pair,
 )
-from deviatoric.core import symmetrize_stack
+from deviatoric.core import _project, symmetrize_stack
 
 V = np.array([1.0, 2.0, 3.0])
 
@@ -204,3 +204,24 @@ def test_frobenius_norm_is_scale_covariant(exponent):
     assert frobenius_norm(np.zeros((3, 3))) == 0.0
     assert math.isnan(frobenius_norm(np.full((3,), np.nan)))
     assert frobenius_norm(np.array([np.inf, 1.0, 0.0])) == math.inf
+    assert frobenius_norm(np.full((3, 3), 1e308)) == math.inf
+
+
+@pytest.mark.parametrize("exponent", [-1000, -500, 0, 500, 1020])
+def test_project_is_exact_under_power_of_two_scaling(exponent):
+    rng = np.random.default_rng(62)
+    to_coords = np.linalg.qr(rng.standard_normal((9, 4)))[0]  # orthonormal columns
+    from_coords = to_coords.T
+    inside = rng.standard_normal((2, 4)) @ from_coords
+    outside = rng.standard_normal((2, 9))
+    for rows in (inside, outside):
+        unit_coords, unit_residual = _project(rows, to_coords, from_coords)
+        coords, residual = _project(np.ldexp(rows, exponent), to_coords, from_coords)
+        np.testing.assert_array_equal(coords, np.ldexp(unit_coords, exponent))
+        assert residual == unit_residual
+    assert unit_residual > 0.1
+    assert _project(np.ldexp(inside, exponent), to_coords, from_coords)[1] <= 1e-15
+    coords, residual = _project(np.zeros((2, 9)), to_coords, from_coords)
+    assert residual == 0.0 and not coords.any()
+    for bad in (np.nan, np.inf):
+        assert math.isnan(_project(np.full((2, 9), bad), to_coords, from_coords)[1])

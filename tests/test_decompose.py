@@ -39,9 +39,9 @@ from deviatoric.decomposition import (
     _change_of_basis,
     _coordinates_and_images,
     _forward,
-    _forward_matrix,
     _image_rows,
     _plan,
+    _regroup,
 )
 from deviatoric.serialization import decomposition_from_json, decomposition_to_json
 
@@ -94,7 +94,7 @@ def reference_deviators(t):
         elif s == 1:
             out.extend(reference_order2(g))
         else:
-            out.extend(split_deviator_triple(g, validate=False))
+            out.extend(split_deviator_triple(g))
     return out
 
 
@@ -108,7 +108,7 @@ def reference_forward(s, which, b):
         return float(b) * np.eye(3) if which == 0 else np.einsum("ijs,s->ij", _EPSILON, b)
     triple = [np.zeros((3,) * (s - 1)), np.zeros((3,) * s), np.zeros((3,) * (s + 1))]
     triple[which] = b
-    return combine_deviator_triple(*triple, validate=False)
+    return combine_deviator_triple(*triple)
 
 
 @lru_cache(maxsize=None)
@@ -382,6 +382,35 @@ def test_split_membership_is_relative_to_scale():
         combine_deviator_triple(scale * lo, scale * mid, scale * hi)
     for part in split_deviator_triple(np.zeros((3, 3, 3))):
         assert not part.any()
+
+
+def test_split_membership_at_the_float_limit():
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 4):
+        triple = [random_deviator(rng, s) for s in (n - 1, n, n + 1)]
+        g = combine_deviator_triple(*triple)
+        peak = np.abs(g).max()
+        # accepted, and resolved exactly although some coordinates overflow
+        for part, d in zip(split_deviator_triple(g / peak * 1.5e308), triple):
+            assert_allclose(part / 1.5e308, d / peak, rtol=0, atol=1e-14)
+        limit = [d / np.abs(d).max() * 1.5e308 for d in triple]
+        other = rng.standard_normal((3,) * (n + 1))
+        other = other / np.abs(other).max() * 1.5e308
+        with pytest.raises(ValueError):
+            split_deviator_triple(other)
+        with pytest.raises(ValueError):
+            combine_deviator_triple(limit[0], limit[1], other)
+
+
+def test_split_and_combine_reject_nan():
+    triple = [random_deviator(np.random.default_rng(26), s) for s in (1, 2, 3)]
+    with pytest.raises(ValueError):
+        split_deviator_triple(np.full((3, 3, 3), np.nan))
+    for slot in range(3):
+        bad = list(triple)
+        bad[slot] = np.full_like(triple[slot], np.nan)
+        with pytest.raises(ValueError):
+            combine_deviator_triple(*bad)
 
 
 def test_verify_report_passes_and_fails():
@@ -800,7 +829,7 @@ def test_plan_arrays_are_read_only(order):
 
 
 def clear_decomposition_caches():
-    for cache in (_change_of_basis, _plan, _forward_matrix):
+    for cache in (_change_of_basis, _plan, _regroup):
         cache.cache_clear()
 
 

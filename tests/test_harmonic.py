@@ -121,6 +121,37 @@ def test_membership_is_relative_to_scale():
                 coords(scale * other)
 
 
+def at_float_limit(t):
+    """``t`` rescaled so that its largest |entry| is 1.5e308."""
+    return t / np.abs(t).max() * 1.5e308
+
+
+def test_membership_at_the_float_limit():
+    rng = np.random.default_rng(23)
+    for s in (2, 3, 4):
+        d = at_float_limit(from_coords(rng.standard_normal(2 * s + 1), s))
+        assert is_deviator(d)
+        # the coordinates are exact; those beyond the float range are +-inf
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(coords(np.ldexp(d, -1024)), 1024)
+        np.testing.assert_array_equal(coords(d), expected)
+        other = at_float_limit(rng.standard_normal((3,) * s))
+        assert not is_deviator(other)
+        with pytest.raises(ValueError):
+            coords(other)
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_membership_rejects_non_finite_entries(s):
+    d = from_coords(np.random.default_rng(24).standard_normal(2 * s + 1), s)
+    first = np.arange(d.size).reshape(d.shape) == 0
+    for bad in (np.nan, np.inf, -np.inf):
+        for t in (np.full_like(d, bad), np.where(first, bad, d)):
+            assert not is_deviator(t)
+            with pytest.raises(ValueError):
+                coords(t)
+
+
 def test_deviator_space_is_rotation_invariant():
     rng = np.random.default_rng(15)
     for s in (2, 3):

@@ -51,6 +51,32 @@ def test_validate_coupling():
     validate_coupling(h)
 
 
+def test_boundary_checks_reject_nan():
+    h = np.full((3, 3, 3), np.nan)
+    with pytest.raises(ValueError):
+        validate_coupling(h)
+    for variant in ("printed", "fitted"):
+        with pytest.raises(ValueError):
+            coupling_decompose(h, coefficients=variant)
+    with pytest.raises(ValueError):
+        validate_stiffness(np.full((3, 3, 3, 3), np.nan))
+    with pytest.raises(ValueError):
+        voigt_to_tensor(np.full((6, 6), np.nan))
+
+
+@pytest.mark.parametrize("variant", ["printed", "fitted"])
+def test_coupling_is_exact_under_power_of_two_scaling(variant):
+    h = random_coupling(np.random.default_rng(27))
+    unit = coupling_decompose(h, coefficients=variant)
+    # the last exponent puts the largest entry in [2^1022, 2^1023)
+    for exponent in (-1000, 1000, 1023 - np.frexp(np.abs(h).max())[1]):
+        cd = coupling_decompose(np.ldexp(h, exponent), coefficients=variant)
+        for name in ("v2", "v3", "d1", "d3"):
+            with np.errstate(over="ignore"):
+                expected = np.ldexp(getattr(unit, name), exponent)
+            np.testing.assert_array_equal(getattr(cd, name), expected, err_msg=name)
+
+
 def test_zero_coupling_gives_zero_deviators():
     for variant in ("printed", "fitted"):
         cd = coupling_decompose(np.zeros((3, 3, 3)), coefficients=variant)

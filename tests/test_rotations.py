@@ -29,6 +29,9 @@ def test_rotation_about_ignores_axis_length():
         unit = rotation_about(axis / np.sqrt(axis @ axis), angle)
         for scale in (1e-300, 1e-200, 1e-12, 1e12, 1e200, 1e300):
             assert_allclose(rotation_about(scale * axis, angle), unit, rtol=0, atol=1e-15)
+    angle = rng.uniform(-np.pi, np.pi)
+    unit = rotation_about(np.ones(3) / np.sqrt(3.0), angle)
+    assert_allclose(rotation_about([1.5e308] * 3, angle), unit, rtol=0, atol=1e-15)
 
 
 def test_rotate_matches_per_factor_action():
@@ -79,6 +82,11 @@ def test_check_rotation_rejects_improper_and_skew():
         check_rotation(np.eye(3) + 0.01)
     with pytest.raises(ValueError):
         check_rotation(np.eye(4))
+    nan = np.full((3, 3), np.nan)
+    with pytest.raises(ValueError):
+        check_rotation(nan)
+    with pytest.raises(ValueError):
+        rotate(np.ones((3, 3)), nan)
 
 
 def test_random_rotation_seeded_and_proper():
