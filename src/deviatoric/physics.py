@@ -27,6 +27,7 @@ with no factor weighting; the 6x6 matrix entries equal tensor components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,11 +85,21 @@ class CouplingDeviators:
         return -(2.0 / 3.0) * self.d1
 
 
+def _largest_entry(a: np.ndarray, what: str) -> float:
+    """The largest |entry| of ``a``; raises for a NaN or +-inf entry, which
+    would make the symmetry residuals themselves NaN."""
+    top = float(np.max(np.abs(a)))
+    if not math.isfinite(top):
+        raise ValueError(f"{what} has a non-finite entry")
+    return top
+
+
 def validate_coupling(h) -> np.ndarray:
     """Check the symmetry H_ijk = H_jik, relative to the largest entry, and
-    return the tensor; the zero tensor passes and NaN fails."""
+    return the tensor; the zero tensor passes, NaN and +-inf entries fail."""
     h = as_tensor(h, order=3)
-    if not np.max(np.abs(h - h.swapaxes(0, 1))) <= SYMMETRY_TOL * np.max(np.abs(h)):
+    bound = SYMMETRY_TOL * _largest_entry(h, "coupling tensor")
+    if not np.max(np.abs(h - h.swapaxes(0, 1))) <= bound:
         raise ValueError("tensor violates the coupling symmetry H_ijk = H_jik")
     return h
 
@@ -298,9 +309,10 @@ class StiffnessDeviators:
 
 def validate_stiffness(c) -> np.ndarray:
     """Check minor (ijkl = jikl = ijlk) and major (ijkl = klij) symmetries,
-    relative to the largest entry; the zero tensor passes and NaN fails."""
+    relative to the largest entry; the zero tensor passes, NaN and +-inf
+    entries fail."""
     c = as_tensor(c, order=4)
-    bound = SYMMETRY_TOL * np.max(np.abs(c))
+    bound = SYMMETRY_TOL * _largest_entry(c, "stiffness tensor")
     if not np.max(np.abs(c - c.swapaxes(0, 1))) <= bound:
         raise ValueError("tensor violates the minor symmetry C_ijkl = C_jikl")
     if not np.max(np.abs(c - c.swapaxes(2, 3))) <= bound:
@@ -374,11 +386,12 @@ def voigt_to_tensor(m) -> np.ndarray:
     """Stiffness tensor of a symmetric 6x6 Voigt matrix; pure relabeling.
 
     Symmetry is checked relative to the largest entry; the zero matrix
-    passes and NaN fails.
+    passes, NaN and +-inf entries fail.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
-    if not np.max(np.abs(m - m.T)) <= SYMMETRY_TOL * np.max(np.abs(m)):
+    bound = SYMMETRY_TOL * _largest_entry(m, "Voigt matrix")
+    if not np.max(np.abs(m - m.T)) <= bound:
         raise ValueError("Voigt matrix must be symmetric")
     return m[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX[None, None, :, :]]

@@ -44,7 +44,8 @@ def rotate(t, r) -> np.ndarray:
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` (radians) about ``axis`` of any length (Rodrigues formula)."""
+    """Rotation by ``angle`` (radians) about ``axis`` of any nonzero, finite
+    length (Rodrigues formula)."""
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
@@ -52,6 +53,8 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     n = np.linalg.norm(scaled)
     if n == 0.0:
         raise ValueError("axis must be nonzero")
+    if not n < np.inf:  # a NaN or +-inf entry; the scaled norm of a finite axis is below 2
+        raise ValueError("axis must be finite")
     u = scaled / n
     k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)

@@ -34,14 +34,19 @@ from deviatoric import (
     trinomial,
     verify,
 )
+from deviatoric import decomposition
 from deviatoric.core import frobenius_norm
 from deviatoric.decomposition import (
+    _CERTIFIED_MAX,
+    _certified_cross_correlation,
     _change_of_basis,
     _coordinates_and_images,
     _forward,
     _image_rows,
+    _max_cross_correlation,
     _plan,
     _regroup,
+    _span_defects,
 )
 from deviatoric.serialization import decomposition_from_json, decomposition_to_json
 
@@ -738,6 +743,134 @@ def test_verify_is_scale_invariant(exponent):
         assert np.max(np.abs(np.subtract(got.part_symmetry, want.part_symmetry))) <= 1e-14
         assert np.max(np.abs(np.subtract(got.part_trace, want.part_trace))) <= 1e-14
     assert not verify(mix_first_and_last(d), scale * t).passes(1e-10)
+
+
+def exact_cross_correlation(rows):
+    """Largest |cos| between distinct nonzero rows, each first divided
+    exactly by a power of two: in long double up to 3^6 columns, above that
+    one float64 product of the unit rows."""
+    rows = rows[np.max(np.abs(rows), axis=1) > 0.0]
+    rows = np.ldexp(rows, -np.frexp(np.max(np.abs(rows), axis=1))[1][:, None])
+    if rows.shape[1] <= 3**6:
+        rows = rows.astype(np.longdouble)
+    unit = rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    cos = np.abs(unit @ unit.T)
+    np.fill_diagonal(cos, 0.0)
+    return float(cos.max()) if len(rows) > 1 else 0.0
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_certified_bound_is_above_the_exact_value(order):
+    t = np.random.default_rng(480 + order).standard_normal((3,) * order)
+    for scale in (1e-300, 1.0, 1e300):
+        rows = decompose(scale * t)._rows
+        bound = _certified_cross_correlation(rows, order)
+        exact = exact_cross_correlation(rows)
+        assert exact <= bound <= exact + 1e-13, scale
+
+
+def test_verify_reports_the_certified_bound_from_order_7():
+    for order in (6, 7):
+        t = np.random.default_rng(490 + order).standard_normal((3,) * order)
+        d = decompose(t)
+        gram = _max_cross_correlation(d._rows)
+        certified = _certified_cross_correlation(d._rows, order)
+        assert certified <= _CERTIFIED_MAX
+        want = gram if order < decomposition._CERTIFY_FROM_ORDER else certified
+        assert verify(d, t).max_cross_correlation == want
+
+
+def test_zero_images_are_left_out_of_the_certificate():
+    # the images of a symmetric tensor's non-symmetric parts are exactly zero
+    t = symmetrize(np.random.default_rng(491).standard_normal((3,) * 7))
+    d = decompose(t)
+    assert np.count_nonzero(~d._rows.any(axis=1)) > 0
+    report = verify(d, t)
+    exact = exact_cross_correlation(d._rows)
+    assert report.max_cross_correlation == _certified_cross_correlation(d._rows, 7)
+    assert exact <= report.max_cross_correlation <= exact + 1e-13
+    assert report.passes(1e-10)
+
+
+def test_in_place_mix_falls_back_to_the_gram():
+    t = np.random.default_rng(492).standard_normal((3,) * 7)
+    d = decompose(t)
+    # the rows stay recorded, so the certificate is tried first
+    d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
+    d.parts[-1].embedded[...] *= 0.7
+    assert_rows_are_recorded(d)
+    assert _certified_cross_correlation(d._rows, 7) > _CERTIFIED_MAX
+    report = verify(d, t)
+    assert report.max_cross_correlation == _max_cross_correlation(d._rows)
+    assert abs(report.max_cross_correlation - exact_cross_correlation(d._rows)) <= 1e-13
+    assert report.reconstruction_relative <= 1e-12 and not report.passes(1e-10)
+
+
+@pytest.mark.parametrize("kind", ["pickle", "deepcopy"])
+def test_copies_take_the_gram(kind, monkeypatch):
+    t = np.random.default_rng(493).standard_normal((3,) * 7)
+    d = decompose(t)
+    c = COPIES[kind](d)
+    original = verify(d, t)
+
+    def fail(rows, n):
+        raise AssertionError("a decomposition without rows was certified")
+
+    monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
+    report = verify(c, t)
+    assert report.max_cross_correlation == _max_cross_correlation(_image_rows(c))
+    assert report.passes(1e-10) and original.passes(1e-10)
+    c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
+    assert not verify(c, reconstruct(c)).passes(1e-10)
+
+
+def whole_gram_defects(prev, widths):
+    """lambda, delta and eta from the whole E E^T, block by block."""
+    starts = np.cumsum([0] + widths)
+    gram = prev @ prev.T
+
+    def block(p, q):
+        return gram[starts[p] : starts[p + 1], starts[q] : starts[q + 1]]
+
+    lam = np.array([np.trace(block(p, p)) / w for p, w in enumerate(widths)])
+    defect = np.array(
+        [np.linalg.norm(block(p, p) - lam[p] * np.eye(w)) for p, w in enumerate(widths)]
+    )
+    sigma = lam - defect
+    pairs = [(p, q) for p in range(len(widths)) for q in range(len(widths)) if p != q]
+    eta = max(np.linalg.norm(block(p, q)) / np.sqrt(sigma[p] * sigma[q]) for p, q in pairs)
+    return lam, defect / sigma, eta
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_span_defects_match_the_whole_gram(order, monkeypatch):
+    """Row chunks of one parent, of a few parents and of the default size
+    find a coupling planted between two parents' rows, wherever the two lie."""
+    _plan(order)  # built from the true matrix before it is patched
+    true = _change_of_basis(order - 1)
+    widths = [2 * s + 1 for s in part_orders(order - 1)]
+    starts = np.cumsum([0] + widths)
+    last = len(widths) - 1
+    try:
+        for p, q in ((0, last), (last // 2, last // 2 + 1), (last, 1)):
+            prev = true.copy()
+            prev[starts[p]] += 1e-6 * prev[starts[q]]
+            monkeypatch.setattr(decomposition, "_change_of_basis", lambda n: prev)
+            lam, delta, eta = whole_gram_defects(prev, widths)
+            for chunk in (1, 4 * len(prev), 1 << 17):
+                monkeypatch.setattr(decomposition, "_DEFECT_CHUNK", chunk)
+                _span_defects.cache_clear()
+                got = _span_defects(order)
+                assert got.eta == pytest.approx(eta, rel=1e-9)
+                for (g_lam, g_delta, parts), g in zip(got.groups, _plan(order).groups):
+                    index = np.searchsorted(starts, g.rows[:, 0] // 3)
+                    slack = (3 * g.blocks[0][0].shape[0] + 2) * np.finfo(float).eps
+                    assert_allclose(g_lam, lam[index], rtol=1e-14)
+                    assert_allclose(g_delta, delta[index] + slack, rtol=1e-6, atol=1e-14)
+                    children = [range(start // 3, stop // 3) for _, start, stop in g.blocks]
+                    assert np.array_equal(parts, children)
+    finally:
+        _span_defects.cache_clear()
 
 
 def reference_change_of_basis(n):

@@ -64,6 +64,21 @@ def test_boundary_checks_reject_nan():
         voigt_to_tensor(np.full((6, 6), np.nan))
 
 
+@pytest.mark.parametrize(
+    "check, shape",
+    [(validate_coupling, (3, 3, 3)), (validate_stiffness, (3, 3, 3, 3)), (voigt_to_tensor, (6, 6))],
+    ids=["validate_coupling", "validate_stiffness", "voigt_to_tensor"],
+)
+def test_boundary_checks_reject_infinite_entries(check, shape):
+    # inf - inf in a symmetry residual would warn before the check rejects
+    for bad in (np.inf, -np.inf, np.nan):
+        one = np.zeros(shape)
+        one[(1,) * len(shape)] = bad
+        for x in (one, np.full(shape, bad)):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                check(x)
+
+
 @pytest.mark.parametrize("variant", ["printed", "fitted"])
 def test_coupling_is_exact_under_power_of_two_scaling(variant):
     h = random_coupling(np.random.default_rng(27))

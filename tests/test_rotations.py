@@ -34,6 +34,17 @@ def test_rotation_about_ignores_axis_length():
     assert_allclose(rotation_about([1.5e308] * 3, angle), unit, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rotation_about_rejects_a_non_finite_axis(bad):
+    for k in range(3):
+        axis = np.array([0.0, 0.5, 1.0])
+        axis[k] = bad
+        with pytest.raises(ValueError, match="axis must be finite"):
+            rotation_about(axis, 0.3)
+    with pytest.raises(ValueError, match="axis must be finite"):
+        rotation_about([bad] * 3, 0.3)
+
+
 def test_rotate_matches_per_factor_action():
     rng = np.random.default_rng(5)
     r = random_rotation(rng)
