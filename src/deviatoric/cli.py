@@ -16,7 +16,9 @@ from typing import Callable
 import numpy as np
 
 from .core import frobenius_norm
-from .decomposition import Decomposition, counts_row, decompose, reconstruct, verify
+from .decomposition import (
+    Decomposition, _has_plan_layout, counts_row, decompose, reconstruct, verify,
+)
 from .physics import (
     coupling_decompose,
     coupling_reconstruct,
@@ -169,9 +171,9 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     """How far the file's parts sit from the canonical decomposition of the
     reference tensor, relative to its norm (absolute for the zero tensor);
     infinite when the part layout itself is wrong."""
-    fresh = decompose(reference)
-    if [(p.s, p.J) for p in fresh.parts] != [(p.s, p.J) for p in d.parts]:
+    if not _has_plan_layout(d.parts, d.order):
         return float("inf")
+    fresh = decompose(reference)
     worst = 0.0
     for ours, theirs in zip(d.parts, fresh.parts):
         worst = max(worst, frobenius_norm(ours.embedded - theirs.embedded))

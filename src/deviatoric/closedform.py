@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .core import as_tensor, delta, epsilon, symmetrize
-from .decomposition import Decomposition, IrreduciblePart, count_parts, decompose, _lift
+from .decomposition import Decomposition, _has_plan_layout, _lift, _plan, decompose
 
 __all__ = [
     "lift_kernel4",
@@ -189,7 +189,8 @@ def fit_structural_coefficients(order: int, *, seed: int = 0, samples: int = 8) 
     Returns a JSON-serializable dict with, per deviator order s: the chosen
     reading of every term, the fitted matrix (terms x engine slots), the fit
     residual, and a per-term classification (single engine slot with a
-    scalar, or a genuine mixture).
+    scalar, or a genuine mixture).  Of the readings, the first combination
+    within ``FIT_TOL`` is kept, the smallest residual only when none fits.
     """
     terms = _terms(order)
     rng = np.random.default_rng(seed)
@@ -229,6 +230,8 @@ def fit_structural_coefficients(order: int, *, seed: int = 0, samples: int = 8) 
                     "matrix": w.reshape(n_slots, n_slots),
                     "readings": {t.name: r[0] for t, r in zip(block_terms, combo)},
                 }
+            if residual <= FIT_TOL:
+                break  # rounding does not choose among readings that all fit
         assert best is not None
 
         entries = []
@@ -275,36 +278,19 @@ def _assemble(order: int, parts) -> np.ndarray:
             raise ValueError(f"expected an order-{order} decomposition, got {parts.order}")
         parts = parts.parts
     parts = list(parts)
-    by_s: dict[int, list[IrreduciblePart]] = {}
-    for p in parts:
-        if not 0 <= p.s <= order:
-            raise ValueError(f"part order {p.s} out of range for tensor order {order}")
-        by_s.setdefault(p.s, []).append(p)
-    for s in range(order + 1):
-        group = by_s.get(s, [])
-        group.sort(key=lambda p: p.J)
-        if [p.J for p in group] != list(range(1, len(group) + 1)):
-            raise ValueError(f"parts of order {s} do not form J = 1..{len(group)}")
-        if len(group) != count_parts(order, s):
-            raise ValueError(
-                f"expected {count_parts(order, s)} parts of order {s}, got {len(group)}"
-            )
+    if not _has_plan_layout(parts, order):
+        raise ValueError(f"parts do not have the (s, J) layout of an order-{order} decomposition")
 
     calibration = structural_coefficients(order)
     term_specs = {t.name: t for t in _terms(order)}
     out = np.zeros((3,) * order)
-    for s_key, block in calibration["blocks"].items():
-        s = int(s_key)
-        group = by_s.get(s, [])
-        devs = [as_tensor(p.deviator, order=s) for p in group]
-        for entry in block["terms"]:
+    for s, index, _, _ in _plan(order).deviators:
+        devs = [as_tensor(parts[i].deviator, order=s) for i in index]
+        for entry in calibration["blocks"][str(s)]["terms"]:
             term = term_specs[entry["term"]]
             builder = dict(term.readings)[entry["reading"]]
-            mixed = np.zeros((3,) * s)
-            for coeff, d in zip(entry["coefficients"], devs):
-                if coeff != 0.0:
-                    mixed = mixed + coeff * d
-            out = out + builder(mixed)
+            mixed = (coeff * d for coeff, d in zip(entry["coefficients"], devs) if coeff != 0.0)
+            out = out + builder(sum(mixed, np.zeros((3,) * s)))
     return out
 
 

@@ -53,6 +53,7 @@ parent slot.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -171,10 +172,7 @@ class Decomposition:
         return {"order": self.order, "parts": self.parts}
 
     def counts(self) -> dict[int, int]:
-        actual: dict[int, int] = {}
-        for p in self.parts:
-            actual[p.s] = actual.get(p.s, 0) + 1
-        return actual
+        return dict(Counter(p.s for p in self.parts))
 
 
 @dataclass(frozen=True)
@@ -345,14 +343,18 @@ class _Group(NamedTuple):
     rows of E_n start at row 3p.  Position 3(p+j)+k of y, the three products
     E_{n-1} t[k] interleaved, holds (E_{n-1} t[k])_{p+j}.  So one index
     array gathers a parent's slice coordinates from y and places its
-    children's coordinates in c.
+    children's coordinates in c.  A parent's children are consecutive
+    parts, so their image slices are consecutive rows 3i+k of the slice view.
     """
 
-    rows: np.ndarray  # (P_s, 3(2s+1)) positions in y and in c
-    to_children: np.ndarray  # (3(2s+1), 3(2s+1)): slice coordinates -> E_n t
-    norms: np.ndarray  # (P_s, 3(2s+1)) lambda of the children's rows
-    to_images: np.ndarray  # (3(2s+1), children * 3(2s+1)): c -> image coefficients
-    blocks: tuple  # per parent: its rows of E_{n-1}, its children's rows of the slice view
+    rows: np.ndarray  # (P_s, 3 width) positions in y and in c
+    to_children: np.ndarray  # (3 width, 3 width): slice coordinates -> E_n t
+    norms: np.ndarray  # (P_s, 3 width) lambda of the children's rows
+    to_images: np.ndarray  # (3 width, children * 3 width): c -> image coefficients
+    width: int  # 2s+1
+    parents: np.ndarray  # (P_s,) indices into part_orders(n-1)
+    parts: np.ndarray  # (P_s, children) indices into part_orders(n)
+    blocks: tuple  # per parent: its rows of E_{n-1}
 
 
 class _Plan(NamedTuple):
@@ -362,8 +364,7 @@ class _Plan(NamedTuple):
     labels: tuple[int, ...]  # J of each part
     prev: np.ndarray | None  # E_{n-1}; None for n = 0
     groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
-    deviators: tuple  # per deviator order s: (s, (J_s, 2s+1) positions in c, B_s.flat)
-    by_order: tuple[int, ...]  # each part's position among the deviators grouped by s
+    deviators: tuple  # per order s: (s, (J_s,) part indices, (J_s, 2s+1) positions in c, B_s.flat)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -384,25 +385,18 @@ def _plan(n: int) -> _Plan:
     sum_{k,j} F[r, k, j]^2 lam_{p,j}, lam the squared row norms of E_{n-1}.
     """
     orders = part_orders(n)
-    seen: dict[int, int] = {}
-    labels = []
-    for s in orders:
-        seen[s] = seen.get(s, 0) + 1
-        labels.append(seen[s])
     starts = np.cumsum([0] + [2 * s + 1 for s in orders])
+    labels = np.empty(len(orders), dtype=int)
     deviators = []
-    grouped: list[int] = []
-    for s in sorted(seen):
-        index = [i for i, o in enumerate(orders) if o == s]
+    for s in sorted(set(orders)):
+        index = np.flatnonzero(np.equal(orders, s))
+        labels[index] = np.arange(1, len(index) + 1)
         rows = starts[index][:, None] + np.arange(2 * s + 1)
-        _read_only(rows)
-        deviators.append((s, rows, build_basis(s).flat))
-        grouped += index
-    by_order = [0] * len(orders)
-    for k, i in enumerate(grouped):
-        by_order[i] = k
+        _read_only(index, rows)
+        deviators.append((s, index, rows, build_basis(s).flat))
+    plan = _Plan(orders, tuple(labels.tolist()), None, (), tuple(deviators))
     if n == 0:
-        return _Plan(orders, tuple(labels), None, (), tuple(deviators), tuple(by_order))
+        return plan
 
     prev = _change_of_basis(n - 1)
     lam = np.einsum("ij,ij->i", prev, prev)
@@ -411,8 +405,8 @@ def _plan(n: int) -> _Plan:
     first_child = np.cumsum([0] + [len(_children(s)) for s in parents])
     groups = []
     for s in sorted(set(parents)):
-        width = 2 * s + 1
-        index = [q for q, o in enumerate(parents) if o == s]
+        width, children = 2 * s + 1, _children(s)
+        index = np.flatnonzero(np.equal(parents, s))
         firsts = prev_starts[index]
         f = _regroup(s)  # (3 width, 3, width)
         parent_rows = firsts[:, None] + np.arange(width)
@@ -420,17 +414,15 @@ def _plan(n: int) -> _Plan:
         norms = lam[parent_rows] @ (f * f).sum(axis=1).T
         to_children = f.transpose(2, 1, 0).reshape(3 * width, 3 * width)
         # row r of c_g, a coordinate of child i, puts F[r] in column block i
-        child = np.repeat(np.arange(len(_children(s))), [2 * c + 1 for c in _children(s)])
-        to_images = np.zeros((3 * width, len(_children(s)), 3 * width))
+        child = np.repeat(np.arange(len(children)), [2 * c + 1 for c in children])
+        to_images = np.zeros((3 * width, len(children), 3 * width))
         to_images[np.arange(3 * width), child] = f.reshape(3 * width, -1)
         to_images = to_images.reshape(3 * width, -1)
-        blocks = tuple(
-            (prev[p : p + width], 3 * first_child[q], 3 * first_child[q + 1])
-            for q, p in zip(index, firsts.tolist())
-        )
-        _read_only(rows, to_children, norms, to_images)
-        groups.append(_Group(rows, to_children, norms, to_images, blocks))
-    return _Plan(orders, tuple(labels), prev, tuple(groups), tuple(deviators), tuple(by_order))
+        parts = first_child[index][:, None] + np.arange(len(children))
+        blocks = tuple(prev[p : p + width] for p in firsts.tolist())
+        _read_only(rows, to_children, norms, to_images, index, parts)
+        groups.append(_Group(rows, to_children, norms, to_images, width, index, parts, blocks))
+    return plan._replace(prev=prev, groups=tuple(groups))
 
 
 def _coordinates_and_images(plan: _Plan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,9 +442,9 @@ def _coordinates_and_images(plan: _Plan, t: np.ndarray) -> tuple[np.ndarray, np.
         c_g = np.dot(c[g.rows], g.to_children)
         c_g /= g.norms
         c[g.rows] = c_g
-        coeffs = np.dot(c_g, g.to_images).reshape(len(g.blocks), -1, g.blocks[0][0].shape[0])
-        for a, (block, start, stop) in zip(coeffs, g.blocks):
-            np.dot(a, block, out=slices[start:stop])
+        coeffs = np.dot(c_g, g.to_images).reshape(len(g.blocks), -1, g.width)
+        for a, block, first in zip(coeffs, g.blocks, (3 * g.parts[:, 0]).tolist()):
+            np.dot(a, block, out=slices[first : first + len(a)])
     return c, images
 
 
@@ -489,10 +481,10 @@ def decompose(t) -> Decomposition:
     t = as_tensor(t)
     plan = _plan(t.ndim)
     c, images = _coordinates_and_images(plan, t)
-    grouped: list[np.ndarray] = []
-    for s, rows, basis in plan.deviators:
-        grouped += _views(np.dot(c[rows], basis), s)
-    deviators = [grouped[k] for k in plan.by_order]
+    deviators: list = [None] * len(plan.orders)
+    for s, index, rows, basis in plan.deviators:
+        for i, deviator in zip(index.tolist(), _views(np.dot(c[rows], basis), s)):
+            deviators[i] = deviator
     return _from_rows(t.ndim, plan.orders, plan.labels, deviators, images)
 
 
@@ -542,8 +534,8 @@ def _stack(tensors: list, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orthogonality of the images
 
-# A Gram product of rows whose largest squared norm lies outside this range
-# could overflow, or lose precision to subnormal products.
+# A Gram product of rows whose squared norms lie outside this range could
+# overflow, or lose precision to subnormal products.
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
 # ``verify`` certifies orthogonality by slot membership from this order up,
@@ -559,11 +551,12 @@ _DEFECT_CHUNK = 1 << 17
 
 
 class _SpanDefects(NamedTuple):
-    """How far the parents' rows of E_{n-1} are from orthogonal, per group
-    of ``_plan(n)`` and over all parents, with the rounding allowances of
+    """How far the parents' rows of E_{n-1} are from orthogonal, per parent
+    and over all parents, with the rounding allowances of
     ``_certified_cross_correlation``."""
 
-    groups: tuple  # per group: lambda, delta and the (P_s, children) part indices of its parents
+    lam: np.ndarray  # (parents,) lambda_p
+    delta: np.ndarray  # (parents,) delta_p
     eta: float
     slack: np.ndarray  # (parts,) rounding allowance of each rho
 
@@ -609,20 +602,12 @@ def _span_defects(n: int) -> _SpanDefects:
     np.fill_diagonal(squares, 0.0)
     eta = float(np.sqrt(np.max(squares / np.outer(sigma, sigma))))
     eps = np.finfo(float).eps
-    groups = []
+    delta = defect / sigma + (3 * np.diff(starts) + 2) * eps
     slack = np.empty(len(part_orders(n)))
     for g in _plan(n).groups:
-        # a parent's rows of E_{n-1} start at its first position in g.rows, over 3
-        q = np.searchsorted(starts, g.rows[:, 0] // 3)
-        width = g.blocks[0][0].shape[0]
-        children = (g.blocks[0][2] - g.blocks[0][1]) // 3
-        parts = np.array([start // 3 for _, start, _ in g.blocks])[:, None] + np.arange(children)
-        slack[parts] = width**1.5 * eps
-        delta = defect[q] / sigma[q] + (3 * width + 2) * eps
-        _read_only(parts)
-        groups.append((lam[q], delta, parts))
-    _read_only(slack)
-    return _SpanDefects(tuple(groups), eta, slack)
+        slack[g.parts] = g.width**1.5 * eps
+    _read_only(lam, delta, slack)
+    return _SpanDefects(lam, delta, eta, slack)
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -633,9 +618,9 @@ def _pair_bound(inspan, rho_i, rho_j):
 
 def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
     """An upper bound on ``_max_cross_correlation(rows)`` for the image rows
-    of an order-n decomposition in ``part_orders(n)`` layout, in O(9^n)
-    flops; inf when a row is not finite.  As in the Gram, a row whose
-    squared norm is 0 pairs with no other.
+    of an order-n decomposition in ``_plan(n)`` layout, in O(9^n) flops;
+    inf when a row is not finite.  As in the Gram, a zero row pairs with no
+    other.
 
     Each image f_i should lie, slice by slice, in the span of the rows B_p of
     its parent slot in E_{n-1}.  With A = S B_p^T for the slices S of the
@@ -651,36 +636,33 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
 
     lambda_p, delta_p, eta and the rounding slack of rho are
     ``_span_defects(n)``.  The bound holds for any rows, so an edited or
-    reordered image only makes it large.  At extreme scales it is taken on
-    ``_scaled_rows``, which leaves every ratio as it is.  Apart from that
-    copy, the work space is one parent's slices.
+    reordered image only makes it large.  The rows are taken as
+    ``_gram_rows`` gives them; apart from its copy, the work space is one
+    parent's slices.
     """
-    with np.errstate(over="ignore"):  # rescaled below
-        squares = np.einsum("ij,ij->i", rows, rows)
-    live = squares > 0.0
-    smallest = squares.min(initial=np.inf, where=live)
-    if not _GRAM_RANGE[0] <= smallest <= squares.max() <= _GRAM_RANGE[1]:
-        rows = _scaled_rows(rows)[0]
-        squares = np.einsum("ij,ij->i", rows, rows)
-        live = squares > 0.0
+    rows, squares = _gram_rows(rows)
     if not squares.max(initial=0.0) < np.inf:
         return np.inf
+    live = squares > 0.0
     if np.count_nonzero(live) < 2:
         return 0.0
     plan, defects = _plan(n), _span_defects(n)
     slices = rows.reshape(-1, 3 ** (n - 1))  # row 3i + k: slice k of image i
     residuals = np.empty(len(slices))  # |slice k of h_i|^2 at 3i + k
     coefficients = []
-    for g, (lam, _, parts) in zip(plan.groups, defects.groups):
-        a = np.empty((len(parts), 3 * parts.shape[1], g.blocks[0][0].shape[0]))
-        for a_p, (block, start, stop) in zip(a, g.blocks):
-            np.dot(slices[start:stop], block.T, out=a_p)
-        h = np.empty((3 * parts.shape[1], slices.shape[1]))
-        for a_p, (block, start, stop) in zip(a / lam[:, None, None], g.blocks):
+    for g in plan.groups:
+        lam = defects.lam[g.parents]
+        span = 3 * g.parts.shape[1]  # slices of one parent's children
+        firsts = (3 * g.parts[:, 0]).tolist()
+        a = np.empty((len(firsts), span, g.width))
+        for a_p, block, first in zip(a, g.blocks, firsts):
+            np.dot(slices[first : first + span], block.T, out=a_p)
+        h = np.empty((span, slices.shape[1]))
+        for a_p, block, first in zip(a / lam[:, None, None], g.blocks, firsts):
             np.dot(a_p, block, out=h)
-            np.subtract(slices[start:stop], h, out=h)
-            np.einsum("ij,ij->i", h, h, out=residuals[start:stop])
-        coefficients.append(a.reshape(len(parts), parts.shape[1], -1))
+            np.subtract(slices[first : first + span], h, out=h)
+            np.einsum("ij,ij->i", h, h, out=residuals[first : first + span])
+        coefficients.append(a.reshape(len(firsts), g.parts.shape[1], -1))
     rho = np.zeros(len(rows))
     np.divide(residuals.reshape(-1, 3).sum(axis=1), squares, out=rho, where=live)
     rho = np.sqrt(rho) + defects.slack
@@ -688,37 +670,45 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
     np.sqrt(squares, out=norms, where=live)
     second, first = np.partition(rho, -2)[-2:]
     worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
-    for a, (lam, delta, parts) in zip(coefficients, defects.groups):
-        if parts.shape[1] < 2:
+    for a, g in zip(coefficients, plan.groups):
+        if g.parts.shape[1] < 2:
             continue
-        r, f = rho[parts], norms[parts]
+        lam, delta = defects.lam[g.parents], defects.delta[g.parents]
+        r, f = rho[g.parts], norms[g.parts]
         inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
         inspan /= lam[:, None, None] * f[:, :, None] * f[:, None, :]
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
-        i, j = np.triu_indices(parts.shape[1], 1)
+        i, j = np.triu_indices(g.parts.shape[1], 1)
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
     return float(worst)
 
 
+def _gram_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and their squared norms, or the same of ``_scaled_rows(rows)``
+    when a row that is not all zero has a squared norm outside ``_GRAM_RANGE``
+    or of 0; so only an exactly zero row, in any units, pairs with no other."""
+    with np.errstate(over="ignore"):  # rescaled below
+        squares = np.einsum("ij,ij->i", rows, rows)
+    low, high = _GRAM_RANGE
+    in_range = low <= squares.min(initial=low, where=squares > 0.0)
+    in_range &= squares.max(initial=0.0) <= high
+    if not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0)):
+        rows = _scaled_rows(rows)[0]
+        squares = np.einsum("ij,ij->i", rows, rows)
+    return rows, squares
+
+
 def _max_cross_correlation(rows: np.ndarray) -> float:
     """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
-    rows f, from one Gram product F F^T; its diagonal gives the squared row
-    norms.  It costs O(parts^2 * 3^n) flops and a (parts, parts) matrix.
-
-    ``verify`` takes it for decompositions below ``_CERTIFY_FROM_ORDER``,
-    for those that record no rows, and wherever the certified bound exceeds
-    ``_CERTIFIED_MAX``.  At extreme scales (see ``_GRAM_RANGE``) the product
-    is taken over ``_scaled_rows`` of F, which leaves every ratio as it is;
-    the certificate does the same.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # rescaled below
+    rows f of ``_gram_rows``, from one Gram product F F^T whose diagonal
+    gives the squared norms: O(parts^2 * 3^n) flops and a (parts, parts)
+    matrix.  ``verify`` takes it below ``_CERTIFY_FROM_ORDER``, for parts in
+    another layout than ``_plan(n)``'s, and where the certified bound
+    exceeds ``_CERTIFIED_MAX``."""
+    rows = _gram_rows(rows)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf entry
         gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
-    squares = gram.diagonal()
-    if len(squares) and not _GRAM_RANGE[0] <= squares.max() <= _GRAM_RANGE[1]:
-        rows = _scaled_rows(rows)[0]
-        gram = rows @ rows.T
-        squares = gram.diagonal()
-    norms = np.sqrt(squares)
+    norms = np.sqrt(gram.diagonal())
     nonzero = norms > 0.0
     if np.count_nonzero(nonzero) < 2:
         return 0.0
@@ -760,6 +750,15 @@ def _part_residuals(parts) -> tuple[list[float], list[float]]:
     return sym_res.tolist(), trace_res.tolist()
 
 
+def _has_plan_layout(parts, order: int) -> bool:
+    """Whether part i of ``parts`` has s = ``_plan(order).orders[i]`` and
+    J = ``.labels[i]``, the layout of ``decompose``, for every i."""
+    if len(parts) != len(part_orders(order)):  # no E_{n-1} is built for a wrong count
+        return False
+    plan = _plan(order)
+    return all(p.s == s and p.J == j for p, s, j in zip(parts, plan.orders, plan.labels))
+
+
 def verify(d: Decomposition, t) -> VerifyReport:
     """Residual report of a decomposition against the tensor it came from.
 
@@ -769,10 +768,10 @@ def verify(d: Decomposition, t) -> VerifyReport:
     decomposition is first copied, once, into one (parts, 3^n) stack.
 
     ``max_cross_correlation`` is, from order ``_CERTIFY_FROM_ORDER`` up and
-    for a decomposition that records its rows in the ``part_orders(n)``
-    count, the certified upper bound of ``_certified_cross_correlation``
-    (O(9^n) flops) when that bound is at most ``_CERTIFIED_MAX``; it is then
-    within 1e-13 above the exact value.  Otherwise it is the Gram product of
+    for parts in the layout of ``decompose`` (``_has_plan_layout``), the
+    certified upper bound of ``_certified_cross_correlation`` (O(9^n)
+    flops) when that bound is at most ``_CERTIFIED_MAX``; it is then within
+    1e-13 above the exact value.  Otherwise it is the Gram product of
     ``_max_cross_correlation`` (O(parts^2 * 3^n) flops and a (parts, parts)
     matrix).  Every residual is computed on exactly rescaled values, so it
     does not depend on the scale of ``t``.
@@ -785,17 +784,14 @@ def verify(d: Decomposition, t) -> VerifyReport:
 
     sym_res, trace_res = _part_residuals(d.parts)
     max_cross = np.inf
-    canonical = d._rows is not None and len(rows) == len(part_orders(d.order))
-    if canonical and d.order >= _CERTIFY_FROM_ORDER:
+    if d.order >= _CERTIFY_FROM_ORDER and _has_plan_layout(d.parts, d.order):
         max_cross = _certified_cross_correlation(rows, d.order)
     if not max_cross <= _CERTIFIED_MAX:
         max_cross = _max_cross_correlation(rows)
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
     actual = d.counts()
-    counts_ok = all(actual.get(s, 0) == j for s, j in expected.items()) and all(
-        s in expected for s in actual
-    )
+    counts_ok = actual == {s: j for s, j in expected.items() if j}
     part_residuals = [0.0] + sym_res + trace_res
     return VerifyReport(
         order=d.order,

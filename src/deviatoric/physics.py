@@ -78,40 +78,55 @@ class CouplingDeviators:
 
     @property
     def v1(self) -> np.ndarray:
-        return 2.5 * self.v3 - self.v2
+        (v2, v3), exponent = _common_scaled(self.v2, self.v3)
+        return _scaled_back(exponent, 2.5 * v3 - v2)[0]
 
     @property
     def d2(self) -> np.ndarray:
         return -(2.0 / 3.0) * self.d1
 
 
-def _largest_entry(a: np.ndarray, what: str) -> float:
-    """The largest |entry| of ``a``; raises for a NaN or +-inf entry, which
-    would make the symmetry residuals themselves NaN."""
-    top = float(np.max(np.abs(a)))
+def _common_scaled(*arrays) -> tuple[list[np.ndarray], int]:
+    """The arrays divided exactly by 2**e, e the binary exponent of their
+    largest |entry|, and e; ``_scaled_back`` undoes it."""
+    exponent = math.frexp(np.abs(np.concatenate([np.ravel(a) for a in arrays])).max())[1]
+    return [np.ldexp(a, -exponent) for a in arrays], exponent
+
+
+def _check_symmetries(a: np.ndarray, what: str, *checks: tuple[tuple[int, ...], str]) -> None:
+    """Raise ``ValueError(message)`` unless ``a`` equals ``a.transpose(axes)``
+    within ``SYMMETRY_TOL`` of its largest |entry|, for each (axes, message)
+    of ``checks``; NaN and +-inf entries fail.  Compared on ``a`` divided
+    exactly by the power of two of that entry, so no difference overflows."""
+    top = float(np.abs(a).max())
     if not math.isfinite(top):
         raise ValueError(f"{what} has a non-finite entry")
-    return top
+    exponent = math.frexp(top)[1]
+    scaled = np.ldexp(a, -exponent)
+    bound = SYMMETRY_TOL * math.ldexp(top, -exponent)
+    for axes, message in checks:
+        if not np.abs(scaled - scaled.transpose(axes)).max() <= bound:
+            raise ValueError(message)
 
 
 def validate_coupling(h) -> np.ndarray:
     """Check the symmetry H_ijk = H_jik, relative to the largest entry, and
     return the tensor; the zero tensor passes, NaN and +-inf entries fail."""
     h = as_tensor(h, order=3)
-    bound = SYMMETRY_TOL * _largest_entry(h, "coupling tensor")
-    if not np.max(np.abs(h - h.swapaxes(0, 1))) <= bound:
-        raise ValueError("tensor violates the coupling symmetry H_ijk = H_jik")
+    symmetry = ((1, 0, 2), "tensor violates the coupling symmetry H_ijk = H_jik")
+    _check_symmetries(h, "coupling tensor", symmetry)
     return h
 
 
 def coupling_reconstruct(cd: CouplingDeviators) -> np.ndarray:
-    """Rebuild the coupling tensor from (v2, v3, D1, D3)."""
-    v2 = as_tensor(cd.v2, order=1)
-    v3 = as_tensor(cd.v3, order=1)
-    d1 = as_tensor(cd.d1, order=2)
-    d3 = as_tensor(cd.d3, order=3)
+    """Rebuild the coupling tensor from (v2, v3, D1, D3), summed on
+    ``_common_scaled`` deviators: +-inf beyond the float range, no warning."""
+    (v2, v3, d1, d3), exponent = _common_scaled(
+        as_tensor(cd.v2, order=1), as_tensor(cd.v3, order=1),
+        as_tensor(cd.d1, order=2), as_tensor(cd.d3, order=3),
+    )
     l4 = lift_kernel4()
-    return (
+    h = (
         np.einsum("jkt,tis,s->ijk", _EPS, _EPS, v2)
         - np.einsum("jk,i->ijk", _EYE, v2)
         + 2.5 * np.einsum("jk,i->ijk", _EYE, v3)
@@ -121,6 +136,7 @@ def coupling_reconstruct(cd: CouplingDeviators) -> np.ndarray:
         * (np.einsum("isj,ks->ijk", _EPS, d1) + np.einsum("isk,js->ijk", _EPS, d1))
         + d3
     )
+    return _scaled_back(exponent, h)[0]
 
 
 def _printed_coupling_tables(h: np.ndarray) -> CouplingDeviators:
@@ -312,13 +328,13 @@ def validate_stiffness(c) -> np.ndarray:
     relative to the largest entry; the zero tensor passes, NaN and +-inf
     entries fail."""
     c = as_tensor(c, order=4)
-    bound = SYMMETRY_TOL * _largest_entry(c, "stiffness tensor")
-    if not np.max(np.abs(c - c.swapaxes(0, 1))) <= bound:
-        raise ValueError("tensor violates the minor symmetry C_ijkl = C_jikl")
-    if not np.max(np.abs(c - c.swapaxes(2, 3))) <= bound:
-        raise ValueError("tensor violates the minor symmetry C_ijkl = C_ijlk")
-    if not np.max(np.abs(c - c.transpose(2, 3, 0, 1))) <= bound:
-        raise ValueError("tensor violates the major symmetry C_ijkl = C_klij")
+    _check_symmetries(
+        c,
+        "stiffness tensor",
+        ((1, 0, 2, 3), "tensor violates the minor symmetry C_ijkl = C_jikl"),
+        ((0, 1, 3, 2), "tensor violates the minor symmetry C_ijkl = C_ijlk"),
+        ((2, 3, 0, 1), "tensor violates the major symmetry C_ijkl = C_klij"),
+    )
     return c
 
 
@@ -391,7 +407,5 @@ def voigt_to_tensor(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
-    bound = SYMMETRY_TOL * _largest_entry(m, "Voigt matrix")
-    if not np.max(np.abs(m - m.T)) <= bound:
-        raise ValueError("Voigt matrix must be symmetric")
+    _check_symmetries(m, "Voigt matrix", ((1, 0), "Voigt matrix must be symmetric"))
     return m[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX[None, None, :, :]]

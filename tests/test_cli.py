@@ -131,6 +131,17 @@ def test_decompose_report_matches_verify(tmp_path, capsys, scale):
     assert out == f'{{"order": 4, "parts": 19, "reconstruction_relative": {fmt_float(rel)}}}\n'
 
 
+def test_verify_reports_another_part_layout_as_infinitely_far(tmp_path, capsys):
+    t_path, d_path = tmp_path / "t.json", tmp_path / "d.json"
+    run(capsys, "random", "--order", "3", "--seed", "3", "--output", str(t_path))
+    run(capsys, "decompose", "--input", str(t_path), "--output", str(d_path))
+    d = load_decomposition(d_path)
+    save_decomposition(d_path, type(d)(order=d.order, parts=d.parts[1:] + d.parts[:1]))
+    code, out, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
+    assert code == 1
+    assert "canonical_residual = inf" in out.splitlines()
+
+
 def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
     # two order-1 parts with their contents swapped still sum to the tensor
     # and stay orthogonal; only the comparison with the canonical
@@ -368,6 +379,24 @@ def test_coupling_at_the_float_limit(tmp_path, fmt):
     )
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_coupling_report_at_the_float_limit_in_process(tmp_path, capsys):
+    """Coupling files with entries up to 1.7e308, run in process under the
+    suite's warning filter: the text report holds a small reconstruction
+    residual; a JSON report with an overflowed norm is an input error."""
+    rng = np.random.default_rng(5)
+    h_path, out_path = tmp_path / "h.json", tmp_path / "parts.json"
+    for _ in range(20):
+        h = rng.uniform(-1.0, 1.0, (3, 3, 3))
+        save_tensor(h_path, 1.7e308 * np.ldexp(h + h.swapaxes(0, 1), -1))
+        argv = ["coupling", "--input", str(h_path), "--output", str(out_path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        report = dict(line.split(" = ") for line in out.splitlines())
+        assert float(report["reconstruction_residual"]) <= 1e-12 * 1.7e308
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 or (code == 2 and "non-finite" in err), err
 
 
 def test_coupling_rejects_wrong_order(tmp_path, capsys):

@@ -50,15 +50,24 @@ def test_shipped_coefficients_fit_cleanly(order):
 
 
 def test_shipped_coefficients_match_a_fresh_fit():
-    fresh = fit_structural_coefficients(3)
-    shipped = structural_coefficients(3)
-    for s_key, block in shipped["blocks"].items():
-        fresh_terms = {t["term"]: t for t in fresh["blocks"][s_key]["terms"]}
-        for term in block["terms"]:
-            assert term["reading"] == fresh_terms[term["term"]]["reading"]
-            assert_allclose(
-                term["coefficients"], fresh_terms[term["term"]]["coefficients"], atol=1e-9
-            )
+    for order in (3, 4):
+        fresh = fit_structural_coefficients(order)
+        shipped = structural_coefficients(order)
+        for s_key, block in shipped["blocks"].items():
+            fresh_terms = {t["term"]: t for t in fresh["blocks"][s_key]["terms"]}
+            for term in block["terms"]:
+                assert term["reading"] == fresh_terms[term["term"]]["reading"]
+                assert_allclose(
+                    term["coefficients"], fresh_terms[term["term"]]["coefficients"], atol=1e-9
+                )
+
+
+def test_fit_keeps_the_first_reading_that_fits():
+    # every (w4, w5) reading fits; the listed order decides, not rounding
+    readings = {
+        t["term"]: t["reading"] for t in fit_structural_coefficients(4)["blocks"]["2"]["terms"]
+    }
+    assert readings["w4"] == readings["w5"] == "composition"
 
 
 def test_order3_mapping_is_signed_diagonal():
@@ -71,19 +80,15 @@ def test_order3_mapping_is_signed_diagonal():
     assert signs == {"alpha": 1, "v1": 1, "v2": -1, "v3": 1, "d1": 1, "d2": 1, "d3": 1}
 
 
-def test_order4_mapping_single_mixed_term():
+def test_order4_mapping_is_signed_permutation():
     data = structural_coefficients(4)
-    mixed = [
-        term["term"]
-        for block in data["blocks"].values()
-        for term in block["terms"]
-        if term["engine_slot"] is None
-    ]
-    assert mixed == ["w2"]
-    w2 = next(
-        t for t in data["blocks"]["2"]["terms"] if t["term"] == "w2"
-    )
-    assert_allclose(w2["coefficients"], [0.0, -1.0, -0.5, 0.0, 0.0, 0.0], atol=1e-9)
+    slots = {}
+    for s, block in data["blocks"].items():
+        for term in block["terms"]:
+            assert term["engine_slot"] is not None, term["term"]
+            assert abs(term["scalar"]) == pytest.approx(1.0)
+            slots.setdefault(s, []).append(term["engine_slot"])
+    assert all(sorted(v) == list(range(1, len(v) + 1)) for v in slots.values())
 
 
 @pytest.mark.parametrize("order,assemble", [(3, assemble_order3), (4, assemble_order4)])
@@ -102,6 +107,15 @@ def test_assembly_validates_part_layout():
         assemble_order4(d)
     with pytest.raises(ValueError):
         assemble_order3(list(d.parts)[:-1])
+
+
+def test_assembly_rejects_a_permuted_part_list():
+    d = decompose(np.random.default_rng(25).standard_normal((3,) * 4))
+    assert_allclose(assemble_order4(list(d.parts)), assemble_order4(d))
+    with pytest.raises(ValueError):
+        assemble_order4(list(reversed(d.parts)))
+    with pytest.raises(ValueError):
+        assemble_order4(d.parts[1:] + d.parts[:1])
 
 
 def test_no_shipped_coefficients_beyond_order4():

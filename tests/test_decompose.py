@@ -806,22 +806,47 @@ def test_in_place_mix_falls_back_to_the_gram():
     assert report.reconstruction_relative <= 1e-12 and not report.passes(1e-10)
 
 
-@pytest.mark.parametrize("kind", ["pickle", "deepcopy"])
-def test_copies_take_the_gram(kind, monkeypatch):
+@pytest.mark.parametrize("order", [4, 7])
+def test_only_an_exactly_zero_image_is_a_zero_image(order):
+    """An image whose squared norm underflows to 0 is not left out: a copy
+    of image 0 at 1e-170 of its size gives one verdict in any units."""
+    t = np.random.default_rng(495 + order).standard_normal((3,) * order)
+    for scale in (1.0, 1e100, 1e-100):
+        d = decompose(scale * t)
+        d.parts[1].embedded[...] = 1e-170 * d.parts[0].embedded
+        report = verify(d, reconstruct(d))
+        assert report.max_cross_correlation == pytest.approx(1.0, abs=1e-12), scale
+        assert not report.passes(1e-10)
+
+
+@pytest.mark.parametrize("kind", ["pickle", "deepcopy", "replace"])
+def test_copies_report_what_their_original_reports(kind):
+    """A copy records no rows; its stacked images are in the layout of
+    ``decompose``, so it takes the certificate as its original does."""
     t = np.random.default_rng(493).standard_normal((3,) * 7)
     d = decompose(t)
     c = COPIES[kind](d)
+    assert c._rows is None
     original = verify(d, t)
-
-    def fail(rows, n):
-        raise AssertionError("a decomposition without rows was certified")
-
-    monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
-    report = verify(c, t)
-    assert report.max_cross_correlation == _max_cross_correlation(_image_rows(c))
-    assert report.passes(1e-10) and original.passes(1e-10)
+    assert verify(c, t) == original
+    assert original.max_cross_correlation == _certified_cross_correlation(d._rows, 7)
+    assert original.passes(1e-10)
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
     assert not verify(c, reconstruct(c)).passes(1e-10)
+
+
+def test_other_layouts_take_the_gram(monkeypatch):
+    t = np.random.default_rng(494).standard_normal((3,) * 7)
+    d = decompose(t)
+    moved = COPIES["replace moved"](d)
+
+    def fail(rows, n):
+        raise AssertionError("parts in another layout were certified")
+
+    monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
+    report = verify(moved, t)
+    assert report.max_cross_correlation == _max_cross_correlation(_image_rows(moved))
+    assert report.passes(1e-10)
 
 
 def whole_gram_defects(prev, widths):
@@ -850,6 +875,7 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
     true = _change_of_basis(order - 1)
     widths = [2 * s + 1 for s in part_orders(order - 1)]
     starts = np.cumsum([0] + widths)
+    first_child = np.cumsum([0] + [1 if w == 1 else 3 for w in widths])
     last = len(widths) - 1
     try:
         for p, q in ((0, last), (last // 2, last // 2 + 1), (last, 1)):
@@ -862,13 +888,14 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
                 _span_defects.cache_clear()
                 got = _span_defects(order)
                 assert got.eta == pytest.approx(eta, rel=1e-9)
-                for (g_lam, g_delta, parts), g in zip(got.groups, _plan(order).groups):
-                    index = np.searchsorted(starts, g.rows[:, 0] // 3)
-                    slack = (3 * g.blocks[0][0].shape[0] + 2) * np.finfo(float).eps
-                    assert_allclose(g_lam, lam[index], rtol=1e-14)
-                    assert_allclose(g_delta, delta[index] + slack, rtol=1e-6, atol=1e-14)
-                    children = [range(start // 3, stop // 3) for _, start, stop in g.blocks]
-                    assert np.array_equal(parts, children)
+                slack = (3 * np.array(widths) + 2) * np.finfo(float).eps
+                assert_allclose(got.lam, lam, rtol=1e-14)
+                assert_allclose(got.delta, delta + slack, rtol=1e-6, atol=1e-14)
+                for g in _plan(order).groups:
+                    assert g.parts.shape[1] == (1 if g.width == 1 else 3)
+                    assert np.array_equal(g.rows[:, 0], 3 * starts[g.parents])
+                    children = first_child[g.parents][:, None] + np.arange(g.parts.shape[1])
+                    assert np.array_equal(g.parts, children)
     finally:
         _span_defects.cache_clear()
 
@@ -952,12 +979,12 @@ def test_factored_path_matches_materialized_change_of_basis(order):
 @pytest.mark.parametrize("order", range(8))
 def test_plan_arrays_are_read_only(order):
     plan = _plan(order)
-    arrays = [rows for _, rows, _ in plan.deviators]
+    arrays = [a for _, index, rows, _ in plan.deviators for a in (index, rows)]
     if order:
         arrays.append(plan.prev)
     for g in plan.groups:
-        arrays += [g.rows, g.to_children, g.norms, g.to_images]
-        arrays += [block for block, _, _ in g.blocks]
+        arrays += [g.rows, g.to_children, g.norms, g.to_images, g.parents, g.parts]
+        arrays += list(g.blocks)
     assert all(not a.flags.writeable for a in arrays)
 
 

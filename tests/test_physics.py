@@ -1,6 +1,7 @@
 """Coupling-tensor and stiffness-tensor decompositions, Voigt conversion."""
 
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -360,3 +361,63 @@ def test_symmetric_inputs_pass_at_every_scale(scale):
     bound = 1e-12 * np.max(np.abs(h))
     assert np.max(np.abs(coupling_reconstruct(coupling_decompose(h)) - h)) <= bound
     coupling_decompose(h, coefficients="printed")
+
+
+# ---------------------------------------------------------------------------
+# the float limit
+
+
+def float_limit_couplings():
+    """Coupling tensors whose entries reach 1.7e308."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        h = rng.uniform(-1.0, 1.0, (3, 3, 3))
+        yield 1.7e308 * np.ldexp(h + h.swapaxes(0, 1), -1)
+
+
+def test_coupling_round_trip_at_the_float_limit():
+    for h in float_limit_couplings():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cd = coupling_decompose(h)
+            back = coupling_reconstruct(cd)
+            v1 = cd.v1
+        # compared on values divided by 2^1000, where no difference overflows
+        scaled = np.ldexp(h, -1000)
+        assert np.max(np.abs(np.ldexp(back, -1000) - scaled)) <= 1e-12 * np.max(np.abs(scaled))
+        want = 2.5 * np.ldexp(cd.v3, -1000) - np.ldexp(cd.v2, -1000)
+        assert_allclose(np.ldexp(v1, -1000), want, rtol=1e-15)
+
+
+def test_coupling_reconstruct_overflows_to_inf_without_a_warning():
+    # H_111 = (5/2 + 2) v3_1 lies beyond the float range
+    big = CouplingDeviators(np.zeros(3), np.array([1.6e308, 0.0, 0.0]), np.zeros((3, 3)),
+                            np.zeros((3, 3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = coupling_reconstruct(big)
+    assert back[0, 0, 0] == np.inf and not np.isnan(back).any()
+    unit = coupling_reconstruct(CouplingDeviators(big.v2, big.v3 / 1.6e308, big.d1, big.d3))
+    finite = np.isfinite(back)
+    assert_allclose(back[finite], 1.6e308 * unit[finite], rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "check, first, second",
+    [
+        (validate_coupling, (0, 1, 0), (1, 0, 0)),
+        (validate_stiffness, (0, 1, 0, 0), (1, 0, 0, 0)),
+        (voigt_to_tensor, (0, 1), (1, 0)),
+    ],
+    ids=["validate_coupling", "validate_stiffness", "voigt_to_tensor"],
+)
+def test_symmetry_checks_at_the_float_limit(check, first, second):
+    # the residual 1.7e308 - (-1.7e308) would overflow on the unscaled values
+    for value in (1.7e308, 1.7):
+        x = np.zeros((3,) * len(first) if len(first) > 2 else (6, 6))
+        x[first], x[second] = value, -value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="symmetr"):
+                check(x)
+
