@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .core import frobenius_norm
+from .core import _scaled_back, _scaled_rows, frobenius_norm
 from .decomposition import (
-    Decomposition, _has_plan_layout, counts_row, decompose, reconstruct, verify,
+    Decomposition, _has_plan_layout, _record_of, counts_row, decompose, reconstruct, verify,
 )
 from .physics import (
     coupling_decompose,
@@ -170,14 +170,18 @@ def _cmd_reconstruct(args) -> int:
 def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     """How far the file's parts sit from the canonical decomposition of the
     reference tensor, relative to its norm (absolute for the zero tensor);
-    infinite when the part layout itself is wrong."""
-    if not _has_plan_layout(d.parts, d.order):
+    infinite when the part layout itself is wrong.  The images and each
+    order's deviators are compared as arrays, one row-wise norm each."""
+    ours = _record_of(d)
+    if not _has_plan_layout(ours.orders, ours.labels, d.order):
         return float("inf")
-    fresh = decompose(reference)
+    theirs = _record_of(decompose(reference))
     worst = 0.0
-    for ours, theirs in zip(d.parts, fresh.parts):
-        worst = max(worst, frobenius_norm(ours.embedded - theirs.embedded))
-        worst = max(worst, frobenius_norm(ours.deviator - theirs.deviator))
+    pairs = [(ours.rows, theirs.rows)] + [(a[2], b[2]) for a, b in zip(ours.stacks, theirs.stacks)]
+    for a, b in pairs:
+        scaled, exponents = _scaled_rows(a - b)
+        norms = _scaled_back(exponents, np.linalg.norm(scaled, axis=1))[0]
+        worst = max(worst, float(norms.max()))
     scale = frobenius_norm(reference)
     return worst / scale if scale > 0.0 else worst
 

@@ -278,7 +278,7 @@ def _assemble(order: int, parts) -> np.ndarray:
             raise ValueError(f"expected an order-{order} decomposition, got {parts.order}")
         parts = parts.parts
     parts = list(parts)
-    if not _has_plan_layout(parts, order):
+    if not _has_plan_layout(tuple([p.s for p in parts]), tuple([p.J for p in parts]), order):
         raise ValueError(f"parts do not have the (s, J) layout of an order-{order} decomposition")
 
     calibration = structural_coefficients(order)

@@ -241,4 +241,6 @@ def _scaled_back(exponent: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each array times 2**exponent, exactly, undoing ``_scaled_rows``;
     values beyond the float range are +-inf, without a warning."""
     with np.errstate(over="ignore"):
-        return tuple(np.ldexp(a, exponent) for a in arrays)
+        # a list first: a tuple of a generator is resized, and the freed
+        # tuple stays on a free list that resizing never draws from
+        return tuple([np.ldexp(a, exponent) for a in arrays])

@@ -159,20 +159,57 @@ class IrreduciblePart:
     embedded: np.ndarray
 
 
+class _Record(NamedTuple):
+    """The arrays of a decomposition's parts, in part order."""
+
+    rows: np.ndarray  # (parts, 3^n): row i is the image of part i
+    orders: tuple[int, ...]  # s of each part
+    labels: tuple[int, ...]  # J of each part
+    stacks: tuple  # per deviator order s: (s, (J_s,) part indices, (J_s, 3^s) deviators)
+
+
 @dataclass(frozen=True)
 class Decomposition:
+    """The parts of an order-n tensor.
+
+    The output of ``decompose`` and ``load_decomposition`` is made by
+    ``_from_rows`` and records its parts as arrays: the images as the rows of
+    one (parts, 3^n) array and the deviators as one stack per deviator
+    order.  ``reconstruct`` and ``verify`` read those arrays, and ``parts``
+    is built from them on first access, then stored; each ``deviator`` and
+    ``embedded`` is a view of its row, so an in-place edit of a part is an
+    edit of the record.  A hand-built decomposition, or any copy (pickle,
+    ``copy``, ``deepcopy``, ``dataclasses.replace``), holds its parts and no
+    record.
+    """
+
     order: int
     parts: tuple[IrreduciblePart, ...]
-    # the (parts, 3^n) array whose row i is parts[i].embedded; set only by
-    # ``_from_rows``, so a hand-built or ``replace``d decomposition has none
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _record: _Record | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getattr__(self, name):
+        # only a decomposition made by ``_from_rows`` lacks ``parts``
+        if name != "parts" or self._record is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, orders, labels, stacks = self._record
+        deviators: list = [None] * len(orders)
+        for s, index, stack in stacks:
+            for i, deviator in zip(index.tolist(), _views(stack, s)):
+                deviators[i] = deviator
+        # a list first: tuple() of an iterator of unknown length resizes its
+        # result, and CPython keeps each freed tuple of under 20 items on a
+        # per-size free list of up to 2000 that resizing never draws from
+        parts = list(map(IrreduciblePart, orders, labels, deviators, _views(rows, self.order)))
+        object.__setattr__(self, "parts", tuple(parts))
+        return self.parts
 
     def __getstate__(self):
-        # copies keep no rows: pickle and deepcopy give each part an array of its own
+        # copies keep no record: pickle and deepcopy give each part an array of its own
         return {"order": self.order, "parts": self.parts}
 
     def counts(self) -> dict[int, int]:
-        return dict(Counter(p.s for p in self.parts))
+        orders = [p.s for p in self.parts] if self._record is None else self._record.orders
+        return dict(Counter(orders))
 
 
 @dataclass(frozen=True)
@@ -354,6 +391,7 @@ class _Group(NamedTuple):
     width: int  # 2s+1
     parents: np.ndarray  # (P_s,) indices into part_orders(n-1)
     parts: np.ndarray  # (P_s, children) indices into part_orders(n)
+    pairs: tuple  # np.triu_indices(children, 1): the sibling pairs i < j
     blocks: tuple  # per parent: its rows of E_{n-1}
 
 
@@ -420,8 +458,11 @@ def _plan(n: int) -> _Plan:
         to_images = to_images.reshape(3 * width, -1)
         parts = first_child[index][:, None] + np.arange(len(children))
         blocks = tuple(prev[p : p + width] for p in firsts.tolist())
-        _read_only(rows, to_children, norms, to_images, index, parts)
-        groups.append(_Group(rows, to_children, norms, to_images, width, index, parts, blocks))
+        pairs = np.triu_indices(len(children), 1)
+        _read_only(rows, to_children, norms, to_images, index, parts, *pairs)
+        groups.append(
+            _Group(rows, to_children, norms, to_images, width, index, parts, pairs, blocks)
+        )
     return plan._replace(prev=prev, groups=tuple(groups))
 
 
@@ -455,18 +496,28 @@ def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
     return list(rows.reshape((-1,) + (3,) * order))
 
 
-def _from_rows(order: int, orders, labels, deviators, rows: np.ndarray) -> Decomposition:
-    """Decomposition whose part i has order ``orders[i]``, label
-    ``labels[i]``, deviator ``deviators[i]`` and, as its embedded image, a
-    view of row i of the (parts, 3^order) array ``rows``, which it records
-    for ``reconstruct`` and ``verify``."""
-    # a list first: tuple() of an iterator of unknown length resizes its
-    # result, and CPython keeps each freed tuple of under 20 items on a
-    # per-size free list of up to 2000 that resizing never draws from
-    parts = list(map(IrreduciblePart, orders, labels, deviators, _views(rows, order)))
-    d = Decomposition(order=order, parts=tuple(parts))
-    object.__setattr__(d, "_rows", rows)
+def _from_rows(order: int, orders: tuple, labels: tuple, stacks: tuple, rows) -> Decomposition:
+    """Decomposition that records part i's order ``orders[i]``, label
+    ``labels[i]`` and image, row i of the (parts, 3^order) array ``rows``,
+    and, per deviator order s, its parts' indices and deviators as ``stacks``
+    entries (s, index, (J_s, 3^s) stack).  It builds no ``parts`` until they
+    are read."""
+    d = object.__new__(Decomposition)
+    object.__setattr__(d, "order", order)
+    object.__setattr__(d, "_record", _Record(rows, orders, labels, stacks))
     return d
+
+
+def _deviator_stacks(orders, deviators) -> tuple:
+    """``_Record.stacks`` of parts with these orders and deviators, as new
+    arrays; raises the error of ``as_tensor`` for a deviator of another
+    shape than its order's."""
+    orders_array = np.array(orders, dtype=int)
+    stacks = []
+    for s in sorted(set(orders)):
+        index = np.flatnonzero(orders_array == s)
+        stacks.append((s, index, _stack([deviators[i] for i in index], s).reshape(len(index), -1)))
+    return tuple(stacks)
 
 
 def decompose(t) -> Decomposition:
@@ -474,18 +525,16 @@ def decompose(t) -> Decomposition:
 
     Returns one part per (s, J) slot in deterministic traversal order; the
     embedded images sum to ``t`` and are mutually orthogonal.  The images are
-    the rows of one (parts, 3^n) array that the decomposition records, and
-    each ``embedded`` is a view of its row, so ``reconstruct`` and ``verify``
-    read them all without a copy.
+    the rows of one (parts, 3^n) array and the deviators of each order one
+    stack, which the decomposition records (see ``Decomposition``), so
+    ``reconstruct`` and ``verify`` read them all without a copy.
     """
     t = as_tensor(t)
     plan = _plan(t.ndim)
     c, images = _coordinates_and_images(plan, t)
-    deviators: list = [None] * len(plan.orders)
-    for s, index, rows, basis in plan.deviators:
-        for i, deviator in zip(index.tolist(), _views(np.dot(c[rows], basis), s)):
-            deviators[i] = deviator
-    return _from_rows(t.ndim, plan.orders, plan.labels, deviators, images)
+    # a list first, as in ``Decomposition.__getattr__``
+    stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
+    return _from_rows(t.ndim, plan.orders, plan.labels, stacks, images)
 
 
 def decompose_order2(t) -> Decomposition:
@@ -511,9 +560,20 @@ def _image_rows(d: Decomposition) -> np.ndarray:
     a ``dataclasses.replace``d one or any copy, is stacked into a new array,
     so the images that are checked are always the ones stored in the parts.
     """
-    if d._rows is not None:
-        return d._rows
+    if d._record is not None:
+        return d._record.rows
     return _stack([p.embedded for p in d.parts], d.order).reshape(len(d.parts), 3**d.order)
+
+
+def _record_of(d: Decomposition) -> _Record:
+    """The record of ``d``, or for any other decomposition one stacked from
+    its parts, as ``_image_rows`` and ``_deviator_stacks`` stack them."""
+    if d._record is not None:
+        return d._record
+    rows = _image_rows(d)
+    orders = tuple([p.s for p in d.parts])
+    stacks = _deviator_stacks(orders, [p.deviator for p in d.parts])
+    return _Record(rows, orders, tuple([p.J for p in d.parts]), stacks)
 
 
 def _stack(tensors: list, order: int) -> np.ndarray:
@@ -541,9 +601,10 @@ _GRAM_RANGE = (2.0**-600, 2.0**600)
 # ``verify`` certifies orthogonality by slot membership from this order up,
 # and reports the certified bound when it is at most ``_CERTIFIED_MAX``.
 # Below this order the Gram product measured faster.  Warm, on one BLAS
-# thread of a shared 2-core Xeon host, certificate against Gram: 0.63 against
-# 0.07 ms at order 5, 1.2-1.4 against 0.6-0.7 ms at order 6, 4.8 against
-# 8.6-10.7 ms at order 7 and 42-45 against 162-175 ms at order 8.
+# thread of a shared 2-core Xeon host, certificate (one fused pass per
+# parent) against Gram: 0.36-0.52 against 0.09-0.12 ms at order 5,
+# 0.79-1.15 against 0.55-0.74 ms at order 6, 4.1-4.2 against 9.5-9.9 ms at
+# order 7 and 34-35 against 172-187 ms at order 8.
 _CERTIFY_FROM_ORDER = 7
 _CERTIFIED_MAX = 1e-13
 # doubles of E_{n-1} E_{n-1}^T that ``_span_defects`` takes at a time
@@ -648,21 +709,22 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
         return 0.0
     plan, defects = _plan(n), _span_defects(n)
     slices = rows.reshape(-1, 3 ** (n - 1))  # row 3i + k: slice k of image i
-    residuals = np.empty(len(slices))  # |slice k of h_i|^2 at 3i + k
+    residuals = np.empty((len(slices), 1, 1))  # |slice k of h_i|^2 at 3i + k
     coefficients = []
     for g in plan.groups:
-        lam = defects.lam[g.parents]
         span = 3 * g.parts.shape[1]  # slices of one parent's children
-        firsts = (3 * g.parts[:, 0]).tolist()
-        a = np.empty((len(firsts), span, g.width))
-        for a_p, block, first in zip(a, g.blocks, firsts):
-            np.dot(slices[first : first + span], block.T, out=a_p)
+        a = np.empty((len(g.blocks), span, g.width))
         h = np.empty((span, slices.shape[1]))
-        for a_p, block, first in zip(a / lam[:, None, None], g.blocks, firsts):
-            np.dot(a_p, block, out=h)
-            np.subtract(slices[first : first + span], h, out=h)
-            np.einsum("ij,ij->i", h, h, out=residuals[first : first + span])
-        coefficients.append(a.reshape(len(firsts), g.parts.shape[1], -1))
+        # one pass per parent, while its slices are in cache
+        for a_p, lam, block, first in zip(
+            a, defects.lam[g.parents].tolist(), g.blocks, (3 * g.parts[:, 0]).tolist()
+        ):
+            s = slices[first : first + span]
+            np.dot(s, block.T, out=a_p)
+            np.dot(a_p / lam, block, out=h)
+            np.subtract(s, h, out=h)
+            np.matmul(h[:, None, :], h[:, :, None], out=residuals[first : first + span])
+        coefficients.append(a.reshape(len(g.blocks), g.parts.shape[1], -1))
     rho = np.zeros(len(rows))
     np.divide(residuals.reshape(-1, 3).sum(axis=1), squares, out=rho, where=live)
     rho = np.sqrt(rho) + defects.slack
@@ -678,7 +740,7 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
         inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
         inspan /= lam[:, None, None] * f[:, :, None] * f[:, None, :]
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
-        i, j = np.triu_indices(g.parts.shape[1], 1)
+        i, j = g.pairs
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
     return float(worst)
 
@@ -722,25 +784,21 @@ def _max_cross_correlation(rows: np.ndarray) -> float:
     return float(gram.max())
 
 
-def _part_residuals(parts) -> tuple[list[float], list[float]]:
-    """Symmetry and trace residual of each part's deviator relative to the
-    deviator's norm, 0 for orders below 2 and for a zero deviator.
+def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
+    """Symmetry and trace residual of each of ``count`` parts' deviators,
+    given as ``_Record.stacks``, relative to the deviator's norm; 0 for
+    orders below 2 and for a zero deviator.
 
-    Deviators of one order are stacked and checked together, on
-    ``_scaled_rows`` of the stack, so no norm overflows or underflows at any
-    scale.
+    Each order's stack is checked at once, on ``_scaled_rows`` of the
+    stack, so no norm overflows or underflows at any scale.
     """
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(parts):
-        groups.setdefault(p.s, []).append(i)
-    sym_res = np.zeros(len(parts))
-    trace_res = np.zeros(len(parts))
-    for s, index in groups.items():
-        devs = _stack([parts[i].deviator for i in index], s)
+    sym_res = np.zeros(count)
+    trace_res = np.zeros(count)
+    for s, index, flat in stacks:
         if s < 2:
-            continue  # checked for shape only
-        flat = _scaled_rows(devs.reshape(len(index), -1))[0]
-        devs = flat.reshape(devs.shape)
+            continue
+        flat = _scaled_rows(flat)[0]
+        devs = flat.reshape((len(index),) + (3,) * s)
         norms = np.linalg.norm(flat, axis=1)
         sym = np.linalg.norm(flat - symmetrize_stack(devs).reshape(flat.shape), axis=1)
         trace = np.linalg.norm(np.trace(devs, axis1=1, axis2=2).reshape(len(index), -1), axis=1)
@@ -750,22 +808,24 @@ def _part_residuals(parts) -> tuple[list[float], list[float]]:
     return sym_res.tolist(), trace_res.tolist()
 
 
-def _has_plan_layout(parts, order: int) -> bool:
-    """Whether part i of ``parts`` has s = ``_plan(order).orders[i]`` and
-    J = ``.labels[i]``, the layout of ``decompose``, for every i."""
-    if len(parts) != len(part_orders(order)):  # no E_{n-1} is built for a wrong count
+def _has_plan_layout(orders: tuple, labels: tuple, order: int) -> bool:
+    """Whether parts of these orders s and labels J have the layout of
+    ``decompose``, ``_plan(order).orders`` and ``.labels``."""
+    if len(orders) != len(part_orders(order)):  # no E_{n-1} is built for a wrong count
         return False
     plan = _plan(order)
-    return all(p.s == s and p.J == j for p, s, j in zip(parts, plan.orders, plan.labels))
+    return orders == plan.orders and labels == plan.labels
 
 
 def verify(d: Decomposition, t) -> VerifyReport:
     """Residual report of a decomposition against the tensor it came from.
 
-    The reconstruction and cross-correlation checks read every stored
-    embedded image, so an edited image fails them.  Both read the image rows
-    that ``decompose`` and ``load_decomposition`` output records; any other
-    decomposition is first copied, once, into one (parts, 3^n) stack.
+    Every check reads the arrays that the output of ``decompose`` and
+    ``load_decomposition`` records (``_record_of``), never ``parts``, so it
+    builds no part; any other decomposition is first stacked, once, into
+    such arrays.  The reconstruction and cross-correlation checks read every
+    stored image and the symmetry and trace checks every stored deviator, so
+    an edited part fails them.
 
     ``max_cross_correlation`` is, from order ``_CERTIFY_FROM_ORDER`` up and
     for parts in the layout of ``decompose`` (``_has_plan_layout``), the
@@ -777,20 +837,21 @@ def verify(d: Decomposition, t) -> VerifyReport:
     does not depend on the scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
-    rows = _image_rows(d)
+    record = _record_of(d)
+    rows = record.rows
     t_norm = frobenius_norm(t)
     res = frobenius_norm(rows.sum(axis=0).reshape(t.shape) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    sym_res, trace_res = _part_residuals(d.parts)
+    sym_res, trace_res = _part_residuals(record.stacks, len(record.orders))
     max_cross = np.inf
-    if d.order >= _CERTIFY_FROM_ORDER and _has_plan_layout(d.parts, d.order):
+    if d.order >= _CERTIFY_FROM_ORDER and _has_plan_layout(record.orders, record.labels, d.order):
         max_cross = _certified_cross_correlation(rows, d.order)
     if not max_cross <= _CERTIFIED_MAX:
         max_cross = _max_cross_correlation(rows)
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
-    actual = d.counts()
+    actual = dict(Counter(record.orders))
     counts_ok = actual == {s: j for s, j in expected.items() if j}
     part_residuals = [0.0] + sym_res + trace_res
     return VerifyReport(

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, IrreduciblePart, _from_rows
+from .decomposition import Decomposition, IrreduciblePart, _deviator_stacks, _from_rows
 
 __all__ = [
     "fmt_float",
@@ -200,7 +200,7 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
     if images is None:  # no parts; a text too short for the rows failed above
         return Decomposition(order=order, parts=tuple(IrreduciblePart(*p) for p in read))
     orders, labels, deviators, _ = zip(*read)
-    return _from_rows(order, orders, labels, deviators, images)
+    return _from_rows(order, orders, labels, _deviator_stacks(orders, deviators), images)
 
 
 def save_decomposition(path, d: Decomposition) -> None:

@@ -582,7 +582,7 @@ def test_image_rows_are_read_in_place_or_copied():
 def assert_rows_are_recorded(d):
     """``d`` records its image rows, and part i's image is a view of row i."""
     rows = _image_rows(d)
-    assert rows is d._rows
+    assert rows is d._record.rows
     assert rows.shape == (len(d.parts), 3**d.order)
     for row, p in zip(rows, d.parts):
         assert p.embedded.base is rows and p.embedded.shape == (3,) * d.order
@@ -608,7 +608,7 @@ def test_copies_record_no_rows(kind):
     t = np.random.default_rng(61).standard_normal((3,) * 5)
     d = decompose(t)
     c = COPIES[kind](d)
-    assert c._rows is None
+    assert c._record is None
     assert np.array_equal(_image_rows(c), np.stack([p.embedded.ravel() for p in c.parts]))
     assert verify(c, t).passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
@@ -628,6 +628,75 @@ def test_in_place_edit_of_a_part_reaches_the_rows():
     assert not verify(d, t).passes(1e-10)
 
 
+def counting_part_constructions(monkeypatch) -> list:
+    """Patch ``IrreduciblePart`` to count its constructions in a list."""
+    built = []
+    init = IrreduciblePart.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IrreduciblePart, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("order", [4, 7])
+def test_decompose_reconstruct_verify_builds_no_part(order, monkeypatch):
+    t = np.random.default_rng(64 + order).standard_normal((3,) * order)
+    loaded = decomposition_from_json(decomposition_to_json(decompose(t)))
+    built = counting_part_constructions(monkeypatch)
+    d = decompose(t)
+    assert verify(d, reconstruct(d)).passes(1e-10)
+    assert verify(loaded, reconstruct(loaded)).passes(1e-10)
+    assert d.counts() == loaded.counts() == {s: c for s, c in enumerate(counts_row(order)) if c}
+    assert built == []
+    assert len(d.parts) == len(built) == sum(counts_row(order))
+
+
+def eager_copy(d):
+    """A hand-built decomposition of copies of ``d``'s parts, as a
+    decomposition that builds its parts when it is made holds them."""
+    parts = tuple(IrreduciblePart(p.s, p.J, p.deviator.copy(), p.embedded.copy()) for p in d.parts)
+    return Decomposition(d.order, parts)
+
+
+def test_parts_are_built_once_as_an_eager_build_gives():
+    t = np.random.default_rng(65).standard_normal((3,) * 4)
+    eager = eager_copy(decompose(t))
+    d = decompose(t)
+    parts = d.parts
+    assert d.parts is parts and isinstance(parts, tuple)
+    assert Decomposition(d.order, parts) == d == dataclasses.replace(d)
+    assert dataclasses.replace(d).parts is parts
+    # each of these reads the parts of a fresh decomposition first
+    assert repr(decompose(t)) == repr(eager)
+    assert pickle.dumps(decompose(t)) == pickle.dumps(eager)
+    assert repr(copy.deepcopy(decompose(t))) == repr(eager)
+    fresh = decompose(t)
+    assert fresh == dataclasses.replace(fresh) and fresh.parts == dataclasses.replace(fresh).parts
+    for copied in (pickle.loads(pickle.dumps(decompose(t))), copy.deepcopy(decompose(t))):
+        assert copied._record is None and repr(copied) == repr(eager)
+        for p, q in zip(copied.parts, eager.parts):
+            assert (p.s, p.J) == (q.s, q.J)
+            assert np.array_equal(p.deviator, q.deviator) and np.array_equal(p.embedded, q.embedded)
+
+
+@pytest.mark.parametrize("load", [False, True])
+def test_in_place_edit_of_a_deviator_reaches_verify(load):
+    t = np.random.default_rng(66).standard_normal((3,) * 5)
+    d = decompose(t)
+    if load:
+        d = decomposition_from_json(decomposition_to_json(d))
+    k = next(i for i, p in enumerate(d.parts) if p.s == 3)
+    assert verify(d, t).part_symmetry[k] <= 1e-14
+    d.parts[k].deviator[0, 1, 2] += np.linalg.norm(d.parts[k].deviator)
+    assert d._record is not None  # verify still reads the record
+    report = verify(d, t)
+    assert report.part_symmetry[k] > 1e-3 and not report.passes(1e-10)
+    assert max(np.delete(report.part_symmetry, k)) <= 1e-14
+
+
 def reference_reconstruct(d):
     """The per-part loop that the row sum replaced."""
     total = np.zeros((3,) * d.order)
@@ -643,7 +712,7 @@ def test_reconstruct_matches_per_part_loop(order):
         order=d.order,
         parts=tuple(IrreduciblePart(p.s, p.J, p.deviator, p.embedded.copy()) for p in d.parts),
     )
-    assert built._rows is None
+    assert built._record is None
     for case in (d, built):
         assert np.array_equal(reconstruct(case), reference_reconstruct(case))
 
@@ -763,7 +832,7 @@ def exact_cross_correlation(rows):
 def test_certified_bound_is_above_the_exact_value(order):
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
     for scale in (1e-300, 1.0, 1e300):
-        rows = decompose(scale * t)._rows
+        rows = decompose(scale * t)._record.rows
         bound = _certified_cross_correlation(rows, order)
         exact = exact_cross_correlation(rows)
         assert exact <= bound <= exact + 1e-13, scale
@@ -773,8 +842,8 @@ def test_verify_reports_the_certified_bound_from_order_7():
     for order in (6, 7):
         t = np.random.default_rng(490 + order).standard_normal((3,) * order)
         d = decompose(t)
-        gram = _max_cross_correlation(d._rows)
-        certified = _certified_cross_correlation(d._rows, order)
+        gram = _max_cross_correlation(d._record.rows)
+        certified = _certified_cross_correlation(d._record.rows, order)
         assert certified <= _CERTIFIED_MAX
         want = gram if order < decomposition._CERTIFY_FROM_ORDER else certified
         assert verify(d, t).max_cross_correlation == want
@@ -784,10 +853,10 @@ def test_zero_images_are_left_out_of_the_certificate():
     # the images of a symmetric tensor's non-symmetric parts are exactly zero
     t = symmetrize(np.random.default_rng(491).standard_normal((3,) * 7))
     d = decompose(t)
-    assert np.count_nonzero(~d._rows.any(axis=1)) > 0
+    assert np.count_nonzero(~d._record.rows.any(axis=1)) > 0
     report = verify(d, t)
-    exact = exact_cross_correlation(d._rows)
-    assert report.max_cross_correlation == _certified_cross_correlation(d._rows, 7)
+    exact = exact_cross_correlation(d._record.rows)
+    assert report.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
     assert exact <= report.max_cross_correlation <= exact + 1e-13
     assert report.passes(1e-10)
 
@@ -799,10 +868,10 @@ def test_in_place_mix_falls_back_to_the_gram():
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     d.parts[-1].embedded[...] *= 0.7
     assert_rows_are_recorded(d)
-    assert _certified_cross_correlation(d._rows, 7) > _CERTIFIED_MAX
+    assert _certified_cross_correlation(d._record.rows, 7) > _CERTIFIED_MAX
     report = verify(d, t)
-    assert report.max_cross_correlation == _max_cross_correlation(d._rows)
-    assert abs(report.max_cross_correlation - exact_cross_correlation(d._rows)) <= 1e-13
+    assert report.max_cross_correlation == _max_cross_correlation(d._record.rows)
+    assert abs(report.max_cross_correlation - exact_cross_correlation(d._record.rows)) <= 1e-13
     assert report.reconstruction_relative <= 1e-12 and not report.passes(1e-10)
 
 
@@ -826,10 +895,10 @@ def test_copies_report_what_their_original_reports(kind):
     t = np.random.default_rng(493).standard_normal((3,) * 7)
     d = decompose(t)
     c = COPIES[kind](d)
-    assert c._rows is None
+    assert c._record is None
     original = verify(d, t)
     assert verify(c, t) == original
-    assert original.max_cross_correlation == _certified_cross_correlation(d._rows, 7)
+    assert original.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
     assert original.passes(1e-10)
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
     assert not verify(c, reconstruct(c)).passes(1e-10)
@@ -1015,20 +1084,22 @@ def test_repeated_decompose_holds_no_memory():
     # CPython keeps freed tuples of fewer than 20 items on per-size free
     # lists of up to 2000; a parts tuple built by resizing is never taken
     # back from them, so it would hold ~0.7 MB after some thousand calls.
+    # Neither loop reads the parts, so none is built.
     tensors = [np.random.default_rng(50 + n).standard_normal((3,) * n) for n in (2, 3, 4)]
-    for t in tensors:
-        decompose(t)
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        for _ in range(200):
-            for t in tensors:
-                decompose(t)
-        after, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # ~70 KiB with the resized tuple
-    assert after - before < 16 * 2**10
+    for run in (decompose, lambda t: verify(decompose(t), t)):
+        for t in tensors:
+            run(t)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(200):
+                for t in tensors:
+                    run(t)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ~70 KiB with the resized tuple
+        assert after - before < 16 * 2**10
 
 
 def assert_parts_close(got, want, rtol, atol):
@@ -1076,6 +1147,21 @@ def test_decompose_is_rotation_equivariant(t, seed):
     r = random_rotation(np.random.default_rng(seed))
     rotated = mapped(decompose(t), lambda x: rotate(x, r))
     assert_parts_close(decompose(rotate(t, r)), rotated, 1e-11, 1e-13 * np.max(np.abs(t)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tensors(), st.integers(-300, 300))
+def test_verify_passes_at_every_scale(t, exponent):
+    """Random, not symmetric, tensors: a symmetric one at 1e-300 is a known
+    failure (subnormal noise in its vanishing parts)."""
+    t = 10.0**exponent * t
+    d = decompose(t)
+    report = verify(d, t)
+    assert report.passes(1e-10)
+    assert verify(pickle.loads(pickle.dumps(d)), t) == report
+    if t.ndim == 7:
+        assert report.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
+        assert report.max_cross_correlation <= _CERTIFIED_MAX
 
 
 def test_verify_at_extreme_scale_warns_nothing():

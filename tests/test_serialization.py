@@ -225,7 +225,7 @@ def test_loaded_decomposition_records_its_image_rows():
     t = np.random.default_rng(47).standard_normal((3,) * 5)
     d = decomposition_from_json(decomposition_to_json(decompose(t)))
     rows = _image_rows(d)
-    assert rows is d._rows
+    assert rows is d._record.rows
     for row, p in zip(rows, d.parts):
         assert p.embedded.base is rows
         assert p.embedded.__array_interface__["data"] == row.__array_interface__["data"]
@@ -233,7 +233,7 @@ def test_loaded_decomposition_records_its_image_rows():
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     assert verify(d, reconstruct(d)).max_cross_correlation > 1e-3
     empty = decomposition_from_json('{"order": 3, "parts": []}')
-    assert empty.parts == () and empty._rows is None
+    assert empty.parts == () and empty._record is None
     np.testing.assert_array_equal(reconstruct(empty), np.zeros((3, 3, 3)))
 
 
