@@ -30,7 +30,6 @@ from .decomposition import (
     count_parts,
     counts_row,
     decompose,
-    decompose_order2,
     part_orders,
     reconstruct,
     split_deviator_triple,

@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import as_tensor, delta, epsilon, symmetrize
-from .decomposition import Decomposition, _has_plan_layout, _lift, _plan, decompose
+from .core import delta, epsilon, symmetrize
+from .decomposition import Decomposition, _has_plan_layout, _lift, _record_of, _views, decompose
 
 __all__ = [
     "lift_kernel4",
@@ -273,19 +273,21 @@ def structural_coefficients(order: int) -> dict:
 
 
 def _assemble(order: int, parts) -> np.ndarray:
-    if isinstance(parts, Decomposition):
-        if parts.order != order:
-            raise ValueError(f"expected an order-{order} decomposition, got {parts.order}")
-        parts = parts.parts
-    parts = list(parts)
-    if not _has_plan_layout(tuple([p.s for p in parts]), tuple([p.J for p in parts]), order):
+    """The closed form of ``order`` applied to the deviators of a
+    decomposition, or of a sequence of parts, as ``_record_of`` reads them."""
+    if not isinstance(parts, Decomposition):
+        parts = Decomposition(order, tuple(parts))
+    elif parts.order != order:
+        raise ValueError(f"expected an order-{order} decomposition, got {parts.order}")
+    record = _record_of(parts)
+    if not _has_plan_layout(record.orders, record.labels, order):
         raise ValueError(f"parts do not have the (s, J) layout of an order-{order} decomposition")
 
     calibration = structural_coefficients(order)
     term_specs = {t.name: t for t in _terms(order)}
     out = np.zeros((3,) * order)
-    for s, index, _, _ in _plan(order).deviators:
-        devs = [as_tensor(parts[i].deviator, order=s) for i in index]
+    for s, _, stack in record.stacks:
+        devs = _views(stack, s)
         for entry in calibration["blocks"][str(s)]["terms"]:
             term = term_specs[entry["term"]]
             builder = dict(term.readings)[entry["reading"]]

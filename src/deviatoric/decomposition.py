@@ -75,7 +75,6 @@ __all__ = [
     "Decomposition",
     "VerifyReport",
     "decompose",
-    "decompose_order2",
     "reconstruct",
     "verify",
     "combine_deviator_triple",
@@ -496,28 +495,38 @@ def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
     return list(rows.reshape((-1,) + (3,) * order))
 
 
-def _from_rows(order: int, orders: tuple, labels: tuple, stacks: tuple, rows) -> Decomposition:
-    """Decomposition that records part i's order ``orders[i]``, label
-    ``labels[i]`` and image, row i of the (parts, 3^order) array ``rows``,
-    and, per deviator order s, its parts' indices and deviators as ``stacks``
-    entries (s, index, (J_s, 3^s) stack).  It builds no ``parts`` until they
-    are read."""
+def _from_rows(order: int, record: _Record) -> Decomposition:
+    """The order-``order`` decomposition whose parts are the arrays of
+    ``record``; the only maker of a decomposition with a record.
+    ``decompose`` passes its plan's arrays, and ``decomposition_from_json``
+    ``_stacked`` of the parts it read.  No ``parts`` is built until they are
+    read."""
     d = object.__new__(Decomposition)
     object.__setattr__(d, "order", order)
-    object.__setattr__(d, "_record", _Record(rows, orders, labels, stacks))
+    object.__setattr__(d, "_record", record)
     return d
 
 
-def _deviator_stacks(orders, deviators) -> tuple:
-    """``_Record.stacks`` of parts with these orders and deviators, as new
-    arrays; raises the error of ``as_tensor`` for a deviator of another
-    shape than its order's."""
+def _stacked(order: int, orders, labels, deviators, images) -> _Record:
+    """The record of parts with these orders s, labels J, deviators and
+    order-``order`` embedded images, given in part order.
+
+    This is the only code that stacks loose tensors into a record: the
+    images into the rows of one new (parts, 3^order) array, and the
+    deviators of each order s into one new (J_s, 3^s) array.  Each array
+    owns its buffer, so the parts built from the record are views with that
+    array as ``base``.  Raises the error of ``as_tensor`` for the first
+    image, then the first deviator of each order, of another shape than its
+    order's.
+    """
+    orders = tuple(orders)
+    rows = _stack(images, order)
     orders_array = np.array(orders, dtype=int)
     stacks = []
     for s in sorted(set(orders)):
         index = np.flatnonzero(orders_array == s)
-        stacks.append((s, index, _stack([deviators[i] for i in index], s).reshape(len(index), -1)))
-    return tuple(stacks)
+        stacks.append((s, index, _stack([deviators[i] for i in index], s)))
+    return _Record(rows, orders, tuple(labels), tuple(stacks))
 
 
 def decompose(t) -> Decomposition:
@@ -534,61 +543,46 @@ def decompose(t) -> Decomposition:
     c, images = _coordinates_and_images(plan, t)
     # a list first, as in ``Decomposition.__getattr__``
     stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
-    return _from_rows(t.ndim, plan.orders, plan.labels, stacks, images)
-
-
-def decompose_order2(t) -> Decomposition:
-    """Decompose an order-2 tensor into trace, spin vector, and deviator.
-
-    The closed form is t = alpha*delta + epsilon.v + D with
-    alpha = tr(t)/3, v_s = eps_ijs t_ij / 2, D = sym(t) - alpha*delta.
-    """
-    return decompose(as_tensor(t, order=2))
+    return _from_rows(t.ndim, _Record(images, plan.orders, plan.labels, stacks))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
-    """Sum of the embedded parts; inverse of ``decompose``."""
-    return _image_rows(d).sum(axis=0).reshape((3,) * d.order)
+    """Sum of the embedded parts; inverse of ``decompose``.
 
-
-def _image_rows(d: Decomposition) -> np.ndarray:
-    """The embedded images of ``d`` as the rows of one (parts, 3^n) array.
-
-    The output of ``decompose`` and ``load_decomposition`` records that
-    array, and it is returned as is; an in-place edit of a part's image is
-    an edit of its row.  Any other decomposition, such as a hand-built one,
-    a ``dataclasses.replace``d one or any copy, is stacked into a new array,
-    so the images that are checked are always the ones stored in the parts.
+    It sums the image rows of ``_record_of(d)``: the record of ``decompose``
+    and ``load_decomposition`` output, in place, or the parts of any other
+    decomposition, stacked once.  So a hand-built part whose deviator or
+    image has another shape than its order's raises the same ``ValueError``
+    as in ``verify``.
     """
-    if d._record is not None:
-        return d._record.rows
-    return _stack([p.embedded for p in d.parts], d.order).reshape(len(d.parts), 3**d.order)
+    return _record_of(d).rows.sum(axis=0).reshape((3,) * d.order)
 
 
 def _record_of(d: Decomposition) -> _Record:
-    """The record of ``d``, or for any other decomposition one stacked from
-    its parts, as ``_image_rows`` and ``_deviator_stacks`` stack them."""
+    """The arrays of ``d``: its record, or for a hand-built decomposition or
+    any copy (which holds no record), ``_stacked`` of its parts.  This is
+    the only way library code reads a decomposition's arrays, so what is
+    read is always what the parts store."""
     if d._record is not None:
         return d._record
-    rows = _image_rows(d)
-    orders = tuple([p.s for p in d.parts])
-    stacks = _deviator_stacks(orders, [p.deviator for p in d.parts])
-    return _Record(rows, orders, tuple([p.J for p in d.parts]), stacks)
+    parts = d.parts
+    return _stacked(d.order, [p.s for p in parts], [p.J for p in parts],
+                    [p.deviator for p in parts], [p.embedded for p in parts])
 
 
-def _stack(tensors: list, order: int) -> np.ndarray:
-    """New (k,) + (3,)*order array of the given tensors; raises the error of
+def _stack(tensors, order: int) -> np.ndarray:
+    """New (k, 3^order) array whose row i is the i-th of the k given
+    tensors, converted as ``as_tensor`` converts it; raises the error of
     ``as_tensor`` for the first one of another shape."""
-    shape = (len(tensors),) + (3,) * order
-    try:
-        stack = np.array(tensors, dtype=float)
-    except ValueError:  # ragged
-        stack = None
-    if stack is not None and (stack.shape == shape or not tensors):
-        return stack.reshape(shape)
-    for x in tensors:
-        as_tensor(x, order=order)
-    raise ValueError(f"expected {len(tensors)} order-{order} tensors")
+    shape = (3,) * order
+    if not all([np.shape(x) == shape for x in tensors]):  # before 3^order doubles are taken
+        for x in tensors:
+            as_tensor(x, order=order)
+        raise ValueError(f"expected {len(tensors)} order-{order} tensors")
+    stack = np.empty((len(tensors), 3**order))
+    if tensors:
+        np.stack(tensors, out=stack.reshape((len(tensors),) + shape), casting="unsafe")
+    return stack
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, IrreduciblePart, _deviator_stacks, _from_rows
+from .decomposition import Decomposition, _from_rows, _stacked
 
 __all__ = [
     "fmt_float",
@@ -85,10 +85,8 @@ def _check_number(x, context: str, where: str) -> None:
         _fail(context, f"{where} is not a finite number: {x!r}")
 
 
-def _tensor_from_obj(obj, context: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Tensor of a ``{"order", "components"}`` object.  The components are
-    written into ``out`` when it has 3^order entries, else into a new array;
-    the result has the tensor's shape."""
+def _tensor_from_obj(obj, context: str) -> np.ndarray:
+    """New tensor of a ``{"order", "components"}`` object."""
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         _fail(context, f"field 'order' must be a non-negative integer, got {order!r}")
@@ -103,8 +101,7 @@ def _tensor_from_obj(obj, context: str, out: np.ndarray | None = None) -> np.nda
             context,
             f"field 'components' has length {len(components)}, expected 3^{order} = {expected}",
         )
-    if out is None or out.size != expected:
-        out = np.empty(expected)
+    out = np.empty(expected)
     if not _fill(out, components):
         # name the first bad component
         for i, c in enumerate(components):
@@ -163,6 +160,11 @@ def decomposition_to_json(d: Decomposition) -> str:
 
 
 def decomposition_from_json(text: str, context: str = "decomposition") -> Decomposition:
+    """The decomposition of a decomposition JSON text; each error names the
+    field at fault.  Every order has at least one part, so a file needs one.
+    The parts read are stacked by ``_stacked`` into the record of the
+    result, which ``reconstruct`` and ``verify`` then read in place, as they
+    read ``decompose`` output."""
     obj = _loads(text, context)
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -170,14 +172,8 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
     raw_parts = _get(obj, "parts", context)
     if not isinstance(raw_parts, list):
         _fail(context, "field 'parts' must be an array")
-    # The embedded images are read into the rows of one array, which the
-    # decomposition records.  A text too short to hold that many components
-    # cannot be a valid file; its parts get arrays of their own and fail one
-    # by one.  The order is bounded by the text length first, so that
-    # 3**order stays small for any input.
-    images = None
-    if raw_parts and order <= len(text).bit_length() and len(raw_parts) * 3**order <= len(text):
-        images = np.empty((len(raw_parts), 3**order))
+    if not raw_parts:
+        _fail(context, "field 'parts' is empty; every order has at least one part")
     read = []
     for i, raw in enumerate(raw_parts):
         where = f"{context}: parts[{i}]"
@@ -187,20 +183,13 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 _fail(where, f"field {name!r} must be a non-negative integer, got {value!r}")
         deviator = _tensor_from_obj(_get(raw, "deviator", where), f"{where}.deviator")
-        embedded = _tensor_from_obj(
-            _get(raw, "embedded", where),
-            f"{where}.embedded",
-            out=None if images is None else images[i],
-        )
+        embedded = _tensor_from_obj(_get(raw, "embedded", where), f"{where}.embedded")
         if deviator.ndim != s:
             _fail(where, f"deviator order {deviator.ndim} does not match s = {s}")
         if embedded.ndim != order:
             _fail(where, f"embedded order {embedded.ndim} does not match tensor order {order}")
         read.append((s, j, deviator, embedded))
-    if images is None:  # no parts; a text too short for the rows failed above
-        return Decomposition(order=order, parts=tuple(IrreduciblePart(*p) for p in read))
-    orders, labels, deviators, _ = zip(*read)
-    return _from_rows(order, orders, labels, _deviator_stacks(orders, deviators), images)
+    return _from_rows(order, _stacked(order, *zip(*read)))
 
 
 def save_decomposition(path, d: Decomposition) -> None:

@@ -29,6 +29,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv):
+    """The CLI run as a process, so that an escaped exception would show as
+    a traceback on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "deviatoric.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_counts_table_row(capsys):
     code, out, _ = run(capsys, "counts", "--order", "6")
     assert code == 0
@@ -235,6 +246,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert "line 1 column 1" in err
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+def test_decomposition_file_without_parts_exits_2(tmp_path, command):
+    # every order has at least one part; read as a file without any, an
+    # order-20 one would have taken 3^20 doubles
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"order": 20, "parts": []}')
+    proc = run_process(command, "--input", str(empty))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "field 'parts' is empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_non_finite_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "nan.json"
     bad.write_text('{"order": 1, "components": [0.5, NaN, 1]}')
@@ -370,13 +394,7 @@ def test_coupling_at_the_float_limit(tmp_path, fmt):
     h = h + h.swapaxes(0, 1)
     h_path, out_path = tmp_path / "h.json", tmp_path / "parts.json"
     save_tensor(h_path, h / np.abs(h).max() * 1.7e308)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "deviatoric.cli", "coupling", "--input", str(h_path),
-         "--output", str(out_path), "--format", fmt],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_process("coupling", "--input", str(h_path), "--output", str(out_path), "--format", fmt)
     assert proc.returncode in (0, 2), proc.stderr
     assert "Traceback" not in proc.stderr
 

@@ -17,12 +17,13 @@ from numpy.testing import assert_allclose
 from deviatoric import (
     Decomposition,
     IrreduciblePart,
+    assemble_order3,
+    assemble_order4,
     build_basis,
     combine_deviator_triple,
     count_parts,
     counts_row,
     decompose,
-    decompose_order2,
     from_coords,
     is_deviator,
     part_orders,
@@ -42,9 +43,9 @@ from deviatoric.decomposition import (
     _change_of_basis,
     _coordinates_and_images,
     _forward,
-    _image_rows,
     _max_cross_correlation,
     _plan,
+    _record_of,
     _regroup,
     _span_defects,
 )
@@ -287,7 +288,7 @@ def test_rotation_equivariance(order):
 def test_decompose_order2_closed_form():
     t = np.zeros((3, 3))
     t[0, 1] = 1.0
-    d = decompose_order2(t)
+    d = decompose(t)
     alpha, spin, dev = d.parts
     assert alpha.s == 0 and spin.s == 1 and dev.s == 2
     assert float(alpha.deviator) == pytest.approx(0.0)
@@ -300,7 +301,7 @@ def test_decompose_order2_closed_form():
 def test_decompose_order2_general():
     rng = np.random.default_rng(17)
     t = rng.standard_normal((3, 3))
-    alpha, spin, dev = decompose_order2(t).parts
+    alpha, spin, dev = decompose(t).parts
     assert float(alpha.deviator) == pytest.approx(np.trace(t) / 3.0)
     assert_allclose(spin.deviator, 0.5 * np.einsum("ijs,ij->s", _EPSILON, t), atol=1e-14)
     assert_allclose(dev.deviator, 0.5 * (t + t.T) - (np.trace(t) / 3.0) * np.eye(3), atol=1e-14)
@@ -527,7 +528,7 @@ def test_verify_transient_memory_is_bounded():
 def test_verify_reads_loaded_images_in_place():
     t = np.random.default_rng(44).standard_normal((3,) * 7)
     d = decomposition_from_json(decomposition_to_json(decompose(t)))
-    assert _image_rows(d) is d.parts[0].embedded.base
+    assert _record_of(d).rows is d.parts[0].embedded.base
     verify(d, t)
     tracemalloc.start()
     try:
@@ -545,7 +546,7 @@ def replaced_embedded(d, k, embedded):
 def test_image_rows_are_read_in_place_or_copied():
     t = np.random.default_rng(45).standard_normal((3,) * 5)
     d = decompose(t)
-    rows = _image_rows(d)
+    rows = _record_of(d).rows
     assert rows.shape == (len(d.parts), 3**5)
     assert all(p.embedded.base is rows for p in d.parts)
     np.testing.assert_array_equal(rows, np.stack([p.embedded.ravel() for p in d.parts]))
@@ -557,7 +558,7 @@ def test_image_rows_are_read_in_place_or_copied():
             for p in d.parts
         ),
     )
-    assert not np.shares_memory(_image_rows(copied), rows)
+    assert not np.shares_memory(_record_of(copied).rows, rows)
     assert verify(copied, t) == verify(d, t)
 
     # each of these shares memory with the rows of d, but image i is not
@@ -568,20 +569,22 @@ def test_image_rows_are_read_in_place_or_copied():
     transposed = replaced_embedded(d, 0, d.parts[0].embedded.transpose(1, 0, 2, 3, 4))
     shifted = replaced_embedded(d, 0, rows.ravel()[1 : 1 + 3**5].reshape((3,) * 5))
     for edited in (moved, dropped, other_row, transposed, shifted):
-        got = _image_rows(edited)
+        got = _record_of(edited).rows
         assert got is not rows
         np.testing.assert_array_equal(got, np.stack([p.embedded.ravel() for p in edited.parts]))
     assert verify(moved, t).max_cross_correlation <= 1e-10
     listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
     assert verify(listed, t) == verify(d, t)
-    empty = verify(Decomposition(order=d.order, parts=()), np.zeros_like(t))
-    assert empty.max_cross_correlation == 0.0 and not empty.counts_ok
+    empty = Decomposition(order=d.order, parts=())
+    np.testing.assert_array_equal(reconstruct(empty), np.zeros_like(t))
+    report = verify(empty, np.zeros_like(t))
+    assert report.max_cross_correlation == 0.0 and not report.counts_ok
     assert verify(other_row, reconstruct(other_row)).max_cross_correlation == pytest.approx(1.0)
 
 
 def assert_rows_are_recorded(d):
     """``d`` records its image rows, and part i's image is a view of row i."""
-    rows = _image_rows(d)
+    rows = _record_of(d).rows
     assert rows is d._record.rows
     assert rows.shape == (len(d.parts), 3**d.order)
     for row, p in zip(rows, d.parts):
@@ -609,7 +612,7 @@ def test_copies_record_no_rows(kind):
     d = decompose(t)
     c = COPIES[kind](d)
     assert c._record is None
-    assert np.array_equal(_image_rows(c), np.stack([p.embedded.ravel() for p in c.parts]))
+    assert np.array_equal(_record_of(c).rows, np.stack([p.embedded.ravel() for p in c.parts]))
     assert verify(c, t).passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
     # other than the ones stored in the parts would still pass
@@ -644,14 +647,51 @@ def counting_part_constructions(monkeypatch) -> list:
 @pytest.mark.parametrize("order", [4, 7])
 def test_decompose_reconstruct_verify_builds_no_part(order, monkeypatch):
     t = np.random.default_rng(64 + order).standard_normal((3,) * order)
-    loaded = decomposition_from_json(decomposition_to_json(decompose(t)))
+    text = decomposition_to_json(decompose(t))
     built = counting_part_constructions(monkeypatch)
+    loaded = decomposition_from_json(text)
     d = decompose(t)
     assert verify(d, reconstruct(d)).passes(1e-10)
     assert verify(loaded, reconstruct(loaded)).passes(1e-10)
     assert d.counts() == loaded.counts() == {s: c for s, c in enumerate(counts_row(order)) if c}
     assert built == []
     assert len(d.parts) == len(built) == sum(counts_row(order))
+
+
+ASSEMBLERS = [(3, assemble_order3), (4, assemble_order4)]
+
+
+@pytest.mark.parametrize("order, assemble", ASSEMBLERS)
+def test_assemble_builds_no_part(order, assemble, monkeypatch):
+    t = np.random.default_rng(70 + order).standard_normal((3,) * order)
+    d = decompose(t)
+    built = counting_part_constructions(monkeypatch)
+    assert_allclose(assemble(d), t, atol=1e-12)
+    assert built == []
+
+
+@pytest.mark.parametrize("order, assemble", ASSEMBLERS)
+def test_assemble_reads_every_form_alike(order, assemble):
+    rng = np.random.default_rng(73 + order)
+    for _ in range(5):
+        d = decompose(rng.standard_normal((3,) * order))
+        loaded = decomposition_from_json(decomposition_to_json(d))
+        forms = (d, loaded, pickle.loads(pickle.dumps(d)), list(d.parts))
+        got = [assemble(form).tobytes() for form in forms]
+        assert got == got[:1] * len(forms)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3, 3), (9, 3)])
+def test_reconstruct_reads_the_deviators_as_verify_does(shape):
+    t = np.random.default_rng(75).standard_normal((3,) * 3)
+    d = decompose(t)
+    k = next(i for i, p in enumerate(d.parts) if p.s == 3)
+    bad = with_parts(d, {k: (np.zeros(shape), d.parts[k].embedded)})
+    with pytest.raises(ValueError) as from_verify:
+        verify(bad, t)
+    with pytest.raises(ValueError) as from_reconstruct:
+        reconstruct(bad)
+    assert str(from_reconstruct.value) == str(from_verify.value)
 
 
 def eager_copy(d):
@@ -914,7 +954,7 @@ def test_other_layouts_take_the_gram(monkeypatch):
 
     monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
     report = verify(moved, t)
-    assert report.max_cross_correlation == _max_cross_correlation(_image_rows(moved))
+    assert report.max_cross_correlation == _max_cross_correlation(_record_of(moved).rows)
     assert report.passes(1e-10)
 
 

@@ -24,7 +24,7 @@ from deviatoric import (
     voigt_to_json,
     voigt_to_text,
 )
-from deviatoric.decomposition import _image_rows
+from deviatoric.decomposition import _record_of
 from deviatoric.serialization import fmt_float
 
 
@@ -216,7 +216,7 @@ def test_loaded_images_are_rows_of_one_array(tmp_path):
     path = tmp_path / "d.json"
     save_decomposition(path, decompose(t))
     d = load_decomposition(path)
-    rows = _image_rows(d)
+    rows = _record_of(d).rows
     assert rows.shape == (len(d.parts), 3**4)
     assert all(p.embedded.base is rows for p in d.parts)
 
@@ -224,7 +224,7 @@ def test_loaded_images_are_rows_of_one_array(tmp_path):
 def test_loaded_decomposition_records_its_image_rows():
     t = np.random.default_rng(47).standard_normal((3,) * 5)
     d = decomposition_from_json(decomposition_to_json(decompose(t)))
-    rows = _image_rows(d)
+    rows = _record_of(d).rows
     assert rows is d._record.rows
     for row, p in zip(rows, d.parts):
         assert p.embedded.base is rows
@@ -232,9 +232,9 @@ def test_loaded_decomposition_records_its_image_rows():
     assert verify(d, t).passes(1e-10)
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     assert verify(d, reconstruct(d)).max_cross_correlation > 1e-3
-    empty = decomposition_from_json('{"order": 3, "parts": []}')
-    assert empty.parts == () and empty._record is None
-    np.testing.assert_array_equal(reconstruct(empty), np.zeros((3, 3, 3)))
+    # every order has at least one part
+    with pytest.raises(ValueError, match="field 'parts' is empty"):
+        decomposition_from_json('{"order": 3, "parts": []}')
 
 
 @pytest.mark.parametrize(
