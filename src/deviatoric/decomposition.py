@@ -36,6 +36,19 @@ the 9^(n-1) doubles of E_{n-1} (4.3 MB at order 7), not the 9^n of E_n.
 The matrices E_0 .. E_{n-1} are built once each and cached, each from the
 one below by the same rule.
 
+The arrays are laid out by group, so that the engine works on all the
+parents of one order s at once:
+
+* E_m takes its slots in order of s, and of J within each s.  So the rows
+  of all the order-s slots of E_{n-1} are one contiguous block, which the
+  group of order-s parents reads as a (parents, 2s+1, 3^(n-1)) view.
+* The image rows of an order-n decomposition, and its coordinates, are in
+  plan order: grouped by parent order s, then by parent (in order of J),
+  then by child.  So each group writes its children's images with one
+  stacked product into a contiguous block of rows.  ``_layout(n).row_of``
+  gives the row of each part; ``parts`` and every public order stay in
+  traversal order.
+
 ``combine_deviator_triple`` maps a triple (d_lo, d_mid, d_hi) of orders
 (n-1, n, n+1) to the order-(n+1) tensor
 
@@ -159,9 +172,16 @@ class IrreduciblePart:
 
 
 class _Record(NamedTuple):
-    """The arrays of a decomposition's parts, in part order."""
+    """The arrays of a decomposition's parts.
 
-    rows: np.ndarray  # (parts, 3^n): row i is the image of part i
+    The image of part i is row ``row_of[i]`` of ``rows``.  For parts in the
+    layout of ``decompose`` (``_has_plan_layout``) the rows are in plan order
+    and ``row_of`` is ``_layout(n).row_of``; for any other parts they are in
+    part order.
+    """
+
+    rows: np.ndarray  # (parts, 3^n) images
+    row_of: np.ndarray  # (parts,) the row of each part's image
     orders: tuple[int, ...]  # s of each part
     labels: tuple[int, ...]  # J of each part
     stacks: tuple  # per deviator order s: (s, (J_s,) part indices, (J_s, 3^s) deviators)
@@ -172,14 +192,14 @@ class Decomposition:
     """The parts of an order-n tensor.
 
     The output of ``decompose`` and ``load_decomposition`` is made by
-    ``_from_rows`` and records its parts as arrays: the images as the rows of
-    one (parts, 3^n) array and the deviators as one stack per deviator
-    order.  ``reconstruct`` and ``verify`` read those arrays, and ``parts``
-    is built from them on first access, then stored; each ``deviator`` and
-    ``embedded`` is a view of its row, so an in-place edit of a part is an
-    edit of the record.  A hand-built decomposition, or any copy (pickle,
-    ``copy``, ``deepcopy``, ``dataclasses.replace``), holds its parts and no
-    record.
+    ``_from_rows`` and records its parts as arrays (``_Record``): the images
+    as the rows of one (parts, 3^n) array, in plan order, and the deviators
+    as one stack per deviator order.  ``reconstruct`` and ``verify`` read
+    those arrays, and ``parts`` is built from them on first access, then
+    stored; each ``deviator`` and ``embedded`` is a view of its row, so an
+    in-place edit of a part is an edit of the record.  A hand-built
+    decomposition, or any copy (pickle, ``copy``, ``deepcopy``,
+    ``dataclasses.replace``), holds its parts and no record.
     """
 
     order: int
@@ -190,15 +210,17 @@ class Decomposition:
         # only a decomposition made by ``_from_rows`` lacks ``parts``
         if name != "parts" or self._record is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, orders, labels, stacks = self._record
+        rows, row_of, orders, labels, stacks = self._record
         deviators: list = [None] * len(orders)
         for s, index, stack in stacks:
             for i, deviator in zip(index.tolist(), _views(stack, s)):
                 deviators[i] = deviator
+        images = _views(rows, self.order)
+        images = [images[r] for r in row_of.tolist()]
         # a list first: tuple() of an iterator of unknown length resizes its
         # result, and CPython keeps each freed tuple of under 20 items on a
         # per-size free list of up to 2000 that resizing never draws from
-        parts = list(map(IrreduciblePart, orders, labels, deviators, _views(rows, self.order)))
+        parts = list(map(IrreduciblePart, orders, labels, deviators, images))
         object.__setattr__(self, "parts", tuple(parts))
         return self.parts
 
@@ -347,26 +369,63 @@ def _regroup(s: int) -> np.ndarray:
     return f
 
 
+class _Layout(NamedTuple):
+    """Where the parts of an order-n decomposition go; no array of E is
+    needed to know it."""
+
+    orders: tuple[int, ...]  # s of each part, in traversal order
+    labels: tuple[int, ...]  # J of each part
+    row_of: np.ndarray  # (parts,) the image row of each part, in plan order
+    slot_of: np.ndarray  # (parts,) the first row of each part's slot in E_n
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    """The order-n layout.  E_n takes its slots in order of (s, J), and the
+    image rows are in plan order: by parent order, then parent, then child."""
+    orders = np.array(part_orders(n))
+    widths = 2 * orders + 1
+    labels = np.empty(len(orders), dtype=int)
+    for s in set(orders.tolist()):
+        index = np.flatnonzero(orders == s)
+        labels[index] = np.arange(1, len(index) + 1)
+    slot_of = np.empty(len(orders), dtype=int)
+    by_slot = np.argsort(orders, kind="stable")
+    slot_of[by_slot] = np.cumsum(widths[by_slot]) - widths[by_slot]
+    by_row = np.zeros(1, dtype=int)
+    if n:
+        parents = part_orders(n - 1)
+        parent_order = np.repeat(parents, [len(_children(s)) for s in parents])
+        by_row = np.argsort(parent_order, kind="stable")
+    row_of = np.empty(len(orders), dtype=int)
+    row_of[by_row] = np.arange(len(orders))
+    _read_only(row_of, slot_of)
+    return _Layout(part_orders(n), tuple(labels.tolist()), row_of, slot_of)
+
+
 @lru_cache(maxsize=None)
 def _change_of_basis(n: int) -> np.ndarray:
     """The order-n change of basis E.
 
     Row r of the read-only (3^n, 3^n) matrix is the flattened embedded image
-    of one orthonormal basis deviator of one slot; slots follow
-    ``part_orders(n)`` and take 2s+1 consecutive rows each.  ``decompose``
-    of order n reads the order-(n-1) matrix through ``_plan(n)``.
+    of one orthonormal basis deviator of one slot.  Each slot takes 2s+1
+    consecutive rows, from ``_layout(n).slot_of``: the slots come in order
+    of s, and of J within each s, so the slots of one order are one block.
+    ``decompose`` of order n reads the order-(n-1) matrix through ``_plan(n)``.
     """
     if n == 0:
         rows = np.ones((1, 1))
     else:
-        prev = _change_of_basis(n - 1)
+        prev, parents, children = _change_of_basis(n - 1), _layout(n - 1), _layout(n)
         rows = np.empty((3**n, 3**n))
-        p = 0
-        for s in part_orders(n - 1):
-            f = _regroup(s)  # a parent's rows start at p, its children's at 3p
-            block = rows[3 * p : 3 * p + len(f)].reshape(len(f), 3, -1)
-            np.matmul(f, prev[p : p + 2 * s + 1], out=block)
-            p += 2 * s + 1
+        out = iter(children.slot_of.tolist())  # the children of each parent, in traversal order
+        for s, p in zip(parents.orders, parents.slot_of.tolist()):
+            f = _regroup(s)
+            block, r = prev[p : p + 2 * s + 1], 0
+            for c in _children(s):
+                q, w = next(out), 2 * c + 1
+                np.matmul(f[r : r + w], block, out=rows[q : q + w].reshape(w, 3, -1))
+                r += w
     rows.flags.writeable = False
     return rows
 
@@ -375,30 +434,35 @@ class _Group(NamedTuple):
     """The order-(n-1) slots of one deviator order s, as parents of their
     order-n children.
 
-    A parent whose rows of E_{n-1} start at row p has its children's 3(2s+1)
-    rows of E_n start at row 3p.  Position 3(p+j)+k of y, the three products
-    E_{n-1} t[k] interleaved, holds (E_{n-1} t[k])_{p+j}.  So one index
-    array gathers a parent's slice coordinates from y and places its
-    children's coordinates in c.  A parent's children are consecutive
-    parts, so their image slices are consecutive rows 3i+k of the slice view.
+    The parents are a contiguous block of the slots of E_{n-1}, so their
+    rows are one (parents, 2s+1, 3^(n-1)) view ``blocks``, and their
+    slice coordinates one block of y, the three products E_{n-1} t[k]
+    interleaved: position 3(r+j)+k of y holds (E_{n-1} t[k])_{r+j}.  The
+    children's coordinates take the same positions in c, and their images
+    one block of the image rows: by parent, then by child, each image three
+    consecutive slices.
     """
 
-    rows: np.ndarray  # (P_s, 3 width) positions in y and in c
+    slots: slice  # the parents among the slots of E_{n-1}
+    coords: slice  # positions of the parents' slice coordinates in y, and of the children's in c
+    images: slice  # the children's image rows
     to_children: np.ndarray  # (3 width, 3 width): slice coordinates -> E_n t
-    norms: np.ndarray  # (P_s, 3 width) lambda of the children's rows
+    norms: np.ndarray  # (parents, 3 width) lambda of the children's rows
     to_images: np.ndarray  # (3 width, children * 3 width): c -> image coefficients
     width: int  # 2s+1
-    parents: np.ndarray  # (P_s,) indices into part_orders(n-1)
-    parts: np.ndarray  # (P_s, children) indices into part_orders(n)
+    children: int  # children per parent
     pairs: tuple  # np.triu_indices(children, 1): the sibling pairs i < j
-    blocks: tuple  # per parent: its rows of E_{n-1}
+    blocks: np.ndarray  # (parents, width, 3^(n-1)) view of E_{n-1}
 
 
 class _Plan(NamedTuple):
-    """What ``decompose`` needs for order n, built once per order."""
+    """What ``decompose`` needs for order n, built once per order: the
+    layout and the arrays."""
 
     orders: tuple[int, ...]  # s of each part, in traversal order
     labels: tuple[int, ...]  # J of each part
+    row_of: np.ndarray  # (parts,) the image row of each part
+    slot_of: np.ndarray  # (parts,) the first row of each part's slot in E_n
     prev: np.ndarray | None  # E_{n-1}; None for n = 0
     groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
     deviators: tuple  # per order s: (s, (J_s,) part indices, (J_s, 2s+1) positions in c, B_s.flat)
@@ -421,70 +485,70 @@ def _plan(n: int) -> _Plan:
     of E_{n-1, p} are orthogonal (Schur's lemma), so lambda_r =
     sum_{k,j} F[r, k, j]^2 lam_{p,j}, lam the squared row norms of E_{n-1}.
     """
-    orders = part_orders(n)
-    starts = np.cumsum([0] + [2 * s + 1 for s in orders])
-    labels = np.empty(len(orders), dtype=int)
+    layout = _layout(n)
+    orders = np.array(layout.orders)
+    # c holds each image row's 2s+1 coordinates, in plan order
+    by_row = np.argsort(layout.row_of)
+    widths = 2 * orders[by_row] + 1
+    starts = np.empty(len(orders), dtype=int)
+    starts[by_row] = np.cumsum(widths) - widths
     deviators = []
-    for s in sorted(set(orders)):
-        index = np.flatnonzero(np.equal(orders, s))
-        labels[index] = np.arange(1, len(index) + 1)
-        rows = starts[index][:, None] + np.arange(2 * s + 1)
-        _read_only(index, rows)
-        deviators.append((s, index, rows, build_basis(s).flat))
-    plan = _Plan(orders, tuple(labels.tolist()), None, (), tuple(deviators))
+    for s in sorted(set(layout.orders)):
+        index = np.flatnonzero(orders == s)
+        positions = starts[index][:, None] + np.arange(2 * s + 1)
+        _read_only(index, positions)
+        deviators.append((s, index, positions, build_basis(s).flat))
+    plan = _Plan(*layout, None, (), tuple(deviators))
     if n == 0:
         return plan
 
     prev = _change_of_basis(n - 1)
     lam = np.einsum("ij,ij->i", prev, prev)
-    parents = part_orders(n - 1)
-    prev_starts = np.cumsum([0] + [2 * s + 1 for s in parents])
-    first_child = np.cumsum([0] + [len(_children(s)) for s in parents])
     groups = []
-    for s in sorted(set(parents)):
+    slot = row = image = 0
+    for s, count in enumerate(counts_row(n - 1)):
+        if not count:
+            continue
         width, children = 2 * s + 1, _children(s)
-        index = np.flatnonzero(np.equal(parents, s))
-        firsts = prev_starts[index]
+        rows = slice(row, row + count * width)
         f = _regroup(s)  # (3 width, 3, width)
-        parent_rows = firsts[:, None] + np.arange(width)
-        rows = 3 * firsts[:, None] + np.arange(3 * width)
-        norms = lam[parent_rows] @ (f * f).sum(axis=1).T
+        norms = lam[rows].reshape(count, width) @ (f * f).sum(axis=1).T
         to_children = f.transpose(2, 1, 0).reshape(3 * width, 3 * width)
         # row r of c_g, a coordinate of child i, puts F[r] in column block i
         child = np.repeat(np.arange(len(children)), [2 * c + 1 for c in children])
         to_images = np.zeros((3 * width, len(children), 3 * width))
         to_images[np.arange(3 * width), child] = f.reshape(3 * width, -1)
         to_images = to_images.reshape(3 * width, -1)
-        parts = first_child[index][:, None] + np.arange(len(children))
-        blocks = tuple(prev[p : p + width] for p in firsts.tolist())
+        blocks = prev[rows].reshape(count, width, -1)
         pairs = np.triu_indices(len(children), 1)
-        _read_only(rows, to_children, norms, to_images, index, parts, *pairs)
-        groups.append(
-            _Group(rows, to_children, norms, to_images, width, index, parts, pairs, blocks)
-        )
+        _read_only(to_children, norms, to_images, *pairs)
+        groups.append(_Group(
+            slice(slot, slot + count), slice(3 * rows.start, 3 * rows.stop),
+            slice(image, image + count * len(children)), to_children, norms, to_images,
+            width, len(children), pairs, blocks,
+        ))
+        slot, row, image = slot + count, rows.stop, image + count * len(children)
     return plan._replace(prev=prev, groups=tuple(groups))
 
 
 def _coordinates_and_images(plan: _Plan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coordinates c = E_n t / lambda of an order-n ``t`` and the
-    (parts, 3^n) array of its embedded images, image i in row i, from the
-    order-n ``plan``."""
+    (parts, 3^n) array of its embedded images, both in plan order, from the
+    order-n ``plan``: one product over E_{n-1}, then two small products and
+    one stacked product per group."""
     n = t.ndim
     if n == 0:
         images = np.array([[float(t)]])
         return images[0], images
-    # y[3p + k] = (E_{n-1} t[k])_p, one product over the order-(n-1) matrix;
-    # each group then overwrites its positions with the coordinates
+    # y[3r + k] = (E_{n-1} t[k])_r, one product over the order-(n-1) matrix;
+    # each group then overwrites its block with the coordinates
     c = np.dot(plan.prev, t.reshape(3, -1).T).ravel()
     images = np.empty((len(plan.orders), 3**n))
-    slices = images.reshape(-1, 3 ** (n - 1))  # row 3i + k: slice k of image i
     for g in plan.groups:
-        c_g = np.dot(c[g.rows], g.to_children)
-        c_g /= g.norms
-        c[g.rows] = c_g
+        c_g = c[g.coords].reshape(g.norms.shape)
+        np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
         coeffs = np.dot(c_g, g.to_images).reshape(len(g.blocks), -1, g.width)
-        for a, block, first in zip(coeffs, g.blocks, (3 * g.parts[:, 0]).tolist()):
-            np.dot(a, block, out=slices[first : first + len(a)])
+        np.matmul(coeffs, g.blocks, out=images[g.images].reshape(len(g.blocks), -1, 3 ** (n - 1)))
     return c, images
 
 
@@ -512,21 +576,27 @@ def _stacked(order: int, orders, labels, deviators, images) -> _Record:
     order-``order`` embedded images, given in part order.
 
     This is the only code that stacks loose tensors into a record: the
-    images into the rows of one new (parts, 3^order) array, and the
-    deviators of each order s into one new (J_s, 3^s) array.  Each array
-    owns its buffer, so the parts built from the record are views with that
-    array as ``base``.  Raises the error of ``as_tensor`` for the first
-    image, then the first deviator of each order, of another shape than its
-    order's.
+    images into the rows of one new (parts, 3^order) array, in plan order
+    for parts in the layout of ``decompose`` and in part order for any
+    other, and the deviators of each order s into one new (J_s, 3^s) array.
+    Each array owns its buffer, so the parts built from the record are views
+    with that array as ``base``.  Raises the error of ``as_tensor`` for the
+    first image in row order, then the first deviator of each order, of
+    another shape than its order's.
     """
-    orders = tuple(orders)
-    rows = _stack(images, order)
+    orders, labels = tuple(orders), tuple(labels)
+    if _has_plan_layout(orders, labels, order):
+        row_of = _layout(order).row_of
+        rows = _stack([images[i] for i in np.argsort(row_of).tolist()], order)
+    else:
+        row_of = np.arange(len(orders))
+        rows = _stack(images, order)
     orders_array = np.array(orders, dtype=int)
     stacks = []
     for s in sorted(set(orders)):
         index = np.flatnonzero(orders_array == s)
         stacks.append((s, index, _stack([deviators[i] for i in index], s)))
-    return _Record(rows, orders, tuple(labels), tuple(stacks))
+    return _Record(rows, row_of, orders, labels, tuple(stacks))
 
 
 def decompose(t) -> Decomposition:
@@ -534,16 +604,17 @@ def decompose(t) -> Decomposition:
 
     Returns one part per (s, J) slot in deterministic traversal order; the
     embedded images sum to ``t`` and are mutually orthogonal.  The images are
-    the rows of one (parts, 3^n) array and the deviators of each order one
-    stack, which the decomposition records (see ``Decomposition``), so
-    ``reconstruct`` and ``verify`` read them all without a copy.
+    the rows of one (parts, 3^n) array, in plan order, and the deviators of
+    each order one stack, which the decomposition records (see
+    ``Decomposition``), so ``reconstruct`` and ``verify`` read them all
+    without a copy.
     """
     t = as_tensor(t)
     plan = _plan(t.ndim)
     c, images = _coordinates_and_images(plan, t)
     # a list first, as in ``Decomposition.__getattr__``
     stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
-    return _from_rows(t.ndim, _Record(images, plan.orders, plan.labels, stacks))
+    return _from_rows(t.ndim, _Record(images, plan.row_of, plan.orders, plan.labels, stacks))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
@@ -594,13 +665,18 @@ _GRAM_RANGE = (2.0**-600, 2.0**600)
 
 # ``verify`` certifies orthogonality by slot membership from this order up,
 # and reports the certified bound when it is at most ``_CERTIFIED_MAX``.
-# Below this order the Gram product measured faster.  Warm, on one BLAS
-# thread of a shared 2-core Xeon host, certificate (one fused pass per
-# parent) against Gram: 0.36-0.52 against 0.09-0.12 ms at order 5,
-# 0.79-1.15 against 0.55-0.74 ms at order 6, 4.1-4.2 against 9.5-9.9 ms at
-# order 7 and 34-35 against 172-187 ms at order 8.
+# Below this order the Gram product measured as fast or faster.  Warm, on
+# one BLAS thread of a shared 2-core Xeon host, certificate (one pass per
+# chunk of parents) against Gram: 0.26-0.42 against 0.06-0.10 ms at order
+# 5, 0.48-0.76 against 0.48-0.81 ms at order 6, 2.4-3.2 against 7.4-10.7 ms
+# at order 7 and 22-23 against 157-194 ms at order 8.
 _CERTIFY_FROM_ORDER = 7
 _CERTIFIED_MAX = 1e-13
+# doubles of image slices that the certificate takes at a time, in whole
+# parents.  Warm, on one BLAS thread of a shared 2-core Xeon host (4 MiB L2),
+# its pass took 2.3-2.7 ms at order 7 (9 parents a chunk) and 23-27 ms at
+# order 8 (3 parents), against 2.7-2.8 and 33-34 ms with 16 parents a chunk.
+_CERTIFY_CHUNK = 1 << 16
 # doubles of E_{n-1} E_{n-1}^T that ``_span_defects`` takes at a time
 _DEFECT_CHUNK = 1 << 17
 
@@ -610,10 +686,10 @@ class _SpanDefects(NamedTuple):
     and over all parents, with the rounding allowances of
     ``_certified_cross_correlation``."""
 
-    lam: np.ndarray  # (parents,) lambda_p
-    delta: np.ndarray  # (parents,) delta_p
+    lam: np.ndarray  # (parents,) lambda_p, in the slot order of E_{n-1}
+    delta: np.ndarray  # (parents,) delta_p, in the same order
     eta: float
-    slack: np.ndarray  # (parts,) rounding allowance of each rho
+    slack: np.ndarray  # (parts,) rounding allowance of each rho, in plan order
 
 
 @lru_cache(maxsize=None)
@@ -635,8 +711,9 @@ def _span_defects(n: int) -> _SpanDefects:
     (1 + delta_p)).
     """
     prev = _change_of_basis(n - 1)
-    starts = np.cumsum([0] + [2 * s + 1 for s in part_orders(n - 1)])
-    count = len(starts) - 1
+    widths = np.repeat(2 * np.arange(n) + 1, counts_row(n - 1))
+    starts = np.concatenate([[0], np.cumsum(widths)])
+    count = len(widths)
     lam = np.empty(count)
     defect = np.empty(count)
     squares = np.zeros((count, count))  # |B_p B_q^T|_F^2 for p < q
@@ -657,10 +734,10 @@ def _span_defects(n: int) -> _SpanDefects:
     np.fill_diagonal(squares, 0.0)
     eta = float(np.sqrt(np.max(squares / np.outer(sigma, sigma))))
     eps = np.finfo(float).eps
-    delta = defect / sigma + (3 * np.diff(starts) + 2) * eps
-    slack = np.empty(len(part_orders(n)))
+    delta = defect / sigma + (3 * widths + 2) * eps
+    slack = np.empty(sum(counts_row(n)))
     for g in _plan(n).groups:
-        slack[g.parts] = g.width**1.5 * eps
+        slack[g.images] = g.width**1.5 * eps
     _read_only(lam, delta, slack)
     return _SpanDefects(lam, delta, eta, slack)
 
@@ -673,7 +750,7 @@ def _pair_bound(inspan, rho_i, rho_j):
 
 def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
     """An upper bound on ``_max_cross_correlation(rows)`` for the image rows
-    of an order-n decomposition in ``_plan(n)`` layout, in O(9^n) flops;
+    of an order-n decomposition in ``_layout(n)``, in O(9^n) flops;
     inf when a row is not finite.  As in the Gram, a zero row pairs with no
     other.
 
@@ -691,46 +768,36 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
 
     lambda_p, delta_p, eta and the rounding slack of rho are
     ``_span_defects(n)``.  The bound holds for any rows, so an edited or
-    reordered image only makes it large.  The rows are taken as
-    ``_gram_rows`` gives them; apart from its copy, the work space is one
-    parent's slices.
+    reordered image only makes it large.  The squared norms of the images
+    come from the same pass as the residuals; when they are
+    ``_out_of_range``, the pass is taken again on ``_scaled_rows`` of the
+    rows, as ``_gram_rows`` would rescale them.
     """
-    rows, squares = _gram_rows(rows)
+    if n == 0:  # one image, which pairs with no other
+        return 0.0 if np.isfinite(rows).all() else np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # out of range: taken again, rescaled
+        squares, residuals, coefficients = _span_residuals(rows, n)
+        if _out_of_range(rows, squares):
+            rows = _scaled_rows(rows)[0]
+            squares, residuals, coefficients = _span_residuals(rows, n)
     if not squares.max(initial=0.0) < np.inf:
         return np.inf
     live = squares > 0.0
     if np.count_nonzero(live) < 2:
         return 0.0
     plan, defects = _plan(n), _span_defects(n)
-    slices = rows.reshape(-1, 3 ** (n - 1))  # row 3i + k: slice k of image i
-    residuals = np.empty((len(slices), 1, 1))  # |slice k of h_i|^2 at 3i + k
-    coefficients = []
-    for g in plan.groups:
-        span = 3 * g.parts.shape[1]  # slices of one parent's children
-        a = np.empty((len(g.blocks), span, g.width))
-        h = np.empty((span, slices.shape[1]))
-        # one pass per parent, while its slices are in cache
-        for a_p, lam, block, first in zip(
-            a, defects.lam[g.parents].tolist(), g.blocks, (3 * g.parts[:, 0]).tolist()
-        ):
-            s = slices[first : first + span]
-            np.dot(s, block.T, out=a_p)
-            np.dot(a_p / lam, block, out=h)
-            np.subtract(s, h, out=h)
-            np.matmul(h[:, None, :], h[:, :, None], out=residuals[first : first + span])
-        coefficients.append(a.reshape(len(g.blocks), g.parts.shape[1], -1))
     rho = np.zeros(len(rows))
-    np.divide(residuals.reshape(-1, 3).sum(axis=1), squares, out=rho, where=live)
+    np.divide(residuals, squares, out=rho, where=live)
     rho = np.sqrt(rho) + defects.slack
     norms = np.full(len(rows), np.inf)  # a zero row pairs with nothing
     np.sqrt(squares, out=norms, where=live)
     second, first = np.partition(rho, -2)[-2:]
     worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
     for a, g in zip(coefficients, plan.groups):
-        if g.parts.shape[1] < 2:
+        if g.children < 2:
             continue
-        lam, delta = defects.lam[g.parents], defects.delta[g.parents]
-        r, f = rho[g.parts], norms[g.parts]
+        lam, delta = defects.lam[g.slots], defects.delta[g.slots]
+        r, f = rho[g.images].reshape(-1, g.children), norms[g.images].reshape(-1, g.children)
         inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
         inspan /= lam[:, None, None] * f[:, :, None] * f[:, None, :]
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
@@ -739,16 +806,60 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
     return float(worst)
 
 
-def _gram_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and their squared norms, or the same of ``_scaled_rows(rows)``
-    when a row that is not all zero has a squared norm outside ``_GRAM_RANGE``
-    or of 0; so only an exactly zero row, in any units, pairs with no other."""
-    with np.errstate(over="ignore"):  # rescaled below
-        squares = np.einsum("ij,ij->i", rows, rows)
+def _span_residuals(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The squared norms |f_i|^2 and |h_i|^2 of the image rows, in plan
+    order, and per group the coefficients A, as (parents, children, 3w), of
+    ``_certified_cross_correlation``.
+
+    The slices of one group's parents are one block of the rows.  They are
+    taken about ``_CERTIFY_CHUNK`` doubles at a time, in whole parents, so
+    each chunk is read once from memory for its norms and its two products;
+    the work space is one chunk's slices.
+    """
+    plan, lam = _plan(n), _span_defects(n).lam
+    size = 3 ** (n - 1)
+    # |slice k of f_i|^2 and of h_i|^2 at 3i + k
+    squares, residuals = np.empty((2, 3 * len(rows), 1, 1))
+    work = np.empty(max(_CERTIFY_CHUNK, 9 * size))  # h of a chunk: at most 9 slices a parent
+    coefficients = []
+    for g in plan.groups:
+        count = len(g.blocks)
+        slices = rows[g.images].reshape(count, 3 * g.children, size)
+        at = slice(3 * g.images.start, 3 * g.images.stop)
+        f2, h2 = (x[at].reshape(slices.shape[:2] + (1, 1)) for x in (squares, residuals))
+        lam_g = lam[g.slots, None, None]
+        a = np.empty(slices.shape[:2] + (g.width,))
+        step = max(1, _CERTIFY_CHUNK // slices[0].size)
+        for p in range(0, count, step):
+            chunk = slice(p, p + step)
+            s, block = slices[chunk], g.blocks[chunk]
+            h = work[: s.size].reshape(s.shape)
+            np.matmul(s[:, :, None, :], s[:, :, :, None], out=f2[chunk])
+            np.matmul(s, block.transpose(0, 2, 1), out=a[chunk])
+            np.matmul(a[chunk] / lam_g[chunk], block, out=h)
+            np.subtract(s, h, out=h)
+            np.matmul(h[:, :, None, :], h[:, :, :, None], out=h2[chunk])
+        coefficients.append(a.reshape(count, g.children, -1))
+    return squares.reshape(-1, 3).sum(axis=1), residuals.reshape(-1, 3).sum(axis=1), coefficients
+
+
+def _out_of_range(rows: np.ndarray, squares: np.ndarray) -> bool:
+    """Whether a row that is not all zero has a squared norm, given in
+    ``squares``, outside ``_GRAM_RANGE`` or of 0 (or one that is not a
+    number); such rows are rescaled before they are compared."""
     low, high = _GRAM_RANGE
     in_range = low <= squares.min(initial=low, where=squares > 0.0)
     in_range &= squares.max(initial=0.0) <= high
-    if not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0)):
+    return not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0))
+
+
+def _gram_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` and their squared norms, or the same of ``_scaled_rows(rows)``
+    when ``_out_of_range``; so only an exactly zero row, in any units, pairs
+    with no other."""
+    with np.errstate(over="ignore"):  # rescaled below
+        squares = np.einsum("ij,ij->i", rows, rows)
+    if _out_of_range(rows, squares):
         rows = _scaled_rows(rows)[0]
         squares = np.einsum("ij,ij->i", rows, rows)
     return rows, squares
@@ -759,7 +870,7 @@ def _max_cross_correlation(rows: np.ndarray) -> float:
     rows f of ``_gram_rows``, from one Gram product F F^T whose diagonal
     gives the squared norms: O(parts^2 * 3^n) flops and a (parts, parts)
     matrix.  ``verify`` takes it below ``_CERTIFY_FROM_ORDER``, for parts in
-    another layout than ``_plan(n)``'s, and where the certified bound
+    another layout than ``_layout(n)``'s, and where the certified bound
     exceeds ``_CERTIFIED_MAX``."""
     rows = _gram_rows(rows)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf entry
@@ -804,11 +915,11 @@ def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
 
 def _has_plan_layout(orders: tuple, labels: tuple, order: int) -> bool:
     """Whether parts of these orders s and labels J have the layout of
-    ``decompose``, ``_plan(order).orders`` and ``.labels``."""
-    if len(orders) != len(part_orders(order)):  # no E_{n-1} is built for a wrong count
+    ``decompose``, ``_layout(order).orders`` and ``.labels``."""
+    if len(orders) != sum(counts_row(order)):  # no layout is built for a wrong count
         return False
-    plan = _plan(order)
-    return orders == plan.orders and labels == plan.labels
+    layout = _layout(order)
+    return orders == layout.orders and labels == layout.labels
 
 
 def verify(d: Decomposition, t) -> VerifyReport:

@@ -43,13 +43,19 @@ from deviatoric.decomposition import (
     _change_of_basis,
     _coordinates_and_images,
     _forward,
+    _layout,
     _max_cross_correlation,
     _plan,
     _record_of,
     _regroup,
     _span_defects,
 )
-from deviatoric.serialization import decomposition_from_json, decomposition_to_json
+from deviatoric.serialization import (
+    decomposition_from_json,
+    decomposition_to_json,
+    load_decomposition,
+    save_decomposition,
+)
 
 # number of independent deviators of each order s for tensor order n <= 6
 COUNTS_TABLE = {
@@ -168,7 +174,7 @@ def test_change_of_basis_rows_are_orthogonal(order):
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() <= 1e-13 * norms.max()
     start = 0
-    for s in part_orders(order):
+    for s in sorted(part_orders(order)):  # E takes its slots in order of s, then J
         block = norms[start : start + 2 * s + 1]
         assert block.max() - block.min() <= 1e-13 * block.max()
         start += 2 * s + 1
@@ -546,10 +552,13 @@ def replaced_embedded(d, k, embedded):
 def test_image_rows_are_read_in_place_or_copied():
     t = np.random.default_rng(45).standard_normal((3,) * 5)
     d = decompose(t)
-    rows = _record_of(d).rows
+    record = _record_of(d)
+    rows = record.rows
     assert rows.shape == (len(d.parts), 3**5)
     assert all(p.embedded.base is rows for p in d.parts)
-    np.testing.assert_array_equal(rows, np.stack([p.embedded.ravel() for p in d.parts]))
+    np.testing.assert_array_equal(
+        rows[record.row_of], np.stack([p.embedded.ravel() for p in d.parts])
+    )
 
     copied = Decomposition(
         order=d.order,
@@ -569,9 +578,11 @@ def test_image_rows_are_read_in_place_or_copied():
     transposed = replaced_embedded(d, 0, d.parts[0].embedded.transpose(1, 0, 2, 3, 4))
     shifted = replaced_embedded(d, 0, rows.ravel()[1 : 1 + 3**5].reshape((3,) * 5))
     for edited in (moved, dropped, other_row, transposed, shifted):
-        got = _record_of(edited).rows
-        assert got is not rows
-        np.testing.assert_array_equal(got, np.stack([p.embedded.ravel() for p in edited.parts]))
+        got = _record_of(edited)
+        assert got.rows is not rows
+        np.testing.assert_array_equal(
+            got.rows[got.row_of], np.stack([p.embedded.ravel() for p in edited.parts])
+        )
     assert verify(moved, t).max_cross_correlation <= 1e-10
     listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
     assert verify(listed, t) == verify(d, t)
@@ -583,11 +594,14 @@ def test_image_rows_are_read_in_place_or_copied():
 
 
 def assert_rows_are_recorded(d):
-    """``d`` records its image rows, and part i's image is a view of row i."""
-    rows = _record_of(d).rows
+    """``d`` records its image rows, and part i's image is a view of its row
+    ``row_of[i]``."""
+    record = _record_of(d)
+    rows = record.rows
     assert rows is d._record.rows
     assert rows.shape == (len(d.parts), 3**d.order)
-    for row, p in zip(rows, d.parts):
+    for r, p in zip(record.row_of, d.parts):
+        row = rows[r]
         assert p.embedded.base is rows and p.embedded.shape == (3,) * d.order
         assert p.embedded.__array_interface__["data"] == row.__array_interface__["data"]
 
@@ -612,7 +626,9 @@ def test_copies_record_no_rows(kind):
     d = decompose(t)
     c = COPIES[kind](d)
     assert c._record is None
-    assert np.array_equal(_record_of(c).rows, np.stack([p.embedded.ravel() for p in c.parts]))
+    record = _record_of(c)
+    images = np.stack([p.embedded.ravel() for p in c.parts])
+    assert np.array_equal(record.rows[record.row_of], images)
     assert verify(c, t).passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
     # other than the ones stored in the parts would still pass
@@ -738,10 +754,10 @@ def test_in_place_edit_of_a_deviator_reaches_verify(load):
 
 
 def reference_reconstruct(d):
-    """The per-part loop that the row sum replaced."""
+    """The per-part loop that the row sum replaced, in the order of the rows."""
     total = np.zeros((3,) * d.order)
-    for p in d.parts:
-        total += p.embedded
+    for i in np.argsort(_record_of(d).row_of):
+        total += d.parts[i].embedded
     return total
 
 
@@ -944,6 +960,22 @@ def test_copies_report_what_their_original_reports(kind):
     assert not verify(c, reconstruct(c)).passes(1e-10)
 
 
+def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path):
+    """Loaded parts and parts built by hand in the layout of ``decompose``
+    are stacked in plan order, so they are certified as the original is."""
+    t = np.random.default_rng(496).standard_normal((3,) * 7)
+    d = decompose(t)
+    original = verify(d, t)
+    assert original.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
+    save_decomposition(tmp_path / "d.json", d)
+    for other in (load_decomposition(tmp_path / "d.json"), Decomposition(7, tuple(d.parts))):
+        report = verify(other, t)
+        for f in dataclasses.fields(report):
+            assert getattr(report, f.name) == getattr(original, f.name), f.name
+        rows = _record_of(other).rows
+        assert report.max_cross_correlation == _certified_cross_correlation(rows, 7)
+
+
 def test_other_layouts_take_the_gram(monkeypatch):
     t = np.random.default_rng(494).standard_normal((3,) * 7)
     d = decompose(t)
@@ -980,11 +1012,13 @@ def whole_gram_defects(prev, widths):
 def test_span_defects_match_the_whole_gram(order, monkeypatch):
     """Row chunks of one parent, of a few parents and of the default size
     find a coupling planted between two parents' rows, wherever the two lie."""
-    _plan(order)  # built from the true matrix before it is patched
+    plan = _plan(order)  # built from the true matrix before it is patched
     true = _change_of_basis(order - 1)
-    widths = [2 * s + 1 for s in part_orders(order - 1)]
+    # the slots of E_{n-1} in its row order, and the part index of each
+    widths = [2 * s + 1 for s in sorted(part_orders(order - 1))]
     starts = np.cumsum([0] + widths)
-    first_child = np.cumsum([0] + [1 if w == 1 else 3 for w in widths])
+    parents = np.argsort(_layout(order - 1).slot_of)
+    first_child = np.cumsum([0] + [1 if s == 0 else 3 for s in part_orders(order - 1)])
     last = len(widths) - 1
     try:
         for p, q in ((0, last), (last // 2, last // 2 + 1), (last, 1)):
@@ -1000,11 +1034,12 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
                 slack = (3 * np.array(widths) + 2) * np.finfo(float).eps
                 assert_allclose(got.lam, lam, rtol=1e-14)
                 assert_allclose(got.delta, delta + slack, rtol=1e-6, atol=1e-14)
-                for g in _plan(order).groups:
-                    assert g.parts.shape[1] == (1 if g.width == 1 else 3)
-                    assert np.array_equal(g.rows[:, 0], 3 * starts[g.parents])
-                    children = first_child[g.parents][:, None] + np.arange(g.parts.shape[1])
-                    assert np.array_equal(g.parts, children)
+                for g in plan.groups:
+                    assert g.children == (1 if g.width == 1 else 3)
+                    assert g.coords == slice(3 * starts[g.slots.start], 3 * starts[g.slots.stop])
+                    children = first_child[parents[g.slots]][:, None] + np.arange(g.children)
+                    rows = np.arange(g.images.start, g.images.stop).reshape(children.shape)
+                    assert np.array_equal(plan.row_of[children], rows)
     finally:
         _span_defects.cache_clear()
 
@@ -1015,12 +1050,12 @@ def reference_change_of_basis(n):
         return np.ones((1, 1))
     prev = _change_of_basis(n - 1)
     rows = np.empty((3**n, 3**n))
-    r = p = 0
-    for s in part_orders(n - 1):
+    child_rows = iter(_layout(n).slot_of.tolist())  # each slot's first row, in traversal order
+    for s, p in zip(part_orders(n - 1), _layout(n - 1).slot_of.tolist()):
         parent = prev[p : p + 2 * s + 1]
-        p += 2 * s + 1
         to_parent = build_basis(s).flat.T
         for child in (1,) if s == 0 else (s - 1, s, s + 1):
+            r = next(child_rows)
             for b in build_basis(child):
                 rows[r] = ((_forward(s, child, b).reshape(3, -1) @ to_parent) @ parent).ravel()
                 r += 1
@@ -1044,11 +1079,25 @@ def test_reconstruct_validates_order():
 # matrix and never builds E_n
 
 
+def coordinate_positions(plan):
+    """The positions in c of each part's coordinates, in part order."""
+    positions = [None] * len(plan.orders)
+    for _, index, rows, _ in plan.deviators:
+        for i, r in zip(index, rows):
+            positions[i] = r
+    return positions
+
+
 def plan_norms(order):
-    """lambda of E_n, gathered from the groups of ``_plan``."""
-    norms = np.ones(3**order)
-    for g in _plan(order).groups:
-        norms[g.rows] = g.norms
+    """lambda of E_n, gathered from the groups of ``_plan`` and put in the
+    row order of E_n."""
+    plan = _plan(order)
+    in_c = np.ones(3**order)
+    for g in plan.groups:
+        in_c[g.coords] = g.norms.ravel()
+    norms = np.empty(3**order)
+    for start, positions in zip(plan.slot_of, coordinate_positions(plan)):
+        norms[start : start + len(positions)] = in_c[positions]
     return norms
 
 
@@ -1073,28 +1122,56 @@ def test_factored_path_matches_materialized_change_of_basis(order):
         c, images = _coordinates_and_images(plan, t)
         parts = decompose(t).parts
         assert [(p.s, p.J) for p in parts] == list(zip(plan.orders, plan.labels))
-        start = 0
+        positions = coordinate_positions(plan)
         for i, p in enumerate(parts):
+            start = plan.slot_of[i]
             stop = start + 2 * p.s + 1
             c_p = c_ref[start:stop]
-            assert relative(c[start:stop], c_p) <= 1e-13
+            assert relative(c[positions[i]], c_p) <= 1e-13
             assert relative(p.deviator.ravel(), c_p @ build_basis(p.s).flat) <= 1e-13
             image = c_p @ rows[start:stop]
-            assert relative(images[i], image) <= 1e-13
+            assert relative(images[plan.row_of[i]], image) <= 1e-13
             assert relative(p.embedded.ravel(), image) <= 1e-13
-            start = stop
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_stacked_image_products_match_the_per_parent_loop(order):
+    """Each group's one stacked product gives the images that one product
+    per parent gave, value for value."""
+    plan = _plan(order)
+    t = np.random.default_rng(910 + order).standard_normal((3,) * order)
+    c, images = _coordinates_and_images(plan, t)
+    for g in plan.groups:
+        coeffs = np.dot(c[g.coords].reshape(g.norms.shape), g.to_images)
+        got = images[g.images].reshape(len(g.blocks), -1, 3 ** (order - 1))
+        for a, block, rows in zip(coeffs.reshape(len(g.blocks), -1, g.width), g.blocks, got):
+            assert np.array_equal(rows, np.dot(a, block))
 
 
 @pytest.mark.parametrize("order", range(8))
 def test_plan_arrays_are_read_only(order):
     plan = _plan(order)
     arrays = [a for _, index, rows, _ in plan.deviators for a in (index, rows)]
+    arrays += [plan.row_of, plan.slot_of]
     if order:
         arrays.append(plan.prev)
     for g in plan.groups:
-        arrays += [g.rows, g.to_children, g.norms, g.to_images, g.parents, g.parts]
-        arrays += list(g.blocks)
+        arrays += [g.to_children, g.norms, g.to_images, *g.pairs, g.blocks]
     assert all(not a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_group_blocks_are_views_of_the_change_of_basis(order):
+    """Each group reads its parents' rows of the one cached E_{n-1}, as one
+    (parents, 2s+1, 3^(n-1)) block, and holds no copy of them."""
+    plan = _plan(order)
+    prev = _change_of_basis(order - 1)
+    assert plan.prev is prev
+    for g in plan.groups:
+        assert np.shares_memory(g.blocks, prev)
+        assert g.blocks.shape == (g.slots.stop - g.slots.start, g.width, 3 ** (order - 1))
+        rows = prev[g.coords.start // 3 : g.coords.stop // 3]
+        assert np.array_equal(g.blocks.reshape(rows.shape), rows)
 
 
 def clear_decomposition_caches():

@@ -224,11 +224,12 @@ def test_loaded_images_are_rows_of_one_array(tmp_path):
 def test_loaded_decomposition_records_its_image_rows():
     t = np.random.default_rng(47).standard_normal((3,) * 5)
     d = decomposition_from_json(decomposition_to_json(decompose(t)))
-    rows = _record_of(d).rows
+    record = _record_of(d)
+    rows = record.rows
     assert rows is d._record.rows
-    for row, p in zip(rows, d.parts):
+    for r, p in zip(record.row_of, d.parts):
         assert p.embedded.base is rows
-        assert p.embedded.__array_interface__["data"] == row.__array_interface__["data"]
+        assert p.embedded.__array_interface__["data"] == rows[r].__array_interface__["data"]
     assert verify(d, t).passes(1e-10)
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     assert verify(d, reconstruct(d)).max_cross_correlation > 1e-3
