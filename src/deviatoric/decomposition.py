@@ -241,7 +241,9 @@ class VerifyReport:
     each part's symmetry and trace to that part's deviator norm, and each
     cross-correlation to the two images' norms.  A zero denominator gives
     the absolute residual for the reconstruction and residual 0 for a zero
-    part, which is trivially symmetric, traceless and orthogonal.
+    part, which is trivially symmetric, traceless and orthogonal.  A
+    deviator with an entry that is not finite has symmetry and trace
+    residual inf.
     """
 
     order: int
@@ -454,6 +456,13 @@ class _Group(NamedTuple):
     pairs: tuple  # np.triu_indices(children, 1): the sibling pairs i < j
     blocks: np.ndarray  # (parents, width, 3^(n-1)) view of E_{n-1}
 
+    def coefficients(self, c: np.ndarray) -> np.ndarray:
+        """The (parents, 3 children, width) image coefficients of the
+        children's coordinates in ``c``: slice k of the image of child i of
+        parent p is row 3i + k times ``blocks[p]``."""
+        c_g = c[self.coords].reshape(self.norms.shape)
+        return np.dot(c_g, self.to_images).reshape(len(self.blocks), -1, self.width)
+
 
 class _Plan(NamedTuple):
     """What ``decompose`` needs for order n, built once per order: the
@@ -541,13 +550,16 @@ def _coordinates_and_images(plan: _Plan, t: np.ndarray) -> tuple[np.ndarray, np.
         images = np.array([[float(t)]])
         return images[0], images
     # y[3r + k] = (E_{n-1} t[k])_r, one product over the order-(n-1) matrix;
-    # each group then overwrites its block with the coordinates
-    c = np.dot(plan.prev, t.reshape(3, -1).T).ravel()
+    # each group then overwrites its block with the coordinates.  The slices
+    # times E_{n-1}^T give the same bits as E_{n-1} times the slices as
+    # columns, and took 0.45 against 0.69 ms at order 7 and 4.7 against
+    # 8.0 ms at order 8, warm on one BLAS thread
+    c = np.dot(t.reshape(3, -1), plan.prev.T).T.ravel()
     images = np.empty((len(plan.orders), 3**n))
     for g in plan.groups:
         c_g = c[g.coords].reshape(g.norms.shape)
         np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
-        coeffs = np.dot(c_g, g.to_images).reshape(len(g.blocks), -1, g.width)
+        coeffs = g.coefficients(c)
         np.matmul(coeffs, g.blocks, out=images[g.images].reshape(len(g.blocks), -1, 3 ** (n - 1)))
     return c, images
 
@@ -663,19 +675,21 @@ def _stack(tensors, order: int) -> np.ndarray:
 # overflow, or lose precision to subnormal products.
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
-# ``verify`` certifies orthogonality by slot membership from this order up,
-# and reports the certified bound when it is at most ``_CERTIFIED_MAX``.
-# Below this order the Gram product measured as fast or faster.  Warm, on
-# one BLAS thread of a shared 2-core Xeon host, certificate (one pass per
-# chunk of parents) against Gram: 0.26-0.42 against 0.06-0.10 ms at order
-# 5, 0.48-0.76 against 0.48-0.81 ms at order 6, 2.4-3.2 against 7.4-10.7 ms
-# at order 7 and 22-23 against 157-194 ms at order 8.
+# ``verify`` certifies orthogonality by tying each image to its deviator from
+# this order up, and reports the certified bound when it is at most
+# ``_CERTIFIED_MAX``.  Below this order the Gram product measured as fast,
+# or within the spread.  Warm, on one BLAS thread of a shared 2-core Xeon
+# host, certificate (one product per chunk of parents) against Gram:
+# 0.32-0.41 against 0.08-0.10 ms at order 5, 0.48-0.75 against 0.62-0.79 ms
+# at order 6, 2.2-2.7 against 9.2-9.6 ms at order 7 and 20-27 against
+# 198-250 ms at order 8.
 _CERTIFY_FROM_ORDER = 7
 _CERTIFIED_MAX = 1e-13
 # doubles of image slices that the certificate takes at a time, in whole
 # parents.  Warm, on one BLAS thread of a shared 2-core Xeon host (4 MiB L2),
-# its pass took 2.3-2.7 ms at order 7 (9 parents a chunk) and 23-27 ms at
-# order 8 (3 parents), against 2.7-2.8 and 33-34 ms with 16 parents a chunk.
+# the certificate took 2.2-2.6 ms at order 7 (9 parents a chunk) and 20-27 ms
+# at order 8 (3 parents), against 2.4-2.7 and 22-26 ms at half and 2.3-2.5
+# and 23-26 ms at twice this size.
 _CERTIFY_CHUNK = 1 << 16
 # doubles of E_{n-1} E_{n-1}^T that ``_span_defects`` takes at a time
 _DEFECT_CHUNK = 1 << 17
@@ -706,8 +720,8 @@ def _span_defects(n: int) -> _SpanDefects:
 
     The certificate's own products round: the 3w-term coefficient Gram by
     at most (3w + 2) eps of the norms, which is added to delta_p, and the
-    w-term product g by at most w^1.5 eps of |f_i|, the slack added to
-    rho_i (eps = 2^-52, twice the unit roundoff, covers the factors
+    w-term product e = a B_p by at most w^1.5 eps of |f_i|, the slack added
+    to rho_i (eps = 2^-52, twice the unit roundoff, covers the factors
     (1 + delta_p)).
     """
     prev = _change_of_basis(n - 1)
@@ -748,44 +762,55 @@ def _pair_bound(inspan, rho_i, rho_j):
     return inspan + rho_i + rho_j + 3.0 * rho_i * rho_j
 
 
-def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
-    """An upper bound on ``_max_cross_correlation(rows)`` for the image rows
-    of an order-n decomposition in ``_layout(n)``, in O(9^n) flops;
-    inf when a row is not finite.  As in the Gram, a zero row pairs with no
-    other.
+def _certified_cross_correlation(record: _Record, n: int) -> float:
+    """An upper bound on ``_max_cross_correlation(record.rows)`` for the
+    parts of an order-n decomposition in ``_layout(n)``, in O(9^n) flops;
+    inf when an image or a deviator is not finite.  As in the Gram, a zero
+    row pairs with no other.
 
-    Each image f_i should lie, slice by slice, in the span of the rows B_p of
-    its parent slot in E_{n-1}.  With A = S B_p^T for the slices S of the
-    parent's children, g = (A / lambda_p) B_p lies in that span whatever the
-    defect of B_p, h = S - g, and rho_i = |h_i| / |f_i|.  Writing
-    f_i = g_i + h_i gives cos_ij <= inspan_ij + rho_i + rho_j + 3 rho_i rho_j,
-    where inspan_ij bounds |<g_i, g_j>| / (|f_i| |f_j|):
+    Each image f_i should be the embedding of its own stored deviator: with
+    a_i the image coefficients of the deviator (``_deviator_coordinates``,
+    then ``_Group.coefficients``, as ``decompose`` forms them),
+    e_i = a_i B_p slice by slice, B_p the rows of the parent slot in E_{n-1}.
+    e_i lies in the span of B_p whatever a_i and the defect of B_p,
+    h_i = f_i - e_i, and rho_i = |h_i| / |f_i|.  Writing f_i = e_i + h_i
+    gives cos_ij <= inspan_ij + rho_i + rho_j + 3 rho_i rho_j, where
+    inspan_ij bounds |<e_i, e_j>| / (|f_i| |f_j|).  As |e_i|^2 >= sigma_p
+    |a_i|^2 and |e_i| <= (1 + rho_i) |f_i|:
 
-    * for siblings, the coefficient Gram |sum_k a_i[k] . a_j[k]| / lambda_p,
-      over the norms, plus delta_p (1 + rho_i)(1 + rho_j);
-    * across parents, eta (1 + rho_i)(1 + rho_j), which with the rest of the
-      bound is largest for the two largest rho.
+    * for siblings, <e_i, e_j> = lambda_p a_i . a_j + a_i D_p a_j^T, so
+      inspan_ij is the coefficient Gram lambda_p |a_i . a_j| over the norms,
+      plus delta_p (1 + rho_i)(1 + rho_j);
+    * across parents, |<e_i, e_j>| <= |B_p B_q^T|_F |a_i| |a_j|, so inspan_ij
+      is eta (1 + rho_i)(1 + rho_j), which with the rest of the bound is
+      largest for the two largest rho.
 
     lambda_p, delta_p, eta and the rounding slack of rho are
-    ``_span_defects(n)``.  The bound holds for any rows, so an edited or
-    reordered image only makes it large.  The squared norms of the images
-    come from the same pass as the residuals; when they are
-    ``_out_of_range``, the pass is taken again on ``_scaled_rows`` of the
-    rows, as ``_gram_rows`` would rescale them.
+    ``_span_defects(n)``.  The bound holds for any rows and deviators, so an
+    edited, swapped or rescaled image or deviator only makes it large.  The
+    squared norms of the images come from the same pass as the residuals;
+    when they are ``_out_of_range``, the pass is taken again on
+    ``_scaled_rows`` of the rows, with each image's coefficients divided
+    exactly by the same power of two as its row, as ``_gram_rows`` would
+    rescale the rows.
     """
+    rows = record.rows
     if n == 0:  # one image, which pairs with no other
         return 0.0 if np.isfinite(rows).all() else np.inf
+    plan = _plan(n)
     with np.errstate(over="ignore", invalid="ignore"):  # out of range: taken again, rescaled
-        squares, residuals, coefficients = _span_residuals(rows, n)
+        c = _deviator_coordinates(plan, record.stacks)
+        squares, residuals, coefficients = _span_residuals(rows, c, n)
         if _out_of_range(rows, squares):
-            rows = _scaled_rows(rows)[0]
-            squares, residuals, coefficients = _span_residuals(rows, n)
-    if not squares.max(initial=0.0) < np.inf:
+            rows, exponents = _scaled_rows(rows)
+            c = _deviator_coordinates(plan, record.stacks, exponents)
+            squares, residuals, coefficients = _span_residuals(rows, c, n)
+    if not (np.isfinite(squares).all() and np.isfinite(residuals).all()):
         return np.inf
     live = squares > 0.0
     if np.count_nonzero(live) < 2:
         return 0.0
-    plan, defects = _plan(n), _span_defects(n)
+    defects = _span_defects(n)
     rho = np.zeros(len(rows))
     np.divide(residuals, squares, out=rho, where=live)
     rho = np.sqrt(rho) + defects.slack
@@ -798,48 +823,64 @@ def _certified_cross_correlation(rows: np.ndarray, n: int) -> float:
             continue
         lam, delta = defects.lam[g.slots], defects.delta[g.slots]
         r, f = rho[g.images].reshape(-1, g.children), norms[g.images].reshape(-1, g.children)
+        a = a.reshape(len(a), g.children, -1)
         inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
-        inspan /= lam[:, None, None] * f[:, :, None] * f[:, None, :]
+        inspan *= lam[:, None, None] / (f[:, :, None] * f[:, None, :])
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
         i, j = g.pairs
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
     return float(worst)
 
 
-def _span_residuals(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """The squared norms |f_i|^2 and |h_i|^2 of the image rows, in plan
-    order, and per group the coefficients A, as (parents, children, 3w), of
-    ``_certified_cross_correlation``.
+def _deviator_coordinates(plan: _Plan, stacks, exponents: np.ndarray | None = None) -> np.ndarray:
+    """The coordinates c of the deviators ``stacks`` of a record in the
+    layout of ``plan``, in plan order, as ``decompose`` holds them: each
+    deviator times B_s^T.  Given the e of each image row of ``_scaled_rows``,
+    each deviator is taken on its own ``_scaled_rows`` and its coordinates
+    are then divided by 2^e of its part's row, exactly (unless they leave
+    the float range)."""
+    c = np.empty(3 * len(plan.prev))  # 3^n coordinates
+    for (_, index, stack), (_, _, positions, basis) in zip(stacks, plan.deviators):
+        if exponents is None:
+            c[positions] = np.dot(stack, basis.T)
+        else:
+            stack, shift = _scaled_rows(stack)
+            shift -= exponents[plan.row_of[index]]
+            c[positions] = np.ldexp(np.dot(stack, basis.T), shift[:, None])
+    return c
+
+
+def _span_residuals(rows: np.ndarray, c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The squared norms |f_i|^2 and |h_i|^2 of the image rows f, in plan
+    order, and per group the coefficients a of ``_certified_cross_correlation``,
+    those of the deviator coordinates ``c`` (``_Group.coefficients``).
 
     The slices of one group's parents are one block of the rows.  They are
     taken about ``_CERTIFY_CHUNK`` doubles at a time, in whole parents, so
-    each chunk is read once from memory for its norms and its two products;
-    the work space is one chunk's slices.
+    each chunk is read once from memory for its norms and its one product
+    e = a B_p; the work space is one chunk's slices.
     """
-    plan, lam = _plan(n), _span_defects(n).lam
     size = 3 ** (n - 1)
     # |slice k of f_i|^2 and of h_i|^2 at 3i + k
     squares, residuals = np.empty((2, 3 * len(rows), 1, 1))
     work = np.empty(max(_CERTIFY_CHUNK, 9 * size))  # h of a chunk: at most 9 slices a parent
     coefficients = []
-    for g in plan.groups:
+    for g in _plan(n).groups:
+        a = g.coefficients(c)
+        coefficients.append(a)
         count = len(g.blocks)
         slices = rows[g.images].reshape(count, 3 * g.children, size)
         at = slice(3 * g.images.start, 3 * g.images.stop)
         f2, h2 = (x[at].reshape(slices.shape[:2] + (1, 1)) for x in (squares, residuals))
-        lam_g = lam[g.slots, None, None]
-        a = np.empty(slices.shape[:2] + (g.width,))
         step = max(1, _CERTIFY_CHUNK // slices[0].size)
         for p in range(0, count, step):
             chunk = slice(p, p + step)
-            s, block = slices[chunk], g.blocks[chunk]
+            s = slices[chunk]
             h = work[: s.size].reshape(s.shape)
             np.matmul(s[:, :, None, :], s[:, :, :, None], out=f2[chunk])
-            np.matmul(s, block.transpose(0, 2, 1), out=a[chunk])
-            np.matmul(a[chunk] / lam_g[chunk], block, out=h)
+            np.matmul(a[chunk], g.blocks[chunk], out=h)
             np.subtract(s, h, out=h)
             np.matmul(h[:, :, None, :], h[:, :, :, None], out=h2[chunk])
-        coefficients.append(a.reshape(count, g.children, -1))
     return squares.reshape(-1, 3).sum(axis=1), residuals.reshape(-1, 3).sum(axis=1), coefficients
 
 
@@ -891,8 +932,9 @@ def _max_cross_correlation(rows: np.ndarray) -> float:
 
 def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
     """Symmetry and trace residual of each of ``count`` parts' deviators,
-    given as ``_Record.stacks``, relative to the deviator's norm; 0 for
-    orders below 2 and for a zero deviator.
+    given as ``_Record.stacks``, relative to the deviator's norm; inf for a
+    deviator of any order with an entry that is not finite, and otherwise 0
+    for orders below 2 and for a zero deviator.
 
     Each order's stack is checked at once, on ``_scaled_rows`` of the
     stack, so no norm overflows or underflows at any scale.
@@ -900,7 +942,11 @@ def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
     sym_res = np.zeros(count)
     trace_res = np.zeros(count)
     for s, index, flat in stacks:
-        if s < 2:
+        if not np.isfinite(flat).all():
+            finite = np.isfinite(flat).all(axis=1)
+            sym_res[index[~finite]] = trace_res[index[~finite]] = np.inf
+            index, flat = index[finite], flat[finite]
+        if s < 2 or not len(index):
             continue
         flat = _scaled_rows(flat)[0]
         devs = flat.reshape((len(index),) + (3,) * s)
@@ -936,10 +982,12 @@ def verify(d: Decomposition, t) -> VerifyReport:
     for parts in the layout of ``decompose`` (``_has_plan_layout``), the
     certified upper bound of ``_certified_cross_correlation`` (O(9^n)
     flops) when that bound is at most ``_CERTIFIED_MAX``; it is then within
-    1e-13 above the exact value.  Otherwise it is the Gram product of
-    ``_max_cross_correlation`` (O(parts^2 * 3^n) flops and a (parts, parts)
-    matrix).  Every residual is computed on exactly rescaled values, so it
-    does not depend on the scale of ``t``.
+    1e-13 above the exact value.  The certificate compares each image with
+    the embedding of its own stored deviator, so a part whose image is not
+    its deviator's embedding makes the bound large.  Otherwise it is the
+    Gram product of ``_max_cross_correlation`` (O(parts^2 * 3^n) flops and a
+    (parts, parts) matrix).  Every residual is computed on exactly rescaled
+    values, so it does not depend on the scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
@@ -951,7 +999,7 @@ def verify(d: Decomposition, t) -> VerifyReport:
     sym_res, trace_res = _part_residuals(record.stacks, len(record.orders))
     max_cross = np.inf
     if d.order >= _CERTIFY_FROM_ORDER and _has_plan_layout(record.orders, record.labels, d.order):
-        max_cross = _certified_cross_correlation(rows, d.order)
+        max_cross = _certified_cross_correlation(record, d.order)
     if not max_cross <= _CERTIFIED_MAX:
         max_cross = _max_cross_correlation(rows)
 

@@ -838,6 +838,28 @@ def test_verify_rejects_a_deviator_of_the_wrong_order():
         verify(bad, reconstruct(d))
 
 
+@pytest.mark.parametrize("order", [2, 4, 7])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_verify_rejects_a_deviator_that_is_not_finite(order, bad):
+    """A deviator of any order s with a NaN or infinite entry, edited in
+    place or built by hand, has symmetry and trace residual inf, and
+    ``verify`` warns nothing."""
+    t = np.random.default_rng(450 + order).standard_normal((3,) * order)
+    for s in sorted({0, 1, 2, order}):
+        d = decompose(t)
+        k = next(i for i, p in enumerate(d.parts) if p.s == s)
+        built = with_parts(d, {k: (np.full(d.parts[k].deviator.shape, bad), d.parts[k].embedded)})
+        d.parts[k].deviator[...] = bad
+        for case in (d, built):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = verify(case, t)
+            assert report.part_symmetry[k] == report.part_trace[k] == np.inf, s
+            others = np.delete(report.part_symmetry + report.part_trace, [k, k + len(d.parts)])
+            assert max(others) <= 1e-14
+            assert not report.passes(1e-10)
+
+
 def mix_first_and_last(d):
     """Copy of ``d`` with the first image mixed with the last: the sum and
     the deviators stay as they were."""
@@ -887,11 +909,16 @@ def exact_cross_correlation(rows):
 @pytest.mark.parametrize("order", range(9))
 def test_certified_bound_is_above_the_exact_value(order):
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
-    for scale in (1e-300, 1.0, 1e300):
-        rows = decompose(scale * t)._record.rows
-        bound = _certified_cross_correlation(rows, order)
-        exact = exact_cross_correlation(rows)
+    in_range = _certified_cross_correlation(decompose(t)._record, order)
+    # at 2^900 the squared norms overflow and at 2^-900 they underflow, so
+    # the pass is taken again on rescaled rows and coefficients
+    for scale in (1e-300, 1.0, 1e300, 2.0**900, 2.0**-900):
+        record = decompose(scale * t)._record
+        bound = _certified_cross_correlation(record, order)
+        exact = exact_cross_correlation(record.rows)
         assert exact <= bound <= exact + 1e-13, scale
+        if np.frexp(scale)[0] == 0.5:
+            assert abs(bound - in_range) <= 1e-15, scale
 
 
 def test_verify_reports_the_certified_bound_from_order_7():
@@ -899,7 +926,7 @@ def test_verify_reports_the_certified_bound_from_order_7():
         t = np.random.default_rng(490 + order).standard_normal((3,) * order)
         d = decompose(t)
         gram = _max_cross_correlation(d._record.rows)
-        certified = _certified_cross_correlation(d._record.rows, order)
+        certified = _certified_cross_correlation(d._record, order)
         assert certified <= _CERTIFIED_MAX
         want = gram if order < decomposition._CERTIFY_FROM_ORDER else certified
         assert verify(d, t).max_cross_correlation == want
@@ -912,7 +939,7 @@ def test_zero_images_are_left_out_of_the_certificate():
     assert np.count_nonzero(~d._record.rows.any(axis=1)) > 0
     report = verify(d, t)
     exact = exact_cross_correlation(d._record.rows)
-    assert report.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
+    assert report.max_cross_correlation == _certified_cross_correlation(d._record, 7)
     assert exact <= report.max_cross_correlation <= exact + 1e-13
     assert report.passes(1e-10)
 
@@ -924,11 +951,28 @@ def test_in_place_mix_falls_back_to_the_gram():
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     d.parts[-1].embedded[...] *= 0.7
     assert_rows_are_recorded(d)
-    assert _certified_cross_correlation(d._record.rows, 7) > _CERTIFIED_MAX
+    assert _certified_cross_correlation(d._record, 7) > _CERTIFIED_MAX
     report = verify(d, t)
     assert report.max_cross_correlation == _max_cross_correlation(d._record.rows)
     assert abs(report.max_cross_correlation - exact_cross_correlation(d._record.rows)) <= 1e-13
     assert report.reconstruction_relative <= 1e-12 and not report.passes(1e-10)
+
+
+@pytest.mark.parametrize("order", [7, 8])
+def test_certificate_ties_each_image_to_its_deviator(order):
+    """An image that is not the embedding of its stored deviator makes the
+    bound large, so ``verify`` reports the Gram: one deviator doubled with
+    its image kept, and the images of the s = 0 and s = n parts swapped."""
+    t = np.random.default_rng(497 + order).standard_normal((3,) * order)
+    doubled = decompose(t)
+    next(p for p in doubled.parts if p.s == 3).deviator[...] *= 2.0
+    swapped = decompose(t)
+    low, high = (next(p for p in swapped.parts if p.s == s).embedded for s in (0, order))
+    low[...], high[...] = high.copy(), low.copy()
+    for d in (doubled, swapped):
+        assert_rows_are_recorded(d)
+        assert _certified_cross_correlation(d._record, order) > _CERTIFIED_MAX
+        assert verify(d, t).max_cross_correlation == _max_cross_correlation(d._record.rows)
 
 
 @pytest.mark.parametrize("order", [4, 7])
@@ -954,7 +998,7 @@ def test_copies_report_what_their_original_reports(kind):
     assert c._record is None
     original = verify(d, t)
     assert verify(c, t) == original
-    assert original.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
+    assert original.max_cross_correlation == _certified_cross_correlation(d._record, 7)
     assert original.passes(1e-10)
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
     assert not verify(c, reconstruct(c)).passes(1e-10)
@@ -966,14 +1010,13 @@ def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path)
     t = np.random.default_rng(496).standard_normal((3,) * 7)
     d = decompose(t)
     original = verify(d, t)
-    assert original.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
+    assert original.max_cross_correlation == _certified_cross_correlation(d._record, 7)
     save_decomposition(tmp_path / "d.json", d)
     for other in (load_decomposition(tmp_path / "d.json"), Decomposition(7, tuple(d.parts))):
         report = verify(other, t)
         for f in dataclasses.fields(report):
             assert getattr(report, f.name) == getattr(original, f.name), f.name
-        rows = _record_of(other).rows
-        assert report.max_cross_correlation == _certified_cross_correlation(rows, 7)
+        assert report.max_cross_correlation == _certified_cross_correlation(_record_of(other), 7)
 
 
 def test_other_layouts_take_the_gram(monkeypatch):
@@ -981,7 +1024,7 @@ def test_other_layouts_take_the_gram(monkeypatch):
     d = decompose(t)
     moved = COPIES["replace moved"](d)
 
-    def fail(rows, n):
+    def fail(record, n):
         raise AssertionError("parts in another layout were certified")
 
     monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
@@ -1277,7 +1320,7 @@ def test_verify_passes_at_every_scale(t, exponent):
     assert report.passes(1e-10)
     assert verify(pickle.loads(pickle.dumps(d)), t) == report
     if t.ndim == 7:
-        assert report.max_cross_correlation == _certified_cross_correlation(d._record.rows, 7)
+        assert report.max_cross_correlation == _certified_cross_correlation(d._record, 7)
         assert report.max_cross_correlation <= _CERTIFIED_MAX
 
 
