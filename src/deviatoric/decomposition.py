@@ -33,8 +33,8 @@ For a parent slot of order s the regrouping is one fixed 3(2s+1)-square
 matrix, and the images of the parent's children are one product of their
 coefficients with the parent's rows of E_{n-1}.  So an order-n call reads
 the 9^(n-1) doubles of E_{n-1} (4.3 MB at order 7), not the 9^n of E_n.
-The matrices E_0 .. E_{n-1} are built once each and cached, each from the
-one below by the same rule.
+The matrices E_0 .. E_{n-1} are built once each and cached: the rows of
+E_m are the group products of ``_plan(m)`` applied to unit coordinates.
 
 The arrays are laid out by group, so that the engine works on all the
 parents of one order s at once:
@@ -58,10 +58,7 @@ parents of one order s at once:
 with symmetrization over the n trailing indices; the first index stays free.
 The two delta terms keep a fixed coefficient ratio so their sum is traceless
 in the trailing indices, which is why they act as a single map of d_lo.
-
-The rows of E for order n replay these forward maps on each basis deviator
-of a child slot and push the result through the order-(n-1) rows of the
-parent slot.
+``_regroup`` holds these maps for each basis deviator of a child slot.
 """
 
 from __future__ import annotations
@@ -138,6 +135,8 @@ def count_parts(n: int, s: int) -> int:
 @lru_cache(maxsize=None)
 def counts_row(n: int) -> tuple[int, ...]:
     """The multiplicities (count_parts(n, 0), ..., count_parts(n, n))."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     return tuple(count_parts(n, s) for s in range(n + 1))
 
 
@@ -378,22 +377,17 @@ class _Layout(NamedTuple):
     orders: tuple[int, ...]  # s of each part, in traversal order
     labels: tuple[int, ...]  # J of each part
     row_of: np.ndarray  # (parts,) the image row of each part, in plan order
-    slot_of: np.ndarray  # (parts,) the first row of each part's slot in E_n
 
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> _Layout:
-    """The order-n layout.  E_n takes its slots in order of (s, J), and the
-    image rows are in plan order: by parent order, then parent, then child."""
+    """The order-n layout.  The image rows are in plan order: by parent
+    order, then parent, then child."""
     orders = np.array(part_orders(n))
-    widths = 2 * orders + 1
     labels = np.empty(len(orders), dtype=int)
     for s in set(orders.tolist()):
         index = np.flatnonzero(orders == s)
         labels[index] = np.arange(1, len(index) + 1)
-    slot_of = np.empty(len(orders), dtype=int)
-    by_slot = np.argsort(orders, kind="stable")
-    slot_of[by_slot] = np.cumsum(widths[by_slot]) - widths[by_slot]
     by_row = np.zeros(1, dtype=int)
     if n:
         parents = part_orders(n - 1)
@@ -401,33 +395,32 @@ def _layout(n: int) -> _Layout:
         by_row = np.argsort(parent_order, kind="stable")
     row_of = np.empty(len(orders), dtype=int)
     row_of[by_row] = np.arange(len(orders))
-    _read_only(row_of, slot_of)
-    return _Layout(part_orders(n), tuple(labels.tolist()), row_of, slot_of)
+    _read_only(row_of)
+    return _Layout(part_orders(n), tuple(labels.tolist()), row_of)
 
 
 @lru_cache(maxsize=None)
 def _change_of_basis(n: int) -> np.ndarray:
-    """The order-n change of basis E.
+    """The order-n change of basis E, built from ``_plan(n)``.
 
     Row r of the read-only (3^n, 3^n) matrix is the flattened embedded image
     of one orthonormal basis deviator of one slot.  Each slot takes 2s+1
-    consecutive rows, from ``_layout(n).slot_of``: the slots come in order
-    of s, and of J within each s, so the slots of one order are one block.
-    ``decompose`` of order n reads the order-(n-1) matrix through ``_plan(n)``.
+    consecutive rows, in the (s, J) order of ``_plan(n).deviators``, so the
+    slots of one order are one block.  The rows are the plan's group products
+    F_s E_{n-1, p} applied to unit coordinates, written from plan order into
+    slot order.
     """
     if n == 0:
         rows = np.ones((1, 1))
     else:
-        prev, parents, children = _change_of_basis(n - 1), _layout(n - 1), _layout(n)
+        plan = _plan(n)
+        # the row of E_n of each position in c: the inverse of the slots' positions
+        row_at = np.argsort(np.concatenate([p.ravel() for _, _, p, _ in plan.deviators]))
         rows = np.empty((3**n, 3**n))
-        out = iter(children.slot_of.tolist())  # the children of each parent, in traversal order
-        for s, p in zip(parents.orders, parents.slot_of.tolist()):
-            f = _regroup(s)
-            block, r = prev[p : p + 2 * s + 1], 0
-            for c in _children(s):
-                q, w = next(out), 2 * c + 1
-                np.matmul(f[r : r + w], block, out=rows[q : q + w].reshape(w, 3, -1))
-                r += w
+        for g in plan.groups:
+            # (parents, 3 width, 3, 3^(n-1)): F_s times each parent's rows
+            products = np.matmul(_regroup(g.width // 2), g.blocks[:, None])
+            rows[row_at[g.coords]] = products.reshape(-1, 3**n)
     rows.flags.writeable = False
     return rows
 
@@ -471,7 +464,6 @@ class _Plan(NamedTuple):
     orders: tuple[int, ...]  # s of each part, in traversal order
     labels: tuple[int, ...]  # J of each part
     row_of: np.ndarray  # (parts,) the image row of each part
-    slot_of: np.ndarray  # (parts,) the first row of each part's slot in E_n
     prev: np.ndarray | None  # E_{n-1}; None for n = 0
     groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
     deviators: tuple  # per order s: (s, (J_s,) part indices, (J_s, 2s+1) positions in c, B_s.flat)
@@ -485,7 +477,8 @@ def _read_only(*arrays: np.ndarray) -> None:
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
     """The order-n change of basis in factored form, over the cached
-    order-(n-1) matrix; E_n itself is never built.
+    order-(n-1) matrix.  ``decompose`` never builds E_n: ``_change_of_basis(n)``
+    builds it from these groups only when an order-(n+1) call needs it.
 
     Row r of E_n, for a child of parent slot p, is sum_j F[r, k, j] times row
     j of E_{n-1, p} in slice k (F = ``_regroup``), so
@@ -619,9 +612,11 @@ def decompose(t) -> Decomposition:
     the rows of one (parts, 3^n) array, in plan order, and the deviators of
     each order one stack, which the decomposition records (see
     ``Decomposition``), so ``reconstruct`` and ``verify`` read them all
-    without a copy.
+    without a copy.  Raises ``ValueError`` for a NaN or +-inf entry.
     """
     t = as_tensor(t)
+    if not np.isfinite(t).all():
+        raise ValueError("tensor has a non-finite entry")
     plan = _plan(t.ndim)
     c, images = _coordinates_and_images(plan, t)
     # a list first, as in ``Decomposition.__getattr__``

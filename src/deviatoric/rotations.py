@@ -44,8 +44,10 @@ def rotate(t, r) -> np.ndarray:
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` (radians) about ``axis`` of any nonzero, finite
-    length (Rodrigues formula)."""
+    """Rotation by a finite ``angle`` (radians) about ``axis`` of any
+    nonzero, finite length (Rodrigues formula)."""
+    if not np.isfinite(angle):
+        raise ValueError("angle must be finite")
     axis = np.asarray(axis, dtype=float)
     if axis.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")

@@ -43,7 +43,6 @@ from deviatoric.decomposition import (
     _change_of_basis,
     _coordinates_and_images,
     _forward,
-    _layout,
     _max_cross_correlation,
     _plan,
     _record_of,
@@ -197,6 +196,12 @@ def test_trinomial_against_polynomial_oracle():
 def test_trinomial_rejects_negative_order():
     with pytest.raises(ValueError):
         trinomial(-1, 0)
+
+
+def test_counts_row_rejects_negative_order():
+    # as count_parts and part_orders do
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        counts_row(-1)
 
 
 def test_counts_table():
@@ -412,6 +417,17 @@ def test_split_membership_at_the_float_limit():
             split_deviator_triple(other)
         with pytest.raises(ValueError):
             combine_deviator_triple(limit[0], limit[1], other)
+
+
+@pytest.mark.parametrize("order", [0, 3, 7])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_rejects_a_non_finite_entry(order, bad):
+    t = np.random.default_rng(27 + order).standard_normal((3,) * order)
+    for index in sorted({(0,) * order, (2,) * order}):
+        t_bad = t.copy()
+        t_bad[index] = bad
+        with pytest.raises(ValueError, match="non-finite entry"):
+            decompose(t_bad)
 
 
 def test_split_and_combine_reject_nan():
@@ -1060,7 +1076,7 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
     # the slots of E_{n-1} in its row order, and the part index of each
     widths = [2 * s + 1 for s in sorted(part_orders(order - 1))]
     starts = np.cumsum([0] + widths)
-    parents = np.argsort(_layout(order - 1).slot_of)
+    parents = np.argsort(slot_starts(order - 1))
     first_child = np.cumsum([0] + [1 if s == 0 else 3 for s in part_orders(order - 1)])
     last = len(widths) - 1
     try:
@@ -1087,14 +1103,25 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
         _span_defects.cache_clear()
 
 
+def slot_starts(n):
+    """The first row of each part's slot in E_n, in part order: E_n takes
+    its slots in order of s, and of J within each s."""
+    orders = np.array(part_orders(n))
+    widths = 2 * orders + 1
+    by_slot = np.argsort(orders, kind="stable")
+    starts = np.empty(len(orders), dtype=int)
+    starts[by_slot] = np.cumsum(widths[by_slot]) - widths[by_slot]
+    return starts
+
+
 def reference_change_of_basis(n):
     """E built one basis deviator at a time through ``_forward``."""
     if n == 0:
         return np.ones((1, 1))
     prev = _change_of_basis(n - 1)
     rows = np.empty((3**n, 3**n))
-    child_rows = iter(_layout(n).slot_of.tolist())  # each slot's first row, in traversal order
-    for s, p in zip(part_orders(n - 1), _layout(n - 1).slot_of.tolist()):
+    child_rows = iter(slot_starts(n).tolist())  # each slot's first row, in traversal order
+    for s, p in zip(part_orders(n - 1), slot_starts(n - 1).tolist()):
         parent = prev[p : p + 2 * s + 1]
         to_parent = build_basis(s).flat.T
         for child in (1,) if s == 0 else (s - 1, s, s + 1):
@@ -1105,7 +1132,7 @@ def reference_change_of_basis(n):
     return rows
 
 
-@pytest.mark.parametrize("order", range(7))
+@pytest.mark.parametrize("order", range(8))
 def test_change_of_basis_matches_per_deviator_forward_maps(order):
     np.testing.assert_array_equal(_change_of_basis(order), reference_change_of_basis(order))
 
@@ -1139,7 +1166,7 @@ def plan_norms(order):
     for g in plan.groups:
         in_c[g.coords] = g.norms.ravel()
     norms = np.empty(3**order)
-    for start, positions in zip(plan.slot_of, coordinate_positions(plan)):
+    for start, positions in zip(slot_starts(order), coordinate_positions(plan)):
         norms[start : start + len(positions)] = in_c[positions]
     return norms
 
@@ -1156,7 +1183,7 @@ def test_factored_path_matches_materialized_change_of_basis(order):
     wide = rows.astype(np.longdouble)
     norms = np.einsum("ij,ij->i", wide, wide).astype(float)
     assert np.max(np.abs(plan_norms(order) - norms) / norms) <= 1e-14
-    labels = part_orders(order)
+    labels, starts = part_orders(order), slot_starts(order)
     assert plan.orders == labels
     assert plan.labels == tuple(labels[: i + 1].count(s) for i, s in enumerate(labels))
     for seed in range(3):
@@ -1167,7 +1194,7 @@ def test_factored_path_matches_materialized_change_of_basis(order):
         assert [(p.s, p.J) for p in parts] == list(zip(plan.orders, plan.labels))
         positions = coordinate_positions(plan)
         for i, p in enumerate(parts):
-            start = plan.slot_of[i]
+            start = starts[i]
             stop = start + 2 * p.s + 1
             c_p = c_ref[start:stop]
             assert relative(c[positions[i]], c_p) <= 1e-13
@@ -1195,7 +1222,7 @@ def test_stacked_image_products_match_the_per_parent_loop(order):
 def test_plan_arrays_are_read_only(order):
     plan = _plan(order)
     arrays = [a for _, index, rows, _ in plan.deviators for a in (index, rows)]
-    arrays += [plan.row_of, plan.slot_of]
+    arrays.append(plan.row_of)
     if order:
         arrays.append(plan.prev)
     for g in plan.groups:

@@ -45,6 +45,13 @@ def test_rotation_about_rejects_a_non_finite_axis(bad):
         rotation_about([bad] * 3, 0.3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rotation_about_rejects_a_non_finite_angle(bad):
+    for axis in ([0.0, 0.0, 1.0], [0.3, -1.0, 2.0]):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            rotation_about(axis, bad)
+
+
 def test_rotate_matches_per_factor_action():
     rng = np.random.default_rng(5)
     r = random_rotation(rng)
