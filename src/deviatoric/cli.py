@@ -3,7 +3,8 @@
 Subcommands: decompose, reconstruct, verify, counts, stiffness, coupling,
 random.  Payloads go to --output when given, otherwise to stdout; summary
 reports go to stdout; diagnostics go to stderr.  Exit codes: 0 success,
-1 verification failure, 2 input error.
+1 verification failure, 2 input error.  ``verify`` also checks each image's
+tie to its own deviator (``max_embedding_residual``).
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def _json_report(fields: list[tuple[str, object]]) -> str:
         elif isinstance(value, int):
             rendered = str(value)
         elif isinstance(value, float):
-            rendered = fmt_float(value)
+            # JSON has no inf: a residual of inf is written as Python's json writes it
+            rendered = fmt_float(value) if np.isfinite(value) else json.dumps(value)
         else:
             rendered = json.dumps(str(value))
         chunks.append(f'"{key}": {rendered}')
@@ -207,6 +209,7 @@ def _cmd_verify(args) -> int:
             ("reconstruction_relative", report.reconstruction_relative),
             ("max_part_residual", report.max_part_residual),
             ("max_cross_correlation", report.max_cross_correlation),
+            ("max_embedding_residual", report.max_embedding_residual),
             ("canonical_residual", canonical),
             ("tolerance", args.tolerance),
             ("passes", ok),

@@ -242,7 +242,10 @@ class VerifyReport:
     the absolute residual for the reconstruction and residual 0 for a zero
     part, which is trivially symmetric, traceless and orthogonal.  A
     deviator with an entry that is not finite has symmetry and trace
-    residual inf.
+    residual inf.  ``max_embedding_residual`` is the largest tie rho_i =
+    |f_i - e_i| / |f_i| of an image f_i to the embedding e_i of its own
+    deviator (``_certified_cross_correlation``); inf for parts in any other
+    layout than that of ``decompose``.
     """
 
     order: int
@@ -252,6 +255,7 @@ class VerifyReport:
     part_trace: tuple[float, ...]
     max_part_residual: float
     max_cross_correlation: float
+    max_embedding_residual: float
     counts_expected: dict[int, int]
     counts_actual: dict[int, int]
     counts_ok: bool
@@ -261,6 +265,7 @@ class VerifyReport:
             self.reconstruction_relative <= tol
             and self.max_part_residual <= tol
             and self.max_cross_correlation <= tol
+            and self.max_embedding_residual <= tol
             and self.counts_ok
         )
 
@@ -670,16 +675,6 @@ def _stack(tensors, order: int) -> np.ndarray:
 # overflow, or lose precision to subnormal products.
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
-# ``verify`` certifies orthogonality by tying each image to its deviator from
-# this order up, and reports the certified bound when it is at most
-# ``_CERTIFIED_MAX``.  Below this order the Gram product measured as fast,
-# or within the spread.  Warm, on one BLAS thread of a shared 2-core Xeon
-# host, certificate (one product per chunk of parents) against Gram:
-# 0.32-0.41 against 0.08-0.10 ms at order 5, 0.48-0.75 against 0.62-0.79 ms
-# at order 6, 2.2-2.7 against 9.2-9.6 ms at order 7 and 20-27 against
-# 198-250 ms at order 8.
-_CERTIFY_FROM_ORDER = 7
-_CERTIFIED_MAX = 1e-13
 # doubles of image slices that the certificate takes at a time, in whole
 # parents.  Warm, on one BLAS thread of a shared 2-core Xeon host (4 MiB L2),
 # the certificate took 2.2-2.6 ms at order 7 (9 parents a chunk) and 20-27 ms
@@ -757,11 +752,13 @@ def _pair_bound(inspan, rho_i, rho_j):
     return inspan + rho_i + rho_j + 3.0 * rho_i * rho_j
 
 
-def _certified_cross_correlation(record: _Record, n: int) -> float:
+def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]:
     """An upper bound on ``_max_cross_correlation(record.rows)`` for the
-    parts of an order-n decomposition in ``_layout(n)``, in O(9^n) flops;
-    inf when an image or a deviator is not finite.  As in the Gram, a zero
-    row pairs with no other.
+    parts of an order-n decomposition in ``_layout(n)``, in O(9^n) flops,
+    and the largest rho_i below.  Both are inf when an image or a deviator
+    is not finite, or an image is zero but its deviator is not (read from
+    the deviator, so an embedding that underflows counts).  A zero image
+    with a zero deviator has rho 0 and, as in the Gram, pairs with no other.
 
     Each image f_i should be the embedding of its own stored deviator: with
     a_i the image coefficients of the deviator (``_deviator_coordinates``,
@@ -786,29 +783,32 @@ def _certified_cross_correlation(record: _Record, n: int) -> float:
     squared norms of the images come from the same pass as the residuals;
     when they are ``_out_of_range``, the pass is taken again on
     ``_scaled_rows`` of the rows, with each image's coefficients divided
-    exactly by the same power of two as its row, as ``_gram_rows`` would
-    rescale the rows.
+    exactly by the same power of two as its row, as the Gram rescales them.
     """
     rows = record.rows
-    if n == 0:  # one image, which pairs with no other
-        return 0.0 if np.isfinite(rows).all() else np.inf
     plan = _plan(n)
-    with np.errstate(over="ignore", invalid="ignore"):  # out of range: taken again, rescaled
-        c = _deviator_coordinates(plan, record.stacks)
+    # out of range: taken again, rescaled; not finite: inf, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _deviator_coordinates(plan, record.stacks, n)
         squares, residuals, coefficients = _span_residuals(rows, c, n)
         if _out_of_range(rows, squares):
             rows, exponents = _scaled_rows(rows)
-            c = _deviator_coordinates(plan, record.stacks, exponents)
+            c = _deviator_coordinates(plan, record.stacks, n, exponents)
             squares, residuals, coefficients = _span_residuals(rows, c, n)
-    if not (np.isfinite(squares).all() and np.isfinite(residuals).all()):
-        return np.inf
-    live = squares > 0.0
+        live = squares > 0.0
+        rho = np.zeros(len(rows))
+        np.divide(residuals, squares, out=rho, where=live)
+        np.sqrt(rho, out=rho)
+    for _, index, stack in record.stacks:
+        image = plan.row_of[index]
+        rho[image[~live[image] & stack.any(axis=1)]] = np.inf
+    tie = float(rho.max())
+    if not (tie < np.inf and np.isfinite(squares).all()):  # eta = 0 would make the bound NaN
+        return np.inf, np.inf
     if np.count_nonzero(live) < 2:
-        return 0.0
+        return 0.0, tie
     defects = _span_defects(n)
-    rho = np.zeros(len(rows))
-    np.divide(residuals, squares, out=rho, where=live)
-    rho = np.sqrt(rho) + defects.slack
+    rho += defects.slack
     norms = np.full(len(rows), np.inf)  # a zero row pairs with nothing
     np.sqrt(squares, out=norms, where=live)
     second, first = np.partition(rho, -2)[-2:]
@@ -824,17 +824,19 @@ def _certified_cross_correlation(record: _Record, n: int) -> float:
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
         i, j = g.pairs
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
-    return float(worst)
+    return float(worst), tie
 
 
-def _deviator_coordinates(plan: _Plan, stacks, exponents: np.ndarray | None = None) -> np.ndarray:
-    """The coordinates c of the deviators ``stacks`` of a record in the
-    layout of ``plan``, in plan order, as ``decompose`` holds them: each
-    deviator times B_s^T.  Given the e of each image row of ``_scaled_rows``,
-    each deviator is taken on its own ``_scaled_rows`` and its coordinates
-    are then divided by 2^e of its part's row, exactly (unless they leave
-    the float range)."""
-    c = np.empty(3 * len(plan.prev))  # 3^n coordinates
+def _deviator_coordinates(
+    plan: _Plan, stacks, n: int, exponents: np.ndarray | None = None
+) -> np.ndarray:
+    """The 3^n coordinates c of the deviators ``stacks`` of a record in the
+    layout of the order-n ``plan``, in plan order, as ``decompose`` holds
+    them: each deviator times B_s^T.  Given the e of each image row of
+    ``_scaled_rows``, each deviator is taken on its own ``_scaled_rows`` and
+    its coordinates are then divided by 2^e of its part's row, exactly
+    (unless they leave the float range)."""
+    c = np.empty(3**n)
     for (_, index, stack), (_, _, positions, basis) in zip(stacks, plan.deviators):
         if exponents is None:
             c[positions] = np.dot(stack, basis.T)
@@ -853,8 +855,11 @@ def _span_residuals(rows: np.ndarray, c: np.ndarray, n: int) -> tuple[np.ndarray
     The slices of one group's parents are one block of the rows.  They are
     taken about ``_CERTIFY_CHUNK`` doubles at a time, in whole parents, so
     each chunk is read once from memory for its norms and its one product
-    e = a B_p; the work space is one chunk's slices.
+    e = a B_p; the work space is one chunk's slices.  At order 0, E_0 = 1
+    makes e the one coordinate.
     """
+    if n == 0:
+        return rows[:, 0] ** 2, (rows[:, 0] - c) ** 2, []
     size = 3 ** (n - 1)
     # |slice k of f_i|^2 and of h_i|^2 at 3i + k
     squares, residuals = np.empty((2, 3 * len(rows), 1, 1))
@@ -889,26 +894,17 @@ def _out_of_range(rows: np.ndarray, squares: np.ndarray) -> bool:
     return not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0))
 
 
-def _gram_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` and their squared norms, or the same of ``_scaled_rows(rows)``
-    when ``_out_of_range``; so only an exactly zero row, in any units, pairs
-    with no other."""
+def _max_cross_correlation(rows: np.ndarray) -> float:
+    """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
+    rows f, taken on ``_scaled_rows`` when ``_out_of_range``, so only an
+    exactly zero row, in any units, pairs with no other; from one Gram
+    product F F^T whose diagonal gives the squared norms: O(parts^2 * 3^n)
+    flops and a (parts, parts) matrix.  ``verify`` takes it for parts in any
+    other layout than ``_layout(n)``'s."""
     with np.errstate(over="ignore"):  # rescaled below
         squares = np.einsum("ij,ij->i", rows, rows)
     if _out_of_range(rows, squares):
         rows = _scaled_rows(rows)[0]
-        squares = np.einsum("ij,ij->i", rows, rows)
-    return rows, squares
-
-
-def _max_cross_correlation(rows: np.ndarray) -> float:
-    """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
-    rows f of ``_gram_rows``, from one Gram product F F^T whose diagonal
-    gives the squared norms: O(parts^2 * 3^n) flops and a (parts, parts)
-    matrix.  ``verify`` takes it below ``_CERTIFY_FROM_ORDER``, for parts in
-    another layout than ``_layout(n)``'s, and where the certified bound
-    exceeds ``_CERTIFIED_MAX``."""
-    rows = _gram_rows(rows)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf entry
         gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
     norms = np.sqrt(gram.diagonal())
@@ -973,16 +969,14 @@ def verify(d: Decomposition, t) -> VerifyReport:
     stored image and the symmetry and trace checks every stored deviator, so
     an edited part fails them.
 
-    ``max_cross_correlation`` is, from order ``_CERTIFY_FROM_ORDER`` up and
-    for parts in the layout of ``decompose`` (``_has_plan_layout``), the
-    certified upper bound of ``_certified_cross_correlation`` (O(9^n)
-    flops) when that bound is at most ``_CERTIFIED_MAX``; it is then within
-    1e-13 above the exact value.  The certificate compares each image with
-    the embedding of its own stored deviator, so a part whose image is not
-    its deviator's embedding makes the bound large.  Otherwise it is the
-    Gram product of ``_max_cross_correlation`` (O(parts^2 * 3^n) flops and a
-    (parts, parts) matrix).  Every residual is computed on exactly rescaled
-    values, so it does not depend on the scale of ``t``.
+    One rule per layout: for parts in the layout of ``decompose``
+    (``_has_plan_layout``), at every order, ``max_cross_correlation`` and
+    ``max_embedding_residual`` are the certified bound (within 1e-13 above
+    the exact value for ``decompose`` output) and the tie of each image to
+    its own deviator, of ``_certified_cross_correlation``; for any other
+    layout they are the Gram product of ``_max_cross_correlation`` and inf.
+    Every residual is computed on exactly rescaled values, so it does not
+    depend on the scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
@@ -992,11 +986,10 @@ def verify(d: Decomposition, t) -> VerifyReport:
     rel = res / t_norm if t_norm > 0.0 else res
 
     sym_res, trace_res = _part_residuals(record.stacks, len(record.orders))
-    max_cross = np.inf
-    if d.order >= _CERTIFY_FROM_ORDER and _has_plan_layout(record.orders, record.labels, d.order):
-        max_cross = _certified_cross_correlation(record, d.order)
-    if not max_cross <= _CERTIFIED_MAX:
-        max_cross = _max_cross_correlation(rows)
+    if _has_plan_layout(record.orders, record.labels, d.order):
+        max_cross, tie = _certified_cross_correlation(record, d.order)
+    else:
+        max_cross, tie = _max_cross_correlation(rows), np.inf
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
     actual = dict(Counter(record.orders))
@@ -1010,6 +1003,7 @@ def verify(d: Decomposition, t) -> VerifyReport:
         part_trace=tuple(trace_res),
         max_part_residual=max(part_residuals),
         max_cross_correlation=max_cross,
+        max_embedding_residual=tie,
         counts_expected=expected,
         counts_actual=actual,
         counts_ok=counts_ok,

@@ -93,6 +93,8 @@ def test_decompose_reconstruct_verify_pipeline(tmp_path, capsys):
     report = json.loads(out)
     assert report["passes"] is True
     assert report["counts_ok"] is True
+    want = verify(load_decomposition(d_path), t)
+    assert report["max_embedding_residual"] == want.max_embedding_residual <= 1e-14
 
 
 def test_decompose_to_stdout(tmp_path, capsys):
@@ -150,13 +152,21 @@ def test_verify_reports_another_part_layout_as_infinitely_far(tmp_path, capsys):
     save_decomposition(d_path, type(d)(order=d.order, parts=d.parts[1:] + d.parts[:1]))
     code, out, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
     assert code == 1
-    assert "canonical_residual = inf" in out.splitlines()
+    lines = out.splitlines()
+    assert "canonical_residual = inf" in lines and "max_embedding_residual = inf" in lines
+    code, out, _ = run(
+        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
+    )
+    report = json.loads(out)
+    assert code == 1 and report["passes"] is False
+    assert report["canonical_residual"] == report["max_embedding_residual"] == float("inf")
 
 
 def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
     # two order-1 parts with their contents swapped still sum to the tensor
-    # and stay orthogonal; only the comparison with the canonical
-    # decomposition catches them, at any scale of the tensor
+    # and stay orthogonal; the tie of each image to its own deviator and the
+    # comparison with the canonical decomposition each catch them, at any
+    # scale of the tensor
     t_path = tmp_path / "t.json"
     d_path = tmp_path / "d.json"
     save_tensor(t_path, 1e-12 * np.random.default_rng(7).standard_normal((3, 3, 3)))
@@ -173,7 +183,7 @@ def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
     )
     report = json.loads(out)
     assert report["reconstruction_relative"] <= 1e-10
-    assert report["max_cross_correlation"] <= 1e-10
+    assert report["max_embedding_residual"] > 1e-3
     assert report["canonical_residual"] > 1e-3
     assert code == 1
 

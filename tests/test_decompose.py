@@ -38,7 +38,6 @@ from deviatoric import (
 from deviatoric import decomposition
 from deviatoric.core import frobenius_norm
 from deviatoric.decomposition import (
-    _CERTIFIED_MAX,
     _certified_cross_correlation,
     _change_of_basis,
     _coordinates_and_images,
@@ -502,10 +501,13 @@ def test_cross_correlation_matches_pairwise_reference(order):
         },
     )
     report = verify(mixed, t)
+    exact = reference_cross_correlation(mixed)
     assert report.reconstruction_relative <= 1e-12
-    assert report.max_cross_correlation > 1e-3
-    assert abs(report.max_cross_correlation - reference_cross_correlation(mixed)) <= 1e-13
+    assert exact > 1e-3 and report.max_cross_correlation >= exact
+    assert report.max_embedding_residual > 1e-3
     assert not report.passes(1e-10)
+    # the Gram, which parts in any other layout take, matches the loop too
+    assert abs(_max_cross_correlation(_record_of(mixed).rows) - exact) <= 1e-13
 
 
 @pytest.mark.parametrize("order", [3, 6])
@@ -599,14 +601,18 @@ def test_image_rows_are_read_in_place_or_copied():
         np.testing.assert_array_equal(
             got.rows[got.row_of], np.stack([p.embedded.ravel() for p in edited.parts])
         )
-    assert verify(moved, t).max_cross_correlation <= 1e-10
+    report = verify(moved, t)
+    assert report.max_cross_correlation <= 1e-10 and report.max_embedding_residual == np.inf
     listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
     assert verify(listed, t) == verify(d, t)
     empty = Decomposition(order=d.order, parts=())
     np.testing.assert_array_equal(reconstruct(empty), np.zeros_like(t))
     report = verify(empty, np.zeros_like(t))
     assert report.max_cross_correlation == 0.0 and not report.counts_ok
-    assert verify(other_row, reconstruct(other_row)).max_cross_correlation == pytest.approx(1.0)
+    # image 0 is stacked as stored, a copy of image 1: the two rows are parallel
+    assert _max_cross_correlation(_record_of(other_row).rows) == pytest.approx(1.0)
+    report = verify(other_row, reconstruct(other_row))
+    assert report.max_cross_correlation >= 1.0 - 1e-12 and report.max_embedding_residual > 1e-3
 
 
 def assert_rows_are_recorded(d):
@@ -645,7 +651,11 @@ def test_copies_record_no_rows(kind):
     record = _record_of(c)
     images = np.stack([p.embedded.ravel() for p in c.parts])
     assert np.array_equal(record.rows[record.row_of], images)
-    assert verify(c, t).passes(1e-10)
+    report = verify(c, t)
+    if kind == "replace moved":  # another layout: no image is tied to its deviator
+        assert report.max_embedding_residual == np.inf
+        report = dataclasses.replace(report, max_embedding_residual=0.0)
+    assert report.passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
     # other than the ones stored in the parts would still pass
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
@@ -922,30 +932,46 @@ def exact_cross_correlation(rows):
     return float(cos.max()) if len(rows) > 1 else 0.0
 
 
+def certified(report):
+    """What ``verify`` reports from ``_certified_cross_correlation``."""
+    return report.max_cross_correlation, report.max_embedding_residual
+
+
 @pytest.mark.parametrize("order", range(9))
 def test_certified_bound_is_above_the_exact_value(order):
+    """The bound lies within 1e-13 above the exact value for random and
+    symmetric tensors at every scale, except a symmetric tensor at 1e-300:
+    ``verify`` fails it, a known defect (subnormal rounding noise in its
+    vanishing parts), and there the bound is only above the exact value."""
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
-    in_range = _certified_cross_correlation(decompose(t)._record, order)
-    # at 2^900 the squared norms overflow and at 2^-900 they underflow, so
-    # the pass is taken again on rescaled rows and coefficients
-    for scale in (1e-300, 1.0, 1e300, 2.0**900, 2.0**-900):
-        record = decompose(scale * t)._record
-        bound = _certified_cross_correlation(record, order)
-        exact = exact_cross_correlation(record.rows)
-        assert exact <= bound <= exact + 1e-13, scale
-        if np.frexp(scale)[0] == 0.5:
-            assert abs(bound - in_range) <= 1e-15, scale
+    for u in (t, symmetrize(t)) if order >= 2 else (t,):
+        in_range = _certified_cross_correlation(decompose(u)._record, order)[0]
+        # at 2^900 the squared norms overflow and at 2^-900 they underflow, so
+        # the pass is taken again on rescaled rows and coefficients
+        for scale in (1e-300, 1.0, 1e300, 2.0**900, 2.0**-900):
+            record = decompose(scale * u)._record
+            bound = _certified_cross_correlation(record, order)[0]
+            exact = exact_cross_correlation(record.rows)
+            assert exact <= bound, scale
+            if u is t or scale != 1e-300:
+                assert bound <= exact + 1e-13, scale
+            if np.frexp(scale)[0] == 0.5:
+                assert abs(bound - in_range) <= 1e-15, scale
 
 
-def test_verify_reports_the_certified_bound_from_order_7():
-    for order in (6, 7):
-        t = np.random.default_rng(490 + order).standard_normal((3,) * order)
-        d = decompose(t)
-        gram = _max_cross_correlation(d._record.rows)
-        certified = _certified_cross_correlation(d._record, order)
-        assert certified <= _CERTIFIED_MAX
-        want = gram if order < decomposition._CERTIFY_FROM_ORDER else certified
-        assert verify(d, t).max_cross_correlation == want
+@pytest.mark.parametrize("order", range(9))
+def test_verify_reports_the_certificate_at_every_order(order):
+    """For ``decompose`` output of random and symmetric tensors ``verify``
+    reports the certificate's bound and tie at every order, and the tie is
+    rounding alone."""
+    for seed in range(3 if order < 8 else 1):
+        t = np.random.default_rng(490 + 10 * order + seed).standard_normal((3,) * order)
+        for u in (t, symmetrize(t)):
+            d = decompose(u)
+            report = verify(d, u)
+            assert certified(report) == _certified_cross_correlation(d._record, order)
+            assert report.max_embedding_residual <= 1e-14
+            assert report.passes(1e-10)
 
 
 def test_zero_images_are_left_out_of_the_certificate():
@@ -955,53 +981,88 @@ def test_zero_images_are_left_out_of_the_certificate():
     assert np.count_nonzero(~d._record.rows.any(axis=1)) > 0
     report = verify(d, t)
     exact = exact_cross_correlation(d._record.rows)
-    assert report.max_cross_correlation == _certified_cross_correlation(d._record, 7)
+    assert certified(report) == _certified_cross_correlation(d._record, 7)
     assert exact <= report.max_cross_correlation <= exact + 1e-13
     assert report.passes(1e-10)
 
 
-def test_in_place_mix_falls_back_to_the_gram():
+def test_in_place_mix_fails_the_embedding_tie():
     t = np.random.default_rng(492).standard_normal((3,) * 7)
     d = decompose(t)
-    # the rows stay recorded, so the certificate is tried first
+    # the rows stay recorded, so the certificate reads the edit
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     d.parts[-1].embedded[...] *= 0.7
     assert_rows_are_recorded(d)
-    assert _certified_cross_correlation(d._record, 7) > _CERTIFIED_MAX
     report = verify(d, t)
-    assert report.max_cross_correlation == _max_cross_correlation(d._record.rows)
-    assert abs(report.max_cross_correlation - exact_cross_correlation(d._record.rows)) <= 1e-13
+    assert report.max_embedding_residual > 1e-3
+    assert report.max_cross_correlation >= exact_cross_correlation(d._record.rows) > 1e-3
     assert report.reconstruction_relative <= 1e-12 and not report.passes(1e-10)
 
 
-@pytest.mark.parametrize("order", [7, 8])
+def untied(t):
+    """Decompositions of ``t`` with an image that is not its deviator's
+    embedding, each with the tensor its images sum to: the s = 0 and s = n
+    images swapped, two s = 1 images of different J swapped, one deviator
+    doubled (of order 2, or the one part at order 1) and the s = n image
+    zeroed."""
+    n = t.ndim
+    cases = {}
+    if n >= 2:
+        d = decompose(t)
+        low, high = (next(p for p in d.parts if p.s == s).embedded for s in (0, n))
+        low[...], high[...] = high.copy(), low.copy()
+        cases["s = 0 and s = n swapped"] = (d, t)
+    if n >= 3:
+        d = decompose(t)
+        a, b = [p.embedded for p in d.parts if p.s == 1][:2]
+        a[...], b[...] = b.copy(), a.copy()
+        cases["J swapped"] = (d, t)
+    d = decompose(t)
+    next(p for p in d.parts if p.s == min(n, 2)).deviator[...] *= 2.0
+    cases["deviator doubled"] = (d, t)
+    d = decompose(t)
+    next(p for p in d.parts if p.s == n).embedded[...] = 0.0
+    cases["s = n zeroed"] = (d, reconstruct(d))
+    return cases
+
+
+@pytest.mark.parametrize("order", range(1, 9))
 def test_certificate_ties_each_image_to_its_deviator(order):
-    """An image that is not the embedding of its stored deviator makes the
-    bound large, so ``verify`` reports the Gram: one deviator doubled with
-    its image kept, and the images of the s = 0 and s = n parts swapped."""
+    """Images that still sum to the tensor and pass the Gram, but of which
+    one is not the embedding of its stored deviator, fail ``verify``
+    through the tie at every order; a copy, and up to order 6 a loaded
+    file, report exactly what the original reports."""
     t = np.random.default_rng(497 + order).standard_normal((3,) * order)
-    doubled = decompose(t)
-    next(p for p in doubled.parts if p.s == 3).deviator[...] *= 2.0
-    swapped = decompose(t)
-    low, high = (next(p for p in swapped.parts if p.s == s).embedded for s in (0, order))
-    low[...], high[...] = high.copy(), low.copy()
-    for d in (doubled, swapped):
+    for name, (d, reference) in untied(t).items():
         assert_rows_are_recorded(d)
-        assert _certified_cross_correlation(d._record, order) > _CERTIFIED_MAX
-        assert verify(d, t).max_cross_correlation == _max_cross_correlation(d._record.rows)
+        assert _max_cross_correlation(d._record.rows) <= 1e-10, name
+        report = verify(d, reference)
+        assert report.reconstruction_relative <= 1e-12, name
+        assert report.max_embedding_residual > 1e-3 and not report.passes(1e-10), name
+        copies = [pickle.loads(pickle.dumps(d))]
+        if order <= 6:  # an order-7 file takes about 0.7 s to write and read
+            copies.append(decomposition_from_json(decomposition_to_json(d)))
+        for other in copies:
+            assert verify(other, reference) == report, name
 
 
 @pytest.mark.parametrize("order", [4, 7])
 def test_only_an_exactly_zero_image_is_a_zero_image(order):
-    """An image whose squared norm underflows to 0 is not left out: a copy
-    of image 0 at 1e-170 of its size gives one verdict in any units."""
+    """An image whose squared norm underflows to 0 is not left out, so each
+    case gives one verdict in any units: part 1 scaled with its deviator to
+    1e-170 of its size is still tied to its deviator and passes, and a copy
+    of image 0 at 1e-170 of its size is parallel to image 0 in the Gram and
+    fails."""
     t = np.random.default_rng(495 + order).standard_normal((3,) * order)
     for scale in (1.0, 1e100, 1e-100):
         d = decompose(scale * t)
-        d.parts[1].embedded[...] = 1e-170 * d.parts[0].embedded
+        d.parts[1].deviator[...] *= 1e-170
+        d.parts[1].embedded[...] *= 1e-170
         report = verify(d, reconstruct(d))
-        assert report.max_cross_correlation == pytest.approx(1.0, abs=1e-12), scale
-        assert not report.passes(1e-10)
+        assert report.max_embedding_residual <= 1e-14 and report.passes(1e-10), scale
+        d.parts[1].embedded[...] = 1e-170 * d.parts[0].embedded
+        assert _max_cross_correlation(d._record.rows) == pytest.approx(1.0, abs=1e-12), scale
+        assert not verify(d, reconstruct(d)).passes(1e-10), scale
 
 
 @pytest.mark.parametrize("kind", ["pickle", "deepcopy", "replace"])
@@ -1014,7 +1075,7 @@ def test_copies_report_what_their_original_reports(kind):
     assert c._record is None
     original = verify(d, t)
     assert verify(c, t) == original
-    assert original.max_cross_correlation == _certified_cross_correlation(d._record, 7)
+    assert certified(original) == _certified_cross_correlation(d._record, 7)
     assert original.passes(1e-10)
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
     assert not verify(c, reconstruct(c)).passes(1e-10)
@@ -1026,13 +1087,13 @@ def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path)
     t = np.random.default_rng(496).standard_normal((3,) * 7)
     d = decompose(t)
     original = verify(d, t)
-    assert original.max_cross_correlation == _certified_cross_correlation(d._record, 7)
+    assert certified(original) == _certified_cross_correlation(d._record, 7)
     save_decomposition(tmp_path / "d.json", d)
     for other in (load_decomposition(tmp_path / "d.json"), Decomposition(7, tuple(d.parts))):
         report = verify(other, t)
         for f in dataclasses.fields(report):
             assert getattr(report, f.name) == getattr(original, f.name), f.name
-        assert report.max_cross_correlation == _certified_cross_correlation(_record_of(other), 7)
+        assert certified(report) == _certified_cross_correlation(_record_of(other), 7)
 
 
 def test_other_layouts_take_the_gram(monkeypatch):
@@ -1046,7 +1107,9 @@ def test_other_layouts_take_the_gram(monkeypatch):
     monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
     report = verify(moved, t)
     assert report.max_cross_correlation == _max_cross_correlation(_record_of(moved).rows)
-    assert report.passes(1e-10)
+    assert report.max_cross_correlation <= 1e-10
+    # no image of another layout is tied to its deviator
+    assert report.max_embedding_residual == np.inf and not report.passes(1e-10)
 
 
 def whole_gram_defects(prev, widths):
@@ -1346,9 +1409,8 @@ def test_verify_passes_at_every_scale(t, exponent):
     report = verify(d, t)
     assert report.passes(1e-10)
     assert verify(pickle.loads(pickle.dumps(d)), t) == report
-    if t.ndim == 7:
-        assert report.max_cross_correlation == _certified_cross_correlation(d._record, 7)
-        assert report.max_cross_correlation <= _CERTIFIED_MAX
+    assert certified(report) == _certified_cross_correlation(d._record, t.ndim)
+    assert report.max_cross_correlation <= 1e-13
 
 
 def test_verify_at_extreme_scale_warns_nothing():
