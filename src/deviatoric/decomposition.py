@@ -242,10 +242,11 @@ class VerifyReport:
     the absolute residual for the reconstruction and residual 0 for a zero
     part, which is trivially symmetric, traceless and orthogonal.  A
     deviator with an entry that is not finite has symmetry and trace
-    residual inf.  ``max_embedding_residual`` is the largest tie rho_i =
-    |f_i - e_i| / |f_i| of an image f_i to the embedding e_i of its own
-    deviator (``_certified_cross_correlation``); inf for parts in any other
-    layout than that of ``decompose``.
+    residual inf.  ``max_cross_correlation`` is a certified upper bound on
+    the largest cross-correlation and ``max_embedding_residual`` the largest
+    tie rho_i = |f_i - e_i| / |f_i| of an image f_i to the embedding e_i of
+    its own deviator (``_certified_cross_correlation``); both are inf for
+    parts in any other layout than that of ``decompose``.
     """
 
     order: int
@@ -671,7 +672,7 @@ def _stack(tensors, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orthogonality of the images
 
-# A Gram product of rows whose squared norms lie outside this range could
+# Products of image rows whose squared norms lie outside this range could
 # overflow, or lose precision to subnormal products.
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
@@ -753,12 +754,13 @@ def _pair_bound(inspan, rho_i, rho_j):
 
 
 def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]:
-    """An upper bound on ``_max_cross_correlation(record.rows)`` for the
-    parts of an order-n decomposition in ``_layout(n)``, in O(9^n) flops,
-    and the largest rho_i below.  Both are inf when an image or a deviator
-    is not finite, or an image is zero but its deviator is not (read from
-    the deviator, so an embedding that underflows counts).  A zero image
-    with a zero deviator has rho 0 and, as in the Gram, pairs with no other.
+    """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
+    over pairs i != j of nonzero image rows f of the parts of an order-n
+    decomposition in ``_layout(n)``, in O(9^n) flops, and the largest rho_i
+    below.  Both are inf when an image or a deviator is not finite, or an
+    image is zero but its deviator is not (read from the deviator, so an
+    embedding that underflows counts).  A zero image with a zero deviator
+    has rho 0 and pairs with no other.
 
     Each image f_i should be the embedding of its own stored deviator: with
     a_i the image coefficients of the deviator (``_deviator_coordinates``,
@@ -783,7 +785,7 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
     squared norms of the images come from the same pass as the residuals;
     when they are ``_out_of_range``, the pass is taken again on
     ``_scaled_rows`` of the rows, with each image's coefficients divided
-    exactly by the same power of two as its row, as the Gram rescales them.
+    exactly by the same power of two as its row.
     """
     rows = record.rows
     plan = _plan(n)
@@ -887,38 +889,11 @@ def _span_residuals(rows: np.ndarray, c: np.ndarray, n: int) -> tuple[np.ndarray
 def _out_of_range(rows: np.ndarray, squares: np.ndarray) -> bool:
     """Whether a row that is not all zero has a squared norm, given in
     ``squares``, outside ``_GRAM_RANGE`` or of 0 (or one that is not a
-    number); such rows are rescaled before they are compared."""
+    number); the certificate then takes its pass again on rescaled rows."""
     low, high = _GRAM_RANGE
     in_range = low <= squares.min(initial=low, where=squares > 0.0)
     in_range &= squares.max(initial=0.0) <= high
     return not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0))
-
-
-def _max_cross_correlation(rows: np.ndarray) -> float:
-    """Largest |<f_i, f_j>| / (|f_i| |f_j|) over pairs i != j of nonzero
-    rows f, taken on ``_scaled_rows`` when ``_out_of_range``, so only an
-    exactly zero row, in any units, pairs with no other; from one Gram
-    product F F^T whose diagonal gives the squared norms: O(parts^2 * 3^n)
-    flops and a (parts, parts) matrix.  ``verify`` takes it for parts in any
-    other layout than ``_layout(n)``'s."""
-    with np.errstate(over="ignore"):  # rescaled below
-        squares = np.einsum("ij,ij->i", rows, rows)
-    if _out_of_range(rows, squares):
-        rows = _scaled_rows(rows)[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf entry
-        gram = rows @ rows.T  # numpy runs this as a symmetric rank-k update
-    norms = np.sqrt(gram.diagonal())
-    nonzero = norms > 0.0
-    if np.count_nonzero(nonzero) < 2:
-        return 0.0
-    if not nonzero.all():
-        gram = gram[np.ix_(nonzero, nonzero)]
-        norms = norms[nonzero]
-    np.abs(gram, out=gram)
-    gram /= norms[:, None]
-    gram /= norms[None, :]
-    np.fill_diagonal(gram, 0.0)
-    return float(gram.max())
 
 
 def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
@@ -965,31 +940,30 @@ def verify(d: Decomposition, t) -> VerifyReport:
     Every check reads the arrays that the output of ``decompose`` and
     ``load_decomposition`` records (``_record_of``), never ``parts``, so it
     builds no part; any other decomposition is first stacked, once, into
-    such arrays.  The reconstruction and cross-correlation checks read every
+    such arrays.  The reconstruction and orthogonality checks read every
     stored image and the symmetry and trace checks every stored deviator, so
     an edited part fails them.
 
-    One rule per layout: for parts in the layout of ``decompose``
+    One orthogonality check: for parts in the layout of ``decompose``
     (``_has_plan_layout``), at every order, ``max_cross_correlation`` and
     ``max_embedding_residual`` are the certified bound (within 1e-13 above
     the exact value for ``decompose`` output) and the tie of each image to
-    its own deviator, of ``_certified_cross_correlation``; for any other
-    layout they are the Gram product of ``_max_cross_correlation`` and inf.
-    Every residual is computed on exactly rescaled values, so it does not
-    depend on the scale of ``t``.
+    its own deviator, of ``_certified_cross_correlation``.  Parts in any
+    other layout, or no parts at all, have no image tied to its deviator,
+    so both are inf and the report fails.  Every residual is computed on
+    exactly rescaled values, so it does not depend on the scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
-    rows = record.rows
     t_norm = frobenius_norm(t)
-    res = frobenius_norm(rows.sum(axis=0).reshape(t.shape) - t)
+    res = frobenius_norm(record.rows.sum(axis=0).reshape(t.shape) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
     sym_res, trace_res = _part_residuals(record.stacks, len(record.orders))
     if _has_plan_layout(record.orders, record.labels, d.order):
         max_cross, tie = _certified_cross_correlation(record, d.order)
-    else:
-        max_cross, tie = _max_cross_correlation(rows), np.inf
+    else:  # no image of another layout is tied to its deviator
+        max_cross = tie = np.inf
 
     expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
     actual = dict(Counter(record.orders))

@@ -5,8 +5,9 @@ constructs a Frobenius-orthonormal basis once per order and caches it:
 
 1. enumerate the symmetrized monomials ``sym(e_i1 x ... x e_is)`` for
    ``i1 <= ... <= is`` in lexicographic order,
-2. take the nullspace of the (1,2)-trace map restricted to their span,
-   found by a rank-revealing SVD,
+2. take the nullspace of the (1,2)-trace map restricted to their span:
+   it has dimension 2s + 1, so it is spanned by the last 2s + 1 left
+   singular vectors of the map,
 3. orthonormalize with modified Gram-Schmidt.
 
 The construction involves no randomness, so repeated calls return the same
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-10
-_RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,10 @@ def build_basis(order: int) -> DeviatorBasis:
     else:
         flat = _monomials(order)
         traces = np.trace(flat.reshape(len(flat), 3, 3, -1), axis1=1, axis2=2)
-        u, sigma, _ = np.linalg.svd(traces)
-        rank = int(np.sum(sigma > _RANK_TOL * sigma[0]))
-        null = u[:, rank:].T  # coefficient rows spanning the traceless subspace
+        u = np.linalg.svd(traces)[0]
+        null = u[:, -(2 * order + 1) :].T  # coefficient rows spanning the traceless subspace
         stack = _gram_schmidt(null @ flat)
-    expected = 2 * order + 1
-    if stack.shape[0] != expected:
-        raise RuntimeError(
-            f"deviator space of order {order}: got {stack.shape[0]} basis "
-            f"elements, expected {expected}"
-        )
-    tensors = stack.reshape((expected,) + (3,) * order)
+    tensors = stack.reshape((2 * order + 1,) + (3,) * order)
     tensors.flags.writeable = False
     return DeviatorBasis(order=order, tensors=tensors)
 

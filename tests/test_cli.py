@@ -153,13 +153,16 @@ def test_verify_reports_another_part_layout_as_infinitely_far(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
     assert code == 1
     lines = out.splitlines()
-    assert "canonical_residual = inf" in lines and "max_embedding_residual = inf" in lines
+    for key in ("max_cross_correlation", "max_embedding_residual", "canonical_residual"):
+        assert f"{key} = inf" in lines, key
     code, out, _ = run(
         capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
     )
+    assert '"max_cross_correlation": Infinity' in out
     report = json.loads(out)
     assert code == 1 and report["passes"] is False
-    assert report["canonical_residual"] == report["max_embedding_residual"] == float("inf")
+    for key in ("max_cross_correlation", "max_embedding_residual", "canonical_residual"):
+        assert report[key] == float("inf"), key
 
 
 def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
@@ -186,6 +189,43 @@ def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
     assert report["max_embedding_residual"] > 1e-3
     assert report["canonical_residual"] > 1e-3
     assert code == 1
+
+
+def test_canonical_residual_catches_what_verify_passes(tmp_path, capsys):
+    # each image but one s = 0 image is tilted towards that image by 0.4e-10
+    # of its norm, with its deviator kept, and the s = 0 part shrinks so that
+    # the images still sum to the tensor: each tie is 4e-11 and the bound
+    # 8e-11, so ``verify`` passes at 1e-10, but the s = 0 image has moved by
+    # the sum of all tilts, about sqrt(P) times the tie, and only the
+    # comparison with the canonical decomposition sees it
+    t_path = tmp_path / "t.json"
+    d_path = tmp_path / "d.json"
+    save_tensor(t_path, np.random.default_rng(9).standard_normal((3,) * 6))
+    t = load_tensor(t_path)
+    d = decompose(t)
+    k = next(i for i, p in enumerate(d.parts) if p.s == 0)
+    f0 = d.parts[k].embedded
+    u = f0 / np.linalg.norm(f0)
+    parts = list(d.parts)
+    moved = 0.0
+    for i, p in enumerate(d.parts):
+        if i != k:
+            tilt = 0.4e-10 * np.linalg.norm(p.embedded)
+            parts[i] = type(p)(s=p.s, J=p.J, deviator=p.deviator, embedded=p.embedded + tilt * u)
+            moved += tilt
+    shrink = 1.0 - moved / np.linalg.norm(f0)
+    p = d.parts[k]
+    parts[k] = type(p)(s=p.s, J=p.J, deviator=shrink * p.deviator, embedded=shrink * p.embedded)
+    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    assert verify(load_decomposition(d_path), t).passes(1e-10)
+    code, out, _ = run(
+        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
+    )
+    report = json.loads(out)
+    assert report["reconstruction_relative"] <= 1e-15
+    assert report["max_embedding_residual"] <= 1e-10 and report["max_cross_correlation"] <= 1e-10
+    assert report["canonical_residual"] > 1e-10
+    assert code == 1 and report["passes"] is False
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])

@@ -42,7 +42,6 @@ from deviatoric.decomposition import (
     _change_of_basis,
     _coordinates_and_images,
     _forward,
-    _max_cross_correlation,
     _plan,
     _record_of,
     _regroup,
@@ -506,8 +505,8 @@ def test_cross_correlation_matches_pairwise_reference(order):
     assert exact > 1e-3 and report.max_cross_correlation >= exact
     assert report.max_embedding_residual > 1e-3
     assert not report.passes(1e-10)
-    # the Gram, which parts in any other layout take, matches the loop too
-    assert abs(_max_cross_correlation(_record_of(mixed).rows) - exact) <= 1e-13
+    # the exact value that the other tests compare with matches the loop too
+    assert abs(exact_cross_correlation(_record_of(mixed).rows) - exact) <= 1e-13
 
 
 @pytest.mark.parametrize("order", [3, 6])
@@ -602,15 +601,15 @@ def test_image_rows_are_read_in_place_or_copied():
             got.rows[got.row_of], np.stack([p.embedded.ravel() for p in edited.parts])
         )
     report = verify(moved, t)
-    assert report.max_cross_correlation <= 1e-10 and report.max_embedding_residual == np.inf
+    assert report.max_cross_correlation == report.max_embedding_residual == np.inf
     listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
     assert verify(listed, t) == verify(d, t)
     empty = Decomposition(order=d.order, parts=())
     np.testing.assert_array_equal(reconstruct(empty), np.zeros_like(t))
     report = verify(empty, np.zeros_like(t))
-    assert report.max_cross_correlation == 0.0 and not report.counts_ok
+    assert report.max_cross_correlation == np.inf and not report.counts_ok
     # image 0 is stacked as stored, a copy of image 1: the two rows are parallel
-    assert _max_cross_correlation(_record_of(other_row).rows) == pytest.approx(1.0)
+    assert exact_cross_correlation(_record_of(other_row).rows) == pytest.approx(1.0)
     report = verify(other_row, reconstruct(other_row))
     assert report.max_cross_correlation >= 1.0 - 1e-12 and report.max_embedding_residual > 1e-3
 
@@ -653,8 +652,8 @@ def test_copies_record_no_rows(kind):
     assert np.array_equal(record.rows[record.row_of], images)
     report = verify(c, t)
     if kind == "replace moved":  # another layout: no image is tied to its deviator
-        assert report.max_embedding_residual == np.inf
-        report = dataclasses.replace(report, max_embedding_residual=0.0)
+        assert report.max_cross_correlation == report.max_embedding_residual == np.inf
+        report = dataclasses.replace(report, max_cross_correlation=0.0, max_embedding_residual=0.0)
     assert report.passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
     # other than the ones stored in the parts would still pass
@@ -918,6 +917,32 @@ def test_verify_is_scale_invariant(exponent):
     assert not verify(mix_first_and_last(d), scale * t).passes(1e-10)
 
 
+# Known scale defects: the engine computes on the raw values, not under the
+# scale policy of ``core``.  Each case is a strict xfail, so the change that
+# mends it must drop the mark.
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning, reason="the engine overflows near 1e308")
+@pytest.mark.parametrize("order", [3, 4, 7])
+def test_decompose_does_not_overflow_at_the_float_limit(order):
+    t = np.random.default_rng(3).standard_normal((3,) * order)
+    u = t * (1e308 / np.max(np.abs(t)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d = decompose(u)
+    report = verify(d, u)
+    assert report.passes(1e-10)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="vanishing parts hold subnormal noise"
+)
+@pytest.mark.parametrize("scale", [1e-300, 1e-310])
+@pytest.mark.parametrize("order", [3, 4, 7])
+def test_symmetric_tensors_pass_verify_at_tiny_scales(order, scale):
+    u = scale * symmetrize(np.random.default_rng(3).standard_normal((3,) * order))
+    report = verify(decompose(u), u)  # a failed assert shows the report, not all parts
+    assert report.passes(1e-10)
+
+
 def exact_cross_correlation(rows):
     """Largest |cos| between distinct nonzero rows, each first divided
     exactly by a power of two: in long double up to 3^6 columns, above that
@@ -1028,14 +1053,14 @@ def untied(t):
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_certificate_ties_each_image_to_its_deviator(order):
-    """Images that still sum to the tensor and pass the Gram, but of which
+    """Images that still sum to the tensor and are orthogonal, but of which
     one is not the embedding of its stored deviator, fail ``verify``
     through the tie at every order; a copy, and up to order 6 a loaded
     file, report exactly what the original reports."""
     t = np.random.default_rng(497 + order).standard_normal((3,) * order)
     for name, (d, reference) in untied(t).items():
         assert_rows_are_recorded(d)
-        assert _max_cross_correlation(d._record.rows) <= 1e-10, name
+        assert exact_cross_correlation(d._record.rows) <= 1e-10, name
         report = verify(d, reference)
         assert report.reconstruction_relative <= 1e-12, name
         assert report.max_embedding_residual > 1e-3 and not report.passes(1e-10), name
@@ -1051,8 +1076,7 @@ def test_only_an_exactly_zero_image_is_a_zero_image(order):
     """An image whose squared norm underflows to 0 is not left out, so each
     case gives one verdict in any units: part 1 scaled with its deviator to
     1e-170 of its size is still tied to its deviator and passes, and a copy
-    of image 0 at 1e-170 of its size is parallel to image 0 in the Gram and
-    fails."""
+    of image 0 at 1e-170 of its size is parallel to image 0 and fails."""
     t = np.random.default_rng(495 + order).standard_normal((3,) * order)
     for scale in (1.0, 1e100, 1e-100):
         d = decompose(scale * t)
@@ -1061,7 +1085,7 @@ def test_only_an_exactly_zero_image_is_a_zero_image(order):
         report = verify(d, reconstruct(d))
         assert report.max_embedding_residual <= 1e-14 and report.passes(1e-10), scale
         d.parts[1].embedded[...] = 1e-170 * d.parts[0].embedded
-        assert _max_cross_correlation(d._record.rows) == pytest.approx(1.0, abs=1e-12), scale
+        assert exact_cross_correlation(d._record.rows) == pytest.approx(1.0, abs=1e-12), scale
         assert not verify(d, reconstruct(d)).passes(1e-10), scale
 
 
@@ -1096,20 +1120,42 @@ def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path)
         assert certified(report) == _certified_cross_correlation(_record_of(other), 7)
 
 
-def test_other_layouts_take_the_gram(monkeypatch):
+def test_other_layouts_report_inf(monkeypatch):
+    """Parts in any other layout than that of ``decompose``, no parts
+    included, are not certified: both orthogonality fields are inf and the
+    report fails, while the reconstruction and each part's own residuals are
+    those of the parts as stored."""
     t = np.random.default_rng(494).standard_normal((3,) * 7)
     d = decompose(t)
-    moved = COPIES["replace moved"](d)
+    original = verify(d, t)
+    parts = d.parts
+    k, k2 = [i for i, p in enumerate(parts) if p.s == 2][:2]
+    relabelled = IrreduciblePart(2, len(parts), parts[k].deviator, parts[k].embedded)
+    # each case with the part of d that each of its parts holds
+    index = list(range(len(parts)))
+    cases = {
+        "moved": (parts[1:] + parts[:1], index[1:] + index[:1]),
+        "dropped": (parts[:-1], index[:-1]),
+        "duplicated": (
+            parts[:k2] + (parts[k],) + parts[k2 + 1 :], index[:k2] + [k] + index[k2 + 1 :]
+        ),
+        "wrong label": (parts[:k] + (relabelled,) + parts[k + 1 :], index),
+        "no parts": ((), []),
+    }
 
     def fail(record, n):
         raise AssertionError("parts in another layout were certified")
 
     monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
-    report = verify(moved, t)
-    assert report.max_cross_correlation == _max_cross_correlation(_record_of(moved).rows)
-    assert report.max_cross_correlation <= 1e-10
-    # no image of another layout is tied to its deviator
-    assert report.max_embedding_residual == np.inf and not report.passes(1e-10)
+    for name, (other_parts, source) in cases.items():
+        other = Decomposition(7, other_parts)
+        report = verify(other, t)
+        assert report.max_cross_correlation == report.max_embedding_residual == np.inf, name
+        assert not report.passes(1e-10), name
+        assert report.reconstruction_residual == frobenius_norm(reconstruct(other) - t), name
+        assert report.part_symmetry == tuple(original.part_symmetry[i] for i in source), name
+        assert report.part_trace == tuple(original.part_trace[i] for i in source), name
+        assert report.max_part_residual <= 1e-13, name
 
 
 def whole_gram_defects(prev, widths):

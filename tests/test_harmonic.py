@@ -20,7 +20,7 @@ from deviatoric import (
     symmetrize,
     trace_pair,
 )
-from deviatoric.harmonic import _RANK_TOL, _gram_schmidt, _monomials
+from deviatoric.harmonic import _gram_schmidt, _monomials
 
 
 @pytest.mark.parametrize("s", range(9))
@@ -28,7 +28,7 @@ def test_basis_dimension_is_2s_plus_1(s):
     assert len(build_basis(s)) == 2 * s + 1
 
 
-@pytest.mark.parametrize("s", range(7))
+@pytest.mark.parametrize("s", range(9))
 def test_basis_elements_are_orthonormal_deviators(s):
     basis = build_basis(s)
     flat = basis.flat
@@ -173,6 +173,19 @@ def reference_monomial(index):
     return t
 
 
+@pytest.mark.parametrize("s", range(2, 10))
+def test_trace_map_has_a_null_space_of_dimension_2s_plus_1(s):
+    """``build_basis`` takes the last 2s + 1 left singular vectors of the
+    trace map as its null space; the singular values before them are far
+    from zero and the rest are rounding."""
+    flat = _monomials(s)
+    traces = np.trace(flat.reshape(len(flat), 3, 3, -1), axis1=1, axis2=2)
+    sigma = np.linalg.svd(traces, compute_uv=False)
+    rank = len(flat) - (2 * s + 1)
+    assert sigma[rank - 1] >= 1e-2 * sigma[0]
+    assert np.all(sigma[rank:] <= 1e-15 * sigma[0])
+
+
 def reference_basis(s):
     """The basis built from the permutation-listed monomials."""
     monomials = [
@@ -180,9 +193,8 @@ def reference_basis(s):
     ]
     flat = np.stack([m.ravel() for m in monomials])
     traces = np.stack([trace_pair(m, 0, 1).ravel() for m in monomials])
-    u, sigma, _ = np.linalg.svd(traces)
-    rank = int(np.sum(sigma > _RANK_TOL * sigma[0]))
-    return flat, _gram_schmidt(u[:, rank:].T @ flat)
+    u = np.linalg.svd(traces)[0]
+    return flat, _gram_schmidt(u[:, -(2 * s + 1) :].T @ flat)
 
 
 @pytest.mark.parametrize("s", range(2, 9))
