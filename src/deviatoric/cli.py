@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import _scaled_back, _scaled_rows, frobenius_norm
 from .decomposition import (
-    Decomposition, _has_plan_layout, _record_of, counts_row, decompose, reconstruct, verify,
+    Decomposition, _has_plan_layout, _record_of, _rows_of, counts_row, decompose, reconstruct,
+    verify,
 )
 from .physics import (
     coupling_decompose,
@@ -179,7 +180,8 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
         return float("inf")
     theirs = _record_of(decompose(reference))
     worst = 0.0
-    pairs = [(ours.rows, theirs.rows)] + [(a[2], b[2]) for a, b in zip(ours.stacks, theirs.stacks)]
+    images = (_rows_of(ours, d.order), _rows_of(theirs, d.order))
+    pairs = [images] + [(a[2], b[2]) for a, b in zip(ours.stacks, theirs.stacks)]
     for a, b in pairs:
         scaled, exponents = _scaled_rows(a - b)
         norms = _scaled_back(exponents, np.linalg.norm(scaled, axis=1))[0]

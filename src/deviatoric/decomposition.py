@@ -2,9 +2,10 @@
 
 An arbitrary order-n tensor splits uniquely into embedded deviators: a sum of
 terms, one per (s, J) slot, where s is the deviator order (0 <= s <= n) and
-J = 1..count_parts(n, s) labels the multiplicity.  Each part carries both the
-deviator itself and its embedded order-n image; embedded images of different
-parts are mutually Frobenius-orthogonal and sum back to the input.
+J = 1..count_parts(n, s) labels the multiplicity.  The deviators are what a
+decomposition holds; each part's embedded order-n image is built from its
+deviator on first read.  Embedded images of different parts are mutually
+Frobenius-orthogonal and sum back to the input.
 
 The decomposition is linear, so for each order n it is one fixed change of
 basis.  The 3^n x 3^n matrix E has one row per (slot, basis deviator): the
@@ -42,12 +43,12 @@ parents of one order s at once:
 * E_m takes its slots in order of s, and of J within each s.  So the rows
   of all the order-s slots of E_{n-1} are one contiguous block, which the
   group of order-s parents reads as a (parents, 2s+1, 3^(n-1)) view.
-* The image rows of an order-n decomposition, and its coordinates, are in
-  plan order: grouped by parent order s, then by parent (in order of J),
-  then by child.  So each group writes its children's images with one
-  stacked product into a contiguous block of rows.  ``_layout(n).row_of``
-  gives the row of each part; ``parts`` and every public order stay in
-  traversal order.
+* The coordinates of an order-n decomposition, and its image rows when
+  they are built, are in plan order: grouped by parent order s, then by
+  parent (in order of J), then by child.  So each group builds its
+  children's images with one stacked product into a contiguous block of
+  rows.  ``_layout(n).row_of`` gives the row of each part; ``parts`` and
+  every public order stay in traversal order.
 
 ``combine_deviator_triple`` maps a triple (d_lo, d_mid, d_hi) of orders
 (n-1, n, n+1) to the order-(n+1) tensor
@@ -176,10 +177,11 @@ class _Record(NamedTuple):
     The image of part i is row ``row_of[i]`` of ``rows``.  For parts in the
     layout of ``decompose`` (``_has_plan_layout``) the rows are in plan order
     and ``row_of`` is ``_layout(n).row_of``; for any other parts they are in
-    part order.
+    part order.  The output of ``decompose`` holds no rows: its images are
+    the embeddings of its deviators, built by ``_rows_of`` when read.
     """
 
-    rows: np.ndarray  # (parts, 3^n) images
+    rows: np.ndarray | None  # (parts, 3^n) images; None for the output of ``decompose``
     row_of: np.ndarray  # (parts,) the row of each part's image
     orders: tuple[int, ...]  # s of each part
     labels: tuple[int, ...]  # J of each part
@@ -191,13 +193,16 @@ class Decomposition:
     """The parts of an order-n tensor.
 
     The output of ``decompose`` and ``load_decomposition`` is made by
-    ``_from_rows`` and records its parts as arrays (``_Record``): the images
-    as the rows of one (parts, 3^n) array, in plan order, and the deviators
-    as one stack per deviator order.  ``reconstruct`` and ``verify`` read
-    those arrays, and ``parts`` is built from them on first access, then
-    stored; each ``deviator`` and ``embedded`` is a view of its row, so an
-    in-place edit of a part is an edit of the record.  A hand-built
-    decomposition, or any copy (pickle, ``copy``, ``deepcopy``,
+    ``_from_rows`` and records its parts as arrays (``_Record``): the
+    deviators as one stack per deviator order and, for a loaded file, the
+    images as the rows of one (parts, 3^n) array, in plan order.
+    ``reconstruct`` and ``verify`` read those arrays, and ``parts`` is built
+    from them on first access, then stored; each ``deviator`` is a view of
+    its stack, so an in-place edit of a deviator is an edit of the record.
+    The output of ``decompose`` holds only its deviators: ``parts`` builds
+    its images once, from the deviators, as read-only rows.  A loaded
+    file's images are views of its rows, so an in-place edit reaches them.
+    A hand-built decomposition, or any copy (pickle, ``copy``, ``deepcopy``,
     ``dataclasses.replace``), holds its parts and no record.
     """
 
@@ -209,12 +214,12 @@ class Decomposition:
         # only a decomposition made by ``_from_rows`` lacks ``parts``
         if name != "parts" or self._record is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, row_of, orders, labels, stacks = self._record
+        _, row_of, orders, labels, stacks = self._record
         deviators: list = [None] * len(orders)
         for s, index, stack in stacks:
             for i, deviator in zip(index.tolist(), _views(stack, s)):
                 deviators[i] = deviator
-        images = _views(rows, self.order)
+        images = _views(_rows_of(self._record, self.order), self.order)
         images = [images[r] for r in row_of.tolist()]
         # a list first: tuple() of an iterator of unknown length resizes its
         # result, and CPython keeps each freed tuple of under 20 items on a
@@ -226,6 +231,11 @@ class Decomposition:
     def __getstate__(self):
         # copies keep no record: pickle and deepcopy give each part an array of its own
         return {"order": self.order, "parts": self.parts}
+
+    def __repr__(self) -> str:
+        # the parts' arrays would print in full (numpy summarises no axis of
+        # length 3), and reading them would build the images
+        return f"{type(self).__name__}(order={self.order}, counts={self.counts()})"
 
     def counts(self) -> dict[int, int]:
         orders = [p.s for p in self.parts] if self._record is None else self._record.orders
@@ -539,28 +549,48 @@ def _plan(n: int) -> _Plan:
     return plan._replace(prev=prev, groups=tuple(groups))
 
 
-def _coordinates_and_images(plan: _Plan, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates c = E_n t / lambda of an order-n ``t`` and the
-    (parts, 3^n) array of its embedded images, both in plan order, from the
-    order-n ``plan``: one product over E_{n-1}, then two small products and
-    one stacked product per group."""
-    n = t.ndim
-    if n == 0:
-        images = np.array([[float(t)]])
-        return images[0], images
+def _coordinates(plan: _Plan, t: np.ndarray) -> np.ndarray:
+    """The coordinates c = E_n t / lambda of an order-n ``t``, in plan
+    order, from the order-n ``plan``: one product over E_{n-1}, then two
+    small products per group."""
+    if t.ndim == 0:
+        return np.array([float(t)])
     # y[3r + k] = (E_{n-1} t[k])_r, one product over the order-(n-1) matrix;
     # each group then overwrites its block with the coordinates.  The slices
     # times E_{n-1}^T give the same bits as E_{n-1} times the slices as
     # columns, and took 0.45 against 0.69 ms at order 7 and 4.7 against
     # 8.0 ms at order 8, warm on one BLAS thread
     c = np.dot(t.reshape(3, -1), plan.prev.T).T.ravel()
-    images = np.empty((len(plan.orders), 3**n))
     for g in plan.groups:
         c_g = c[g.coords].reshape(g.norms.shape)
         np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
-        coeffs = g.coefficients(c)
-        np.matmul(coeffs, g.blocks, out=images[g.images].reshape(len(g.blocks), -1, 3 ** (n - 1)))
-    return c, images
+    return c
+
+
+def _images(plan: _Plan, c: np.ndarray) -> np.ndarray:
+    """The new (parts, 3^n) array of the embedded images of the coordinates
+    ``c`` of the order-n ``plan``, in plan order: one stacked product per
+    group."""
+    if plan.prev is None:
+        return c.reshape(1, 1).copy()
+    images = np.empty((len(plan.orders), len(c)))
+    for g in plan.groups:
+        out = images[g.images].reshape(len(g.blocks), -1, len(plan.prev))
+        np.matmul(g.coefficients(c), g.blocks, out=out)
+    return images
+
+
+def _rows_of(record: _Record, n: int) -> np.ndarray:
+    """The image rows of the order-n ``record``: its own, or for the output
+    of ``decompose`` the embeddings of its deviators, built by the product
+    of ``_images`` and read-only, so no edit can part them from the
+    deviators they were built from."""
+    if record.rows is not None:
+        return record.rows
+    plan = _plan(n)
+    rows = _images(plan, _deviator_coordinates(plan, record.stacks, n))
+    rows.flags.writeable = False
+    return rows
 
 
 def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
@@ -573,9 +603,9 @@ def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
 def _from_rows(order: int, record: _Record) -> Decomposition:
     """The order-``order`` decomposition whose parts are the arrays of
     ``record``; the only maker of a decomposition with a record.
-    ``decompose`` passes its plan's arrays, and ``decomposition_from_json``
-    ``_stacked`` of the parts it read.  No ``parts`` is built until they are
-    read."""
+    ``decompose`` passes its deviators and no rows, and
+    ``decomposition_from_json`` ``_stacked`` of the parts it read.  No
+    ``parts`` is built until they are read."""
     d = object.__new__(Decomposition)
     object.__setattr__(d, "order", order)
     object.__setattr__(d, "_record", record)
@@ -614,32 +644,57 @@ def decompose(t) -> Decomposition:
     """Orthogonal irreducible decomposition of an arbitrary 3-D tensor.
 
     Returns one part per (s, J) slot in deterministic traversal order; the
-    embedded images sum to ``t`` and are mutually orthogonal.  The images are
-    the rows of one (parts, 3^n) array, in plan order, and the deviators of
-    each order one stack, which the decomposition records (see
-    ``Decomposition``), so ``reconstruct`` and ``verify`` read them all
-    without a copy.  Raises ``ValueError`` for a NaN or +-inf entry.
+    embedded images sum to ``t`` and are mutually orthogonal.  The
+    decomposition records only the deviators, one stack per order (see
+    ``Decomposition``): ``reconstruct`` and ``verify`` read them in place,
+    and the images, 98% of the doubles of the parts, are built only when
+    ``parts`` is read.  Raises ``ValueError`` for a NaN or +-inf entry.
     """
     t = as_tensor(t)
     if not np.isfinite(t).all():
         raise ValueError("tensor has a non-finite entry")
     plan = _plan(t.ndim)
-    c, images = _coordinates_and_images(plan, t)
+    c = _coordinates(plan, t)
     # a list first, as in ``Decomposition.__getattr__``
     stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
-    return _from_rows(t.ndim, _Record(images, plan.row_of, plan.orders, plan.labels, stacks))
+    return _from_rows(t.ndim, _Record(None, plan.row_of, plan.orders, plan.labels, stacks))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of the embedded parts; inverse of ``decompose``.
 
-    It sums the image rows of ``_record_of(d)``: the record of ``decompose``
-    and ``load_decomposition`` output, in place, or the parts of any other
-    decomposition, stacked once.  So a hand-built part whose deviator or
-    image has another shape than its order's raises the same ``ValueError``
-    as in ``verify``.
+    It reads ``_record_of(d)``: the record of ``decompose`` and
+    ``load_decomposition`` output, in place, or the parts of any other
+    decomposition, stacked once (``_sum``).  So a hand-built part whose
+    deviator or image has another shape than its order's raises the same
+    ``ValueError`` as in ``verify``.
     """
-    return _record_of(d).rows.sum(axis=0).reshape((3,) * d.order)
+    return _sum(_record_of(d), d.order)
+
+
+def _sum(record: _Record, n: int) -> np.ndarray:
+    """The sum of the images of the order-n ``record``: its rows, summed,
+    or for the output of ``decompose`` one product with E_{n-1}.
+
+    Slice k of the images of a parent's children is the sum of their slice-k
+    image coefficients times the parent's rows of E_{n-1}.  Each coordinate
+    r of the children adds c_r F[r, k, :] to that sum, so the sums of a
+    group are its coordinates (``_deviator_coordinates``) times the
+    transpose of ``_Group.to_children``, laid out as the slice coordinates
+    y, and the tensor is Y E_{n-1}, slice by slice.  An in-place edit of a
+    deviator reaches it through the coordinates.
+    """
+    if record.rows is not None:
+        return record.rows.sum(axis=0).reshape((3,) * n)
+    plan = _plan(n)
+    c = _deviator_coordinates(plan, record.stacks, n)
+    if n == 0:
+        return c.reshape(())
+    y = np.empty(3**n)
+    for g in plan.groups:
+        shape = g.norms.shape
+        np.dot(c[g.coords].reshape(shape), g.to_children.T, out=y[g.coords].reshape(shape))
+    return np.dot(y.reshape(-1, 3).T, plan.prev).reshape((3,) * n)
 
 
 def _record_of(d: Decomposition) -> _Record:
@@ -672,8 +727,9 @@ def _stack(tensors, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orthogonality of the images
 
-# Products of image rows whose squared norms lie outside this range could
-# overflow, or lose precision to subnormal products.
+# Products of image rows whose squared norms lie outside this range, or of
+# coordinates whose squares do, could overflow, or lose precision to
+# subnormal products.
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
 # doubles of image slices that the certificate takes at a time, in whole
@@ -692,6 +748,7 @@ class _SpanDefects(NamedTuple):
     ``_certified_cross_correlation``."""
 
     lam: np.ndarray  # (parents,) lambda_p, in the slot order of E_{n-1}
+    sigma: np.ndarray  # (parents,) sigma_p, in the same order
     delta: np.ndarray  # (parents,) delta_p, in the same order
     eta: float
     slack: np.ndarray  # (parts,) rounding allowance of each rho, in plan order
@@ -743,8 +800,8 @@ def _span_defects(n: int) -> _SpanDefects:
     slack = np.empty(sum(counts_row(n)))
     for g in _plan(n).groups:
         slack[g.images] = g.width**1.5 * eps
-    _read_only(lam, delta, slack)
-    return _SpanDefects(lam, delta, eta, slack)
+    _read_only(lam, sigma, delta, slack)
+    return _SpanDefects(lam, sigma, delta, eta, slack)
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -756,15 +813,15 @@ def _pair_bound(inspan, rho_i, rho_j):
 def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]:
     """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
     over pairs i != j of nonzero image rows f of the parts of an order-n
-    decomposition in ``_layout(n)``, in O(9^n) flops, and the largest rho_i
-    below.  Both are inf when an image or a deviator is not finite, or an
-    image is zero but its deviator is not (read from the deviator, so an
-    embedding that underflows counts).  A zero image with a zero deviator
-    has rho 0 and pairs with no other.
+    decomposition in ``_layout(n)``, and the largest rho_i below.  Both are
+    inf when an image or a deviator is not finite, or an image is zero but
+    its deviator is not (read from the deviator, so an embedding that
+    underflows counts).  A zero image with a zero deviator has rho 0 and
+    pairs with no other.
 
     Each image f_i should be the embedding of its own stored deviator: with
     a_i the image coefficients of the deviator (``_deviator_coordinates``,
-    then ``_Group.coefficients``, as ``decompose`` forms them),
+    then ``_Group.coefficients``, as ``_images`` forms them),
     e_i = a_i B_p slice by slice, B_p the rows of the parent slot in E_{n-1}.
     e_i lies in the span of B_p whatever a_i and the defect of B_p,
     h_i = f_i - e_i, and rho_i = |h_i| / |f_i|.  Writing f_i = e_i + h_i
@@ -779,31 +836,56 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
       is eta (1 + rho_i)(1 + rho_j), which with the rest of the bound is
       largest for the two largest rho.
 
-    lambda_p, delta_p, eta and the rounding slack of rho are
+    lambda_p, sigma_p, delta_p, eta and the rounding slack of rho are
     ``_span_defects(n)``.  The bound holds for any rows and deviators, so an
-    edited, swapped or rescaled image or deviator only makes it large.  The
-    squared norms of the images come from the same pass as the residuals;
-    when they are ``_out_of_range``, the pass is taken again on
-    ``_scaled_rows`` of the rows, with each image's coefficients divided
-    exactly by the same power of two as its row.
+    edited, swapped or rescaled image or deviator only makes it large.
+
+    Two paths give the norms and rho:
+
+    * A record with rows (a loaded file, a copy, a hand-built decomposition)
+      is read in one O(9^n) pass over the rows (``_span_residuals``), which
+      measures |f_i| and |h_i|.  When the squared norms are
+      ``_out_of_range``, the pass is taken again on ``_scaled_rows`` of the
+      rows, with each image's coefficients divided exactly by the same power
+      of two as its row.
+    * The output of ``decompose`` holds no rows: its images are the product
+      f_i = fl(a_i B_p) of ``_rows_of``, so h_i is that product's rounding,
+      rho_i is 0 before the slack, and |f_i| >= sqrt(sigma_p) |a_i|
+      (1 - slack) stands in for the norm.  No image is read or built: the
+      bound costs O(P w^2).  This holds while every nonzero coordinate c
+      has c^2 in ``_GRAM_RANGE``, so that no product underflows or
+      overflows; otherwise the images are built and take the first path.
     """
     rows = record.rows
     plan = _plan(n)
     # out of range: taken again, rescaled; not finite: inf, below
     with np.errstate(over="ignore", invalid="ignore"):
         c = _deviator_coordinates(plan, record.stacks, n)
-        squares, residuals, coefficients = _span_residuals(rows, c, n)
-        if _out_of_range(rows, squares):
-            rows, exponents = _scaled_rows(rows)
-            c = _deviator_coordinates(plan, record.stacks, n, exponents)
+        low, high = _GRAM_RANGE
+        c2 = c * c  # a nonzero c whose square underflows is out of range too
+        from_coefficients = rows is None and bool(
+            c2.max(initial=0.0) <= high and low <= c2.min(initial=low, where=c != 0.0)
+        )
+        if from_coefficients:
+            coefficients = [g.coefficients(c) for g in plan.groups]
+            squares = _coefficient_squares(plan, coefficients, c)
+            residuals = np.zeros_like(squares)
+        else:
+            if rows is None:
+                rows = _rows_of(record, n)
             squares, residuals, coefficients = _span_residuals(rows, c, n)
+            if _out_of_range(rows, squares):
+                rows, exponents = _scaled_rows(rows)
+                c = _deviator_coordinates(plan, record.stacks, n, exponents)
+                squares, residuals, coefficients = _span_residuals(rows, c, n)
         live = squares > 0.0
-        rho = np.zeros(len(rows))
+        rho = np.zeros(len(squares))
         np.divide(residuals, squares, out=rho, where=live)
         np.sqrt(rho, out=rho)
-    for _, index, stack in record.stacks:
-        image = plan.row_of[index]
-        rho[image[~live[image] & stack.any(axis=1)]] = np.inf
+    if not live.all():
+        for _, index, stack in record.stacks:
+            image = plan.row_of[index]
+            rho[image[~live[image] & stack.any(axis=1)]] = np.inf
     tie = float(rho.max())
     if not (tie < np.inf and np.isfinite(squares).all()):  # eta = 0 would make the bound NaN
         return np.inf, np.inf
@@ -811,33 +893,49 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
         return 0.0, tie
     defects = _span_defects(n)
     rho += defects.slack
-    norms = np.full(len(rows), np.inf)  # a zero row pairs with nothing
+    norms = np.full(len(squares), np.inf)  # a zero image pairs with nothing
     np.sqrt(squares, out=norms, where=live)
+    lam = defects.lam
+    if from_coefficients:  # |f_i| >= sqrt(sigma_p) |a_i| (1 - slack)
+        norms *= 1.0 - defects.slack
+        lam = lam / defects.sigma
     second, first = np.partition(rho, -2)[-2:]
     worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
     for a, g in zip(coefficients, plan.groups):
         if g.children < 2:
             continue
-        lam, delta = defects.lam[g.slots], defects.delta[g.slots]
+        delta = defects.delta[g.slots]
         r, f = rho[g.images].reshape(-1, g.children), norms[g.images].reshape(-1, g.children)
         a = a.reshape(len(a), g.children, -1)
         inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
-        inspan *= lam[:, None, None] / (f[:, :, None] * f[:, None, :])
+        inspan *= lam[g.slots, None, None] / (f[:, :, None] * f[:, None, :])
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
         i, j = g.pairs
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
     return float(worst), tie
 
 
+def _coefficient_squares(plan: _Plan, coefficients: list, c: np.ndarray) -> np.ndarray:
+    """|a_i|^2 of each image's coefficients, in plan order; at order 0 the
+    image is its one coordinate."""
+    if plan.prev is None:
+        return c * c
+    squares = np.empty(len(plan.orders))
+    for a, g in zip(coefficients, plan.groups):
+        a = a.reshape(len(a), g.children, -1)
+        squares[g.images] = np.einsum("pix,pix->pi", a, a).ravel()
+    return squares
+
+
 def _deviator_coordinates(
     plan: _Plan, stacks, n: int, exponents: np.ndarray | None = None
 ) -> np.ndarray:
     """The 3^n coordinates c of the deviators ``stacks`` of a record in the
-    layout of the order-n ``plan``, in plan order, as ``decompose`` holds
-    them: each deviator times B_s^T.  Given the e of each image row of
-    ``_scaled_rows``, each deviator is taken on its own ``_scaled_rows`` and
-    its coordinates are then divided by 2^e of its part's row, exactly
-    (unless they leave the float range)."""
+    layout of the order-n ``plan``, in plan order: each deviator times
+    B_s^T, the c of ``decompose`` to rounding.  Given the e of each image
+    row of ``_scaled_rows``, each deviator is taken on its own
+    ``_scaled_rows`` and its coordinates are then divided by 2^e of its
+    part's row, exactly (unless they leave the float range)."""
     c = np.empty(3**n)
     for (_, index, stack), (_, _, positions, basis) in zip(stacks, plan.deviators):
         if exponents is None:
@@ -940,9 +1038,11 @@ def verify(d: Decomposition, t) -> VerifyReport:
     Every check reads the arrays that the output of ``decompose`` and
     ``load_decomposition`` records (``_record_of``), never ``parts``, so it
     builds no part; any other decomposition is first stacked, once, into
-    such arrays.  The reconstruction and orthogonality checks read every
-    stored image and the symmetry and trace checks every stored deviator, so
-    an edited part fails them.
+    such arrays.  The symmetry and trace checks read every stored deviator.
+    The reconstruction and orthogonality checks read every stored image, or
+    for ``decompose`` output, which stores none, the coordinates of its
+    deviators, from which its images are built (``_sum``,
+    ``_certified_cross_correlation``).  So an edited part fails them.
 
     One orthogonality check: for parts in the layout of ``decompose``
     (``_has_plan_layout``), at every order, ``max_cross_correlation`` and
@@ -956,7 +1056,8 @@ def verify(d: Decomposition, t) -> VerifyReport:
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
     t_norm = frobenius_norm(t)
-    res = frobenius_norm(record.rows.sum(axis=0).reshape(t.shape) - t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a deviator that is not finite: below
+        res = frobenius_norm(_sum(record, d.order) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
     sym_res, trace_res = _part_residuals(record.stacks, len(record.orders))

@@ -40,12 +40,16 @@ from deviatoric.core import frobenius_norm
 from deviatoric.decomposition import (
     _certified_cross_correlation,
     _change_of_basis,
-    _coordinates_and_images,
+    _coordinates,
+    _images,
     _forward,
+    _from_rows,
     _plan,
     _record_of,
+    _rows_of,
     _regroup,
     _span_defects,
+    _stacked,
 )
 from deviatoric.serialization import (
     decomposition_from_json,
@@ -566,9 +570,28 @@ def replaced_embedded(d, k, embedded):
     return with_parts(d, {k: (d.parts[k].deviator, embedded)})
 
 
+def holding_rows(d):
+    """``d`` as ``load_decomposition`` reads a file: a record that holds the
+    images as its rows, so an in-place edit of an image reaches what
+    ``reconstruct`` and ``verify`` read."""
+    parts = [(p.s, p.J, p.deviator, p.embedded) for p in d.parts]
+    return _from_rows(d.order, _stacked(d.order, *zip(*parts)))
+
+
+def image_rows(d):
+    """The images of the parts of ``d`` as the rows of one array, in part order."""
+    return np.stack([np.ravel(p.embedded) for p in d.parts])
+
+
 def test_image_rows_are_read_in_place_or_copied():
     t = np.random.default_rng(45).standard_normal((3,) * 5)
-    d = decompose(t)
+    built = decompose(t)
+    assert built._record.rows is None
+    images = [p.embedded for p in built.parts]
+    assert not images[0].base.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        images[0][...] += 1.0
+    d = holding_rows(built)
     record = _record_of(d)
     rows = record.rows
     assert rows.shape == (len(d.parts), 3**5)
@@ -576,6 +599,7 @@ def test_image_rows_are_read_in_place_or_copied():
     np.testing.assert_array_equal(
         rows[record.row_of], np.stack([p.embedded.ravel() for p in d.parts])
     )
+    np.testing.assert_array_equal(image_rows(d), image_rows(built))
 
     copied = Decomposition(
         order=d.order,
@@ -614,12 +638,18 @@ def test_image_rows_are_read_in_place_or_copied():
     assert report.max_cross_correlation >= 1.0 - 1e-12 and report.max_embedding_residual > 1e-3
 
 
-def assert_rows_are_recorded(d):
-    """``d`` records its image rows, and part i's image is a view of its row
-    ``row_of[i]``."""
+def assert_images_are_rows(d):
+    """Part i's image is a view of row ``row_of[i]`` of one (parts, 3^n)
+    array: the rows that ``d`` records, or for ``decompose`` output, which
+    records none, the read-only rows built from its deviators when
+    ``parts`` was first read."""
     record = _record_of(d)
-    rows = record.rows
-    assert rows is d._record.rows
+    rows = d.parts[0].embedded.base
+    if record.rows is None:
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(rows, _rows_of(record, d.order))
+    else:
+        assert rows is record.rows
     assert rows.shape == (len(d.parts), 3**d.order)
     for r, p in zip(record.row_of, d.parts):
         row = rows[r]
@@ -629,7 +659,13 @@ def assert_rows_are_recorded(d):
 
 @pytest.mark.parametrize("order", [0, 1, 4, 7])
 def test_decompose_records_its_image_rows(order):
-    assert_rows_are_recorded(decompose(np.random.default_rng(60 + order).standard_normal((3,) * order)))
+    """The record of ``decompose`` output holds no rows: its image rows are
+    built from the record's deviators on the first read of ``parts``, and
+    a decomposition holding them as rows lays them out alike."""
+    d = decompose(np.random.default_rng(60 + order).standard_normal((3,) * order))
+    assert d._record.rows is None
+    assert_images_are_rows(d)
+    assert_images_are_rows(holding_rows(d))
 
 
 COPIES = {
@@ -656,7 +692,13 @@ def test_copies_record_no_rows(kind):
         report = dataclasses.replace(report, max_cross_correlation=0.0, max_embedding_residual=0.0)
     assert report.passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
-    # other than the ones stored in the parts would still pass
+    # other than the ones stored in the parts would still pass.  A shallow
+    # copy shares the read-only images of d, so it is made again of d as a
+    # loaded file holds it, with images that can be edited
+    if not c.parts[0].embedded.flags.writeable:
+        with pytest.raises(ValueError, match="read-only"):
+            c.parts[0].embedded[...] += 1.0
+        c = COPIES[kind](holding_rows(d))
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
     report = verify(c, reconstruct(c))
     assert report.max_cross_correlation > 1e-3 and not report.passes(1e-10)
@@ -665,8 +707,13 @@ def test_copies_record_no_rows(kind):
 def test_in_place_edit_of_a_part_reaches_the_rows():
     t = np.random.default_rng(62).standard_normal((3,) * 5)
     d = decompose(t)
+    # the images of decompose output are built from its deviators, read-only
+    with pytest.raises(ValueError, match="read-only"):
+        d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
+    assert verify(d, t).passes(1e-10)
+    d = holding_rows(d)
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
-    assert_rows_are_recorded(d)
+    assert_images_are_rows(d)
     report = verify(d, reconstruct(d))
     assert report.max_cross_correlation > 1e-3 and not report.passes(1e-10)
     assert not verify(d, t).passes(1e-10)
@@ -750,7 +797,7 @@ def test_parts_are_built_once_as_an_eager_build_gives():
     assert d.parts is parts and isinstance(parts, tuple)
     assert Decomposition(d.order, parts) == d == dataclasses.replace(d)
     assert dataclasses.replace(d).parts is parts
-    # each of these reads the parts of a fresh decomposition first
+    # each of these reads a fresh decomposition first
     assert repr(decompose(t)) == repr(eager)
     assert pickle.dumps(decompose(t)) == pickle.dumps(eager)
     assert repr(copy.deepcopy(decompose(t))) == repr(eager)
@@ -763,6 +810,16 @@ def test_parts_are_built_once_as_an_eager_build_gives():
             assert np.array_equal(p.deviator, q.deviator) and np.array_equal(p.embedded, q.embedded)
 
 
+def test_repr_prints_the_counts_and_builds_no_part(monkeypatch):
+    # the parts' arrays of an order-7 decomposition print as 18.5 MB of text
+    d = decompose(np.random.default_rng(67).standard_normal((3,) * 7))
+    built = counting_part_constructions(monkeypatch)
+    text = repr(d)
+    assert built == [] and len(text) < 200
+    assert text == f"Decomposition(order=7, counts={d.counts()})"
+    assert repr(Decomposition(7, d.parts)) == text
+
+
 @pytest.mark.parametrize("load", [False, True])
 def test_in_place_edit_of_a_deviator_reaches_verify(load):
     t = np.random.default_rng(66).standard_normal((3,) * 5)
@@ -773,6 +830,7 @@ def test_in_place_edit_of_a_deviator_reaches_verify(load):
     assert verify(d, t).part_symmetry[k] <= 1e-14
     d.parts[k].deviator[0, 1, 2] += np.linalg.norm(d.parts[k].deviator)
     assert d._record is not None  # verify still reads the record
+    assert (d._record.rows is None) != load  # decompose output: the record path
     report = verify(d, t)
     assert report.part_symmetry[k] > 1e-3 and not report.passes(1e-10)
     assert max(np.delete(report.part_symmetry, k)) <= 1e-14
@@ -794,8 +852,12 @@ def test_reconstruct_matches_per_part_loop(order):
         parts=tuple(IrreduciblePart(p.s, p.J, p.deviator, p.embedded.copy()) for p in d.parts),
     )
     assert built._record is None
-    for case in (d, built):
+    for case in (built, holding_rows(d)):
         assert np.array_equal(reconstruct(case), reference_reconstruct(case))
+    # decompose output holds no rows: its sum is one product with E_{n-1},
+    # the images' sum to rounding
+    loop = reference_reconstruct(d)
+    assert frobenius_norm(reconstruct(d) - loop) <= 10 * np.finfo(float).eps * frobenius_norm(loop)
 
 
 def test_repeated_counts_row_holds_no_memory():
@@ -970,16 +1032,18 @@ def test_certified_bound_is_above_the_exact_value(order):
     vanishing parts), and there the bound is only above the exact value."""
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
     for u in (t, symmetrize(t)) if order >= 2 else (t,):
-        in_range = _certified_cross_correlation(decompose(u)._record, order)[0]
+        in_range = _certified_cross_correlation(holding_rows(decompose(u))._record, order)[0]
         # at 2^900 the squared norms overflow and at 2^-900 they underflow, so
         # the pass is taken again on rescaled rows and coefficients
         for scale in (1e-300, 1.0, 1e300, 2.0**900, 2.0**-900):
-            record = decompose(scale * u)._record
-            bound = _certified_cross_correlation(record, order)[0]
-            exact = exact_cross_correlation(record.rows)
-            assert exact <= bound, scale
-            if u is t or scale != 1e-300:
-                assert bound <= exact + 1e-13, scale
+            d = decompose(scale * u)
+            exact = exact_cross_correlation(image_rows(d))
+            # the bound from the coefficients, and from the rows they build
+            for record in (d._record, _record_of(holding_rows(d))):
+                bound = _certified_cross_correlation(record, order)[0]
+                assert exact <= bound, scale
+                if u is t or scale != 1e-300:
+                    assert bound <= exact + 1e-13, scale
             if np.frexp(scale)[0] == 0.5:
                 assert abs(bound - in_range) <= 1e-15, scale
 
@@ -1003,9 +1067,9 @@ def test_zero_images_are_left_out_of_the_certificate():
     # the images of a symmetric tensor's non-symmetric parts are exactly zero
     t = symmetrize(np.random.default_rng(491).standard_normal((3,) * 7))
     d = decompose(t)
-    assert np.count_nonzero(~d._record.rows.any(axis=1)) > 0
+    assert np.count_nonzero(~image_rows(d).any(axis=1)) > 0
     report = verify(d, t)
-    exact = exact_cross_correlation(d._record.rows)
+    exact = exact_cross_correlation(image_rows(d))
     assert certified(report) == _certified_cross_correlation(d._record, 7)
     assert exact <= report.max_cross_correlation <= exact + 1e-13
     assert report.passes(1e-10)
@@ -1013,11 +1077,11 @@ def test_zero_images_are_left_out_of_the_certificate():
 
 def test_in_place_mix_fails_the_embedding_tie():
     t = np.random.default_rng(492).standard_normal((3,) * 7)
-    d = decompose(t)
+    d = holding_rows(decompose(t))
     # the rows stay recorded, so the certificate reads the edit
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     d.parts[-1].embedded[...] *= 0.7
-    assert_rows_are_recorded(d)
+    assert_images_are_rows(d)
     report = verify(d, t)
     assert report.max_embedding_residual > 1e-3
     assert report.max_cross_correlation >= exact_cross_correlation(d._record.rows) > 1e-3
@@ -1029,23 +1093,24 @@ def untied(t):
     embedding, each with the tensor its images sum to: the s = 0 and s = n
     images swapped, two s = 1 images of different J swapped, one deviator
     doubled (of order 2, or the one part at order 1) and the s = n image
-    zeroed."""
+    zeroed.  Each holds its images as rows, as a loaded file does, since
+    the images of ``decompose`` output are read-only."""
     n = t.ndim
     cases = {}
     if n >= 2:
-        d = decompose(t)
+        d = holding_rows(decompose(t))
         low, high = (next(p for p in d.parts if p.s == s).embedded for s in (0, n))
         low[...], high[...] = high.copy(), low.copy()
         cases["s = 0 and s = n swapped"] = (d, t)
     if n >= 3:
-        d = decompose(t)
+        d = holding_rows(decompose(t))
         a, b = [p.embedded for p in d.parts if p.s == 1][:2]
         a[...], b[...] = b.copy(), a.copy()
         cases["J swapped"] = (d, t)
-    d = decompose(t)
+    d = holding_rows(decompose(t))
     next(p for p in d.parts if p.s == min(n, 2)).deviator[...] *= 2.0
     cases["deviator doubled"] = (d, t)
-    d = decompose(t)
+    d = holding_rows(decompose(t))
     next(p for p in d.parts if p.s == n).embedded[...] = 0.0
     cases["s = n zeroed"] = (d, reconstruct(d))
     return cases
@@ -1056,10 +1121,12 @@ def test_certificate_ties_each_image_to_its_deviator(order):
     """Images that still sum to the tensor and are orthogonal, but of which
     one is not the embedding of its stored deviator, fail ``verify``
     through the tie at every order; a copy, and up to order 6 a loaded
-    file, report exactly what the original reports."""
+    file, report exactly what the original reports.  ``decompose`` output
+    holds no image to untie: a deviator doubled in place moves its image,
+    so the sum fails."""
     t = np.random.default_rng(497 + order).standard_normal((3,) * order)
     for name, (d, reference) in untied(t).items():
-        assert_rows_are_recorded(d)
+        assert_images_are_rows(d)
         assert exact_cross_correlation(d._record.rows) <= 1e-10, name
         report = verify(d, reference)
         assert report.reconstruction_relative <= 1e-12, name
@@ -1069,6 +1136,10 @@ def test_certificate_ties_each_image_to_its_deviator(order):
             copies.append(decomposition_from_json(decomposition_to_json(d)))
         for other in copies:
             assert verify(other, reference) == report, name
+    d = decompose(t)
+    next(p for p in d.parts if p.s == min(order, 2)).deviator[...] *= 2.0
+    report = verify(d, t)
+    assert report.reconstruction_relative > 1e-3 and not report.passes(1e-10)
 
 
 @pytest.mark.parametrize("order", [4, 7])
@@ -1076,10 +1147,15 @@ def test_only_an_exactly_zero_image_is_a_zero_image(order):
     """An image whose squared norm underflows to 0 is not left out, so each
     case gives one verdict in any units: part 1 scaled with its deviator to
     1e-170 of its size is still tied to its deviator and passes, and a copy
-    of image 0 at 1e-170 of its size is parallel to image 0 and fails."""
+    of image 0 at 1e-170 of its size is parallel to image 0 and fails.  In
+    ``decompose`` output, scaling the deviator scales the image with it."""
     t = np.random.default_rng(495 + order).standard_normal((3,) * order)
     for scale in (1.0, 1e100, 1e-100):
         d = decompose(scale * t)
+        d.parts[1].deviator[...] *= 1e-170
+        report = verify(d, reconstruct(d))
+        assert report.max_embedding_residual <= 1e-14 and report.passes(1e-10), scale
+        d = holding_rows(decompose(scale * t))
         d.parts[1].deviator[...] *= 1e-170
         d.parts[1].embedded[...] *= 1e-170
         report = verify(d, reconstruct(d))
@@ -1089,34 +1165,80 @@ def test_only_an_exactly_zero_image_is_a_zero_image(order):
         assert not verify(d, reconstruct(d)).passes(1e-10), scale
 
 
+def assert_paths_agree(on_record, on_rows, exact, window=True):
+    """``verify`` of ``decompose`` output, which bounds the images from
+    their coefficients, and of the same parts holding their images, which
+    reads the images, give one verdict: the same ``passes`` and part
+    residuals, and bounds at or above the exact value of the images and,
+    with ``window``, within 1e-13 of it."""
+    assert on_record.passes(1e-10) == on_rows.passes(1e-10)
+    assert on_record.part_symmetry == on_rows.part_symmetry
+    assert on_record.part_trace == on_rows.part_trace
+    for report in (on_record, on_rows):
+        assert exact <= report.max_cross_correlation
+        assert report.max_cross_correlation <= exact + 1e-13 or not window
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_record_and_row_paths_agree(order):
+    """``decompose`` output (no rows) and its pickled copy and, up to order
+    6, its JSON round trip (rows) agree at every scale.  A symmetric tensor
+    at 1e-300 is the known failure: both paths then read the same built
+    images, and report the same bound."""
+    base = np.random.default_rng(500 + order).standard_normal((3,) * order)
+    for u in (base, symmetrize(base)):
+        for scale in (1e-300, 1.0, 1e300):
+            t = scale * u
+            d = decompose(t)
+            on_record = verify(d, t)
+            exact = exact_cross_correlation(image_rows(d))
+            copies = [pickle.loads(pickle.dumps(d))]
+            if order <= 6:
+                copies.append(decomposition_from_json(decomposition_to_json(d)))
+            known = u is not base and scale == 1e-300 and order >= 3
+            for other in copies:
+                on_rows = verify(other, t)
+                assert_paths_agree(on_record, on_rows, exact, window=not known)
+                if known:
+                    assert on_rows.max_cross_correlation == on_record.max_cross_correlation
+            assert on_record.passes(1e-10) != known
+
+
 @pytest.mark.parametrize("kind", ["pickle", "deepcopy", "replace"])
 def test_copies_report_what_their_original_reports(kind):
     """A copy records no rows; its stacked images are in the layout of
-    ``decompose``, so it takes the certificate as its original does."""
+    ``decompose``, so it takes the certificate over its images, and agrees
+    with its original, bounded from the coefficients."""
     t = np.random.default_rng(493).standard_normal((3,) * 7)
     d = decompose(t)
     c = COPIES[kind](d)
     assert c._record is None
     original = verify(d, t)
-    assert verify(c, t) == original
+    report = verify(c, t)
+    assert certified(report) == _certified_cross_correlation(_record_of(c), 7)
     assert certified(original) == _certified_cross_correlation(d._record, 7)
+    assert_paths_agree(original, report, exact_cross_correlation(image_rows(d)))
     assert original.passes(1e-10)
+    if kind == "replace":  # shares the read-only images of d
+        c = COPIES[kind](holding_rows(d))
     c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
     assert not verify(c, reconstruct(c)).passes(1e-10)
 
 
 def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path):
     """Loaded parts and parts built by hand in the layout of ``decompose``
-    are stacked in plan order, so they are certified as the original is."""
+    are stacked in plan order, so they are certified alike, over their
+    images, and agree with the original, bounded from the coefficients."""
     t = np.random.default_rng(496).standard_normal((3,) * 7)
     d = decompose(t)
     original = verify(d, t)
     assert certified(original) == _certified_cross_correlation(d._record, 7)
     save_decomposition(tmp_path / "d.json", d)
-    for other in (load_decomposition(tmp_path / "d.json"), Decomposition(7, tuple(d.parts))):
+    loaded, built = load_decomposition(tmp_path / "d.json"), Decomposition(7, tuple(d.parts))
+    assert verify(loaded, t) == verify(built, t)
+    for other in (loaded, built):
         report = verify(other, t)
-        for f in dataclasses.fields(report):
-            assert getattr(report, f.name) == getattr(original, f.name), f.name
+        assert_paths_agree(original, report, exact_cross_correlation(image_rows(d)))
         assert certified(report) == _certified_cross_correlation(_record_of(other), 7)
 
 
@@ -1298,7 +1420,8 @@ def test_factored_path_matches_materialized_change_of_basis(order):
     for seed in range(3):
         t = np.random.default_rng(900 + 10 * order + seed).standard_normal((3,) * order)
         c_ref = (rows @ t.ravel()) / norms
-        c, images = _coordinates_and_images(plan, t)
+        c = _coordinates(plan, t)
+        images = _images(plan, c)
         parts = decompose(t).parts
         assert [(p.s, p.J) for p in parts] == list(zip(plan.orders, plan.labels))
         positions = coordinate_positions(plan)
@@ -1319,7 +1442,8 @@ def test_stacked_image_products_match_the_per_parent_loop(order):
     per parent gave, value for value."""
     plan = _plan(order)
     t = np.random.default_rng(910 + order).standard_normal((3,) * order)
-    c, images = _coordinates_and_images(plan, t)
+    c = _coordinates(plan, t)
+    images = _images(plan, c)
     for g in plan.groups:
         coeffs = np.dot(c[g.coords].reshape(g.norms.shape), g.to_images)
         got = images[g.images].reshape(len(g.blocks), -1, 3 ** (order - 1))
@@ -1371,9 +1495,24 @@ def test_decompose_holds_only_the_lower_order_change_of_basis():
     # E_0 .. E_6; E_7 alone would take 3^14 * 8 bytes = 38 MB
     assert _change_of_basis.cache_info().currsize == 7
     assert _change_of_basis(6).nbytes == 9**6 * 8
-    # E_6 (4.3 MB), E_5 and the 393 images (6.9 MB)
+    # E_6 (4.3 MB) and E_5; no image is written
     assert peak < 20 * 2**20
     assert verify(d, t).passes(1e-12)
+
+
+def test_warm_decompose_writes_no_image():
+    """A warm order-7 ``decompose`` writes its 3^7 coordinates and its
+    deviator stacks (0.17 MB), not the 393 images (6.9 MB)."""
+    t = np.random.default_rng(49).standard_normal((3,) * 7)
+    decompose(t)
+    tracemalloc.start()
+    try:
+        d = decompose(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d._record.rows is None
+    assert peak < 2**20
 
 
 def test_repeated_decompose_holds_no_memory():
@@ -1454,7 +1593,8 @@ def test_verify_passes_at_every_scale(t, exponent):
     d = decompose(t)
     report = verify(d, t)
     assert report.passes(1e-10)
-    assert verify(pickle.loads(pickle.dumps(d)), t) == report
+    exact = exact_cross_correlation(image_rows(d))
+    assert_paths_agree(report, verify(pickle.loads(pickle.dumps(d)), t), exact)
     assert certified(report) == _certified_cross_correlation(d._record, t.ndim)
     assert report.max_cross_correlation <= 1e-13
 
