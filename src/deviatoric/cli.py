@@ -155,7 +155,7 @@ def _cmd_decompose(args) -> int:
         res = frobenius_norm(reconstruct(d) - t)
         return [
             ("order", d.order),
-            ("parts", len(d.parts)),
+            ("parts", sum(d.counts().values())),
             ("reconstruction_relative", res / t_norm if t_norm > 0.0 else res),
         ]
 

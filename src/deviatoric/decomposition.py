@@ -177,11 +177,12 @@ class _Record(NamedTuple):
     The image of part i is row ``row_of[i]`` of ``rows``.  For parts in the
     layout of ``decompose`` (``_has_plan_layout``) the rows are in plan order
     and ``row_of`` is ``_layout(n).row_of``; for any other parts they are in
-    part order.  The output of ``decompose`` holds no rows: its images are
-    the embeddings of its deviators, built by ``_rows_of`` when read.
+    part order.  The output of ``decompose`` holds no rows, and nor does a
+    file read without images (``_stacked`` with no images): the images are
+    the embeddings of the deviators, built by ``_rows_of`` when read.
     """
 
-    rows: np.ndarray | None  # (parts, 3^n) images; None for the output of ``decompose``
+    rows: np.ndarray | None  # (parts, 3^n) images; None for the deviators alone
     row_of: np.ndarray  # (parts,) the row of each part's image
     orders: tuple[int, ...]  # s of each part
     labels: tuple[int, ...]  # J of each part
@@ -194,14 +195,15 @@ class Decomposition:
 
     The output of ``decompose`` and ``load_decomposition`` is made by
     ``_from_rows`` and records its parts as arrays (``_Record``): the
-    deviators as one stack per deviator order and, for a loaded file, the
-    images as the rows of one (parts, 3^n) array, in plan order.
-    ``reconstruct`` and ``verify`` read those arrays, and ``parts`` is built
-    from them on first access, then stored; each ``deviator`` is a view of
-    its stack, so an in-place edit of a deviator is an edit of the record.
-    The output of ``decompose`` holds only its deviators: ``parts`` builds
-    its images once, from the deviators, as read-only rows.  A loaded
-    file's images are views of its rows, so an in-place edit reaches them.
+    deviators as one stack per deviator order and, for a file that gives
+    its images, the images as the rows of one (parts, 3^n) array, in plan
+    order.  ``reconstruct`` and ``verify`` read those arrays, and ``parts``
+    is built from them on first access, then stored; each ``deviator`` is a
+    view of its stack, so an in-place edit of a deviator is an edit of the
+    record.  The output of ``decompose``, and a file read without images,
+    hold only their deviators: ``parts`` builds the images once, from the
+    deviators, as read-only rows.  The images of a file that gives them are
+    views of its rows, so an in-place edit reaches them.
     A hand-built decomposition, or any copy (pickle, ``copy``, ``deepcopy``,
     ``dataclasses.replace``), holds its parts and no record.
     """
@@ -604,15 +606,16 @@ def _from_rows(order: int, record: _Record) -> Decomposition:
     """The order-``order`` decomposition whose parts are the arrays of
     ``record``; the only maker of a decomposition with a record.
     ``decompose`` passes its deviators and no rows, and
-    ``decomposition_from_json`` ``_stacked`` of the parts it read.  No
-    ``parts`` is built until they are read."""
+    ``decomposition_from_json`` ``_stacked`` of the parts it read, with the
+    images only of a file that gives them.  No ``parts`` is built until
+    they are read."""
     d = object.__new__(Decomposition)
     object.__setattr__(d, "order", order)
     object.__setattr__(d, "_record", record)
     return d
 
 
-def _stacked(order: int, orders, labels, deviators, images) -> _Record:
+def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
     """The record of parts with these orders s, labels J, deviators and
     order-``order`` embedded images, given in part order.
 
@@ -624,11 +627,19 @@ def _stacked(order: int, orders, labels, deviators, images) -> _Record:
     with that array as ``base``.  Raises the error of ``as_tensor`` for the
     first image in row order, then the first deviator of each order, of
     another shape than its order's.
+
+    With no images, the parts must be in the layout of ``decompose``, which
+    ``decomposition_from_json`` checks before it reads a file without images
+    this way.  The record is then the one ``decompose`` makes: no rows, so
+    the images are the embeddings of the deviators, built by ``_rows_of``
+    when read.
     """
     orders, labels = tuple(orders), tuple(labels)
     if _has_plan_layout(orders, labels, order):
         row_of = _layout(order).row_of
-        rows = _stack([images[i] for i in np.argsort(row_of).tolist()], order)
+        rows = None
+        if images is not None:
+            rows = _stack([images[i] for i in np.argsort(row_of).tolist()], order)
     else:
         row_of = np.arange(len(orders))
         rows = _stack(images, order)
@@ -842,19 +853,20 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
 
     Two paths give the norms and rho:
 
-    * A record with rows (a loaded file, a copy, a hand-built decomposition)
-      is read in one O(9^n) pass over the rows (``_span_residuals``), which
-      measures |f_i| and |h_i|.  When the squared norms are
-      ``_out_of_range``, the pass is taken again on ``_scaled_rows`` of the
-      rows, with each image's coefficients divided exactly by the same power
-      of two as its row.
-    * The output of ``decompose`` holds no rows: its images are the product
-      f_i = fl(a_i B_p) of ``_rows_of``, so h_i is that product's rounding,
-      rho_i is 0 before the slack, and |f_i| >= sqrt(sigma_p) |a_i|
-      (1 - slack) stands in for the norm.  No image is read or built: the
-      bound costs O(P w^2).  This holds while every nonzero coordinate c
-      has c^2 in ``_GRAM_RANGE``, so that no product underflows or
-      overflows; otherwise the images are built and take the first path.
+    * A record with rows (a file read with images, a copy, a hand-built
+      decomposition) is read in one O(9^n) pass over the rows
+      (``_span_residuals``), which measures |f_i| and |h_i|.  When the
+      squared norms are ``_out_of_range``, the pass is taken again on
+      ``_scaled_rows`` of the rows, with each image's coefficients divided
+      exactly by the same power of two as its row.
+    * The output of ``decompose``, and a file read without images, hold no
+      rows: the images are the product f_i = fl(a_i B_p) of ``_rows_of``,
+      so h_i is that product's rounding, rho_i is 0 before the slack, and
+      |f_i| >= sqrt(sigma_p) |a_i| (1 - slack) stands in for the norm.  No
+      image is read or built: the bound costs O(P w^2).  This holds while
+      every nonzero coordinate c has c^2 in ``_GRAM_RANGE``, so that no
+      product underflows or overflows; otherwise the images are built and
+      take the first path.
     """
     rows = record.rows
     plan = _plan(n)
@@ -1026,7 +1038,9 @@ def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
 def _has_plan_layout(orders: tuple, labels: tuple, order: int) -> bool:
     """Whether parts of these orders s and labels J have the layout of
     ``decompose``, ``_layout(order).orders`` and ``.labels``."""
-    if len(orders) != sum(counts_row(order)):  # no layout is built for a wrong count
+    # that layout has one part of s = order and none above it, so no layout
+    # or count is built for a larger order than any part's
+    if max(orders, default=-1) != order or len(orders) != sum(counts_row(order)):
         return False
     layout = _layout(order)
     return orders == layout.orders and labels == layout.labels
@@ -1040,9 +1054,10 @@ def verify(d: Decomposition, t) -> VerifyReport:
     builds no part; any other decomposition is first stacked, once, into
     such arrays.  The symmetry and trace checks read every stored deviator.
     The reconstruction and orthogonality checks read every stored image, or
-    for ``decompose`` output, which stores none, the coordinates of its
-    deviators, from which its images are built (``_sum``,
-    ``_certified_cross_correlation``).  So an edited part fails them.
+    for ``decompose`` output and a file read without images, which store
+    none, the coordinates of the deviators, from which the images are built
+    (``_sum``, ``_certified_cross_correlation``).  So an edited part fails
+    them.
 
     One orthogonality check: for parts in the layout of ``decompose``
     (``_has_plan_layout``), at every order, ``max_cross_correlation`` and

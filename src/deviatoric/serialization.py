@@ -1,9 +1,18 @@
 """File formats for tensors, decompositions, and Voigt matrices.
 
 Tensor JSON: {"order": n, "components": [... 3^n floats, row-major ...]}.
-Decomposition JSON: {"order": n, "parts": [{"s", "J", "deviator", "embedded"}]}
-where deviator/embedded are nested tensor objects.  Voigt matrices travel as
-a JSON array of 6 rows or as whitespace-delimited 6-line text.
+Decomposition JSON: {"order": n, "parts": [{"s", "J", "deviator"}]}, or with
+an "embedded" image in every part, where deviator/embedded are nested tensor
+objects.  Voigt matrices travel as a JSON array of 6 rows or as
+whitespace-delimited 6-line text.
+
+A decomposition is its deviators, and its images are a fixed linear function
+of them.  So a decomposition that holds only its deviators (``decompose``
+output, or a file read without images) is written without images, and a
+file without images is read as ``decompose`` output: its images are rebuilt
+from the deviators when read.  A decomposition that holds images (a file
+read with them, a copy, hand-built parts) is written with them, and a file
+with images keeps them, for ``verify`` to tie each one to its deviator.
 
 Writers are hand-rolled for these fixed shapes so every float is emitted
 with 17 significant digits; that makes write/read round-trips lossless and
@@ -22,7 +31,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, _from_rows, _stacked
+from .decomposition import Decomposition, _from_rows, _has_plan_layout, _record_of, _stacked
 
 __all__ = [
     "fmt_float",
@@ -147,14 +156,24 @@ def load_tensor(path) -> np.ndarray:
 
 
 def decomposition_to_json(d: Decomposition) -> str:
+    """The decomposition JSON text of ``d``: each part's s, J and deviator,
+    in part order, and its embedded image only if ``d`` holds images.  So
+    ``decompose`` output, and a file read without images, are written
+    without them; a file read with images, a copy and hand-built parts are
+    written with them.  It reads ``_record_of(d)`` and builds no part."""
+    record = _record_of(d)
+    tensors: list = [None] * len(record.orders)  # the tensor fields of each part
+    for s, index, stack in record.stacks:
+        for i, row in zip(index.tolist(), stack):
+            tensors[i] = f'"deviator": {{"order": {s}, "components": [{_components(row)}]}}'
+    if record.rows is not None:
+        for i, r in enumerate(record.row_of.tolist()):
+            image = _components(record.rows[r])
+            tensors[i] += f', "embedded": {{"order": {d.order}, "components": [{image}]}}'
     lines = [f'{{"order": {d.order}, "parts": [']
-    for i, part in enumerate(d.parts):
-        sep = "," if i + 1 < len(d.parts) else ""
-        lines.append(
-            f'  {{"s": {part.s}, "J": {part.J}, '
-            f'"deviator": {tensor_to_json(part.deviator)}, '
-            f'"embedded": {tensor_to_json(part.embedded)}}}{sep}'
-        )
+    for i, (s, j, fields) in enumerate(zip(record.orders, record.labels, tensors)):
+        sep = "," if i + 1 < len(tensors) else ""
+        lines.append(f'  {{"s": {s}, "J": {j}, {fields}}}{sep}')
     lines.append("]}")
     return "\n".join(lines)
 
@@ -162,9 +181,16 @@ def decomposition_to_json(d: Decomposition) -> str:
 def decomposition_from_json(text: str, context: str = "decomposition") -> Decomposition:
     """The decomposition of a decomposition JSON text; each error names the
     field at fault.  Every order has at least one part, so a file needs one.
-    The parts read are stacked by ``_stacked`` into the record of the
-    result, which ``reconstruct`` and ``verify`` then read in place, as they
-    read ``decompose`` output."""
+
+    Either every part gives its image (``embedded``) or none does; a file
+    that mixes the two is rejected at the first part that differs from
+    ``parts[0]``.  The parts read are stacked by ``_stacked`` into the
+    record of the result, which ``reconstruct`` and ``verify`` then read in
+    place, as they read ``decompose`` output.  With images, the record
+    holds them as its rows, and ``verify`` ties each one to its deviator.
+    Without, the parts must be in the layout of ``decompose``, which defines
+    their images, and the record is the one ``decompose`` makes: the images
+    are built from the deviators when read."""
     obj = _loads(text, context)
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -174,6 +200,7 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
         _fail(context, "field 'parts' must be an array")
     if not raw_parts:
         _fail(context, "field 'parts' is empty; every order has at least one part")
+    with_images = isinstance(raw_parts[0], dict) and "embedded" in raw_parts[0]
     read = []
     for i, raw in enumerate(raw_parts):
         where = f"{context}: parts[{i}]"
@@ -183,13 +210,24 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 _fail(where, f"field {name!r} must be a non-negative integer, got {value!r}")
         deviator = _tensor_from_obj(_get(raw, "deviator", where), f"{where}.deviator")
-        embedded = _tensor_from_obj(_get(raw, "embedded", where), f"{where}.embedded")
         if deviator.ndim != s:
             _fail(where, f"deviator order {deviator.ndim} does not match s = {s}")
-        if embedded.ndim != order:
-            _fail(where, f"embedded order {embedded.ndim} does not match tensor order {order}")
-        read.append((s, j, deviator, embedded))
-    return _from_rows(order, _stacked(order, *zip(*read)))
+        if ("embedded" in raw) != with_images:
+            has = "has no" if with_images else "has"
+            _fail(where, f"{has} field 'embedded', unlike parts[0]; "
+                         "a file gives the image of every part or of none")
+        if with_images:
+            embedded = _tensor_from_obj(raw["embedded"], f"{where}.embedded")
+            if embedded.ndim != order:
+                _fail(where, f"embedded order {embedded.ndim} does not match tensor order {order}")
+            read.append((s, j, deviator, embedded))
+        else:
+            read.append((s, j, deviator))
+    fields = tuple(zip(*read))
+    if not with_images and not _has_plan_layout(fields[0], fields[1], order):
+        _fail(context, "field 'parts' is not in the (s, J) layout of decompose, "
+                       "which alone defines the images of parts without 'embedded'")
+    return _from_rows(order, _stacked(order, *fields))
 
 
 def save_decomposition(path, d: Decomposition) -> None:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from deviatoric import (
+    Decomposition,
+    IrreduciblePart,
     decompose,
     isotropic_stiffness,
     save_tensor,
@@ -18,7 +20,9 @@ from deviatoric import (
     verify,
 )
 from deviatoric.cli import main
-from deviatoric.serialization import fmt_float, load_decomposition, load_tensor, save_decomposition
+from deviatoric.serialization import (
+    decomposition_to_json, fmt_float, load_decomposition, load_tensor, save_decomposition,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,7 +115,16 @@ def test_verify_catches_corruption(tmp_path, capsys):
     run(capsys, "random", "--order", "3", "--seed", "2", "--output", str(t_path))
     run(capsys, "decompose", "--input", str(t_path), "--output", str(d_path))
 
-    d = load_decomposition(d_path)
+    # decompose writes no image: a corrupted deviator fails verify
+    raw = json.loads(d_path.read_text())
+    assert all("embedded" not in p for p in raw["parts"])
+    raw["parts"][1]["deviator"]["components"][0] += 1e-4
+    d_path.write_text(json.dumps(raw))
+    code, _, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
+    assert code == 1
+
+    # parts built by hand are written with their images: a corrupted image fails verify
+    d = decompose(load_tensor(t_path))
     bumped = d.parts[1].embedded.copy()
     bumped[0, 0, 0] += 1e-4
     parts = list(d.parts)
@@ -119,6 +132,7 @@ def test_verify_catches_corruption(tmp_path, capsys):
         s=parts[1].s, J=parts[1].J, deviator=parts[1].deviator, embedded=bumped
     )
     save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    assert all("embedded" in p for p in json.loads(d_path.read_text())["parts"])
 
     code, out, _ = run(capsys, "verify", "--input", str(d_path), "--format", "json")
     assert code == 1
@@ -217,6 +231,8 @@ def test_canonical_residual_catches_what_verify_passes(tmp_path, capsys):
     p = d.parts[k]
     parts[k] = type(p)(s=p.s, J=p.J, deviator=shrink * p.deviator, embedded=shrink * p.embedded)
     save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    # the tilted images are in the file, each next to its own deviator
+    assert all("embedded" in p for p in json.loads(d_path.read_text())["parts"])
     assert verify(load_decomposition(d_path), t).passes(1e-10)
     code, out, _ = run(
         capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
@@ -307,6 +323,51 @@ def test_decomposition_file_without_parts_exits_2(tmp_path, command):
     assert proc.stderr.startswith("error: ") and "field 'parts' is empty" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def rejected_decomposition_files(tmp_path):
+    """Order-3 decomposition files that the reader rejects, each with the
+    field it names: one that gives the image of only some parts, and one
+    without images whose parts are not in the layout of ``decompose``."""
+    d = decompose(np.random.default_rng(11).standard_normal((3, 3, 3)))
+    mixed = json.loads(decomposition_to_json(Decomposition(3, d.parts)))
+    del mixed["parts"][4]["embedded"]
+    moved = json.loads(decomposition_to_json(d))
+    moved["parts"] = moved["parts"][1:] + moved["parts"][:1]
+    files = {}
+    for name, raw, field in (
+        ("mixed.json", mixed, "parts[4]: has no field 'embedded', unlike parts[0]"),
+        ("moved.json", moved, "field 'parts' is not in the (s, J) layout of decompose"),
+    ):
+        (tmp_path / name).write_text(json.dumps(raw))
+        files[tmp_path / name] = field
+    return files
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+def test_decomposition_files_the_reader_rejects_exit_2(tmp_path, capsys, command):
+    for path, field in rejected_decomposition_files(tmp_path).items():
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {field}")
+
+
+def test_decompose_report_builds_no_part(tmp_path, capsys, monkeypatch):
+    # counting the parts of an order-7 decomposition from its parts would
+    # build its 393 images, 6.9 MB
+    t_path, d_path = tmp_path / "t.json", tmp_path / "d.json"
+    save_tensor(t_path, np.random.default_rng(12).standard_normal((3,) * 7))
+    built = []
+    init = IrreduciblePart.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IrreduciblePart, "__init__", counting)
+    code, out, _ = run(capsys, "decompose", "--input", str(t_path), "--output", str(d_path))
+    assert code == 0 and "parts = 393\n" in out
+    assert built == []
 
 
 def test_non_finite_input_exits_2(tmp_path, capsys):

@@ -554,7 +554,8 @@ def test_verify_transient_memory_is_bounded():
 
 def test_verify_reads_loaded_images_in_place():
     t = np.random.default_rng(44).standard_normal((3,) * 7)
-    d = decomposition_from_json(decomposition_to_json(decompose(t)))
+    # a file that gives the images: a copy of decompose output is written with them
+    d = decomposition_from_json(decomposition_to_json(Decomposition(7, decompose(t).parts)))
     assert _record_of(d).rows is d.parts[0].embedded.base
     verify(d, t)
     tracemalloc.start()
@@ -764,7 +765,8 @@ def test_assemble_reads_every_form_alike(order, assemble):
     for _ in range(5):
         d = decompose(rng.standard_normal((3,) * order))
         loaded = decomposition_from_json(decomposition_to_json(d))
-        forms = (d, loaded, pickle.loads(pickle.dumps(d)), list(d.parts))
+        with_images = decomposition_from_json(decomposition_to_json(Decomposition(d.order, d.parts)))
+        forms = (d, loaded, with_images, pickle.loads(pickle.dumps(d)), list(d.parts))
         got = [assemble(form).tobytes() for form in forms]
         assert got == got[:1] * len(forms)
 
@@ -824,8 +826,8 @@ def test_repr_prints_the_counts_and_builds_no_part(monkeypatch):
 def test_in_place_edit_of_a_deviator_reaches_verify(load):
     t = np.random.default_rng(66).standard_normal((3,) * 5)
     d = decompose(t)
-    if load:
-        d = decomposition_from_json(decomposition_to_json(d))
+    if load:  # a file that gives its images, written from a copy
+        d = decomposition_from_json(decomposition_to_json(Decomposition(d.order, d.parts)))
     k = next(i for i, p in enumerate(d.parts) if p.s == 3)
     assert verify(d, t).part_symmetry[k] <= 1e-14
     d.parts[k].deviator[0, 1, 2] += np.linalg.norm(d.parts[k].deviator)
@@ -1182,9 +1184,10 @@ def assert_paths_agree(on_record, on_rows, exact, window=True):
 @pytest.mark.parametrize("order", range(9))
 def test_record_and_row_paths_agree(order):
     """``decompose`` output (no rows) and its pickled copy and, up to order
-    6, its JSON round trip (rows) agree at every scale.  A symmetric tensor
-    at 1e-300 is the known failure: both paths then read the same built
-    images, and report the same bound."""
+    6, the JSON round trip of that copy (rows) agree at every scale.  A
+    symmetric tensor at 1e-300 is the known failure: both paths then read
+    the same built images, and report the same bound.  The JSON round trip
+    of ``decompose`` output, without images, reports what it reports."""
     base = np.random.default_rng(500 + order).standard_normal((3,) * order)
     for u in (base, symmetrize(base)):
         for scale in (1e-300, 1.0, 1e300):
@@ -1194,7 +1197,8 @@ def test_record_and_row_paths_agree(order):
             exact = exact_cross_correlation(image_rows(d))
             copies = [pickle.loads(pickle.dumps(d))]
             if order <= 6:
-                copies.append(decomposition_from_json(decomposition_to_json(d)))
+                copies.append(decomposition_from_json(decomposition_to_json(copies[0])))
+            assert verify(decomposition_from_json(decomposition_to_json(d)), t) == on_record
             known = u is not base and scale == 1e-300 and order >= 3
             for other in copies:
                 on_rows = verify(other, t)
@@ -1233,8 +1237,9 @@ def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path)
     d = decompose(t)
     original = verify(d, t)
     assert certified(original) == _certified_cross_correlation(d._record, 7)
-    save_decomposition(tmp_path / "d.json", d)
-    loaded, built = load_decomposition(tmp_path / "d.json"), Decomposition(7, tuple(d.parts))
+    built = Decomposition(7, tuple(d.parts))
+    save_decomposition(tmp_path / "d.json", built)  # written with the images
+    loaded = load_decomposition(tmp_path / "d.json")
     assert verify(loaded, t) == verify(built, t)
     for other in (loaded, built):
         report = verify(other, t)

@@ -1,6 +1,8 @@
 """JSON/text persistence: lossless round-trips and diagnostic errors."""
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,10 +137,14 @@ def test_file_round_trips(tmp_path):
     d = decompose(t)
     dpath = tmp_path / "d.json"
     save_decomposition(dpath, d)
+    # the file holds the deviators of d, bit for bit, so it sums as d does
+    assert np.array_equal(reconstruct(load_decomposition(dpath)), reconstruct(d))
+    # a copy writes the images that d builds, bit for bit, so they sum alike;
+    # d itself sums in one product, to rounding
+    copied = Decomposition(d.order, d.parts)
+    save_decomposition(dpath, copied)
     back = load_decomposition(dpath)
-    # the file holds the images that d builds, bit for bit, so they sum alike;
-    # d itself holds no image and sums in one product, to rounding
-    assert np.array_equal(reconstruct(back), reconstruct(Decomposition(d.order, d.parts)))
+    assert np.array_equal(reconstruct(back), reconstruct(copied))
     assert_allclose(reconstruct(back), reconstruct(d), rtol=0, atol=1e-15 * np.linalg.norm(t))
 
     # file context appears in errors
@@ -204,10 +210,13 @@ def test_writer_matches_per_float_formatting(order):
     t = values.reshape((3,) * order)
     assert tensor_to_json(t) == reference_tensor_json(t)
     d = decompose(rng.standard_normal((3,) * order))
-    lines = decomposition_to_json(d).split("\n")
-    for line, p in zip(lines[1:-1], d.parts):
-        assert reference_tensor_json(p.embedded) in line
-        assert reference_tensor_json(p.deviator) in line
+    # decompose output is written without its images, a copy with them
+    for form in (d, Decomposition(d.order, d.parts)):
+        lines = decomposition_to_json(form).split("\n")
+        assert len(lines) == len(d.parts) + 2
+        for line, p in zip(lines[1:-1], d.parts):
+            assert reference_tensor_json(p.deviator) in line
+            assert ('"embedded": ' + reference_tensor_json(p.embedded) in line) == (form is not d)
     for bad in (np.nan, np.inf, -np.inf):
         t = np.zeros((3, 3))
         t[1, 2] = bad
@@ -218,16 +227,23 @@ def test_writer_matches_per_float_formatting(order):
 def test_loaded_images_are_rows_of_one_array(tmp_path):
     t = np.random.default_rng(46).standard_normal((3,) * 4)
     path = tmp_path / "d.json"
-    save_decomposition(path, decompose(t))
+    save_decomposition(path, Decomposition(4, decompose(t).parts))
     d = load_decomposition(path)
     rows = _record_of(d).rows
     assert rows.shape == (len(d.parts), 3**4)
+    assert all(p.embedded.base is rows for p in d.parts)
+    # a file without images builds them, as decompose output does
+    save_decomposition(path, decompose(t))
+    d = load_decomposition(path)
+    assert _record_of(d).rows is None
+    rows = d.parts[0].embedded.base
+    assert rows.shape == (len(d.parts), 3**4) and not rows.flags.writeable
     assert all(p.embedded.base is rows for p in d.parts)
 
 
 def test_loaded_decomposition_records_its_image_rows():
     t = np.random.default_rng(47).standard_normal((3,) * 5)
-    d = decomposition_from_json(decomposition_to_json(decompose(t)))
+    d = decomposition_from_json(decomposition_to_json(Decomposition(5, decompose(t).parts)))
     record = _record_of(d)
     rows = record.rows
     assert rows is d._record.rows
@@ -269,3 +285,110 @@ def test_reader_accepts_the_largest_float_and_ints():
     big = 1.7976931348623157e308
     got = tensor_from_json(f'{{"order": 1, "components": [{big!r}, -3, 0]}}')
     np.testing.assert_array_equal(got, [big, -3.0, 0.0])
+
+
+# an order-3 file written, images included, before files carried only the
+# deviators: the decomposition of FIXTURE_TENSOR
+FIXTURE = Path(__file__).resolve().parent / "data" / "decomposition_with_images.json"
+FIXTURE_TENSOR = np.random.default_rng(19).standard_normal((3, 3, 3))
+
+
+def test_file_with_images_keeps_them():
+    text = FIXTURE.read_text()
+    stored = np.array([p["embedded"]["components"] for p in json.loads(text)["parts"]])
+    d = load_decomposition(FIXTURE)
+    record = _record_of(d)
+    assert record.rows is not None and all(p.embedded.base is record.rows for p in d.parts)
+    np.testing.assert_array_equal(record.rows[record.row_of], stored)
+    report = verify(d, FIXTURE_TENSOR)
+    assert report.passes(1e-10) and report.max_embedding_residual <= 1e-14
+    # re-written with its images, byte for byte
+    assert decomposition_to_json(d) + "\n" == text
+    # each stored image is still tied to its deviator
+    d.parts[2].embedded[0, 0, 0] += 1e-4
+    report = verify(d, reconstruct(d))
+    assert report.max_embedding_residual > 1e-6 and not report.passes(1e-10)
+
+
+# orders 0-8, three seeds an order and one at order 8
+ROUND_TRIPS = [(order, seed) for order in range(8) for seed in range(3)] + [(8, 0)]
+
+
+@pytest.mark.parametrize("order, seed", ROUND_TRIPS)
+def test_a_file_of_decompose_output_is_decompose_output(tmp_path, order, seed):
+    t = np.random.default_rng([order, seed]).standard_normal((3,) * order)
+    d = decompose(t)
+    path = tmp_path / "d.json"
+    save_decomposition(path, d)
+    loaded = load_decomposition(path)
+    ours, theirs = _record_of(loaded), _record_of(d)
+    assert ours.rows is None and (ours.orders, ours.labels) == (theirs.orders, theirs.labels)
+    assert ours.row_of.tobytes() == theirs.row_of.tobytes()
+    for (s, index, stack), (s2, index2, stack2) in zip(ours.stacks, theirs.stacks, strict=True):
+        assert s == s2 and index.tobytes() == index2.tobytes()
+        assert stack.dtype == stack2.dtype and stack.tobytes() == stack2.tobytes()
+    assert reconstruct(loaded).tobytes() == reconstruct(d).tobytes()
+    assert verify(loaded, t) == verify(d, t)
+    text = path.read_text()
+    assert decomposition_to_json(loaded) + "\n" == text
+    if order <= 6:  # with images, an order-7 file takes about 0.8 s to write and read
+        save_decomposition(path, Decomposition(order, d.parts))
+        text = path.read_text()
+        assert decomposition_to_json(load_decomposition(path)) + "\n" == text
+
+
+def mixed_forms(order=2):
+    """Texts of an order-``order`` decomposition in which one part differs
+    from parts[0] in giving its image: part 2 has none, and part 1 has
+    one."""
+    d = decompose(np.random.default_rng(48).standard_normal((3,) * order))
+    without_2 = json.loads(decomposition_to_json(Decomposition(order, d.parts)))
+    del without_2["parts"][2]["embedded"]
+    with_1 = json.loads(decomposition_to_json(d))
+    with_1["parts"][1]["embedded"] = {"order": order, "components": [0.0] * 3**order}
+    return {
+        r"parts\[2\]: has no field 'embedded', unlike parts\[0\]": json.dumps(without_2),
+        r"parts\[1\]: has field 'embedded', unlike parts\[0\]": json.dumps(with_1),
+    }
+
+
+def test_reader_rejects_a_file_that_gives_some_images(tmp_path):
+    path = tmp_path / "d.json"
+    for message, text in mixed_forms().items():
+        path.write_text(text)
+        with pytest.raises(ValueError, match="d.json: " + message):
+            load_decomposition(path)
+
+
+def out_of_layout(order=4):
+    """Texts of an order-``order`` decomposition without images whose parts
+    are not in the layout of ``decompose``: moved, relabelled, one short,
+    one over, and of a larger order than any part's, up to 10^7."""
+    d = decompose(np.random.default_rng(49).standard_normal((3,) * order))
+    parts = json.loads(decomposition_to_json(d))["parts"]
+    relabelled = [dict(p) for p in parts]
+    relabelled[3]["J"] = 9
+    cases = [
+        (order, parts[1:] + parts[:1]),
+        (order, relabelled),
+        (order, parts[:-1]),
+        (order, parts + parts[:1]),
+        (order + 1, parts),
+        (10**7, parts[:1]),
+    ]
+    return [json.dumps({"order": n, "parts": p}) for n, p in cases]
+
+
+def test_reader_rejects_parts_without_images_out_of_layout(tmp_path):
+    path = tmp_path / "d.json"
+    for text in out_of_layout():
+        path.write_text(text)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"d.json: field 'parts' is not in the \(s, J\) layout"):
+            load_decomposition(path)
+        assert time.perf_counter() - start < 0.1
+    # with their images, the same parts are read, and fail verify
+    d = decompose(np.random.default_rng(49).standard_normal((3,) * 4))
+    moved = Decomposition(4, d.parts[1:] + d.parts[:1])
+    report = verify(decomposition_from_json(decomposition_to_json(moved)), reconstruct(d))
+    assert report.max_embedding_residual == np.inf and not report.passes(1e-10)
