@@ -18,8 +18,7 @@ import numpy as np
 
 from .core import _scaled_back, _scaled_rows, frobenius_norm
 from .decomposition import (
-    Decomposition, _has_plan_layout, _record_of, _rows_of, counts_row, decompose, reconstruct,
-    verify,
+    Decomposition, _record_of, _rows_of, counts_row, decompose, reconstruct, verify,
 )
 from .physics import (
     coupling_decompose,
@@ -172,12 +171,10 @@ def _cmd_reconstruct(args) -> int:
 
 def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     """How far the file's parts sit from the canonical decomposition of the
-    reference tensor, relative to its norm (absolute for the zero tensor);
-    infinite when the part layout itself is wrong.  The images and each
-    order's deviators are compared as arrays, one row-wise norm each."""
+    reference tensor, relative to its norm (absolute for the zero tensor).
+    The images and each order's deviators are compared as arrays, one
+    row-wise norm each."""
     ours = _record_of(d)
-    if not _has_plan_layout(ours.orders, ours.labels, d.order):
-        return float("inf")
     theirs = _record_of(decompose(reference))
     worst = 0.0
     images = (_rows_of(ours, d.order), _rows_of(theirs, d.order))

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .core import delta, epsilon, symmetrize
-from .decomposition import Decomposition, _has_plan_layout, _lift, _record_of, _views, decompose
+from .decomposition import Decomposition, _lift, _record_of, _views, decompose
 
 __all__ = [
     "lift_kernel4",
@@ -280,8 +280,6 @@ def _assemble(order: int, parts) -> np.ndarray:
     elif parts.order != order:
         raise ValueError(f"expected an order-{order} decomposition, got {parts.order}")
     record = _record_of(parts)
-    if not _has_plan_layout(record.orders, record.labels, order):
-        raise ValueError(f"parts do not have the (s, J) layout of an order-{order} decomposition")
 
     calibration = structural_coefficients(order)
     term_specs = {t.name: t for t in _terms(order)}

@@ -172,20 +172,14 @@ class IrreduciblePart:
 
 
 class _Record(NamedTuple):
-    """The arrays of a decomposition's parts.
-
-    The image of part i is row ``row_of[i]`` of ``rows``.  For parts in the
-    layout of ``decompose`` (``_has_plan_layout``) the rows are in plan order
-    and ``row_of`` is ``_layout(n).row_of``; for any other parts they are in
-    part order.  The output of ``decompose`` holds no rows, and nor does a
-    file read without images (``_stacked`` with no images): the images are
-    the embeddings of the deviators, built by ``_rows_of`` when read.
+    """The arrays of the parts of an order-n decomposition, whose s, J and
+    image row are those of ``_layout(n)``: the image of part i is row
+    ``_layout(n).row_of[i]`` of ``rows``.  The output of ``decompose`` holds
+    no rows, and nor does a file read without images: the images are the
+    embeddings of the deviators, built by ``_rows_of`` when read.
     """
 
     rows: np.ndarray | None  # (parts, 3^n) images; None for the deviators alone
-    row_of: np.ndarray  # (parts,) the row of each part's image
-    orders: tuple[int, ...]  # s of each part
-    labels: tuple[int, ...]  # J of each part
     stacks: tuple  # per deviator order s: (s, (J_s,) part indices, (J_s, 3^s) deviators)
 
 
@@ -205,7 +199,9 @@ class Decomposition:
     deviators, as read-only rows.  The images of a file that gives them are
     views of its rows, so an in-place edit reaches them.
     A hand-built decomposition, or any copy (pickle, ``copy``, ``deepcopy``,
-    ``dataclasses.replace``), holds its parts and no record.
+    ``dataclasses.replace``), holds its parts and no record.  Its parts are
+    one per (s, J) slot, in the layout of ``decompose``: any other part
+    list is an input error (``_stacked``).
     """
 
     order: int
@@ -216,9 +212,9 @@ class Decomposition:
         # only a decomposition made by ``_from_rows`` lacks ``parts``
         if name != "parts" or self._record is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _, row_of, orders, labels, stacks = self._record
+        orders, labels, row_of = _layout(self.order)
         deviators: list = [None] * len(orders)
-        for s, index, stack in stacks:
+        for s, index, stack in self._record.stacks:
             for i, deviator in zip(index.tolist(), _views(stack, s)):
                 deviators[i] = deviator
         images = _views(_rows_of(self._record, self.order), self.order)
@@ -240,7 +236,7 @@ class Decomposition:
         return f"{type(self).__name__}(order={self.order}, counts={self.counts()})"
 
     def counts(self) -> dict[int, int]:
-        orders = [p.s for p in self.parts] if self._record is None else self._record.orders
+        orders = [p.s for p in self.parts] if self._record is None else _layout(self.order).orders
         return dict(Counter(orders))
 
 
@@ -257,8 +253,10 @@ class VerifyReport:
     residual inf.  ``max_cross_correlation`` is a certified upper bound on
     the largest cross-correlation and ``max_embedding_residual`` the largest
     tie rho_i = |f_i - e_i| / |f_i| of an image f_i to the embedding e_i of
-    its own deviator (``_certified_cross_correlation``); both are inf for
-    parts in any other layout than that of ``decompose``.
+    its own deviator (``_certified_cross_correlation``); both are inf only
+    for an entry that is not finite or a zero image whose deviator is not
+    zero.  ``counts_ok`` holds for every decomposition that ``verify``
+    accepts; it stays for the report.
     """
 
     order: int
@@ -619,36 +617,30 @@ def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
     """The record of parts with these orders s, labels J, deviators and
     order-``order`` embedded images, given in part order.
 
-    This is the only code that stacks loose tensors into a record: the
-    images into the rows of one new (parts, 3^order) array, in plan order
-    for parts in the layout of ``decompose`` and in part order for any
-    other, and the deviators of each order s into one new (J_s, 3^s) array.
-    Each array owns its buffer, so the parts built from the record are views
-    with that array as ``base``.  Raises the error of ``as_tensor`` for the
-    first image in row order, then the first deviator of each order, of
-    another shape than its order's.
-
-    With no images, the parts must be in the layout of ``decompose``, which
-    ``decomposition_from_json`` checks before it reads a file without images
-    this way.  The record is then the one ``decompose`` makes: no rows, so
-    the images are the embeddings of the deviators, built by ``_rows_of``
-    when read.
+    The only code that stacks loose parts into a record, so the one check
+    of a part list: parts in any other (s, J) layout than that of
+    ``decompose``, no parts included, raise one ``ValueError``.  The images
+    go into the rows of one new (parts, 3^order) array, in plan order, and
+    the deviators of each order s into one new (J_s, 3^s) array, which the
+    parts built from the record view.  Raises the error of ``as_tensor`` for
+    the first image in row order, then the first deviator of each order, of
+    another shape than its order's.  With no images, the record is the one
+    ``decompose`` makes.
     """
-    orders, labels = tuple(orders), tuple(labels)
-    if _has_plan_layout(orders, labels, order):
-        row_of = _layout(order).row_of
-        rows = None
-        if images is not None:
-            rows = _stack([images[i] for i in np.argsort(row_of).tolist()], order)
-    else:
-        row_of = np.arange(len(orders))
-        rows = _stack(images, order)
+    # that layout has one part of s = order and none above it, so no layout
+    # or count is built for a larger order than any part's
+    if (max(orders, default=-1) != order or len(orders) != sum(counts_row(order))
+            or (tuple(orders), tuple(labels)) != _layout(order)[:2]):
+        raise ValueError("parts are not in the (s, J) layout of decompose")
+    rows = None
+    if images is not None:
+        rows = _stack([images[i] for i in np.argsort(_layout(order).row_of).tolist()], order)
     orders_array = np.array(orders, dtype=int)
     stacks = []
     for s in sorted(set(orders)):
         index = np.flatnonzero(orders_array == s)
         stacks.append((s, index, _stack([deviators[i] for i in index], s)))
-    return _Record(rows, row_of, orders, labels, tuple(stacks))
+    return _Record(rows, tuple(stacks))
 
 
 def decompose(t) -> Decomposition:
@@ -668,7 +660,7 @@ def decompose(t) -> Decomposition:
     c = _coordinates(plan, t)
     # a list first, as in ``Decomposition.__getattr__``
     stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
-    return _from_rows(t.ndim, _Record(None, plan.row_of, plan.orders, plan.labels, stacks))
+    return _from_rows(t.ndim, _Record(None, stacks))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
@@ -676,9 +668,9 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 
     It reads ``_record_of(d)``: the record of ``decompose`` and
     ``load_decomposition`` output, in place, or the parts of any other
-    decomposition, stacked once (``_sum``).  So a hand-built part whose
-    deviator or image has another shape than its order's raises the same
-    ``ValueError`` as in ``verify``.
+    decomposition, stacked once (``_sum``).  So parts in another layout, or
+    of another shape than their order's, raise the same ``ValueError`` as
+    in ``verify``.
     """
     return _sum(_record_of(d), d.order)
 
@@ -749,8 +741,6 @@ _GRAM_RANGE = (2.0**-600, 2.0**600)
 # at order 8 (3 parents), against 2.4-2.7 and 22-26 ms at half and 2.3-2.5
 # and 23-26 ms at twice this size.
 _CERTIFY_CHUNK = 1 << 16
-# doubles of E_{n-1} E_{n-1}^T that ``_span_defects`` takes at a time
-_DEFECT_CHUNK = 1 << 17
 
 
 class _SpanDefects(NamedTuple):
@@ -773,9 +763,9 @@ def _span_defects(n: int) -> _SpanDefects:
     and D_p = B_p B_p^T - lambda_p I, so every squared singular value of B_p
     is at least sigma_p = lambda_p - |D_p|_F.  Then delta_p = |D_p|_F /
     sigma_p, and eta is the largest |B_p B_q^T|_F / sqrt(sigma_p sigma_q)
-    over p != q.  Both come from the upper triangle of E_{n-1} E_{n-1}^T,
-    taken in row chunks of whole parents, so no 3^(n-1) x 3^(n-1) product
-    is held.
+    over p != q.  Both come from one product per pair g <= h of the plan's
+    groups, the slot-order blocks of E_{n-1} (``_Group.blocks``), so no
+    3^(n-1) x 3^(n-1) product is held.
 
     The certificate's own products round: the 3w-term coefficient Gram by
     at most (3w + 2) eps of the norms, which is added to delta_p, and the
@@ -783,34 +773,29 @@ def _span_defects(n: int) -> _SpanDefects:
     to rho_i (eps = 2^-52, twice the unit roundoff, covers the factors
     (1 + delta_p)).
     """
-    prev = _change_of_basis(n - 1)
-    widths = np.repeat(2 * np.arange(n) + 1, counts_row(n - 1))
-    starts = np.concatenate([[0], np.cumsum(widths)])
-    count = len(widths)
-    lam = np.empty(count)
-    defect = np.empty(count)
-    squares = np.zeros((count, count))  # |B_p B_q^T|_F^2 for p < q
-    step = max(1, _DEFECT_CHUNK // len(prev))
-    q0 = 0
-    while q0 < count:
-        q1 = max(q0 + 1, int(np.searchsorted(starts, starts[q0] + step, side="right")) - 1)
-        local = starts[q0 : q1 + 1] - starts[q0]
-        gram = prev[starts[q0] : starts[q1]] @ prev[starts[q0] :].T
-        for q, a, b in zip(range(q0, q1), local[:-1], local[1:]):
-            lam[q] = np.trace(gram[a:b, a:b]) / (b - a)
-            defect[q] = np.linalg.norm(gram[a:b, a:b] - lam[q] * np.eye(b - a))
-        gram *= gram
-        gram = np.add.reduceat(gram, local[:-1], axis=0)
-        squares[q0:q1, q0:] = np.add.reduceat(gram, starts[q0:-1] - starts[q0], axis=1)
-        q0 = q1
-    sigma = lam - defect
+    groups = _plan(n).groups
+    count = groups[-1].slots.stop
+    lam, sigma, delta = np.empty((3, count))
+    squares = np.zeros((count, count))  # |B_p B_q^T|_F^2, for p and q in groups g <= h
+    slack = np.empty(sum(counts_row(n)))
+    eps = np.finfo(float).eps
+    for i, g in enumerate(groups):
+        slack[g.images] = g.width**1.5 * eps
+        rows = g.blocks.reshape(-1, g.blocks.shape[-1])
+        for h in groups[i:]:
+            gram = rows @ h.blocks.reshape(-1, h.blocks.shape[-1]).T
+            gram = gram.reshape(len(g.blocks), g.width, len(h.blocks), h.width)
+            if h is g:  # B_p B_p^T of each parent
+                own = gram[np.arange(len(g.blocks)), :, np.arange(len(g.blocks))]
+                lam[g.slots] = np.trace(own, axis1=1, axis2=2) / g.width
+                defect = own - lam[g.slots, None, None] * np.eye(g.width)
+                defect = np.linalg.norm(defect, axis=(1, 2))
+                sigma[g.slots] = lam[g.slots] - defect
+                delta[g.slots] = defect / sigma[g.slots] + (3 * g.width + 2) * eps
+            gram *= gram
+            squares[g.slots, h.slots] = gram.sum(axis=(1, 3))
     np.fill_diagonal(squares, 0.0)
     eta = float(np.sqrt(np.max(squares / np.outer(sigma, sigma))))
-    eps = np.finfo(float).eps
-    delta = defect / sigma + (3 * widths + 2) * eps
-    slack = np.empty(sum(counts_row(n)))
-    for g in _plan(n).groups:
-        slack[g.images] = g.width**1.5 * eps
     _read_only(lam, sigma, delta, slack)
     return _SpanDefects(lam, sigma, delta, eta, slack)
 
@@ -1035,38 +1020,27 @@ def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
     return sym_res.tolist(), trace_res.tolist()
 
 
-def _has_plan_layout(orders: tuple, labels: tuple, order: int) -> bool:
-    """Whether parts of these orders s and labels J have the layout of
-    ``decompose``, ``_layout(order).orders`` and ``.labels``."""
-    # that layout has one part of s = order and none above it, so no layout
-    # or count is built for a larger order than any part's
-    if max(orders, default=-1) != order or len(orders) != sum(counts_row(order)):
-        return False
-    layout = _layout(order)
-    return orders == layout.orders and labels == layout.labels
-
-
 def verify(d: Decomposition, t) -> VerifyReport:
     """Residual report of a decomposition against the tensor it came from.
 
     Every check reads the arrays that the output of ``decompose`` and
     ``load_decomposition`` records (``_record_of``), never ``parts``, so it
     builds no part; any other decomposition is first stacked, once, into
-    such arrays.  The symmetry and trace checks read every stored deviator.
+    such arrays, which raises ``ValueError`` for parts in any other layout
+    than that of ``decompose`` (``_stacked``).  The symmetry and trace
+    checks read every stored deviator.
     The reconstruction and orthogonality checks read every stored image, or
     for ``decompose`` output and a file read without images, which store
     none, the coordinates of the deviators, from which the images are built
     (``_sum``, ``_certified_cross_correlation``).  So an edited part fails
     them.
 
-    One orthogonality check: for parts in the layout of ``decompose``
-    (``_has_plan_layout``), at every order, ``max_cross_correlation`` and
+    One orthogonality check, at every order: ``max_cross_correlation`` and
     ``max_embedding_residual`` are the certified bound (within 1e-13 above
     the exact value for ``decompose`` output) and the tie of each image to
-    its own deviator, of ``_certified_cross_correlation``.  Parts in any
-    other layout, or no parts at all, have no image tied to its deviator,
-    so both are inf and the report fails.  Every residual is computed on
-    exactly rescaled values, so it does not depend on the scale of ``t``.
+    its own deviator, of ``_certified_cross_correlation``.  Every residual
+    is computed on exactly rescaled values, so it does not depend on the
+    scale of ``t``.
     """
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
@@ -1075,15 +1049,9 @@ def verify(d: Decomposition, t) -> VerifyReport:
         res = frobenius_norm(_sum(record, d.order) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    sym_res, trace_res = _part_residuals(record.stacks, len(record.orders))
-    if _has_plan_layout(record.orders, record.labels, d.order):
-        max_cross, tie = _certified_cross_correlation(record, d.order)
-    else:  # no image of another layout is tied to its deviator
-        max_cross = tie = np.inf
+    sym_res, trace_res = _part_residuals(record.stacks, len(_layout(d.order).orders))
+    max_cross, tie = _certified_cross_correlation(record, d.order)
 
-    expected = {s: count_parts(d.order, s) for s in range(d.order + 1)}
-    actual = dict(Counter(record.orders))
-    counts_ok = actual == {s: j for s, j in expected.items() if j}
     part_residuals = [0.0] + sym_res + trace_res
     return VerifyReport(
         order=d.order,
@@ -1094,7 +1062,7 @@ def verify(d: Decomposition, t) -> VerifyReport:
         max_part_residual=max(part_residuals),
         max_cross_correlation=max_cross,
         max_embedding_residual=tie,
-        counts_expected=expected,
-        counts_actual=actual,
-        counts_ok=counts_ok,
+        counts_expected={s: count_parts(d.order, s) for s in range(d.order + 1)},
+        counts_actual=d.counts(),
+        counts_ok=True,  # ``_stacked`` refuses every other layout
     )

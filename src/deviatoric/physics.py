@@ -338,44 +338,72 @@ def validate_stiffness(c) -> np.ndarray:
     return c
 
 
+@lru_cache(maxsize=None)
+def _stiffness_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The eight terms of ``_stiffness_base`` over (i, j, k, l): the index of
+    each term's value in (lam, mu, D1, D2) flattened, and its product of
+    Kronecker deltas, as two read-only (8, 3, 3, 3, 3) arrays."""
+    eye, ones = np.eye(3), np.ones((3, 3), dtype=int)
+    index = [np.zeros((3,) * 4, dtype=int), np.ones((3,) * 4, dtype=int)]
+    deltas = [
+        np.einsum("ij,kl->ijkl", eye, eye),
+        np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye),
+    ]
+    d1, d2 = np.arange(2, 20).reshape(2, 3, 3)
+    for spec, d in (("ij,kl", d1), ("kl,ij", d1), ("ik,jl", d2), ("il,jk", d2),
+                    ("jk,il", d2), ("jl,ik", d2)):
+        # the delta on the first index pair of spec, D1 or D2 on the second
+        index.append(np.einsum(spec + "->ijkl", ones, d))
+        deltas.append(np.einsum(spec + "->ijkl", eye, ones))
+    index, deltas = np.array(index), np.array(deltas)
+    index.flags.writeable = deltas.flags.writeable = False
+    return index, deltas
+
+
 def _stiffness_base(lam: float, mu: float, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    return (
-        lam * np.einsum("ij,kl->ijkl", _EYE, _EYE)
-        + mu * (np.einsum("ik,jl->ijkl", _EYE, _EYE) + np.einsum("il,jk->ijkl", _EYE, _EYE))
-        + np.einsum("ij,kl->ijkl", _EYE, d1)
-        + np.einsum("kl,ij->ijkl", _EYE, d1)
-        + np.einsum("ik,jl->ijkl", _EYE, d2)
-        + np.einsum("il,jk->ijkl", _EYE, d2)
-        + np.einsum("jk,il->ijkl", _EYE, d2)
-        + np.einsum("jl,ik->ijkl", _EYE, d2)
-    )
+    """lam d_ij d_kl + mu (d_ik d_jl + d_il d_jk) + d_ij D1_kl + D1_ij d_kl
+    + d_ik D2_jl + d_il D2_jk + d_jk D2_il + d_jl D2_ik, each term the
+    product of its value and its deltas (``_stiffness_terms``), summed term
+    by term in this order."""
+    index, deltas = _stiffness_terms()
+    terms = np.concatenate(([lam, mu], d1.ravel(), d2.ravel()))[index]
+    terms *= deltas
+    return terms.sum(axis=0)  # over the outer axis numpy adds one term at a time
 
 
 def stiffness_decompose(c) -> StiffnessDeviators:
     """Lame coefficients plus deviators of a stiffness tensor.
 
     The order-4 part is the remainder after subtracting the lower-order
-    slots, so reconstruction is exact by construction.
+    slots, so reconstruction is exact by construction.  Taken on
+    ``_scaled_rows`` of the tensor and scaled back, exact up to the float
+    limit, as ``coupling_decompose`` is.
     """
     c = validate_stiffness(c)
-    c_iikk = float(np.einsum("iikk->", c))
-    c_ikik = float(np.einsum("ikik->", c))
+    scaled, exponent = _scaled_rows(c.reshape(1, -1))
+    s = scaled.reshape(c.shape)
+    c_iikk = float(np.einsum("iikk->", s))
+    c_ikik = float(np.einsum("ikik->", s))
     lam = (2.0 * c_iikk - c_ikik) / 15.0
     mu = (3.0 * c_ikik - c_iikk) / 30.0
-    dilat = np.einsum("kkij->ij", c) - (c_iikk / 3.0) * _EYE
-    voigt_tr = np.einsum("kikj->ij", c) - (c_ikik / 3.0) * _EYE
+    dilat = np.einsum("kkij->ij", s) - (c_iikk / 3.0) * _EYE
+    voigt_tr = np.einsum("kikj->ij", s) - (c_ikik / 3.0) * _EYE
     d1 = (5.0 / 7.0) * dilat - (4.0 / 7.0) * voigt_tr
     d2 = (3.0 / 7.0) * voigt_tr - (2.0 / 7.0) * dilat
-    d4 = c - _stiffness_base(lam, mu, d1, d2)
-    return StiffnessDeviators(lam=lam, mu=mu, d1=d1, d2=d2, d4=d4)
+    d4 = s - _stiffness_base(lam, mu, d1, d2)
+    lam, mu, d1, d2, d4 = _scaled_back(exponent[0], lam, mu, d1, d2, d4)
+    return StiffnessDeviators(lam=float(lam), mu=float(mu), d1=d1, d2=d2, d4=d4)
 
 
 def stiffness_reconstruct(sd: StiffnessDeviators) -> np.ndarray:
-    """Rebuild the stiffness tensor from its deviators."""
-    d1 = as_tensor(sd.d1, order=2)
-    d2 = as_tensor(sd.d2, order=2)
-    d4 = as_tensor(sd.d4, order=4)
-    return _stiffness_base(float(sd.lam), float(sd.mu), d1, d2) + d4
+    """Rebuild the stiffness tensor from its deviators, summed on
+    ``_common_scaled`` values, as ``coupling_reconstruct`` sums them: +-inf
+    beyond the float range, no warning."""
+    (lam, mu, d1, d2, d4), exponent = _common_scaled(
+        float(sd.lam), float(sd.mu), as_tensor(sd.d1, order=2),
+        as_tensor(sd.d2, order=2), as_tensor(sd.d4, order=4),
+    )
+    return _scaled_back(exponent, _stiffness_base(lam, mu, d1, d2) + d4)[0]
 
 
 def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:

@@ -6,13 +6,15 @@ an "embedded" image in every part, where deviator/embedded are nested tensor
 objects.  Voigt matrices travel as a JSON array of 6 rows or as
 whitespace-delimited 6-line text.
 
-A decomposition is its deviators, and its images are a fixed linear function
-of them.  So a decomposition that holds only its deviators (``decompose``
-output, or a file read without images) is written without images, and a
-file without images is read as ``decompose`` output: its images are rebuilt
-from the deviators when read.  A decomposition that holds images (a file
-read with them, a copy, hand-built parts) is written with them, and a file
-with images keeps them, for ``verify`` to tie each one to its deviator.
+Every file, with images or without, has its parts in the (s, J) layout of
+``decompose``.  A decomposition is its deviators, and its images are a fixed
+linear function of them.  So a decomposition that holds only its deviators
+(``decompose`` output, or a file read without images) is written without
+images, and a file without images is read as ``decompose`` output: its
+images are rebuilt from the deviators when read.  A decomposition that holds
+images (a file read with them, a copy, hand-built parts) is written with
+them, and a file with images keeps them, for ``verify`` to tie each one to
+its deviator.
 
 Writers are hand-rolled for these fixed shapes so every float is emitted
 with 17 significant digits; that makes write/read round-trips lossless and
@@ -31,7 +33,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, _from_rows, _has_plan_layout, _record_of, _stacked
+from .decomposition import Decomposition, _from_rows, _layout, _record_of, _stacked
 
 __all__ = [
     "fmt_float",
@@ -162,16 +164,17 @@ def decomposition_to_json(d: Decomposition) -> str:
     without them; a file read with images, a copy and hand-built parts are
     written with them.  It reads ``_record_of(d)`` and builds no part."""
     record = _record_of(d)
-    tensors: list = [None] * len(record.orders)  # the tensor fields of each part
+    orders, labels, row_of = _layout(d.order)
+    tensors: list = [None] * len(orders)  # the tensor fields of each part
     for s, index, stack in record.stacks:
         for i, row in zip(index.tolist(), stack):
             tensors[i] = f'"deviator": {{"order": {s}, "components": [{_components(row)}]}}'
     if record.rows is not None:
-        for i, r in enumerate(record.row_of.tolist()):
+        for i, r in enumerate(row_of.tolist()):
             image = _components(record.rows[r])
             tensors[i] += f', "embedded": {{"order": {d.order}, "components": [{image}]}}'
     lines = [f'{{"order": {d.order}, "parts": [']
-    for i, (s, j, fields) in enumerate(zip(record.orders, record.labels, tensors)):
+    for i, (s, j, fields) in enumerate(zip(orders, labels, tensors)):
         sep = "," if i + 1 < len(tensors) else ""
         lines.append(f'  {{"s": {s}, "J": {j}, {fields}}}{sep}')
     lines.append("]}")
@@ -184,13 +187,13 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
 
     Either every part gives its image (``embedded``) or none does; a file
     that mixes the two is rejected at the first part that differs from
-    ``parts[0]``.  The parts read are stacked by ``_stacked`` into the
-    record of the result, which ``reconstruct`` and ``verify`` then read in
-    place, as they read ``decompose`` output.  With images, the record
-    holds them as its rows, and ``verify`` ties each one to its deviator.
-    Without, the parts must be in the layout of ``decompose``, which defines
-    their images, and the record is the one ``decompose`` makes: the images
-    are built from the deviators when read."""
+    ``parts[0]``, and a file whose parts are not in the (s, J) layout of
+    ``decompose`` at its ``parts`` field.  The parts read are stacked by
+    ``_stacked`` into the record of the result, which ``reconstruct`` and
+    ``verify`` then read in place, as they read ``decompose`` output.  With
+    images, the record holds them as its rows, and ``verify`` ties each one
+    to its deviator.  Without, the images are built from the deviators when
+    read."""
     obj = _loads(text, context)
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -223,11 +226,11 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
             read.append((s, j, deviator, embedded))
         else:
             read.append((s, j, deviator))
-    fields = tuple(zip(*read))
-    if not with_images and not _has_plan_layout(fields[0], fields[1], order):
-        _fail(context, "field 'parts' is not in the (s, J) layout of decompose, "
-                       "which alone defines the images of parts without 'embedded'")
-    return _from_rows(order, _stacked(order, *fields))
+    try:
+        record = _stacked(order, *zip(*read))
+    except ValueError:  # the layout's: every shape is checked above
+        _fail(context, "field 'parts' is not in the (s, J) layout of decompose")
+    return _from_rows(order, record)
 
 
 def save_decomposition(path, d: Decomposition) -> None:

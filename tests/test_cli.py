@@ -158,25 +158,41 @@ def test_decompose_report_matches_verify(tmp_path, capsys, scale):
     assert out == f'{{"order": 4, "parts": 19, "reconstruction_relative": {fmt_float(rel)}}}\n'
 
 
-def test_verify_reports_another_part_layout_as_infinitely_far(tmp_path, capsys):
-    t_path, d_path = tmp_path / "t.json", tmp_path / "d.json"
+def other_layout_files(tmp_path):
+    """Order-3 decomposition files, without images and with them, whose
+    parts are moved, dropped, duplicated or relabelled."""
+    d = decompose(np.random.default_rng(3).standard_normal((3, 3, 3)))
+    files = []
+    for form in (d, Decomposition(3, d.parts)):
+        parts = json.loads(decomposition_to_json(form))["parts"]
+        k, k2 = [i for i, p in enumerate(parts) if p["s"] == 1][:2]
+        relabelled = [dict(p) for p in parts]
+        relabelled[k]["J"] = 9
+        cases = {
+            "moved": parts[1:] + parts[:1],
+            "dropped": parts[:-1],
+            "duplicated": parts[:k2] + [parts[k]] + parts[k2 + 1 :],
+            "relabelled": relabelled,
+        }
+        for name, other in cases.items():
+            path = tmp_path / f"{name}-{'embedded' in parts[0]}.json"
+            path.write_text(json.dumps({"order": 3, "parts": other}))
+            files.append(path)
+    return files
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "verify"])
+def test_another_part_layout_exits_2(tmp_path, capsys, command):
+    # a file without parts is the remaining case: test_decomposition_file_without_parts_exits_2
+    t_path = tmp_path / "t.json"
     run(capsys, "random", "--order", "3", "--seed", "3", "--output", str(t_path))
-    run(capsys, "decompose", "--input", str(t_path), "--output", str(d_path))
-    d = load_decomposition(d_path)
-    save_decomposition(d_path, type(d)(order=d.order, parts=d.parts[1:] + d.parts[:1]))
-    code, out, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
-    assert code == 1
-    lines = out.splitlines()
-    for key in ("max_cross_correlation", "max_embedding_residual", "canonical_residual"):
-        assert f"{key} = inf" in lines, key
-    code, out, _ = run(
-        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
-    )
-    assert '"max_cross_correlation": Infinity' in out
-    report = json.loads(out)
-    assert code == 1 and report["passes"] is False
-    for key in ("max_cross_correlation", "max_embedding_residual", "canonical_residual"):
-        assert report[key] == float("inf"), key
+    files = other_layout_files(tmp_path)
+    assert len(files) == 8
+    for path in files:
+        against = ("--against", str(t_path)) if command == "verify" else ()
+        code, out, err = run(capsys, command, "--input", str(path), *against)
+        assert code == 2 and out == "", path
+        assert err == f"error: {path}: field 'parts' is not in the (s, J) layout of decompose\n"
 
 
 def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):

@@ -6,6 +6,7 @@ import dataclasses
 import pickle
 import tracemalloc
 import warnings
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +45,7 @@ from deviatoric.decomposition import (
     _images,
     _forward,
     _from_rows,
+    _layout,
     _plan,
     _record_of,
     _rows_of,
@@ -73,6 +75,10 @@ _EPSILON = np.zeros((3, 3, 3))
 for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     _EPSILON[i, j, k] = 1.0
     _EPSILON[k, j, i] = -1.0
+
+
+# the one error of a part list in another layout than that of decompose
+LAYOUT_ERROR = r"^parts are not in the \(s, J\) layout of decompose$"
 
 
 def random_deviator(rng, s):
@@ -235,6 +241,17 @@ def test_part_orders_traversal():
         assert len(labels) == sum(counts_row(n))
         for s in range(n + 1):
             assert labels.count(s) == count_parts(n, s)
+
+
+def test_layout_holds_the_counts_of_count_parts():
+    # verify reports counts_ok for every decomposition it accepts, on this agreement
+    for n in range(9):
+        layout = _layout(n)
+        assert layout.orders == part_orders(n)
+        assert Counter(layout.orders) == {s: j for s, j in enumerate(counts_row(n)) if j}
+        for s in set(layout.orders):
+            labels = [j for o, j in zip(layout.orders, layout.labels) if o == s]
+            assert labels == list(range(1, count_parts(n, s) + 1))
 
 
 @pytest.mark.parametrize("order", range(7))
@@ -598,7 +615,7 @@ def test_image_rows_are_read_in_place_or_copied():
     assert rows.shape == (len(d.parts), 3**5)
     assert all(p.embedded.base is rows for p in d.parts)
     np.testing.assert_array_equal(
-        rows[record.row_of], np.stack([p.embedded.ravel() for p in d.parts])
+        rows[_layout(d.order).row_of], np.stack([p.embedded.ravel() for p in d.parts])
     )
     np.testing.assert_array_equal(image_rows(d), image_rows(built))
 
@@ -614,25 +631,21 @@ def test_image_rows_are_read_in_place_or_copied():
 
     # each of these shares memory with the rows of d, but image i is not
     # exactly row i, so the stored images are copied as they are
-    moved = Decomposition(order=d.order, parts=(d.parts[1], d.parts[0]) + d.parts[2:])
-    dropped = Decomposition(order=d.order, parts=d.parts[:-1])
     other_row = replaced_embedded(d, 0, d.parts[1].embedded)
     transposed = replaced_embedded(d, 0, d.parts[0].embedded.transpose(1, 0, 2, 3, 4))
     shifted = replaced_embedded(d, 0, rows.ravel()[1 : 1 + 3**5].reshape((3,) * 5))
-    for edited in (moved, dropped, other_row, transposed, shifted):
+    for edited in (other_row, transposed, shifted):
         got = _record_of(edited)
         assert got.rows is not rows
         np.testing.assert_array_equal(
-            got.rows[got.row_of], np.stack([p.embedded.ravel() for p in edited.parts])
+            got.rows[_layout(d.order).row_of], np.stack([p.embedded.ravel() for p in edited.parts])
         )
-    report = verify(moved, t)
-    assert report.max_cross_correlation == report.max_embedding_residual == np.inf
+    # moved, dropped and no parts are another layout: an input error
+    for parts in ((d.parts[1], d.parts[0]) + d.parts[2:], d.parts[:-1], ()):
+        with pytest.raises(ValueError, match=LAYOUT_ERROR):
+            _record_of(Decomposition(order=d.order, parts=parts))
     listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
     assert verify(listed, t) == verify(d, t)
-    empty = Decomposition(order=d.order, parts=())
-    np.testing.assert_array_equal(reconstruct(empty), np.zeros_like(t))
-    report = verify(empty, np.zeros_like(t))
-    assert report.max_cross_correlation == np.inf and not report.counts_ok
     # image 0 is stacked as stored, a copy of image 1: the two rows are parallel
     assert exact_cross_correlation(_record_of(other_row).rows) == pytest.approx(1.0)
     report = verify(other_row, reconstruct(other_row))
@@ -652,7 +665,7 @@ def assert_images_are_rows(d):
     else:
         assert rows is record.rows
     assert rows.shape == (len(d.parts), 3**d.order)
-    for r, p in zip(record.row_of, d.parts):
+    for r, p in zip(_layout(d.order).row_of, d.parts):
         row = rows[r]
         assert p.embedded.base is rows and p.embedded.shape == (3,) * d.order
         assert p.embedded.__array_interface__["data"] == row.__array_interface__["data"]
@@ -684,13 +697,15 @@ def test_copies_record_no_rows(kind):
     d = decompose(t)
     c = COPIES[kind](d)
     assert c._record is None
+    if kind == "replace moved":  # another layout: an input error wherever it is read
+        for read in (reconstruct, lambda c: verify(c, t), decomposition_to_json):
+            with pytest.raises(ValueError, match=LAYOUT_ERROR):
+                read(c)
+        return
     record = _record_of(c)
     images = np.stack([p.embedded.ravel() for p in c.parts])
-    assert np.array_equal(record.rows[record.row_of], images)
+    assert np.array_equal(record.rows[_layout(c.order).row_of], images)
     report = verify(c, t)
-    if kind == "replace moved":  # another layout: no image is tied to its deviator
-        assert report.max_cross_correlation == report.max_embedding_residual == np.inf
-        report = dataclasses.replace(report, max_cross_correlation=0.0, max_embedding_residual=0.0)
     assert report.passes(1e-10)
     # the sum and the deviators stay as they were; a check that read rows
     # other than the ones stored in the parts would still pass.  A shallow
@@ -841,7 +856,7 @@ def test_in_place_edit_of_a_deviator_reaches_verify(load):
 def reference_reconstruct(d):
     """The per-part loop that the row sum replaced, in the order of the rows."""
     total = np.zeros((3,) * d.order)
-    for i in np.argsort(_record_of(d).row_of):
+    for i in np.argsort(_layout(d.order).row_of):
         total += d.parts[i].embedded
     return total
 
@@ -1247,42 +1262,37 @@ def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path)
         assert certified(report) == _certified_cross_correlation(_record_of(other), 7)
 
 
-def test_other_layouts_report_inf(monkeypatch):
-    """Parts in any other layout than that of ``decompose``, no parts
-    included, are not certified: both orthogonality fields are inf and the
-    report fails, while the reconstruction and each part's own residuals are
-    those of the parts as stored."""
-    t = np.random.default_rng(494).standard_normal((3,) * 7)
-    d = decompose(t)
-    original = verify(d, t)
+def other_layouts(d):
+    """Copies of ``d`` (``dataclasses.replace``) whose parts are in another
+    layout than that of ``decompose``, by name."""
     parts = d.parts
     k, k2 = [i for i, p in enumerate(parts) if p.s == 2][:2]
     relabelled = IrreduciblePart(2, len(parts), parts[k].deviator, parts[k].embedded)
-    # each case with the part of d that each of its parts holds
-    index = list(range(len(parts)))
     cases = {
-        "moved": (parts[1:] + parts[:1], index[1:] + index[:1]),
-        "dropped": (parts[:-1], index[:-1]),
-        "duplicated": (
-            parts[:k2] + (parts[k],) + parts[k2 + 1 :], index[:k2] + [k] + index[k2 + 1 :]
-        ),
-        "wrong label": (parts[:k] + (relabelled,) + parts[k + 1 :], index),
-        "no parts": ((), []),
+        "moved": parts[1:] + parts[:1],
+        "dropped": parts[:-1],
+        "duplicated": parts[:k2] + (parts[k],) + parts[k2 + 1 :],
+        "relabelled": parts[:k] + (relabelled,) + parts[k + 1 :],
+        "no parts": (),
     }
+    return {name: dataclasses.replace(d, parts=other) for name, other in cases.items()}
 
-    def fail(record, n):
-        raise AssertionError("parts in another layout were certified")
 
-    monkeypatch.setattr(decomposition, "_certified_cross_correlation", fail)
-    for name, (other_parts, source) in cases.items():
-        other = Decomposition(7, other_parts)
-        report = verify(other, t)
-        assert report.max_cross_correlation == report.max_embedding_residual == np.inf, name
-        assert not report.passes(1e-10), name
-        assert report.reconstruction_residual == frobenius_norm(reconstruct(other) - t), name
-        assert report.part_symmetry == tuple(original.part_symmetry[i] for i in source), name
-        assert report.part_trace == tuple(original.part_trace[i] for i in source), name
-        assert report.max_part_residual <= 1e-13, name
+@pytest.mark.parametrize("order", [4, 7])
+def test_other_layouts_are_an_input_error(order):
+    """Parts in any other layout than that of ``decompose``, no parts
+    included, raise one ``ValueError`` wherever they are read."""
+    t = np.random.default_rng(494 + order).standard_normal((3,) * order)
+    readers = [reconstruct, lambda d: verify(d, t), decomposition_to_json]
+    if order == 4:
+        readers.append(assemble_order4)
+        for other in other_layouts(decompose(t[0])).values():  # order 3, as a list of parts
+            with pytest.raises(ValueError, match=LAYOUT_ERROR):
+                assemble_order3(list(other.parts))
+    for other in other_layouts(decompose(t)).values():
+        for read in readers:
+            with pytest.raises(ValueError, match=LAYOUT_ERROR):
+                read(other)
 
 
 def whole_gram_defects(prev, widths):
@@ -1303,38 +1313,53 @@ def whole_gram_defects(prev, widths):
     return lam, defect / sigma, eta
 
 
-@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("order", [3, 5, 7])
 def test_span_defects_match_the_whole_gram(order, monkeypatch):
-    """Row chunks of one parent, of a few parents and of the default size
-    find a coupling planted between two parents' rows, wherever the two lie."""
-    plan = _plan(order)  # built from the true matrix before it is patched
+    """The products of the plan's group blocks find a coupling planted
+    between two parents' rows of E_{n-1}: two parents of one group (from
+    order 4, where a group first has two), parents of two groups, and the
+    first and the last slot."""
+    plan = _plan(order)
     true = _change_of_basis(order - 1)
     # the slots of E_{n-1} in its row order, and the part index of each
     widths = [2 * s + 1 for s in sorted(part_orders(order - 1))]
     starts = np.cumsum([0] + widths)
     parents = np.argsort(slot_starts(order - 1))
     first_child = np.cumsum([0] + [1 if s == 0 else 3 for s in part_orders(order - 1)])
-    last = len(widths) - 1
+    for g in plan.groups:
+        assert g.children == (1 if g.width == 1 else 3)
+        assert g.coords == slice(3 * starts[g.slots.start], 3 * starts[g.slots.stop])
+        assert np.array_equal(g.blocks, true[starts[g.slots.start] : starts[g.slots.stop]].reshape(
+            g.blocks.shape))
+        children = first_child[parents[g.slots]][:, None] + np.arange(g.children)
+        rows = np.arange(g.images.start, g.images.stop).reshape(children.shape)
+        assert np.array_equal(plan.row_of[children], rows)
+    first, second = plan.groups[:2]
+    pairs = [(first.slots.start, second.slots.stop - 1), (0, len(widths) - 1)]
+    shared = [g for g in plan.groups if len(g.blocks) > 1]
+    if shared:
+        pairs.append((shared[0].slots.start, shared[0].slots.stop - 1))
+    assert len(pairs) == (2 if order == 3 else 3)
     try:
-        for p, q in ((0, last), (last // 2, last // 2 + 1), (last, 1)):
+        for p, q in pairs:
             prev = true.copy()
             prev[starts[p]] += 1e-6 * prev[starts[q]]
-            monkeypatch.setattr(decomposition, "_change_of_basis", lambda n: prev)
+            # the group blocks of the patched plan view the planted copy of E_{n-1}
+            groups = tuple(
+                g._replace(blocks=prev[starts[g.slots.start] : starts[g.slots.stop]].reshape(
+                    g.blocks.shape))
+                for g in plan.groups
+            )
+            planted = plan._replace(prev=prev, groups=groups)
+            monkeypatch.setattr(decomposition, "_plan", lambda n: planted)
             lam, delta, eta = whole_gram_defects(prev, widths)
-            for chunk in (1, 4 * len(prev), 1 << 17):
-                monkeypatch.setattr(decomposition, "_DEFECT_CHUNK", chunk)
-                _span_defects.cache_clear()
-                got = _span_defects(order)
-                assert got.eta == pytest.approx(eta, rel=1e-9)
-                slack = (3 * np.array(widths) + 2) * np.finfo(float).eps
-                assert_allclose(got.lam, lam, rtol=1e-14)
-                assert_allclose(got.delta, delta + slack, rtol=1e-6, atol=1e-14)
-                for g in plan.groups:
-                    assert g.children == (1 if g.width == 1 else 3)
-                    assert g.coords == slice(3 * starts[g.slots.start], 3 * starts[g.slots.stop])
-                    children = first_child[parents[g.slots]][:, None] + np.arange(g.children)
-                    rows = np.arange(g.images.start, g.images.stop).reshape(children.shape)
-                    assert np.array_equal(plan.row_of[children], rows)
+            _span_defects.cache_clear()
+            got = _span_defects(order)
+            assert got.eta == pytest.approx(eta, rel=1e-9)
+            assert got.eta > 1e-7
+            slack = (3 * np.array(widths) + 2) * np.finfo(float).eps
+            assert_allclose(got.lam, lam, rtol=1e-14)
+            assert_allclose(got.delta, delta + slack, rtol=1e-6, atol=1e-14)
     finally:
         _span_defects.cache_clear()
 

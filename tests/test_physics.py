@@ -24,6 +24,7 @@ from deviatoric import (
     validate_stiffness,
     voigt_to_tensor,
 )
+from deviatoric import physics
 from deviatoric.physics import StiffnessDeviators
 
 
@@ -278,6 +279,33 @@ def test_lame_functionals_match_trace_oracles():
         assert sd.mu == pytest.approx((3.0 * c_ikik - c_iikk) / 30.0, abs=1e-12)
 
 
+def einsum_stiffness_base(lam, mu, d1, d2):
+    """The isotropic and order-2 slots of a stiffness tensor, as einsum terms."""
+    eye = np.eye(3)
+    return (
+        lam * np.einsum("ij,kl->ijkl", eye, eye)
+        + mu * (np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye))
+        + np.einsum("ij,kl->ijkl", eye, d1)
+        + np.einsum("kl,ij->ijkl", eye, d1)
+        + np.einsum("ik,jl->ijkl", eye, d2)
+        + np.einsum("il,jk->ijkl", eye, d2)
+        + np.einsum("jk,il->ijkl", eye, d2)
+        + np.einsum("jl,ik->ijkl", eye, d2)
+    )
+
+
+def test_stiffness_base_is_the_einsum_form_bit_for_bit():
+    # each broadcast term multiplies the same two floats as its einsum term,
+    # and the terms are summed in the same order
+    rng = np.random.default_rng(35)
+    for scale in (1e-300, 1.0, 1e300):
+        for _ in range(20):
+            lam, mu = scale * rng.standard_normal(2)
+            d1, d2 = scale * rng.standard_normal((2, 3, 3))
+            want = einsum_stiffness_base(lam, mu, d1, d2)
+            assert physics._stiffness_base(lam, mu, d1, d2).tobytes() == want.tobytes()
+
+
 def test_stiffness_decompose_is_linear():
     rng = np.random.default_rng(34)
     a, b = random_stiffness(rng), random_stiffness(rng)
@@ -387,6 +415,52 @@ def test_coupling_round_trip_at_the_float_limit():
         assert np.max(np.abs(np.ldexp(back, -1000) - scaled)) <= 1e-12 * np.max(np.abs(scaled))
         want = 2.5 * np.ldexp(cd.v3, -1000) - np.ldexp(cd.v2, -1000)
         assert_allclose(np.ldexp(v1, -1000), want, rtol=1e-15)
+
+
+def float_limit_stiffnesses():
+    """Stiffness tensors whose entries reach 1.7e308."""
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        c = random_stiffness(rng)
+        yield 1.7e308 * (c / np.max(np.abs(c)))
+
+
+def test_stiffness_round_trip_at_the_float_limit():
+    round_trips, beyond_range = 0, []
+    for index, c in enumerate(float_limit_stiffnesses()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sd = stiffness_decompose(c)
+        got = (sd.lam, sd.mu, sd.d1, sd.d2, sd.d4)
+        # the deviators of c / 2^1000, times 2^1000: +-inf where beyond the float range
+        small = stiffness_decompose(np.ldexp(c, -1000))
+        with np.errstate(over="ignore"):
+            want = [np.ldexp(x, 1000) for x in (small.lam, small.mu, small.d1, small.d2, small.d4)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if not all(np.isfinite(x).all() for x in got):
+            beyond_range.append(index)
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = stiffness_reconstruct(sd)
+        # compared on values divided by 2^1000, where no difference overflows
+        scaled = np.ldexp(c, -1000)
+        assert np.max(np.abs(np.ldexp(back, -1000) - scaled)) <= 1e-12 * np.max(np.abs(scaled))
+        round_trips += 1
+    # tensor 3 has deviators beyond the float range, though its entries are not
+    assert beyond_range == [3] and round_trips == 19
+
+
+def test_stiffness_reconstruct_overflows_to_inf_without_a_warning():
+    # C_1111 = lambda + 2 mu lies beyond the float range
+    zeros = np.zeros((3, 3))
+    big = StiffnessDeviators(lam=1.6e308, mu=0.2e308, d1=zeros, d2=zeros, d4=np.zeros((3,) * 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = stiffness_reconstruct(big)
+    assert back[0, 0, 0, 0] == np.inf and not np.isnan(back).any()
+    assert back[0, 0, 1, 1] == 1.6e308 and back[0, 1, 0, 1] == 0.2e308
 
 
 def test_coupling_reconstruct_overflows_to_inf_without_a_warning():

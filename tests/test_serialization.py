@@ -27,7 +27,7 @@ from deviatoric import (
     voigt_to_json,
     voigt_to_text,
 )
-from deviatoric.decomposition import _record_of
+from deviatoric.decomposition import _layout, _record_of
 from deviatoric.serialization import fmt_float
 
 
@@ -247,7 +247,7 @@ def test_loaded_decomposition_records_its_image_rows():
     record = _record_of(d)
     rows = record.rows
     assert rows is d._record.rows
-    for r, p in zip(record.row_of, d.parts):
+    for r, p in zip(_layout(5).row_of, d.parts):
         assert p.embedded.base is rows
         assert p.embedded.__array_interface__["data"] == rows[r].__array_interface__["data"]
     assert verify(d, t).passes(1e-10)
@@ -299,7 +299,7 @@ def test_file_with_images_keeps_them():
     d = load_decomposition(FIXTURE)
     record = _record_of(d)
     assert record.rows is not None and all(p.embedded.base is record.rows for p in d.parts)
-    np.testing.assert_array_equal(record.rows[record.row_of], stored)
+    np.testing.assert_array_equal(record.rows[_layout(3).row_of], stored)
     report = verify(d, FIXTURE_TENSOR)
     assert report.passes(1e-10) and report.max_embedding_residual <= 1e-14
     # re-written with its images, byte for byte
@@ -322,8 +322,7 @@ def test_a_file_of_decompose_output_is_decompose_output(tmp_path, order, seed):
     save_decomposition(path, d)
     loaded = load_decomposition(path)
     ours, theirs = _record_of(loaded), _record_of(d)
-    assert ours.rows is None and (ours.orders, ours.labels) == (theirs.orders, theirs.labels)
-    assert ours.row_of.tobytes() == theirs.row_of.tobytes()
+    assert ours.rows is None
     for (s, index, stack), (s2, index2, stack2) in zip(ours.stacks, theirs.stacks, strict=True):
         assert s == s2 and index.tobytes() == index2.tobytes()
         assert stack.dtype == stack2.dtype and stack.tobytes() == stack2.tobytes()
@@ -360,11 +359,14 @@ def test_reader_rejects_a_file_that_gives_some_images(tmp_path):
             load_decomposition(path)
 
 
-def out_of_layout(order=4):
-    """Texts of an order-``order`` decomposition without images whose parts
-    are not in the layout of ``decompose``: moved, relabelled, one short,
-    one over, and of a larger order than any part's, up to 10^7."""
+def out_of_layout(order=4, images=False):
+    """Texts of an order-``order`` decomposition, with or without images,
+    whose parts are not in the layout of ``decompose``: moved, relabelled,
+    one short, one over, and of a larger order than any part's, up to
+    10^7."""
     d = decompose(np.random.default_rng(49).standard_normal((3,) * order))
+    if images:
+        d = Decomposition(order, d.parts)
     parts = json.loads(decomposition_to_json(d))["parts"]
     relabelled = [dict(p) for p in parts]
     relabelled[3]["J"] = 9
@@ -379,16 +381,31 @@ def out_of_layout(order=4):
     return [json.dumps({"order": n, "parts": p}) for n, p in cases]
 
 
+LAYOUT_FIELD_ERROR = r"/d.json: field 'parts' is not in the \(s, J\) layout of decompose$"
+
+
 def test_reader_rejects_parts_without_images_out_of_layout(tmp_path):
     path = tmp_path / "d.json"
     for text in out_of_layout():
         path.write_text(text)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=r"d.json: field 'parts' is not in the \(s, J\) layout"):
+        with pytest.raises(ValueError, match=LAYOUT_FIELD_ERROR):
             load_decomposition(path)
         assert time.perf_counter() - start < 0.1
-    # with their images, the same parts are read, and fail verify
-    d = decompose(np.random.default_rng(49).standard_normal((3,) * 4))
-    moved = Decomposition(4, d.parts[1:] + d.parts[:1])
-    report = verify(decomposition_from_json(decomposition_to_json(moved)), reconstruct(d))
-    assert report.max_embedding_residual == np.inf and not report.passes(1e-10)
+
+
+def test_reader_rejects_parts_with_images_out_of_layout(tmp_path):
+    """A file that gives its images is held to the one layout too, at the
+    same field, with the same message."""
+    path = tmp_path / "d.json"
+    texts = out_of_layout(images=True)
+    assert all('"embedded"' in text for text in texts)
+    for text in texts[:4]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=LAYOUT_FIELD_ERROR):
+            load_decomposition(path)
+    # a file of a larger order than its parts' fails first at an image of another order
+    for text in texts[4:]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"parts\[0\]: embedded order 4 does not match"):
+            load_decomposition(path)
