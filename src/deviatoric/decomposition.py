@@ -72,8 +72,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _project, _scaled_back, _scaled_rows, as_tensor, epsilon, frobenius_norm, symmetrize,
-    symmetrize_stack,
+    _orbit_map, _project, _project_rows, _scaled_back, _scaled_rows, as_tensor, epsilon,
+    frobenius_norm, symmetrize,
 )
 from .harmonic import build_basis, coords, from_coords
 
@@ -236,8 +236,9 @@ class Decomposition:
         return f"{type(self).__name__}(order={self.order}, counts={self.counts()})"
 
     def counts(self) -> dict[int, int]:
-        orders = [p.s for p in self.parts] if self._record is None else _layout(self.order).orders
-        return dict(Counter(orders))
+        if self._record is None:
+            return dict(Counter(p.s for p in self.parts))
+        return dict(_layout_counts(self.order))  # a copy of the cached counts
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,11 @@ class VerifyReport:
 
     Residuals are relative: the reconstruction to the source tensor's norm,
     each part's symmetry and trace to that part's deviator norm, and each
-    cross-correlation to the two images' norms.  A zero denominator gives
+    cross-correlation to the two images' norms.  A part's symmetry residual
+    is the distance |x - x M_s M_s^T| of its deviator x to the totally
+    symmetric tensors (M_s the orthonormal orbit basis of ``_orbit_basis``,
+    so x M_s M_s^T is ``symmetrize(x)``), and its trace residual the norm
+    of the trace of x over its first two indices.  A zero denominator gives
     the absolute residual for the reconstruction and residual 0 for a zero
     part, which is trivially symmetric, traceless and orthogonal.  A
     deviator with an entry that is not finite has symmetry and trace
@@ -413,6 +418,13 @@ def _layout(n: int) -> _Layout:
     row_of[by_row] = np.arange(len(orders))
     _read_only(row_of)
     return _Layout(part_orders(n), tuple(labels.tolist()), row_of)
+
+
+@lru_cache(maxsize=None)
+def _layout_counts(n: int) -> dict[int, int]:
+    """The number of parts of each deviator order in ``_layout(n)``, keyed
+    in order of first appearance."""
+    return dict(Counter(_layout(n).orders))
 
 
 @lru_cache(maxsize=None)
@@ -675,22 +687,25 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     return _sum(_record_of(d), d.order)
 
 
-def _sum(record: _Record, n: int) -> np.ndarray:
+def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
     """The sum of the images of the order-n ``record``: its rows, summed,
     or for the output of ``decompose`` one product with E_{n-1}.
 
     Slice k of the images of a parent's children is the sum of their slice-k
     image coefficients times the parent's rows of E_{n-1}.  Each coordinate
     r of the children adds c_r F[r, k, :] to that sum, so the sums of a
-    group are its coordinates (``_deviator_coordinates``) times the
-    transpose of ``_Group.to_children``, laid out as the slice coordinates
-    y, and the tensor is Y E_{n-1}, slice by slice.  An in-place edit of a
-    deviator reaches it through the coordinates.
+    group are its coordinates c times the transpose of
+    ``_Group.to_children``, laid out as the slice coordinates y, and the
+    tensor is Y E_{n-1}, slice by slice.  c are the deviators' coordinates
+    (``_deviator_coordinates``), taken here unless given: ``verify`` takes
+    them once for this sum and its certificate.  An in-place edit of a
+    deviator reaches the sum through them.
     """
     if record.rows is not None:
         return record.rows.sum(axis=0).reshape((3,) * n)
     plan = _plan(n)
-    c = _deviator_coordinates(plan, record.stacks, n)
+    if c is None:
+        c = _deviator_coordinates(plan, record.stacks, n)
     if n == 0:
         return c.reshape(())
     y = np.empty(3**n)
@@ -746,13 +761,17 @@ _CERTIFY_CHUNK = 1 << 16
 class _SpanDefects(NamedTuple):
     """How far the parents' rows of E_{n-1} are from orthogonal, per parent
     and over all parents, with the rounding allowances of
-    ``_certified_cross_correlation``."""
+    ``_certified_cross_correlation`` and, for its coefficient path, the
+    sibling pairs and the constants of their bounds."""
 
     lam: np.ndarray  # (parents,) lambda_p, in the slot order of E_{n-1}
     sigma: np.ndarray  # (parents,) sigma_p, in the same order
     delta: np.ndarray  # (parents,) delta_p, in the same order
     eta: float
     slack: np.ndarray  # (parts,) rounding allowance of each rho, in plan order
+    siblings: np.ndarray  # (2, pairs) images i < j of each sibling pair, by group, parent, then pair
+    scale: np.ndarray  # (pairs,) lambda_p / sigma_p of the pair's parent
+    floor: np.ndarray  # (pairs,) the coefficient path's bound of the pair at cos 0
 
 
 @lru_cache(maxsize=None)
@@ -771,7 +790,10 @@ def _span_defects(n: int) -> _SpanDefects:
     at most (3w + 2) eps of the norms, which is added to delta_p, and the
     w-term product e = a B_p by at most w^1.5 eps of |f_i|, the slack added
     to rho_i (eps = 2^-52, twice the unit roundoff, covers the factors
-    (1 + delta_p)).
+    (1 + delta_p)).  Where every rho is its slack, as on the coefficient
+    path, the bound of a sibling pair of parent p is its scale lambda_p /
+    sigma_p times |a_i . a_j| / (|a_i| |a_j| (1 - slack)^2), plus its floor
+    delta_p (1 + slack)^2 + 2 slack + 3 slack^2 (``_pair_bound``).
     """
     groups = _plan(n).groups
     count = groups[-1].slots.stop
@@ -796,8 +818,17 @@ def _span_defects(n: int) -> _SpanDefects:
             squares[g.slots, h.slots] = gram.sum(axis=(1, 3))
     np.fill_diagonal(squares, 0.0)
     eta = float(np.sqrt(np.max(squares / np.outer(sigma, sigma))))
-    _read_only(lam, sigma, delta, slack)
-    return _SpanDefects(lam, sigma, delta, eta, slack)
+    siblings, parent = [], []  # a group of one child per parent has no pair
+    for g in groups:
+        first = g.images.start + g.children * np.arange(len(g.blocks))[:, None]
+        siblings.append(np.stack([(first + g.pairs[0]).ravel(), (first + g.pairs[1]).ravel()]))
+        parent.append(np.repeat(np.arange(g.slots.start, g.slots.stop), len(g.pairs[0])))
+    siblings, parent = np.concatenate(siblings, axis=1), np.concatenate(parent)
+    rho = slack[siblings[0]]
+    floor = _pair_bound(delta[parent] * (1.0 + rho) ** 2, rho, rho)
+    scale = lam[parent] / sigma[parent]
+    _read_only(lam, sigma, delta, slack, siblings, scale, floor)
+    return _SpanDefects(lam, sigma, delta, eta, slack, siblings, scale, floor)
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -806,7 +837,9 @@ def _pair_bound(inspan, rho_i, rho_j):
     return inspan + rho_i + rho_j + 3.0 * rho_i * rho_j
 
 
-def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]:
+def _certified_cross_correlation(
+    record: _Record, n: int, c: np.ndarray | None = None
+) -> tuple[float, float]:
     """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
     over pairs i != j of nonzero image rows f of the parts of an order-n
     decomposition in ``_layout(n)``, and the largest rho_i below.  Both are
@@ -834,7 +867,9 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
 
     lambda_p, sigma_p, delta_p, eta and the rounding slack of rho are
     ``_span_defects(n)``.  The bound holds for any rows and deviators, so an
-    edited, swapped or rescaled image or deviator only makes it large.
+    edited, swapped or rescaled image or deviator only makes it large.  c
+    are the deviators' coordinates (``_deviator_coordinates``), taken here
+    unless given, as ``verify`` gives those it sums.
 
     Two paths give the norms and rho:
 
@@ -848,7 +883,13 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
       rows: the images are the product f_i = fl(a_i B_p) of ``_rows_of``,
       so h_i is that product's rounding, rho_i is 0 before the slack, and
       |f_i| >= sqrt(sigma_p) |a_i| (1 - slack) stands in for the norm.  No
-      image is read or built: the bound costs O(P w^2).  This holds while
+      image is read or built: the bound costs O(P w^2).  As each rho is
+      its group's slack, a sibling pair's bound is lambda_p |a_i . a_j| /
+      (|f_i| |f_j|) plus a constant of its parent, so each group takes one
+      batched Gram of its children's coefficients (``_coefficient_grams``),
+      and the bounds of all pairs are one expression over the normalised
+      sibling entries (``_SpanDefects.scale`` and ``floor``), equal to the
+      pair by pair bound up to the rounding of one addition.  This holds while
       every nonzero coordinate c has c^2 in ``_GRAM_RANGE``, so that no
       product underflows or overflows; otherwise the images are built and
       take the first path.
@@ -857,16 +898,15 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
     plan = _plan(n)
     # out of range: taken again, rescaled; not finite: inf, below
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _deviator_coordinates(plan, record.stacks, n)
+        if c is None:
+            c = _deviator_coordinates(plan, record.stacks, n)
         low, high = _GRAM_RANGE
         c2 = c * c  # a nonzero c whose square underflows is out of range too
         from_coefficients = rows is None and bool(
             c2.max(initial=0.0) <= high and low <= c2.min(initial=low, where=c != 0.0)
         )
         if from_coefficients:
-            coefficients = [g.coefficients(c) for g in plan.groups]
-            squares = _coefficient_squares(plan, coefficients, c)
-            residuals = np.zeros_like(squares)
+            dots, squares = _coefficient_grams(plan, c)
         else:
             if rows is None:
                 rows = _rows_of(record, n)
@@ -877,8 +917,9 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
                 squares, residuals, coefficients = _span_residuals(rows, c, n)
         live = squares > 0.0
         rho = np.zeros(len(squares))
-        np.divide(residuals, squares, out=rho, where=live)
-        np.sqrt(rho, out=rho)
+        if not from_coefficients:  # the coefficient path has rho 0 before the slack
+            np.divide(residuals, squares, out=rho, where=live)
+            np.sqrt(rho, out=rho)
     if not live.all():
         for _, index, stack in record.stacks:
             image = plan.row_of[index]
@@ -892,12 +933,13 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
     rho += defects.slack
     norms = np.full(len(squares), np.inf)  # a zero image pairs with nothing
     np.sqrt(squares, out=norms, where=live)
-    lam = defects.lam
-    if from_coefficients:  # |f_i| >= sqrt(sigma_p) |a_i| (1 - slack)
-        norms *= 1.0 - defects.slack
-        lam = lam / defects.sigma
     second, first = np.partition(rho, -2)[-2:]
     worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
+    if from_coefficients:  # every rho is its slack: each pair's bound at once
+        norms *= 1.0 - defects.slack  # |f_i| >= sqrt(sigma_p) |a_i| (1 - slack); sigma_p is in scale
+        i, j = defects.siblings
+        cos = np.abs(dots) / (norms[i] * norms[j])
+        return max(worst, float(np.max(defects.scale * cos + defects.floor))), tie
     for a, g in zip(coefficients, plan.groups):
         if g.children < 2:
             continue
@@ -905,23 +947,29 @@ def _certified_cross_correlation(record: _Record, n: int) -> tuple[float, float]
         r, f = rho[g.images].reshape(-1, g.children), norms[g.images].reshape(-1, g.children)
         a = a.reshape(len(a), g.children, -1)
         inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
-        inspan *= lam[g.slots, None, None] / (f[:, :, None] * f[:, None, :])
+        inspan *= defects.lam[g.slots, None, None] / (f[:, :, None] * f[:, None, :])
         inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
         i, j = g.pairs
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
     return float(worst), tie
 
 
-def _coefficient_squares(plan: _Plan, coefficients: list, c: np.ndarray) -> np.ndarray:
-    """|a_i|^2 of each image's coefficients, in plan order; at order 0 the
-    image is its one coordinate."""
+def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries of the Gram a_i . a_j of the image coefficients of each
+    parent's children (``_Group.coefficients`` of the coordinates ``c``):
+    those of every sibling pair i < j, in the order of
+    ``_SpanDefects.siblings``, and the diagonal |a_i|^2, in plan order.  At
+    order 0 the one image is its one coordinate."""
     if plan.prev is None:
-        return c * c
+        return np.empty(0), c * c
+    dots = []
     squares = np.empty(len(plan.orders))
-    for a, g in zip(coefficients, plan.groups):
-        a = a.reshape(len(a), g.children, -1)
-        squares[g.images] = np.einsum("pix,pix->pi", a, a).ravel()
-    return squares
+    for g in plan.groups:
+        a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
+        gram = np.matmul(a, a.transpose(0, 2, 1))
+        dots.append(gram[:, g.pairs[0], g.pairs[1]].ravel())
+        squares[g.images] = gram.diagonal(0, 1, 2).ravel()
+    return np.concatenate(dots), squares
 
 
 def _deviator_coordinates(
@@ -991,33 +1039,49 @@ def _out_of_range(rows: np.ndarray, squares: np.ndarray) -> bool:
     return not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0))
 
 
-def _part_residuals(stacks, count: int) -> tuple[list[float], list[float]]:
-    """Symmetry and trace residual of each of ``count`` parts' deviators,
-    given as ``_Record.stacks``, relative to the deviator's norm; inf for a
-    deviator of any order with an entry that is not finite, and otherwise 0
-    for orders below 2 and for a zero deviator.
+@lru_cache(maxsize=None)
+def _orbit_basis(s: int) -> np.ndarray:
+    """Read-only (3^s, orbits) orthonormal basis M_s of the totally
+    symmetric order-s tensors: column o is 1/sqrt(|o|) on the members of
+    orbit o of ``core._orbit_map`` and 0 elsewhere, so x M_s M_s^T is
+    ``symmetrize`` of a flattened x, the mean over each orbit."""
+    code, weight = _orbit_map(s, tuple(range(s)))
+    canonical = np.flatnonzero(code == np.arange(code.size))
+    basis = (code[:, None] == canonical) * np.sqrt(weight[canonical])
+    _read_only(basis)
+    return basis
 
-    Each order's stack is checked at once, on ``_scaled_rows`` of the
-    stack, so no norm overflows or underflows at any scale.
+
+def _part_residuals(stacks, count: int) -> np.ndarray:
+    """The (2, ``count``) symmetry and trace residuals of the parts'
+    deviators, given as ``_Record.stacks``, relative to each deviator's
+    norm; inf for a deviator of any order with an entry that is not finite,
+    and otherwise 0 for orders below 2 and for a zero deviator.
+
+    Each order's stack is read once, as ``_scaled_rows``, so no norm
+    overflows or underflows at any scale.  The symmetry residual of a row x
+    is |x - x M_s M_s^T| / |x|, two products per order
+    (``core._project_rows`` onto ``_orbit_basis(s)``); the trace residual is
+    the norm of the sum of the three diagonal (i, i) slices of the same
+    scaled row, over |x|.  The ratios, roots and the inf rule are then taken
+    once for all parts.
     """
-    sym_res = np.zeros(count)
-    trace_res = np.zeros(count)
+    squares = np.zeros((3, count))  # |x|^2, then the squared residuals, on the scaled rows
+    norms, residuals = squares[0], squares[1:]
     for s, index, flat in stacks:
-        if not np.isfinite(flat).all():
-            finite = np.isfinite(flat).all(axis=1)
-            sym_res[index[~finite]] = trace_res[index[~finite]] = np.inf
-            index, flat = index[finite], flat[finite]
-        if s < 2 or not len(index):
+        if s < 2:  # symmetric and traceless: only the finite check
+            norms[index] = np.where(np.isfinite(flat).all(axis=1), 0.0, np.inf)
             continue
-        flat = _scaled_rows(flat)[0]
-        devs = flat.reshape((len(index),) + (3,) * s)
-        norms = np.linalg.norm(flat, axis=1)
-        sym = np.linalg.norm(flat - symmetrize_stack(devs).reshape(flat.shape), axis=1)
-        trace = np.linalg.norm(np.trace(devs, axis1=1, axis2=2).reshape(len(index), -1), axis=1)
-        nonzero = norms > 0.0
-        sym_res[index] = np.divide(sym, norms, out=np.zeros_like(sym), where=nonzero)
-        trace_res[index] = np.divide(trace, norms, out=np.zeros_like(trace), where=nonzero)
-    return sym_res.tolist(), trace_res.tolist()
+        basis = _orbit_basis(s)
+        scaled, norms[index], residuals[0, index] = _project_rows(flat, basis, basis.T)
+        # einsum warns of no invalid value: a row that is not finite is inf, below
+        diagonal = np.einsum("kiij->kj", scaled.reshape(len(flat), 3, 3, -1))
+        residuals[1, index] = np.einsum("ij,ij->i", diagonal, diagonal)
+    with np.errstate(invalid="ignore"):
+        np.divide(residuals, norms, out=residuals, where=norms > 0.0)
+    np.sqrt(residuals, out=residuals)
+    residuals[:, ~np.isfinite(norms)] = np.inf
+    return residuals
 
 
 def verify(d: Decomposition, t) -> VerifyReport:
@@ -1027,13 +1091,15 @@ def verify(d: Decomposition, t) -> VerifyReport:
     ``load_decomposition`` records (``_record_of``), never ``parts``, so it
     builds no part; any other decomposition is first stacked, once, into
     such arrays, which raises ``ValueError`` for parts in any other layout
-    than that of ``decompose`` (``_stacked``).  The symmetry and trace
-    checks read every stored deviator.
+    than that of ``decompose`` (``_stacked``).  Each order's deviator
+    stack is read once for the coordinates c' = stack B_s^T, which the
+    reconstruction and the certificate share, and once, as
+    ``_scaled_rows``, for the symmetry and trace residuals, each a product
+    over that read (``_part_residuals``).
     The reconstruction and orthogonality checks read every stored image, or
     for ``decompose`` output and a file read without images, which store
-    none, the coordinates of the deviators, from which the images are built
-    (``_sum``, ``_certified_cross_correlation``).  So an edited part fails
-    them.
+    none, the coordinates c' from which the images are built (``_sum``,
+    ``_certified_cross_correlation``).  So an edited part fails them.
 
     One orthogonality check, at every order: ``max_cross_correlation`` and
     ``max_embedding_residual`` are the certified bound (within 1e-13 above
@@ -1046,23 +1112,24 @@ def verify(d: Decomposition, t) -> VerifyReport:
     record = _record_of(d)
     t_norm = frobenius_norm(t)
     with np.errstate(over="ignore", invalid="ignore"):  # a deviator that is not finite: below
-        res = frobenius_norm(_sum(record, d.order) - t)
+        c = _deviator_coordinates(_plan(d.order), record.stacks, d.order)
+        res = frobenius_norm(_sum(record, d.order, c) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    sym_res, trace_res = _part_residuals(record.stacks, len(_layout(d.order).orders))
-    max_cross, tie = _certified_cross_correlation(record, d.order)
+    residuals = _part_residuals(record.stacks, len(_layout(d.order).orders))
+    max_cross, tie = _certified_cross_correlation(record, d.order, c)
 
-    part_residuals = [0.0] + sym_res + trace_res
+    sym_res, trace_res = residuals.tolist()
     return VerifyReport(
         order=d.order,
         reconstruction_residual=res,
         reconstruction_relative=rel,
         part_symmetry=tuple(sym_res),
         part_trace=tuple(trace_res),
-        max_part_residual=max(part_residuals),
+        max_part_residual=float(residuals.max(initial=0.0)),
         max_cross_correlation=max_cross,
         max_embedding_residual=tie,
-        counts_expected={s: count_parts(d.order, s) for s in range(d.order + 1)},
+        counts_expected=dict(enumerate(counts_row(d.order))),
         counts_actual=d.counts(),
         counts_ok=True,  # ``_stacked`` refuses every other layout
     )

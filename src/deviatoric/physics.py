@@ -88,8 +88,12 @@ class CouplingDeviators:
 
 def _common_scaled(*arrays) -> tuple[list[np.ndarray], int]:
     """The arrays divided exactly by 2**e, e the binary exponent of their
-    largest |entry|, and e; ``_scaled_back`` undoes it."""
-    exponent = math.frexp(np.abs(np.concatenate([np.ravel(a) for a in arrays])).max())[1]
+    largest |entry|, and e; ``_scaled_back`` undoes it.  Raises
+    ``ValueError`` for a NaN or +-inf entry, which has no exponent."""
+    top = np.abs(np.concatenate([np.ravel(a) for a in arrays])).max()
+    if not math.isfinite(top):
+        raise ValueError("a deviator has a non-finite entry")
+    exponent = math.frexp(top)[1]
     return [np.ldexp(a, -exponent) for a in arrays], exponent
 
 
@@ -120,7 +124,8 @@ def validate_coupling(h) -> np.ndarray:
 
 def coupling_reconstruct(cd: CouplingDeviators) -> np.ndarray:
     """Rebuild the coupling tensor from (v2, v3, D1, D3), summed on
-    ``_common_scaled`` deviators: +-inf beyond the float range, no warning."""
+    ``_common_scaled`` deviators: +-inf beyond the float range, no warning.
+    Raises ``ValueError`` for a NaN or +-inf deviator entry."""
     (v2, v3, d1, d3), exponent = _common_scaled(
         as_tensor(cd.v2, order=1), as_tensor(cd.v3, order=1),
         as_tensor(cd.d1, order=2), as_tensor(cd.d3, order=3),
@@ -398,7 +403,9 @@ def stiffness_decompose(c) -> StiffnessDeviators:
 def stiffness_reconstruct(sd: StiffnessDeviators) -> np.ndarray:
     """Rebuild the stiffness tensor from its deviators, summed on
     ``_common_scaled`` values, as ``coupling_reconstruct`` sums them: +-inf
-    beyond the float range, no warning."""
+    beyond the float range, no warning.  Raises ``ValueError`` for a NaN or
+    +-inf deviator entry, such as one that ``stiffness_decompose`` gives
+    beyond the float range."""
     (lam, mu, d1, d2, d4), exponent = _common_scaled(
         float(sd.lam), float(sd.mu), as_tensor(sd.d1, order=2),
         as_tensor(sd.d2, order=2), as_tensor(sd.d4, order=4),

@@ -42,10 +42,12 @@ from deviatoric.decomposition import (
     _certified_cross_correlation,
     _change_of_basis,
     _coordinates,
+    _deviator_coordinates,
     _images,
     _forward,
     _from_rows,
     _layout,
+    _pair_bound,
     _plan,
     _record_of,
     _rows_of,
@@ -996,6 +998,55 @@ def test_verify_is_scale_invariant(exponent):
     assert not verify(mix_first_and_last(d), scale * t).passes(1e-10)
 
 
+@st.composite
+def spoiled_deviators(draw):
+    """The deviators of a random tensor of order 2..7, in the layout of
+    ``decompose``, with noise of relative size 10^-12..1 added to some and
+    others set to zero, and a power of two 2^k, k in [-900, 900]."""
+    order = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spoil, zero = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5))
+    d = decompose(rng.standard_normal((3,) * order))
+    deviators = []
+    for p in d.parts:
+        x, u = p.deviator.copy(), rng.random()
+        if u < zero:
+            x[...] = 0.0
+        elif u < zero + spoil:
+            noise = rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-12.0, 0.0)
+            x += noise * np.linalg.norm(x)
+        deviators.append(x)
+    return d, deviators, draw(st.integers(-900, 900))
+
+
+def from_deviators(d, deviators):
+    """A record of these deviators in the layout of ``d``, as a file read
+    without images holds it."""
+    orders, labels = _layout(d.order)[:2]
+    return _from_rows(d.order, _stacked(d.order, orders, labels, deviators))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spoiled_deviators())
+def test_part_residuals_are_products_that_match_the_loop(case):
+    d, deviators, k = case
+    spoiled = from_deviators(d, deviators)
+    report = verify(spoiled, reconstruct(spoiled))
+    want_sym, want_trace = reference_part_residuals(spoiled)
+    assert np.max(np.abs(np.subtract(report.part_symmetry, want_sym))) <= 1e-13
+    assert np.max(np.abs(np.subtract(report.part_trace, want_trace))) <= 1e-13
+    # the residuals are taken on exactly scaled rows: 2^k changes no bit
+    scaled = [np.ldexp(x, k) for x in deviators]
+    tiny = np.finfo(float).tiny
+    if any(((x != 0.0) & (np.abs(x) < tiny)).any() for x in deviators + scaled):
+        return
+    moved = from_deviators(d, scaled)
+    with np.errstate(over="ignore"):
+        moved_report = verify(moved, reconstruct(moved))
+    assert moved_report.part_symmetry == report.part_symmetry
+    assert moved_report.part_trace == report.part_trace
+
+
 # Known scale defects: the engine computes on the raw values, not under the
 # scale policy of ``core``.  Each case is a strict xfail, so the change that
 # mends it must drop the mark.
@@ -1063,6 +1114,55 @@ def test_certified_bound_is_above_the_exact_value(order):
                     assert bound <= exact + 1e-13, scale
             if np.frexp(scale)[0] == 0.5:
                 assert abs(bound - in_range) <= 1e-15, scale
+
+
+def reference_record_bound(d):
+    """The certificate of the coefficient path as it was taken with one
+    pair bound per sibling pair, before one largest |cos| per parent
+    replaced it."""
+    n = d.order
+    plan = _plan(n)
+    c = _deviator_coordinates(plan, d._record.stacks, n)
+    coefficients = [g.coefficients(c) for g in plan.groups]
+    squares = c * c
+    if n:
+        squares = np.empty(len(plan.orders))
+        for a, g in zip(coefficients, plan.groups):
+            a = a.reshape(len(a), g.children, -1)
+            squares[g.images] = np.einsum("pix,pix->pi", a, a).ravel()
+    live = squares > 0.0
+    if np.count_nonzero(live) < 2:
+        return 0.0
+    defects = _span_defects(n)
+    rho = defects.slack.copy()
+    norms = np.full(len(squares), np.inf)
+    np.sqrt(squares, out=norms, where=live)
+    norms *= 1.0 - defects.slack
+    lam = defects.lam / defects.sigma
+    second, first = np.partition(rho, -2)[-2:]
+    worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
+    for a, g in zip(coefficients, plan.groups):
+        if g.children < 2:
+            continue
+        delta = defects.delta[g.slots]
+        r, f = rho[g.images].reshape(-1, g.children), norms[g.images].reshape(-1, g.children)
+        a = a.reshape(len(a), g.children, -1)
+        inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
+        inspan *= lam[g.slots, None, None] / (f[:, :, None] * f[:, None, :])
+        inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
+        i, j = g.pairs
+        worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
+    return float(worst)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_one_largest_cosine_per_parent_keeps_the_bound(order):
+    t = np.random.default_rng(495 + order).standard_normal((3,) * order)
+    for u in (t, symmetrize(t)) if order >= 2 else (t,):
+        d = decompose(u)
+        bound = verify(d, u).max_cross_correlation
+        assert abs(bound - reference_record_bound(d)) <= 1e-16
+        assert bound >= exact_cross_correlation(image_rows(d))
 
 
 @pytest.mark.parametrize("order", range(9))

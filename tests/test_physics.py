@@ -440,6 +440,9 @@ def test_stiffness_round_trip_at_the_float_limit():
             assert np.array_equal(a, b)
         if not all(np.isfinite(x).all() for x in got):
             beyond_range.append(index)
+            # an inf deviator has no exponent to scale by: rejected, not NaN
+            with pytest.raises(ValueError, match="non-finite entry"):
+                stiffness_reconstruct(sd)
             continue
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -474,6 +477,24 @@ def test_coupling_reconstruct_overflows_to_inf_without_a_warning():
     unit = coupling_reconstruct(CouplingDeviators(big.v2, big.v3 / 1.6e308, big.d1, big.d3))
     finite = np.isfinite(back)
     assert_allclose(back[finite], 1.6e308 * unit[finite], rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["v2", "v3", "d1", "d3"])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_coupling_reconstruct_rejects_a_non_finite_deviator(name, bad):
+    cd = coupling_decompose(random_coupling(np.random.default_rng(28)))
+    spoiled = np.array(getattr(cd, name))
+    spoiled.flat[0] = bad
+    built = CouplingDeviators(**{**vars(cd), name: spoiled})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite entry"):
+            coupling_reconstruct(built)
+        if name in ("v2", "v3"):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                built.v1
+        else:
+            assert np.isfinite(built.v1).all()
 
 
 @pytest.mark.parametrize(
