@@ -28,7 +28,6 @@ __all__ = [
     "contract_single",
     "contract_double",
     "symmetrize",
-    "symmetrize_stack",
     "trace_pair",
     "delta",
     "epsilon",
@@ -149,27 +148,6 @@ def symmetrize(t, positions=None) -> np.ndarray:
     return means[code].reshape(t.shape)
 
 
-def symmetrize_stack(ts) -> np.ndarray:
-    """Total symmetrization of each tensor in a stack of shape
-    ``(k,) + (3,) * n``.
-
-    One ``bincount`` over the cached orbit codes of all k tensors, offset by
-    ``3**n`` per tensor, gives every orbit mean of the stack at once; each
-    tensor comes out as ``symmetrize`` would return it.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim < 1 or any(d != 3 for d in ts.shape[1:]):
-        raise ValueError(f"expected a stack of shape (k, 3, ..., 3), got {ts.shape}")
-    k, n = ts.shape[0], ts.ndim - 1
-    if n < 2:
-        return ts.copy()
-    code, weight = _orbit_map(n, tuple(range(n)))
-    codes = code + code.size * np.arange(k)[:, None]
-    means = np.bincount(codes.ravel(), weights=ts.ravel(), minlength=codes.size)
-    means = means.reshape(k, code.size) * weight
-    return means[:, code].reshape(ts.shape)
-
-
 def trace_pair(t, p: int, q: int) -> np.ndarray:
     """Contract index positions ``p`` and ``q`` of ``t`` with each other."""
     t = as_tensor(t)
@@ -206,8 +184,8 @@ def frobenius_norm(t) -> float:
     ``_scaled_rows`` of the flattened tensor, so the sum of squares neither
     overflows nor underflows at any scale of ``t``; a norm beyond the float
     range is ``inf``."""
-    scaled, exponents = _scaled_rows(as_tensor(t).reshape(1, -1))
-    return float(_scaled_back(exponents[0], np.linalg.norm(scaled[0]))[0])
+    scaled, exponent = _scaled_rows(as_tensor(t).reshape(1, -1))
+    return float(_scaled_back(exponent[0], np.linalg.norm(scaled[0]))[0])
 
 
 def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -216,8 +194,8 @@ def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     non-finite row.  A scaled row's sum of squares lies in [1/4, row
     length), so no norm of it overflows or underflows, and a ratio of two
     norms taken on one scaled row is the unscaled one."""
-    exponents = np.frexp(np.max(np.abs(rows), axis=1))[1]
-    return np.ldexp(rows, -exponents[:, None]), exponents
+    exponent = np.frexp(np.max(np.abs(rows), axis=1))[1]
+    return np.ldexp(rows, -exponent[:, None]), exponent
 
 
 def _project(

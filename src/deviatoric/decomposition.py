@@ -172,36 +172,36 @@ class IrreduciblePart:
 
 
 class _Record(NamedTuple):
-    """The arrays of the parts of an order-n decomposition, whose s, J and
-    image row are those of ``_layout(n)``: the image of part i is row
-    ``_layout(n).row_of[i]`` of ``rows``.  The output of ``decompose`` holds
-    no rows, and nor does a file read without images: the images are the
-    embeddings of the deviators, built by ``_rows_of`` when read.
+    """The deviators of the parts of an order-n decomposition, whose s, J and
+    image row are those of ``_layout(n)``.  No record holds an image: the
+    images are the embeddings of the deviators, built by ``_rows_of`` when
+    read.  Images given with the parts (hand-built parts,
+    ``dataclasses.replace``, a file with ``embedded``) are checked by
+    ``_stacked`` against those embeddings and dropped; ``tie`` keeps how far
+    they were (``_tie``), 0 for ``decompose`` output and a file without
+    images.
     """
 
-    rows: np.ndarray | None  # (parts, 3^n) images; None for the deviators alone
     stacks: tuple  # per deviator order s: (s, (J_s,) part indices, (J_s, 3^s) deviators)
+    tie: float  # tau, the largest rho_i of the images given, or 0
 
 
 @dataclass(frozen=True)
 class Decomposition:
     """The parts of an order-n tensor.
 
-    The output of ``decompose`` and ``load_decomposition`` is made by
-    ``_from_rows`` and records its parts as arrays (``_Record``): the
-    deviators as one stack per deviator order and, for a file that gives
-    its images, the images as the rows of one (parts, 3^n) array, in plan
-    order.  ``reconstruct`` and ``verify`` read those arrays, and ``parts``
-    is built from them on first access, then stored; each ``deviator`` is a
-    view of its stack, so an in-place edit of a deviator is an edit of the
-    record.  The output of ``decompose``, and a file read without images,
-    hold only their deviators: ``parts`` builds the images once, from the
-    deviators, as read-only rows.  The images of a file that gives them are
-    views of its rows, so an in-place edit reaches them.
-    A hand-built decomposition, or any copy (pickle, ``copy``, ``deepcopy``,
-    ``dataclasses.replace``), holds its parts and no record.  Its parts are
-    one per (s, J) slot, in the layout of ``decompose``: any other part
-    list is an input error (``_stacked``).
+    The output of ``decompose`` and ``load_decomposition`` (made by
+    ``_from_record``), and any pickled or copied decomposition, records its
+    parts as arrays (``_Record``): the deviators as one stack per deviator
+    order, and the tie of any images it was given.  ``reconstruct`` and
+    ``verify`` read those arrays, and ``parts`` is built from them on first
+    access, then stored; each ``deviator`` is a view of its stack, so an
+    in-place edit of a deviator is an edit of the record.  The images are
+    built once, from the deviators, as read-only rows.
+    A hand-built decomposition, or one made by ``dataclasses.replace``,
+    holds its parts and no record; each read stacks them anew
+    (``_record_of``).  Its parts are one per (s, J) slot, in the layout of
+    ``decompose``: any other part list is an input error (``_stacked``).
     """
 
     order: int
@@ -209,7 +209,7 @@ class Decomposition:
     _record: _Record | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getattr__(self, name):
-        # only a decomposition made by ``_from_rows`` lacks ``parts``
+        # only a decomposition made by ``_from_record`` lacks ``parts``
         if name != "parts" or self._record is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         orders, labels, row_of = _layout(self.order)
@@ -227,8 +227,8 @@ class Decomposition:
         return self.parts
 
     def __getstate__(self):
-        # copies keep no record: pickle and deepcopy give each part an array of its own
-        return {"order": self.order, "parts": self.parts}
+        # pickle, copy and deepcopy keep the record, so a copy is ``decompose`` output
+        return {"order": self.order, "_record": _record_of(self)}
 
     def __repr__(self) -> str:
         # the parts' arrays would print in full (numpy summarises no axis of
@@ -256,12 +256,15 @@ class VerifyReport:
     part, which is trivially symmetric, traceless and orthogonal.  A
     deviator with an entry that is not finite has symmetry and trace
     residual inf.  ``max_cross_correlation`` is a certified upper bound on
-    the largest cross-correlation and ``max_embedding_residual`` the largest
-    tie rho_i = |f_i - e_i| / |f_i| of an image f_i to the embedding e_i of
-    its own deviator (``_certified_cross_correlation``); both are inf only
-    for an entry that is not finite or a zero image whose deviator is not
-    zero.  ``counts_ok`` holds for every decomposition that ``verify``
-    accepts; it stays for the report.
+    the largest cross-correlation (``_certified_cross_correlation``) and
+    ``max_embedding_residual`` the record's tie tau: the largest
+    rho_i = |f_i - e_i| / |f_i| of an image f_i given with the parts to the
+    embedding e_i of its own deviator, measured where the images came in
+    (``_tie``), and 0 when no image was given.  Both are inf for an entry
+    that is not finite, a zero image given for a nonzero deviator, or a
+    nonzero deviator whose coordinates are all zero.  ``counts_ok`` holds
+    for every decomposition that ``verify`` accepts; it stays for the
+    report.
     """
 
     order: int
@@ -593,12 +596,10 @@ def _images(plan: _Plan, c: np.ndarray) -> np.ndarray:
 
 
 def _rows_of(record: _Record, n: int) -> np.ndarray:
-    """The image rows of the order-n ``record``: its own, or for the output
-    of ``decompose`` the embeddings of its deviators, built by the product
-    of ``_images`` and read-only, so no edit can part them from the
-    deviators they were built from."""
-    if record.rows is not None:
-        return record.rows
+    """The image rows of the order-n ``record``, in plan order: the
+    embeddings of its deviators, built by the product of ``_images`` and
+    read-only, so no edit can part them from the deviators they were built
+    from."""
     plan = _plan(n)
     rows = _images(plan, _deviator_coordinates(plan, record.stacks, n))
     rows.flags.writeable = False
@@ -612,13 +613,12 @@ def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
     return list(rows.reshape((-1,) + (3,) * order))
 
 
-def _from_rows(order: int, record: _Record) -> Decomposition:
+def _from_record(order: int, record: _Record) -> Decomposition:
     """The order-``order`` decomposition whose parts are the arrays of
-    ``record``; the only maker of a decomposition with a record.
-    ``decompose`` passes its deviators and no rows, and
-    ``decomposition_from_json`` ``_stacked`` of the parts it read, with the
-    images only of a file that gives them.  No ``parts`` is built until
-    they are read."""
+    ``record``; the only maker of a decomposition with a record, besides
+    unpickling and copying (``Decomposition.__getstate__``).  ``decompose``
+    passes its deviators, and ``decomposition_from_json`` ``_stacked`` of
+    the parts it read.  No ``parts`` is built until they are read."""
     d = object.__new__(Decomposition)
     object.__setattr__(d, "order", order)
     object.__setattr__(d, "_record", record)
@@ -631,13 +631,14 @@ def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
 
     The only code that stacks loose parts into a record, so the one check
     of a part list: parts in any other (s, J) layout than that of
-    ``decompose``, no parts included, raise one ``ValueError``.  The images
-    go into the rows of one new (parts, 3^order) array, in plan order, and
-    the deviators of each order s into one new (J_s, 3^s) array, which the
-    parts built from the record view.  Raises the error of ``as_tensor`` for
-    the first image in row order, then the first deviator of each order, of
-    another shape than its order's.  With no images, the record is the one
-    ``decompose`` makes.
+    ``decompose``, no parts included, raise one ``ValueError``.  The
+    deviators of each order s go into one new (J_s, 3^s) array, which the
+    parts built from the record view.  The only way in for images: they are
+    stacked in plan order, measured against the embeddings of the deviators
+    (``_tie``) and dropped, so the record keeps only their tie.  Raises the
+    error of ``as_tensor`` for the first image in row order, then the first
+    deviator of each order, of another shape than its order's.  With no
+    images, the record is the one ``decompose`` makes.
     """
     # that layout has one part of s = order and none above it, so no layout
     # or count is built for a larger order than any part's
@@ -652,7 +653,33 @@ def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
     for s in sorted(set(orders)):
         index = np.flatnonzero(orders_array == s)
         stacks.append((s, index, _stack([deviators[i] for i in index], s)))
-    return _Record(rows, tuple(stacks))
+    record = _Record(tuple(stacks), 0.0)
+    return record if rows is None else record._replace(tie=_tie(record, rows, order))
+
+
+def _tie(record: _Record, rows: np.ndarray, n: int) -> float:
+    """tau = max_i rho_i, rho_i = |f_i - e_i| / |f_i|, of the (parts, 3^n)
+    image rows f, in plan order, against the embeddings e of the deviators
+    of the order-n ``record`` (``_rows_of``).  Taken on ``_scaled_rows`` of
+    f, with f - e divided by the same powers of two, so it does not depend
+    on the scale; ``rows`` is overwritten.  A zero image has rho 0 if its
+    deviator is zero and inf if not (read from the deviator, so an
+    embedding that underflows counts); an entry of f or e that is not
+    finite gives inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled, shift = _scaled_rows(rows)
+        squares = np.einsum("ij,ij->i", scaled, scaled)
+        h = np.subtract(rows, _rows_of(record, n), out=rows)
+        np.ldexp(h, -shift[:, None], out=h)
+        residuals = np.einsum("ij,ij->i", h, h)
+        rho = np.zeros(len(rows))
+        np.divide(residuals, squares, out=rho, where=squares > 0.0)
+        np.sqrt(rho, out=rho)
+        rho[~np.isfinite(squares + residuals)] = np.inf
+    for _, index, stack in record.stacks:
+        image = _layout(n).row_of[index]
+        rho[image[(squares[image] == 0.0) & stack.any(axis=1)]] = np.inf
+    return float(rho.max())
 
 
 def decompose(t) -> Decomposition:
@@ -672,7 +699,7 @@ def decompose(t) -> Decomposition:
     c = _coordinates(plan, t)
     # a list first, as in ``Decomposition.__getattr__``
     stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
-    return _from_rows(t.ndim, _Record(None, stacks))
+    return _from_record(t.ndim, _Record(stacks, 0.0))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
@@ -688,8 +715,8 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 
 
 def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
-    """The sum of the images of the order-n ``record``: its rows, summed,
-    or for the output of ``decompose`` one product with E_{n-1}.
+    """The sum of the images of the order-n ``record``: one product with
+    E_{n-1}.
 
     Slice k of the images of a parent's children is the sum of their slice-k
     image coefficients times the parent's rows of E_{n-1}.  Each coordinate
@@ -701,8 +728,6 @@ def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
     them once for this sum and its certificate.  An in-place edit of a
     deviator reaches the sum through them.
     """
-    if record.rows is not None:
-        return record.rows.sum(axis=0).reshape((3,) * n)
     plan = _plan(n)
     if c is None:
         c = _deviator_coordinates(plan, record.stacks, n)
@@ -716,10 +741,10 @@ def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
 
 
 def _record_of(d: Decomposition) -> _Record:
-    """The arrays of ``d``: its record, or for a hand-built decomposition or
-    any copy (which holds no record), ``_stacked`` of its parts.  This is
-    the only way library code reads a decomposition's arrays, so what is
-    read is always what the parts store."""
+    """The arrays of ``d``: its record, or for a hand-built decomposition
+    (which holds no record), ``_stacked`` of its parts, images included.
+    This is the only way library code reads a decomposition's arrays, so
+    what is read is always what the parts store."""
     if d._record is not None:
         return d._record
     parts = d.parts
@@ -745,24 +770,16 @@ def _stack(tensors, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orthogonality of the images
 
-# Products of image rows whose squared norms lie outside this range, or of
-# coordinates whose squares do, could overflow, or lose precision to
-# subnormal products.
+# Products of coordinates whose squares lie outside this range could
+# overflow, or lose precision to subnormal products.
 _GRAM_RANGE = (2.0**-600, 2.0**600)
-
-# doubles of image slices that the certificate takes at a time, in whole
-# parents.  Warm, on one BLAS thread of a shared 2-core Xeon host (4 MiB L2),
-# the certificate took 2.2-2.6 ms at order 7 (9 parents a chunk) and 20-27 ms
-# at order 8 (3 parents), against 2.4-2.7 and 22-26 ms at half and 2.3-2.5
-# and 23-26 ms at twice this size.
-_CERTIFY_CHUNK = 1 << 16
 
 
 class _SpanDefects(NamedTuple):
     """How far the parents' rows of E_{n-1} are from orthogonal, per parent
     and over all parents, with the rounding allowances of
-    ``_certified_cross_correlation`` and, for its coefficient path, the
-    sibling pairs and the constants of their bounds."""
+    ``_certified_cross_correlation``, the sibling pairs and the constants of
+    their bounds."""
 
     lam: np.ndarray  # (parents,) lambda_p, in the slot order of E_{n-1}
     sigma: np.ndarray  # (parents,) sigma_p, in the same order
@@ -771,7 +788,7 @@ class _SpanDefects(NamedTuple):
     slack: np.ndarray  # (parts,) rounding allowance of each rho, in plan order
     siblings: np.ndarray  # (2, pairs) images i < j of each sibling pair, by group, parent, then pair
     scale: np.ndarray  # (pairs,) lambda_p / sigma_p of the pair's parent
-    floor: np.ndarray  # (pairs,) the coefficient path's bound of the pair at cos 0
+    floor: np.ndarray  # (pairs,) the bound of the pair at cos 0
 
 
 @lru_cache(maxsize=None)
@@ -790,8 +807,8 @@ def _span_defects(n: int) -> _SpanDefects:
     at most (3w + 2) eps of the norms, which is added to delta_p, and the
     w-term product e = a B_p by at most w^1.5 eps of |f_i|, the slack added
     to rho_i (eps = 2^-52, twice the unit roundoff, covers the factors
-    (1 + delta_p)).  Where every rho is its slack, as on the coefficient
-    path, the bound of a sibling pair of parent p is its scale lambda_p /
+    (1 + delta_p)).  Every rho of the built images is its slack, so the
+    bound of a sibling pair of parent p is its scale lambda_p /
     sigma_p times |a_i . a_j| / (|a_i| |a_j| (1 - slack)^2), plus its floor
     delta_p (1 + slack)^2 + 2 slack + 3 slack^2 (``_pair_bound``).
     """
@@ -841,60 +858,51 @@ def _certified_cross_correlation(
     record: _Record, n: int, c: np.ndarray | None = None
 ) -> tuple[float, float]:
     """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
-    over pairs i != j of nonzero image rows f of the parts of an order-n
-    decomposition in ``_layout(n)``, and the largest rho_i below.  Both are
-    inf when an image or a deviator is not finite, or an image is zero but
-    its deviator is not (read from the deviator, so an embedding that
-    underflows counts).  A zero image with a zero deviator has rho 0 and
-    pairs with no other.
+    over pairs i != j of nonzero images f of the parts of an order-n
+    decomposition in ``_layout(n)``, and the record's tie tau.  Both are
+    inf when a deviator is not finite, or is nonzero with coordinates that
+    are all zero, or when the tie is inf (``_tie``).  A zero deviator's
+    image pairs with no other.
 
-    Each image f_i should be the embedding of its own stored deviator: with
-    a_i the image coefficients of the deviator (``_deviator_coordinates``,
-    then ``_Group.coefficients``, as ``_images`` forms them),
-    e_i = a_i B_p slice by slice, B_p the rows of the parent slot in E_{n-1}.
-    e_i lies in the span of B_p whatever a_i and the defect of B_p,
-    h_i = f_i - e_i, and rho_i = |h_i| / |f_i|.  Writing f_i = e_i + h_i
-    gives cos_ij <= inspan_ij + rho_i + rho_j + 3 rho_i rho_j, where
-    inspan_ij bounds |<e_i, e_j>| / (|f_i| |f_j|).  As |e_i|^2 >= sigma_p
-    |a_i|^2 and |e_i| <= (1 + rho_i) |f_i|:
+    The images are the embeddings e_i = fl(a_i B_p) of ``_rows_of``, slice
+    by slice: a_i the image coefficients of the deviator
+    (``_deviator_coordinates``, then ``_Group.coefficients``), B_p the rows
+    of the parent slot in E_{n-1}.  The exact product lies in the span of
+    B_p whatever a_i and the defect of B_p, and e_i is within rho_i, the
+    slack of ``_span_defects(n)``, of it.  Writing e_i = its exact product
+    plus that rounding gives cos_ij <= inspan_ij + rho_i + rho_j +
+    3 rho_i rho_j (``_pair_bound``), where inspan_ij bounds the exact
+    products' |<., .>| over |e_i| |e_j|.  As their squared norms are at
+    least sigma_p |a_i|^2 and |e_i| >= sqrt(sigma_p) |a_i| (1 - rho_i):
 
-    * for siblings, <e_i, e_j> = lambda_p a_i . a_j + a_i D_p a_j^T, so
+    * for siblings, the product is lambda_p a_i . a_j + a_i D_p a_j^T, so
       inspan_ij is the coefficient Gram lambda_p |a_i . a_j| over the norms,
       plus delta_p (1 + rho_i)(1 + rho_j);
-    * across parents, |<e_i, e_j>| <= |B_p B_q^T|_F |a_i| |a_j|, so inspan_ij
+    * across parents, |<., .>| <= |B_p B_q^T|_F |a_i| |a_j|, so inspan_ij
       is eta (1 + rho_i)(1 + rho_j), which with the rest of the bound is
       largest for the two largest rho.
 
-    lambda_p, sigma_p, delta_p, eta and the rounding slack of rho are
-    ``_span_defects(n)``.  The bound holds for any rows and deviators, so an
-    edited, swapped or rescaled image or deviator only makes it large.  c
-    are the deviators' coordinates (``_deviator_coordinates``), taken here
-    unless given, as ``verify`` gives those it sums.
+    lambda_p, sigma_p, delta_p, eta and the slack are ``_span_defects(n)``.
+    No image is read or built: the bound costs O(P w^2).  As each rho is
+    its group's slack, a sibling pair's bound is lambda_p |a_i . a_j| /
+    (|e_i| |e_j|) plus a constant of its parent, so each group takes one
+    batched Gram of its children's coefficients (``_coefficient_grams``),
+    and the bounds of all pairs are one expression over the normalised
+    sibling entries (``_SpanDefects.scale`` and ``floor``).  When some
+    nonzero coordinate c has c^2 outside ``_GRAM_RANGE``, so that a product
+    could underflow or overflow, each part's coordinates are taken from its
+    own ``_scaled_rows`` of its deviator instead: a power of two per part
+    scales its coefficients and leaves every cos as it is.  c are the
+    deviators' coordinates (``_deviator_coordinates``), taken here unless
+    given, as ``verify`` gives those it sums.
 
-    Two paths give the norms and rho:
-
-    * A record with rows (a file read with images, a copy, a hand-built
-      decomposition) is read in one O(9^n) pass over the rows
-      (``_span_residuals``), which measures |f_i| and |h_i|.  When the
-      squared norms are ``_out_of_range``, the pass is taken again on
-      ``_scaled_rows`` of the rows, with each image's coefficients divided
-      exactly by the same power of two as its row.
-    * The output of ``decompose``, and a file read without images, hold no
-      rows: the images are the product f_i = fl(a_i B_p) of ``_rows_of``,
-      so h_i is that product's rounding, rho_i is 0 before the slack, and
-      |f_i| >= sqrt(sigma_p) |a_i| (1 - slack) stands in for the norm.  No
-      image is read or built: the bound costs O(P w^2).  As each rho is
-      its group's slack, a sibling pair's bound is lambda_p |a_i . a_j| /
-      (|f_i| |f_j|) plus a constant of its parent, so each group takes one
-      batched Gram of its children's coefficients (``_coefficient_grams``),
-      and the bounds of all pairs are one expression over the normalised
-      sibling entries (``_SpanDefects.scale`` and ``floor``), equal to the
-      pair by pair bound up to the rounding of one addition.  This holds while
-      every nonzero coordinate c has c^2 in ``_GRAM_RANGE``, so that no
-      product underflows or overflows; otherwise the images are built and
-      take the first path.
+    Images given with the parts were measured where they came in: each
+    f_i = e_i + h_i with |h_i| <= tau |f_i| (``_tie``).  So |e_i| <=
+    (1 + tau) |f_i|, and the bound B of the e_i becomes B (1 + tau)^2 +
+    2 tau + 3 tau^2 for the f_i, as in ``_pair_bound``; for tau = 0 it is
+    B, bit for bit.  The bound holds for any deviators and images, so an
+    edited, swapped or rescaled one only makes it large.
     """
-    rows = record.rows
     plan = _plan(n)
     # out of range: taken again, rescaled; not finite: inf, below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -902,56 +910,30 @@ def _certified_cross_correlation(
             c = _deviator_coordinates(plan, record.stacks, n)
         low, high = _GRAM_RANGE
         c2 = c * c  # a nonzero c whose square underflows is out of range too
-        from_coefficients = rows is None and bool(
-            c2.max(initial=0.0) <= high and low <= c2.min(initial=low, where=c != 0.0)
-        )
-        if from_coefficients:
-            dots, squares = _coefficient_grams(plan, c)
-        else:
-            if rows is None:
-                rows = _rows_of(record, n)
-            squares, residuals, coefficients = _span_residuals(rows, c, n)
-            if _out_of_range(rows, squares):
-                rows, exponents = _scaled_rows(rows)
-                c = _deviator_coordinates(plan, record.stacks, n, exponents)
-                squares, residuals, coefficients = _span_residuals(rows, c, n)
-        live = squares > 0.0
-        rho = np.zeros(len(squares))
-        if not from_coefficients:  # the coefficient path has rho 0 before the slack
-            np.divide(residuals, squares, out=rho, where=live)
-            np.sqrt(rho, out=rho)
-    if not live.all():
+        if not c2.max(initial=0.0) <= high or not low <= c2.min(initial=low, where=c != 0.0):
+            scaled = [(s, index, _scaled_rows(stack)[0]) for s, index, stack in record.stacks]
+            c = _deviator_coordinates(plan, scaled, n)
+        dots, squares = _coefficient_grams(plan, c)
+    live = squares > 0.0
+    tie = record.tie
+    if not live.all():  # a nonzero deviator whose coordinates are all zero: inf
         for _, index, stack in record.stacks:
-            image = plan.row_of[index]
-            rho[image[~live[image] & stack.any(axis=1)]] = np.inf
-    tie = float(rho.max())
+            if (~live[plan.row_of[index]] & stack.any(axis=1)).any():
+                tie = np.inf
     if not (tie < np.inf and np.isfinite(squares).all()):  # eta = 0 would make the bound NaN
         return np.inf, np.inf
-    if np.count_nonzero(live) < 2:
-        return 0.0, tie
-    defects = _span_defects(n)
-    rho += defects.slack
-    norms = np.full(len(squares), np.inf)  # a zero image pairs with nothing
-    np.sqrt(squares, out=norms, where=live)
-    second, first = np.partition(rho, -2)[-2:]
-    worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
-    if from_coefficients:  # every rho is its slack: each pair's bound at once
-        norms *= 1.0 - defects.slack  # |f_i| >= sqrt(sigma_p) |a_i| (1 - slack); sigma_p is in scale
+    bound = 0.0
+    if np.count_nonzero(live) >= 2:
+        defects = _span_defects(n)
+        norms = np.full(len(squares), np.inf)  # a zero image pairs with nothing
+        np.sqrt(squares, out=norms, where=live)
+        norms *= 1.0 - defects.slack  # |e_i| >= sqrt(sigma_p) |a_i| (1 - slack); sigma_p is in scale
+        second, first = np.partition(defects.slack, -2)[-2:]
+        worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
         i, j = defects.siblings
         cos = np.abs(dots) / (norms[i] * norms[j])
-        return max(worst, float(np.max(defects.scale * cos + defects.floor))), tie
-    for a, g in zip(coefficients, plan.groups):
-        if g.children < 2:
-            continue
-        delta = defects.delta[g.slots]
-        r, f = rho[g.images].reshape(-1, g.children), norms[g.images].reshape(-1, g.children)
-        a = a.reshape(len(a), g.children, -1)
-        inspan = np.abs(np.matmul(a, a.transpose(0, 2, 1)))
-        inspan *= defects.lam[g.slots, None, None] / (f[:, :, None] * f[:, None, :])
-        inspan += delta[:, None, None] * (1.0 + r[:, :, None]) * (1.0 + r[:, None, :])
-        i, j = g.pairs
-        worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
-    return float(worst), tie
+        bound = max(worst, float(np.max(defects.scale * cos + defects.floor)))
+    return float(_pair_bound(bound * (1.0 + tie) ** 2, tie, tie)), tie
 
 
 def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -972,71 +954,14 @@ def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate(dots), squares
 
 
-def _deviator_coordinates(
-    plan: _Plan, stacks, n: int, exponents: np.ndarray | None = None
-) -> np.ndarray:
+def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
     """The 3^n coordinates c of the deviators ``stacks`` of a record in the
     layout of the order-n ``plan``, in plan order: each deviator times
-    B_s^T, the c of ``decompose`` to rounding.  Given the e of each image
-    row of ``_scaled_rows``, each deviator is taken on its own
-    ``_scaled_rows`` and its coordinates are then divided by 2^e of its
-    part's row, exactly (unless they leave the float range)."""
+    B_s^T, the c of ``decompose`` to rounding."""
     c = np.empty(3**n)
-    for (_, index, stack), (_, _, positions, basis) in zip(stacks, plan.deviators):
-        if exponents is None:
-            c[positions] = np.dot(stack, basis.T)
-        else:
-            stack, shift = _scaled_rows(stack)
-            shift -= exponents[plan.row_of[index]]
-            c[positions] = np.ldexp(np.dot(stack, basis.T), shift[:, None])
+    for (_, _, stack), (_, _, positions, basis) in zip(stacks, plan.deviators):
+        c[positions] = np.dot(stack, basis.T)
     return c
-
-
-def _span_residuals(rows: np.ndarray, c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list]:
-    """The squared norms |f_i|^2 and |h_i|^2 of the image rows f, in plan
-    order, and per group the coefficients a of ``_certified_cross_correlation``,
-    those of the deviator coordinates ``c`` (``_Group.coefficients``).
-
-    The slices of one group's parents are one block of the rows.  They are
-    taken about ``_CERTIFY_CHUNK`` doubles at a time, in whole parents, so
-    each chunk is read once from memory for its norms and its one product
-    e = a B_p; the work space is one chunk's slices.  At order 0, E_0 = 1
-    makes e the one coordinate.
-    """
-    if n == 0:
-        return rows[:, 0] ** 2, (rows[:, 0] - c) ** 2, []
-    size = 3 ** (n - 1)
-    # |slice k of f_i|^2 and of h_i|^2 at 3i + k
-    squares, residuals = np.empty((2, 3 * len(rows), 1, 1))
-    work = np.empty(max(_CERTIFY_CHUNK, 9 * size))  # h of a chunk: at most 9 slices a parent
-    coefficients = []
-    for g in _plan(n).groups:
-        a = g.coefficients(c)
-        coefficients.append(a)
-        count = len(g.blocks)
-        slices = rows[g.images].reshape(count, 3 * g.children, size)
-        at = slice(3 * g.images.start, 3 * g.images.stop)
-        f2, h2 = (x[at].reshape(slices.shape[:2] + (1, 1)) for x in (squares, residuals))
-        step = max(1, _CERTIFY_CHUNK // slices[0].size)
-        for p in range(0, count, step):
-            chunk = slice(p, p + step)
-            s = slices[chunk]
-            h = work[: s.size].reshape(s.shape)
-            np.matmul(s[:, :, None, :], s[:, :, :, None], out=f2[chunk])
-            np.matmul(a[chunk], g.blocks[chunk], out=h)
-            np.subtract(s, h, out=h)
-            np.matmul(h[:, :, None, :], h[:, :, :, None], out=h2[chunk])
-    return squares.reshape(-1, 3).sum(axis=1), residuals.reshape(-1, 3).sum(axis=1), coefficients
-
-
-def _out_of_range(rows: np.ndarray, squares: np.ndarray) -> bool:
-    """Whether a row that is not all zero has a squared norm, given in
-    ``squares``, outside ``_GRAM_RANGE`` or of 0 (or one that is not a
-    number); the certificate then takes its pass again on rescaled rows."""
-    low, high = _GRAM_RANGE
-    in_range = low <= squares.min(initial=low, where=squares > 0.0)
-    in_range &= squares.max(initial=0.0) <= high
-    return not in_range or any(rows[i].any() for i in np.flatnonzero(squares == 0.0))
 
 
 @lru_cache(maxsize=None)
@@ -1096,15 +1021,14 @@ def verify(d: Decomposition, t) -> VerifyReport:
     reconstruction and the certificate share, and once, as
     ``_scaled_rows``, for the symmetry and trace residuals, each a product
     over that read (``_part_residuals``).
-    The reconstruction and orthogonality checks read every stored image, or
-    for ``decompose`` output and a file read without images, which store
-    none, the coordinates c' from which the images are built (``_sum``,
-    ``_certified_cross_correlation``).  So an edited part fails them.
+    The reconstruction and orthogonality checks read the coordinates c',
+    from which the images are built (``_sum``,
+    ``_certified_cross_correlation``).  So an edited deviator fails them.
 
     One orthogonality check, at every order: ``max_cross_correlation`` and
     ``max_embedding_residual`` are the certified bound (within 1e-13 above
-    the exact value for ``decompose`` output) and the tie of each image to
-    its own deviator, of ``_certified_cross_correlation``.  Every residual
+    the exact value for ``decompose`` output) and the tie tau of any images
+    given with the parts, of ``_certified_cross_correlation``.  Every residual
     is computed on exactly rescaled values, so it does not depend on the
     scale of ``t``.
     """

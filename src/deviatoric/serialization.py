@@ -1,20 +1,18 @@
 """File formats for tensors, decompositions, and Voigt matrices.
 
 Tensor JSON: {"order": n, "components": [... 3^n floats, row-major ...]}.
-Decomposition JSON: {"order": n, "parts": [{"s", "J", "deviator"}]}, or with
-an "embedded" image in every part, where deviator/embedded are nested tensor
-objects.  Voigt matrices travel as a JSON array of 6 rows or as
-whitespace-delimited 6-line text.
+Decomposition JSON: {"order": n, "parts": [{"s", "J", "deviator"}]}, where
+deviator is a nested tensor object.  Voigt matrices travel as a JSON array of
+6 rows or as whitespace-delimited 6-line text.
 
-Every file, with images or without, has its parts in the (s, J) layout of
-``decompose``.  A decomposition is its deviators, and its images are a fixed
-linear function of them.  So a decomposition that holds only its deviators
-(``decompose`` output, or a file read without images) is written without
-images, and a file without images is read as ``decompose`` output: its
-images are rebuilt from the deviators when read.  A decomposition that holds
-images (a file read with them, a copy, hand-built parts) is written with
-them, and a file with images keeps them, for ``verify`` to tie each one to
-its deviator.
+Every file has its parts in the (s, J) layout of ``decompose``.  A
+decomposition is its deviators, and its images are a fixed linear function
+of them, so every decomposition is written without images, and a file is
+read as ``decompose`` output: its images are rebuilt from the deviators when
+read.  The reader also takes files that give an "embedded" image in every
+part, as files once did: it checks each image against its deviator's
+embedding and drops it, and the decomposition keeps only how far they were
+apart, which ``verify`` reports as ``max_embedding_residual``.
 
 Writers are hand-rolled for these fixed shapes so every float is emitted
 with 17 significant digits; that makes write/read round-trips lossless and
@@ -33,7 +31,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, _from_rows, _layout, _record_of, _stacked
+from .decomposition import Decomposition, _from_record, _layout, _record_of, _stacked
 
 __all__ = [
     "fmt_float",
@@ -159,20 +157,13 @@ def load_tensor(path) -> np.ndarray:
 
 def decomposition_to_json(d: Decomposition) -> str:
     """The decomposition JSON text of ``d``: each part's s, J and deviator,
-    in part order, and its embedded image only if ``d`` holds images.  So
-    ``decompose`` output, and a file read without images, are written
-    without them; a file read with images, a copy and hand-built parts are
-    written with them.  It reads ``_record_of(d)`` and builds no part."""
-    record = _record_of(d)
-    orders, labels, row_of = _layout(d.order)
+    in part order, and no image.  It reads ``_record_of(d)`` and builds no
+    part."""
+    orders, labels, _ = _layout(d.order)
     tensors: list = [None] * len(orders)  # the tensor fields of each part
-    for s, index, stack in record.stacks:
+    for s, index, stack in _record_of(d).stacks:
         for i, row in zip(index.tolist(), stack):
             tensors[i] = f'"deviator": {{"order": {s}, "components": [{_components(row)}]}}'
-    if record.rows is not None:
-        for i, r in enumerate(row_of.tolist()):
-            image = _components(record.rows[r])
-            tensors[i] += f', "embedded": {{"order": {d.order}, "components": [{image}]}}'
     lines = [f'{{"order": {d.order}, "parts": [']
     for i, (s, j, fields) in enumerate(zip(orders, labels, tensors)):
         sep = "," if i + 1 < len(tensors) else ""
@@ -190,10 +181,10 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
     ``parts[0]``, and a file whose parts are not in the (s, J) layout of
     ``decompose`` at its ``parts`` field.  The parts read are stacked by
     ``_stacked`` into the record of the result, which ``reconstruct`` and
-    ``verify`` then read in place, as they read ``decompose`` output.  With
-    images, the record holds them as its rows, and ``verify`` ties each one
-    to its deviator.  Without, the images are built from the deviators when
-    read."""
+    ``verify`` then read in place, as they read ``decompose`` output.  Its
+    images are built from the deviators when read.  Images in the file are
+    checked against them and dropped: the record keeps their tie, which
+    ``verify`` reports."""
     obj = _loads(text, context)
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
@@ -230,7 +221,7 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
         record = _stacked(order, *zip(*read))
     except ValueError:  # the layout's: every shape is checked above
         _fail(context, "field 'parts' is not in the (s, J) layout of decompose")
-    return _from_rows(order, record)
+    return _from_record(order, record)
 
 
 def save_decomposition(path, d: Decomposition) -> None:

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from deviatoric import (
-    Decomposition,
     IrreduciblePart,
     decompose,
+    from_coords,
     isotropic_stiffness,
     save_tensor,
     save_voigt,
@@ -21,8 +21,9 @@ from deviatoric import (
 )
 from deviatoric.cli import main
 from deviatoric.serialization import (
-    decomposition_to_json, fmt_float, load_decomposition, load_tensor, save_decomposition,
+    decomposition_to_json, fmt_float, load_decomposition, load_tensor,
 )
+from forms import json_with_images
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,7 +124,7 @@ def test_verify_catches_corruption(tmp_path, capsys):
     code, _, _ = run(capsys, "verify", "--input", str(d_path), "--against", str(t_path))
     assert code == 1
 
-    # parts built by hand are written with their images: a corrupted image fails verify
+    # a file that gives its images: a corrupted image fails verify
     d = decompose(load_tensor(t_path))
     bumped = d.parts[1].embedded.copy()
     bumped[0, 0, 0] += 1e-4
@@ -131,8 +132,7 @@ def test_verify_catches_corruption(tmp_path, capsys):
     parts[1] = type(parts[1])(
         s=parts[1].s, J=parts[1].J, deviator=parts[1].deviator, embedded=bumped
     )
-    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
-    assert all("embedded" in p for p in json.loads(d_path.read_text())["parts"])
+    d_path.write_text(json_with_images(type(d)(order=d.order, parts=tuple(parts))))
 
     code, out, _ = run(capsys, "verify", "--input", str(d_path), "--format", "json")
     assert code == 1
@@ -163,8 +163,8 @@ def other_layout_files(tmp_path):
     parts are moved, dropped, duplicated or relabelled."""
     d = decompose(np.random.default_rng(3).standard_normal((3, 3, 3)))
     files = []
-    for form in (d, Decomposition(3, d.parts)):
-        parts = json.loads(decomposition_to_json(form))["parts"]
+    for text in (decomposition_to_json(d), json_with_images(d)):
+        parts = json.loads(text)["parts"]
         k, k2 = [i for i, p in enumerate(parts) if p["s"] == 1][:2]
         relabelled = [dict(p) for p in parts]
         relabelled[k]["J"] = 9
@@ -196,10 +196,11 @@ def test_another_part_layout_exits_2(tmp_path, capsys, command):
 
 
 def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
-    # two order-1 parts with their contents swapped still sum to the tensor
-    # and stay orthogonal; the tie of each image to its own deviator and the
-    # comparison with the canonical decomposition each catch them, at any
-    # scale of the tensor
+    # two order-1 parts with their contents swapped: the images still sum to
+    # the tensor, but a decomposition is its deviators, and in each other's
+    # slots they sum to another tensor.  The sum, the tie of each image to
+    # its own deviator and the comparison with the canonical decomposition
+    # each catch them, at any scale of the tensor
     t_path = tmp_path / "t.json"
     d_path = tmp_path / "d.json"
     save_tensor(t_path, 1e-12 * np.random.default_rng(7).standard_normal((3, 3, 3)))
@@ -210,24 +211,59 @@ def test_canonical_residual_is_relative_to_scale(tmp_path, capsys):
         parts[a] = type(parts[a])(
             s=1, J=parts[a].J, deviator=d.parts[b].deviator, embedded=d.parts[b].embedded
         )
-    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    d_path.write_text(json_with_images(type(d)(order=d.order, parts=tuple(parts))))
     code, out, _ = run(
         capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
     )
     report = json.loads(out)
-    assert report["reconstruction_relative"] <= 1e-10
+    assert report["reconstruction_relative"] > 1e-3
     assert report["max_embedding_residual"] > 1e-3
     assert report["canonical_residual"] > 1e-3
     assert code == 1
 
 
 def test_canonical_residual_catches_what_verify_passes(tmp_path, capsys):
+    # the top deviator of a tensor that is mostly that deviator is moved by
+    # 0.9e-10 of its norm off the deviators (antisymmetric in its first two
+    # indices: symmetry residual 0.9e-10, trace 0) and by 0.9e-10 of |t|
+    # along them (its image as much, lambda being 1 at s = n: reconstruction
+    # 0.9e-10).  ``verify`` passes at 1e-10, but the deviator has moved by
+    # about sqrt(2) * 0.9e-10 of |t|, and the comparison with the canonical
+    # decomposition sees it
+    t_path = tmp_path / "t.json"
+    d_path = tmp_path / "d.json"
+    rng = np.random.default_rng(10)
+    top = from_coords(rng.standard_normal(13), 6)
+    save_tensor(t_path, top + 1e-3 * rng.standard_normal((3,) * 6))
+    t = load_tensor(t_path)
+    d = decompose(t)
+    x = next(p for p in d.parts if p.s == 6).deviator
+    off = rng.standard_normal(x.shape)
+    off -= off.swapaxes(0, 1)
+    along = from_coords(rng.standard_normal(13), 6)
+    off *= np.linalg.norm(x) / np.linalg.norm(off)
+    along *= np.linalg.norm(t) / np.linalg.norm(along)
+    x += 0.9e-10 * (off + along)
+    d_path.write_text(decomposition_to_json(d))
+    assert verify(load_decomposition(d_path), t).passes(1e-10)
+    code, out, _ = run(
+        capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
+    )
+    report = json.loads(out)
+    assert 0.8e-10 <= report["reconstruction_relative"] <= 1e-10
+    assert 0.8e-10 <= report["max_part_residual"] <= 1e-10
+    assert report["max_embedding_residual"] == 0.0 and report["max_cross_correlation"] <= 1e-13
+    assert report["canonical_residual"] > 1.2e-10
+    assert code == 1 and report["passes"] is False
+
+
+def test_verify_reports_tilted_images(tmp_path, capsys):
     # each image but one s = 0 image is tilted towards that image by 0.4e-10
     # of its norm, with its deviator kept, and the s = 0 part shrinks so that
-    # the images still sum to the tensor: each tie is 4e-11 and the bound
-    # 8e-11, so ``verify`` passes at 1e-10, but the s = 0 image has moved by
-    # the sum of all tilts, about sqrt(P) times the tie, and only the
-    # comparison with the canonical decomposition sees it
+    # the images still sum to the tensor.  The images are checked where the
+    # file is read: the tie is 4e-11 and the bound 8e-11.  A decomposition
+    # is its deviators, so the shrunk s = 0 deviator is what is summed: the
+    # sum and the comparison with the canonical decomposition both fail
     t_path = tmp_path / "t.json"
     d_path = tmp_path / "d.json"
     save_tensor(t_path, np.random.default_rng(9).standard_normal((3,) * 6))
@@ -246,17 +282,15 @@ def test_canonical_residual_catches_what_verify_passes(tmp_path, capsys):
     shrink = 1.0 - moved / np.linalg.norm(f0)
     p = d.parts[k]
     parts[k] = type(p)(s=p.s, J=p.J, deviator=shrink * p.deviator, embedded=shrink * p.embedded)
-    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
     # the tilted images are in the file, each next to its own deviator
-    assert all("embedded" in p for p in json.loads(d_path.read_text())["parts"])
-    assert verify(load_decomposition(d_path), t).passes(1e-10)
+    d_path.write_text(json_with_images(type(d)(order=d.order, parts=tuple(parts))))
     code, out, _ = run(
         capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
     )
     report = json.loads(out)
-    assert report["reconstruction_relative"] <= 1e-15
-    assert report["max_embedding_residual"] <= 1e-10 and report["max_cross_correlation"] <= 1e-10
-    assert report["canonical_residual"] > 1e-10
+    assert 3e-11 <= report["max_embedding_residual"] <= 5e-11
+    assert report["max_cross_correlation"] <= 1e-10
+    assert report["reconstruction_relative"] > 1e-10 and report["canonical_residual"] > 1e-10
     assert code == 1 and report["passes"] is False
 
 
@@ -284,7 +318,7 @@ def test_verify_at_extreme_scales(tmp_path, capsys, scale):
         parts[a] = type(parts[a])(
             s=1, J=d.parts[a].J, deviator=d.parts[b].deviator, embedded=d.parts[b].embedded
         )
-    save_decomposition(d_path, type(d)(order=d.order, parts=tuple(parts)))
+    d_path.write_text(json_with_images(type(d)(order=d.order, parts=tuple(parts))))
     code, out, _ = run(
         capsys, "verify", "--input", str(d_path), "--against", str(t_path), "--format", "json"
     )
@@ -346,7 +380,7 @@ def rejected_decomposition_files(tmp_path):
     field it names: one that gives the image of only some parts, and one
     without images whose parts are not in the layout of ``decompose``."""
     d = decompose(np.random.default_rng(11).standard_normal((3, 3, 3)))
-    mixed = json.loads(decomposition_to_json(Decomposition(3, d.parts)))
+    mixed = json.loads(json_with_images(d))
     del mixed["parts"][4]["embedded"]
     moved = json.loads(decomposition_to_json(d))
     moved["parts"] = moved["parts"][1:] + moved["parts"][:1]

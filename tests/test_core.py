@@ -22,7 +22,7 @@ from deviatoric import (
     symmetrize,
     trace_pair,
 )
-from deviatoric.core import _project, symmetrize_stack
+from deviatoric.core import _project
 
 V = np.array([1.0, 2.0, 3.0])
 
@@ -138,20 +138,6 @@ def test_symmetrize_matches_permutation_average(case):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     again = symmetrize(got, positions)
     assert np.max(np.abs(again - got)) <= 1e-13 * np.max(np.abs(got))
-
-
-@pytest.mark.parametrize("order", range(8))
-def test_symmetrize_stack_matches_symmetrize(order):
-    stack = np.random.default_rng(60 + order).standard_normal((5,) + (3,) * order)
-    stack[2] *= 1e-200
-    stack[3] = 0.0
-    got = symmetrize_stack(stack)
-    assert got.shape == stack.shape
-    for t, s in zip(stack, got):
-        np.testing.assert_array_equal(s, symmetrize(t))
-    assert symmetrize_stack(np.empty((0,) + (3,) * order)).shape == (0,) + (3,) * order
-    with pytest.raises(ValueError):
-        symmetrize_stack(np.zeros((2, 3, 4)))
 
 
 def test_symmetrize_validates_positions():

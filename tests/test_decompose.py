@@ -37,7 +37,7 @@ from deviatoric import (
     verify,
 )
 from deviatoric import decomposition
-from deviatoric.core import frobenius_norm
+from deviatoric.core import _scaled_rows, frobenius_norm
 from deviatoric.decomposition import (
     _certified_cross_correlation,
     _change_of_basis,
@@ -45,9 +45,10 @@ from deviatoric.decomposition import (
     _deviator_coordinates,
     _images,
     _forward,
-    _from_rows,
+    _from_record,
     _layout,
     _pair_bound,
+    _Record,
     _plan,
     _record_of,
     _rows_of,
@@ -59,8 +60,8 @@ from deviatoric.serialization import (
     decomposition_from_json,
     decomposition_to_json,
     load_decomposition,
-    save_decomposition,
 )
+from forms import json_with_images
 
 # number of independent deviators of each order s for tensor order n <= 6
 COUNTS_TABLE = {
@@ -529,7 +530,7 @@ def test_cross_correlation_matches_pairwise_reference(order):
     assert report.max_embedding_residual > 1e-3
     assert not report.passes(1e-10)
     # the exact value that the other tests compare with matches the loop too
-    assert abs(exact_cross_correlation(_record_of(mixed).rows) - exact) <= 1e-13
+    assert abs(exact_cross_correlation(image_rows(mixed)) - exact) <= 1e-13
 
 
 @pytest.mark.parametrize("order", [3, 6])
@@ -572,10 +573,12 @@ def test_verify_transient_memory_is_bounded():
 
 
 def test_verify_reads_loaded_images_in_place():
+    """A file that gives its images is read as ``decompose`` output: the
+    images are checked against the deviators and dropped, so ``verify``
+    reads the loaded record in place and holds no image."""
     t = np.random.default_rng(44).standard_normal((3,) * 7)
-    # a file that gives the images: a copy of decompose output is written with them
-    d = decomposition_from_json(decomposition_to_json(Decomposition(7, decompose(t).parts)))
-    assert _record_of(d).rows is d.parts[0].embedded.base
+    d = decomposition_from_json(json_with_images(decompose(t)))
+    assert d._record.tie == 0.0 and "parts" not in vars(d)
     verify(d, t)
     tracemalloc.start()
     try:
@@ -590,82 +593,77 @@ def replaced_embedded(d, k, embedded):
     return with_parts(d, {k: (d.parts[k].deviator, embedded)})
 
 
-def holding_rows(d):
-    """``d`` as ``load_decomposition`` reads a file: a record that holds the
-    images as its rows, so an in-place edit of an image reaches what
-    ``reconstruct`` and ``verify`` read."""
-    parts = [(p.s, p.J, p.deviator, p.embedded) for p in d.parts]
-    return _from_rows(d.order, _stacked(d.order, *zip(*parts)))
-
-
 def image_rows(d):
     """The images of the parts of ``d`` as the rows of one array, in part order."""
     return np.stack([np.ravel(p.embedded) for p in d.parts])
 
 
-def test_image_rows_are_read_in_place_or_copied():
+def reference_tie(d):
+    """The largest |f_i - e_i| / |f_i| of the images f_i of the parts of
+    ``d`` to the images e_i that ``decompose`` output builds of the same
+    deviators, part by part: 0 for two zero images, inf for a zero f_i."""
+    orders, labels = _layout(d.order)[:2]
+    record = _stacked(d.order, orders, labels, [p.deviator for p in d.parts])
+    worst = 0.0
+    for p, q in zip(d.parts, _from_record(d.order, record).parts):
+        f, e = np.ravel(p.embedded), np.ravel(q.embedded)
+        if f.any():
+            worst = max(worst, np.linalg.norm(f - e) / np.linalg.norm(f))
+        elif e.any():
+            worst = np.inf
+    return worst
+
+
+def test_images_are_checked_where_they_come_in():
+    """Hand-built parts are stacked into a record of their deviators: the
+    images are measured against the deviators' embeddings and dropped, and
+    the record keeps only the tie.  A copy of ``decompose`` output has tie
+    0 and is the same record; an image that is not its deviator's embedding
+    gives the tie of the per-part loop."""
     t = np.random.default_rng(45).standard_normal((3,) * 5)
     built = decompose(t)
-    assert built._record.rows is None
     images = [p.embedded for p in built.parts]
     assert not images[0].base.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         images[0][...] += 1.0
-    d = holding_rows(built)
-    record = _record_of(d)
-    rows = record.rows
-    assert rows.shape == (len(d.parts), 3**5)
-    assert all(p.embedded.base is rows for p in d.parts)
-    np.testing.assert_array_equal(
-        rows[_layout(d.order).row_of], np.stack([p.embedded.ravel() for p in d.parts])
-    )
-    np.testing.assert_array_equal(image_rows(d), image_rows(built))
+    assert built._record._fields == ("stacks", "tie") and built._record.tie == 0.0
+    copied = eager_copy(built)
+    record = _record_of(copied)
+    assert record.tie == 0.0
+    for (s, index, stack), (s2, index2, stack2) in zip(
+        record.stacks, built._record.stacks, strict=True
+    ):
+        assert s == s2 and np.array_equal(index, index2) and stack.tobytes() == stack2.tobytes()
+    assert verify(copied, t) == verify(built, t)
 
-    copied = Decomposition(
-        order=d.order,
-        parts=tuple(
-            IrreduciblePart(s=p.s, J=p.J, deviator=p.deviator, embedded=p.embedded.copy())
-            for p in d.parts
-        ),
-    )
-    assert not np.shares_memory(_record_of(copied).rows, rows)
-    assert verify(copied, t) == verify(d, t)
-
-    # each of these shares memory with the rows of d, but image i is not
-    # exactly row i, so the stored images are copied as they are
-    other_row = replaced_embedded(d, 0, d.parts[1].embedded)
-    transposed = replaced_embedded(d, 0, d.parts[0].embedded.transpose(1, 0, 2, 3, 4))
-    shifted = replaced_embedded(d, 0, rows.ravel()[1 : 1 + 3**5].reshape((3,) * 5))
+    # each of these shares memory with the images of built, but image 0 is
+    # not the embedding of its deviator
+    other_row = replaced_embedded(built, 0, images[1])
+    transposed = replaced_embedded(built, 0, images[0].transpose(1, 0, 2, 3, 4))
+    shifted = replaced_embedded(built, 0, images[0].base.ravel()[1 : 1 + 3**5].reshape((3,) * 5))
     for edited in (other_row, transposed, shifted):
-        got = _record_of(edited)
-        assert got.rows is not rows
-        np.testing.assert_array_equal(
-            got.rows[_layout(d.order).row_of], np.stack([p.embedded.ravel() for p in edited.parts])
-        )
+        tie = _record_of(edited).tie
+        assert tie > 1e-3 and tie == pytest.approx(reference_tie(edited), rel=1e-12)
+        assert verify(edited, t).max_embedding_residual == tie
     # moved, dropped and no parts are another layout: an input error
-    for parts in ((d.parts[1], d.parts[0]) + d.parts[2:], d.parts[:-1], ()):
+    for parts in ((built.parts[1], built.parts[0]) + built.parts[2:], built.parts[:-1], ()):
         with pytest.raises(ValueError, match=LAYOUT_ERROR):
-            _record_of(Decomposition(order=d.order, parts=parts))
-    listed = replaced_embedded(d, 3, d.parts[3].embedded.tolist())
-    assert verify(listed, t) == verify(d, t)
-    # image 0 is stacked as stored, a copy of image 1: the two rows are parallel
-    assert exact_cross_correlation(_record_of(other_row).rows) == pytest.approx(1.0)
+            _record_of(Decomposition(order=built.order, parts=parts))
+    listed = replaced_embedded(built, 3, images[3].tolist())
+    assert verify(listed, t) == verify(built, t)
+    # image 0 is a copy of image 1: the two given images are parallel
+    assert exact_cross_correlation(image_rows(other_row)) == pytest.approx(1.0)
     report = verify(other_row, reconstruct(other_row))
     assert report.max_cross_correlation >= 1.0 - 1e-12 and report.max_embedding_residual > 1e-3
 
 
 def assert_images_are_rows(d):
-    """Part i's image is a view of row ``row_of[i]`` of one (parts, 3^n)
-    array: the rows that ``d`` records, or for ``decompose`` output, which
-    records none, the read-only rows built from its deviators when
-    ``parts`` was first read."""
-    record = _record_of(d)
+    """Part i's image is a view of row ``row_of[i]`` of one read-only
+    (parts, 3^n) array, built from the recorded deviators when ``parts``
+    was first read."""
     rows = d.parts[0].embedded.base
-    if record.rows is None:
-        assert not rows.flags.writeable
-        np.testing.assert_array_equal(rows, _rows_of(record, d.order))
-    else:
-        assert rows is record.rows
+    assert not rows.flags.writeable
+    np.testing.assert_array_equal(rows, _rows_of(d._record, d.order))
     assert rows.shape == (len(d.parts), 3**d.order)
     for r, p in zip(_layout(d.order).row_of, d.parts):
         row = rows[r]
@@ -675,13 +673,15 @@ def assert_images_are_rows(d):
 
 @pytest.mark.parametrize("order", [0, 1, 4, 7])
 def test_decompose_records_its_image_rows(order):
-    """The record of ``decompose`` output holds no rows: its image rows are
-    built from the record's deviators on the first read of ``parts``, and
-    a decomposition holding them as rows lays them out alike."""
+    """The record of ``decompose`` output holds no image: its image rows
+    are built from the record's deviators on the first read of ``parts``.
+    A pickled copy and, up to order 4, a file that gives its images lay
+    them out alike."""
     d = decompose(np.random.default_rng(60 + order).standard_normal((3,) * order))
-    assert d._record.rows is None
     assert_images_are_rows(d)
-    assert_images_are_rows(holding_rows(d))
+    assert_images_are_rows(pickle.loads(pickle.dumps(d)))
+    if order <= 4:
+        assert_images_are_rows(decomposition_from_json(json_with_images(d)))
 
 
 COPIES = {
@@ -695,46 +695,58 @@ COPIES = {
 
 @pytest.mark.parametrize("kind", COPIES)
 def test_copies_record_no_rows(kind):
+    """No copy holds an image.  Pickle, deepcopy and copy keep the record,
+    so a copy is ``decompose`` output (a shallow copy shares its arrays);
+    ``dataclasses.replace`` hand-builds its parts, which each read stacks
+    anew, with tie 0.  The images are read-only, and an edit of a deviator
+    reaches ``verify``."""
     t = np.random.default_rng(61).standard_normal((3,) * 5)
     d = decompose(t)
     c = COPIES[kind](d)
-    assert c._record is None
     if kind == "replace moved":  # another layout: an input error wherever it is read
         for read in (reconstruct, lambda c: verify(c, t), decomposition_to_json):
             with pytest.raises(ValueError, match=LAYOUT_ERROR):
                 read(c)
         return
+    assert (c._record is None) == (kind == "replace")
     record = _record_of(c)
-    images = np.stack([p.embedded.ravel() for p in c.parts])
-    assert np.array_equal(record.rows[_layout(c.order).row_of], images)
+    assert record.tie == 0.0
+    for (_, _, stack), (_, _, own) in zip(record.stacks, d._record.stacks, strict=True):
+        assert stack.tobytes() == own.tobytes()
+        assert np.shares_memory(stack, own) == (kind == "copy")
     report = verify(c, t)
-    assert report.passes(1e-10)
-    # the sum and the deviators stay as they were; a check that read rows
-    # other than the ones stored in the parts would still pass.  A shallow
-    # copy shares the read-only images of d, so it is made again of d as a
-    # loaded file holds it, with images that can be edited
-    if not c.parts[0].embedded.flags.writeable:
-        with pytest.raises(ValueError, match="read-only"):
-            c.parts[0].embedded[...] += 1.0
-        c = COPIES[kind](holding_rows(d))
-    c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
-    report = verify(c, reconstruct(c))
-    assert report.max_cross_correlation > 1e-3 and not report.passes(1e-10)
+    assert report == verify(d, t) and report.passes(1e-10)
+    with pytest.raises(ValueError, match="read-only"):
+        c.parts[0].embedded[...] += 1.0
+    c.parts[0].deviator[...] *= 2.0
+    report = verify(c, t)
+    assert report.reconstruction_relative > 1e-3 and not report.passes(1e-10)
 
 
 def test_in_place_edit_of_a_part_reaches_the_rows():
+    """The images of every record are read-only rows built from its
+    deviators: ``decompose`` output, a file with or without images, and a
+    pickled copy.  An edit of an image is refused; an edit of a deviator
+    reaches the rows built from the record, which ``verify`` bounds."""
     t = np.random.default_rng(62).standard_normal((3,) * 5)
-    d = decompose(t)
-    # the images of decompose output are built from its deviators, read-only
-    with pytest.raises(ValueError, match="read-only"):
-        d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
-    assert verify(d, t).passes(1e-10)
-    d = holding_rows(d)
-    d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
-    assert_images_are_rows(d)
-    report = verify(d, reconstruct(d))
-    assert report.max_cross_correlation > 1e-3 and not report.passes(1e-10)
-    assert not verify(d, t).passes(1e-10)
+    forms = {
+        "decompose": decompose,
+        "file": lambda t: decomposition_from_json(decomposition_to_json(decompose(t))),
+        "file with images": lambda t: decomposition_from_json(json_with_images(decompose(t))),
+        "pickle": lambda t: pickle.loads(pickle.dumps(decompose(t))),
+    }
+    row = _layout(5).row_of[0]
+    for name, form in forms.items():
+        d = form(t)
+        with pytest.raises(ValueError, match="read-only"):
+            d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
+        assert verify(d, t).passes(1e-10), name
+        before = d.parts[0].embedded.base
+        d.parts[0].deviator[...] *= 2.0
+        after = _rows_of(d._record, 5)
+        np.testing.assert_array_equal(np.delete(after, row, axis=0), np.delete(before, row, axis=0))
+        assert np.array_equal(after[row], 2.0 * before[row]), name
+        assert not verify(d, t).passes(1e-10), name
 
 
 def counting_part_constructions(monkeypatch) -> list:
@@ -782,7 +794,7 @@ def test_assemble_reads_every_form_alike(order, assemble):
     for _ in range(5):
         d = decompose(rng.standard_normal((3,) * order))
         loaded = decomposition_from_json(decomposition_to_json(d))
-        with_images = decomposition_from_json(decomposition_to_json(Decomposition(d.order, d.parts)))
+        with_images = decomposition_from_json(json_with_images(d))
         forms = (d, loaded, with_images, pickle.loads(pickle.dumps(d)), list(d.parts))
         got = [assemble(form).tobytes() for form in forms]
         assert got == got[:1] * len(forms)
@@ -823,7 +835,7 @@ def test_parts_are_built_once_as_an_eager_build_gives():
     fresh = decompose(t)
     assert fresh == dataclasses.replace(fresh) and fresh.parts == dataclasses.replace(fresh).parts
     for copied in (pickle.loads(pickle.dumps(decompose(t))), copy.deepcopy(decompose(t))):
-        assert copied._record is None and repr(copied) == repr(eager)
+        assert copied._record is not None and repr(copied) == repr(eager)
         for p, q in zip(copied.parts, eager.parts):
             assert (p.s, p.J) == (q.s, q.J)
             assert np.array_equal(p.deviator, q.deviator) and np.array_equal(p.embedded, q.embedded)
@@ -843,13 +855,13 @@ def test_repr_prints_the_counts_and_builds_no_part(monkeypatch):
 def test_in_place_edit_of_a_deviator_reaches_verify(load):
     t = np.random.default_rng(66).standard_normal((3,) * 5)
     d = decompose(t)
-    if load:  # a file that gives its images, written from a copy
-        d = decomposition_from_json(decomposition_to_json(Decomposition(d.order, d.parts)))
+    if load:  # a file that gives its images, which are checked and dropped
+        d = decomposition_from_json(json_with_images(d))
     k = next(i for i, p in enumerate(d.parts) if p.s == 3)
     assert verify(d, t).part_symmetry[k] <= 1e-14
     d.parts[k].deviator[0, 1, 2] += np.linalg.norm(d.parts[k].deviator)
     assert d._record is not None  # verify still reads the record
-    assert (d._record.rows is None) != load  # decompose output: the record path
+    assert d._record.tie == 0.0  # the images were the embeddings of the deviators
     report = verify(d, t)
     assert report.part_symmetry[k] > 1e-3 and not report.passes(1e-10)
     assert max(np.delete(report.part_symmetry, k)) <= 1e-14
@@ -865,18 +877,17 @@ def reference_reconstruct(d):
 
 @pytest.mark.parametrize("order", range(8))
 def test_reconstruct_matches_per_part_loop(order):
+    """The sum is one product with E_{n-1}: the images' sum to rounding.
+    Every form of the same deviators sums alike, bit for bit: a hand-built
+    copy, a pickled copy and, up to order 6, a file that gives its images."""
     d = decompose(np.random.default_rng(63 + order).standard_normal((3,) * order))
-    built = Decomposition(
-        order=d.order,
-        parts=tuple(IrreduciblePart(p.s, p.J, p.deviator, p.embedded.copy()) for p in d.parts),
-    )
-    assert built._record is None
-    for case in (built, holding_rows(d)):
-        assert np.array_equal(reconstruct(case), reference_reconstruct(case))
-    # decompose output holds no rows: its sum is one product with E_{n-1},
-    # the images' sum to rounding
     loop = reference_reconstruct(d)
     assert frobenius_norm(reconstruct(d) - loop) <= 10 * np.finfo(float).eps * frobenius_norm(loop)
+    forms = [eager_copy(d), pickle.loads(pickle.dumps(d))]
+    if order <= 6:
+        forms.append(decomposition_from_json(json_with_images(d)))
+    for form in forms:
+        assert reconstruct(form).tobytes() == reconstruct(d).tobytes()
 
 
 def test_repeated_counts_row_holds_no_memory():
@@ -1023,7 +1034,7 @@ def from_deviators(d, deviators):
     """A record of these deviators in the layout of ``d``, as a file read
     without images holds it."""
     orders, labels = _layout(d.order)[:2]
-    return _from_rows(d.order, _stacked(d.order, orders, labels, deviators))
+    return _from_record(d.order, _stacked(d.order, orders, labels, deviators))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1062,11 +1073,14 @@ def test_decompose_does_not_overflow_at_the_float_limit(order):
     assert report.passes(1e-10)
 
 
-@pytest.mark.xfail(
+VANISHING_PARTS = pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="vanishing parts hold subnormal noise"
 )
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-310])
-@pytest.mark.parametrize("order", [3, 4, 7])
+@pytest.mark.parametrize("order", [3, pytest.param(4, marks=VANISHING_PARTS),
+                                   pytest.param(7, marks=VANISHING_PARTS)])
 def test_symmetric_tensors_pass_verify_at_tiny_scales(order, scale):
     u = scale * symmetrize(np.random.default_rng(3).standard_normal((3,) * order))
     report = verify(decompose(u), u)  # a failed assert shows the report, not all parts
@@ -1092,34 +1106,44 @@ def certified(report):
     return report.max_cross_correlation, report.max_embedding_residual
 
 
+def scaled_images(d):
+    """The images of the deviators of ``d`` in part order, each deviator
+    first divided exactly by its own power of two (``_scaled_rows``): the
+    images up to a power of two per part, so with their cosines, built
+    where none is subnormal."""
+    plan = _plan(d.order)
+    stacks = [(s, index, _scaled_rows(stack)[0]) for s, index, stack in d._record.stacks]
+    return _images(plan, _deviator_coordinates(plan, stacks, d.order))[_layout(d.order).row_of]
+
+
 @pytest.mark.parametrize("order", range(9))
 def test_certified_bound_is_above_the_exact_value(order):
-    """The bound lies within 1e-13 above the exact value for random and
-    symmetric tensors at every scale, except a symmetric tensor at 1e-300:
-    ``verify`` fails it, a known defect (subnormal rounding noise in its
-    vanishing parts), and there the bound is only above the exact value."""
+    """The bound lies within 1e-13 above the exact value of the images, up
+    to a power of two per part, for random and symmetric tensors at every
+    scale, and no power of two moves it.  The images that ``parts`` builds
+    are those, scaled, except where they are subnormal: a symmetric tensor
+    at 1e-300 holds subnormal rounding noise in its vanishing parts, whose
+    built images are further from orthogonal than the bound (a known
+    defect of the engine, ROADMAP item 3)."""
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
     for u in (t, symmetrize(t)) if order >= 2 else (t,):
-        in_range = _certified_cross_correlation(holding_rows(decompose(u))._record, order)[0]
-        # at 2^900 the squared norms overflow and at 2^-900 they underflow, so
-        # the pass is taken again on rescaled rows and coefficients
+        in_range = _certified_cross_correlation(decompose(u)._record, order)[0]
+        # at 2^900 and 2^-900 the squared coordinates leave _GRAM_RANGE, so
+        # each part's coordinates are taken from its own scaled deviator
         for scale in (1e-300, 1.0, 1e300, 2.0**900, 2.0**-900):
             d = decompose(scale * u)
-            exact = exact_cross_correlation(image_rows(d))
-            # the bound from the coefficients, and from the rows they build
-            for record in (d._record, _record_of(holding_rows(d))):
-                bound = _certified_cross_correlation(record, order)[0]
-                assert exact <= bound, scale
-                if u is t or scale != 1e-300:
-                    assert bound <= exact + 1e-13, scale
+            bound = _certified_cross_correlation(d._record, order)[0]
+            exact = exact_cross_correlation(scaled_images(d))
+            assert exact <= bound <= exact + 1e-13, scale
+            if u is t or scale != 1e-300:
+                assert exact_cross_correlation(image_rows(d)) <= bound, scale
             if np.frexp(scale)[0] == 0.5:
-                assert abs(bound - in_range) <= 1e-15, scale
+                assert bound == in_range, scale
 
 
 def reference_record_bound(d):
-    """The certificate of the coefficient path as it was taken with one
-    pair bound per sibling pair, before one largest |cos| per parent
-    replaced it."""
+    """The certificate as it was taken with one pair bound per sibling
+    pair, before one largest |cos| per parent replaced it."""
     n = d.order
     plan = _plan(n)
     c = _deviator_coordinates(plan, d._record.stacks, n)
@@ -1194,64 +1218,63 @@ def test_zero_images_are_left_out_of_the_certificate():
 
 def test_in_place_mix_fails_the_embedding_tie():
     t = np.random.default_rng(492).standard_normal((3,) * 7)
-    d = holding_rows(decompose(t))
-    # the rows stay recorded, so the certificate reads the edit
+    # hand-built parts hold arrays of their own, and each read stacks them
+    d = eager_copy(decompose(t))
     d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     d.parts[-1].embedded[...] *= 0.7
-    assert_images_are_rows(d)
     report = verify(d, t)
-    assert report.max_embedding_residual > 1e-3
-    assert report.max_cross_correlation >= exact_cross_correlation(d._record.rows) > 1e-3
+    assert report.max_embedding_residual == _record_of(d).tie > 1e-3
+    assert report.max_cross_correlation >= exact_cross_correlation(image_rows(d)) > 1e-3
     assert report.reconstruction_relative <= 1e-12 and not report.passes(1e-10)
 
 
 def untied(t):
     """Decompositions of ``t`` with an image that is not its deviator's
-    embedding, each with the tensor its images sum to: the s = 0 and s = n
-    images swapped, two s = 1 images of different J swapped, one deviator
-    doubled (of order 2, or the one part at order 1) and the s = n image
-    zeroed.  Each holds its images as rows, as a loaded file does, since
-    the images of ``decompose`` output are read-only."""
+    embedding, each with the tensor its deviators sum to: the s = 0 and
+    s = n images swapped, two s = 1 images of different J swapped, one
+    deviator doubled (of order 2, or the one part at order 1) and the s = n
+    image zeroed.  Each is hand-built, since the images of a record are
+    read-only."""
     n = t.ndim
     cases = {}
     if n >= 2:
-        d = holding_rows(decompose(t))
+        d = eager_copy(decompose(t))
         low, high = (next(p for p in d.parts if p.s == s).embedded for s in (0, n))
         low[...], high[...] = high.copy(), low.copy()
         cases["s = 0 and s = n swapped"] = (d, t)
     if n >= 3:
-        d = holding_rows(decompose(t))
+        d = eager_copy(decompose(t))
         a, b = [p.embedded for p in d.parts if p.s == 1][:2]
         a[...], b[...] = b.copy(), a.copy()
         cases["J swapped"] = (d, t)
-    d = holding_rows(decompose(t))
+    d = eager_copy(decompose(t))
     next(p for p in d.parts if p.s == min(n, 2)).deviator[...] *= 2.0
-    cases["deviator doubled"] = (d, t)
-    d = holding_rows(decompose(t))
+    cases["deviator doubled"] = (d, reconstruct(d))
+    d = eager_copy(decompose(t))
     next(p for p in d.parts if p.s == n).embedded[...] = 0.0
-    cases["s = n zeroed"] = (d, reconstruct(d))
+    cases["s = n zeroed"] = (d, t)
     return cases
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_certificate_ties_each_image_to_its_deviator(order):
-    """Images that still sum to the tensor and are orthogonal, but of which
-    one is not the embedding of its stored deviator, fail ``verify``
-    through the tie at every order; a copy, and up to order 6 a loaded
-    file, report exactly what the original reports.  ``decompose`` output
-    holds no image to untie: a deviator doubled in place moves its image,
-    so the sum fails."""
+    """Images that are orthogonal, but of which one is not the embedding of
+    its stored deviator, fail ``verify`` through the tie at every order,
+    with deviators that sum to the tensor; a pickled copy, and up to order
+    6 a file that gives the images, report exactly what the original
+    reports.  ``decompose`` output holds no image to untie: a deviator
+    doubled in place moves its image, so the sum fails."""
     t = np.random.default_rng(497 + order).standard_normal((3,) * order)
     for name, (d, reference) in untied(t).items():
-        assert_images_are_rows(d)
-        assert exact_cross_correlation(d._record.rows) <= 1e-10, name
+        assert exact_cross_correlation(image_rows(d)) <= 1e-10, name
         report = verify(d, reference)
         assert report.reconstruction_relative <= 1e-12, name
         assert report.max_embedding_residual > 1e-3 and not report.passes(1e-10), name
         copies = [pickle.loads(pickle.dumps(d))]
-        if order <= 6:  # an order-7 file takes about 0.7 s to write and read
-            copies.append(decomposition_from_json(decomposition_to_json(d)))
+        if order <= 6:  # an order-7 file with images takes about 1 s to write and read
+            copies.append(decomposition_from_json(json_with_images(d)))
         for other in copies:
+            assert other._record.tie == report.max_embedding_residual, name
             assert verify(other, reference) == report, name
     d = decompose(t)
     next(p for p in d.parts if p.s == min(order, 2)).deviator[...] *= 2.0
@@ -1272,94 +1295,79 @@ def test_only_an_exactly_zero_image_is_a_zero_image(order):
         d.parts[1].deviator[...] *= 1e-170
         report = verify(d, reconstruct(d))
         assert report.max_embedding_residual <= 1e-14 and report.passes(1e-10), scale
-        d = holding_rows(decompose(scale * t))
+        d = eager_copy(decompose(scale * t))
         d.parts[1].deviator[...] *= 1e-170
         d.parts[1].embedded[...] *= 1e-170
         report = verify(d, reconstruct(d))
         assert report.max_embedding_residual <= 1e-14 and report.passes(1e-10), scale
         d.parts[1].embedded[...] = 1e-170 * d.parts[0].embedded
-        assert exact_cross_correlation(d._record.rows) == pytest.approx(1.0, abs=1e-12), scale
+        assert exact_cross_correlation(image_rows(d)) == pytest.approx(1.0, abs=1e-12), scale
         assert not verify(d, reconstruct(d)).passes(1e-10), scale
-
-
-def assert_paths_agree(on_record, on_rows, exact, window=True):
-    """``verify`` of ``decompose`` output, which bounds the images from
-    their coefficients, and of the same parts holding their images, which
-    reads the images, give one verdict: the same ``passes`` and part
-    residuals, and bounds at or above the exact value of the images and,
-    with ``window``, within 1e-13 of it."""
-    assert on_record.passes(1e-10) == on_rows.passes(1e-10)
-    assert on_record.part_symmetry == on_rows.part_symmetry
-    assert on_record.part_trace == on_rows.part_trace
-    for report in (on_record, on_rows):
-        assert exact <= report.max_cross_correlation
-        assert report.max_cross_correlation <= exact + 1e-13 or not window
 
 
 @pytest.mark.parametrize("order", range(9))
 def test_record_and_row_paths_agree(order):
-    """``decompose`` output (no rows) and its pickled copy and, up to order
-    6, the JSON round trip of that copy (rows) agree at every scale.  A
-    symmetric tensor at 1e-300 is the known failure: both paths then read
-    the same built images, and report the same bound.  The JSON round trip
-    of ``decompose`` output, without images, reports what it reports."""
+    """``decompose`` output, the forms that give its images (a hand-built
+    copy and, up to order 6, a file with images), a pickled copy and a file
+    without images all hold tie 0 and report the same, field for field, at
+    every scale: there is one certificate path.  A symmetric tensor at
+    1e-300 is the known failure from order 3, through the part residuals
+    (ROADMAP item 3)."""
     base = np.random.default_rng(500 + order).standard_normal((3,) * order)
     for u in (base, symmetrize(base)):
         for scale in (1e-300, 1.0, 1e300):
             t = scale * u
             d = decompose(t)
-            on_record = verify(d, t)
-            exact = exact_cross_correlation(image_rows(d))
-            copies = [pickle.loads(pickle.dumps(d))]
+            report = verify(d, t)
+            forms = [
+                eager_copy(d),
+                pickle.loads(pickle.dumps(d)),
+                decomposition_from_json(decomposition_to_json(d)),
+            ]
             if order <= 6:
-                copies.append(decomposition_from_json(decomposition_to_json(copies[0])))
-            assert verify(decomposition_from_json(decomposition_to_json(d)), t) == on_record
-            known = u is not base and scale == 1e-300 and order >= 3
-            for other in copies:
-                on_rows = verify(other, t)
-                assert_paths_agree(on_record, on_rows, exact, window=not known)
-                if known:
-                    assert on_rows.max_cross_correlation == on_record.max_cross_correlation
-            assert on_record.passes(1e-10) != known
+                forms.append(decomposition_from_json(json_with_images(d)))
+            for other in forms:
+                assert _record_of(other).tie == 0.0
+                assert verify(other, t) == report
+            if u is not base and scale == 1e-300 and order >= 3:  # the known failure
+                assert report.max_cross_correlation <= 1e-13
+                assert report.reconstruction_relative <= 1e-14
+            else:
+                assert report.passes(1e-10)
 
 
 @pytest.mark.parametrize("kind", ["pickle", "deepcopy", "replace"])
 def test_copies_report_what_their_original_reports(kind):
-    """A copy records no rows; its stacked images are in the layout of
-    ``decompose``, so it takes the certificate over its images, and agrees
-    with its original, bounded from the coefficients."""
+    """A copy reports what its original reports, field for field: pickle
+    and deepcopy keep the record, and ``dataclasses.replace`` stacks the
+    same deviators with tie 0.  A mix of two of its images, by hand, fails."""
     t = np.random.default_rng(493).standard_normal((3,) * 7)
     d = decompose(t)
     c = COPIES[kind](d)
-    assert c._record is None
     original = verify(d, t)
     report = verify(c, t)
+    assert report == original and original.passes(1e-10)
     assert certified(report) == _certified_cross_correlation(_record_of(c), 7)
-    assert certified(original) == _certified_cross_correlation(d._record, 7)
-    assert_paths_agree(original, report, exact_cross_correlation(image_rows(d)))
-    assert original.passes(1e-10)
-    if kind == "replace":  # shares the read-only images of d
-        c = COPIES[kind](holding_rows(d))
-    c.parts[0].embedded[...] += 0.3 * c.parts[-1].embedded
-    assert not verify(c, reconstruct(c)).passes(1e-10)
+    exact = exact_cross_correlation(image_rows(d))
+    assert exact <= report.max_cross_correlation <= exact + 1e-13
+    mixed = mix_first_and_last(c)
+    assert not verify(mixed, reconstruct(mixed)).passes(1e-10)
 
 
 def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path):
-    """Loaded parts and parts built by hand in the layout of ``decompose``
-    are stacked in plan order, so they are certified alike, over their
-    images, and agree with the original, bounded from the coefficients."""
+    """Parts built by hand in the layout of ``decompose``, and a file that
+    gives their images, are stacked into the record of ``decompose``
+    output with tie 0, so they are certified as it is."""
     t = np.random.default_rng(496).standard_normal((3,) * 7)
     d = decompose(t)
     original = verify(d, t)
     assert certified(original) == _certified_cross_correlation(d._record, 7)
     built = Decomposition(7, tuple(d.parts))
-    save_decomposition(tmp_path / "d.json", built)  # written with the images
+    (tmp_path / "d.json").write_text(json_with_images(built))
     loaded = load_decomposition(tmp_path / "d.json")
-    assert verify(loaded, t) == verify(built, t)
     for other in (loaded, built):
-        report = verify(other, t)
-        assert_paths_agree(original, report, exact_cross_correlation(image_rows(d)))
-        assert certified(report) == _certified_cross_correlation(_record_of(other), 7)
+        assert _record_of(other).tie == 0.0
+        assert verify(other, t) == original
 
 
 def other_layouts(d):
@@ -1641,7 +1649,7 @@ def test_warm_decompose_writes_no_image():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert d._record.rows is None
+    assert "parts" not in vars(d) and d._record.tie == 0.0
     assert peak < 2**20
 
 
@@ -1724,9 +1732,9 @@ def test_verify_passes_at_every_scale(t, exponent):
     report = verify(d, t)
     assert report.passes(1e-10)
     exact = exact_cross_correlation(image_rows(d))
-    assert_paths_agree(report, verify(pickle.loads(pickle.dumps(d)), t), exact)
+    assert verify(pickle.loads(pickle.dumps(d)), t) == report
     assert certified(report) == _certified_cross_correlation(d._record, t.ndim)
-    assert report.max_cross_correlation <= 1e-13
+    assert exact <= report.max_cross_correlation <= 1e-13
 
 
 def test_verify_at_extreme_scale_warns_nothing():
@@ -1734,3 +1742,35 @@ def test_verify_at_extreme_scale_warns_nothing():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert verify(decompose(t), t).passes(1e-10)
+
+
+@st.composite
+def parts_scaled_apart(draw):
+    """``decompose`` output of a random tensor of order 1..7, and its record
+    with each part's deviator multiplied by its own 2^k, k in
+    [-1000, 1000], so that every nonzero entry stays normal and finite."""
+    order = draw(st.integers(1, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = decompose(rng.standard_normal((3,) * order))
+    stacks = []
+    for s, index, stack in d._record.stacks:
+        magnitudes = np.abs(stack)
+        top = np.frexp(magnitudes.max(axis=1))[1]
+        bottom = np.frexp(np.min(magnitudes, axis=1, initial=np.inf, where=stack != 0.0))[1]
+        low = np.maximum(-1000, -1021 - bottom)  # x 2^k >= 2^-1022
+        high = np.minimum(1000, 1024 - top)  # x 2^k < 2^1024
+        stacks.append((s, index, np.ldexp(stack, rng.integers(low, high + 1)[:, None])))
+    return d, _Record(tuple(stacks), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parts_scaled_apart())
+def test_certificate_ignores_a_power_of_two_per_part(case):
+    """cos_ij does not change when each part is scaled by its own power of
+    two, and nor does the certificate: its bound and tie are bit for bit
+    those of the unscaled record, whether or not the coordinates leave
+    ``_GRAM_RANGE``."""
+    d, scaled = case
+    assert _certified_cross_correlation(scaled, d.order) == _certified_cross_correlation(
+        d._record, d.order
+    )

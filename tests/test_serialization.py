@@ -1,6 +1,7 @@
 """JSON/text persistence: lossless round-trips and diagnostic errors."""
 
 import json
+import re
 import time
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from deviatoric import (
 )
 from deviatoric.decomposition import _layout, _record_of
 from deviatoric.serialization import fmt_float
+from forms import json_with_images
 
 
 def test_fmt_float():
@@ -139,13 +141,10 @@ def test_file_round_trips(tmp_path):
     save_decomposition(dpath, d)
     # the file holds the deviators of d, bit for bit, so it sums as d does
     assert np.array_equal(reconstruct(load_decomposition(dpath)), reconstruct(d))
-    # a copy writes the images that d builds, bit for bit, so they sum alike;
-    # d itself sums in one product, to rounding
-    copied = Decomposition(d.order, d.parts)
-    save_decomposition(dpath, copied)
-    back = load_decomposition(dpath)
-    assert np.array_equal(reconstruct(back), reconstruct(copied))
-    assert_allclose(reconstruct(back), reconstruct(d), rtol=0, atol=1e-15 * np.linalg.norm(t))
+    # a copy is written as d is: its deviators, and no image
+    text = dpath.read_text()
+    save_decomposition(dpath, Decomposition(d.order, d.parts))
+    assert dpath.read_text() == text
 
     # file context appears in errors
     (tmp_path / "junk.json").write_text("{")
@@ -210,13 +209,13 @@ def test_writer_matches_per_float_formatting(order):
     t = values.reshape((3,) * order)
     assert tensor_to_json(t) == reference_tensor_json(t)
     d = decompose(rng.standard_normal((3,) * order))
-    # decompose output is written without its images, a copy with them
+    # decompose output and a copy are written alike, without images
     for form in (d, Decomposition(d.order, d.parts)):
         lines = decomposition_to_json(form).split("\n")
         assert len(lines) == len(d.parts) + 2
         for line, p in zip(lines[1:-1], d.parts):
-            assert reference_tensor_json(p.deviator) in line
-            assert ('"embedded": ' + reference_tensor_json(p.embedded) in line) == (form is not d)
+            assert line.startswith(f'  {{"s": {p.s}, "J": {p.J}, "deviator": ')
+            assert reference_tensor_json(p.deviator) in line and '"embedded"' not in line
     for bad in (np.nan, np.inf, -np.inf):
         t = np.zeros((3, 3))
         t[1, 2] = bad
@@ -225,34 +224,31 @@ def test_writer_matches_per_float_formatting(order):
 
 
 def test_loaded_images_are_rows_of_one_array(tmp_path):
+    """A file with images or without is read as ``decompose`` output: its
+    images are built from the deviators, as read-only rows of one array."""
     t = np.random.default_rng(46).standard_normal((3,) * 4)
     path = tmp_path / "d.json"
-    save_decomposition(path, Decomposition(4, decompose(t).parts))
-    d = load_decomposition(path)
-    rows = _record_of(d).rows
-    assert rows.shape == (len(d.parts), 3**4)
-    assert all(p.embedded.base is rows for p in d.parts)
-    # a file without images builds them, as decompose output does
-    save_decomposition(path, decompose(t))
-    d = load_decomposition(path)
-    assert _record_of(d).rows is None
-    rows = d.parts[0].embedded.base
-    assert rows.shape == (len(d.parts), 3**4) and not rows.flags.writeable
-    assert all(p.embedded.base is rows for p in d.parts)
+    for text in (decomposition_to_json(decompose(t)), json_with_images(decompose(t))):
+        path.write_text(text)
+        d = load_decomposition(path)
+        rows = d.parts[0].embedded.base
+        assert rows.shape == (len(d.parts), 3**4) and not rows.flags.writeable
+        assert all(p.embedded.base is rows for p in d.parts)
 
 
 def test_loaded_decomposition_records_its_image_rows():
     t = np.random.default_rng(47).standard_normal((3,) * 5)
-    d = decomposition_from_json(decomposition_to_json(Decomposition(5, decompose(t).parts)))
+    d = decomposition_from_json(json_with_images(decompose(t)))
     record = _record_of(d)
-    rows = record.rows
-    assert rows is d._record.rows
+    assert record is d._record and record.tie == 0.0
+    rows = d.parts[0].embedded.base
     for r, p in zip(_layout(5).row_of, d.parts):
         assert p.embedded.base is rows
         assert p.embedded.__array_interface__["data"] == rows[r].__array_interface__["data"]
     assert verify(d, t).passes(1e-10)
-    d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
-    assert verify(d, reconstruct(d)).max_cross_correlation > 1e-3
+    # the images were checked and dropped: those built are read-only
+    with pytest.raises(ValueError, match="read-only"):
+        d.parts[0].embedded[...] += 0.3 * d.parts[-1].embedded
     # every order has at least one part
     with pytest.raises(ValueError, match="field 'parts' is empty"):
         decomposition_from_json('{"order": 3, "parts": []}')
@@ -293,20 +289,22 @@ FIXTURE = Path(__file__).resolve().parent / "data" / "decomposition_with_images.
 FIXTURE_TENSOR = np.random.default_rng(19).standard_normal((3, 3, 3))
 
 
-def test_file_with_images_keeps_them():
+def test_file_with_images_is_checked_and_dropped():
     text = FIXTURE.read_text()
-    stored = np.array([p["embedded"]["components"] for p in json.loads(text)["parts"]])
+    raw = json.loads(text)
     d = load_decomposition(FIXTURE)
-    record = _record_of(d)
-    assert record.rows is not None and all(p.embedded.base is record.rows for p in d.parts)
-    np.testing.assert_array_equal(record.rows[_layout(3).row_of], stored)
     report = verify(d, FIXTURE_TENSOR)
-    assert report.passes(1e-10) and report.max_embedding_residual <= 1e-14
-    # re-written with its images, byte for byte
-    assert decomposition_to_json(d) + "\n" == text
-    # each stored image is still tied to its deviator
-    d.parts[2].embedded[0, 0, 0] += 1e-4
-    report = verify(d, reconstruct(d))
+    assert report.passes(1e-10) and report.max_embedding_residual == d._record.tie <= 1e-14
+    # the images built from the deviators are the stored ones, to rounding
+    stored = np.array([p["embedded"]["components"] for p in raw["parts"]])
+    built = np.stack([p.embedded.ravel() for p in d.parts])
+    assert_allclose(built, stored, rtol=0, atol=1e-15 * np.abs(stored).max())
+    # written without its images: the fixture's text without its "embedded" fields
+    assert decomposition_to_json(d) + "\n" == re.sub(r', "embedded": \{[^}]*\}', "", text)
+    # an image edited in the file is measured where it comes in
+    raw["parts"][2]["embedded"]["components"][0] += 1e-4
+    edited = decomposition_from_json(json.dumps(raw))
+    report = verify(edited, reconstruct(edited))
     assert report.max_embedding_residual > 1e-6 and not report.passes(1e-10)
 
 
@@ -322,7 +320,7 @@ def test_a_file_of_decompose_output_is_decompose_output(tmp_path, order, seed):
     save_decomposition(path, d)
     loaded = load_decomposition(path)
     ours, theirs = _record_of(loaded), _record_of(d)
-    assert ours.rows is None
+    assert ours.tie == 0.0
     for (s, index, stack), (s2, index2, stack2) in zip(ours.stacks, theirs.stacks, strict=True):
         assert s == s2 and index.tobytes() == index2.tobytes()
         assert stack.dtype == stack2.dtype and stack.tobytes() == stack2.tobytes()
@@ -330,10 +328,15 @@ def test_a_file_of_decompose_output_is_decompose_output(tmp_path, order, seed):
     assert verify(loaded, t) == verify(d, t)
     text = path.read_text()
     assert decomposition_to_json(loaded) + "\n" == text
-    if order <= 6:  # with images, an order-7 file takes about 0.8 s to write and read
-        save_decomposition(path, Decomposition(order, d.parts))
-        text = path.read_text()
-        assert decomposition_to_json(load_decomposition(path)) + "\n" == text
+    if order <= 6:  # with images, an order-7 file takes about 1 s to write and read
+        path.write_text(json_with_images(d))
+        with_images = load_decomposition(path)
+        assert with_images._record.tie == 0.0
+        for (_, _, stack), (_, _, stack2) in zip(with_images._record.stacks, ours.stacks):
+            assert stack.tobytes() == stack2.tobytes()
+        assert verify(with_images, t) == verify(d, t)
+        # written without the images it was read with
+        assert decomposition_to_json(with_images) + "\n" == text
 
 
 def mixed_forms(order=2):
@@ -341,7 +344,7 @@ def mixed_forms(order=2):
     from parts[0] in giving its image: part 2 has none, and part 1 has
     one."""
     d = decompose(np.random.default_rng(48).standard_normal((3,) * order))
-    without_2 = json.loads(decomposition_to_json(Decomposition(order, d.parts)))
+    without_2 = json.loads(json_with_images(d))
     del without_2["parts"][2]["embedded"]
     with_1 = json.loads(decomposition_to_json(d))
     with_1["parts"][1]["embedded"] = {"order": order, "components": [0.0] * 3**order}
@@ -365,9 +368,7 @@ def out_of_layout(order=4, images=False):
     one short, one over, and of a larger order than any part's, up to
     10^7."""
     d = decompose(np.random.default_rng(49).standard_normal((3,) * order))
-    if images:
-        d = Decomposition(order, d.parts)
-    parts = json.loads(decomposition_to_json(d))["parts"]
+    parts = json.loads(json_with_images(d) if images else decomposition_to_json(d))["parts"]
     relabelled = [dict(p) for p in parts]
     relabelled[3]["J"] = 9
     cases = [
