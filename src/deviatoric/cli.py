@@ -4,8 +4,8 @@ Subcommands: decompose, reconstruct, verify, counts, stiffness, coupling,
 random.  Payloads go to --output when given, otherwise to stdout; summary
 reports go to stdout; diagnostics go to stderr.  Exit codes: 0 success,
 1 verification failure, 2 input error.  ``verify`` also reports how far the
-images that a file gives are from its deviators' embeddings
-(``max_embedding_residual``).
+images that a file gives, or gave before it was written back, are from its
+deviators' embeddings (``max_embedding_residual``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import numpy as np
 
 from .core import _scaled_back, _scaled_rows, frobenius_norm
 from .decomposition import (
-    Decomposition, _deviator_coordinates, _plan, _record_of, _span_defects, counts_row, decompose,
-    reconstruct, verify,
+    Decomposition, _image_norm_bounds, _stacks_of, counts_row, decompose, reconstruct, verify,
 )
 from .physics import (
     coupling_decompose,
@@ -176,31 +175,16 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     reference tensor, relative to its norm (absolute for the zero tensor):
     the largest difference of a deviator, or of an image.
 
-    Each order's deviator differences Delta x are taken on their own
-    ``_scaled_rows``, and so are their image coefficients Delta a_i, as
-    ``verify``'s certificate forms them; no image is built.  The rows B_p of
-    a parent's image block have B_p B_p^T = lambda_p I + D_p, whose largest
-    eigenvalue is at most lambda_p + |D_p|_F = 2 lambda_p - sigma_p
-    (``_span_defects``), so sqrt(2 lambda_p - sigma_p) |Delta a_i| is never
-    below the image difference |Delta f_i|, and it is exactly 0 when the
-    deviators are those of ``decompose``."""
-    ours, theirs = _record_of(d), _record_of(decompose(reference))
-    plan = _plan(d.order)
-    shift = np.empty(len(plan.orders), dtype=int)  # the power of two of each image row's part
-    scaled, norms = [], []
-    for (s, index, a), (_, _, b) in zip(ours.stacks, theirs.stacks):
-        rows, exponent = _scaled_rows(a - b)
-        shift[plan.row_of[index]] = exponent
-        scaled.append((s, index, rows))
+    Each deviator difference is taken on its own ``_scaled_rows``, and each
+    image difference is bounded from its deviator difference
+    (``_image_norm_bounds``); no image is built.  Both are exactly 0 when
+    the deviators are those of ``decompose``."""
+    ours, theirs = _stacks_of(d), _stacks_of(decompose(reference))
+    delta = [(s, index, a - b) for (s, index, a), (_, _, b) in zip(ours, theirs)]
+    norms = [_image_norm_bounds(delta, d.order)]
+    for _, _, rows in delta:
+        rows, exponent = _scaled_rows(rows)
         norms.append(_scaled_back(exponent, np.linalg.norm(rows, axis=1))[0])
-    if d.order:
-        c = _deviator_coordinates(plan, scaled, d.order)
-        defects = _span_defects(d.order)
-        stretch = np.sqrt(2.0 * defects.lam - defects.sigma)
-        for g in plan.groups:
-            a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
-            image = np.linalg.norm(a, axis=2) * stretch[g.slots, None]
-            norms.append(_scaled_back(shift[g.images], image.ravel())[0])
     worst = float(np.concatenate(norms).max())
     scale = frobenius_norm(reference)
     return worst / scale if scale > 0.0 else worst

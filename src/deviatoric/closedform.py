@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .core import delta, epsilon, symmetrize
-from .decomposition import Decomposition, _lift, _record_of, _views, decompose
+from .decomposition import Decomposition, _lift, _stacks_of, _views, decompose
 
 __all__ = [
     "lift_kernel4",
@@ -274,17 +274,16 @@ def structural_coefficients(order: int) -> dict:
 
 def _assemble(order: int, parts) -> np.ndarray:
     """The closed form of ``order`` applied to the deviators of a
-    decomposition, or of a sequence of parts, as ``_record_of`` reads them."""
+    decomposition, or of a sequence of parts, as ``_stacks_of`` reads them."""
     if not isinstance(parts, Decomposition):
         parts = Decomposition(order, tuple(parts))
     elif parts.order != order:
         raise ValueError(f"expected an order-{order} decomposition, got {parts.order}")
-    record = _record_of(parts)
 
     calibration = structural_coefficients(order)
     term_specs = {t.name: t for t in _terms(order)}
     out = np.zeros((3,) * order)
-    for s, _, stack in record.stacks:
+    for s, _, stack in _stacks_of(parts):
         devs = _views(stack, s)
         for entry in calibration["blocks"][str(s)]["terms"]:
             term = term_specs[entry["term"]]

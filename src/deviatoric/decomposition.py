@@ -262,7 +262,8 @@ class VerifyReport:
     embedding e_i of its own deviator, measured where the images came in
     (``_tie``), and 0 when no image was given.  Both are inf for an entry
     that is not finite, a zero image given for a nonzero deviator, or a
-    nonzero deviator whose coordinates are all zero.  ``counts_ok`` holds
+    nonzero deviator whose coordinates are all zero, and the bound is inf
+    for an image that may be all rounding.  ``counts_ok`` holds
     for every decomposition that ``verify`` accepts; it stays for the
     report.
     """
@@ -599,11 +600,34 @@ def _rows_of(record: _Record, n: int) -> np.ndarray:
     """The image rows of the order-n ``record``, in plan order: the
     embeddings of its deviators, built by the product of ``_images`` and
     read-only, so no edit can part them from the deviators they were built
-    from."""
+    from.  Where a squared coordinate leaves ``_GRAM_RANGE``, each image is
+    built from its own ``_scaled_stacks`` deviator and then multiplied back
+    by its power of two, so that only that last step can round to the
+    subnormal grid, once per entry."""
     plan = _plan(n)
-    rows = _images(plan, _deviator_coordinates(plan, record.stacks, n))
+    c = _deviator_coordinates(plan, record.stacks, n)
+    if _in_gram_range(c):
+        rows = _images(plan, c)
+    else:
+        stacks, shift = _scaled_stacks(record.stacks, n)
+        rows = _images(plan, _deviator_coordinates(plan, stacks, n))
+        with np.errstate(over="ignore", under="ignore"):
+            np.ldexp(rows, shift[:, None], out=rows)
     rows.flags.writeable = False
     return rows
+
+
+def _scaled_stacks(stacks, n: int) -> tuple[list, np.ndarray]:
+    """The deviators ``stacks`` of an order-n record, each divided exactly
+    by its own power of two 2^k (``_scaled_rows``), and the k of each image
+    row, in plan order."""
+    row_of = _layout(n).row_of
+    shift = np.empty(len(row_of), dtype=int)
+    scaled = []
+    for s, index, stack in stacks:
+        rows, shift[row_of[index]] = _scaled_rows(stack)
+        scaled.append((s, index, rows))
+    return scaled, shift
 
 
 def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
@@ -636,8 +660,8 @@ def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
     parts built from the record view.  The only way in for images: they are
     stacked in plan order, measured against the embeddings of the deviators
     (``_tie``) and dropped, so the record keeps only their tie.  Raises the
-    error of ``as_tensor`` for the first image in row order, then the first
-    deviator of each order, of another shape than its order's.  With no
+    error of ``as_tensor`` for the first deviator of each order, then the
+    first image in row order, of another shape than its order's.  With no
     images, the record is the one ``decompose`` makes.
     """
     # that layout has one part of s = order and none above it, so no layout
@@ -645,16 +669,16 @@ def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
     if (max(orders, default=-1) != order or len(orders) != sum(counts_row(order))
             or (tuple(orders), tuple(labels)) != _layout(order)[:2]):
         raise ValueError("parts are not in the (s, J) layout of decompose")
-    rows = None
-    if images is not None:
-        rows = _stack([images[i] for i in np.argsort(_layout(order).row_of).tolist()], order)
     orders_array = np.array(orders, dtype=int)
     stacks = []
     for s in sorted(set(orders)):
         index = np.flatnonzero(orders_array == s)
         stacks.append((s, index, _stack([deviators[i] for i in index], s)))
     record = _Record(tuple(stacks), 0.0)
-    return record if rows is None else record._replace(tie=_tie(record, rows, order))
+    if images is None:
+        return record
+    rows = _stack([images[i] for i in np.argsort(_layout(order).row_of).tolist()], order)
+    return record._replace(tie=_tie(record, rows, order))
 
 
 def _tie(record: _Record, rows: np.ndarray, n: int) -> float:
@@ -705,18 +729,18 @@ def decompose(t) -> Decomposition:
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of the embedded parts; inverse of ``decompose``.
 
-    It reads ``_record_of(d)``: the record of ``decompose`` and
-    ``load_decomposition`` output, in place, or the parts of any other
-    decomposition, stacked once (``_sum``).  So parts in another layout, or
-    of another shape than their order's, raise the same ``ValueError`` as
-    in ``verify``.
+    It reads the deviators of ``_stacks_of(d)``: those of ``decompose`` and
+    ``load_decomposition`` output, in place, or of any other decomposition,
+    stacked once (``_sum``); no image is read.  So parts in another layout,
+    or deviators of another shape than their order's, raise the same
+    ``ValueError`` as in ``verify``.
     """
-    return _sum(_record_of(d), d.order)
+    return _sum(_stacks_of(d), d.order)
 
 
-def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
-    """The sum of the images of the order-n ``record``: one product with
-    E_{n-1}.
+def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
+    """The sum of the images of the deviators ``stacks`` of an order-n
+    record: one product with E_{n-1}.
 
     Slice k of the images of a parent's children is the sum of their slice-k
     image coefficients times the parent's rows of E_{n-1}.  Each coordinate
@@ -730,7 +754,7 @@ def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
     """
     plan = _plan(n)
     if c is None:
-        c = _deviator_coordinates(plan, record.stacks, n)
+        c = _deviator_coordinates(plan, stacks, n)
     if n == 0:
         return c.reshape(())
     y = np.empty(3**n)
@@ -743,13 +767,26 @@ def _sum(record: _Record, n: int, c: np.ndarray | None = None) -> np.ndarray:
 def _record_of(d: Decomposition) -> _Record:
     """The arrays of ``d``: its record, or for a hand-built decomposition
     (which holds no record), ``_stacked`` of its parts, images included.
-    This is the only way library code reads a decomposition's arrays, so
-    what is read is always what the parts store."""
+    With ``_stacks_of``, this is the only way library code reads a
+    decomposition's arrays, so what is read is always what the parts
+    store."""
     if d._record is not None:
         return d._record
     parts = d.parts
     return _stacked(d.order, [p.s for p in parts], [p.J for p in parts],
                     [p.deviator for p in parts], [p.embedded for p in parts])
+
+
+def _stacks_of(d: Decomposition) -> tuple:
+    """``_record_of(d).stacks``, for the readers of the deviators alone
+    (``reconstruct``, ``assemble_order3/4``, the command line's canonical
+    residual): a hand-built decomposition's parts are stacked without their
+    images, which are neither read nor measured."""
+    if d._record is not None:
+        return d._record.stacks
+    parts = d.parts
+    return _stacked(d.order, [p.s for p in parts], [p.J for p in parts],
+                    [p.deviator for p in parts]).stacks
 
 
 def _stack(tensors, order: int) -> np.ndarray:
@@ -775,6 +812,16 @@ def _stack(tensors, order: int) -> np.ndarray:
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
 
+def _in_gram_range(c: np.ndarray) -> bool:
+    """Whether every nonzero coordinate c has c^2 in ``_GRAM_RANGE``; a
+    nonzero c whose square underflows is out of range, and so is one that
+    is not finite."""
+    low, high = _GRAM_RANGE
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        c2 = c * c
+        return bool(c2.max(initial=0.0) <= high and low <= c2.min(initial=low, where=c != 0.0))
+
+
 class _SpanDefects(NamedTuple):
     """How far the parents' rows of E_{n-1} are from orthogonal, per parent
     and over all parents, with the rounding allowances of
@@ -787,8 +834,11 @@ class _SpanDefects(NamedTuple):
     eta: float
     slack: np.ndarray  # (parts,) rounding allowance of each rho, in plan order
     siblings: np.ndarray  # (2, pairs) images i < j of each sibling pair, by group, parent, then pair
+    parent: np.ndarray  # (pairs,) the parent slot of each pair
     scale: np.ndarray  # (pairs,) lambda_p / sigma_p of the pair's parent
     floor: np.ndarray  # (pairs,) the bound of the pair at cos 0
+    smallest: float  # the smallest nonzero |entry| of E_{n-1}
+    underflow: np.ndarray  # (parts,) sqrt(3^n / sigma_p) of each image, in plan order
 
 
 @lru_cache(maxsize=None)
@@ -811,12 +861,20 @@ def _span_defects(n: int) -> _SpanDefects:
     bound of a sibling pair of parent p is its scale lambda_p /
     sigma_p times |a_i . a_j| / (|a_i| |a_j| (1 - slack)^2), plus its floor
     delta_p (1 + slack)^2 + 2 slack + 3 slack^2 (``_pair_bound``).
+
+    An image built from a scaled deviator and multiplied back by 2^k
+    (``_rows_of``) rounds each entry that is subnormal by at most 2^-1075,
+    which no relative slack covers: at most sqrt(3^n) 2^-1075 over its 3^n
+    entries, that is ``underflow`` 2^-1075 / (2^k |a_i|) of its norm, since
+    the exact product's is at least sqrt(sigma_p) |a_i|.  ``smallest`` tells
+    which entries can be subnormal (``_certified_cross_correlation``).
     """
-    groups = _plan(n).groups
+    plan = _plan(n)
+    groups = plan.groups
     count = groups[-1].slots.stop
     lam, sigma, delta = np.empty((3, count))
     squares = np.zeros((count, count))  # |B_p B_q^T|_F^2, for p and q in groups g <= h
-    slack = np.empty(sum(counts_row(n)))
+    slack, underflow = np.empty((2, sum(counts_row(n))))
     eps = np.finfo(float).eps
     for i, g in enumerate(groups):
         slack[g.images] = g.width**1.5 * eps
@@ -831,6 +889,7 @@ def _span_defects(n: int) -> _SpanDefects:
                 defect = np.linalg.norm(defect, axis=(1, 2))
                 sigma[g.slots] = lam[g.slots] - defect
                 delta[g.slots] = defect / sigma[g.slots] + (3 * g.width + 2) * eps
+                underflow[g.images] = np.repeat(np.sqrt(3.0**n / sigma[g.slots]), g.children)
             gram *= gram
             squares[g.slots, h.slots] = gram.sum(axis=(1, 3))
     np.fill_diagonal(squares, 0.0)
@@ -844,8 +903,11 @@ def _span_defects(n: int) -> _SpanDefects:
     rho = slack[siblings[0]]
     floor = _pair_bound(delta[parent] * (1.0 + rho) ** 2, rho, rho)
     scale = lam[parent] / sigma[parent]
-    _read_only(lam, sigma, delta, slack, siblings, scale, floor)
-    return _SpanDefects(lam, sigma, delta, eta, slack, siblings, scale, floor)
+    smallest = float(np.min(np.abs(plan.prev), initial=np.inf, where=plan.prev != 0.0))
+    _read_only(lam, sigma, delta, slack, siblings, parent, scale, floor, underflow)
+    return _SpanDefects(
+        lam, sigma, delta, eta, slack, siblings, parent, scale, floor, smallest, underflow
+    )
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -861,8 +923,9 @@ def _certified_cross_correlation(
     over pairs i != j of nonzero images f of the parts of an order-n
     decomposition in ``_layout(n)``, and the record's tie tau.  Both are
     inf when a deviator is not finite, or is nonzero with coordinates that
-    are all zero, or when the tie is inf (``_tie``).  A zero deviator's
-    image pairs with no other.
+    are all zero, or when the tie is inf (``_tie``), and the bound is inf
+    for an image that may be all rounding (below).  A zero deviator's image
+    pairs with no other.
 
     The images are the embeddings e_i = fl(a_i B_p) of ``_rows_of``, slice
     by slice: a_i the image coefficients of the deviator
@@ -888,13 +951,22 @@ def _certified_cross_correlation(
     (|e_i| |e_j|) plus a constant of its parent, so each group takes one
     batched Gram of its children's coefficients (``_coefficient_grams``),
     and the bounds of all pairs are one expression over the normalised
-    sibling entries (``_SpanDefects.scale`` and ``floor``).  When some
-    nonzero coordinate c has c^2 outside ``_GRAM_RANGE``, so that a product
-    could underflow or overflow, each part's coordinates are taken from its
-    own ``_scaled_rows`` of its deviator instead: a power of two per part
-    scales its coefficients and leaves every cos as it is.  c are the
-    deviators' coordinates (``_deviator_coordinates``), taken here unless
-    given, as ``verify`` gives those it sums.
+    sibling entries (``_SpanDefects.scale`` and ``floor``).  c are the
+    deviators' coordinates (``_deviator_coordinates``), the ones
+    ``_rows_of`` builds the images from, taken here unless given, as
+    ``verify`` gives those it sums.
+
+    When some nonzero c has c^2 outside ``_GRAM_RANGE``, so that a product
+    could underflow or overflow, the coordinates are taken, as ``_rows_of``
+    then builds the images, from each deviator divided exactly by its own
+    2^k_i (``_scaled_stacks``), which leaves every cos as it is.  Each image
+    is that product times 2^k_i, which rounds each entry that is subnormal
+    by at most 2^-1075, so rho_i adds ``_SpanDefects.underflow`` 2^-1075 /
+    (2^k_i |a_i|) unless no entry can be: the entries are multiples of
+    2^-106 times the smallest nonzero |a_ij| times ``_SpanDefects.smallest``
+    or more.  So the bound holds for the images that ``parts`` builds at
+    every scale, and an image that may be all rounding (rho_i >= 1) gives a
+    bound of inf.
 
     Images given with the parts were measured where they came in: each
     f_i = e_i + h_i with |h_i| <= tau |f_i| (``_tie``).  So |e_i| <=
@@ -904,16 +976,15 @@ def _certified_cross_correlation(
     edited, swapped or rescaled one only makes it large.
     """
     plan = _plan(n)
-    # out of range: taken again, rescaled; not finite: inf, below
+    # out of range: taken on the scaled deviators; not finite: inf, below
     with np.errstate(over="ignore", invalid="ignore"):
         if c is None:
             c = _deviator_coordinates(plan, record.stacks, n)
-        low, high = _GRAM_RANGE
-        c2 = c * c  # a nonzero c whose square underflows is out of range too
-        if not c2.max(initial=0.0) <= high or not low <= c2.min(initial=low, where=c != 0.0):
-            scaled = [(s, index, _scaled_rows(stack)[0]) for s, index, stack in record.stacks]
-            c = _deviator_coordinates(plan, scaled, n)
-        dots, squares = _coefficient_grams(plan, c)
+        rescale = not _in_gram_range(c)
+        if rescale:
+            stacks, shift = _scaled_stacks(record.stacks, n)
+            c = _deviator_coordinates(plan, stacks, n)
+        dots, squares, smallest = _coefficient_grams(plan, c, rescale)
     live = squares > 0.0
     tie = record.tie
     if not live.all():  # a nonzero deviator whose coordinates are all zero: inf
@@ -925,33 +996,72 @@ def _certified_cross_correlation(
     bound = 0.0
     if np.count_nonzero(live) >= 2:
         defects = _span_defects(n)
+        rho, floor = defects.slack, defects.floor
+        i, j = defects.siblings
+        if rescale:
+            with np.errstate(over="ignore", under="ignore"):
+                subnormal = live & (np.ldexp(smallest * defects.smallest, shift - 106) < 2.0**-1022)
+                gap = np.zeros(len(squares))
+                np.divide(defects.underflow, np.sqrt(squares), out=gap, where=subnormal)
+                rho = rho + np.ldexp(gap, -1075 - shift)
+            factor = (1.0 + rho[i]) * (1.0 + rho[j])
+            floor = _pair_bound(defects.delta[defects.parent] * factor, rho[i], rho[j])
+        second, first = np.partition(rho, -2)[-2:]
+        if not first < 1.0:  # an image that may be all rounding
+            return np.inf, tie
         norms = np.full(len(squares), np.inf)  # a zero image pairs with nothing
         np.sqrt(squares, out=norms, where=live)
-        norms *= 1.0 - defects.slack  # |e_i| >= sqrt(sigma_p) |a_i| (1 - slack); sigma_p is in scale
-        second, first = np.partition(defects.slack, -2)[-2:]
+        norms *= 1.0 - rho  # |e_i| >= sqrt(sigma_p) |a_i| (1 - rho_i); sigma_p is in scale
         worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
-        i, j = defects.siblings
         cos = np.abs(dots) / (norms[i] * norms[j])
-        bound = max(worst, float(np.max(defects.scale * cos + defects.floor)))
+        bound = max(worst, float(np.max(defects.scale * cos + floor)))
     return float(_pair_bound(bound * (1.0 + tie) ** 2, tie, tie)), tie
 
 
-def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coefficient_grams(
+    plan: _Plan, c: np.ndarray, smallest: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Entries of the Gram a_i . a_j of the image coefficients of each
     parent's children (``_Group.coefficients`` of the coordinates ``c``):
     those of every sibling pair i < j, in the order of
     ``_SpanDefects.siblings``, and the diagonal |a_i|^2, in plan order.  At
-    order 0 the one image is its one coordinate."""
+    order 0 the one image is its one coordinate.  With ``smallest``, also
+    each a_i's smallest nonzero |entry|, in plan order; otherwise None."""
     if plan.prev is None:
-        return np.empty(0), c * c
+        return np.empty(0), c * c, np.abs(c) if smallest else None
     dots = []
     squares = np.empty(len(plan.orders))
+    least = np.empty(len(squares)) if smallest else None
     for g in plan.groups:
         a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
         gram = np.matmul(a, a.transpose(0, 2, 1))
         dots.append(gram[:, g.pairs[0], g.pairs[1]].ravel())
         squares[g.images] = gram.diagonal(0, 1, 2).ravel()
-    return np.concatenate(dots), squares
+        if smallest:
+            least[g.images] = np.min(np.abs(a), axis=2, initial=np.inf, where=a != 0.0).ravel()
+    return np.concatenate(dots), squares, least
+
+
+def _image_norm_bounds(stacks, n: int) -> np.ndarray:
+    """Upper bounds on the norms of the embeddings of the deviators
+    ``stacks`` of an order-n record, in plan order, from their coefficients
+    alone: B_p B_p^T = lambda_p I + D_p has largest eigenvalue at most
+    lambda_p + |D_p|_F = 2 lambda_p - sigma_p (``_span_defects``), so
+    |a_i B_p| <= sqrt(2 lambda_p - sigma_p) |a_i|.  Each deviator is taken
+    on its own ``_scaled_rows`` and its bound scaled back, so no product
+    underflows; no image is built.  At order 0 the image is the deviator."""
+    plan = _plan(n)
+    scaled, shift = _scaled_stacks(stacks, n)
+    c = _deviator_coordinates(plan, scaled, n)
+    if n == 0:
+        return _scaled_back(shift, np.abs(c))[0]
+    defects = _span_defects(n)
+    stretch = np.sqrt(2.0 * defects.lam - defects.sigma)
+    norms = np.empty(len(plan.orders))
+    for g in plan.groups:
+        a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
+        norms[g.images] = (np.linalg.norm(a, axis=2) * stretch[g.slots, None]).ravel()
+    return _scaled_back(shift, norms)[0]
 
 
 def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
@@ -1026,9 +1136,10 @@ def verify(d: Decomposition, t) -> VerifyReport:
     ``_certified_cross_correlation``).  So an edited deviator fails them.
 
     One orthogonality check, at every order: ``max_cross_correlation`` and
-    ``max_embedding_residual`` are the certified bound (within 1e-13 above
-    the exact value for ``decompose`` output) and the tie tau of any images
-    given with the parts, of ``_certified_cross_correlation``.  Every residual
+    ``max_embedding_residual`` are the certified bound (at or above the
+    exact value for the images ``parts`` builds, and within 1e-13 of it for
+    ``decompose`` output unless parts are subnormal) and the tie tau of any
+    images given with the parts, of ``_certified_cross_correlation``.  Every residual
     is computed on exactly rescaled values, so it does not depend on the
     scale of ``t``.
     """
@@ -1037,7 +1148,7 @@ def verify(d: Decomposition, t) -> VerifyReport:
     t_norm = frobenius_norm(t)
     with np.errstate(over="ignore", invalid="ignore"):  # a deviator that is not finite: below
         c = _deviator_coordinates(_plan(d.order), record.stacks, d.order)
-        res = frobenius_norm(_sum(record, d.order, c) - t)
+        res = frobenius_norm(_sum(record.stacks, d.order, c) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
     residuals = _part_residuals(record.stacks, len(_layout(d.order).orders))

@@ -2,8 +2,9 @@
 
 Tensor JSON: {"order": n, "components": [... 3^n floats, row-major ...]}.
 Decomposition JSON: {"order": n, "parts": [{"s", "J", "deviator"}]}, where
-deviator is a nested tensor object.  Voigt matrices travel as a JSON array of
-6 rows or as whitespace-delimited 6-line text.
+deviator is a nested tensor object, and a "tie" after "order" when it is
+not 0.  Voigt matrices travel as a JSON array of 6 rows or as
+whitespace-delimited 6-line text.
 
 Every file has its parts in the (s, J) layout of ``decompose``.  A
 decomposition is its deviators, and its images are a fixed linear function
@@ -12,7 +13,10 @@ read as ``decompose`` output: its images are rebuilt from the deviators when
 read.  The reader also takes files that give an "embedded" image in every
 part, as files once did: it checks each image against its deviator's
 embedding and drops it, and the decomposition keeps only how far they were
-apart, which ``verify`` reports as ``max_embedding_residual``.
+apart, its tie, which ``verify`` reports as ``max_embedding_residual``.  A
+decomposition whose tie is not 0 (it was given images that are not its
+deviators' embeddings) is written with its tie, and read back with it, so a
+save and load leaves its ``verify`` report as it was.
 
 Writers are hand-rolled for these fixed shapes so every float is emitted
 with 17 significant digits; that makes write/read round-trips lossless and
@@ -156,15 +160,18 @@ def load_tensor(path) -> np.ndarray:
 
 
 def decomposition_to_json(d: Decomposition) -> str:
-    """The decomposition JSON text of ``d``: each part's s, J and deviator,
-    in part order, and no image.  It reads ``_record_of(d)`` and builds no
-    part."""
+    """The decomposition JSON text of ``d``: its tie if it is not 0, then
+    each part's s, J and deviator, in part order, and no image.  It reads
+    ``_record_of(d)`` and builds no part.  A tie that is not finite raises
+    the error of ``fmt_float``."""
     orders, labels, _ = _layout(d.order)
+    record = _record_of(d)
     tensors: list = [None] * len(orders)  # the tensor fields of each part
-    for s, index, stack in _record_of(d).stacks:
+    for s, index, stack in record.stacks:
         for i, row in zip(index.tolist(), stack):
             tensors[i] = f'"deviator": {{"order": {s}, "components": [{_components(row)}]}}'
-    lines = [f'{{"order": {d.order}, "parts": [']
+    tie = f'"tie": {fmt_float(record.tie)}, ' if record.tie else ""
+    lines = [f'{{"order": {d.order}, {tie}"parts": [']
     for i, (s, j, fields) in enumerate(zip(orders, labels, tensors)):
         sep = "," if i + 1 < len(tensors) else ""
         lines.append(f'  {{"s": {s}, "J": {j}, {fields}}}{sep}')
@@ -183,12 +190,16 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
     ``_stacked`` into the record of the result, which ``reconstruct`` and
     ``verify`` then read in place, as they read ``decompose`` output.  Its
     images are built from the deviators when read.  Images in the file are
-    checked against them and dropped: the record keeps their tie, which
-    ``verify`` reports."""
+    checked against them and dropped: the record keeps their tie, or the
+    file's "tie" where that is larger, which ``verify`` reports."""
     obj = _loads(text, context)
     order = _get(obj, "order", context)
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         _fail(context, f"field 'order' must be a non-negative integer, got {order!r}")
+    tie = obj.get("tie", 0.0)  # written only for images that were not the embeddings
+    if (not isinstance(tie, (int, float)) or isinstance(tie, bool)
+            or not 0.0 <= tie <= sys.float_info.max):
+        _fail(context, f"field 'tie' must be a finite number >= 0, got {tie!r}")
     raw_parts = _get(obj, "parts", context)
     if not isinstance(raw_parts, list):
         _fail(context, "field 'parts' must be an array")
@@ -221,7 +232,7 @@ def decomposition_from_json(text: str, context: str = "decomposition") -> Decomp
         record = _stacked(order, *zip(*read))
     except ValueError:  # the layout's: every shape is checked above
         _fail(context, "field 'parts' is not in the (s, J) layout of decompose")
-    return _from_record(order, record)
+    return _from_record(order, record._replace(tie=max(record.tie, float(tie))))
 
 
 def save_decomposition(path, d: Decomposition) -> None:

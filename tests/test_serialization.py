@@ -306,6 +306,22 @@ def test_file_with_images_is_checked_and_dropped():
     edited = decomposition_from_json(json.dumps(raw))
     report = verify(edited, reconstruct(edited))
     assert report.max_embedding_residual > 1e-6 and not report.passes(1e-10)
+    # and written back with its tie, so a save and load reports the same
+    text = decomposition_to_json(edited)
+    assert text.startswith('{"order": 3, "tie": %s, "parts": [' % fmt_float(edited._record.tie))
+    again = decomposition_from_json(text)
+    assert verify(again, reconstruct(edited)) == report
+    # a file's tie counts where it is larger than that of its images
+    raw["tie"] = 0.5
+    assert decomposition_from_json(json.dumps(raw))._record.tie == 0.5
+
+
+@pytest.mark.parametrize("tie", ["-1.0", '"0"', "true", "null", "1e999", "NaN", "Infinity"])
+def test_reader_rejects_a_tie_that_is_not_a_finite_number(tie):
+    text = decomposition_to_json(decompose(np.ones(3)))
+    text = text.replace('"parts"', f'"tie": {tie}, "parts"', 1)
+    with pytest.raises(ValueError, match="field 'tie' must be a finite number >= 0, got"):
+        decomposition_from_json(text)
 
 
 # orders 0-8, three seeds an order and one at order 8
