@@ -837,7 +837,6 @@ class _SpanDefects(NamedTuple):
     parent: np.ndarray  # (pairs,) the parent slot of each pair
     scale: np.ndarray  # (pairs,) lambda_p / sigma_p of the pair's parent
     floor: np.ndarray  # (pairs,) the bound of the pair at cos 0
-    smallest: float  # the smallest nonzero |entry| of E_{n-1}
     underflow: np.ndarray  # (parts,) sqrt(3^n / sigma_p) of each image, in plan order
 
 
@@ -866,8 +865,7 @@ def _span_defects(n: int) -> _SpanDefects:
     (``_rows_of``) rounds each entry that is subnormal by at most 2^-1075,
     which no relative slack covers: at most sqrt(3^n) 2^-1075 over its 3^n
     entries, that is ``underflow`` 2^-1075 / (2^k |a_i|) of its norm, since
-    the exact product's is at least sqrt(sigma_p) |a_i|.  ``smallest`` tells
-    which entries can be subnormal (``_certified_cross_correlation``).
+    the exact product's is at least sqrt(sigma_p) |a_i|.
     """
     plan = _plan(n)
     groups = plan.groups
@@ -903,11 +901,8 @@ def _span_defects(n: int) -> _SpanDefects:
     rho = slack[siblings[0]]
     floor = _pair_bound(delta[parent] * (1.0 + rho) ** 2, rho, rho)
     scale = lam[parent] / sigma[parent]
-    smallest = float(np.min(np.abs(plan.prev), initial=np.inf, where=plan.prev != 0.0))
     _read_only(lam, sigma, delta, slack, siblings, parent, scale, floor, underflow)
-    return _SpanDefects(
-        lam, sigma, delta, eta, slack, siblings, parent, scale, floor, smallest, underflow
-    )
+    return _SpanDefects(lam, sigma, delta, eta, slack, siblings, parent, scale, floor, underflow)
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -962,11 +957,10 @@ def _certified_cross_correlation(
     2^k_i (``_scaled_stacks``), which leaves every cos as it is.  Each image
     is that product times 2^k_i, which rounds each entry that is subnormal
     by at most 2^-1075, so rho_i adds ``_SpanDefects.underflow`` 2^-1075 /
-    (2^k_i |a_i|) unless no entry can be: the entries are multiples of
-    2^-106 times the smallest nonzero |a_ij| times ``_SpanDefects.smallest``
-    or more.  So the bound holds for the images that ``parts`` builds at
-    every scale, and an image that may be all rounding (rho_i >= 1) gives a
-    bound of inf.
+    (2^k_i |a_i|), which is below the last bit of the slack unless 2^k_i is
+    below about 2^-960.  So the bound holds for the images that ``parts``
+    builds at every scale, and an image that may be all rounding
+    (rho_i >= 1) gives a bound of inf.
 
     Images given with the parts were measured where they came in: each
     f_i = e_i + h_i with |h_i| <= tau |f_i| (``_tie``).  So |e_i| <=
@@ -984,7 +978,7 @@ def _certified_cross_correlation(
         if rescale:
             stacks, shift = _scaled_stacks(record.stacks, n)
             c = _deviator_coordinates(plan, stacks, n)
-        dots, squares, smallest = _coefficient_grams(plan, c, rescale)
+        dots, squares = _coefficient_grams(plan, c)
     live = squares > 0.0
     tie = record.tie
     if not live.all():  # a nonzero deviator whose coordinates are all zero: inf
@@ -1000,9 +994,8 @@ def _certified_cross_correlation(
         i, j = defects.siblings
         if rescale:
             with np.errstate(over="ignore", under="ignore"):
-                subnormal = live & (np.ldexp(smallest * defects.smallest, shift - 106) < 2.0**-1022)
                 gap = np.zeros(len(squares))
-                np.divide(defects.underflow, np.sqrt(squares), out=gap, where=subnormal)
+                np.divide(defects.underflow, np.sqrt(squares), out=gap, where=live)
                 rho = rho + np.ldexp(gap, -1075 - shift)
             factor = (1.0 + rho[i]) * (1.0 + rho[j])
             floor = _pair_bound(defects.delta[defects.parent] * factor, rho[i], rho[j])
@@ -1018,28 +1011,22 @@ def _certified_cross_correlation(
     return float(_pair_bound(bound * (1.0 + tie) ** 2, tie, tie)), tie
 
 
-def _coefficient_grams(
-    plan: _Plan, c: np.ndarray, smallest: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of the Gram a_i . a_j of the image coefficients of each
     parent's children (``_Group.coefficients`` of the coordinates ``c``):
     those of every sibling pair i < j, in the order of
     ``_SpanDefects.siblings``, and the diagonal |a_i|^2, in plan order.  At
-    order 0 the one image is its one coordinate.  With ``smallest``, also
-    each a_i's smallest nonzero |entry|, in plan order; otherwise None."""
+    order 0 the one image is its one coordinate."""
     if plan.prev is None:
-        return np.empty(0), c * c, np.abs(c) if smallest else None
+        return np.empty(0), c * c
     dots = []
     squares = np.empty(len(plan.orders))
-    least = np.empty(len(squares)) if smallest else None
     for g in plan.groups:
         a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
         gram = np.matmul(a, a.transpose(0, 2, 1))
         dots.append(gram[:, g.pairs[0], g.pairs[1]].ravel())
         squares[g.images] = gram.diagonal(0, 1, 2).ravel()
-        if smallest:
-            least[g.images] = np.min(np.abs(a), axis=2, initial=np.inf, where=a != 0.0).ravel()
-    return np.concatenate(dots), squares, least
+    return np.concatenate(dots), squares
 
 
 def _image_norm_bounds(stacks, n: int) -> np.ndarray:
