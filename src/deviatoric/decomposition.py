@@ -17,11 +17,11 @@ part is c_p . E_p.  The same kind of Cartesian-to-irreducible change of basis
 is computed by e3nn's ``CartesianTensor`` / ``ReducedTensorProducts``
 (Geiger & Smidt, arXiv:2207.09453).
 
-``decompose`` applies E in factored form: one level of the paper's
-recursion on the order, over the cached order-(n-1) matrix.  Slicing along
-the first index writes t = sum_k e_k x T_k with order-(n-1) slices T_k; one
-product with E_{n-1} gives the coordinates of all three slices, and the
-three deviators that share a slot of the slices regroup into
+``decompose`` applies E in factored form: the paper's recursion on the
+order.  Slicing along the first index writes t = sum_k e_k x T_k with
+order-(n-1) slices T_k; E_{n-1} applied to the three slices gives their
+coordinates, and the three deviators that share a slot of the slices
+regroup into
 
 * a vector (a new order-1 deviator) when they are scalars,
 * an order-2 tensor t = alpha*delta + epsilon.v + D when they are vectors,
@@ -32,10 +32,15 @@ three deviators that share a slot of the slices regroup into
 
 For a parent slot of order s the regrouping is one fixed 3(2s+1)-square
 matrix, and the images of the parent's children are one product of their
-coefficients with the parent's rows of E_{n-1}.  So an order-n call reads
-the 9^(n-1) doubles of E_{n-1} (4.3 MB at order 7), not the 9^n of E_n.
-The matrices E_0 .. E_{n-1} are built once each and cached: the rows of
-E_m are the group products of ``_plan(m)`` applied to unit coordinates.
+coefficients with the parent's rows of E_{n-1}.  E_{n-1} itself is applied
+the same way, one level of the recursion at a time, down to the dense base
+E_5 (0.47 MB, ``_DENSE_BASE``): each level passes the slices of all its
+rows one order down in one call (``_apply``, and ``_apply_transposed`` for
+``reconstruct``).  So ``decompose`` and ``reconstruct`` read no matrix
+larger than E_5, not the 9^(n-1) doubles of E_{n-1} (4.3 MB at order 7).
+The matrices E_0 .. E_{n-1} are built once each and cached, for the images
+and the certificate: the rows of E_m are the group products of
+``_plan(m)`` applied to unit coordinates.
 
 The arrays are laid out by group, so that the engine works on all the
 parents of one order s at once:
@@ -446,13 +451,11 @@ def _change_of_basis(n: int) -> np.ndarray:
         rows = np.ones((1, 1))
     else:
         plan = _plan(n)
-        # the row of E_n of each position in c: the inverse of the slots' positions
-        row_at = np.argsort(np.concatenate([p.ravel() for _, _, p, _ in plan.deviators]))
         rows = np.empty((3**n, 3**n))
         for g in plan.groups:
             # (parents, 3 width, 3, 3^(n-1)): F_s times each parent's rows
             products = np.matmul(_regroup(g.width // 2), g.blocks[:, None])
-            rows[row_at[g.coords]] = products.reshape(-1, 3**n)
+            rows[plan.row_at[g.coords]] = products.reshape(-1, 3**n)
     rows.flags.writeable = False
     return rows
 
@@ -499,6 +502,7 @@ class _Plan(NamedTuple):
     prev: np.ndarray | None  # E_{n-1}; None for n = 0
     groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
     deviators: tuple  # per order s: (s, (J_s,) part indices, (J_s, 2s+1) positions in c, B_s.flat)
+    row_at: np.ndarray  # (3^n,) the row of E_n of each position in c
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -508,9 +512,13 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
-    """The order-n change of basis in factored form, over the cached
-    order-(n-1) matrix.  ``decompose`` never builds E_n: ``_change_of_basis(n)``
-    builds it from these groups only when an order-(n+1) call needs it.
+    """The order-n change of basis in factored form, one level over the
+    order-(n-1) one.  ``decompose`` never builds E_n: ``_change_of_basis(n)``
+    builds it from these groups only when an order-(n+1) call needs it, and
+    above ``_DENSE_BASE`` ``_apply`` and ``_apply_transposed`` apply it by
+    these groups.  The plan holds the cached E_{n-1} for lambda, the images
+    and the certificate (``_span_defects``); the coordinates and the sum
+    read it only at n - 1 <= ``_DENSE_BASE``.
 
     Row r of E_n, for a child of parent slot p, is sum_j F[r, k, j] times row
     j of E_{n-1, p} in slice k (F = ``_regroup``), so
@@ -532,7 +540,10 @@ def _plan(n: int) -> _Plan:
         positions = starts[index][:, None] + np.arange(2 * s + 1)
         _read_only(index, positions)
         deviators.append((s, index, positions, build_basis(s).flat))
-    plan = _Plan(*layout, None, (), tuple(deviators))
+    # the inverse of the slots' positions in c
+    row_at = np.argsort(np.concatenate([p.ravel() for _, _, p, _ in deviators]))
+    _read_only(row_at)
+    plan = _Plan(*layout, None, (), tuple(deviators), row_at)
     if n == 0:
         return plan
 
@@ -567,20 +578,67 @@ def _plan(n: int) -> _Plan:
 
 def _coordinates(plan: _Plan, t: np.ndarray) -> np.ndarray:
     """The coordinates c = E_n t / lambda of an order-n ``t``, in plan
-    order, from the order-n ``plan``: one product over E_{n-1}, then two
-    small products per group."""
+    order, from the order-n ``plan``: E_{n-1} of the three slices
+    (``_apply``: one dense product up to n - 1 = ``_DENSE_BASE``, level by
+    level above it), then two small products per group."""
     if t.ndim == 0:
         return np.array([float(t)])
-    # y[3r + k] = (E_{n-1} t[k])_r, one product over the order-(n-1) matrix;
-    # each group then overwrites its block with the coordinates.  The slices
-    # times E_{n-1}^T give the same bits as E_{n-1} times the slices as
-    # columns, and took 0.45 against 0.69 ms at order 7 and 4.7 against
-    # 8.0 ms at order 8, warm on one BLAS thread
-    c = np.dot(t.reshape(3, -1), plan.prev.T).T.ravel()
+    # y[3r + k] = (E_{n-1} t[k])_r, the three slices in one call of
+    # ``_apply``; each group then overwrites its block with the coordinates
+    c = _apply(t.reshape(3, -1), t.ndim - 1).T.ravel()
     for g in plan.groups:
         c_g = c[g.coords].reshape(g.norms.shape)
         np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
     return c
+
+
+# The largest order whose E_m is applied as one dense product.  E_5, 0.47 MB,
+# stays in a 4 MiB L2 and E_6, 4.3 MB, does not: E_6 times the three slices
+# of an order-7 tensor took 0.43-0.50 ms dense and 0.09-0.13 ms as one level
+# over E_5 (0.08-0.10 ms over E_4, with one more level of numpy calls),
+# warm on one BLAS thread of a 2-core Xeon.
+_DENSE_BASE = 5
+
+
+def _apply(x: np.ndarray, m: int) -> np.ndarray:
+    """E_m x of each row x of the (N, 3^m) array, as an (N, 3^m) array in
+    the slot order of E_m.
+
+    Up to ``_DENSE_BASE`` one product with the cached E_m.  Above it, one
+    level of ``_plan(m)``: the 3N slices of the rows go one order down in
+    one call, their coordinates are interleaved into the y of
+    ``_Group`` (position 3r + k, slice k), each group takes one batched
+    product with ``to_children``, and the products are written from plan
+    order to their rows of E_m (``_Plan.row_at``)."""
+    if m <= _DENSE_BASE:
+        return np.dot(x, _change_of_basis(m).T)
+    plan, count = _plan(m), len(x)
+    y = _apply(x.reshape(3 * count, -1), m - 1)
+    y = y.reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
+    z = np.empty_like(y)
+    for g in plan.groups:
+        shape = (count,) + g.norms.shape
+        np.matmul(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
+    out = np.empty_like(z)
+    out[:, plan.row_at] = z
+    return out
+
+
+def _apply_transposed(z: np.ndarray, m: int) -> np.ndarray:
+    """E_m^T z of each row z of the (N, 3^m) array, in the slot order of
+    E_m, as an (N, 3^m) array: ``_apply`` backwards, level by level down
+    to ``_DENSE_BASE``, each group's product with the transpose of
+    ``to_children``."""
+    if m <= _DENSE_BASE:
+        return np.dot(z, _change_of_basis(m))
+    plan, count = _plan(m), len(z)
+    z = np.take(z, plan.row_at, axis=1)  # in plan order
+    y = np.empty_like(z)
+    for g in plan.groups:
+        shape = (count,) + g.norms.shape
+        np.matmul(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
+    y = y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)
+    return _apply_transposed(y, m - 1).reshape(count, -1)
 
 
 def _images(plan: _Plan, c: np.ndarray) -> np.ndarray:
@@ -740,7 +798,8 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 
 def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
     """The sum of the images of the deviators ``stacks`` of an order-n
-    record: one product with E_{n-1}.
+    record: E_{n-1}^T of the slice sums (``_apply_transposed``: one dense
+    product up to n - 1 = ``_DENSE_BASE``, level by level above it).
 
     Slice k of the images of a parent's children is the sum of their slice-k
     image coefficients times the parent's rows of E_{n-1}.  Each coordinate
@@ -761,7 +820,7 @@ def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
     for g in plan.groups:
         shape = g.norms.shape
         np.dot(c[g.coords].reshape(shape), g.to_children.T, out=y[g.coords].reshape(shape))
-    return np.dot(y.reshape(-1, 3).T, plan.prev).reshape((3,) * n)
+    return _apply_transposed(y.reshape(-1, 3).T, n - 1).reshape((3,) * n)
 
 
 def _record_of(d: Decomposition) -> _Record:

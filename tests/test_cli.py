@@ -66,6 +66,14 @@ def test_random_is_seed_deterministic(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_random_tensor_too_large_to_hold_is_an_input_error(capsys):
+    # an order-30 tensor is 3^30 doubles, 1.46 PiB: its allocation fails at
+    # once, so nothing is taken (at orders 16-22 it may partly succeed)
+    code, out, err = run(capsys, "random", "--order", "30")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
+
+
 def test_decompose_reconstruct_verify_pipeline(tmp_path, capsys):
     t_path = tmp_path / "t.json"
     d_path = tmp_path / "d.json"

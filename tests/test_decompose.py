@@ -55,6 +55,7 @@ from deviatoric.decomposition import (
     _regroup,
     _span_defects,
     _stacked,
+    _sum,
 )
 from deviatoric.serialization import (
     decomposition_from_json,
@@ -896,11 +897,13 @@ def reference_reconstruct(d):
     return total
 
 
-@pytest.mark.parametrize("order", range(8))
+@pytest.mark.parametrize("order", range(9))
 def test_reconstruct_matches_per_part_loop(order):
-    """The sum is one product with E_{n-1}: the images' sum to rounding.
-    Every form of the same deviators sums alike, bit for bit: a hand-built
-    copy, a pickled copy and, up to order 6, a file that gives its images."""
+    """The sum is E_{n-1}^T of the slice sums, applied level by level above
+    the dense base (over two levels at order 8): the images' sum to
+    rounding.  Every form of the same deviators sums alike, bit for bit: a
+    hand-built copy, a pickled copy and, up to order 6, a file that gives
+    its images."""
     d = decompose(np.random.default_rng(63 + order).standard_normal((3,) * order))
     loop = reference_reconstruct(d)
     assert frobenius_norm(reconstruct(d) - loop) <= 10 * np.finfo(float).eps * frobenius_norm(loop)
@@ -909,6 +912,43 @@ def test_reconstruct_matches_per_part_loop(order):
         forms.append(decomposition_from_json(json_with_images(d)))
     for form in forms:
         assert reconstruct(form).tobytes() == reconstruct(d).tobytes()
+
+
+def dense_coordinates(t):
+    """``_coordinates`` with one dense product over E_{n-1}."""
+    plan = _plan(t.ndim)
+    c = np.dot(t.reshape(3, -1), _change_of_basis(t.ndim - 1).T).T.ravel()
+    for g in plan.groups:
+        c_g = c[g.coords].reshape(g.norms.shape)
+        np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
+    return c
+
+
+def dense_sum(c, n):
+    """``_sum`` of the coordinates ``c`` with one dense product over E_{n-1}."""
+    y = np.empty(3**n)
+    for g in _plan(n).groups:
+        shape = g.norms.shape
+        np.dot(c[g.coords].reshape(shape), g.to_children.T, out=y[g.coords].reshape(shape))
+    return np.dot(y.reshape(-1, 3).T, _change_of_basis(n - 1)).reshape((3,) * n)
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_factored_levels_match_the_dense_change_of_basis(order):
+    """Above the dense base, E_{n-1} and its transpose are applied level by
+    level: the coordinates and the sum match one dense product with
+    E_{n-1} to 1e-13 relative, and up to order 6 they are that product,
+    bit for bit."""
+    t = np.random.default_rng(80 + order).standard_normal((3,) * order)
+    plan = _plan(order)
+    c, want = _coordinates(plan, t), dense_coordinates(t)
+    total = _sum(decompose(t)._record.stacks, order, c)
+    want_total = dense_sum(c, order)
+    if order <= decomposition._DENSE_BASE + 1:
+        assert c.tobytes() == want.tobytes()
+        assert total.tobytes() == want_total.tobytes()
+    assert np.linalg.norm(c - want) <= 1e-13 * np.linalg.norm(want)
+    assert frobenius_norm(total - want_total) <= 1e-13 * frobenius_norm(want_total)
 
 
 def test_repeated_counts_row_holds_no_memory():
@@ -1604,7 +1644,7 @@ def test_stacked_image_products_match_the_per_parent_loop(order):
 def test_plan_arrays_are_read_only(order):
     plan = _plan(order)
     arrays = [a for _, index, rows, _ in plan.deviators for a in (index, rows)]
-    arrays.append(plan.row_of)
+    arrays += [plan.row_of, plan.row_at]
     if order:
         arrays.append(plan.prev)
     for g in plan.groups:
