@@ -36,6 +36,17 @@ __all__ = [
 ]
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, not copied if it is one; a complex
+    input, whose cast would drop its imaginary part, raises ``ValueError``."""
+    a = np.asarray(values)
+    if a.dtype != float:
+        if a.dtype.kind == "c":
+            raise ValueError(f"{what} must be real, got dtype {a.dtype}")
+        a = a.astype(float)
+    return a
+
+
 def as_tensor(values, order: int | None = None) -> np.ndarray:
     """Coerce ``values`` to a float tensor of shape ``(3,) * order``.
 
@@ -49,9 +60,10 @@ def as_tensor(values, order: int | None = None) -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        Float64 array of shape ``(3,) * t.ndim``.
+        Float64 array of shape ``(3,) * t.ndim``; a float64 ndarray is
+        returned as it is.  A complex input raises ``ValueError``.
     """
-    t = np.asarray(values, dtype=float)
+    t = _real_array(values, "tensor")
     if any(d != 3 for d in t.shape):
         raise ValueError(f"tensor axes must all have length 3, got shape {t.shape}")
     if order is not None and t.ndim != order:

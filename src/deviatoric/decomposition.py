@@ -32,28 +32,26 @@ regroup into
 
 For a parent slot of order s the regrouping is one fixed 3(2s+1)-square
 matrix, and the images of the parent's children are one product of their
-coefficients with the parent's rows of E_{n-1}.  E_{n-1} itself is applied
-the same way, one level of the recursion at a time, down to the dense base
-E_5 (0.47 MB, ``_DENSE_BASE``): each level passes the slices of all its
-rows one order down in one call (``_apply``, and ``_apply_transposed`` for
-``reconstruct``).  So ``decompose`` and ``reconstruct`` read no matrix
-larger than E_5, not the 9^(n-1) doubles of E_{n-1} (4.3 MB at order 7).
-The matrices E_0 .. E_{n-1} are built once each and cached, for the images
-and the certificate: the rows of E_m are the group products of
-``_plan(m)`` applied to unit coordinates.
+coefficients with the parent's rows of E_{n-1}.  E_n is applied one level
+of the recursion at a time, down to the dense base E_5 (0.47 MB,
+``_DENSE_BASE``): each level passes the slices of all its rows one order
+down in one call.  ``decompose`` is c = ``_apply``(t) / lambda and
+``reconstruct`` is ``_apply_transposed``(c), so they hold only E_0 .. E_5
+(0.53 MB) at any order.  The images and the certificate build E_{n-1} on
+first use: the rows of E_m are the group products of ``_plan(m)`` applied
+to unit coordinates.
 
-The arrays are laid out by group, so that the engine works on all the
-parents of one order s at once:
+The arrays are laid out in two orders:
 
-* E_m takes its slots in order of s, and of J within each s.  So the rows
-  of all the order-s slots of E_{n-1} are one contiguous block, which the
-  group of order-s parents reads as a (parents, 2s+1, 3^(n-1)) view.
-* The coordinates of an order-n decomposition, and its image rows when
-  they are built, are in plan order: grouped by parent order s, then by
-  parent (in order of J), then by child.  So each group builds its
-  children's images with one stacked product into a contiguous block of
-  rows.  ``_layout(n).row_of`` gives the row of each part; ``parts`` and
-  every public order stay in traversal order.
+* Slot order, the row order of E_m: by s, then J.  The coordinates c are
+  in this order, so each order s takes one slice of c, and the rows of
+  the order-s parents of E_{n-1} are one (parents, 2s+1, 3^(n-1)) view.
+* Plan order: by parent order s, then parent, then child.  One level of
+  ``_plan(n)`` works in it, on all the parents of one s at once, and the
+  image rows are in it, each group's one contiguous block.
+  ``_layout(n).row_of`` gives the image row of each part, and
+  ``_Plan.row_at`` and ``position_of`` permute between the two orders;
+  ``parts`` and every public order stay in traversal order.
 
 ``combine_deviator_triple`` maps a triple (d_lo, d_mid, d_hi) of orders
 (n-1, n, n+1) to the order-(n+1) tensor
@@ -450,11 +448,11 @@ def _change_of_basis(n: int) -> np.ndarray:
     if n == 0:
         rows = np.ones((1, 1))
     else:
-        plan = _plan(n)
+        plan, prev = _plan(n), _change_of_basis(n - 1)
         rows = np.empty((3**n, 3**n))
         for g in plan.groups:
             # (parents, 3 width, 3, 3^(n-1)): F_s times each parent's rows
-            products = np.matmul(_regroup(g.width // 2), g.blocks[:, None])
+            products = np.matmul(_regroup(g.width // 2), g.blocks(prev)[:, None])
             rows[plan.row_at[g.coords]] = products.reshape(-1, 3**n)
     rows.flags.writeable = False
     return rows
@@ -465,44 +463,48 @@ class _Group(NamedTuple):
     order-n children.
 
     The parents are a contiguous block of the slots of E_{n-1}, so their
-    rows are one (parents, 2s+1, 3^(n-1)) view ``blocks``, and their
+    rows are one (parents, 2s+1, 3^(n-1)) view (``blocks``), and their
     slice coordinates one block of y, the three products E_{n-1} t[k]
     interleaved: position 3(r+j)+k of y holds (E_{n-1} t[k])_{r+j}.  The
-    children's coordinates take the same positions in c, and their images
-    one block of the image rows: by parent, then by child, each image three
-    consecutive slices.
+    children's coordinates take the same positions in plan order, and their
+    images one block of the image rows: by parent, then by child, each image
+    three consecutive slices.
     """
 
     slots: slice  # the parents among the slots of E_{n-1}
-    coords: slice  # positions of the parents' slice coordinates in y, and of the children's in c
+    coords: slice  # positions of the parents' slice coordinates in y, and of the children's in plan order
     images: slice  # the children's image rows
     to_children: np.ndarray  # (3 width, 3 width): slice coordinates -> E_n t
-    norms: np.ndarray  # (parents, 3 width) lambda of the children's rows
     to_images: np.ndarray  # (3 width, children * 3 width): c -> image coefficients
     width: int  # 2s+1
+    parents: int
     children: int  # children per parent
     pairs: tuple  # np.triu_indices(children, 1): the sibling pairs i < j
-    blocks: np.ndarray  # (parents, width, 3^(n-1)) view of E_{n-1}
+
+    def blocks(self, prev: np.ndarray) -> np.ndarray:
+        """The parents' rows of E_{n-1} ``prev``, a (parents, width, 3^(n-1)) view."""
+        return prev[self.coords.start // 3 : self.coords.stop // 3].reshape(self.parents, self.width, -1)
 
     def coefficients(self, c: np.ndarray) -> np.ndarray:
         """The (parents, 3 children, width) image coefficients of the
-        children's coordinates in ``c``: slice k of the image of child i of
-        parent p is row 3i + k times ``blocks[p]``."""
-        c_g = c[self.coords].reshape(self.norms.shape)
-        return np.dot(c_g, self.to_images).reshape(len(self.blocks), -1, self.width)
+        children's coordinates in ``c``, in plan order: slice k of the image
+        of child i of parent p is row 3i + k times ``blocks[p]``."""
+        c_g = c[self.coords].reshape(self.parents, -1)
+        return np.dot(c_g, self.to_images).reshape(self.parents, -1, self.width)
 
 
 class _Plan(NamedTuple):
     """What ``decompose`` needs for order n, built once per order: the
-    layout and the arrays."""
+    layout, lambda and one level of E_n in factored form."""
 
     orders: tuple[int, ...]  # s of each part, in traversal order
     labels: tuple[int, ...]  # J of each part
     row_of: np.ndarray  # (parts,) the image row of each part
-    prev: np.ndarray | None  # E_{n-1}; None for n = 0
+    lam: np.ndarray  # (3^n,) lambda, the squared norm of each row of E_n
     groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
-    deviators: tuple  # per order s: (s, (J_s,) part indices, (J_s, 2s+1) positions in c, B_s.flat)
-    row_at: np.ndarray  # (3^n,) the row of E_n of each position in c
+    deviators: tuple  # per order s: (s, (J_s,) part indices, its rows of E_n as a slice, B_s.flat)
+    row_at: np.ndarray  # (3^n,) the row of E_n of each position in plan order
+    position_of: np.ndarray  # (3^n,) the position in plan order of each row of E_n
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -513,83 +515,62 @@ def _read_only(*arrays: np.ndarray) -> None:
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
     """The order-n change of basis in factored form, one level over the
-    order-(n-1) one.  ``decompose`` never builds E_n: ``_change_of_basis(n)``
-    builds it from these groups only when an order-(n+1) call needs it, and
-    above ``_DENSE_BASE`` ``_apply`` and ``_apply_transposed`` apply it by
-    these groups.  The plan holds the cached E_{n-1} for lambda, the images
-    and the certificate (``_span_defects``); the coordinates and the sum
-    read it only at n - 1 <= ``_DENSE_BASE``.
+    order-(n-1) one; it holds no row of E.  Above ``_DENSE_BASE``
+    ``_apply`` and ``_apply_transposed`` apply E_n by these groups, and
+    ``_change_of_basis(n)`` builds E_n from them and E_{n-1}.
 
     Row r of E_n, for a child of parent slot p, is sum_j F[r, k, j] times row
     j of E_{n-1, p} in slice k (F = ``_regroup``), so
     (E_n t)_r = sum_{k,j} F[r, k, j] (E_{n-1} t[k])_{p,j} and the image of
     coordinates c is (sum_r c_r F[r, k, :]) E_{n-1, p} in slice k.  The rows
     of E_{n-1, p} are orthogonal (Schur's lemma), so lambda_r =
-    sum_{k,j} F[r, k, j]^2 lam_{p,j}, lam the squared row norms of E_{n-1}.
+    sum_{k,j} F[r, k, j]^2 lam_{p,j}, lam the lambda of ``_plan(n - 1)``.
     """
     layout = _layout(n)
     orders = np.array(layout.orders)
-    # c holds each image row's 2s+1 coordinates, in plan order
+    # each image row's 2s+1 coordinates, in plan order
     by_row = np.argsort(layout.row_of)
     widths = 2 * orders[by_row] + 1
     starts = np.empty(len(orders), dtype=int)
     starts[by_row] = np.cumsum(widths) - widths
-    deviators = []
+    deviators, positions = [], []
+    row = 0
     for s in sorted(set(layout.orders)):
         index = np.flatnonzero(orders == s)
-        positions = starts[index][:, None] + np.arange(2 * s + 1)
-        _read_only(index, positions)
-        deviators.append((s, index, positions, build_basis(s).flat))
-    # the inverse of the slots' positions in c
-    row_at = np.argsort(np.concatenate([p.ravel() for _, _, p, _ in deviators]))
-    _read_only(row_at)
-    plan = _Plan(*layout, None, (), tuple(deviators), row_at)
-    if n == 0:
-        return plan
-
-    prev = _change_of_basis(n - 1)
-    lam = np.einsum("ij,ij->i", prev, prev)
+        positions.append((starts[index][:, None] + np.arange(2 * s + 1)).ravel())
+        rows = slice(row, row + positions[-1].size)
+        _read_only(index)
+        deviators.append((s, index, rows, build_basis(s).flat))
+        row = rows.stop
+    position_of = np.concatenate(positions)
+    row_at = np.argsort(position_of)
+    lam = np.ones(3**n)
     groups = []
     slot = row = image = 0
-    for s, count in enumerate(counts_row(n - 1)):
+    for s, count in enumerate(counts_row(n - 1) if n else ()):
         if not count:
             continue
         width, children = 2 * s + 1, _children(s)
         rows = slice(row, row + count * width)
         f = _regroup(s)  # (3 width, 3, width)
-        norms = lam[rows].reshape(count, width) @ (f * f).sum(axis=1).T
+        coords = slice(3 * rows.start, 3 * rows.stop)
+        lam[coords] = (_plan(n - 1).lam[rows].reshape(count, width) @ (f * f).sum(axis=1).T).ravel()
         to_children = f.transpose(2, 1, 0).reshape(3 * width, 3 * width)
         # row r of c_g, a coordinate of child i, puts F[r] in column block i
         child = np.repeat(np.arange(len(children)), [2 * c + 1 for c in children])
         to_images = np.zeros((3 * width, len(children), 3 * width))
         to_images[np.arange(3 * width), child] = f.reshape(3 * width, -1)
         to_images = to_images.reshape(3 * width, -1)
-        blocks = prev[rows].reshape(count, width, -1)
         pairs = np.triu_indices(len(children), 1)
-        _read_only(to_children, norms, to_images, *pairs)
+        _read_only(to_children, to_images, *pairs)
         groups.append(_Group(
-            slice(slot, slot + count), slice(3 * rows.start, 3 * rows.stop),
-            slice(image, image + count * len(children)), to_children, norms, to_images,
-            width, len(children), pairs, blocks,
+            slice(slot, slot + count), coords, slice(image, image + count * len(children)),
+            to_children, to_images, width, count, len(children), pairs,
         ))
         slot, row, image = slot + count, rows.stop, image + count * len(children)
-    return plan._replace(prev=prev, groups=tuple(groups))
-
-
-def _coordinates(plan: _Plan, t: np.ndarray) -> np.ndarray:
-    """The coordinates c = E_n t / lambda of an order-n ``t``, in plan
-    order, from the order-n ``plan``: E_{n-1} of the three slices
-    (``_apply``: one dense product up to n - 1 = ``_DENSE_BASE``, level by
-    level above it), then two small products per group."""
-    if t.ndim == 0:
-        return np.array([float(t)])
-    # y[3r + k] = (E_{n-1} t[k])_r, the three slices in one call of
-    # ``_apply``; each group then overwrites its block with the coordinates
-    c = _apply(t.reshape(3, -1), t.ndim - 1).T.ravel()
-    for g in plan.groups:
-        c_g = c[g.coords].reshape(g.norms.shape)
-        np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
-    return c
+    lam = lam[position_of]  # from plan order to slot order
+    _read_only(lam, row_at, position_of)
+    return _Plan(*layout, lam, tuple(groups), tuple(deviators), row_at, position_of)
 
 
 # The largest order whose E_m is applied as one dense product.  E_5, 0.47 MB,
@@ -608,8 +589,8 @@ def _apply(x: np.ndarray, m: int) -> np.ndarray:
     level of ``_plan(m)``: the 3N slices of the rows go one order down in
     one call, their coordinates are interleaved into the y of
     ``_Group`` (position 3r + k, slice k), each group takes one batched
-    product with ``to_children``, and the products are written from plan
-    order to their rows of E_m (``_Plan.row_at``)."""
+    product with ``to_children``, and the products, in plan order, are
+    taken in slot order (``_Plan.position_of``)."""
     if m <= _DENSE_BASE:
         return np.dot(x, _change_of_basis(m).T)
     plan, count = _plan(m), len(x)
@@ -617,11 +598,9 @@ def _apply(x: np.ndarray, m: int) -> np.ndarray:
     y = y.reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
     z = np.empty_like(y)
     for g in plan.groups:
-        shape = (count,) + g.norms.shape
+        shape = (count, g.parents, 3 * g.width)
         np.matmul(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
-    out = np.empty_like(z)
-    out[:, plan.row_at] = z
-    return out
+    return np.take(z, plan.position_of, axis=1)
 
 
 def _apply_transposed(z: np.ndarray, m: int) -> np.ndarray:
@@ -635,22 +614,24 @@ def _apply_transposed(z: np.ndarray, m: int) -> np.ndarray:
     z = np.take(z, plan.row_at, axis=1)  # in plan order
     y = np.empty_like(z)
     for g in plan.groups:
-        shape = (count,) + g.norms.shape
+        shape = (count, g.parents, 3 * g.width)
         np.matmul(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
     y = y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)
     return _apply_transposed(y, m - 1).reshape(count, -1)
 
 
-def _images(plan: _Plan, c: np.ndarray) -> np.ndarray:
-    """The new (parts, 3^n) array of the embedded images of the coordinates
-    ``c`` of the order-n ``plan``, in plan order: one stacked product per
-    group."""
-    if plan.prev is None:
+def _images(c: np.ndarray, n: int) -> np.ndarray:
+    """The new (parts, 3^n) array of the embedded images of the order-n
+    coordinates ``c``, in plan order: one stacked product per group with
+    its parents' rows of E_{n-1}, which this builds if it is not cached."""
+    if n == 0:
         return c.reshape(1, 1).copy()
+    plan, prev = _plan(n), _change_of_basis(n - 1)
+    c = c[plan.row_at]
     images = np.empty((len(plan.orders), len(c)))
     for g in plan.groups:
-        out = images[g.images].reshape(len(g.blocks), -1, len(plan.prev))
-        np.matmul(g.coefficients(c), g.blocks, out=out)
+        out = images[g.images].reshape(g.parents, -1, len(prev))
+        np.matmul(g.coefficients(c), g.blocks(prev), out=out)
     return images
 
 
@@ -665,10 +646,10 @@ def _rows_of(record: _Record, n: int) -> np.ndarray:
     plan = _plan(n)
     c = _deviator_coordinates(plan, record.stacks, n)
     if _in_gram_range(c):
-        rows = _images(plan, c)
+        rows = _images(c, n)
     else:
         stacks, shift = _scaled_stacks(record.stacks, n)
-        rows = _images(plan, _deviator_coordinates(plan, stacks, n))
+        rows = _images(_deviator_coordinates(plan, stacks, n), n)
         with np.errstate(over="ignore", under="ignore"):
             np.ldexp(rows, shift[:, None], out=rows)
     rows.flags.writeable = False
@@ -778,9 +759,10 @@ def decompose(t) -> Decomposition:
     if not np.isfinite(t).all():
         raise ValueError("tensor has a non-finite entry")
     plan = _plan(t.ndim)
-    c = _coordinates(plan, t)
+    c = _apply(t.reshape(1, -1), t.ndim)[0] / plan.lam
     # a list first, as in ``Decomposition.__getattr__``
-    stacks = tuple([(s, index, np.dot(c[rows], basis)) for s, index, rows, basis in plan.deviators])
+    stacks = tuple([(s, index, np.dot(c[rows].reshape(len(index), -1), basis))
+                    for s, index, rows, basis in plan.deviators])
     return _from_record(t.ndim, _Record(stacks, 0.0))
 
 
@@ -798,29 +780,16 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 
 def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
     """The sum of the images of the deviators ``stacks`` of an order-n
-    record: E_{n-1}^T of the slice sums (``_apply_transposed``: one dense
-    product up to n - 1 = ``_DENSE_BASE``, level by level above it).
-
-    Slice k of the images of a parent's children is the sum of their slice-k
-    image coefficients times the parent's rows of E_{n-1}.  Each coordinate
-    r of the children adds c_r F[r, k, :] to that sum, so the sums of a
-    group are its coordinates c times the transpose of
-    ``_Group.to_children``, laid out as the slice coordinates y, and the
-    tensor is Y E_{n-1}, slice by slice.  c are the deviators' coordinates
-    (``_deviator_coordinates``), taken here unless given: ``verify`` takes
-    them once for this sum and its certificate.  An in-place edit of a
-    deviator reaches the sum through them.
+    record: E_n^T c (``_apply_transposed``: one dense product up to
+    ``_DENSE_BASE``, level by level above it), as each image is c_p E_p.
+    c are the deviators' coordinates (``_deviator_coordinates``), taken
+    here unless given: ``verify`` takes them once for this sum and its
+    certificate.  An in-place edit of a deviator reaches the sum through
+    them.
     """
-    plan = _plan(n)
     if c is None:
-        c = _deviator_coordinates(plan, stacks, n)
-    if n == 0:
-        return c.reshape(())
-    y = np.empty(3**n)
-    for g in plan.groups:
-        shape = g.norms.shape
-        np.dot(c[g.coords].reshape(shape), g.to_children.T, out=y[g.coords].reshape(shape))
-    return _apply_transposed(y.reshape(-1, 3).T, n - 1).reshape((3,) * n)
+        c = _deviator_coordinates(_plan(n), stacks, n)
+    return _apply_transposed(c.reshape(1, -1), n).reshape((3,) * n)
 
 
 def _record_of(d: Decomposition) -> _Record:
@@ -909,7 +878,8 @@ def _span_defects(n: int) -> _SpanDefects:
     sigma_p, and eta is the largest |B_p B_q^T|_F / sqrt(sigma_p sigma_q)
     over p != q.  Both come from one product per pair g <= h of the plan's
     groups, the slot-order blocks of E_{n-1} (``_Group.blocks``), so no
-    3^(n-1) x 3^(n-1) product is held.
+    3^(n-1) x 3^(n-1) product is held; E_{n-1} itself is built if it is
+    not cached.
 
     The certificate's own products round: the 3w-term coefficient Gram by
     at most (3w + 2) eps of the norms, which is added to delta_p, and the
@@ -926,8 +896,7 @@ def _span_defects(n: int) -> _SpanDefects:
     entries, that is ``underflow`` 2^-1075 / (2^k |a_i|) of its norm, since
     the exact product's is at least sqrt(sigma_p) |a_i|.
     """
-    plan = _plan(n)
-    groups = plan.groups
+    groups, prev = _plan(n).groups, _change_of_basis(n - 1)
     count = groups[-1].slots.stop
     lam, sigma, delta = np.empty((3, count))
     squares = np.zeros((count, count))  # |B_p B_q^T|_F^2, for p and q in groups g <= h
@@ -935,12 +904,12 @@ def _span_defects(n: int) -> _SpanDefects:
     eps = np.finfo(float).eps
     for i, g in enumerate(groups):
         slack[g.images] = g.width**1.5 * eps
-        rows = g.blocks.reshape(-1, g.blocks.shape[-1])
+        rows = g.blocks(prev).reshape(-1, len(prev))
         for h in groups[i:]:
-            gram = rows @ h.blocks.reshape(-1, h.blocks.shape[-1]).T
-            gram = gram.reshape(len(g.blocks), g.width, len(h.blocks), h.width)
+            gram = rows @ h.blocks(prev).reshape(-1, len(prev)).T
+            gram = gram.reshape(g.parents, g.width, h.parents, h.width)
             if h is g:  # B_p B_p^T of each parent
-                own = gram[np.arange(len(g.blocks)), :, np.arange(len(g.blocks))]
+                own = gram[np.arange(g.parents), :, np.arange(g.parents)]
                 lam[g.slots] = np.trace(own, axis1=1, axis2=2) / g.width
                 defect = own - lam[g.slots, None, None] * np.eye(g.width)
                 defect = np.linalg.norm(defect, axis=(1, 2))
@@ -953,7 +922,7 @@ def _span_defects(n: int) -> _SpanDefects:
     eta = float(np.sqrt(np.max(squares / np.outer(sigma, sigma))))
     siblings, parent = [], []  # a group of one child per parent has no pair
     for g in groups:
-        first = g.images.start + g.children * np.arange(len(g.blocks))[:, None]
+        first = g.images.start + g.children * np.arange(g.parents)[:, None]
         siblings.append(np.stack([(first + g.pairs[0]).ravel(), (first + g.pairs[1]).ravel()]))
         parent.append(np.repeat(np.arange(g.slots.start, g.slots.stop), len(g.pairs[0])))
     siblings, parent = np.concatenate(siblings, axis=1), np.concatenate(parent)
@@ -1076,12 +1045,13 @@ def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
     those of every sibling pair i < j, in the order of
     ``_SpanDefects.siblings``, and the diagonal |a_i|^2, in plan order.  At
     order 0 the one image is its one coordinate."""
-    if plan.prev is None:
+    if not plan.groups:
         return np.empty(0), c * c
+    c = c[plan.row_at]
     dots = []
     squares = np.empty(len(plan.orders))
     for g in plan.groups:
-        a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
+        a = g.coefficients(c).reshape(g.parents, g.children, -1)
         gram = np.matmul(a, a.transpose(0, 2, 1))
         dots.append(gram[:, g.pairs[0], g.pairs[1]].ravel())
         squares[g.images] = gram.diagonal(0, 1, 2).ravel()
@@ -1103,20 +1073,21 @@ def _image_norm_bounds(stacks, n: int) -> np.ndarray:
         return _scaled_back(shift, np.abs(c))[0]
     defects = _span_defects(n)
     stretch = np.sqrt(2.0 * defects.lam - defects.sigma)
+    c = c[plan.row_at]
     norms = np.empty(len(plan.orders))
     for g in plan.groups:
-        a = g.coefficients(c).reshape(len(g.blocks), g.children, -1)
+        a = g.coefficients(c).reshape(g.parents, g.children, -1)
         norms[g.images] = (np.linalg.norm(a, axis=2) * stretch[g.slots, None]).ravel()
     return _scaled_back(shift, norms)[0]
 
 
 def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
     """The 3^n coordinates c of the deviators ``stacks`` of a record in the
-    layout of the order-n ``plan``, in plan order: each deviator times
+    layout of the order-n ``plan``, in slot order: each deviator times
     B_s^T, the c of ``decompose`` to rounding."""
     c = np.empty(3**n)
-    for (_, _, stack), (_, _, positions, basis) in zip(stacks, plan.deviators):
-        c[positions] = np.dot(stack, basis.T)
+    for (_, _, stack), (_, _, rows, basis) in zip(stacks, plan.deviators):
+        c[rows] = np.dot(stack, basis.T).ravel()
     return c
 
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import lift_kernel4
-from .core import _project, _scaled_back, _scaled_rows, as_tensor, epsilon
+from .core import _project, _real_array, _scaled_back, _scaled_rows, as_tensor, epsilon
 from .harmonic import from_coords
 
 __all__ = [
@@ -414,8 +414,17 @@ def stiffness_reconstruct(sd: StiffnessDeviators) -> np.ndarray:
 
 
 def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
-    """Isotropic stiffness tensor with the given Lame coefficients."""
-    return _stiffness_base(float(lam), float(mu), np.zeros((3, 3)), np.zeros((3, 3)))
+    """Isotropic stiffness tensor with the given Lame coefficients, summed
+    on ``_common_scaled`` values, as ``stiffness_reconstruct`` sums: +-inf
+    beyond the float range, no warning.  Raises ``ValueError`` for a NaN or
+    +-inf coefficient."""
+    lam, mu = float(lam), float(mu)
+    for name, value in (("lam", lam), ("mu", mu)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    (lam, mu), exponent = _common_scaled(lam, mu)
+    zero = np.zeros((3, 3))
+    return _scaled_back(exponent, _stiffness_base(lam, mu, zero, zero))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +446,9 @@ def voigt_to_tensor(m) -> np.ndarray:
     """Stiffness tensor of a symmetric 6x6 Voigt matrix; pure relabeling.
 
     Symmetry is checked relative to the largest entry; the zero matrix
-    passes, NaN and +-inf entries fail.
+    passes, NaN and +-inf entries fail, and so does a complex matrix.
     """
-    m = np.asarray(m, dtype=float)
+    m = _real_array(m, "Voigt matrix")
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
     _check_symmetries(m, "Voigt matrix", ((1, 0), "Voigt matrix must be symmetric"))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _scaled_rows, as_tensor
+from .core import _real_array, _scaled_rows, as_tensor
 
 __all__ = ["check_rotation", "rotate", "rotation_about", "random_rotation"]
 
@@ -17,8 +17,9 @@ _ORTHO_TOL = 1e-12
 
 
 def check_rotation(r) -> np.ndarray:
-    """Validate a proper rotation matrix and return it as float64."""
-    r = np.asarray(r, dtype=float)
+    """Validate a proper rotation matrix and return it as float64; a
+    complex matrix is rejected."""
+    r = _real_array(r, "rotation")
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     if not np.max(np.abs(r @ r.T - np.eye(3))) <= _ORTHO_TOL:

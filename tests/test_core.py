@@ -44,6 +44,25 @@ def test_as_tensor_rejects_bad_shapes():
         as_tensor(np.zeros((3, 3)), order=3)
 
 
+@pytest.mark.parametrize(
+    "values", [[3j, 4, 0], 1j * np.ones((3, 3)), np.zeros(3, dtype=complex), 2j],
+    ids=["list", "array", "complex zeros", "scalar"],
+)
+def test_as_tensor_rejects_complex_input(values):
+    # a cast to float would drop the imaginary part, giving |[3j, 4, 0]| = 4
+    with pytest.raises(ValueError, match="tensor must be real, got dtype complex"):
+        as_tensor(values)
+    with pytest.raises(ValueError, match="must be real"):
+        frobenius_norm(values)
+
+
+def test_as_tensor_keeps_a_float64_array():
+    t = np.arange(27.0).reshape(3, 3, 3)
+    assert as_tensor(t) is t
+    for values in ([1, 2, 3], np.arange(3, dtype=np.float32), [True, False, True]):
+        assert as_tensor(values).dtype == np.float64
+
+
 def test_outer_orders_add():
     t = outer(V, V)
     assert t.ndim == 2

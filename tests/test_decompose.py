@@ -40,12 +40,14 @@ from deviatoric import decomposition
 from deviatoric.core import frobenius_norm
 from deviatoric.decomposition import (
     _certified_cross_correlation,
+    _apply,
+    _apply_transposed,
     _change_of_basis,
-    _coordinates,
     _deviator_coordinates,
     _images,
     _forward,
     _from_record,
+    _image_norm_bounds,
     _layout,
     _pair_bound,
     _Record,
@@ -177,7 +179,7 @@ def test_engine_matches_reference_recursion(order):
 @pytest.mark.parametrize("order", range(7))
 def test_change_of_basis_rows_are_orthogonal(order):
     # E E^T = diag(lambda), with lambda constant on each slot (Schur's lemma)
-    rows, norms = _change_of_basis(order), plan_norms(order)
+    rows, norms = _change_of_basis(order), _plan(order).lam
     assert rows.shape == (3**order, 3**order)
     assert not rows.flags.writeable  # the plan's arrays: test_plan_arrays_are_read_only
     gram = rows @ rows.T
@@ -914,39 +916,53 @@ def test_reconstruct_matches_per_part_loop(order):
         assert reconstruct(form).tobytes() == reconstruct(d).tobytes()
 
 
+def coordinates(t):
+    """The coordinates c = E_n t / lambda of ``decompose``, in slot order."""
+    return _apply(t.reshape(1, -1), t.ndim)[0] / _plan(t.ndim).lam
+
+
 def dense_coordinates(t):
-    """``_coordinates`` with one dense product over E_{n-1}."""
+    """``coordinates`` with one level of ``_plan`` over one dense product
+    with E_{n-1}."""
     plan = _plan(t.ndim)
-    c = np.dot(t.reshape(3, -1), _change_of_basis(t.ndim - 1).T).T.ravel()
+    y = np.dot(t.reshape(3, -1), _change_of_basis(t.ndim - 1).T).T.ravel()
+    z = np.empty_like(y)
     for g in plan.groups:
-        c_g = c[g.coords].reshape(g.norms.shape)
-        np.divide(np.dot(c_g, g.to_children), g.norms, out=c_g)
-    return c
+        shape = (g.parents, 3 * g.width)
+        np.dot(y[g.coords].reshape(shape), g.to_children, out=z[g.coords].reshape(shape))
+    return z[plan.position_of] / plan.lam
 
 
 def dense_sum(c, n):
-    """``_sum`` of the coordinates ``c`` with one dense product over E_{n-1}."""
+    """``_sum`` of the coordinates ``c`` with one level of ``_plan`` over
+    one dense product with E_{n-1}."""
+    plan = _plan(n)
+    c = c[plan.row_at]
     y = np.empty(3**n)
-    for g in _plan(n).groups:
-        shape = g.norms.shape
+    for g in plan.groups:
+        shape = (g.parents, 3 * g.width)
         np.dot(c[g.coords].reshape(shape), g.to_children.T, out=y[g.coords].reshape(shape))
     return np.dot(y.reshape(-1, 3).T, _change_of_basis(n - 1)).reshape((3,) * n)
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_factored_levels_match_the_dense_change_of_basis(order):
-    """Above the dense base, E_{n-1} and its transpose are applied level by
-    level: the coordinates and the sum match one dense product with
-    E_{n-1} to 1e-13 relative, and up to order 6 they are that product,
-    bit for bit."""
+    """Above the dense base, E_n and its transpose are applied level by
+    level: the coordinates and the sum match one level over one dense
+    product with E_{n-1} to 1e-13 relative, and at the first order above
+    the dense base they are that product, bit for bit.  Up to the dense
+    base they are one product with E_n itself."""
     t = np.random.default_rng(80 + order).standard_normal((3,) * order)
-    plan = _plan(order)
-    c, want = _coordinates(plan, t), dense_coordinates(t)
+    c, want = coordinates(t), dense_coordinates(t)
     total = _sum(decompose(t)._record.stacks, order, c)
     want_total = dense_sum(c, order)
-    if order <= decomposition._DENSE_BASE + 1:
+    if order == decomposition._DENSE_BASE + 1:
         assert c.tobytes() == want.tobytes()
         assert total.tobytes() == want_total.tobytes()
+    if order <= decomposition._DENSE_BASE:
+        rows = _change_of_basis(order)
+        assert c.tobytes() == (np.dot(t.reshape(1, -1), rows.T)[0] / _plan(order).lam).tobytes()
+        assert total.tobytes() == np.dot(c.reshape(1, -1), rows).reshape(t.shape).tobytes()
     assert np.linalg.norm(c - want) <= 1e-13 * np.linalg.norm(want)
     assert frobenius_norm(total - want_total) <= 1e-13 * frobenius_norm(want_total)
 
@@ -1193,7 +1209,7 @@ def reference_record_bound(d):
     n = d.order
     plan = _plan(n)
     c = _deviator_coordinates(plan, d._record.stacks, n)
-    coefficients = [g.coefficients(c) for g in plan.groups]
+    coefficients = [g.coefficients(c[plan.row_at]) for g in plan.groups]
     squares = c * c
     if n:
         squares = np.empty(len(plan.orders))
@@ -1223,6 +1239,17 @@ def reference_record_bound(d):
         i, j = g.pairs
         worst = max(worst, _pair_bound(inspan[:, i, j], r[:, i], r[:, j]).max())
     return float(worst)
+
+
+@pytest.mark.parametrize("order", range(8))
+def test_image_norm_bounds_bound_each_image(order):
+    """The bound of each image norm from its coefficients alone holds for
+    the image ``parts`` builds, row for row, up to the rounding of the
+    image and of its norm (a few ulp), and is within 1e-12 of it."""
+    d = decompose(np.random.default_rng(496 + order).standard_normal((3,) * order))
+    bounds = _image_norm_bounds(d._record.stacks, order)
+    norms = np.linalg.norm(_rows_of(d._record, order), axis=1)
+    assert np.all(norms <= (1.0 + 1e-14) * bounds) and np.all(bounds <= (1.0 + 1e-12) * norms)
 
 
 @pytest.mark.parametrize("order", range(9))
@@ -1480,6 +1507,7 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
     first and the last slot."""
     plan = _plan(order)
     true = _change_of_basis(order - 1)
+    build = _change_of_basis
     # the slots of E_{n-1} in its row order, and the part index of each
     widths = [2 * s + 1 for s in sorted(part_orders(order - 1))]
     starts = np.cumsum([0] + widths)
@@ -1488,14 +1516,15 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
     for g in plan.groups:
         assert g.children == (1 if g.width == 1 else 3)
         assert g.coords == slice(3 * starts[g.slots.start], 3 * starts[g.slots.stop])
-        assert np.array_equal(g.blocks, true[starts[g.slots.start] : starts[g.slots.stop]].reshape(
-            g.blocks.shape))
+        assert g.parents == g.slots.stop - g.slots.start
+        assert np.array_equal(g.blocks(true), true[starts[g.slots.start] : starts[g.slots.stop]].reshape(
+            g.parents, g.width, -1))
         children = first_child[parents[g.slots]][:, None] + np.arange(g.children)
         rows = np.arange(g.images.start, g.images.stop).reshape(children.shape)
         assert np.array_equal(plan.row_of[children], rows)
     first, second = plan.groups[:2]
     pairs = [(first.slots.start, second.slots.stop - 1), (0, len(widths) - 1)]
-    shared = [g for g in plan.groups if len(g.blocks) > 1]
+    shared = [g for g in plan.groups if g.parents > 1]
     if shared:
         pairs.append((shared[0].slots.start, shared[0].slots.stop - 1))
     assert len(pairs) == (2 if order == 3 else 3)
@@ -1503,14 +1532,9 @@ def test_span_defects_match_the_whole_gram(order, monkeypatch):
         for p, q in pairs:
             prev = true.copy()
             prev[starts[p]] += 1e-6 * prev[starts[q]]
-            # the group blocks of the patched plan view the planted copy of E_{n-1}
-            groups = tuple(
-                g._replace(blocks=prev[starts[g.slots.start] : starts[g.slots.stop]].reshape(
-                    g.blocks.shape))
-                for g in plan.groups
-            )
-            planted = plan._replace(prev=prev, groups=groups)
-            monkeypatch.setattr(decomposition, "_plan", lambda n: planted)
+            # the group blocks are views of the planted copy of E_{n-1}
+            monkeypatch.setattr(decomposition, "_change_of_basis",
+                                lambda n: prev if n == order - 1 else build(n))
             lam, delta, eta = whole_gram_defects(prev, widths)
             _span_defects.cache_clear()
             got = _span_defects(order)
@@ -1565,30 +1589,8 @@ def test_reconstruct_validates_order():
 
 
 # ---------------------------------------------------------------------------
-# the factored change of basis: decompose applies E_n through the order n-1
-# matrix and never builds E_n
-
-
-def coordinate_positions(plan):
-    """The positions in c of each part's coordinates, in part order."""
-    positions = [None] * len(plan.orders)
-    for _, index, rows, _ in plan.deviators:
-        for i, r in zip(index, rows):
-            positions[i] = r
-    return positions
-
-
-def plan_norms(order):
-    """lambda of E_n, gathered from the groups of ``_plan`` and put in the
-    row order of E_n."""
-    plan = _plan(order)
-    in_c = np.ones(3**order)
-    for g in plan.groups:
-        in_c[g.coords] = g.norms.ravel()
-    norms = np.empty(3**order)
-    for start, positions in zip(slot_starts(order), coordinate_positions(plan)):
-        norms[start : start + len(positions)] = in_c[positions]
-    return norms
+# the factored change of basis: decompose and reconstruct apply E_n level by
+# level over the dense base E_5 and build no E above it
 
 
 def relative(got, want):
@@ -1597,28 +1599,33 @@ def relative(got, want):
 
 @pytest.mark.parametrize("order", range(1, 8))
 def test_factored_path_matches_materialized_change_of_basis(order):
+    """lambda from the recursion is the squared row norms of E_n, the
+    coordinates are E_n t / lambda in the row order of E_n, each order s
+    taking one slice, and the two permutations of the plan are inverse."""
     plan = _plan(order)
     rows = _change_of_basis(order)
     # squared row norms of E_n, summed in extended precision
     wide = rows.astype(np.longdouble)
     norms = np.einsum("ij,ij->i", wide, wide).astype(float)
-    assert np.max(np.abs(plan_norms(order) - norms) / norms) <= 1e-14
+    assert np.max(np.abs(plan.lam - norms) / norms) <= 1e-14
     labels, starts = part_orders(order), slot_starts(order)
     assert plan.orders == labels
     assert plan.labels == tuple(labels[: i + 1].count(s) for i, s in enumerate(labels))
+    for s, index, slots, _ in plan.deviators:
+        assert np.array_equal(starts[index], np.arange(slots.start, slots.stop, 2 * s + 1))
+    assert np.array_equal(plan.row_at[plan.position_of], np.arange(3**order))
     for seed in range(3):
         t = np.random.default_rng(900 + 10 * order + seed).standard_normal((3,) * order)
         c_ref = (rows @ t.ravel()) / norms
-        c = _coordinates(plan, t)
-        images = _images(plan, c)
+        c = coordinates(t)
+        images = _images(c, order)
         parts = decompose(t).parts
         assert [(p.s, p.J) for p in parts] == list(zip(plan.orders, plan.labels))
-        positions = coordinate_positions(plan)
         for i, p in enumerate(parts):
             start = starts[i]
             stop = start + 2 * p.s + 1
             c_p = c_ref[start:stop]
-            assert relative(c[positions[i]], c_p) <= 1e-13
+            assert relative(c[start:stop], c_p) <= 1e-13
             assert relative(p.deviator.ravel(), c_p @ build_basis(p.s).flat) <= 1e-13
             image = c_p @ rows[start:stop]
             assert relative(images[plan.row_of[i]], image) <= 1e-13
@@ -1630,40 +1637,48 @@ def test_stacked_image_products_match_the_per_parent_loop(order):
     """Each group's one stacked product gives the images that one product
     per parent gave, value for value."""
     plan = _plan(order)
+    prev = _change_of_basis(order - 1)
     t = np.random.default_rng(910 + order).standard_normal((3,) * order)
-    c = _coordinates(plan, t)
-    images = _images(plan, c)
+    c = coordinates(t)
+    images = _images(c, order)
+    c = c[plan.row_at]  # in plan order
     for g in plan.groups:
-        coeffs = np.dot(c[g.coords].reshape(g.norms.shape), g.to_images)
-        got = images[g.images].reshape(len(g.blocks), -1, 3 ** (order - 1))
-        for a, block, rows in zip(coeffs.reshape(len(g.blocks), -1, g.width), g.blocks, got):
+        coeffs = np.dot(c[g.coords].reshape(g.parents, -1), g.to_images)
+        got = images[g.images].reshape(g.parents, -1, 3 ** (order - 1))
+        for a, block, rows in zip(coeffs.reshape(g.parents, -1, g.width), g.blocks(prev), got):
             assert np.array_equal(rows, np.dot(a, block))
+
+
+def plan_arrays(plan):
+    arrays = [index for _, index, _, _ in plan.deviators]
+    arrays += [plan.row_of, plan.lam, plan.row_at, plan.position_of]
+    for g in plan.groups:
+        arrays += [g.to_children, g.to_images, *g.pairs]
+    return arrays
 
 
 @pytest.mark.parametrize("order", range(8))
 def test_plan_arrays_are_read_only(order):
-    plan = _plan(order)
-    arrays = [a for _, index, rows, _ in plan.deviators for a in (index, rows)]
-    arrays += [plan.row_of, plan.row_at]
-    if order:
-        arrays.append(plan.prev)
-    for g in plan.groups:
-        arrays += [g.to_children, g.norms, g.to_images, *g.pairs, g.blocks]
-    assert all(not a.flags.writeable for a in arrays)
+    assert all(not a.flags.writeable for a in plan_arrays(_plan(order)))
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_group_blocks_are_views_of_the_change_of_basis(order):
     """Each group reads its parents' rows of the one cached E_{n-1}, as one
-    (parents, 2s+1, 3^(n-1)) block, and holds no copy of them."""
+    (parents, 2s+1, 3^(n-1)) view, and the plan holds no row of E: none of
+    its arrays has more than 3^n entries, or those of the widest group's
+    (3w, 9w) ``to_images``."""
     plan = _plan(order)
     prev = _change_of_basis(order - 1)
-    assert plan.prev is prev
     for g in plan.groups:
-        assert np.shares_memory(g.blocks, prev)
-        assert g.blocks.shape == (g.slots.stop - g.slots.start, g.width, 3 ** (order - 1))
+        blocks = g.blocks(prev)
+        assert np.shares_memory(blocks, prev)
+        assert blocks.shape == (g.slots.stop - g.slots.start, g.width, 3 ** (order - 1))
         rows = prev[g.coords.start // 3 : g.coords.stop // 3]
-        assert np.array_equal(g.blocks.reshape(rows.shape), rows)
+        assert np.array_equal(blocks.reshape(rows.shape), rows)
+    arrays = plan_arrays(plan)
+    assert not any(np.shares_memory(a, prev) for a in arrays)
+    assert max(a.size for a in arrays) <= max(3**order, 27 * (2 * order - 1) ** 2)
 
 
 def clear_decomposition_caches():
@@ -1671,22 +1686,42 @@ def clear_decomposition_caches():
         cache.cache_clear()
 
 
-def test_decompose_holds_only_the_lower_order_change_of_basis():
-    t = np.random.default_rng(48).standard_normal((3,) * 7)
-    build_basis(7)
+def cold_round_trip(order, seed):
+    """A random order-``order`` tensor, its ``decompose``, the
+    ``reconstruct`` of that and the peak of the memory they traced, from
+    cleared caches.  The deviator bases are built first: they are cached
+    by ``harmonic`` for every caller."""
+    t = np.random.default_rng(seed).standard_normal((3,) * order)
+    build_basis(order)
     clear_decomposition_caches()
     tracemalloc.start()
     try:
         d = decompose(t)
+        back = reconstruct(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # E_0 .. E_6; E_7 alone would take 3^14 * 8 bytes = 38 MB
-    assert _change_of_basis.cache_info().currsize == 7
-    assert _change_of_basis(6).nbytes == 9**6 * 8
-    # E_6 (4.3 MB) and E_5; no image is written
-    assert peak < 20 * 2**20
+    return t, d, back, peak
+
+
+def test_decompose_holds_only_the_lower_order_change_of_basis():
+    t, d, back, peak = cold_round_trip(7, 48)
+    # E_0 .. E_5 (0.6 MB); E_6 alone would take 3^12 * 8 bytes = 4.3 MB
+    assert _change_of_basis.cache_info().currsize == 6
+    assert _change_of_basis(5).nbytes == 9**5 * 8
+    assert peak < 2 * 2**20  # no image is written
+    assert frobenius_norm(back - t) <= 1e-14 * frobenius_norm(t)
     assert verify(d, t).passes(1e-12)
+
+
+@pytest.mark.parametrize("order, megabytes", [(8, 4), (9, 12)])
+def test_high_order_round_trip_holds_only_the_dense_base(order, megabytes):
+    """Order 8 and 9 ``decompose`` and ``reconstruct`` build no change of
+    basis above E_5: E_7 would take 38 MB and E_8 344 MB."""
+    t, _, back, peak = cold_round_trip(order, 47 + order)
+    assert _change_of_basis.cache_info().currsize == 6
+    assert peak < megabytes * 2**20
+    assert frobenius_norm(back - t) <= 1e-14 * frobenius_norm(t)
 
 
 def test_warm_decompose_writes_no_image():

@@ -360,6 +360,35 @@ def test_voigt_rejects_bad_input():
     skew[0, 1] = 1.0
     with pytest.raises(ValueError):
         voigt_to_tensor(skew)
+    with pytest.raises(ValueError, match="Voigt matrix must be real"):
+        voigt_to_tensor(np.eye(6, dtype=complex))
+
+
+def test_complex_tensors_are_rejected():
+    # a cast to float would drop the imaginary part, and verify would pass
+    t = 1j * np.random.default_rng(37).standard_normal((3, 3, 3))
+    with pytest.raises(ValueError, match="tensor must be real"):
+        decompose(t)
+    with pytest.raises(ValueError, match="tensor must be real"):
+        stiffness_decompose(isotropic_stiffness(2.0, 1.0) + 0j)
+
+
+@pytest.mark.parametrize("lam, mu, name", [
+    (np.nan, 1.0, "lam"), (np.inf, 1.0, "lam"), (1.0, np.nan, "mu"), (1.0, -np.inf, "mu"),
+])
+def test_isotropic_stiffness_rejects_non_finite_coefficients(lam, mu, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        isotropic_stiffness(lam, mu)
+
+
+def test_isotropic_stiffness_overflows_to_inf_without_a_warning():
+    # C_1111 = lambda + 2 mu lies beyond the float range; the others do not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = isotropic_stiffness(1e308, 1e308)
+        assert np.array_equal(isotropic_stiffness(2.0, 1.0), 2.0 * isotropic_stiffness(1.0, 0.5))
+    assert c[0, 0, 0, 0] == np.inf and not np.isnan(c).any()
+    assert c[0, 0, 1, 1] == 1e308 and c[0, 1, 0, 1] == 1e308
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,14 @@ def test_check_rotation_rejects_improper_and_skew():
         rotate(np.ones((3, 3)), nan)
 
 
+def test_rotation_rejects_complex_input():
+    # a cast to float would rotate 1j * ones(3) into zeros
+    with pytest.raises(ValueError, match="rotation must be real"):
+        check_rotation(np.eye(3, dtype=complex))
+    with pytest.raises(ValueError, match="tensor must be real"):
+        rotate(1j * np.ones(3), np.eye(3))
+
+
 def test_random_rotation_seeded_and_proper():
     a = random_rotation(np.random.default_rng(123))
     b = random_rotation(np.random.default_rng(123))
