@@ -117,16 +117,32 @@ def _orbit_map(ndim: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     reciprocal orbit size for each code.
 
     A component's code is the flat index of its multi-index with the entries
-    at ``axes`` sorted, i.e. of the orbit's canonical member.
+    at ``axes`` sorted, i.e. of the orbit's canonical member; the one
+    component of an order-0 tensor has code 0 and weight 1.
     """
-    shape = (3,) * ndim
-    index = np.indices(shape).reshape(ndim, -1)
+    index = np.indices((3,) * ndim).reshape(ndim, 3**ndim)
     index[list(axes)] = np.sort(index[list(axes)], axis=0)
-    code = np.ravel_multi_index(index, shape)
+    code = 3 ** np.arange(ndim - 1, -1, -1) @ index  # row-major flat index
     weight = 1.0 / np.maximum(np.bincount(code, minlength=3**ndim), 1)
     code.flags.writeable = False
     weight.flags.writeable = False
     return code, weight
+
+
+@lru_cache(maxsize=None)
+def _orbit_basis(s: int) -> np.ndarray:
+    """Read-only (3^s, orbits) orthonormal basis M_s of the totally
+    symmetric order-s tensors: column o is 1/sqrt(|o|) on the members of
+    orbit o of ``_orbit_map`` and 0 elsewhere, so x M_s M_s^T is
+    ``symmetrize`` of a flattened x, the mean over each orbit.  Sorted
+    multi-indices in lexicographic order have increasing flat indices, so
+    the columns follow the orbits' sorted members in that order."""
+    code, weight = _orbit_map(s, tuple(range(s)))
+    canonical = np.flatnonzero(code == np.arange(code.size))
+    basis = np.zeros((code.size, canonical.size))
+    basis[np.arange(code.size), np.searchsorted(canonical, code)] = np.sqrt(weight[code])
+    basis.flags.writeable = False
+    return basis
 
 
 def symmetrize(t, positions=None) -> np.ndarray:

@@ -75,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _orbit_map, _project, _project_rows, _scaled_back, _scaled_rows, as_tensor, epsilon,
+    _orbit_basis, _project, _project_rows, _scaled_back, _scaled_rows, as_tensor, epsilon,
     frobenius_norm, symmetrize,
 )
 from .harmonic import build_basis, coords, from_coords
@@ -252,7 +252,7 @@ class VerifyReport:
     each part's symmetry and trace to that part's deviator norm, and each
     cross-correlation to the two images' norms.  A part's symmetry residual
     is the distance |x - x M_s M_s^T| of its deviator x to the totally
-    symmetric tensors (M_s the orthonormal orbit basis of ``_orbit_basis``,
+    symmetric tensors (M_s the orthonormal orbit basis of ``core._orbit_basis``,
     so x M_s M_s^T is ``symmetrize(x)``), and its trace residual the norm
     of the trace of x over its first two indices.  A zero denominator gives
     the absolute residual for the reconstruction and residual 0 for a zero
@@ -1089,19 +1089,6 @@ def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
     for (_, _, stack), (_, _, rows, basis) in zip(stacks, plan.deviators):
         c[rows] = np.dot(stack, basis.T).ravel()
     return c
-
-
-@lru_cache(maxsize=None)
-def _orbit_basis(s: int) -> np.ndarray:
-    """Read-only (3^s, orbits) orthonormal basis M_s of the totally
-    symmetric order-s tensors: column o is 1/sqrt(|o|) on the members of
-    orbit o of ``core._orbit_map`` and 0 elsewhere, so x M_s M_s^T is
-    ``symmetrize`` of a flattened x, the mean over each orbit."""
-    code, weight = _orbit_map(s, tuple(range(s)))
-    canonical = np.flatnonzero(code == np.arange(code.size))
-    basis = (code[:, None] == canonical) * np.sqrt(weight[canonical])
-    _read_only(basis)
-    return basis
 
 
 def _part_residuals(stacks, count: int) -> np.ndarray:

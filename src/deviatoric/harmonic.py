@@ -1,14 +1,17 @@
 """Deviator spaces: totally symmetric traceless tensors of a given order.
 
 The space of order-s deviators has dimension 2s + 1.  ``build_basis``
-constructs a Frobenius-orthonormal basis once per order and caches it:
+constructs a Frobenius-orthonormal basis once per order and caches it, in
+the orbit coordinates of the totally symmetric tensors:
 
-1. enumerate the symmetrized monomials ``sym(e_i1 x ... x e_is)`` for
-   ``i1 <= ... <= is`` in lexicographic order,
-2. take the nullspace of the (1,2)-trace map restricted to their span:
-   it has dimension 2s + 1, so it is spanned by the last 2s + 1 left
-   singular vectors of the map,
-3. orthonormalize with modified Gram-Schmidt.
+1. the orthonormal orbit basis M_s (``core._orbit_basis``) spans the
+   totally symmetric order-s tensors, one column per orbit of index
+   permutations, (s + 1)(s + 2)/2 in all;
+2. in those coordinates the (1,2)-trace into the symmetric order-(s - 2)
+   tensors is the small matrix A = tr(M_s) M_{s-2}, one row per orbit of
+   order s; its left null space has dimension 2s + 1, and its last 2s + 1
+   left singular vectors are orthonormal rows N that span it;
+3. the basis is B_s = N M_s^T, orthonormal because N and M_s are.
 
 The construction involves no randomness, so repeated calls return the same
 cached, read-only arrays.
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import _orbit_map, _project, as_tensor
+from .core import _orbit_basis, _project, as_tensor
 
 __all__ = [
     "DeviatorBasis",
@@ -66,48 +69,18 @@ class DeviatorBasis:
         return self.tensors.reshape(len(self), -1)
 
 
-def _monomials(s: int) -> np.ndarray:
-    """Symmetrized monomials ``sym(e_i1 x ... x e_is)``, i1 <= ... <= is in
-    lexicographic order, as the rows of a ``(count, 3**s)`` matrix.
-
-    Such a monomial is 1/|orbit| on the orbit of (i1, ..., is) under index
-    permutations and 0 elsewhere.  The orbit's code in the cached orbit map
-    is the flat index of its sorted member, and sorted multi-indices in
-    lexicographic order have increasing flat indices.
-    """
-    code, weight = _orbit_map(s, tuple(range(s)))
-    canonical = np.flatnonzero(code == np.arange(code.size))
-    return (code == canonical[:, None]) * weight[canonical, None]
-
-
-def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
-    out: list[np.ndarray] = []
-    for row in rows:
-        w = row.copy()
-        for u in out:
-            w -= (u @ w) * u
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-12:
-            raise RuntimeError("degenerate candidate basis (should not happen)")
-        out.append(w / nrm)
-    return np.asarray(out)
-
-
 @lru_cache(maxsize=None)
 def build_basis(order: int) -> DeviatorBasis:
     """Return the cached orthonormal deviator basis for the given order."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if order == 0:
-        stack = np.ones((1,))
-    elif order == 1:
-        stack = np.eye(3)
+    if order < 2:  # every symmetric tensor of order 0 or 1 is traceless
+        stack = np.eye(2 * order + 1)
     else:
-        flat = _monomials(order)
-        traces = np.trace(flat.reshape(len(flat), 3, 3, -1), axis1=1, axis2=2)
-        u = np.linalg.svd(traces)[0]
-        null = u[:, -(2 * order + 1) :].T  # coefficient rows spanning the traceless subspace
-        stack = _gram_schmidt(null @ flat)
+        orbits = _orbit_basis(order)
+        traces = np.trace(orbits.T.reshape(-1, 3, 3, 3 ** (order - 2)), axis1=1, axis2=2)
+        null = np.linalg.svd(traces @ _orbit_basis(order - 2))[0][:, -(2 * order + 1) :]
+        stack = null.T @ orbits.T
     tensors = stack.reshape((2 * order + 1,) + (3,) * order)
     tensors.flags.writeable = False
     return DeviatorBasis(order=order, tensors=tensors)

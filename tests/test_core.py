@@ -22,7 +22,7 @@ from deviatoric import (
     symmetrize,
     trace_pair,
 )
-from deviatoric.core import _project
+from deviatoric.core import _orbit_basis, _orbit_map, _project
 
 V = np.array([1.0, 2.0, 3.0])
 
@@ -157,6 +157,24 @@ def test_symmetrize_matches_permutation_average(case):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     again = symmetrize(got, positions)
     assert np.max(np.abs(again - got)) <= 1e-13 * np.max(np.abs(got))
+
+
+def test_orbit_map_of_order_0():
+    """The one component of an order-0 tensor is its own orbit, so M_0 is
+    the 1 x 1 identity."""
+    code, weight = _orbit_map(0, ())
+    np.testing.assert_array_equal(code, [0])
+    np.testing.assert_array_equal(weight, [1.0])
+    np.testing.assert_array_equal(_orbit_basis(0), [[1.0]])
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_orbit_basis_is_orthonormal_and_symmetrizes(order):
+    basis = _orbit_basis(order)
+    assert basis.shape == (3**order, (order + 1) * (order + 2) // 2)
+    assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-15)
+    t = np.random.default_rng(order).standard_normal((3,) * order)
+    assert_allclose(t.ravel() @ basis @ basis.T, symmetrize(t).ravel(), rtol=0, atol=1e-15)
 
 
 def test_symmetrize_validates_positions():

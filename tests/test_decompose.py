@@ -1714,10 +1714,10 @@ def test_decompose_holds_only_the_lower_order_change_of_basis():
     assert verify(d, t).passes(1e-12)
 
 
-@pytest.mark.parametrize("order, megabytes", [(8, 4), (9, 12)])
+@pytest.mark.parametrize("order, megabytes", [(8, 4), (9, 12), (10, 32)])
 def test_high_order_round_trip_holds_only_the_dense_base(order, megabytes):
-    """Order 8 and 9 ``decompose`` and ``reconstruct`` build no change of
-    basis above E_5: E_7 would take 38 MB and E_8 344 MB."""
+    """Order 8, 9 and 10 ``decompose`` and ``reconstruct`` build no change
+    of basis above E_5: E_7 would take 38 MB, E_8 344 MB and E_9 3.1 GB."""
     t, _, back, peak = cold_round_trip(order, 47 + order)
     assert _change_of_basis.cache_info().currsize == 6
     assert peak < megabytes * 2**20

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from deviatoric import (
     build_basis,
     coords,
     delta,
+    frobenius_norm,
     from_coords,
     is_deviator,
     outer,
@@ -20,15 +25,15 @@ from deviatoric import (
     symmetrize,
     trace_pair,
 )
-from deviatoric.harmonic import _gram_schmidt, _monomials
+from deviatoric.core import _orbit_basis, _orbit_map
 
 
-@pytest.mark.parametrize("s", range(9))
+@pytest.mark.parametrize("s", range(11))
 def test_basis_dimension_is_2s_plus_1(s):
     assert len(build_basis(s)) == 2 * s + 1
 
 
-@pytest.mark.parametrize("s", range(9))
+@pytest.mark.parametrize("s", range(11))
 def test_basis_elements_are_orthonormal_deviators(s):
     basis = build_basis(s)
     flat = basis.flat
@@ -37,6 +42,32 @@ def test_basis_elements_are_orthonormal_deviators(s):
         if s >= 2:
             assert_allclose(b, symmetrize(b), atol=1e-12)
             assert_allclose(np.trace(b, axis1=0, axis2=1), np.zeros((3,) * (s - 2)), atol=1e-12)
+
+
+# builds every basis up to order 10 in a fresh process, with no cache of an
+# earlier test, and prints the peak of the memory that the builds traced
+BUILD_ALL = """
+import tracemalloc
+from deviatoric import build_basis
+tracemalloc.start()
+for s in range(11):
+    build_basis(s)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_bases_up_to_order_10_take_under_64_mb():
+    """The bases up to order 10, the orbit bases M_s they are built from
+    and the build's temporaries stay under 64 MB; the 3^8-square V of a
+    full SVD of the order-10 trace would take 344 MB alone."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_ALL], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 64 * 2**20
 
 
 def test_basis_is_cached_and_read_only():
@@ -162,43 +193,108 @@ def test_deviator_space_is_rotation_invariant():
         assert_allclose(project_deviator(rotated), rotated, atol=1e-12)
 
 
+def distinct_permutations(index):
+    """Every distinct ordering of the multiset ``index``."""
+    if not index:
+        yield ()
+        return
+    for first in sorted(set(index)):
+        rest = list(index)
+        rest.remove(first)
+        for tail in distinct_permutations(rest):
+            yield (first,) + tail
+
+
 def reference_monomial(index):
-    """sym(e_i1 x ... x e_is) by listing every permutation of ``index``."""
+    """sym(e_i1 x ... x e_is) by listing every distinct permutation of
+    ``index``."""
     s = len(index)
     t = np.zeros((3,) * s)
     counts = [index.count(i) for i in range(3)]
     value = math.prod(math.factorial(c) for c in counts) / math.factorial(s)
-    for perm in set(itertools.permutations(index)):
+    for perm in distinct_permutations(index):
         t[perm] = value
     return t
 
 
-@pytest.mark.parametrize("s", range(2, 10))
+def orbit_trace_map(s):
+    """The (1,2)-trace from the symmetric order-s tensors to the order-(s-2)
+    ones in the orbit coordinates of both, the count_s x count_{s-2}
+    matrix A that ``build_basis`` factors."""
+    columns = [trace_pair(m.reshape((3,) * s), 0, 1).ravel() for m in _orbit_basis(s).T]
+    return np.stack(columns) @ _orbit_basis(s - 2)
+
+
+@pytest.mark.parametrize("s", range(2, 11))
 def test_trace_map_has_a_null_space_of_dimension_2s_plus_1(s):
-    """``build_basis`` takes the last 2s + 1 left singular vectors of the
-    trace map as its null space; the singular values before them are far
-    from zero and the rest are rounding."""
-    flat = _monomials(s)
-    traces = np.trace(flat.reshape(len(flat), 3, 3, -1), axis1=1, axis2=2)
-    sigma = np.linalg.svd(traces, compute_uv=False)
-    rank = len(flat) - (2 * s + 1)
-    assert sigma[rank - 1] >= 1e-2 * sigma[0]
-    assert np.all(sigma[rank:] <= 1e-15 * sigma[0])
+    """A has full column rank count_s - (2s + 1), far from singular, so its
+    left null space has dimension 2s + 1; the last 2s + 1 left singular
+    vectors, which ``build_basis`` takes as that null space, annihilate A
+    to rounding."""
+    a = orbit_trace_map(s)
+    u, sigma, _ = np.linalg.svd(a)
+    rank = len(a) - (2 * s + 1)
+    assert len(sigma) == rank and sigma[rank - 1] >= 1e-2 * sigma[0]
+    assert np.linalg.norm(u[:, rank:].T @ a, 2) <= 1e-15 * sigma[0]
+
+
+def gram_schmidt(rows):
+    out = []
+    for row in rows:
+        w = row.copy()
+        for u in out:
+            w -= (u @ w) * u
+        out.append(w / np.linalg.norm(w))
+    return np.asarray(out)
 
 
 def reference_basis(s):
-    """The basis built from the permutation-listed monomials."""
+    """An orthonormal deviator basis from the permutation-listed monomials:
+    the last 2s + 1 left singular vectors of their traces, in a full SVD,
+    combine them, and Gram-Schmidt orthonormalizes the combinations."""
     monomials = [
         reference_monomial(idx) for idx in itertools.combinations_with_replacement(range(3), s)
     ]
     flat = np.stack([m.ravel() for m in monomials])
     traces = np.stack([trace_pair(m, 0, 1).ravel() for m in monomials])
     u = np.linalg.svd(traces)[0]
-    return flat, _gram_schmidt(u[:, -(2 * s + 1) :].T @ flat)
+    return gram_schmidt(u[:, -(2 * s + 1) :].T @ flat)
 
 
-@pytest.mark.parametrize("s", range(2, 9))
+@pytest.mark.parametrize("s", range(2, 10))
 def test_basis_matches_permutation_listed_monomials(s):
-    flat, basis = reference_basis(s)
-    np.testing.assert_array_equal(_monomials(s), flat)
-    np.testing.assert_array_equal(build_basis(s).flat, basis)
+    """B_s spans the reference's deviator space: B_s^T B_s = R^T R, entry by
+    entry.  Each row of either basis is a symmetric tensor, the same over
+    every orbit of index permutations to rounding, so the products are
+    compared at the orbits' sorted members; the 3^s-square ones would take
+    3.1 GB at s = 9."""
+    code, _ = _orbit_map(s, tuple(range(s)))
+    basis, reference = build_basis(s).flat, reference_basis(s)
+    for flat in (basis, reference):
+        assert_allclose(flat[:, code], flat, rtol=0, atol=1e-16)
+    members = np.unique(code)
+    b, r = basis[:, members], reference[:, members]
+    assert_allclose(b.T @ b, r.T @ r, rtol=0, atol=1e-14)
+
+
+def closed_form_deviator(t):
+    """The deviator part of a totally symmetric tensor of order 2, 3 or 4."""
+    d = delta()
+    if t.ndim == 2:
+        return t - d * np.trace(t) / 3
+    tr = trace_pair(t, 0, 1)
+    if t.ndim == 3:
+        return t - 3 / 5 * symmetrize(outer(d, tr))
+    return t - 6 / 7 * symmetrize(outer(d, tr)) + 3 / 35 * symmetrize(outer(d, d)) * np.trace(tr)
+
+
+@pytest.mark.parametrize("s", (2, 3, 4))
+def test_basis_projects_onto_the_closed_form_deviator_part(s):
+    """B_s^T B_s on a symmetric tensor is its closed-form deviator part, an
+    oracle that takes no SVD."""
+    flat = build_basis(s).flat
+    rng = np.random.default_rng(30 + s)
+    for _ in range(20):
+        t = symmetrize(rng.standard_normal((3,) * s))
+        got = (flat.T @ (flat @ t.ravel())).reshape(t.shape)
+        assert frobenius_norm(got - closed_form_deviator(t)) <= 1e-15 * frobenius_norm(t)

@@ -299,8 +299,13 @@ def test_file_with_images_is_checked_and_dropped():
     stored = np.array([p["embedded"]["components"] for p in raw["parts"]])
     built = np.stack([p.embedded.ravel() for p in d.parts])
     assert_allclose(built, stored, rtol=0, atol=1e-15 * np.abs(stored).max())
-    # written without its images: the fixture's text without its "embedded" fields
-    assert decomposition_to_json(d) + "\n" == re.sub(r', "embedded": \{[^}]*\}', "", text)
+    # written without its images: the fixture's text without its "embedded"
+    # fields, plus the tie of those images to the ones the deviators build;
+    # they were built with an earlier deviator basis, so the tie is
+    # rounding, and a file leaves out a tie of 0
+    tie = '"tie": %s, ' % fmt_float(d._record.tie) if d._record.tie else ""
+    expected = re.sub(r', "embedded": \{[^}]*\}', "", text).replace('"parts"', tie + '"parts"', 1)
+    assert decomposition_to_json(d) + "\n" == expected
     # an image edited in the file is measured where it comes in
     raw["parts"][2]["embedded"]["components"][0] += 1e-4
     edited = decomposition_from_json(json.dumps(raw))
