@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import _scaled_back, _scaled_rows, frobenius_norm
 from .decomposition import (
-    Decomposition, _image_norm_bounds, _stacks_of, counts_row, decompose, reconstruct, verify,
+    Decomposition, _image_norm_bounds, _record_of, counts_row, decompose, reconstruct, verify,
 )
 from .physics import (
     coupling_decompose,
@@ -179,7 +179,7 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     image difference is bounded from its deviator difference
     (``_image_norm_bounds``); no image is built.  Both are exactly 0 when
     the deviators are those of ``decompose``."""
-    ours, theirs = _stacks_of(d), _stacks_of(decompose(reference))
+    ours, theirs = (_record_of(x, images=False).stacks for x in (d, decompose(reference)))
     delta = [(s, index, a - b) for (s, index, a), (_, _, b) in zip(ours, theirs)]
     norms = [_image_norm_bounds(delta, d.order)]
     for _, _, rows in delta:

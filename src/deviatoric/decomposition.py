@@ -49,7 +49,7 @@ The arrays are laid out in two orders:
 * Plan order: by parent order s, then parent, then child.  One level of
   ``_plan(n)`` works in it, on all the parents of one s at once, and the
   image rows are in it, each group's one contiguous block.
-  ``_layout(n).row_of`` gives the image row of each part, and
+  ``_plan(n).row_of`` gives the image row of each part, and
   ``_Plan.row_at`` and ``position_of`` permute between the two orders;
   ``parts`` and every public order stay in traversal order.
 
@@ -176,7 +176,7 @@ class IrreduciblePart:
 
 class _Record(NamedTuple):
     """The deviators of the parts of an order-n decomposition, whose s, J and
-    image row are those of ``_layout(n)``.  No record holds an image: the
+    image row are those of ``_plan(n)``.  No record holds an image: the
     images are the embeddings of the deviators, built by ``_rows_of`` when
     read.  Images given with the parts (hand-built parts,
     ``dataclasses.replace``, a file with ``embedded``) are checked by
@@ -215,7 +215,7 @@ class Decomposition:
         # only a decomposition made by ``_from_record`` lacks ``parts``
         if name != "parts" or self._record is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        orders, labels, row_of = _layout(self.order)
+        orders, labels, row_of = _plan(self.order)[:3]
         deviators: list = [None] * len(orders)
         for s, index, stack in self._record.stacks:
             for i, deviator in zip(index.tolist(), _views(stack, s)):
@@ -239,9 +239,10 @@ class Decomposition:
         return f"{type(self).__name__}(order={self.order}, counts={self.counts()})"
 
     def counts(self) -> dict[int, int]:
+        """The number of parts of each deviator order s, keyed by ascending s."""
         if self._record is None:
-            return dict(Counter(p.s for p in self.parts))
-        return dict(_layout_counts(self.order))  # a copy of the cached counts
+            return dict(sorted(Counter(p.s for p in self.parts).items()))
+        return {s: count for s, count in enumerate(counts_row(self.order)) if count}
 
 
 @dataclass(frozen=True)
@@ -398,42 +399,6 @@ def _regroup(s: int) -> np.ndarray:
     return f
 
 
-class _Layout(NamedTuple):
-    """Where the parts of an order-n decomposition go; no array of E is
-    needed to know it."""
-
-    orders: tuple[int, ...]  # s of each part, in traversal order
-    labels: tuple[int, ...]  # J of each part
-    row_of: np.ndarray  # (parts,) the image row of each part, in plan order
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    """The order-n layout.  The image rows are in plan order: by parent
-    order, then parent, then child."""
-    orders = np.array(part_orders(n))
-    labels = np.empty(len(orders), dtype=int)
-    for s in set(orders.tolist()):
-        index = np.flatnonzero(orders == s)
-        labels[index] = np.arange(1, len(index) + 1)
-    by_row = np.zeros(1, dtype=int)
-    if n:
-        parents = part_orders(n - 1)
-        parent_order = np.repeat(parents, [len(_children(s)) for s in parents])
-        by_row = np.argsort(parent_order, kind="stable")
-    row_of = np.empty(len(orders), dtype=int)
-    row_of[by_row] = np.arange(len(orders))
-    _read_only(row_of)
-    return _Layout(part_orders(n), tuple(labels.tolist()), row_of)
-
-
-@lru_cache(maxsize=None)
-def _layout_counts(n: int) -> dict[int, int]:
-    """The number of parts of each deviator order in ``_layout(n)``, keyed
-    in order of first appearance."""
-    return dict(Counter(_layout(n).orders))
-
-
 @lru_cache(maxsize=None)
 def _change_of_basis(n: int) -> np.ndarray:
     """The order-n change of basis E, built from ``_plan(n)``.
@@ -494,12 +459,14 @@ class _Group(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """What ``decompose`` needs for order n, built once per order: the
-    layout, lambda and one level of E_n in factored form."""
+    """The order-n layout and change of basis, built once per order: where
+    each part goes, lambda and one level of E_n in factored form.  The one
+    description of the layout: files and hand-built parts are checked
+    against it (``_stacked``)."""
 
     orders: tuple[int, ...]  # s of each part, in traversal order
     labels: tuple[int, ...]  # J of each part
-    row_of: np.ndarray  # (parts,) the image row of each part
+    row_of: np.ndarray  # (parts,) the image row of each part, in plan order
     lam: np.ndarray  # (3^n,) lambda, the squared norm of each row of E_n
     groups: tuple[_Group, ...]  # one per parent order s; none for n = 0
     deviators: tuple  # per order s: (s, (J_s,) part indices, its rows of E_n as a slice, B_s.flat)
@@ -525,18 +492,28 @@ def _plan(n: int) -> _Plan:
     coordinates c is (sum_r c_r F[r, k, :]) E_{n-1, p} in slice k.  The rows
     of E_{n-1, p} are orthogonal (Schur's lemma), so lambda_r =
     sum_{k,j} F[r, k, j]^2 lam_{p,j}, lam the lambda of ``_plan(n - 1)``.
+
+    The parts are in traversal order (``part_orders``), J counts the parts
+    of each s, and the image rows are in plan order: by parent order, then
+    parent, then child.
     """
-    layout = _layout(n)
-    orders = np.array(layout.orders)
+    orders = np.array(part_orders(n))
+    by_row = np.zeros(1, dtype=int)  # the part of each image row
+    if n:
+        parents = part_orders(n - 1)
+        by_row = np.argsort(np.repeat(parents, [len(_children(s)) for s in parents]), kind="stable")
+    row_of = np.empty(len(orders), dtype=int)
+    row_of[by_row] = np.arange(len(orders))
     # each image row's 2s+1 coordinates, in plan order
-    by_row = np.argsort(layout.row_of)
     widths = 2 * orders[by_row] + 1
     starts = np.empty(len(orders), dtype=int)
     starts[by_row] = np.cumsum(widths) - widths
+    labels = np.empty(len(orders), dtype=int)
     deviators, positions = [], []
     row = 0
-    for s in sorted(set(layout.orders)):
+    for s in sorted(set(orders.tolist())):
         index = np.flatnonzero(orders == s)
+        labels[index] = np.arange(1, len(index) + 1)
         positions.append((starts[index][:, None] + np.arange(2 * s + 1)).ravel())
         rows = slice(row, row + positions[-1].size)
         _read_only(index)
@@ -569,8 +546,9 @@ def _plan(n: int) -> _Plan:
         ))
         slot, row, image = slot + count, rows.stop, image + count * len(children)
     lam = lam[position_of]  # from plan order to slot order
-    _read_only(lam, row_at, position_of)
-    return _Plan(*layout, lam, tuple(groups), tuple(deviators), row_at, position_of)
+    _read_only(row_of, lam, row_at, position_of)
+    return _Plan(part_orders(n), tuple(labels.tolist()), row_of, lam, tuple(groups),
+                 tuple(deviators), row_at, position_of)
 
 
 # The largest order whose E_m is applied as one dense product.  E_5, 0.47 MB,
@@ -660,7 +638,7 @@ def _scaled_stacks(stacks, n: int) -> tuple[list, np.ndarray]:
     """The deviators ``stacks`` of an order-n record, each divided exactly
     by its own power of two 2^k (``_scaled_rows``), and the k of each image
     row, in plan order."""
-    row_of = _layout(n).row_of
+    row_of = _plan(n).row_of
     shift = np.empty(len(row_of), dtype=np.intc)  # the exponent type of frexp, which ldexp takes fastest
     scaled = []
     for s, index, stack in stacks:
@@ -694,29 +672,28 @@ def _stacked(order: int, orders, labels, deviators, images=None) -> _Record:
 
     The only code that stacks loose parts into a record, so the one check
     of a part list: parts in any other (s, J) layout than that of
-    ``decompose``, no parts included, raise one ``ValueError``.  The
-    deviators of each order s go into one new (J_s, 3^s) array, which the
-    parts built from the record view.  The only way in for images: they are
+    ``decompose`` (``_plan(order)``), no parts included, raise one
+    ``ValueError``.  The deviators of each order s go into one new
+    (J_s, 3^s) array, in the part order of the plan's ``deviators``, which
+    the parts built from the record view.  The only way in for images: they are
     stacked in plan order, measured against the embeddings of the deviators
     (``_tie``) and dropped, so the record keeps only their tie.  Raises the
     error of ``as_tensor`` for the first deviator of each order, then the
     first image in row order, of another shape than its order's.  With no
     images, the record is the one ``decompose`` makes.
     """
-    # that layout has one part of s = order and none above it, so no layout
-    # or count is built for a larger order than any part's
+    # that layout has one part of s = order and none above it, and as many
+    # parts as ``counts_row``: checked first, so no plan is built for a
+    # larger order than any part's, nor for a part list of another length
     if (max(orders, default=-1) != order or len(orders) != sum(counts_row(order))
-            or (tuple(orders), tuple(labels)) != _layout(order)[:2]):
+            or (tuple(orders), tuple(labels)) != _plan(order)[:2]):
         raise ValueError("parts are not in the (s, J) layout of decompose")
-    orders_array = np.array(orders, dtype=int)
-    stacks = []
-    for s in sorted(set(orders)):
-        index = np.flatnonzero(orders_array == s)
-        stacks.append((s, index, _stack([deviators[i] for i in index], s)))
-    record = _Record(tuple(stacks), 0.0)
+    plan = _plan(order)
+    record = _Record(tuple([(s, index, _stack([deviators[i] for i in index.tolist()], s))
+                            for s, index, _, _ in plan.deviators]), 0.0)
     if images is None:
         return record
-    rows = _stack([images[i] for i in np.argsort(_layout(order).row_of).tolist()], order)
+    rows = _stack([images[i] for i in np.argsort(plan.row_of).tolist()], order)
     return record._replace(tie=_tie(record, rows, order))
 
 
@@ -740,7 +717,7 @@ def _tie(record: _Record, rows: np.ndarray, n: int) -> float:
         np.sqrt(rho, out=rho)
         rho[~np.isfinite(squares + residuals)] = np.inf
     for _, index, stack in record.stacks:
-        image = _layout(n).row_of[index]
+        image = _plan(n).row_of[index]
         rho[image[(squares[image] == 0.0) & stack.any(axis=1)]] = np.inf
     return float(rho.max())
 
@@ -769,13 +746,13 @@ def decompose(t) -> Decomposition:
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of the embedded parts; inverse of ``decompose``.
 
-    It reads the deviators of ``_stacks_of(d)``: those of ``decompose`` and
-    ``load_decomposition`` output, in place, or of any other decomposition,
-    stacked once (``_sum``); no image is read.  So parts in another layout,
-    or deviators of another shape than their order's, raise the same
-    ``ValueError`` as in ``verify``.
+    It reads the deviators of ``_record_of(d, images=False)``: those of
+    ``decompose`` and ``load_decomposition`` output, in place, or of any
+    other decomposition, stacked once (``_sum``); no image is read.  So
+    parts in another layout, or deviators of another shape than their
+    order's, raise the same ``ValueError`` as in ``verify``.
     """
-    return _sum(_stacks_of(d), d.order)
+    return _sum(_record_of(d, images=False).stacks, d.order)
 
 
 def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
@@ -792,29 +769,20 @@ def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
     return _apply_transposed(c.reshape(1, -1), n).reshape((3,) * n)
 
 
-def _record_of(d: Decomposition) -> _Record:
+def _record_of(d: Decomposition, images: bool = True) -> _Record:
     """The arrays of ``d``: its record, or for a hand-built decomposition
-    (which holds no record), ``_stacked`` of its parts, images included.
-    With ``_stacks_of``, this is the only way library code reads a
-    decomposition's arrays, so what is read is always what the parts
-    store."""
+    (which holds no record), ``_stacked`` of its parts, with their images
+    unless ``images`` is false.  The readers of the deviators alone
+    (``reconstruct``, ``assemble_order3/4``, the command line's canonical
+    residual) pass false, so a hand-built decomposition's images are
+    neither read nor measured there; its tie is then 0.  This is the only
+    way library code reads a decomposition's arrays, so what is read is
+    always what the parts store."""
     if d._record is not None:
         return d._record
     parts = d.parts
     return _stacked(d.order, [p.s for p in parts], [p.J for p in parts],
-                    [p.deviator for p in parts], [p.embedded for p in parts])
-
-
-def _stacks_of(d: Decomposition) -> tuple:
-    """``_record_of(d).stacks``, for the readers of the deviators alone
-    (``reconstruct``, ``assemble_order3/4``, the command line's canonical
-    residual): a hand-built decomposition's parts are stacked without their
-    images, which are neither read nor measured."""
-    if d._record is not None:
-        return d._record.stacks
-    parts = d.parts
-    return _stacked(d.order, [p.s for p in parts], [p.J for p in parts],
-                    [p.deviator for p in parts]).stacks
+                    [p.deviator for p in parts], [p.embedded for p in parts] if images else None)
 
 
 def _stack(tensors, order: int) -> np.ndarray:
@@ -944,11 +912,11 @@ def _certified_cross_correlation(
 ) -> tuple[float, float]:
     """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
     over pairs i != j of nonzero images f of the parts of an order-n
-    decomposition in ``_layout(n)``, and the record's tie tau.  Both are
-    inf when a deviator is not finite, or is nonzero with coordinates that
-    are all zero, or when the tie is inf (``_tie``), and the bound is inf
-    for an image that may be all rounding (below).  A zero deviator's image
-    pairs with no other.
+    decomposition in the layout of ``_plan(n)``, and the record's tie tau.
+    Both are inf when a deviator is not finite, or is nonzero with
+    coordinates that are all zero, or when the tie is inf (``_tie``), and
+    the bound is inf for an image that may be all rounding (below).  A zero
+    deviator's image pairs with no other.
 
     The images are the embeddings e_i = fl(a_i B_p) of ``_rows_of``, slice
     by slice: a_i the image coefficients of the deviator
@@ -1150,12 +1118,13 @@ def verify(d: Decomposition, t) -> VerifyReport:
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
     t_norm = frobenius_norm(t)
+    plan = _plan(d.order)
     with np.errstate(over="ignore", invalid="ignore"):  # a deviator that is not finite: below
-        c = _deviator_coordinates(_plan(d.order), record.stacks, d.order)
+        c = _deviator_coordinates(plan, record.stacks, d.order)
         res = frobenius_norm(_sum(record.stacks, d.order, c) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    residuals = _part_residuals(record.stacks, len(_layout(d.order).orders))
+    residuals = _part_residuals(record.stacks, len(plan.orders))
     max_cross, tie = _certified_cross_correlation(record, d.order, c)
 
     sym_res, trace_res = residuals.tolist()

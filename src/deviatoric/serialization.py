@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .core import as_tensor
-from .decomposition import Decomposition, _from_record, _layout, _record_of, _stacked
+from .decomposition import Decomposition, _from_record, _plan, _record_of, _stacked
 
 __all__ = [
     "fmt_float",
@@ -164,8 +164,8 @@ def decomposition_to_json(d: Decomposition) -> str:
     each part's s, J and deviator, in part order, and no image.  It reads
     ``_record_of(d)`` and builds no part.  A tie that is not finite raises
     the error of ``fmt_float``."""
-    orders, labels, _ = _layout(d.order)
-    record = _record_of(d)
+    record = _record_of(d)  # the layout check, before a plan is built
+    orders, labels = _plan(d.order)[:2]
     tensors: list = [None] * len(orders)  # the tensor fields of each part
     for s, index, stack in record.stacks:
         for i, row in zip(index.tolist(), stack):

@@ -28,7 +28,7 @@ from deviatoric import (
     voigt_to_json,
     voigt_to_text,
 )
-from deviatoric.decomposition import _layout, _record_of
+from deviatoric.decomposition import _plan, _record_of
 from deviatoric.serialization import fmt_float
 from forms import json_with_images
 
@@ -242,7 +242,7 @@ def test_loaded_decomposition_records_its_image_rows():
     record = _record_of(d)
     assert record is d._record and record.tie == 0.0
     rows = d.parts[0].embedded.base
-    for r, p in zip(_layout(5).row_of, d.parts):
+    for r, p in zip(_plan(5).row_of, d.parts):
         assert p.embedded.base is rows
         assert p.embedded.__array_interface__["data"] == rows[r].__array_interface__["data"]
     assert verify(d, t).passes(1e-10)
