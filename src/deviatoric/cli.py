@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable
 
@@ -42,8 +43,8 @@ __all__ = ["main"]
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0.0 < value < math.inf:  # inf would pass every report; NaN fails both tests
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -176,7 +177,8 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     the largest difference of a deviator, or of an image.
 
     Each deviator difference is taken on its own ``_scaled_rows``, and each
-    image difference is bounded from its deviator difference
+    image difference is bounded from the image coefficients of its deviator
+    difference, through the certificate's coefficient Gram and defects
     (``_image_norm_bounds``); no image is built.  Both are exactly 0 when
     the deviators are those of ``decompose``."""
     ours, theirs = (_record_of(x, images=False).stacks for x in (d, decompose(reference)))

@@ -31,8 +31,10 @@ regroup into
   resolves it back.
 
 For a parent slot of order s the regrouping is one fixed 3(2s+1)-square
-matrix, and the images of the parent's children are one product of their
-coefficients with the parent's rows of E_{n-1}.  E_n is applied one level
+matrix F_s, and the images of the parent's children are one product of
+their image coefficients a = c_g F_s with the parent's rows of E_{n-1}.
+The images, the orthogonality certificate and the image-norm bounds all
+read these coefficients from ``_coefficients``.  E_n is applied one level
 of the recursion at a time, down to the dense base E_5 (0.47 MB,
 ``_DENSE_BASE``): each level passes the slices of all its rows one order
 down in one call.  ``decompose`` is c = ``_apply``(t) / lambda and
@@ -450,13 +452,6 @@ class _Group(NamedTuple):
         """The parents' rows of E_{n-1} ``prev``, a (parents, width, 3^(n-1)) view."""
         return prev[self.coords.start // 3 : self.coords.stop // 3].reshape(self.parents, self.width, -1)
 
-    def coefficients(self, c: np.ndarray) -> np.ndarray:
-        """The (parents, 3 children, width) image coefficients of the
-        children's coordinates in ``c``, in plan order: slice k of the image
-        of child i of parent p is row 3i + k times ``blocks[p]``."""
-        c_g = c[self.coords].reshape(self.parents, -1)
-        return np.dot(c_g, self.to_images).reshape(self.parents, -1, self.width)
-
 
 class _Plan(NamedTuple):
     """The order-n layout and change of basis, built once per order: where
@@ -605,12 +600,23 @@ def _images(c: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return c.reshape(1, 1).copy()
     plan, prev = _plan(n), _change_of_basis(n - 1)
-    c = c[plan.row_at]
     images = np.empty((len(plan.orders), len(c)))
-    for g in plan.groups:
+    for g, a in zip(plan.groups, _coefficients(plan, c)):
         out = images[g.images].reshape(g.parents, -1, len(prev))
-        np.matmul(g.coefficients(c), g.blocks(prev), out=out)
+        np.matmul(a.reshape(g.parents, -1, g.width), g.blocks(prev), out=out)
     return images
+
+
+def _coefficients(plan: _Plan, c: np.ndarray) -> list[np.ndarray]:
+    """The image coefficients a = c_g F_s of the coordinates ``c`` (in slot
+    order) of the order-n ``plan``: per group, a (parents, children,
+    3 width) array.  Entries kw .. kw + w - 1 of row i of parent p, times
+    the parent's rows of E_{n-1} (``_Group.blocks``), are slice k of the
+    image of child i.  The one reader of ``to_images``; ``_images`` and
+    ``_coefficient_grams`` loop over its groups."""
+    c = c[plan.row_at]
+    return [np.dot(c[g.coords].reshape(g.parents, -1), g.to_images).reshape(g.parents, g.children, -1)
+            for g in plan.groups]
 
 
 def _rows_of(record: _Record, n: int) -> np.ndarray:
@@ -618,33 +624,34 @@ def _rows_of(record: _Record, n: int) -> np.ndarray:
     embeddings of its deviators, built by the product of ``_images`` and
     read-only, so no edit can part them from the deviators they were built
     from.  Where a squared coordinate leaves ``_GRAM_RANGE``, each image is
-    built from its own ``_scaled_stacks`` deviator and then multiplied back
-    by its power of two, so that only that last step can round to the
-    subnormal grid, once per entry."""
+    built from the coordinates of its own deviator divided exactly by a
+    power of two (``_scaled_coordinates``) and then multiplied back by it,
+    so that only that last step can round to the subnormal grid, once per
+    entry."""
     plan = _plan(n)
     c = _deviator_coordinates(plan, record.stacks, n)
     if _in_gram_range(c):
         rows = _images(c, n)
     else:
-        stacks, shift = _scaled_stacks(record.stacks, n)
-        rows = _images(_deviator_coordinates(plan, stacks, n), n)
+        c, shift = _scaled_coordinates(plan, record.stacks, n)
+        rows = _images(c, n)
         with np.errstate(over="ignore", under="ignore"):
             np.ldexp(rows, shift[:, None], out=rows)
     rows.flags.writeable = False
     return rows
 
 
-def _scaled_stacks(stacks, n: int) -> tuple[list, np.ndarray]:
-    """The deviators ``stacks`` of an order-n record, each divided exactly
-    by its own power of two 2^k (``_scaled_rows``), and the k of each image
+def _scaled_coordinates(plan: _Plan, stacks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_deviator_coordinates`` of the deviators ``stacks`` of a record in
+    the layout of the order-n ``plan``, each deviator divided exactly by
+    its own power of two 2^k (``_scaled_rows``), and the k of each image
     row, in plan order."""
-    row_of = _plan(n).row_of
-    shift = np.empty(len(row_of), dtype=np.intc)  # the exponent type of frexp, which ldexp takes fastest
+    shift = np.empty(len(plan.row_of), dtype=np.intc)  # the exponent type of frexp, which ldexp takes fastest
     scaled = []
     for s, index, stack in stacks:
-        rows, shift[row_of[index]] = _scaled_rows(stack)
+        rows, shift[plan.row_of[index]] = _scaled_rows(stack)
         scaled.append((s, index, rows))
-    return scaled, shift
+    return _deviator_coordinates(plan, scaled, n), shift
 
 
 def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
@@ -752,20 +759,17 @@ def reconstruct(d: Decomposition) -> np.ndarray:
     parts in another layout, or deviators of another shape than their
     order's, raise the same ``ValueError`` as in ``verify``.
     """
-    return _sum(_record_of(d, images=False).stacks, d.order)
+    stacks = _record_of(d, images=False).stacks
+    return _sum(_deviator_coordinates(_plan(d.order), stacks, d.order), d.order)
 
 
-def _sum(stacks, n: int, c: np.ndarray | None = None) -> np.ndarray:
-    """The sum of the images of the deviators ``stacks`` of an order-n
-    record: E_n^T c (``_apply_transposed``: one dense product up to
-    ``_DENSE_BASE``, level by level above it), as each image is c_p E_p.
-    c are the deviators' coordinates (``_deviator_coordinates``), taken
-    here unless given: ``verify`` takes them once for this sum and its
-    certificate.  An in-place edit of a deviator reaches the sum through
-    them.
+def _sum(c: np.ndarray, n: int) -> np.ndarray:
+    """The sum of the images of the order-n deviators whose coordinates are
+    ``c`` (``_deviator_coordinates``): E_n^T c (``_apply_transposed``: one
+    dense product up to ``_DENSE_BASE``, level by level above it), as each
+    image is c_p E_p.  ``verify`` takes c once for this sum and its
+    certificate, so an in-place edit of a deviator reaches both.
     """
-    if c is None:
-        c = _deviator_coordinates(_plan(n), stacks, n)
     return _apply_transposed(c.reshape(1, -1), n).reshape((3,) * n)
 
 
@@ -822,7 +826,8 @@ class _SpanDefects(NamedTuple):
     """How far the parents' rows of E_{n-1} are from orthogonal, per parent
     and over all parents, with the rounding allowances of
     ``_certified_cross_correlation``, the sibling pairs and the constants of
-    their bounds."""
+    their bounds, and the factor ``stretch`` by which an image can be longer
+    than its coefficients (``_image_norm_bounds``)."""
 
     lam: np.ndarray  # (parents,) lambda_p, in the slot order of E_{n-1}
     sigma: np.ndarray  # (parents,) sigma_p, in the same order
@@ -834,6 +839,7 @@ class _SpanDefects(NamedTuple):
     scale: np.ndarray  # (pairs,) lambda_p / sigma_p of the pair's parent
     floor: np.ndarray  # (pairs,) the bound of the pair at cos 0
     underflow: np.ndarray  # (parts,) sqrt(3^n / sigma_p) of each image, in plan order
+    stretch: np.ndarray  # (parts,) sqrt(2 lambda_p - sigma_p) of each image, in plan order
 
 
 @lru_cache(maxsize=None)
@@ -863,12 +869,16 @@ def _span_defects(n: int) -> _SpanDefects:
     which no relative slack covers: at most sqrt(3^n) 2^-1075 over its 3^n
     entries, that is ``underflow`` 2^-1075 / (2^k |a_i|) of its norm, since
     the exact product's is at least sqrt(sigma_p) |a_i|.
+
+    The largest eigenvalue of B_p B_p^T = lambda_p I + D_p is at most
+    lambda_p + |D_p|_F = 2 lambda_p - sigma_p, so |a_i B_p| <= ``stretch``
+    |a_i| with stretch = sqrt(2 lambda_p - sigma_p), stored per image.
     """
     groups, prev = _plan(n).groups, _change_of_basis(n - 1)
     count = groups[-1].slots.stop
     lam, sigma, delta = np.empty((3, count))
     squares = np.zeros((count, count))  # |B_p B_q^T|_F^2, for p and q in groups g <= h
-    slack, underflow = np.empty((2, sum(counts_row(n))))
+    slack, underflow, stretch = np.empty((3, sum(counts_row(n))))
     eps = np.finfo(float).eps
     for i, g in enumerate(groups):
         slack[g.images] = g.width**1.5 * eps
@@ -884,6 +894,7 @@ def _span_defects(n: int) -> _SpanDefects:
                 sigma[g.slots] = lam[g.slots] - defect
                 delta[g.slots] = defect / sigma[g.slots] + (3 * g.width + 2) * eps
                 underflow[g.images] = np.repeat(np.sqrt(3.0**n / sigma[g.slots]), g.children)
+                stretch[g.images] = np.repeat(np.sqrt(2.0 * lam[g.slots] - sigma[g.slots]), g.children)
             gram *= gram
             squares[g.slots, h.slots] = gram.sum(axis=(1, 3))
     np.fill_diagonal(squares, 0.0)
@@ -897,8 +908,8 @@ def _span_defects(n: int) -> _SpanDefects:
     rho = slack[siblings[0]]
     floor = _pair_bound(delta[parent] * (1.0 + rho) ** 2, rho, rho)
     scale = lam[parent] / sigma[parent]
-    _read_only(lam, sigma, delta, slack, siblings, parent, scale, floor, underflow)
-    return _SpanDefects(lam, sigma, delta, eta, slack, siblings, parent, scale, floor, underflow)
+    _read_only(lam, sigma, delta, slack, siblings, parent, scale, floor, underflow, stretch)
+    return _SpanDefects(lam, sigma, delta, eta, slack, siblings, parent, scale, floor, underflow, stretch)
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -907,9 +918,7 @@ def _pair_bound(inspan, rho_i, rho_j):
     return inspan + rho_i + rho_j + 3.0 * rho_i * rho_j
 
 
-def _certified_cross_correlation(
-    record: _Record, n: int, c: np.ndarray | None = None
-) -> tuple[float, float]:
+def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tuple[float, float]:
     """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
     over pairs i != j of nonzero images f of the parts of an order-n
     decomposition in the layout of ``_plan(n)``, and the record's tie tau.
@@ -920,7 +929,7 @@ def _certified_cross_correlation(
 
     The images are the embeddings e_i = fl(a_i B_p) of ``_rows_of``, slice
     by slice: a_i the image coefficients of the deviator
-    (``_deviator_coordinates``, then ``_Group.coefficients``), B_p the rows
+    (``_deviator_coordinates``, then ``_coefficients``), B_p the rows
     of the parent slot in E_{n-1}.  The exact product lies in the span of
     B_p whatever a_i and the defect of B_p, and e_i is within rho_i, the
     slack of ``_span_defects(n)``, of it.  Writing e_i = its exact product
@@ -944,18 +953,17 @@ def _certified_cross_correlation(
     and the bounds of all pairs are one expression over the normalised
     sibling entries (``_SpanDefects.scale`` and ``floor``).  c are the
     deviators' coordinates (``_deviator_coordinates``), the ones
-    ``_rows_of`` builds the images from, taken here unless given, as
-    ``verify`` gives those it sums.
+    ``_rows_of`` builds the images from; ``verify`` passes those it sums.
 
     When some nonzero c has c^2 outside ``_GRAM_RANGE``, so that a product
     could underflow or overflow, the coordinates are taken, as ``_rows_of``
     then builds the images, from each deviator divided exactly by its own
-    2^k_i (``_scaled_stacks``), which leaves every cos as it is.  Each image
-    is that product times 2^k_i, which rounds each entry that is subnormal
-    by at most 2^-1075, so rho_i adds ``_SpanDefects.underflow`` 2^-1075 /
-    (2^k_i |a_i|), which is below the last bit of the slack unless 2^k_i is
-    below about 2^-960.  So the bound holds for the images that ``parts``
-    builds at every scale, and an image that may be all rounding
+    2^k_i (``_scaled_coordinates``), which leaves every cos as it is.  Each
+    image is that product times 2^k_i, which rounds each entry that is
+    subnormal by at most 2^-1075, so rho_i adds ``_SpanDefects.underflow``
+    2^-1075 / (2^k_i |a_i|), which is below the last bit of the slack unless
+    2^k_i is below about 2^-960.  So the bound holds for the images that
+    ``parts`` builds at every scale, and an image that may be all rounding
     (rho_i >= 1) gives a bound of inf.
 
     Images given with the parts were measured where they came in: each
@@ -968,12 +976,9 @@ def _certified_cross_correlation(
     plan = _plan(n)
     # out of range: taken on the scaled deviators; not finite: inf, below
     with np.errstate(over="ignore", invalid="ignore"):
-        if c is None:
-            c = _deviator_coordinates(plan, record.stacks, n)
         rescale = not _in_gram_range(c)
         if rescale:
-            stacks, shift = _scaled_stacks(record.stacks, n)
-            c = _deviator_coordinates(plan, stacks, n)
+            c, shift = _scaled_coordinates(plan, record.stacks, n)
         dots, squares = _coefficient_grams(plan, c)
     live = squares > 0.0
     tie = record.tie
@@ -1009,17 +1014,15 @@ def _certified_cross_correlation(
 
 def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries of the Gram a_i . a_j of the image coefficients of each
-    parent's children (``_Group.coefficients`` of the coordinates ``c``):
+    parent's children (``_coefficients`` of the coordinates ``c``):
     those of every sibling pair i < j, in the order of
     ``_SpanDefects.siblings``, and the diagonal |a_i|^2, in plan order.  At
     order 0 the one image is its one coordinate."""
     if not plan.groups:
         return np.empty(0), c * c
-    c = c[plan.row_at]
     dots = []
     squares = np.empty(len(plan.orders))
-    for g in plan.groups:
-        a = g.coefficients(c).reshape(g.parents, g.children, -1)
+    for g, a in zip(plan.groups, _coefficients(plan, c)):
         gram = np.matmul(a, a.transpose(0, 2, 1))
         dots.append(gram[:, g.pairs[0], g.pairs[1]].ravel())
         squares[g.images] = gram.diagonal(0, 1, 2).ravel()
@@ -1029,24 +1032,15 @@ def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _image_norm_bounds(stacks, n: int) -> np.ndarray:
     """Upper bounds on the norms of the embeddings of the deviators
     ``stacks`` of an order-n record, in plan order, from their coefficients
-    alone: B_p B_p^T = lambda_p I + D_p has largest eigenvalue at most
-    lambda_p + |D_p|_F = 2 lambda_p - sigma_p (``_span_defects``), so
-    |a_i B_p| <= sqrt(2 lambda_p - sigma_p) |a_i|.  Each deviator is taken
-    on its own ``_scaled_rows`` and its bound scaled back, so no product
-    underflows; no image is built.  At order 0 the image is the deviator."""
+    alone: |a_i B_p| <= ``_SpanDefects.stretch`` |a_i|, with |a_i|^2 the
+    diagonal of ``_coefficient_grams``.  The coordinates are taken with
+    each deviator divided exactly by its own 2^k (``_scaled_coordinates``)
+    and each bound is multiplied back by it, so no product underflows; no
+    image is built.  At order 0 the image is the deviator: stretch 1."""
     plan = _plan(n)
-    scaled, shift = _scaled_stacks(stacks, n)
-    c = _deviator_coordinates(plan, scaled, n)
-    if n == 0:
-        return _scaled_back(shift, np.abs(c))[0]
-    defects = _span_defects(n)
-    stretch = np.sqrt(2.0 * defects.lam - defects.sigma)
-    c = c[plan.row_at]
-    norms = np.empty(len(plan.orders))
-    for g in plan.groups:
-        a = g.coefficients(c).reshape(g.parents, g.children, -1)
-        norms[g.images] = (np.linalg.norm(a, axis=2) * stretch[g.slots, None]).ravel()
-    return _scaled_back(shift, norms)[0]
+    c, shift = _scaled_coordinates(plan, stacks, n)
+    stretch = _span_defects(n).stretch if n else 1.0
+    return _scaled_back(shift, np.sqrt(_coefficient_grams(plan, c)[1]) * stretch)[0]
 
 
 def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
@@ -1121,7 +1115,7 @@ def verify(d: Decomposition, t) -> VerifyReport:
     plan = _plan(d.order)
     with np.errstate(over="ignore", invalid="ignore"):  # a deviator that is not finite: below
         c = _deviator_coordinates(plan, record.stacks, d.order)
-        res = frobenius_norm(_sum(record.stacks, d.order, c) - t)
+        res = frobenius_norm(_sum(c, d.order) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
     residuals = _part_residuals(record.stacks, len(plan.orders))

@@ -614,8 +614,9 @@ def test_tolerance_flag(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["tolerance"] == 1e-6
-    # argparse rejects a nonpositive tolerance before any compute
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--input", str(d_path), "--tolerance", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # argparse rejects a nonpositive or non-finite tolerance before any compute
+    for tolerance in ("0", "inf", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", str(d_path), "--tolerance", tolerance])
+        assert exc.value.code == 2
+        capsys.readouterr()

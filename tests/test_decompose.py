@@ -44,6 +44,7 @@ from deviatoric.decomposition import (
     _apply,
     _apply_transposed,
     _change_of_basis,
+    _coefficients,
     _deviator_coordinates,
     _images,
     _forward,
@@ -968,7 +969,7 @@ def test_factored_levels_match_the_dense_change_of_basis(order):
     base they are one product with E_n itself."""
     t = np.random.default_rng(80 + order).standard_normal((3,) * order)
     c, want = coordinates(t), dense_coordinates(t)
-    total = _sum(decompose(t)._record.stacks, order, c)
+    total = _sum(c, order)
     want_total = dense_sum(c, order)
     if order == decomposition._DENSE_BASE + 1:
         assert c.tobytes() == want.tobytes()
@@ -1209,6 +1210,12 @@ def certified(report):
     return report.max_cross_correlation, report.max_embedding_residual
 
 
+def certificate(record, n):
+    """``_certified_cross_correlation`` of the order-n ``record``, on the
+    coordinates of its deviators that ``verify`` passes it."""
+    return _certified_cross_correlation(record, n, _deviator_coordinates(_plan(n), record.stacks, n))
+
+
 @pytest.mark.parametrize("order", range(9))
 def test_certified_bound_is_above_the_exact_value(order):
     """The bound is at or above the exact value of the images that
@@ -1220,10 +1227,10 @@ def test_certified_bound_is_above_the_exact_value(order):
     the one at scale 1, bit for bit."""
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
     for u in (t, symmetrize(t)) if order >= 2 else (t,):
-        in_range = _certified_cross_correlation(decompose(u)._record, order)[0]
+        in_range = certificate(decompose(u)._record, order)[0]
         for scale in (1e-300, 1.0, 1e300, 2.0**900, 2.0**-900):
             d = decompose(scale * u)
-            bound = _certified_cross_correlation(d._record, order)[0]
+            bound = certificate(d._record, order)[0]
             exact = exact_cross_correlation(image_rows(d))
             assert exact <= bound, scale
             if u is t or scale != 1e-300:
@@ -1238,7 +1245,7 @@ def reference_record_bound(d):
     n = d.order
     plan = _plan(n)
     c = _deviator_coordinates(plan, d._record.stacks, n)
-    coefficients = [g.coefficients(c[plan.row_at]) for g in plan.groups]
+    coefficients = _coefficients(plan, c)
     squares = c * c
     if n:
         squares = np.empty(len(plan.orders))
@@ -1301,7 +1308,7 @@ def test_verify_reports_the_certificate_at_every_order(order):
         for u in (t, symmetrize(t)):
             d = decompose(u)
             report = verify(d, u)
-            assert certified(report) == _certified_cross_correlation(d._record, order)
+            assert certified(report) == certificate(d._record, order)
             assert report.max_embedding_residual <= 1e-14
             assert report.passes(1e-10)
 
@@ -1313,7 +1320,7 @@ def test_zero_images_are_left_out_of_the_certificate():
     assert np.count_nonzero(~image_rows(d).any(axis=1)) > 0
     report = verify(d, t)
     exact = exact_cross_correlation(image_rows(d))
-    assert certified(report) == _certified_cross_correlation(d._record, 7)
+    assert certified(report) == certificate(d._record, 7)
     assert exact <= report.max_cross_correlation <= exact + 1e-13
     assert report.passes(1e-10)
 
@@ -1454,7 +1461,7 @@ def test_copies_report_what_their_original_reports(kind):
     original = verify(d, t)
     report = verify(c, t)
     assert report == original and original.passes(1e-10)
-    assert certified(report) == _certified_cross_correlation(_record_of(c), 7)
+    assert certified(report) == certificate(_record_of(c), 7)
     exact = exact_cross_correlation(image_rows(d))
     assert exact <= report.max_cross_correlation <= exact + 1e-13
     mixed = mix_first_and_last(c)
@@ -1468,7 +1475,7 @@ def test_loaded_and_hand_built_parts_are_certified_as_decompose_output(tmp_path)
     t = np.random.default_rng(496).standard_normal((3,) * 7)
     d = decompose(t)
     original = verify(d, t)
-    assert certified(original) == _certified_cross_correlation(d._record, 7)
+    assert certified(original) == certificate(d._record, 7)
     built = Decomposition(7, tuple(d.parts))
     (tmp_path / "d.json").write_text(json_with_images(built))
     loaded = load_decomposition(tmp_path / "d.json")
@@ -1875,7 +1882,7 @@ def test_verify_passes_at_every_scale(t, exponent):
     assert report.passes(1e-10)
     exact = exact_cross_correlation(image_rows(d))
     assert verify(pickle.loads(pickle.dumps(d)), t) == report
-    assert certified(report) == _certified_cross_correlation(d._record, t.ndim)
+    assert certified(report) == certificate(d._record, t.ndim)
     assert exact <= report.max_cross_correlation <= 1e-13
 
 
@@ -1914,7 +1921,8 @@ def test_certificate_ignores_a_power_of_two_per_part(case):
     two, and where the images that ``parts`` builds scale with their
     deviators, exactly, nor does the certificate: its bound and tie are bit
     for bit those of the unscaled record, whether or not the coordinates
-    leave ``_GRAM_RANGE``."""
+    leave ``_GRAM_RANGE``.  The image-norm bounds of the canonical residual
+    scale with each part's 2^k, bit for bit."""
     d, scaled = case
     k = np.empty(len(d.parts), dtype=int)  # the 2^k of each image row
     for (_, index, before), (_, _, after) in zip(d._record.stacks, scaled.stacks):
@@ -1922,7 +1930,7 @@ def test_certificate_ignores_a_power_of_two_per_part(case):
         k[_plan(d.order).row_of[index]] = top[0] - top[1]
     with np.errstate(over="ignore", under="ignore"):
         expected = np.ldexp(_rows_of(d._record, d.order), k[:, None])
+        bounds = np.ldexp(_image_norm_bounds(d._record.stacks, d.order), k)
     assert _rows_of(scaled, d.order).tobytes() == expected.tobytes()
-    assert _certified_cross_correlation(scaled, d.order) == _certified_cross_correlation(
-        d._record, d.order
-    )
+    assert certificate(scaled, d.order) == certificate(d._record, d.order)
+    assert _image_norm_bounds(scaled.stacks, d.order).tobytes() == bounds.tobytes()

@@ -55,3 +55,27 @@ def test_prints_each_file_and_the_total(tmp_path):
     counts = [line.split()[0] for line in proc.stdout.splitlines()]
     assert counts == ["8", "1", "9"]
     assert proc.stdout.splitlines()[-1].endswith("total")
+
+
+def test_sweep_digest_prints_one_line_per_case_and_form():
+    """Orders 0-2: 6 cases at orders 0 and 1 (random tensors, three
+    scales, two seeds) and 12 at order 2 (with their symmetrizations), each
+    in three forms.  Every case passes ``verify``, and its three forms hold
+    the same arrays, so each digests alike."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep_digest.py"), "--orders", "0", "1", "2"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = [dict(field.split("=", 1) for field in line.split()) for line in proc.stdout.splitlines()]
+    assert len(lines) == 3 * (6 + 6 + 12)
+    assert [line["form"] for line in lines[:3]] == ["decompose", "json", "hand-built"]
+    cases = {}
+    for line in lines:
+        case = tuple(line.pop(key) for key in ("order", "kind", "scale", "seed"))
+        line.pop("form")
+        cases.setdefault(case, []).append(line)
+    assert len(cases) == 24
+    for forms in cases.values():
+        assert forms[0]["passes"] == "True"
+        assert all(len(value) == 16 for key, value in forms[0].items() if key != "passes")
+        assert forms[1:] == forms[:1] * 2
