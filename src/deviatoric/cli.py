@@ -177,10 +177,10 @@ def _canonical_residual(d: Decomposition, reference: np.ndarray) -> float:
     the largest difference of a deviator, or of an image.
 
     Each deviator difference is taken on its own ``_scaled_rows``, and each
-    image difference is bounded from the image coefficients of its deviator
-    difference, through the certificate's coefficient Gram and defects
-    (``_image_norm_bounds``); no image is built.  Both are exactly 0 when
-    the deviators are those of ``decompose``."""
+    image difference is bounded from the coordinate norm of its deviator
+    difference, times a constant of its slot (``_image_norm_bounds``); no
+    image is built.  Both are exactly 0 when the deviators are those of
+    ``decompose``."""
     ours, theirs = (_record_of(x, images=False).stacks for x in (d, decompose(reference)))
     delta = [(s, index, a - b) for (s, index, a), (_, _, b) in zip(ours, theirs)]
     norms = [_image_norm_bounds(delta, d.order)]

@@ -32,10 +32,11 @@ regroup into
 
 For a parent slot of order s the regrouping is one fixed 3(2s+1)-square
 matrix F_s, and the images of the parent's children are one product of
-their image coefficients a = c_g F_s with the parent's rows of E_{n-1}.
-The images, the orthogonality certificate and the image-norm bounds all
-read these coefficients from ``_coefficients``.  E_n is applied one level
-of the recursion at a time, down to the dense base E_5 (0.47 MB,
+their image coefficients a = c_g F_s with the parent's rows of E_{n-1}
+(``_images``).  The rows of F_s are orthogonal too, so the orthogonality
+certificate and the image-norm bounds read only constants of F_s
+(``_coefficient_bounds``) and each part's coordinate norm.  E_n is applied
+one level of the recursion at a time, down to the dense base E_5 (0.47 MB,
 ``_DENSE_BASE``): each level passes the slices of all its rows one order
 down in one call.  ``decompose`` is c = ``_apply``(t) / lambda and
 ``reconstruct`` is ``_apply_transposed``(c), so they hold only E_0 .. E_5
@@ -446,7 +447,6 @@ class _Group(NamedTuple):
     width: int  # 2s+1
     parents: int
     children: int  # children per parent
-    pairs: tuple  # np.triu_indices(children, 1): the sibling pairs i < j
 
     def blocks(self, prev: np.ndarray) -> np.ndarray:
         """The parents' rows of E_{n-1} ``prev``, a (parents, width, 3^(n-1)) view."""
@@ -533,11 +533,10 @@ def _plan(n: int) -> _Plan:
         to_images = np.zeros((3 * width, len(children), 3 * width))
         to_images[np.arange(3 * width), child] = f.reshape(3 * width, -1)
         to_images = to_images.reshape(3 * width, -1)
-        pairs = np.triu_indices(len(children), 1)
-        _read_only(to_children, to_images, *pairs)
+        _read_only(to_children, to_images)
         groups.append(_Group(
             slice(slot, slot + count), coords, slice(image, image + count * len(children)),
-            to_children, to_images, width, count, len(children), pairs,
+            to_children, to_images, width, count, len(children),
         ))
         slot, row, image = slot + count, rows.stop, image + count * len(children)
     lam = lam[position_of]  # from plan order to slot order
@@ -595,28 +594,22 @@ def _apply_transposed(z: np.ndarray, m: int) -> np.ndarray:
 
 def _images(c: np.ndarray, n: int) -> np.ndarray:
     """The new (parts, 3^n) array of the embedded images of the order-n
-    coordinates ``c``, in plan order: one stacked product per group with
-    its parents' rows of E_{n-1}, which this builds if it is not cached."""
+    coordinates ``c`` (in slot order), in plan order: per group, the image
+    coefficients a = c_g F_s, a (parents, children, 3 width) array whose
+    entries kw .. kw + w - 1 of row i of parent p, times the parent's rows
+    of E_{n-1} (``_Group.blocks``), are slice k of the image of child i;
+    then one stacked product with those rows.  E_{n-1} is built if it is
+    not cached."""
     if n == 0:
         return c.reshape(1, 1).copy()
     plan, prev = _plan(n), _change_of_basis(n - 1)
+    c = c[plan.row_at]
     images = np.empty((len(plan.orders), len(c)))
-    for g, a in zip(plan.groups, _coefficients(plan, c)):
+    for g in plan.groups:
+        a = np.dot(c[g.coords].reshape(g.parents, -1), g.to_images)
         out = images[g.images].reshape(g.parents, -1, len(prev))
         np.matmul(a.reshape(g.parents, -1, g.width), g.blocks(prev), out=out)
     return images
-
-
-def _coefficients(plan: _Plan, c: np.ndarray) -> list[np.ndarray]:
-    """The image coefficients a = c_g F_s of the coordinates ``c`` (in slot
-    order) of the order-n ``plan``: per group, a (parents, children,
-    3 width) array.  Entries kw .. kw + w - 1 of row i of parent p, times
-    the parent's rows of E_{n-1} (``_Group.blocks``), are slice k of the
-    image of child i.  The one reader of ``to_images``; ``_images`` and
-    ``_coefficient_grams`` loop over its groups."""
-    c = c[plan.row_at]
-    return [np.dot(c[g.coords].reshape(g.parents, -1), g.to_images).reshape(g.parents, g.children, -1)
-            for g in plan.groups]
 
 
 def _rows_of(record: _Record, n: int) -> np.ndarray:
@@ -822,24 +815,71 @@ def _in_gram_range(c: np.ndarray) -> bool:
         return bool(c2.max(initial=0.0) <= high and low <= c2.min(initial=low, where=c != 0.0))
 
 
+def _coefficient_bounds(s: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Constants of the image coefficients a_i = fl(c_i F_i) that ``_images``
+    forms for the children i of an order-s slot, F_i the child's (w_i, 3w)
+    rows of ``_regroup(s)`` and c_i its coordinates: kappa_s >= |a_i . a_j|
+    / (|a_i| |a_j|) for every pair of siblings and every c, and, per child,
+    low_i |c_i| <= |a_i| <= high_i |c_i|, with |c_i| as ``_part_norms``
+    rounds it.  An order-0 slot has one child, and no pair.
+
+    By Schur's lemma F_i F_i^T is a multiple of I and F_i F_j^T is 0, up to
+    rounding.  Both are taken in long double, and their own rounding is at
+    most gamma_3w || |F_i| |F_j|^T ||_F at its unit roundoff (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.5; gamma_m =
+    m u / (1 - m u)).  With lambda_i the mean of the diagonal and d_i the
+    norm of the rest, sigma_i^2 = lambda_i - d_i bounds the squared singular
+    values of F_i below and lambda_i + d_i above, as ``_span_defects``
+    bounds those of a parent's rows, and nu_ij = |F_i F_j^T|_F / (sigma_i
+    sigma_j) bounds the cos of the exact c_i F_i and c_j F_j.  Each entry of
+    a_i is a dot product of 3w terms of which only w_i are not exact zeros,
+    and adding a zero does not round, so |a_i - c_i F_i| <= gamma_{w_i}
+    || |F_i| ||_2 |c_i| <= mu_i |c_i F_i|, with mu_i = gamma_{w_i}
+    sqrt(|| |F_i| |F_i|^T ||_inf) / sigma_i.  So kappa_s is the largest
+    (nu_ij + mu_i + mu_j + mu_i mu_j) / ((1 - mu_i)(1 - mu_j)), and the
+    rounded |c_i|, w_i squares summed and a square root, is within
+    gamma_{w_i + 1} of the exact one.  Each is rounded outward to a double.
+    """
+    def gamma(m, u=2.0**-53):  # u the unit roundoff of float64, or of long double
+        return m * u / (1 - m * u)
+
+    f = _regroup(s).astype(np.longdouble).reshape(3 * (2 * s + 1), -1)
+    widths = np.array([2 * c + 1 for c in _children(s)])
+    edges, child = np.cumsum(widths) - widths, np.repeat(np.arange(len(widths)), widths)
+
+    def blocks(x):  # the Frobenius norm of each block (i, j) of x
+        return np.sqrt(np.add.reduceat(np.add.reduceat(x * x, edges, axis=0), edges, axis=1))
+
+    # F F^T, and |F| |F|^T, which bounds its rounding (np.dot: long-double @ takes 3x as long)
+    gram, magnitude = np.dot(f, f.T), np.dot(np.abs(f), np.abs(f).T)
+    lam = np.add.reduceat(np.diagonal(gram), edges) / widths
+    norms = blocks(gram - np.diag(lam[child])) + gamma(len(f), np.finfo(f.dtype).eps / 2) * blocks(magnitude)
+    sigma, top = np.sqrt(lam - np.diagonal(norms)), np.sqrt(lam + np.diagonal(norms))
+    own = np.add.reduceat(magnitude, edges, axis=1)[np.arange(len(f)), child]  # row sums of |F_i| |F_i|^T
+    mu = gamma(widths) * np.sqrt(np.maximum.reduceat(own, edges)) / sigma
+    cos = (norms / np.outer(sigma, sigma) + mu + mu[:, None] + np.outer(mu, mu)) / np.outer(1 - mu, 1 - mu)
+    np.fill_diagonal(cos, 0.0)
+    low, high = sigma * (1 - mu) * (1 - gamma(widths + 1)), top * (1 + mu) * (1 + gamma(widths + 1))
+    return (float(np.nextafter(float(cos.max()), np.inf)), np.nextafter(low.astype(float), 0.0),
+            np.nextafter(high.astype(float), np.inf))
+
+
 class _SpanDefects(NamedTuple):
     """How far the parents' rows of E_{n-1} are from orthogonal, per parent
-    and over all parents, with the rounding allowances of
-    ``_certified_cross_correlation``, the sibling pairs and the constants of
-    their bounds, and the factor ``stretch`` by which an image can be longer
-    than its coefficients (``_image_norm_bounds``)."""
+    and over all parents, with the rounding allowances and the sibling
+    constants of ``_certified_cross_correlation``, and per image the
+    factors that turn its deviator's coordinate norm |c_i| into bounds:
+    ``underflow`` for the rounding of a rescaled image and ``stretch`` for
+    its norm (``_image_norm_bounds``)."""
 
     lam: np.ndarray  # (parents,) lambda_p, in the slot order of E_{n-1}
-    sigma: np.ndarray  # (parents,) sigma_p, in the same order
     delta: np.ndarray  # (parents,) delta_p, in the same order
     eta: float
     slack: np.ndarray  # (parts,) rounding allowance of each rho, in plan order
-    siblings: np.ndarray  # (2, pairs) images i < j of each sibling pair, by group, parent, then pair
-    parent: np.ndarray  # (pairs,) the parent slot of each pair
-    scale: np.ndarray  # (pairs,) lambda_p / sigma_p of the pair's parent
-    floor: np.ndarray  # (pairs,) the bound of the pair at cos 0
-    underflow: np.ndarray  # (parts,) sqrt(3^n / sigma_p) of each image, in plan order
-    stretch: np.ndarray  # (parts,) sqrt(2 lambda_p - sigma_p) of each image, in plan order
+    sibling_cos: float  # the largest lambda_p / sigma_p kappa_s of a parent with two or more children
+    sibling_delta: float  # the largest delta_p of such a parent
+    underflow: np.ndarray  # (parts,) sqrt(3^n / sigma_p) / low_i of each image, in plan order
+    stretch: np.ndarray  # (parts,) sqrt(2 lambda_p - sigma_p) high_i of each image, in plan order
 
 
 @lru_cache(maxsize=None)
@@ -853,26 +893,26 @@ def _span_defects(n: int) -> _SpanDefects:
     over p != q.  Both come from one product per pair g <= h of the plan's
     groups, the slot-order blocks of E_{n-1} (``_Group.blocks``), so no
     3^(n-1) x 3^(n-1) product is held; E_{n-1} itself is built if it is
-    not cached.
+    not cached.  delta_p carries (3w + 2) eps as an allowance for the
+    rounding of the measured B_p B_p^T, which, as for eta, is not bounded.
 
-    The certificate's own products round: the 3w-term coefficient Gram by
-    at most (3w + 2) eps of the norms, which is added to delta_p, and the
-    w-term product e = a B_p by at most w^1.5 eps of |f_i|, the slack added
-    to rho_i (eps = 2^-52, twice the unit roundoff, covers the factors
-    (1 + delta_p)).  Every rho of the built images is its slack, so the
-    bound of a sibling pair of parent p is its scale lambda_p /
-    sigma_p times |a_i . a_j| / (|a_i| |a_j| (1 - slack)^2), plus its floor
-    delta_p (1 + slack)^2 + 2 slack + 3 slack^2 (``_pair_bound``).
+    The w-term product e = a B_p that builds each image slice rounds by at
+    most w^1.5 eps of |e_i|, the ``slack`` of rho_i (eps = 2^-52, twice the
+    unit roundoff, covers the factors (1 + delta_p)).  ``sibling_cos`` and
+    ``sibling_delta`` are the largest lambda_p / sigma_p kappa_s and
+    delta_p over the parents with siblings (``_coefficient_bounds``), the
+    constants of the one sibling term of ``_certified_cross_correlation``.
 
     An image built from a scaled deviator and multiplied back by 2^k
     (``_rows_of``) rounds each entry that is subnormal by at most 2^-1075,
     which no relative slack covers: at most sqrt(3^n) 2^-1075 over its 3^n
-    entries, that is ``underflow`` 2^-1075 / (2^k |a_i|) of its norm, since
-    the exact product's is at least sqrt(sigma_p) |a_i|.
+    entries, that is ``underflow`` 2^-1075 / (2^k |c_i|) of its norm, since
+    the exact product's is at least sqrt(sigma_p) |a_i| >= sqrt(sigma_p)
+    low_i |c_i|.
 
     The largest eigenvalue of B_p B_p^T = lambda_p I + D_p is at most
     lambda_p + |D_p|_F = 2 lambda_p - sigma_p, so |a_i B_p| <= ``stretch``
-    |a_i| with stretch = sqrt(2 lambda_p - sigma_p), stored per image.
+    |c_i| with stretch = sqrt(2 lambda_p - sigma_p) high_i, stored per image.
     """
     groups, prev = _plan(n).groups, _change_of_basis(n - 1)
     count = groups[-1].slots.stop
@@ -880,6 +920,7 @@ def _span_defects(n: int) -> _SpanDefects:
     squares = np.zeros((count, count))  # |B_p B_q^T|_F^2, for p and q in groups g <= h
     slack, underflow, stretch = np.empty((3, sum(counts_row(n))))
     eps = np.finfo(float).eps
+    sibling_cos = sibling_delta = 0.0
     for i, g in enumerate(groups):
         slack[g.images] = g.width**1.5 * eps
         rows = g.blocks(prev).reshape(-1, len(prev))
@@ -893,23 +934,18 @@ def _span_defects(n: int) -> _SpanDefects:
                 defect = np.linalg.norm(defect, axis=(1, 2))
                 sigma[g.slots] = lam[g.slots] - defect
                 delta[g.slots] = defect / sigma[g.slots] + (3 * g.width + 2) * eps
-                underflow[g.images] = np.repeat(np.sqrt(3.0**n / sigma[g.slots]), g.children)
-                stretch[g.images] = np.repeat(np.sqrt(2.0 * lam[g.slots] - sigma[g.slots]), g.children)
+                kappa, low, high = _coefficient_bounds(g.width // 2)
+                underflow[g.images] = (np.sqrt(3.0**n / sigma[g.slots])[:, None] / low).ravel()
+                stretch[g.images] = (np.sqrt(2.0 * lam[g.slots] - sigma[g.slots])[:, None] * high).ravel()
+                if g.children > 1:
+                    sibling_cos = max(sibling_cos, float(np.max(lam[g.slots] / sigma[g.slots])) * kappa)
+                    sibling_delta = max(sibling_delta, float(np.max(delta[g.slots])))
             gram *= gram
             squares[g.slots, h.slots] = gram.sum(axis=(1, 3))
     np.fill_diagonal(squares, 0.0)
     eta = float(np.sqrt(np.max(squares / np.outer(sigma, sigma))))
-    siblings, parent = [], []  # a group of one child per parent has no pair
-    for g in groups:
-        first = g.images.start + g.children * np.arange(g.parents)[:, None]
-        siblings.append(np.stack([(first + g.pairs[0]).ravel(), (first + g.pairs[1]).ravel()]))
-        parent.append(np.repeat(np.arange(g.slots.start, g.slots.stop), len(g.pairs[0])))
-    siblings, parent = np.concatenate(siblings, axis=1), np.concatenate(parent)
-    rho = slack[siblings[0]]
-    floor = _pair_bound(delta[parent] * (1.0 + rho) ** 2, rho, rho)
-    scale = lam[parent] / sigma[parent]
-    _read_only(lam, sigma, delta, slack, siblings, parent, scale, floor, underflow, stretch)
-    return _SpanDefects(lam, sigma, delta, eta, slack, siblings, parent, scale, floor, underflow, stretch)
+    _read_only(lam, delta, slack, underflow, stretch)
+    return _SpanDefects(lam, delta, eta, slack, sibling_cos, sibling_delta, underflow, stretch)
 
 
 def _pair_bound(inspan, rho_i, rho_j):
@@ -928,32 +964,32 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
     deviator's image pairs with no other.
 
     The images are the embeddings e_i = fl(a_i B_p) of ``_rows_of``, slice
-    by slice: a_i the image coefficients of the deviator
-    (``_deviator_coordinates``, then ``_coefficients``), B_p the rows
-    of the parent slot in E_{n-1}.  The exact product lies in the span of
-    B_p whatever a_i and the defect of B_p, and e_i is within rho_i, the
-    slack of ``_span_defects(n)``, of it.  Writing e_i = its exact product
-    plus that rounding gives cos_ij <= inspan_ij + rho_i + rho_j +
-    3 rho_i rho_j (``_pair_bound``), where inspan_ij bounds the exact
-    products' |<., .>| over |e_i| |e_j|.  As their squared norms are at
-    least sigma_p |a_i|^2 and |e_i| >= sqrt(sigma_p) |a_i| (1 - rho_i):
+    by slice: a_i = fl(c_i F_i) the image coefficients of the deviator's
+    coordinates c_i (``_images``), B_p the rows of the parent slot in
+    E_{n-1}.  The exact product lies in the span of B_p whatever a_i and
+    the defect of B_p, and e_i is within rho_i, the slack of
+    ``_span_defects(n)``, of it.  Writing e_i = its exact product plus that
+    rounding gives cos_ij <= inspan_ij + rho_i + rho_j + 3 rho_i rho_j
+    (``_pair_bound``), where inspan_ij bounds the exact products' |<., .>|
+    over |e_i| |e_j|.  As their squared norms are at least sigma_p |a_i|^2
+    and |e_i| >= sqrt(sigma_p) |a_i| (1 - rho_i):
 
-    * for siblings, the product is lambda_p a_i . a_j + a_i D_p a_j^T, so
-      inspan_ij is the coefficient Gram lambda_p |a_i . a_j| over the norms,
-      plus delta_p (1 + rho_i)(1 + rho_j);
+    * for siblings, the product is lambda_p a_i . a_j + a_i D_p a_j^T, and
+      |a_i . a_j| <= kappa_s |a_i| |a_j| for every c (``_coefficient_bounds``),
+      so inspan_ij is at most lambda_p / sigma_p kappa_s / ((1 - rho_i)
+      (1 - rho_j)) plus delta_p (1 + rho_i)(1 + rho_j);
     * across parents, |<., .>| <= |B_p B_q^T|_F |a_i| |a_j|, so inspan_ij
-      is eta (1 + rho_i)(1 + rho_j), which with the rest of the bound is
-      largest for the two largest rho.
+      is eta (1 + rho_i)(1 + rho_j).
 
-    lambda_p, sigma_p, delta_p, eta and the slack are ``_span_defects(n)``.
-    No image is read or built: the bound costs O(P w^2).  As each rho is
-    its group's slack, a sibling pair's bound is lambda_p |a_i . a_j| /
-    (|e_i| |e_j|) plus a constant of its parent, so each group takes one
-    batched Gram of its children's coefficients (``_coefficient_grams``),
-    and the bounds of all pairs are one expression over the normalised
-    sibling entries (``_SpanDefects.scale`` and ``floor``).  c are the
-    deviators' coordinates (``_deviator_coordinates``), the ones
-    ``_rows_of`` builds the images from; ``verify`` passes those it sums.
+    Each bound grows with rho_i and rho_j, so with the two largest rho and
+    the largest sibling constants (``_SpanDefects.sibling_cos`` and
+    ``sibling_delta``) one expression bounds every pair.  lambda_p,
+    sigma_p, delta_p, eta and the slack are measured by
+    ``_span_defects(n)``.  No image or coefficient is formed: the data
+    enter only through the norms |c_i| (``_part_norms``), which find the
+    zero images and the underflow term.  c are the deviators'
+    coordinates (``_deviator_coordinates``), the ones ``_rows_of`` builds
+    the images from; ``verify`` passes those it sums.
 
     When some nonzero c has c^2 outside ``_GRAM_RANGE``, so that a product
     could underflow or overflow, the coordinates are taken, as ``_rows_of``
@@ -961,7 +997,7 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
     2^k_i (``_scaled_coordinates``), which leaves every cos as it is.  Each
     image is that product times 2^k_i, which rounds each entry that is
     subnormal by at most 2^-1075, so rho_i adds ``_SpanDefects.underflow``
-    2^-1075 / (2^k_i |a_i|), which is below the last bit of the slack unless
+    2^-1075 / (2^k_i |c_i|), which is below the last bit of the slack unless
     2^k_i is below about 2^-960.  So the bound holds for the images that
     ``parts`` builds at every scale, and an image that may be all rounding
     (rho_i >= 1) gives a bound of inf.
@@ -979,68 +1015,54 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
         rescale = not _in_gram_range(c)
         if rescale:
             c, shift = _scaled_coordinates(plan, record.stacks, n)
-        dots, squares = _coefficient_grams(plan, c)
-    live = squares > 0.0
+        norms = _part_norms(plan, c)
+    live = norms > 0.0
     tie = record.tie
     if not live.all():  # a nonzero deviator whose coordinates are all zero: inf
         for _, index, stack in record.stacks:
             if (~live[plan.row_of[index]] & stack.any(axis=1)).any():
                 tie = np.inf
-    if not (tie < np.inf and np.isfinite(squares).all()):  # eta = 0 would make the bound NaN
+    if not (tie < np.inf and np.isfinite(norms).all()):  # eta = 0 would make the bound NaN
         return np.inf, np.inf
     bound = 0.0
     if np.count_nonzero(live) >= 2:
         defects = _span_defects(n)
-        rho, floor = defects.slack, defects.floor
-        i, j = defects.siblings
+        rho = defects.slack
         if rescale:
             with np.errstate(over="ignore", under="ignore"):
-                gap = np.zeros(len(squares))
-                np.divide(defects.underflow, np.sqrt(squares), out=gap, where=live)
+                gap = np.zeros(len(norms))
+                np.divide(defects.underflow, norms, out=gap, where=live)
                 rho = rho + np.ldexp(gap, -1075 - shift)
-            factor = (1.0 + rho[i]) * (1.0 + rho[j])
-            floor = _pair_bound(defects.delta[defects.parent] * factor, rho[i], rho[j])
         second, first = np.partition(rho, -2)[-2:]
         if not first < 1.0:  # an image that may be all rounding
             return np.inf, tie
-        norms = np.full(len(squares), np.inf)  # a zero image pairs with nothing
-        np.sqrt(squares, out=norms, where=live)
-        norms *= 1.0 - rho  # |e_i| >= sqrt(sigma_p) |a_i| (1 - rho_i); sigma_p is in scale
-        worst = _pair_bound(defects.eta * (1.0 + first) * (1.0 + second), first, second)
-        cos = np.abs(dots) / (norms[i] * norms[j])
-        bound = max(worst, float(np.max(defects.scale * cos + floor)))
+        grow, shrink = (1.0 + first) * (1.0 + second), (1.0 - first) * (1.0 - second)
+        inspan = max(defects.eta * grow, defects.sibling_cos / shrink + defects.sibling_delta * grow)
+        bound = _pair_bound(inspan, first, second)
     return float(_pair_bound(bound * (1.0 + tie) ** 2, tie, tie)), tie
 
 
-def _coefficient_grams(plan: _Plan, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the Gram a_i . a_j of the image coefficients of each
-    parent's children (``_coefficients`` of the coordinates ``c``):
-    those of every sibling pair i < j, in the order of
-    ``_SpanDefects.siblings``, and the diagonal |a_i|^2, in plan order.  At
-    order 0 the one image is its one coordinate."""
-    if not plan.groups:
-        return np.empty(0), c * c
-    dots = []
+def _part_norms(plan: _Plan, c: np.ndarray) -> np.ndarray:
+    """The norm |c_i| of each part's coordinates in ``c`` (in slot order),
+    in plan order; at order 0 the one coordinate's magnitude."""
     squares = np.empty(len(plan.orders))
-    for g, a in zip(plan.groups, _coefficients(plan, c)):
-        gram = np.matmul(a, a.transpose(0, 2, 1))
-        dots.append(gram[:, g.pairs[0], g.pairs[1]].ravel())
-        squares[g.images] = gram.diagonal(0, 1, 2).ravel()
-    return np.concatenate(dots), squares
+    for _, index, rows, _ in plan.deviators:
+        squares[plan.row_of[index]] = np.square(c[rows]).reshape(len(index), -1).sum(axis=1)
+    return np.sqrt(squares, out=squares)
 
 
 def _image_norm_bounds(stacks, n: int) -> np.ndarray:
     """Upper bounds on the norms of the embeddings of the deviators
-    ``stacks`` of an order-n record, in plan order, from their coefficients
-    alone: |a_i B_p| <= ``_SpanDefects.stretch`` |a_i|, with |a_i|^2 the
-    diagonal of ``_coefficient_grams``.  The coordinates are taken with
-    each deviator divided exactly by its own 2^k (``_scaled_coordinates``)
-    and each bound is multiplied back by it, so no product underflows; no
-    image is built.  At order 0 the image is the deviator: stretch 1."""
+    ``stacks`` of an order-n record, in plan order, from their coordinate
+    norms alone: |e_i| <= ``_SpanDefects.stretch`` |c_i| (``_part_norms``).
+    The coordinates are taken with each deviator divided exactly by its own
+    2^k (``_scaled_coordinates``) and each bound is multiplied back by it,
+    so no product underflows; no image is built.  At order 0 the image is
+    the deviator: stretch 1."""
     plan = _plan(n)
     c, shift = _scaled_coordinates(plan, stacks, n)
     stretch = _span_defects(n).stretch if n else 1.0
-    return _scaled_back(shift, np.sqrt(_coefficient_grams(plan, c)[1]) * stretch)[0]
+    return _scaled_back(shift, _part_norms(plan, c) * stretch)[0]
 
 
 def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:

@@ -56,11 +56,13 @@ __all__ = [
 
 
 def fmt_float(x: float) -> str:
-    """Shortest-of-17-significant-digits decimal form; rejects non-finite."""
+    """Shortest-of-17-significant-digits decimal form, and "-0.0" for
+    negative zero, whose "-0" JSON reads back as the integer 0; rejects
+    non-finite."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    return format(x, ".17g") if x or math.copysign(1.0, x) > 0.0 else "-0.0"
 
 
 def _components(t: np.ndarray) -> str:
@@ -68,8 +70,10 @@ def _components(t: np.ndarray) -> str:
     finite = np.isfinite(flat)
     if not finite.all():
         fmt_float(flat[~finite][0])  # raises for the first non-finite value
-    # "%.17g" formats a float exactly as fmt_float does
-    return ", ".join(["%.17g"] * flat.size) % tuple(flat.tolist())
+    # "%.17g" formats a float as fmt_float does, but -0.0 as "-0": the only
+    # token followed by "," or the end of the text (an exponent has two digits)
+    text = ", ".join(["%.17g"] * flat.size) % tuple(flat.tolist())
+    return (text + ",").replace("-0,", "-0.0,")[:-1]
 
 
 def tensor_to_json(t) -> str:

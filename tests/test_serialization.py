@@ -1,5 +1,6 @@
 """JSON/text persistence: lossless round-trips and diagnostic errors."""
 
+import dataclasses
 import json
 import re
 import time
@@ -54,6 +55,30 @@ def test_tensor_json_round_trip_is_bit_exact(order):
 def test_tensor_json_awkward_values():
     t = np.array([1.0 / 3.0, -0.0, 1e-300])
     assert np.array_equal(tensor_from_json(tensor_to_json(t)), t)
+
+
+def test_negative_zero_survives_a_round_trip():
+    """JSON reads "-0" as the integer 0, so -0.0 is written "-0.0": a
+    tensor, a decomposition and a Voigt matrix read back keep every sign
+    bit, and write the same text again."""
+    assert np.signbit(json.loads(fmt_float(-0.0)))
+    t = np.array([[-0.0, 0.0, -1.0], [1e-300, -0.0, 2.0], [0.0, -0.0, -0.0]])
+    text = tensor_to_json(t)
+    back = tensor_from_json(text)
+    assert np.array_equal(np.signbit(back), np.signbit(t)) and np.array_equal(back, t)
+    assert tensor_to_json(back) == text
+    m = np.where(np.eye(6) > 0, 1.0, -0.0)
+    for write in (voigt_to_json, voigt_to_text):
+        assert np.array_equal(np.signbit(voigt_from_text(write(m))), np.signbit(m))
+    d = decompose(np.random.default_rng(46).standard_normal((3, 3, 3)))
+    hand = Decomposition(3, tuple(
+        dataclasses.replace(p, deviator=np.where(p.deviator > 0.0, -0.0, p.deviator)) for p in d.parts
+    ))
+    text = decomposition_to_json(hand)
+    back = decomposition_from_json(text)
+    for (_, _, a), (_, _, b) in zip(_record_of(hand).stacks, back._record.stacks):
+        assert np.array_equal(np.signbit(a), np.signbit(b)) and np.array_equal(a, b)
+    assert decomposition_to_json(back) == text
 
 
 def test_tensor_json_error_messages():

@@ -61,7 +61,8 @@ def test_sweep_digest_prints_one_line_per_case_and_form():
     """Orders 0-2: 6 cases at orders 0 and 1 (random tensors, three
     scales, two seeds) and 12 at order 2 (with their symmetrizations), each
     in three forms.  Every case passes ``verify``, and its three forms hold
-    the same arrays, so each digests alike."""
+    the same arrays, so each digests alike.  The certificate has its own
+    digest, apart from the rest of the report."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "sweep_digest.py"), "--orders", "0", "1", "2"],
         capture_output=True, text=True, check=True,
@@ -69,6 +70,8 @@ def test_sweep_digest_prints_one_line_per_case_and_form():
     lines = [dict(field.split("=", 1) for field in line.split()) for line in proc.stdout.splitlines()]
     assert len(lines) == 3 * (6 + 6 + 12)
     assert [line["form"] for line in lines[:3]] == ["decompose", "json", "hand-built"]
+    assert list(lines[0]) == ["order", "kind", "scale", "seed", "form", "passes", "deviators",
+                              "images", "reconstruct", "certificate", "report", "json"]
     cases = {}
     for line in lines:
         case = tuple(line.pop(key) for key in ("order", "kind", "scale", "seed"))

@@ -11,7 +11,9 @@ bytes of each output:
 * ``deviators``: every part's deviator, in part order;
 * ``images``: every part's embedded image (``parts``);
 * ``reconstruct``: the ``reconstruct`` output;
-* ``report``: the ``repr`` of ``verify`` against the tensor;
+* ``certificate``: ``max_cross_correlation`` of ``verify`` against the
+  tensor;
+* ``report``: every other field of that report, by name;
 * ``json``: the ``decomposition_to_json`` text.
 
     python tools/sweep_digest.py > before.txt      # in one checkout
@@ -26,6 +28,7 @@ Only the standard library and numpy are used.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from pathlib import Path
@@ -76,6 +79,8 @@ def lines(order: int):
         }
         for form, x in forms.items():
             report = verify(x, t)
+            rest = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                    if f.name != "max_cross_correlation"}
             parts = x.parts
             fields = [
                 f"order={order}", f"kind={kind}", f"scale={scale:g}", f"seed={seed}",
@@ -83,7 +88,8 @@ def lines(order: int):
                 f"deviators={digest(*[p.deviator for p in parts])}",
                 f"images={digest(*[p.embedded for p in parts])}",
                 f"reconstruct={digest(reconstruct(x))}",
-                f"report={digest(repr(report))}",
+                f"certificate={digest(report.max_cross_correlation)}",
+                f"report={digest(repr(rest))}",
                 f"json={digest(decomposition_to_json(x))}",
             ]
             yield " ".join(fields)
