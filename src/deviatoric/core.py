@@ -243,23 +243,6 @@ def _project(
     return _scaled_back(exponent[0], c)[0], residual
 
 
-def _project_rows(
-    rows: np.ndarray, to_coords: np.ndarray, from_coords: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_project`` of each row of a 2-D array on its own: the rows divided
-    exactly by their own powers of two (``_scaled_rows``), and per scaled
-    row its squared norm and the squared norm of its residual
-    ``(row @ to_coords) @ from_coords - row``.  The ratio of the two is the
-    squared relative residual, the same at every scale of the row; a row
-    with an entry that is not finite has a squared norm that is not finite.
-    No warning is raised."""
-    scaled = _scaled_rows(rows)[0]
-    with np.errstate(invalid="ignore"):
-        residual = scaled @ to_coords @ from_coords
-        residual -= scaled
-        return scaled, np.einsum("ij,ij->i", scaled, scaled), np.einsum("ij,ij->i", residual, residual)
-
-
 def _scaled_back(exponent: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each array times 2**exponent, exactly, undoing ``_scaled_rows``;
     values beyond the float range are +-inf, without a warning."""

@@ -78,8 +78,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _orbit_basis, _project, _project_rows, _scaled_back, _scaled_rows, as_tensor, epsilon,
-    frobenius_norm, symmetrize,
+    _orbit_map, _project, _scaled_back, _scaled_rows, as_tensor, epsilon, frobenius_norm,
+    symmetrize,
 )
 from .harmonic import build_basis, coords, from_coords
 
@@ -255,10 +255,10 @@ class VerifyReport:
     Residuals are relative: the reconstruction to the source tensor's norm,
     each part's symmetry and trace to that part's deviator norm, and each
     cross-correlation to the two images' norms.  A part's symmetry residual
-    is the distance |x - x M_s M_s^T| of its deviator x to the totally
-    symmetric tensors (M_s the orthonormal orbit basis of ``core._orbit_basis``,
-    so x M_s M_s^T is ``symmetrize(x)``), and its trace residual the norm
-    of the trace of x over its first two indices.  A zero denominator gives
+    is the distance |x - symmetrize(x)| of its deviator x to the totally
+    symmetric tensors (``symmetrize(x)`` is the mean of each entry's orbit
+    under permutations of the indices), and its trace residual the norm of
+    the trace of x over its first two indices.  A zero denominator gives
     the absolute residual for the reconstruction and residual 0 for a zero
     part, which is trivially symmetric, traceless and orthogonal.  A
     deviator with an entry that is not finite has symmetry and trace
@@ -623,7 +623,9 @@ def _rows_of(record: _Record, n: int) -> np.ndarray:
     entry."""
     plan = _plan(n)
     c = _deviator_coordinates(plan, record.stacks, n)
-    if _in_gram_range(c):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        in_range = _in_gram_range(c, c * c)
+    if in_range:
         rows = _images(c, n)
     else:
         c, shift = _scaled_coordinates(plan, record.stacks, n)
@@ -805,14 +807,12 @@ def _stack(tensors, order: int) -> np.ndarray:
 _GRAM_RANGE = (2.0**-600, 2.0**600)
 
 
-def _in_gram_range(c: np.ndarray) -> bool:
-    """Whether every nonzero coordinate c has c^2 in ``_GRAM_RANGE``; a
-    nonzero c whose square underflows is out of range, and so is one that
-    is not finite."""
+def _in_gram_range(c: np.ndarray, squares: np.ndarray) -> bool:
+    """Whether every nonzero coordinate c has c^2 in ``_GRAM_RANGE``, given
+    ``squares`` = c * c; a nonzero c whose square underflows is out of
+    range, and so is one that is not finite."""
     low, high = _GRAM_RANGE
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        c2 = c * c
-        return bool(c2.max(initial=0.0) <= high and low <= c2.min(initial=low, where=c != 0.0))
+    return bool(squares.max(initial=0.0) <= high and low <= squares.min(initial=low, where=c != 0.0))
 
 
 def _coefficient_bounds(s: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -1011,11 +1011,13 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
     """
     plan = _plan(n)
     # out of range: taken on the scaled deviators; not finite: inf, below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rescale = not _in_gram_range(c)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        squares = c * c
+        rescale = not _in_gram_range(c, squares)
         if rescale:
             c, shift = _scaled_coordinates(plan, record.stacks, n)
-        norms = _part_norms(plan, c)
+            squares = np.multiply(c, c, out=squares)
+        norms = _part_norms(squares, n)
     live = norms > 0.0
     tie = record.tie
     if not live.all():  # a nonzero deviator whose coordinates are all zero: inf
@@ -1042,13 +1044,69 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
     return float(_pair_bound(bound * (1.0 + tie) ** 2, tie, tie)), tie
 
 
-def _part_norms(plan: _Plan, c: np.ndarray) -> np.ndarray:
-    """The norm |c_i| of each part's coordinates in ``c`` (in slot order),
-    in plan order; at order 0 the one coordinate's magnitude."""
-    squares = np.empty(len(plan.orders))
-    for _, index, rows, _ in plan.deviators:
-        squares[plan.row_of[index]] = np.square(c[rows]).reshape(len(index), -1).sum(axis=1)
-    return np.sqrt(squares, out=squares)
+class _Entries(NamedTuple):
+    """Where the parts of an order-n record lie when its deviator stacks, in
+    the order of ``_plan(n).deviators`` (by s, then J: "record order"), are
+    read as one flat array of entries, and its coordinates c as one flat
+    array in slot order, which is record order too; built once per order
+    (``_entries``) for the checks that take every part in one pass
+    (``_part_residuals``, ``_part_norms``).  The parts of order 0 and 1,
+    which have no trace, come first."""
+
+    starts: np.ndarray  # (parts,) the first entry of each part
+    sizes: np.ndarray  # (parts,) its 3^s entries
+    orbits: np.ndarray  # (entries,) the orbit of each entry under permutations of its part's indices
+    weights: np.ndarray  # (orbits,) 1 / the size of each orbit
+    diagonal: np.ndarray  # (3, traces) the entries x[i, i, ...] of the parts of order >= 2, row i
+    traces: np.ndarray  # (parts of order >= 2,) the first trace entry of each of them
+    part: np.ndarray  # (parts,) each part's index in traversal order
+    coordinates: np.ndarray  # (parts,) the first of each part's 2s+1 coordinates in c
+    by_row: np.ndarray  # (parts,) the part of each image row, in plan order
+
+
+@lru_cache(maxsize=None)
+def _entries(n: int) -> _Entries:
+    """The ``_Entries`` of an order-n record, from ``core._orbit_map`` and
+    ``_plan(n).deviators``, one vectorised step per deviator order s.
+    Orbits are numbered over all parts, part after part, so no orbit sum
+    mixes two parts.  Entry (i, i, k) of an order-s part lies i (3^(s-1) +
+    3^(s-2)) + k after its first, for k < 3^(s-2) (none below order 2)."""
+    plan = _plan(n)
+    orbits, weights, diagonal = [], [], []
+    entry = orbit = 0
+    for s, index, _, _ in plan.deviators:
+        count, size = len(index), 3**s
+        code, weight = _orbit_map(s, tuple(range(s)))
+        canonical = np.flatnonzero(code == np.arange(size))
+        parts = np.arange(count)[:, None]
+        orbits.append((orbit + parts * len(canonical) + np.searchsorted(canonical, code)).ravel())
+        weights.append(np.tile(weight[canonical], count))
+        first = (entry + parts * size + np.arange(size // 9)).ravel()
+        diagonal.append(first + 4 * (size // 9) * np.arange(3)[:, None])
+        entry, orbit = entry + count * size, orbit + count * len(canonical)
+    orders = np.array([s for s, index, _, _ in plan.deviators for _ in index])
+    sizes, widths, traced = 3**orders, 2 * orders + 1, 3 ** (orders[orders >= 2] - 2)
+    part = np.concatenate([index for _, index, _, _ in plan.deviators])
+    entries = _Entries(
+        np.cumsum(sizes) - sizes, sizes, np.concatenate(orbits), np.concatenate(weights),
+        np.concatenate(diagonal, axis=1), np.cumsum(traced) - traced, part,
+        np.cumsum(widths) - widths, np.argsort(plan.row_of[part]),
+    )
+    _read_only(*entries)
+    return entries
+
+
+def _part_norms(squares: np.ndarray, n: int) -> np.ndarray:
+    """The norm |c_i| of each part's coordinates, in plan order, from the
+    squares c * c of the order-n coordinates c (in slot order): one sum over
+    each part's 2s+1 contiguous squares, its square root, and one
+    permutation (``_entries``).  So |c_i| is within gamma_{2s+2} |c_i| of
+    its exact value, as ``_coefficient_bounds`` assumes, and a part times
+    2^k has its norm times 2^k, bit for bit, where no square underflows or
+    overflows; at order 0 the one coordinate's magnitude."""
+    entries = _entries(n)
+    norms = np.sqrt(np.add.reduceat(squares, entries.coordinates))
+    return np.take(norms, entries.by_row)
 
 
 def _image_norm_bounds(stacks, n: int) -> np.ndarray:
@@ -1059,10 +1117,9 @@ def _image_norm_bounds(stacks, n: int) -> np.ndarray:
     2^k (``_scaled_coordinates``) and each bound is multiplied back by it,
     so no product underflows; no image is built.  At order 0 the image is
     the deviator: stretch 1."""
-    plan = _plan(n)
-    c, shift = _scaled_coordinates(plan, stacks, n)
+    c, shift = _scaled_coordinates(_plan(n), stacks, n)
     stretch = _span_defects(n).stretch if n else 1.0
-    return _scaled_back(shift, _part_norms(plan, c) * stretch)[0]
+    return _scaled_back(shift, _part_norms(c * c, n) * stretch)[0]
 
 
 def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
@@ -1075,36 +1132,48 @@ def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
     return c
 
 
-def _part_residuals(stacks, count: int) -> np.ndarray:
-    """The (2, ``count``) symmetry and trace residuals of the parts'
-    deviators, given as ``_Record.stacks``, relative to each deviator's
-    norm; inf for a deviator of any order with an entry that is not finite,
-    and otherwise 0 for orders below 2 and for a zero deviator.
+def _part_residuals(stacks, n: int) -> np.ndarray:
+    """The (2, parts) symmetry and trace residuals of the deviators of an
+    order-n record, given as ``_Record.stacks``, relative to each deviator's
+    norm, in traversal order; inf for a deviator of any order with an entry
+    that is not finite, and otherwise 0 for orders below 2 and for a zero
+    deviator.
 
-    Each order's stack is read once, as ``_scaled_rows``, so no norm
-    overflows or underflows at any scale.  The symmetry residual of a row x
-    is |x - x M_s M_s^T| / |x|, two products per order
-    (``core._project_rows`` onto ``_orbit_basis(s)``); the trace residual is
-    the norm of the sum of the three diagonal (i, i) slices of the same
-    scaled row, over |x|.  The ratios, roots and the inf rule are then taken
-    once for all parts.
+    One pass over all the parts' entries, read as one flat array x with the
+    index of ``_entries(n)``, and no product: each part is divided exactly
+    by its own power of two (one maximum per part, as ``_scaled_rows``
+    takes it), so no norm overflows or underflows at any scale.  The
+    symmetry residual of a part is |x - orbit-mean(x)| / |x|, the mean of
+    each entry's orbit being ``symmetrize(x)``: one sum per orbit over all
+    parts and one gather back.  The trace residual is the norm of the sum
+    of the three gathers x[i, i, ...], over |x|.  Each squared norm is one
+    sum per part, and the ratios, roots and the inf rule are taken once for
+    all parts.  No orbit or trace entry is shared by two parts, so a part
+    that is not finite leaves every other part's residuals as they are.
     """
-    squares = np.zeros((3, count))  # |x|^2, then the squared residuals, on the scaled rows
+    entries = _entries(n)
+    x = np.concatenate([stack for _, _, stack in stacks], axis=None)
+    work = np.abs(x)
+    squares = np.empty((3, len(entries.part)))  # |x|^2, then the squared residuals, on the scaled parts
     norms, residuals = squares[0], squares[1:]
-    for s, index, flat in stacks:
-        if s < 2:  # symmetric and traceless: only the finite check
-            norms[index] = np.where(np.isfinite(flat).all(axis=1), 0.0, np.inf)
-            continue
-        basis = _orbit_basis(s)
-        scaled, norms[index], residuals[0, index] = _project_rows(flat, basis, basis.T)
-        # einsum warns of no invalid value: a row that is not finite is inf, below
-        diagonal = np.einsum("kiij->kj", scaled.reshape(len(flat), 3, 3, -1))
-        residuals[1, index] = np.einsum("ij,ij->i", diagonal, diagonal)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a part that is not finite is inf, below
+        shift = np.frexp(np.maximum.reduceat(work, entries.starts))[1]
+        np.ldexp(x, np.repeat(np.negative(shift, out=shift), entries.sizes), out=x)
+        np.add.reduceat(np.multiply(x, x, out=work), entries.starts, out=norms)
+        means = np.bincount(entries.orbits, weights=x, minlength=len(entries.weights))
+        means *= entries.weights
+        np.subtract(x, np.take(means, entries.orbits, out=work), out=work)
+        np.add.reduceat(np.multiply(work, work, out=work), entries.starts, out=residuals[0])
+        trace = np.take(x, entries.diagonal).sum(axis=0)
+        plain = len(entries.part) - len(entries.traces)  # no trace below order 2
+        residuals[1, :plain] = 0.0
+        np.add.reduceat(np.multiply(trace, trace, out=trace), entries.traces, out=residuals[1, plain:])
         np.divide(residuals, norms, out=residuals, where=norms > 0.0)
     np.sqrt(residuals, out=residuals)
     residuals[:, ~np.isfinite(norms)] = np.inf
-    return residuals
+    ordered = np.empty_like(residuals)
+    ordered[:, entries.part] = residuals
+    return ordered
 
 
 def verify(d: Decomposition, t) -> VerifyReport:
@@ -1116,9 +1185,10 @@ def verify(d: Decomposition, t) -> VerifyReport:
     such arrays, which raises ``ValueError`` for parts in any other layout
     than that of ``decompose`` (``_stacked``).  Each order's deviator
     stack is read once for the coordinates c' = stack B_s^T, which the
-    reconstruction and the certificate share, and once, as
-    ``_scaled_rows``, for the symmetry and trace residuals, each a product
-    over that read (``_part_residuals``).
+    reconstruction and the certificate share, and all stacks are read once
+    more, as one flat array, for the symmetry and trace residuals of every
+    part in one pass of orbit sums and gathers, with no product
+    (``_part_residuals``).
     The reconstruction and orthogonality checks read the coordinates c',
     from which the images are built (``_sum``,
     ``_certified_cross_correlation``).  So an edited deviator fails them.
@@ -1140,7 +1210,7 @@ def verify(d: Decomposition, t) -> VerifyReport:
         res = frobenius_norm(_sum(c, d.order) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    residuals = _part_residuals(record.stacks, len(plan.orders))
+    residuals = _part_residuals(record.stacks, d.order)
     max_cross, tie = _certified_cross_correlation(record, d.order, c)
 
     sym_res, trace_res = residuals.tolist()

@@ -39,7 +39,7 @@ from deviatoric import (
     verify,
 )
 from deviatoric import decomposition, serialization
-from deviatoric.core import frobenius_norm
+from deviatoric.core import _orbit_basis, frobenius_norm
 from deviatoric.decomposition import (
     _certified_cross_correlation,
     _apply,
@@ -47,10 +47,12 @@ from deviatoric.decomposition import (
     _change_of_basis,
     _coefficient_bounds,
     _deviator_coordinates,
+    _entries,
     _images,
     _forward,
     _from_record,
     _image_norm_bounds,
+    _part_norms,
     _Record,
     _plan,
     _record_of,
@@ -578,7 +580,7 @@ def test_verify_part_residuals_are_relative_to_each_part():
 def test_verify_transient_memory_is_bounded():
     t = np.random.default_rng(43).standard_normal((3,) * 7)
     d = decompose(t)
-    verify(d, t)  # builds the cached orbit maps used by the symmetry check
+    verify(d, t)  # builds the cached index of the one-pass part checks (``_entries``)
     tracemalloc.start()
     try:
         verify(d, t)
@@ -1148,6 +1150,106 @@ def test_part_residuals_are_products_that_match_the_loop(case):
         moved_report = verify(moved, reconstruct(moved))
     assert moved_report.part_symmetry == report.part_symmetry
     assert moved_report.part_trace == report.part_trace
+
+
+def spoiled_copy(d, rng):
+    """The deviators of ``d``, with noise of relative size 10^-12..1 added to
+    every third and every fifth set to zero."""
+    deviators = []
+    for k, p in enumerate(d.parts):
+        x = p.deviator.copy()
+        if k % 5 == 1:
+            x[...] = 0.0
+        elif k % 3 == 0:
+            x += rng.standard_normal(x.shape) * 10.0 ** rng.uniform(-12.0, 0.0) * np.linalg.norm(x)
+        deviators.append(x)
+    return deviators
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_a_part_that_is_not_finite_leaves_the_others_as_they_are(order):
+    """A NaN or +-inf in the first or the last entry of one part makes that
+    part's symmetry and trace residuals inf and leaves every other part's
+    bit for bit, without a warning: the one pass over all entries sums no
+    orbit, trace or norm across two parts.  The parts tried are the first
+    and the last of each deviator order, the neighbours of other orders in
+    the pass."""
+    t = np.random.default_rng(1300 + order).standard_normal((3,) * order)
+    d = decompose(t)
+    clean = [p.deviator.copy() for p in d.parts]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = verify(from_deviators(d, clean), t)
+    for s, index, _, _ in _plan(order).deviators:
+        for k in sorted({int(index[0]), int(index[-1])}):
+            for bad in (np.nan, np.inf, -np.inf):
+                for entry in (0, -1):
+                    deviators = [x.copy() for x in clean]
+                    deviators[k].reshape(-1)[entry] = bad
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = verify(from_deviators(d, deviators), t)
+                    assert got.part_symmetry[k] == got.part_trace[k] == np.inf, (s, k, bad, entry)
+                    others = [i for i in range(len(clean)) if i != k]
+                    assert [got.part_symmetry[i] for i in others] == [want.part_symmetry[i] for i in others]
+                    assert [got.part_trace[i] for i in others] == [want.part_trace[i] for i in others]
+
+
+def gamma(m, u=2.0**-53):
+    return m * u / (1 - m * u)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_part_norms_round_as_the_certificate_assumes(order):
+    """``_part_norms`` of the coordinates c of ``decompose`` output and of
+    spoiled deviators is within gamma_{w_i+1} |c_i| of |c_i| taken in long
+    double (w_i = 2s+1), the rounding that ``_coefficient_bounds`` puts in
+    low_i and high_i; the reference's own rounding, gamma_{w_i+1} at the
+    unit roundoff of long double, is allowed for too.  A part times its own
+    2^k has its norm times 2^k, bit for bit."""
+    rng = np.random.default_rng(1400 + order)
+    d = decompose(rng.standard_normal((3,) * order))
+    plan = _plan(order)
+    ours = np.finfo(np.longdouble).eps / 2
+    for case in (d, from_deviators(d, spoiled_copy(d, rng))):
+        c = _deviator_coordinates(plan, case._record.stacks, order)
+        norms = _part_norms(c * c, order)
+        want = np.empty(len(norms), dtype=np.longdouble)
+        width, shift = np.empty((2, len(norms)))
+        scaled = c.copy()
+        for s, index, rows, _ in plan.deviators:
+            block = c[rows].reshape(len(index), -1)
+            want[plan.row_of[index]] = np.sqrt(np.sum(block.astype(np.longdouble) ** 2, axis=1))
+            width[plan.row_of[index]] = 2 * s + 1
+            k = rng.integers(-400, 400, len(index))
+            shift[plan.row_of[index]] = k
+            scaled[rows] = np.ldexp(block, k[:, None]).ravel()
+        allowed = (gamma(width + 1) + gamma(width + 1, ours)) / (1 - gamma(width + 1, ours)) * want
+        assert (np.abs(norms - want) <= allowed).all()
+        assert (norms > 0.0).sum() == (want > 0.0).sum() > 0
+        moved = _part_norms(scaled * scaled, order)
+        assert moved.tobytes() == np.ldexp(norms, shift.astype(int)).tobytes()
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_verify_reads_no_dense_orbit_basis(order):
+    """The part residuals take orbit sums over the index of ``_entries``,
+    not products with the dense orbit bases M_s: with the plan built and
+    the cache of ``core._orbit_basis`` cleared, ``verify`` leaves it empty."""
+    t = np.random.default_rng(1500 + order).standard_normal((3,) * order)
+    d = decompose(t)
+    _plan(order)
+    _orbit_basis.cache_clear()
+    assert verify(d, t).passes(1e-10)
+    assert _orbit_basis.cache_info().currsize == 0
+
+
+def test_the_entry_index_is_small():
+    """The cached index of the one-pass checks holds at most 0.3 MB at
+    order 7 and 1.2 MB at order 8."""
+    def held(n):
+        return sum(a.nbytes for a in _entries(n))
+    assert held(7) <= 0.3e6 and held(8) <= 1.2e6
 
 
 # Known scale defects: the engine computes on the raw values, not under the
