@@ -40,7 +40,10 @@ one level of the recursion at a time, down to the dense base E_5 (0.47 MB,
 ``_DENSE_BASE``): each level passes the slices of all its rows one order
 down in one call.  ``decompose`` is c = ``_apply``(t) / lambda and
 ``reconstruct`` is ``_apply_transposed``(c), so they hold only E_0 .. E_5
-(0.53 MB) at any order.  The images and the certificate build E_{n-1} on
+(0.53 MB) at any order.  ``decompose`` writes each deviator c_p B_s from
+its values on the orbits of the index permutations, so it is exactly
+symmetric, and records c' = deviator B_s^T, which ``reconstruct`` and
+``verify`` read in place of the deviators (``_Record``).  The images and the certificate build E_{n-1} on
 first use: the rows of E_m are the group products of ``_plan(m)`` applied
 to unit coordinates.
 
@@ -186,10 +189,23 @@ class _Record(NamedTuple):
     ``_stacked`` against those embeddings and dropped; ``tie`` keeps how far
     they were (``_tie``), 0 for ``decompose`` output and a file without
     images.
+
+    ``decompose`` also records c' = stack B_s^T, the coordinates of its
+    own deviators (``_deviator_coordinates``), in a list that the first
+    read of ``parts`` empties, for this decomposition and every shallow
+    copy that shares the record.  While it holds c', the stacks are the
+    ones ``decompose`` built from its orbit values, so ``reconstruct``,
+    ``verify`` and ``_rows_of`` read c' in place of the stacks, and the part
+    residuals are constants of s (``_reported_residuals``).  Every other
+    record (a file, hand-built parts, one whose ``parts`` were read) takes c'
+    from its stacks and has its part residuals measured; the same stacks
+    give the same c', bit for bit, so every form of the same deviators
+    reports the same.
     """
 
     stacks: tuple  # per deviator order s: (s, (J_s,) part indices, (J_s, 3^s) deviators)
     tie: float  # tau, the largest rho_i of the images given, or 0
+    coordinates: list | None = None  # [c'] of decompose output until parts are read, else empty or None
 
 
 @dataclass(frozen=True)
@@ -203,7 +219,11 @@ class Decomposition:
     ``verify`` read those arrays, and ``parts`` is built from them on first
     access, then stored; each ``deviator`` is a view of its stack, so an
     in-place edit of a deviator is an edit of the record.  The images are
-    built once, from the deviators, as read-only rows.
+    built once, from the deviators, as read-only rows.  That first read
+    also drops the coordinates that ``decompose`` output records with its
+    deviators (``_Record.coordinates``): from then on ``reconstruct`` and
+    ``verify`` take them from the stacks and measure the part residuals,
+    so an edit reaches them.
     A hand-built decomposition, or one made by ``dataclasses.replace``,
     holds its parts and no record; each read stacks them anew
     (``_record_of``).  Its parts are one per (s, J) slot, in the layout of
@@ -224,6 +244,8 @@ class Decomposition:
             for i, deviator in zip(index.tolist(), _views(stack, s)):
                 deviators[i] = deviator
         images = _views(_rows_of(self._record, self.order), self.order)
+        if self._record.coordinates:  # the deviators can now be edited, which c' would miss
+            self._record.coordinates.clear()
         images = [images[r] for r in row_of.tolist()]
         # a list first: tuple() of an iterator of unknown length resizes its
         # result, and CPython keeps each freed tuple of under 20 items on a
@@ -233,8 +255,14 @@ class Decomposition:
         return self.parts
 
     def __getstate__(self):
-        # pickle, copy and deepcopy keep the record, so a copy is ``decompose`` output
-        return {"order": self.order, "_record": _record_of(self)}
+        # pickle and deepcopy keep the record, so a copy is ``decompose`` output;
+        # its stacks are its own, which it takes c' from, as a file does
+        return {"order": self.order, "_record": _record_of(self)._replace(coordinates=None)}
+
+    def __copy__(self):
+        # a shallow copy shares the record, and so the stacks and the list of
+        # c' that a read of either one's ``parts`` empties
+        return _from_record(self.order, _record_of(self))
 
     def __repr__(self) -> str:
         # the parts' arrays would print in full (numpy summarises no axis of
@@ -262,7 +290,16 @@ class VerifyReport:
     the absolute residual for the reconstruction and residual 0 for a zero
     part, which is trivially symmetric, traceless and orthogonal.  A
     deviator with an entry that is not finite has symmetry and trace
-    residual inf.  ``max_cross_correlation`` is a certified upper bound on
+    residual inf.  Every other part of order s >= 2 reports a trace
+    residual of at least tau_s, a certified bound on that of the deviators
+    ``decompose`` builds (``_trace_bound``: 1.7e-15 at s = 2, 6.1e-15 at
+    s = 7), so that every form of the same deviators reports the same.
+    The part residuals of ``decompose`` output whose ``parts`` were never
+    read are not measured but known: symmetry 0, as its deviators are
+    exactly symmetric, and trace tau_s, unless it is out of
+    ``_GRAM_RANGE`` (``_reported_residuals``); files, hand-built parts and
+    a decomposition whose ``parts`` were read are measured on every call.
+    ``max_cross_correlation`` is a certified upper bound on
     the largest cross-correlation (``_certified_cross_correlation``) and
     ``max_embedding_residual`` the record's tie tau: the largest
     rho_i = |f_i - e_i| / |f_i| of an image f_i given with the parts to the
@@ -403,6 +440,20 @@ def _regroup(s: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _orbit_rows(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_s on the orbits of the index permutations (``core._orbit_map``):
+    the read-only (2s+1, orbits) values of B_s on the first member of each
+    orbit, and the (3^s,) orbit of each entry, so that B_s is
+    ``values[:, orbit]``, bit for bit, since ``build_basis`` gives every
+    member of an orbit the same value."""
+    code, _ = _orbit_map(s, tuple(range(s)))
+    first = np.flatnonzero(code == np.arange(code.size))
+    values, orbit = build_basis(s).flat[:, first], np.searchsorted(first, code)
+    _read_only(values, orbit)
+    return values, orbit
+
+
+@lru_cache(maxsize=None)
 def _change_of_basis(n: int) -> np.ndarray:
     """The order-n change of basis E, built from ``_plan(n)``.
 
@@ -467,6 +518,11 @@ class _Plan(NamedTuple):
     deviators: tuple  # per order s: (s, (J_s,) part indices, its rows of E_n as a slice, B_s.flat)
     row_at: np.ndarray  # (3^n,) the row of E_n of each position in plan order
     position_of: np.ndarray  # (3^n,) the position in plan order of each row of E_n
+    # the parts in record order, the order of ``deviators`` (by s, then J),
+    # which is the slot order of their coordinates
+    part: np.ndarray  # (parts,) each part's index in traversal order
+    starts: np.ndarray  # (parts,) the first of each part's 2s+1 coordinates
+    record_at: np.ndarray  # (parts,) the record position of the part of each image row, in plan order
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -540,9 +596,12 @@ def _plan(n: int) -> _Plan:
         ))
         slot, row, image = slot + count, rows.stop, image + count * len(children)
     lam = lam[position_of]  # from plan order to slot order
-    _read_only(row_of, lam, row_at, position_of)
+    part = np.concatenate([index for _, index, _, _ in deviators])
+    widths = 2 * orders[part] + 1
+    starts, record_at = np.cumsum(widths) - widths, np.argsort(row_of[part])
+    _read_only(row_of, lam, row_at, position_of, part, starts, record_at)
     return _Plan(part_orders(n), tuple(labels.tolist()), row_of, lam, tuple(groups),
-                 tuple(deviators), row_at, position_of)
+                 tuple(deviators), row_at, position_of, part, starts, record_at)
 
 
 # The largest order whose E_m is applied as one dense product.  E_5, 0.47 MB,
@@ -561,17 +620,20 @@ def _apply(x: np.ndarray, m: int) -> np.ndarray:
     level of ``_plan(m)``: the 3N slices of the rows go one order down in
     one call, their coordinates are interleaved into the y of
     ``_Group`` (position 3r + k, slice k), each group takes one batched
-    product with ``to_children``, and the products, in plan order, are
-    taken in slot order (``_Plan.position_of``)."""
+    product with ``to_children`` (one 2-D product at the top level of one
+    tensor, N = 1), and the products, in plan order, are taken in slot
+    order (``_Plan.position_of``)."""
     if m <= _DENSE_BASE:
         return np.dot(x, _change_of_basis(m).T)
     plan, count = _plan(m), len(x)
     y = _apply(x.reshape(3 * count, -1), m - 1)
     y = y.reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
     z = np.empty_like(y)
+    # one row (the top level of one tensor): 2-D products, 6% faster than a batch of one
+    product = np.dot if count == 1 else np.matmul
     for g in plan.groups:
-        shape = (count, g.parents, 3 * g.width)
-        np.matmul(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
+        shape = (count, g.parents, 3 * g.width)[count == 1:]
+        product(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
     return np.take(z, plan.position_of, axis=1)
 
 
@@ -585,9 +647,10 @@ def _apply_transposed(z: np.ndarray, m: int) -> np.ndarray:
     plan, count = _plan(m), len(z)
     z = np.take(z, plan.row_at, axis=1)  # in plan order
     y = np.empty_like(z)
+    product = np.dot if count == 1 else np.matmul  # as in ``_apply``
     for g in plan.groups:
-        shape = (count, g.parents, 3 * g.width)
-        np.matmul(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
+        shape = (count, g.parents, 3 * g.width)[count == 1:]
+        product(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
     y = y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)
     return _apply_transposed(y, m - 1).reshape(count, -1)
 
@@ -614,21 +677,21 @@ def _images(c: np.ndarray, n: int) -> np.ndarray:
 
 def _rows_of(record: _Record, n: int) -> np.ndarray:
     """The image rows of the order-n ``record``, in plan order: the
-    embeddings of its deviators, built by the product of ``_images`` and
+    embeddings of its deviators, built from their coordinates
+    (``_coordinates``) by the product of ``_images`` and
     read-only, so no edit can part them from the deviators they were built
     from.  Where a squared coordinate leaves ``_GRAM_RANGE``, each image is
     built from the coordinates of its own deviator divided exactly by a
     power of two (``_scaled_coordinates``) and then multiplied back by it,
     so that only that last step can round to the subnormal grid, once per
     entry."""
-    plan = _plan(n)
-    c = _deviator_coordinates(plan, record.stacks, n)
+    c = _coordinates(record, n)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         in_range = _in_gram_range(c, c * c)
     if in_range:
         rows = _images(c, n)
     else:
-        c, shift = _scaled_coordinates(plan, record.stacks, n)
+        c, shift = _scaled_coordinates(_plan(n), record.stacks, n)
         rows = _images(c, n)
         with np.errstate(over="ignore", under="ignore"):
             np.ldexp(rows, shift[:, None], out=rows)
@@ -659,7 +722,7 @@ def _views(rows: np.ndarray, order: int) -> list[np.ndarray]:
 def _from_record(order: int, record: _Record) -> Decomposition:
     """The order-``order`` decomposition whose parts are the arrays of
     ``record``; the only maker of a decomposition with a record, besides
-    unpickling and copying (``Decomposition.__getstate__``).  ``decompose``
+    unpickling and deepcopy (``Decomposition.__getstate__``).  ``decompose``
     passes its deviators, and ``decomposition_from_json`` ``_stacked`` of
     the parts it read.  No ``parts`` is built until they are read."""
     d = object.__new__(Decomposition)
@@ -730,32 +793,42 @@ def decompose(t) -> Decomposition:
     Returns one part per (s, J) slot in deterministic traversal order; the
     embedded images sum to ``t`` and are mutually orthogonal.  The
     decomposition records only the deviators, one stack per order (see
-    ``Decomposition``): ``reconstruct`` and ``verify`` read them in place,
-    and the images, 98% of the doubles of the parts, are built only when
-    ``parts`` is read.  Raises ``ValueError`` for a NaN or +-inf entry.
+    ``Decomposition``), and their coordinates c' (``_Record``):
+    ``reconstruct`` and ``verify`` read them in place, and the images, 98%
+    of the doubles of the parts, are built only when ``parts`` is read.
+    Each order's deviators are its coordinates c times B_s on the orbits
+    of the index permutations (``_orbit_rows``), one small product, then
+    gathered to all 3^s entries, so every deviator is exactly symmetric,
+    bit for bit.  Raises ``ValueError`` for a NaN or +-inf entry.
     """
     t = as_tensor(t)
     if not np.isfinite(t).all():
         raise ValueError("tensor has a non-finite entry")
     plan = _plan(t.ndim)
     c = _apply(t.reshape(1, -1), t.ndim)[0] / plan.lam
-    # a list first, as in ``Decomposition.__getattr__``
-    stacks = tuple([(s, index, np.dot(c[rows].reshape(len(index), -1), basis))
-                    for s, index, rows, basis in plan.deviators])
-    return _from_record(t.ndim, _Record(stacks, 0.0))
+    stacks = []  # a list first, as in ``Decomposition.__getattr__``
+    for s, index, rows, _ in plan.deviators:
+        stack = c[rows].reshape(len(index), -1)
+        if s > 1:  # B_0 and B_1 are identities (``build_basis``)
+            values, orbit = _orbit_rows(s)
+            stack = stack.dot(values).take(orbit, axis=1)  # methods: np.take's wrapper costs 1 us
+        stacks.append((s, index, stack if s > 1 else stack.copy()))
+    own = _deviator_coordinates(plan, stacks, t.ndim)
+    own.flags.writeable = False
+    return _from_record(t.ndim, _Record(tuple(stacks), 0.0, [own]))
 
 
 def reconstruct(d: Decomposition) -> np.ndarray:
     """Sum of the embedded parts; inverse of ``decompose``.
 
-    It reads the deviators of ``_record_of(d, images=False)``: those of
-    ``decompose`` and ``load_decomposition`` output, in place, or of any
-    other decomposition, stacked once (``_sum``); no image is read.  So
-    parts in another layout, or deviators of another shape than their
-    order's, raise the same ``ValueError`` as in ``verify``.
+    It reads the coordinates of the deviators of ``_record_of(d,
+    images=False)`` (``_coordinates``): those that ``decompose`` output
+    records, or those of the stacks of ``load_decomposition`` output, in
+    place, or of any other decomposition, stacked once (``_sum``); no image
+    is read.  So parts in another layout, or deviators of another shape
+    than their order's, raise the same ``ValueError`` as in ``verify``.
     """
-    stacks = _record_of(d, images=False).stacks
-    return _sum(_deviator_coordinates(_plan(d.order), stacks, d.order), d.order)
+    return _sum(_coordinates(_record_of(d, images=False), d.order), d.order)
 
 
 def _sum(c: np.ndarray, n: int) -> np.ndarray:
@@ -815,6 +888,13 @@ def _in_gram_range(c: np.ndarray, squares: np.ndarray) -> bool:
     return bool(squares.max(initial=0.0) <= high and low <= squares.min(initial=low, where=c != 0.0))
 
 
+def _gamma(m, u=2.0**-53):
+    """gamma_m = m u / (1 - m u), u the unit roundoff of float64 or another
+    format (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    3.1)."""
+    return m * u / (1 - m * u)
+
+
 def _coefficient_bounds(s: int) -> tuple[float, np.ndarray, np.ndarray]:
     """Constants of the image coefficients a_i = fl(c_i F_i) that ``_images``
     forms for the children i of an order-s slot, F_i the child's (w_i, 3w)
@@ -840,9 +920,6 @@ def _coefficient_bounds(s: int) -> tuple[float, np.ndarray, np.ndarray]:
     rounded |c_i|, w_i squares summed and a square root, is within
     gamma_{w_i + 1} of the exact one.  Each is rounded outward to a double.
     """
-    def gamma(m, u=2.0**-53):  # u the unit roundoff of float64, or of long double
-        return m * u / (1 - m * u)
-
     f = _regroup(s).astype(np.longdouble).reshape(3 * (2 * s + 1), -1)
     widths = np.array([2 * c + 1 for c in _children(s)])
     edges, child = np.cumsum(widths) - widths, np.repeat(np.arange(len(widths)), widths)
@@ -853,13 +930,13 @@ def _coefficient_bounds(s: int) -> tuple[float, np.ndarray, np.ndarray]:
     # F F^T, and |F| |F|^T, which bounds its rounding (np.dot: long-double @ takes 3x as long)
     gram, magnitude = np.dot(f, f.T), np.dot(np.abs(f), np.abs(f).T)
     lam = np.add.reduceat(np.diagonal(gram), edges) / widths
-    norms = blocks(gram - np.diag(lam[child])) + gamma(len(f), np.finfo(f.dtype).eps / 2) * blocks(magnitude)
+    norms = blocks(gram - np.diag(lam[child])) + _gamma(len(f), np.finfo(f.dtype).eps / 2) * blocks(magnitude)
     sigma, top = np.sqrt(lam - np.diagonal(norms)), np.sqrt(lam + np.diagonal(norms))
     own = np.add.reduceat(magnitude, edges, axis=1)[np.arange(len(f)), child]  # row sums of |F_i| |F_i|^T
-    mu = gamma(widths) * np.sqrt(np.maximum.reduceat(own, edges)) / sigma
+    mu = _gamma(widths) * np.sqrt(np.maximum.reduceat(own, edges)) / sigma
     cos = (norms / np.outer(sigma, sigma) + mu + mu[:, None] + np.outer(mu, mu)) / np.outer(1 - mu, 1 - mu)
     np.fill_diagonal(cos, 0.0)
-    low, high = sigma * (1 - mu) * (1 - gamma(widths + 1)), top * (1 + mu) * (1 + gamma(widths + 1))
+    low, high = sigma * (1 - mu) * (1 - _gamma(widths + 1)), top * (1 + mu) * (1 + _gamma(widths + 1))
     return (float(np.nextafter(float(cos.max()), np.inf)), np.nextafter(low.astype(float), 0.0),
             np.nextafter(high.astype(float), np.inf))
 
@@ -1046,22 +1123,18 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
 
 class _Entries(NamedTuple):
     """Where the parts of an order-n record lie when its deviator stacks, in
-    the order of ``_plan(n).deviators`` (by s, then J: "record order"), are
-    read as one flat array of entries, and its coordinates c as one flat
-    array in slot order, which is record order too; built once per order
-    (``_entries``) for the checks that take every part in one pass
-    (``_part_residuals``, ``_part_norms``).  The parts of order 0 and 1,
-    which have no trace, come first."""
+    record order (``_Plan.part``), are read as one flat array of entries;
+    built once per order (``_entries``) for the one pass that measures the
+    residuals of given deviators (``_part_residuals``).  The parts of order
+    0 and 1, which have no trace, come first."""
 
     starts: np.ndarray  # (parts,) the first entry of each part
     sizes: np.ndarray  # (parts,) its 3^s entries
     orbits: np.ndarray  # (entries,) the orbit of each entry under permutations of its part's indices
     weights: np.ndarray  # (orbits,) 1 / the size of each orbit
+    firsts: np.ndarray  # (orbits,) the first entry of each orbit
     diagonal: np.ndarray  # (3, traces) the entries x[i, i, ...] of the parts of order >= 2, row i
     traces: np.ndarray  # (parts of order >= 2,) the first trace entry of each of them
-    part: np.ndarray  # (parts,) each part's index in traversal order
-    coordinates: np.ndarray  # (parts,) the first of each part's 2s+1 coordinates in c
-    by_row: np.ndarray  # (parts,) the part of each image row, in plan order
 
 
 @lru_cache(maxsize=None)
@@ -1072,7 +1145,7 @@ def _entries(n: int) -> _Entries:
     mixes two parts.  Entry (i, i, k) of an order-s part lies i (3^(s-1) +
     3^(s-2)) + k after its first, for k < 3^(s-2) (none below order 2)."""
     plan = _plan(n)
-    orbits, weights, diagonal = [], [], []
+    orbits, weights, firsts, diagonal = [], [], [], []
     entry = orbit = 0
     for s, index, _, _ in plan.deviators:
         count, size = len(index), 3**s
@@ -1081,16 +1154,15 @@ def _entries(n: int) -> _Entries:
         parts = np.arange(count)[:, None]
         orbits.append((orbit + parts * len(canonical) + np.searchsorted(canonical, code)).ravel())
         weights.append(np.tile(weight[canonical], count))
+        firsts.append((entry + parts * size + canonical).ravel())
         first = (entry + parts * size + np.arange(size // 9)).ravel()
         diagonal.append(first + 4 * (size // 9) * np.arange(3)[:, None])
         entry, orbit = entry + count * size, orbit + count * len(canonical)
     orders = np.array([s for s, index, _, _ in plan.deviators for _ in index])
-    sizes, widths, traced = 3**orders, 2 * orders + 1, 3 ** (orders[orders >= 2] - 2)
-    part = np.concatenate([index for _, index, _, _ in plan.deviators])
+    sizes, traced = 3**orders, 3 ** (orders[orders >= 2] - 2)
     entries = _Entries(
         np.cumsum(sizes) - sizes, sizes, np.concatenate(orbits), np.concatenate(weights),
-        np.concatenate(diagonal, axis=1), np.cumsum(traced) - traced, part,
-        np.cumsum(widths) - widths, np.argsort(plan.row_of[part]),
+        np.concatenate(firsts), np.concatenate(diagonal, axis=1), np.cumsum(traced) - traced,
     )
     _read_only(*entries)
     return entries
@@ -1100,13 +1172,13 @@ def _part_norms(squares: np.ndarray, n: int) -> np.ndarray:
     """The norm |c_i| of each part's coordinates, in plan order, from the
     squares c * c of the order-n coordinates c (in slot order): one sum over
     each part's 2s+1 contiguous squares, its square root, and one
-    permutation (``_entries``).  So |c_i| is within gamma_{2s+2} |c_i| of
-    its exact value, as ``_coefficient_bounds`` assumes, and a part times
-    2^k has its norm times 2^k, bit for bit, where no square underflows or
-    overflows; at order 0 the one coordinate's magnitude."""
-    entries = _entries(n)
-    norms = np.sqrt(np.add.reduceat(squares, entries.coordinates))
-    return np.take(norms, entries.by_row)
+    permutation (``_Plan.starts`` and ``record_at``).  So |c_i| is within
+    gamma_{2s+2} |c_i| of its exact value, as ``_coefficient_bounds``
+    assumes, and a part times 2^k has its norm times 2^k, bit for bit,
+    where no square underflows or overflows; at order 0 the one
+    coordinate's magnitude."""
+    plan = _plan(n)
+    return np.take(np.sqrt(np.add.reduceat(squares, plan.starts)), plan.record_at)
 
 
 def _image_norm_bounds(stacks, n: int) -> np.ndarray:
@@ -1122,57 +1194,182 @@ def _image_norm_bounds(stacks, n: int) -> np.ndarray:
     return _scaled_back(shift, _part_norms(c * c, n) * stretch)[0]
 
 
+def _coordinates(record: _Record, n: int) -> np.ndarray:
+    """The coordinates c' of the deviators of the order-n ``record``, in
+    slot order: those it records (``decompose`` output whose ``parts`` were
+    not read), or ``_deviator_coordinates`` of its stacks, the same bits."""
+    if record.coordinates:
+        return record.coordinates[0]
+    return _deviator_coordinates(_plan(n), record.stacks, n)
+
+
 def _deviator_coordinates(plan: _Plan, stacks, n: int) -> np.ndarray:
     """The 3^n coordinates c of the deviators ``stacks`` of a record in the
     layout of the order-n ``plan``, in slot order: each deviator times
-    B_s^T, the c of ``decompose`` to rounding."""
+    B_s^T, the c of ``decompose`` to rounding; the deviators themselves
+    below order 2, where B_s is the identity (``build_basis``)."""
     c = np.empty(3**n)
-    for (_, _, stack), (_, _, rows, basis) in zip(stacks, plan.deviators):
-        c[rows] = np.dot(stack, basis.T).ravel()
+    for (s, _, stack), (_, index, rows, basis) in zip(stacks, plan.deviators):
+        out = c[rows].reshape(len(index), -1)
+        if s > 1:
+            stack.dot(basis.T, out=out)
+        else:
+            out[...] = stack
     return c
+
+
+def _orbit_norm(m: np.ndarray, sizes: np.ndarray) -> np.longdouble:
+    """An upper bound on the spectral norm of the (rows, orbits) long-double
+    array ``m`` whose columns stand for ``sizes`` equal columns each: the
+    square root of a Collatz-Wielandt bound max_i (H v)_i / v_i >= rho(H)
+    (v from power steps) on the nonnegative H = |G| + 2 gamma_{orbits+1}
+    |m| S |m|^T, which bounds the exact G = m S m^T (S = diag(sizes)) entry
+    by entry, and with gamma_{rows+2} for the rounding of H and of H v / v,
+    at the unit roundoff of long double."""
+    u, abs_m = np.finfo(np.longdouble).eps / 2, np.abs(m)
+    h = np.abs(np.dot(m * sizes, m.T)) + 2 * _gamma(m.shape[1] + 1, u) * np.dot(abs_m * sizes, abs_m.T)
+    v = np.ones(len(h), dtype=h.dtype)
+    for _ in range(20):
+        v = np.dot(h, v)
+        v /= v.max(initial=1.0)
+    live = v > 0.0  # v_i >= h_ii v_i / max(v) stays positive but on the zero rows of h
+    top = np.max(np.dot(h, v)[live] / v[live], initial=0.0)
+    return np.sqrt(top * (1 + _gamma(len(h) + 2, u))) * (1 + u)
+
+
+@lru_cache(maxsize=None)
+def _trace_bound(s: int) -> float:
+    """tau_s, a bound on the trace residual |tr x| / |x| of every deviator
+    x = fl(c B_s) that ``decompose`` builds from coordinates c, both exact
+    and as ``_part_residuals`` measures it; 0 below order 2.  It holds
+    wherever the nonzero coordinates lie in ``_GRAM_RANGE``, as
+    ``_reported_residuals`` requires: then no product overflows, and those
+    that underflow move x by less than 2^-700 of |x|.
+
+    Each orbit value of x is one (2s+1)-term dot product, so x = c B_s + E
+    with |E_e| <= gamma_w (|c| |B_s|)_e, w = 2s+1 (Higham, 3.5).  With T_s
+    the (w, 3^(s-2)) traces of the rows of B_s, A_s the sums
+    sum_i |B_s[., i, i, k]| and sigma the least singular value of B_s:
+
+        |tr x| <= |c| (|T_s|_2 + gamma_w |A_s|_2),
+        |x| >= |c| (sigma - gamma_w || |B_s| ||_2).
+
+    The measurement rounds the three-term trace sums by at most gamma_2
+    sqrt(3) |x|, the sums of squares by gamma_{3^(s-2)} and gamma_{3^s},
+    and the ratio and its root by one u each.  T_s is taken in long double
+    from B_s, with gamma_2 A_s at long double's unit roundoff added; each
+    norm is bounded by ``_orbit_norm`` on the first members of the orbits
+    (B_s is constant on the orbits of order s, T_s and A_s on those of order
+    s-2, bit for bit), and sigma^2 >= 1 - |B_s B_s^T - I|_F with the
+    rounding of that Gram added.  The steps that combine these round by
+    less than 32 units of long double's roundoff, and the result is rounded
+    up to a double, which covers the underflows too.
+    """
+    if s < 2:
+        return 0.0
+    u, wide, w = 2.0**-53, np.finfo(np.longdouble).eps / 2, 2 * s + 1
+    values, orbit = _orbit_rows(s)
+    b, sizes = values.astype(np.longdouble), np.bincount(orbit)  # sizes: of each orbit
+    code = _orbit_map(s - 2, tuple(range(s - 2)))[0]
+    first = np.flatnonzero(code == np.arange(code.size))
+    diagonal = build_basis(s).flat.reshape(w, 3, 3, -1)[:, np.arange(3), np.arange(3)][:, :, first]
+    diagonal = diagonal.astype(np.longdouble)  # (w, 3, orbits of order s - 2)
+    spread, lower = np.abs(diagonal).sum(axis=1), np.bincount(code)[first]
+    spread = _orbit_norm(spread, lower)
+    trace = _orbit_norm(diagonal.sum(axis=1), lower) + _gamma(2, wide) * spread
+    stretch = _orbit_norm(np.abs(b), sizes)
+    gram = np.dot(b * sizes, b.T) - np.eye(w)
+    defect = np.sqrt(np.sum(gram * gram)) + _gamma(len(sizes) + 1, wide) * stretch**2
+    ratio = (trace + _gamma(w) * spread) / (np.sqrt(1 - defect) - _gamma(w) * stretch)
+    tau = (ratio + _gamma(2) * np.sqrt(3)) * np.sqrt((1 + _gamma(3 ** (s - 2))) / (1 - _gamma(3**s))) * (1 + u) ** 2
+    return float(np.nextafter(float(tau * (1 + 32 * wide)), np.inf))
+
+
+@lru_cache(maxsize=None)
+def _trace_bounds(n: int) -> np.ndarray:
+    """tau_s (``_trace_bound``) of each part of an order-n record, in record order."""
+    bounds = np.concatenate([np.full(len(index), _trace_bound(s)) for s, index, _, _ in _plan(n).deviators])
+    _read_only(bounds)
+    return bounds
+
+
+def _reported_residuals(record: _Record, n: int, c: np.ndarray) -> np.ndarray:
+    """The (2, parts) symmetry and trace residuals that ``verify`` reports
+    for the order-n ``record``, in traversal order, given its coordinates
+    ``c`` (``_coordinates``).  Every form of the same deviators reports
+    what ``_part_residuals`` measures with the floor tau_s: 0 for a zero
+    deviator, inf for one that is not finite, and otherwise the measured
+    symmetry and max(tau_s, the measured trace).
+
+    ``decompose`` output whose record holds c' and whose nonzero
+    coordinates lie in ``_GRAM_RANGE`` is not measured: its deviators are
+    exactly symmetric, so the measured symmetry is 0, and tau_s bounds the
+    measured trace (``_trace_bound``).  So each of its parts reports 0 and
+    tau_s, and 0 and 0 where the part's deviator is zero, without a pass
+    over the entries.  A part whose coordinates are all zero has its
+    stack read to tell it from a nonzero deviator that they miss; any
+    other record, or one out of range, is measured.
+    """
+    plan = _plan(n)
+    if record.coordinates:
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            in_range = _in_gram_range(c, c * c)
+        live = np.logical_or.reduceat(c != 0.0, plan.starts)
+        if in_range and (live.all() or not np.concatenate(
+                [stack.any(axis=1) for _, _, stack in record.stacks])[~live].any()):
+            residuals = np.zeros((2, len(live)))
+            residuals[1, plan.part] = np.where(live, _trace_bounds(n), 0.0)
+            return residuals
+    return _part_residuals(record.stacks, n)
 
 
 def _part_residuals(stacks, n: int) -> np.ndarray:
     """The (2, parts) symmetry and trace residuals of the deviators of an
     order-n record, given as ``_Record.stacks``, relative to each deviator's
-    norm, in traversal order; inf for a deviator of any order with an entry
-    that is not finite, and otherwise 0 for orders below 2 and for a zero
-    deviator.
+    norm, in traversal order, as every record reports them
+    (``_reported_residuals``): inf for a deviator of any order with an entry
+    that is not finite, 0 for a zero deviator, and otherwise the measured
+    symmetry and the larger of tau_s (``_trace_bound``) and the measured
+    trace, 0 for orders below 2.
 
     One pass over all the parts' entries, read as one flat array x with the
     index of ``_entries(n)``, and no product: each part is divided exactly
     by its own power of two (one maximum per part, as ``_scaled_rows``
-    takes it), so no norm overflows or underflows at any scale.  The
-    symmetry residual of a part is |x - orbit-mean(x)| / |x|, the mean of
-    each entry's orbit being ``symmetrize(x)``: one sum per orbit over all
-    parts and one gather back.  The trace residual is the norm of the sum
-    of the three gathers x[i, i, ...], over |x|.  Each squared norm is one
-    sum per part, and the ratios, roots and the inf rule are taken once for
-    all parts.  No orbit or trace entry is shared by two parts, so a part
-    that is not finite leaves every other part's residuals as they are.
+    takes it), so no norm overflows or underflows at any scale.  The trace
+    residual is the norm of the sum of the three gathers x[i, i, ...], over
+    |x|.  The symmetry residual of a part is |x - orbit-mean(x)| / |x|, the
+    mean of each entry's orbit being ``symmetrize(x)``, taken as that of
+    the differences d = x - (the orbit's first entry): one sum per orbit
+    over all parts and one gather back, so an orbit of equal entries gives
+    exactly 0.  Each squared norm is one sum per part, and the ratios,
+    roots and the inf rule are taken once for all parts.  No orbit or trace
+    entry is shared by two parts, so a part that is not finite leaves every
+    other part's residuals as they are.
     """
-    entries = _entries(n)
+    entries, plan = _entries(n), _plan(n)
     x = np.concatenate([stack for _, _, stack in stacks], axis=None)
     work = np.abs(x)
-    squares = np.empty((3, len(entries.part)))  # |x|^2, then the squared residuals, on the scaled parts
+    squares = np.empty((3, len(plan.part)))  # |x|^2, then the squared residuals, on the scaled parts
     norms, residuals = squares[0], squares[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # a part that is not finite is inf, below
         shift = np.frexp(np.maximum.reduceat(work, entries.starts))[1]
         np.ldexp(x, np.repeat(np.negative(shift, out=shift), entries.sizes), out=x)
         np.add.reduceat(np.multiply(x, x, out=work), entries.starts, out=norms)
+        trace = np.take(x, entries.diagonal).sum(axis=0)
+        plain = len(plan.part) - len(entries.traces)  # no trace below order 2
+        residuals[1, :plain] = 0.0
+        np.add.reduceat(np.multiply(trace, trace, out=trace), entries.traces, out=residuals[1, plain:])
+        np.subtract(x, np.take(np.take(x, entries.firsts), entries.orbits, out=work), out=x)
         means = np.bincount(entries.orbits, weights=x, minlength=len(entries.weights))
         means *= entries.weights
         np.subtract(x, np.take(means, entries.orbits, out=work), out=work)
         np.add.reduceat(np.multiply(work, work, out=work), entries.starts, out=residuals[0])
-        trace = np.take(x, entries.diagonal).sum(axis=0)
-        plain = len(entries.part) - len(entries.traces)  # no trace below order 2
-        residuals[1, :plain] = 0.0
-        np.add.reduceat(np.multiply(trace, trace, out=trace), entries.traces, out=residuals[1, plain:])
         np.divide(residuals, norms, out=residuals, where=norms > 0.0)
     np.sqrt(residuals, out=residuals)
+    np.maximum(residuals[1], _trace_bounds(n), out=residuals[1], where=norms > 0.0)
     residuals[:, ~np.isfinite(norms)] = np.inf
     ordered = np.empty_like(residuals)
-    ordered[:, entries.part] = residuals
+    ordered[:, plan.part] = residuals
     return ordered
 
 
@@ -1183,15 +1380,17 @@ def verify(d: Decomposition, t) -> VerifyReport:
     ``load_decomposition`` records (``_record_of``), never ``parts``, so it
     builds no part; any other decomposition is first stacked, once, into
     such arrays, which raises ``ValueError`` for parts in any other layout
-    than that of ``decompose`` (``_stacked``).  Each order's deviator
-    stack is read once for the coordinates c' = stack B_s^T, which the
-    reconstruction and the certificate share, and all stacks are read once
-    more, as one flat array, for the symmetry and trace residuals of every
-    part in one pass of orbit sums and gathers, with no product
-    (``_part_residuals``).
-    The reconstruction and orthogonality checks read the coordinates c',
-    from which the images are built (``_sum``,
-    ``_certified_cross_correlation``).  So an edited deviator fails them.
+    than that of ``decompose`` (``_stacked``).  The reconstruction and the
+    certificate share the coordinates c' = stack B_s^T of the deviators
+    (``_coordinates``), from which the images are built (``_sum``,
+    ``_certified_cross_correlation``), so an edited deviator fails them.
+    ``decompose`` output records c', and its part residuals are constants
+    of s, read with no pass over its deviators (``_reported_residuals``).
+    Any other decomposition has c' taken from its stacks, one product per
+    order, and all stacks read once more, as one flat array, for the
+    symmetry and trace residuals of every part in one pass of orbit sums
+    and gathers, with no product (``_part_residuals``).  Both report the
+    same for the same deviators.
 
     One orthogonality check, at every order: ``max_cross_correlation`` and
     ``max_embedding_residual`` are the certified bound (at or above the
@@ -1204,13 +1403,12 @@ def verify(d: Decomposition, t) -> VerifyReport:
     t = as_tensor(t, order=d.order)
     record = _record_of(d)
     t_norm = frobenius_norm(t)
-    plan = _plan(d.order)
     with np.errstate(over="ignore", invalid="ignore"):  # a deviator that is not finite: below
-        c = _deviator_coordinates(plan, record.stacks, d.order)
+        c = _coordinates(record, d.order)
         res = frobenius_norm(_sum(c, d.order) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    residuals = _part_residuals(record.stacks, d.order)
+    residuals = _reported_residuals(record, d.order, c)
     max_cross, tie = _certified_cross_correlation(record, d.order, c)
 
     sym_res, trace_res = residuals.tolist()

@@ -39,7 +39,7 @@ from deviatoric import (
     verify,
 )
 from deviatoric import decomposition, serialization
-from deviatoric.core import _orbit_basis, frobenius_norm
+from deviatoric.core import _orbit_basis, _orbit_map, frobenius_norm
 from deviatoric.decomposition import (
     _certified_cross_correlation,
     _apply,
@@ -53,6 +53,7 @@ from deviatoric.decomposition import (
     _from_record,
     _image_norm_bounds,
     _part_norms,
+    _part_residuals,
     _Record,
     _plan,
     _record_of,
@@ -61,6 +62,8 @@ from deviatoric.decomposition import (
     _span_defects,
     _stacked,
     _sum,
+    _trace_bound,
+    _trace_bounds,
 )
 from deviatoric.serialization import (
     decomposition_from_json,
@@ -580,7 +583,7 @@ def test_verify_part_residuals_are_relative_to_each_part():
 def test_verify_transient_memory_is_bounded():
     t = np.random.default_rng(43).standard_normal((3,) * 7)
     d = decompose(t)
-    verify(d, t)  # builds the cached index of the one-pass part checks (``_entries``)
+    verify(d, t)  # builds the cached constants of the certificate and of the trace bounds
     tracemalloc.start()
     try:
         verify(d, t)
@@ -645,7 +648,7 @@ def test_images_are_checked_where_they_come_in():
     assert not images[0].base.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         images[0][...] += 1.0
-    assert built._record._fields == ("stacks", "tie") and built._record.tie == 0.0
+    assert built._record._fields == ("stacks", "tie", "coordinates") and built._record.tie == 0.0
     copied = eager_copy(built)
     record = _record_of(copied)
     assert record.tie == 0.0
@@ -2105,3 +2108,198 @@ def test_certificate_ignores_a_power_of_two_per_part(case):
     assert _rows_of(scaled, d.order).tobytes() == expected.tobytes()
     assert certificate(scaled, d.order) == certificate(d._record, d.order)
     assert _image_norm_bounds(scaled.stacks, d.order).tobytes() == bounds.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the coordinates that ``decompose`` records, and its part residuals
+
+
+def batched_apply(x, m):
+    """``_apply`` with every level a batched ``np.matmul``, the top level of
+    one row included, as before one row took 2-D products."""
+    if m <= decomposition._DENSE_BASE:
+        return np.dot(x, _change_of_basis(m).T)
+    plan, count = _plan(m), len(x)
+    y = batched_apply(x.reshape(3 * count, -1), m - 1)
+    y = y.reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
+    z = np.empty_like(y)
+    for g in plan.groups:
+        shape = (count, g.parents, 3 * g.width)
+        np.matmul(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
+    return np.take(z, plan.position_of, axis=1)
+
+
+def batched_apply_transposed(z, m):
+    """``_apply_transposed`` with every level a batched ``np.matmul``."""
+    if m <= decomposition._DENSE_BASE:
+        return np.dot(z, _change_of_basis(m))
+    plan, count = _plan(m), len(z)
+    z = np.take(z, plan.row_at, axis=1)
+    y = np.empty_like(z)
+    for g in plan.groups:
+        shape = (count, g.parents, 3 * g.width)
+        np.matmul(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
+    y = y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)
+    return batched_apply_transposed(y, m - 1).reshape(count, -1)
+
+
+@pytest.mark.parametrize("order", [6, 7, 8])
+def test_one_row_takes_2d_products_with_the_bits_of_a_batch(order):
+    """The top level of one tensor (N = 1) takes one 2-D ``np.dot`` per
+    group: E_n t and E_n^T c are those of the batched products, bit for
+    bit, and a stack of rows still takes the batched ones."""
+    rng = np.random.default_rng(2100 + order)
+    t = rng.standard_normal((1, 3**order))
+    c = coordinates(t.reshape((3,) * order)).reshape(1, -1)
+    assert _apply(t, order).tobytes() == batched_apply(t, order).tobytes()
+    assert _apply_transposed(c, order).tobytes() == batched_apply_transposed(c, order).tobytes()
+    rows = rng.standard_normal((2, 3**order))
+    assert _apply(rows, order).tobytes() == batched_apply(rows, order).tobytes()
+
+
+@pytest.mark.parametrize("order", range(10))
+def test_decompose_deviators_are_exactly_symmetric(order):
+    """``decompose`` builds each deviator from its orbit values and gathers
+    them to every entry, so every entry equals the first of its orbit, bit
+    for bit; the coordinates it records are those of its own deviators,
+    bit for bit, as ``_deviator_coordinates`` takes them from a file."""
+    t = np.random.default_rng(2200 + order).standard_normal((3,) * order)
+    d = decompose(t)
+    for s, _, stack in d._record.stacks:
+        code = _orbit_map(s, tuple(range(s)))[0]
+        assert stack.tobytes() == stack[:, code].tobytes(), s
+    own = d._record.coordinates[0]
+    assert not own.flags.writeable
+    assert own.tobytes() == _deviator_coordinates(_plan(order), d._record.stacks, order).tobytes()
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_decompose_output_reports_tau_without_measuring(order):
+    """``decompose`` output reports, without a pass over its entries, what
+    its deviators measure: symmetry exactly 0 and the trace bound tau_s,
+    bit for bit, 0 for a zero part, for a random tensor and its
+    symmetrization (whose lower parts are rounding noise or zero)."""
+    t = np.random.default_rng(2300 + order).standard_normal((3,) * order)
+    for u in (t, symmetrize(t)):
+        d = decompose(u)
+        measured = _part_residuals(d._record.stacks, order)
+        assert not measured[0].any()
+        report = verify(d, u)
+        assert d._record.coordinates  # verify read the recorded coordinates
+        assert report.part_symmetry == tuple(measured[0]) and report.part_trace == tuple(measured[1])
+        live = [p.deviator.any() for p in d.parts]
+        assert report.part_trace == tuple(_trace_bound(p.s) if x else 0.0 for p, x in zip(d.parts, live))
+
+
+def test_verify_of_decompose_output_builds_no_entry_index():
+    """From cleared caches, ``decompose``, ``reconstruct`` and ``verify`` at
+    order 8 build no per-entry index: the part residuals of ``decompose``
+    output are read from its coordinates, and the certificate's part norms
+    from the plan.  Measuring given deviators, a file's, builds it."""
+    t = np.random.default_rng(2400).standard_normal((3,) * 8)
+    for cache in (_entries, _trace_bounds, _trace_bound):
+        cache.cache_clear()
+    d = decompose(t)
+    assert verify(d, reconstruct(d)).passes(1e-10)
+    assert _entries.cache_info().currsize == 0
+    loaded = decomposition_from_json(decomposition_to_json(d))
+    assert verify(loaded, reconstruct(loaded)) == verify(d, reconstruct(d))
+    assert _entries.cache_info().currsize == 1
+
+
+def test_a_part_whose_recorded_coordinates_underflow_is_measured():
+    """A deviator of ``decompose`` output whose entries are a unit or two
+    of the subnormal grid can have recorded coordinates c' that all round
+    to 0, since no entry of B_5 is as large as 1/2.  ``verify`` then reads
+    its stack and measures it, as it measures the loaded file, instead of
+    reporting a zero part; such parts turn up among the tensors of one
+    unit coordinate at order 5."""
+    n, plan, hits = 5, _plan(5), 0
+    for j in range(3**n):
+        c = np.zeros(3**n)
+        c[j] = 5e-324
+        t = _sum(c, n).reshape((3,) * n)
+        d = decompose(t)
+        own = d._record.coordinates[0]
+        zero = ~np.logical_or.reduceat(own != 0.0, plan.starts)
+        nonzero = np.concatenate([stack.any(axis=1) for _, _, stack in d._record.stacks])
+        hits += bool((zero & nonzero).any())
+        report = verify(d, t)
+        assert d._record.coordinates
+        assert report == verify(decomposition_from_json(decomposition_to_json(d)), t), j
+    assert hits
+
+
+def test_reading_parts_drops_the_recorded_coordinates():
+    """The first read of ``parts`` empties the recorded coordinates of the
+    decomposition and of a shallow copy that shares its record, so an edit
+    through either reaches both; a pickled copy records none and reports
+    the same."""
+    t = np.random.default_rng(2500).standard_normal((3,) * 5)
+    d = decompose(t)
+    assert pickle.loads(pickle.dumps(d))._record.coordinates is None
+    shallow = copy.copy(d)
+    assert shallow._record is d._record
+    k = next(i for i, p in enumerate(shallow.parts) if p.s == 3)
+    assert d._record.coordinates == []
+    shallow.parts[k].deviator[0, 1, 2] += 1.0
+    for x in (d, shallow):
+        report = verify(x, t)
+        assert report.part_symmetry[k] > 1e-3 and not report.passes(1e-10)
+
+
+def exact_trace_residual(x):
+    """|tr x| / |x| of the order-s deviator x (s >= 2), over its first two
+    indices, in mpmath at 50 digits."""
+    x = x.reshape(3, 3, -1)
+    with mpmath.workdps(50):
+        trace = sum(sum(mpmath.mpf(float(x[i, i, k])) for i in range(3)) ** 2 for k in range(x.shape[2]))
+        norm = mpmath.fsum(mpmath.mpf(float(v)) ** 2 for v in x.ravel())
+        return mpmath.sqrt(trace / norm) if norm else mpmath.mpf(0)
+
+
+@pytest.mark.parametrize("order", range(2, 7))
+def test_trace_bound_is_above_the_exact_trace_residual(order):
+    """tau_s is at or above the exact trace residual of every deviator
+    fl(c B_s) that ``decompose`` builds, for random tensors and their
+    symmetrizations."""
+    rng = np.random.default_rng(2600 + order)
+    for _ in range(2):
+        t = rng.standard_normal((3,) * order)
+        for u in (t, symmetrize(t)):
+            for s, _, stack in decompose(u)._record.stacks:
+                if s >= 2:
+                    worst = max(exact_trace_residual(x) for x in stack)
+                    assert worst <= _trace_bound(s), (s, float(worst))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(-900, 900), st.booleans())
+def test_trace_bound_is_above_the_measured_trace_residual(order, seed, k, symmetric):
+    """tau_s is at or above the trace residual that ``_part_residuals``
+    measures (taken with a floor of 0) of every deviator that ``decompose``
+    builds, for random tensors and their symmetrizations times 2^k."""
+    t = np.random.default_rng(seed).standard_normal((3,) * order)
+    u = np.ldexp(symmetrize(t) if symmetric else t, k)
+    stacks = decompose(u)._record.stacks
+    floor = decomposition._trace_bounds
+    try:
+        decomposition._trace_bounds = lambda n: np.zeros(len(floor(n)))
+        measured = _part_residuals(stacks, order)[1]
+    finally:
+        decomposition._trace_bounds = floor
+    bounds = [_trace_bound(s) for s in part_orders(order)]
+    assert (measured <= bounds).all()
+
+
+def test_trace_bound_is_small():
+    """tau_s is at most 1e-14 up to s = 10 (1.7e-15 at s = 2, 6.1e-15 at
+    s = 7 and 9.9e-15 at s = 10), where the measured trace residuals of
+    ``decompose`` output are at most about 5e-16.  It takes the traces of
+    B_s in long double; where long double is float64, their rounding adds
+    up to 1e-15."""
+    bounds = [_trace_bound(s) for s in range(11)]
+    assert bounds[:2] == [0.0, 0.0] and all(b > 0.0 for b in bounds[2:])
+    assert max(bounds[:8]) <= 1e-14
+    if WIDE_LONG_DOUBLE:
+        assert max(bounds) <= 1e-14

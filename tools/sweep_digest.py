@@ -3,8 +3,9 @@ so that two checkouts can be compared with one ``diff``.
 
 The cases are orders 0-8, random standard-normal tensors and their
 symmetrizations (orders >= 2), at scales 1e-300, 1 and 1e300, from two
-seeds; each is read in three forms: ``decompose`` output, its JSON read
-back, and a hand-built copy of its parts.  Each line names the case and
+seeds; each is read in three forms: ``decompose`` output (verified
+before its parts are read), its JSON read back, and a hand-built copy of
+its parts.  Each line names the case and
 gives the ``passes`` verdict at 1e-10 and a short SHA-256 digest of the
 bytes of each output:
 
@@ -72,12 +73,15 @@ def lines(order: int):
     for kind, scale, seed, t in tensors(order):
         d = decompose(t)
         text = decomposition_to_json(d)
+        # each form is made when it is read, so that ``decompose`` output is
+        # verified before its parts are read, which drops its coordinates
         forms = {
-            "decompose": d,
-            "json": decomposition_from_json(text),
-            "hand-built": Decomposition(order, tuple(d.parts)),
+            "decompose": lambda: d,
+            "json": lambda: decomposition_from_json(text),
+            "hand-built": lambda: Decomposition(order, tuple(d.parts)),
         }
-        for form, x in forms.items():
+        for form, make in forms.items():
+            x = make()
             report = verify(x, t)
             rest = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
                     if f.name != "max_cross_correlation"}
