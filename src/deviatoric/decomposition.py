@@ -36,18 +36,21 @@ their image coefficients a = c_g F_s with the parent's rows of E_{n-1}
 (``_images``).  The rows of F_s are orthogonal too, so the orthogonality
 certificate and the image-norm bounds read only constants of F_s
 (``_coefficient_bounds``) and each part's coordinate norm.  E_n is applied
-one level of the recursion at a time, down to the dense base E_5 (0.47 MB,
-``_DENSE_BASE``): each level passes the slices of all its rows one order
-down in one call.  ``decompose`` is c = ``_apply``(t) / lambda and
-``reconstruct`` is ``_apply_transposed``(c), so they hold only E_0 .. E_5
-(0.53 MB) at any order.  ``decompose`` writes each deviator c_p B_s from
+two levels of the recursion at a time (``_pair``), down to the dense base
+E_3 or E_4 (``_DENSE_BASE``): the two levels over each grandparent slot of
+order s are one fixed (9w, 9w) matrix G_s, w = 2s+1, the product of F_s
+and the F of each child, and each pair level passes the nine sub-tensors
+t[a1, a2] of all its rows two orders down in one call.  ``decompose`` is
+c = ``_apply``(t) / lambda and ``reconstruct`` is ``_apply_transposed``(c),
+so they hold only E_0 .. E_4 (59 KB) and the pair maps (0.25 MB at order
+7, 2.3 MB at order 11).  ``decompose`` writes each deviator c_p B_s from
 its values on the orbits of the index permutations, so it is exactly
 symmetric, and records c' = deviator B_s^T, which ``reconstruct`` and
 ``verify`` read in place of the deviators (``_Record``).  The images and the certificate build E_{n-1} on
 first use: the rows of E_m are the group products of ``_plan(m)`` applied
 to unit coordinates.
 
-The arrays are laid out in two orders:
+The arrays are laid out in three orders:
 
 * Slot order, the row order of E_m: by s, then J.  The coordinates c are
   in this order, so each order s takes one slice of c, and the rows of
@@ -58,6 +61,10 @@ The arrays are laid out in two orders:
   ``_plan(n).row_of`` gives the image row of each part, and
   ``_Plan.row_at`` and ``position_of`` permute between the two orders;
   ``parts`` and every public order stay in traversal order.
+* Pair order: by grandparent order s, then grandparent, then grandchild,
+  the order of the products of ``_pair(n)``.  Position 3v + k of it is
+  position 3u + k of plan order, u the slot row of E_{n-1} at plan
+  position v of order n - 1 (``_Pair``).
 
 ``combine_deviator_triple`` maps a triple (d_lo, d_mid, d_hi) of orders
 (n-1, n, n+1) to the order-(n+1) tensor
@@ -487,13 +494,14 @@ class _Group(NamedTuple):
     interleaved: position 3(r+j)+k of y holds (E_{n-1} t[k])_{r+j}.  The
     children's coordinates take the same positions in plan order, and their
     images one block of the image rows: by parent, then by child, each image
-    three consecutive slices.
+    three consecutive slices.  No product is taken with a group's F_s to
+    apply E_n: ``_pair`` takes two groups' levels in one matrix, and the
+    groups of ``_plan(n - 1)`` are its grandparents.
     """
 
     slots: slice  # the parents among the slots of E_{n-1}
     coords: slice  # positions of the parents' slice coordinates in y, and of the children's in plan order
     images: slice  # the children's image rows
-    to_children: np.ndarray  # (3 width, 3 width): slice coordinates -> E_n t
     to_images: np.ndarray  # (3 width, children * 3 width): c -> image coefficients
     width: int  # 2s+1
     parents: int
@@ -533,9 +541,11 @@ def _read_only(*arrays: np.ndarray) -> None:
 @lru_cache(maxsize=None)
 def _plan(n: int) -> _Plan:
     """The order-n change of basis in factored form, one level over the
-    order-(n-1) one; it holds no row of E.  Above ``_DENSE_BASE``
-    ``_apply`` and ``_apply_transposed`` apply E_n by these groups, and
-    ``_change_of_basis(n)`` builds E_n from them and E_{n-1}.
+    order-(n-1) one; it holds no row of E.  ``_change_of_basis(n)`` builds
+    E_n from these groups and E_{n-1}, ``_images`` the images, and
+    ``_pair(n)`` its G_s from the levels of ``_plan(n)`` and
+    ``_plan(n - 1)``, by which ``_apply`` and ``_apply_transposed`` apply
+    E_n above ``_DENSE_BASE``.
 
     Row r of E_n, for a child of parent slot p, is sum_j F[r, k, j] times row
     j of E_{n-1, p} in slice k (F = ``_regroup``), so
@@ -583,16 +593,15 @@ def _plan(n: int) -> _Plan:
         f = _regroup(s)  # (3 width, 3, width)
         coords = slice(3 * rows.start, 3 * rows.stop)
         lam[coords] = (_plan(n - 1).lam[rows].reshape(count, width) @ (f * f).sum(axis=1).T).ravel()
-        to_children = f.transpose(2, 1, 0).reshape(3 * width, 3 * width)
         # row r of c_g, a coordinate of child i, puts F[r] in column block i
         child = np.repeat(np.arange(len(children)), [2 * c + 1 for c in children])
         to_images = np.zeros((3 * width, len(children), 3 * width))
         to_images[np.arange(3 * width), child] = f.reshape(3 * width, -1)
         to_images = to_images.reshape(3 * width, -1)
-        _read_only(to_children, to_images)
+        _read_only(to_images)
         groups.append(_Group(
             slice(slot, slot + count), coords, slice(image, image + count * len(children)),
-            to_children, to_images, width, count, len(children),
+            to_images, width, count, len(children),
         ))
         slot, row, image = slot + count, rows.stop, image + count * len(children)
     lam = lam[position_of]  # from plan order to slot order
@@ -604,12 +613,72 @@ def _plan(n: int) -> _Plan:
                  tuple(deviators), row_at, position_of, part, starts, record_at)
 
 
-# The largest order whose E_m is applied as one dense product.  E_5, 0.47 MB,
-# stays in a 4 MiB L2 and E_6, 4.3 MB, does not: E_6 times the three slices
-# of an order-7 tensor took 0.43-0.50 ms dense and 0.09-0.13 ms as one level
-# over E_5 (0.08-0.10 ms over E_4, with one more level of numpy calls),
-# warm on one BLAS thread of a 2-core Xeon.
-_DENSE_BASE = 5
+# The largest order whose E_m is applied as one dense product.  Above it
+# E_m is applied two orders at a time (``_pair``), so odd orders rest on E_3
+# and even orders on E_4, and E_0 .. E_4 take 59 KB.  Warm on one BLAS
+# thread of a shared 2-core Xeon, E_7 t took 115 us as one-order levels
+# over the dense E_5 (about 52 us of it the 243-square product) and takes
+# 67 us as pair levels over E_3; E_5 t took 8 us dense and takes 14 us as
+# one pair level, whose small products cost more in calls than in flops.
+_DENSE_BASE = 4
+
+
+class _Pair(NamedTuple):
+    """Two levels of the order-m change of basis in one, over E_{m-2}.
+
+    Slicing t along its first two indices gives nine order-(m-2) sub-tensors
+    t[a1, a2], and position 9r + 3 a1 + a2 of y holds (E_{m-2} t[a1, a2])_r.
+    The grandparent slots of one order s are one group of ``_plan(m - 1)``,
+    so their coordinates are one block of y, 9w per grandparent (w = 2s+1).
+    One (9w, 9w) G_s takes each grandparent's block to the coordinates of
+    its grandchildren: per child, in ``_children(s)`` order, the 3 w_c
+    coordinates of the child's children, as one level of ``_plan(m)`` over
+    that of ``_plan(m - 1)`` gives them.  So position 3v + k of the
+    products, pair order, is position 3u + k of plan order of E_m, u the
+    row of E_{m-1} at position v of its plan order (``_Plan.row_at``).
+
+    The pair keeps one permutation, the one ``_apply_transposed`` takes
+    from slot order into pair order, as int32.  ``_apply`` leaves pair
+    order by the permutations of the two plans, so no second 3^m index
+    is held: at order 11 the G_s take 0.86 MB and each int64 index 1.4 MB.
+    """
+
+    maps: tuple  # per grandparent order s: (its grandparents' positions in y, G_s, grandparents)
+    row_at: np.ndarray  # (3^m,) int32: the row of E_m at each position in pair order
+
+
+@lru_cache(maxsize=None)
+def _pair(m: int) -> _Pair:
+    """The ``_Pair`` of order m >= 2, built from the ``_regroup`` blocks.
+
+    G_s[(j, a1, a2), (child, r)] = sum_j' F_s[o + j', a2, j] F_c[r, a1, j'],
+    the child of order c at rows o .. o + w_c - 1 of F_s (``_plan``: the
+    first level takes slices a2 of t[a1], the second slices a1 of t).  Each
+    entry is a sum of at most w + 2 products, taken in long double and
+    rounded once, so it is within u + gamma_{w+2} (at long double's unit
+    roundoff) of the exact product of the float64 blocks (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 3.5).  One G_s serves
+    every grandparent of order s, and no array larger than G_s and the
+    permutation is taken: the permutation is filled 3^9 entries at a time,
+    so a cold ``_pair(11)`` peaks under 2 MB.
+    """
+    below, maps = _plan(m - 1), []
+    for g in below.groups:
+        s, start = g.width // 2, 0
+        grandchildren = np.empty((9 * g.width, 9 * g.width))
+        for child in _children(s):
+            stop = start + 2 * child + 1
+            f = _regroup(s)[start:stop].astype(np.longdouble)
+            step = np.einsum("pkj,rap->jakr", f, _regroup(child).astype(np.longdouble))
+            grandchildren[:, 3 * start : 3 * stop] = step.reshape(9 * g.width, -1)
+            start = stop
+        _read_only(grandchildren)
+        maps.append((slice(3 * g.coords.start, 3 * g.coords.stop), grandchildren, g.parents))
+    row_at, rows = np.empty(3**m, dtype=np.int32), _plan(m).row_at.reshape(-1, 3)
+    for v in range(0, len(below.row_at), 3**8):
+        row_at[3 * v : 3 * v + 3**9] = rows[below.row_at[v : v + 3**8]].ravel()
+    _read_only(row_at)
+    return _Pair(tuple(maps), row_at)
 
 
 def _apply(x: np.ndarray, m: int) -> np.ndarray:
@@ -617,42 +686,43 @@ def _apply(x: np.ndarray, m: int) -> np.ndarray:
     the slot order of E_m.
 
     Up to ``_DENSE_BASE`` one product with the cached E_m.  Above it, one
-    level of ``_plan(m)``: the 3N slices of the rows go one order down in
-    one call, their coordinates are interleaved into the y of
-    ``_Group`` (position 3r + k, slice k), each group takes one batched
-    product with ``to_children`` (one 2-D product at the top level of one
-    tensor, N = 1), and the products, in plan order, are taken in slot
-    order (``_Plan.position_of``)."""
+    ``_pair(m)``: the 9N sub-tensors t[a1, a2] of the rows go two orders
+    down in one call, their coordinates are interleaved into the y of
+    ``_Pair``, each grandparent order s takes one batched product with G_s
+    (one 2-D product for one tensor, N = 1), and the products are taken from
+    pair order into plan order of E_m, three at a time, and then into slot
+    order (``_Plan.position_of`` of both orders)."""
     if m <= _DENSE_BASE:
         return np.dot(x, _change_of_basis(m).T)
-    plan, count = _plan(m), len(x)
-    y = _apply(x.reshape(3 * count, -1), m - 1)
-    y = y.reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
+    count = len(x)
+    y = _apply(x.reshape(9 * count, -1), m - 2)
+    y = y.reshape(count, 9, -1).transpose(0, 2, 1).reshape(count, -1)
     z = np.empty_like(y)
     # one row (the top level of one tensor): 2-D products, 6% faster than a batch of one
     product = np.dot if count == 1 else np.matmul
-    for g in plan.groups:
-        shape = (count, g.parents, 3 * g.width)[count == 1:]
-        product(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
-    return np.take(z, plan.position_of, axis=1)
+    for coords, grandchildren, parents in _pair(m).maps:
+        shape = (count, parents, len(grandchildren))[count == 1:]
+        product(y[:, coords].reshape(shape), grandchildren, out=z[:, coords].reshape(shape))
+    z = z.reshape(count, -1, 3).take(_plan(m - 1).position_of, axis=1)  # methods: np.take's wrapper costs 1 us
+    return z.reshape(count, -1).take(_plan(m).position_of, axis=1)
 
 
 def _apply_transposed(z: np.ndarray, m: int) -> np.ndarray:
     """E_m^T z of each row z of the (N, 3^m) array, in the slot order of
-    E_m, as an (N, 3^m) array: ``_apply`` backwards, level by level down
-    to ``_DENSE_BASE``, each group's product with the transpose of
-    ``to_children``."""
+    E_m, as an (N, 3^m) array: ``_apply`` backwards, pair by pair down to
+    ``_DENSE_BASE``, with one take into pair order (``_Pair.row_at``) and
+    each grandparent order's product with G_s^T."""
     if m <= _DENSE_BASE:
         return np.dot(z, _change_of_basis(m))
-    plan, count = _plan(m), len(z)
-    z = np.take(z, plan.row_at, axis=1)  # in plan order
+    count, pair = len(z), _pair(m)
+    z = z.take(pair.row_at, axis=1)
     y = np.empty_like(z)
     product = np.dot if count == 1 else np.matmul  # as in ``_apply``
-    for g in plan.groups:
-        shape = (count, g.parents, 3 * g.width)[count == 1:]
-        product(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
-    y = y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)
-    return _apply_transposed(y, m - 1).reshape(count, -1)
+    for coords, grandchildren, parents in pair.maps:
+        shape = (count, parents, len(grandchildren))[count == 1:]
+        product(z[:, coords].reshape(shape), grandchildren.T, out=y[:, coords].reshape(shape))
+    y = y.reshape(count, -1, 9).transpose(0, 2, 1).reshape(9 * count, -1)
+    return _apply_transposed(y, m - 2).reshape(count, -1)
 
 
 def _images(c: np.ndarray, n: int) -> np.ndarray:
@@ -834,7 +904,7 @@ def reconstruct(d: Decomposition) -> np.ndarray:
 def _sum(c: np.ndarray, n: int) -> np.ndarray:
     """The sum of the images of the order-n deviators whose coordinates are
     ``c`` (``_deviator_coordinates``): E_n^T c (``_apply_transposed``: one
-    dense product up to ``_DENSE_BASE``, level by level above it), as each
+    dense product up to ``_DENSE_BASE``, pair by pair above it), as each
     image is c_p E_p.  ``verify`` takes c once for this sum and its
     certificate, so an in-place edit of a deviator reaches both.
     """
@@ -1031,7 +1101,7 @@ def _pair_bound(inspan, rho_i, rho_j):
     return inspan + rho_i + rho_j + 3.0 * rho_i * rho_j
 
 
-def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tuple[float, float]:
+def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray, zero: np.ndarray) -> tuple[float, float]:
     """An upper bound on the largest cos_ij = |<f_i, f_j>| / (|f_i| |f_j|)
     over pairs i != j of nonzero images f of the parts of an order-n
     decomposition in the layout of ``_plan(n)``, and the record's tie tau.
@@ -1066,7 +1136,8 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
     enter only through the norms |c_i| (``_part_norms``), which find the
     zero images and the underflow term.  c are the deviators'
     coordinates (``_deviator_coordinates``), the ones ``_rows_of`` builds
-    the images from; ``verify`` passes those it sums.
+    the images from, and ``zero`` which deviators are zero, in record
+    order (``_zero_parts``); ``verify`` passes those it sums.
 
     When some nonzero c has c^2 outside ``_GRAM_RANGE``, so that a product
     could underflow or overflow, the coordinates are taken, as ``_rows_of``
@@ -1097,10 +1168,8 @@ def _certified_cross_correlation(record: _Record, n: int, c: np.ndarray) -> tupl
         norms = _part_norms(squares, n)
     live = norms > 0.0
     tie = record.tie
-    if not live.all():  # a nonzero deviator whose coordinates are all zero: inf
-        for _, index, stack in record.stacks:
-            if (~live[plan.row_of[index]] & stack.any(axis=1)).any():
-                tie = np.inf
+    if not live.all() and (~live & ~zero[plan.record_at]).any():  # a nonzero deviator with zero norm: inf
+        tie = np.inf
     if not (tie < np.inf and np.isfinite(norms).all()):  # eta = 0 would make the bound NaN
         return np.inf, np.inf
     bound = 0.0
@@ -1293,34 +1362,49 @@ def _trace_bounds(n: int) -> np.ndarray:
     return bounds
 
 
-def _reported_residuals(record: _Record, n: int, c: np.ndarray) -> np.ndarray:
+def _reported_residuals(record: _Record, n: int, c: np.ndarray, zero: np.ndarray, hidden: bool) -> np.ndarray:
     """The (2, parts) symmetry and trace residuals that ``verify`` reports
     for the order-n ``record``, in traversal order, given its coordinates
-    ``c`` (``_coordinates``).  Every form of the same deviators reports
-    what ``_part_residuals`` measures with the floor tau_s: 0 for a zero
-    deviator, inf for one that is not finite, and otherwise the measured
-    symmetry and max(tau_s, the measured trace).
+    ``c`` (``_coordinates``) and ``_zero_parts`` of them.  Every form of
+    the same deviators reports what ``_part_residuals`` measures with the
+    floor tau_s: 0 for a zero deviator, inf for one that is not finite,
+    and otherwise the measured symmetry and max(tau_s, the measured
+    trace).
 
     ``decompose`` output whose record holds c' and whose nonzero
     coordinates lie in ``_GRAM_RANGE`` is not measured: its deviators are
     exactly symmetric, so the measured symmetry is 0, and tau_s bounds the
     measured trace (``_trace_bound``).  So each of its parts reports 0 and
     tau_s, and 0 and 0 where the part's deviator is zero, without a pass
-    over the entries.  A part whose coordinates are all zero has its
-    stack read to tell it from a nonzero deviator that they miss; any
-    other record, or one out of range, is measured.
+    over the entries.  A nonzero deviator whose coordinates are all zero
+    (``hidden``), any other record, or one out of range, is measured.
     """
-    plan = _plan(n)
     if record.coordinates:
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             in_range = _in_gram_range(c, c * c)
-        live = np.logical_or.reduceat(c != 0.0, plan.starts)
-        if in_range and (live.all() or not np.concatenate(
-                [stack.any(axis=1) for _, _, stack in record.stacks])[~live].any()):
-            residuals = np.zeros((2, len(live)))
-            residuals[1, plan.part] = np.where(live, _trace_bounds(n), 0.0)
+        if in_range and not hidden:
+            residuals = np.zeros((2, len(zero)))
+            residuals[1, _plan(n).part] = np.where(zero, 0.0, _trace_bounds(n))
             return residuals
     return _part_residuals(record.stacks, n)
+
+
+def _zero_parts(record: _Record, n: int, c: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Which deviators of the order-n ``record`` are zero, in record order,
+    and whether one that is not has coordinates ``c`` that are all zero
+    (one so small that its products underflow).  A part with a nonzero
+    coordinate is not zero, so only the stacks of the parts whose
+    coordinates are all zero are read; ``verify`` takes this once for its
+    certificate and its part residuals."""
+    zero, hidden, at = ~np.logical_or.reduceat(c != 0.0, _plan(n).starts), False, 0
+    for _, index, stack in record.stacks if zero.any() else ():
+        dead = zero[at : at + len(index)]  # a view of this order's parts
+        if dead.any():
+            live = stack[dead].any(axis=1)
+            hidden = hidden or bool(live.any())
+            dead[dead] = ~live
+        at += len(index)
+    return zero, hidden
 
 
 def _part_residuals(stacks, n: int) -> np.ndarray:
@@ -1390,7 +1474,9 @@ def verify(d: Decomposition, t) -> VerifyReport:
     order, and all stacks read once more, as one flat array, for the
     symmetry and trace residuals of every part in one pass of orbit sums
     and gathers, with no product (``_part_residuals``).  Both report the
-    same for the same deviators.
+    same for the same deviators.  Which deviators are zero is read once
+    for the part residuals and the certificate, from c and the stacks of
+    only the parts whose coordinates are all zero (``_zero_parts``).
 
     One orthogonality check, at every order: ``max_cross_correlation`` and
     ``max_embedding_residual`` are the certified bound (at or above the
@@ -1408,8 +1494,9 @@ def verify(d: Decomposition, t) -> VerifyReport:
         res = frobenius_norm(_sum(c, d.order) - t)
     rel = res / t_norm if t_norm > 0.0 else res
 
-    residuals = _reported_residuals(record, d.order, c)
-    max_cross, tie = _certified_cross_correlation(record, d.order, c)
+    zero, hidden = _zero_parts(record, d.order, c)
+    residuals = _reported_residuals(record, d.order, c, zero, hidden)
+    max_cross, tie = _certified_cross_correlation(record, d.order, c, zero)
 
     sym_res, trace_res = residuals.tolist()
     return VerifyReport(

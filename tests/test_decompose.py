@@ -8,6 +8,7 @@ import pickle
 import tracemalloc
 import warnings
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -50,6 +51,7 @@ from deviatoric.decomposition import (
     _entries,
     _images,
     _forward,
+    _pair,
     _from_record,
     _image_norm_bounds,
     _part_norms,
@@ -64,6 +66,7 @@ from deviatoric.decomposition import (
     _sum,
     _trace_bound,
     _trace_bounds,
+    _zero_parts,
 )
 from deviatoric.serialization import (
     decomposition_from_json,
@@ -921,8 +924,8 @@ def reference_reconstruct(d):
 
 @pytest.mark.parametrize("order", range(9))
 def test_reconstruct_matches_per_part_loop(order):
-    """The sum is E_{n-1}^T of the slice sums, applied level by level above
-    the dense base (over two levels at order 8): the images' sum to
+    """The sum is E_n^T of the coordinates, applied pair by pair above the
+    dense base (two pair levels at order 8): the images' sum to
     rounding.  Every form of the same deviators sums alike, bit for bit: a
     hand-built copy, a pickled copy and, up to order 6, a file that gives
     its images."""
@@ -941,44 +944,93 @@ def coordinates(t):
     return _apply(t.reshape(1, -1), t.ndim)[0] / _plan(t.ndim).lam
 
 
+def to_children(g):
+    """The (3w, 3w) map of one level of ``_plan``: the slice coordinates of
+    a parent of the group ``g``, position 3j + k for slice k, to its
+    children's coordinates, (E_n t)_r = sum_{k,j} F[r, k, j] (E_{n-1}
+    t[k])_{p,j} with F = ``_regroup``."""
+    return _regroup(g.width // 2).transpose(2, 1, 0).reshape(3 * g.width, 3 * g.width)
+
+
+def level_apply(x, n, lower):
+    """E_n x of each row of the (N, 3^n) array ``x`` by one level of
+    ``_plan(n)`` over ``lower``, a function that applies E_{n-1} to rows."""
+    plan, count = _plan(n), len(x)
+    y = lower(x.reshape(3 * count, -1)).reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
+    z = np.empty_like(y)
+    for g in plan.groups:
+        shape = (count, g.parents, 3 * g.width)
+        np.matmul(y[:, g.coords].reshape(shape), to_children(g), out=z[:, g.coords].reshape(shape))
+    return z[:, plan.position_of]
+
+
+def level_apply_transposed(z, n, lower):
+    """E_n^T z of each row of ``z`` by one level of ``_plan(n)`` over
+    ``lower``, a function that applies E_{n-1}^T to rows."""
+    plan, count = _plan(n), len(z)
+    z = z[:, plan.row_at]
+    y = np.empty_like(z)
+    for g in plan.groups:
+        shape = (count, g.parents, 3 * g.width)
+        np.matmul(z[:, g.coords].reshape(shape), to_children(g).T, out=y[:, g.coords].reshape(shape))
+    return lower(y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)).reshape(count, -1)
+
+
 def dense_coordinates(t):
     """``coordinates`` with one level of ``_plan`` over one dense product
     with E_{n-1}."""
-    plan = _plan(t.ndim)
-    y = np.dot(t.reshape(3, -1), _change_of_basis(t.ndim - 1).T).T.ravel()
-    z = np.empty_like(y)
-    for g in plan.groups:
-        shape = (g.parents, 3 * g.width)
-        np.dot(y[g.coords].reshape(shape), g.to_children, out=z[g.coords].reshape(shape))
-    return z[plan.position_of] / plan.lam
+    n = t.ndim
+    z = level_apply(t.reshape(1, -1), n, lambda y: np.dot(y, _change_of_basis(n - 1).T))
+    return z[0] / _plan(n).lam
 
 
 def dense_sum(c, n):
     """``_sum`` of the coordinates ``c`` with one level of ``_plan`` over
     one dense product with E_{n-1}."""
-    plan = _plan(n)
-    c = c[plan.row_at]
+    y = level_apply_transposed(c.reshape(1, -1), n, lambda z: np.dot(z, _change_of_basis(n - 1)))
+    return y.reshape((3,) * n)
+
+
+def pair_coordinates(t):
+    """``coordinates`` with one ``_pair`` level over one dense product with
+    E_{n-2}, as ``_apply`` takes it for one tensor."""
+    n = t.ndim
+    y = np.dot(t.reshape(9, -1), _change_of_basis(n - 2).T).T.ravel()
+    z = np.empty_like(y)
+    for coords, grandchildren, parents in _pair(n).maps:
+        shape = (parents, len(grandchildren))
+        np.dot(y[coords].reshape(shape), grandchildren, out=z[coords].reshape(shape))
+    z = z.reshape(-1, 3)[_plan(n - 1).position_of].ravel()
+    return z[_plan(n).position_of] / _plan(n).lam
+
+
+def pair_sum(c, n):
+    """``_sum`` of the coordinates ``c`` with one ``_pair`` level over one
+    dense product with E_{n-2}."""
+    pair = _pair(n)
+    c = c[pair.row_at]
     y = np.empty(3**n)
-    for g in plan.groups:
-        shape = (g.parents, 3 * g.width)
-        np.dot(c[g.coords].reshape(shape), g.to_children.T, out=y[g.coords].reshape(shape))
-    return np.dot(y.reshape(-1, 3).T, _change_of_basis(n - 1)).reshape((3,) * n)
+    for coords, grandchildren, parents in pair.maps:
+        shape = (parents, len(grandchildren))
+        np.dot(c[coords].reshape(shape), grandchildren.T, out=y[coords].reshape(shape))
+    return np.dot(y.reshape(-1, 9).T, _change_of_basis(n - 2)).reshape((3,) * n)
 
 
 @pytest.mark.parametrize("order", range(1, 9))
 def test_factored_levels_match_the_dense_change_of_basis(order):
-    """Above the dense base, E_n and its transpose are applied level by
-    level: the coordinates and the sum match one level over one dense
-    product with E_{n-1} to 1e-13 relative, and at the first order above
-    the dense base they are that product, bit for bit.  Up to the dense
-    base they are one product with E_n itself."""
+    """Above the dense base, E_n and its transpose are applied two orders
+    at a time: the coordinates and the sum match one level over one dense
+    product with E_{n-1} to 1e-13 relative, and at the two orders above
+    the dense base they are one pair level over one dense product with
+    E_{n-2}, bit for bit.  Up to the dense base they are one product with
+    E_n itself."""
     t = np.random.default_rng(80 + order).standard_normal((3,) * order)
     c, want = coordinates(t), dense_coordinates(t)
     total = _sum(c, order)
     want_total = dense_sum(c, order)
-    if order == decomposition._DENSE_BASE + 1:
-        assert c.tobytes() == want.tobytes()
-        assert total.tobytes() == want_total.tobytes()
+    if decomposition._DENSE_BASE < order <= decomposition._DENSE_BASE + 2:
+        assert c.tobytes() == pair_coordinates(t).tobytes()
+        assert total.tobytes() == pair_sum(c, order).tobytes()
     if order <= decomposition._DENSE_BASE:
         rows = _change_of_basis(order)
         assert c.tobytes() == (np.dot(t.reshape(1, -1), rows.T)[0] / _plan(order).lam).tobytes()
@@ -1322,7 +1374,8 @@ WIDE_LONG_DOUBLE = np.finfo(np.longdouble).eps < np.finfo(float).eps
 def certificate(record, n):
     """``_certified_cross_correlation`` of the order-n ``record``, on the
     coordinates of its deviators that ``verify`` passes it."""
-    return _certified_cross_correlation(record, n, _deviator_coordinates(_plan(n), record.stacks, n))
+    c = _deviator_coordinates(_plan(n), record.stacks, n)
+    return _certified_cross_correlation(record, n, c, _zero_parts(record, n, c)[0])
 
 
 @pytest.mark.parametrize("order", range(9))
@@ -1826,8 +1879,8 @@ def test_reconstruct_validates_order():
 
 
 # ---------------------------------------------------------------------------
-# the factored change of basis: decompose and reconstruct apply E_n level by
-# level over the dense base E_5 and build no E above it
+# the factored change of basis: decompose and reconstruct apply E_n two
+# orders at a time over the dense base E_3 or E_4 and build no E above it
 
 
 def relative(got, want):
@@ -1890,13 +1943,19 @@ def plan_arrays(plan):
     arrays = [index for _, index, _, _ in plan.deviators]
     arrays += [plan.row_of, plan.lam, plan.row_at, plan.position_of]
     for g in plan.groups:
-        arrays += [g.to_children, g.to_images]
+        arrays.append(g.to_images)
     return arrays
 
 
 @pytest.mark.parametrize("order", range(8))
 def test_plan_arrays_are_read_only(order):
     assert all(not a.flags.writeable for a in plan_arrays(_plan(order)))
+
+
+@pytest.mark.parametrize("order", range(2, 9))
+def test_pair_arrays_are_read_only(order):
+    pair = _pair(order)
+    assert all(not a.flags.writeable for a in [pair.row_at] + [g for _, g, _ in pair.maps])
 
 
 @pytest.mark.parametrize("order", range(1, 9))
@@ -1919,7 +1978,7 @@ def test_group_blocks_are_views_of_the_change_of_basis(order):
 
 
 def clear_decomposition_caches():
-    for cache in (_change_of_basis, _plan, _regroup):
+    for cache in (_change_of_basis, _plan, _pair, _regroup):
         cache.cache_clear()
 
 
@@ -1943,9 +2002,10 @@ def cold_round_trip(order, seed):
 
 def test_decompose_holds_only_the_lower_order_change_of_basis():
     t, d, back, peak = cold_round_trip(7, 48)
-    # E_0 .. E_5 (0.6 MB); E_6 alone would take 3^12 * 8 bytes = 4.3 MB
-    assert _change_of_basis.cache_info().currsize == 6
-    assert _change_of_basis(5).nbytes == 9**5 * 8
+    # odd orders rest on E_3: E_0 .. E_3 (6 KB) and the pair maps of orders
+    # 5 and 7 (0.25 MB); E_5 would take 0.47 MB and E_6 3^12 * 8 bytes = 4.3 MB
+    assert _change_of_basis.cache_info().currsize == 4
+    assert _pair.cache_info().currsize == 2
     assert peak < 2 * 2**20  # no image is written
     assert frobenius_norm(back - t) <= 1e-14 * frobenius_norm(t)
     assert verify(d, t).passes(1e-12)
@@ -1954,11 +2014,115 @@ def test_decompose_holds_only_the_lower_order_change_of_basis():
 @pytest.mark.parametrize("order, megabytes", [(8, 4), (9, 12), (10, 32)])
 def test_high_order_round_trip_holds_only_the_dense_base(order, megabytes):
     """Order 8, 9 and 10 ``decompose`` and ``reconstruct`` build no change
-    of basis above E_5: E_7 would take 38 MB, E_8 344 MB and E_9 3.1 GB."""
+    of basis above E_4, where even orders rest, and none above E_3 at odd
+    orders: E_7 would take 38 MB, E_8 344 MB and E_9 3.1 GB."""
     t, _, back, peak = cold_round_trip(order, 47 + order)
-    assert _change_of_basis.cache_info().currsize == 6
+    assert _change_of_basis.cache_info().currsize == (4 if order % 2 else 5)
     assert peak < megabytes * 2**20
     assert frobenius_norm(back - t) <= 1e-14 * frobenius_norm(t)
+
+
+def reference_apply(x, n):
+    """E_n x of each row of ``x``: one product with E_n up to order 7, and
+    one-order levels of ``_plan`` over it above (E_8 would take 344 MB)."""
+    if n <= 7:
+        return np.dot(x, _change_of_basis(n).T)
+    return level_apply(x, n, lambda y: reference_apply(y, n - 1))
+
+
+def reference_apply_transposed(z, n):
+    """E_n^T z of each row of ``z``, as ``reference_apply`` takes E_n x."""
+    if n <= 7:
+        return np.dot(z, _change_of_basis(n))
+    return level_apply_transposed(z, n, lambda y: reference_apply_transposed(y, n - 1))
+
+
+@pytest.mark.parametrize("order", range(11))
+def test_pair_levels_match_the_change_of_basis(order):
+    """``_apply`` and ``_apply_transposed`` give E_n x and E_n^T z, of one
+    row and of a stack of two, to 1e-13 relative: against one product with
+    E_n up to order 7, and at orders 8-10 against one-order levels over one
+    product with E_7."""
+    rng = np.random.default_rng(3000 + order)
+    x, z = rng.standard_normal((2, 2, 3**order))
+    for count in (1, 2):
+        assert relative(_apply(x[:count], order), reference_apply(x[:count], order)) <= 1e-13
+        assert relative(_apply_transposed(z[:count], order), reference_apply_transposed(z[:count], order)) <= 1e-13
+
+
+@pytest.mark.parametrize("order", range(5, 11))
+def test_pair_levels_are_adjoint(order):
+    """<E_n x, z> = <x, E_n^T z> to 1e-13 of |E_n x| |z|."""
+    rng = np.random.default_rng(3100 + order)
+    x, z = rng.standard_normal((2, 1, 3**order))
+    ex, etz = _apply(x, order), _apply_transposed(z, order)
+    assert abs(np.vdot(ex, z) - np.vdot(x, etz)) <= 1e-13 * np.linalg.norm(ex) * np.linalg.norm(z)
+
+
+def exact_level_product(s):
+    """The exact product of the two levels' float64 blocks that G_s rounds,
+    F_s and then F_c of each child c, and the sum of the magnitudes of its
+    terms, as (9w, 9w) object arrays of Python integers over a power of two
+    2^e, which is also returned: every block entry times 2^(e/2) is an
+    integer, so every sum is exact."""
+    f, start, blocks = _regroup(s), 0, []
+    for child in (1,) if s == 0 else (s - 1, s, s + 1):
+        blocks.append((f[start : start + 2 * child + 1], _regroup(child)))
+        start += 2 * child + 1
+    entries = np.concatenate([b.ravel() for pair in blocks for b in pair])
+    k = 53 - int(np.frexp(entries[entries != 0.0])[1].min())  # v = m 2^x, m in [1/2, 1) of 53 bits
+
+    def integers(a):
+        scaled = np.ldexp(a, k)
+        assert (scaled == np.trunc(scaled)).all()
+        return np.array([int(v) for v in scaled.ravel()], dtype=object).reshape(a.shape)
+
+    def product(a, b):  # (w_c, 3, w) and (3 w_c, 3, w_c) -> rows (j, a1, a2), columns r
+        return np.tensordot(a, b, axes=([0], [2])).transpose(1, 3, 0, 2).reshape(9 * (2 * s + 1), -1)
+
+    exact, terms = [], []
+    for a, b in blocks:
+        a, b = integers(a), integers(b)
+        exact.append(product(a, b))
+        terms.append(product(np.abs(a), np.abs(b)))
+    return np.concatenate(exact, axis=1), np.concatenate(terms, axis=1), 2 * k
+
+
+@pytest.mark.parametrize("s", range(7))
+def test_pair_maps_are_one_rounding_of_the_level_product(s):
+    """Each G_s is within one rounding of the exact product P of the
+    float64 ``_regroup`` blocks it stands for: |G - P| <= u |P| + (1 + u)
+    gamma_{w+2} (|F_s| |F_c|), gamma at long double's unit roundoff, as
+    its sums of at most w + 2 products are taken in long double and
+    rounded once (Higham, 3.5).  G_s is a constant of s: the same bits in
+    every pair level that has grandparents of order s."""
+    w = 2 * s + 1
+    (g,) = [g for _, g, _ in _pair(s + 2).maps if len(g) == 9 * w]
+    assert [h.tobytes() for _, h, _ in _pair(s + 4).maps if len(h) == 9 * w] == [g.tobytes()]
+    exact, terms, e = exact_level_product(s)
+    u, wide = Fraction(1, 2**53), Fraction(float(np.finfo(np.longdouble).eps)) / 2
+    gamma = (w + 2) * wide / (1 - (w + 2) * wide)
+    scale = Fraction(2**e)
+    for got, p, m in zip(g.ravel().tolist(), exact.ravel(), terms.ravel()):
+        assert abs(Fraction(got) * scale - p) <= u * abs(p) + (1 + u) * gamma * m
+
+
+@pytest.mark.parametrize("order", [10, 11])
+def test_cold_pair_build_is_small(order):
+    """A cold ``_pair(10)`` and ``_pair(11)``, with their plans built, peak
+    under 2 MB: each G_s is taken one child block at a time from the
+    ``_regroup`` blocks, and the int32 permutation 3^9 entries at a time,
+    where the response of two levels to the identity would take 3^(2n)
+    doubles, 28 GB at order 10."""
+    _plan(order - 1), _plan(order)
+    _pair.cache_clear()
+    tracemalloc.start()
+    try:
+        _pair(order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_warm_decompose_writes_no_image():
@@ -2115,39 +2279,41 @@ def test_certificate_ignores_a_power_of_two_per_part(case):
 
 
 def batched_apply(x, m):
-    """``_apply`` with every level a batched ``np.matmul``, the top level of
-    one row included, as before one row took 2-D products."""
+    """``_apply`` with every pair level a batched ``np.matmul``, the top
+    level of one row included."""
     if m <= decomposition._DENSE_BASE:
         return np.dot(x, _change_of_basis(m).T)
-    plan, count = _plan(m), len(x)
-    y = batched_apply(x.reshape(3 * count, -1), m - 1)
-    y = y.reshape(count, 3, -1).transpose(0, 2, 1).reshape(count, -1)
+    count = len(x)
+    y = batched_apply(x.reshape(9 * count, -1), m - 2)
+    y = y.reshape(count, 9, -1).transpose(0, 2, 1).reshape(count, -1)
     z = np.empty_like(y)
-    for g in plan.groups:
-        shape = (count, g.parents, 3 * g.width)
-        np.matmul(y[:, g.coords].reshape(shape), g.to_children, out=z[:, g.coords].reshape(shape))
-    return np.take(z, plan.position_of, axis=1)
+    for coords, grandchildren, parents in _pair(m).maps:
+        shape = (count, parents, len(grandchildren))
+        np.matmul(y[:, coords].reshape(shape), grandchildren, out=z[:, coords].reshape(shape))
+    z = np.take(z.reshape(count, -1, 3), _plan(m - 1).position_of, axis=1)
+    return np.take(z.reshape(count, -1), _plan(m).position_of, axis=1)
 
 
 def batched_apply_transposed(z, m):
-    """``_apply_transposed`` with every level a batched ``np.matmul``."""
+    """``_apply_transposed`` with every pair level a batched ``np.matmul``."""
     if m <= decomposition._DENSE_BASE:
         return np.dot(z, _change_of_basis(m))
-    plan, count = _plan(m), len(z)
-    z = np.take(z, plan.row_at, axis=1)
+    pair, count = _pair(m), len(z)
+    z = np.take(z, pair.row_at, axis=1)
     y = np.empty_like(z)
-    for g in plan.groups:
-        shape = (count, g.parents, 3 * g.width)
-        np.matmul(z[:, g.coords].reshape(shape), g.to_children.T, out=y[:, g.coords].reshape(shape))
-    y = y.reshape(count, -1, 3).transpose(0, 2, 1).reshape(3 * count, -1)
-    return batched_apply_transposed(y, m - 1).reshape(count, -1)
+    for coords, grandchildren, parents in pair.maps:
+        shape = (count, parents, len(grandchildren))
+        np.matmul(z[:, coords].reshape(shape), grandchildren.T, out=y[:, coords].reshape(shape))
+    y = y.reshape(count, -1, 9).transpose(0, 2, 1).reshape(9 * count, -1)
+    return batched_apply_transposed(y, m - 2).reshape(count, -1)
 
 
-@pytest.mark.parametrize("order", [6, 7, 8])
+@pytest.mark.parametrize("order", range(5, 10))
 def test_one_row_takes_2d_products_with_the_bits_of_a_batch(order):
-    """The top level of one tensor (N = 1) takes one 2-D ``np.dot`` per
-    group: E_n t and E_n^T c are those of the batched products, bit for
-    bit, and a stack of rows still takes the batched ones."""
+    """The top pair level of one tensor (N = 1) takes one 2-D ``np.dot``
+    per grandparent order: E_n t and E_n^T c are those of the batched
+    products, bit for bit, and a stack of rows still takes the batched
+    ones."""
     rng = np.random.default_rng(2100 + order)
     t = rng.standard_normal((1, 3**order))
     c = coordinates(t.reshape((3,) * order)).reshape(1, -1)
@@ -2228,6 +2394,38 @@ def test_a_part_whose_recorded_coordinates_underflow_is_measured():
         assert d._record.coordinates
         assert report == verify(decomposition_from_json(decomposition_to_json(d)), t), j
     assert hits
+
+
+def test_a_nonzero_deviator_with_zero_coordinates_is_caught_in_every_form():
+    """A nonzero deviator whose coordinates all round to 0 gets an inf tie
+    and bound and its measured part residuals, whether it comes from
+    ``decompose``, a loaded file or hand-built parts: ``verify`` reads the
+    stacks of the parts whose coordinates are all zero (``_zero_parts``)
+    and hands the one test to the certificate and the part residuals.  At
+    order 5 some tensors of one subnormal coordinate have deviators of a
+    unit or two of the subnormal grid and every coordinate 0, so that no
+    part is rescaled."""
+    n = 5
+    for j in range(3**n):
+        c = np.zeros(3**n)
+        c[j] = 5e-324
+        t = _sum(c, n).reshape((3,) * n)
+        d = decompose(t)
+        zero, hidden = _zero_parts(d._record, n, d._record.coordinates[0])
+        if hidden and not d._record.coordinates[0].any():
+            break
+    else:
+        pytest.fail("no tensor of one subnormal coordinate has such a part")
+    nonzero = np.concatenate([stack.any(axis=1) for _, _, stack in d._record.stacks])
+    assert np.array_equal(zero, ~nonzero)
+    measured = _part_residuals(d._record.stacks, n)
+    loaded = decomposition_from_json(decomposition_to_json(d))
+    forms = [d, loaded, eager_copy(decompose(t))]
+    for form in forms:
+        report = verify(form, t)
+        assert report.max_embedding_residual == np.inf and report.max_cross_correlation == np.inf
+        assert report.part_symmetry == tuple(measured[0]) and report.part_trace == tuple(measured[1])
+    assert d._record.coordinates  # verify measured it without reading parts
 
 
 def test_reading_parts_drops_the_recorded_coordinates():

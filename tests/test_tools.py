@@ -118,7 +118,7 @@ def test_layer_timings_prints_one_row_per_order():
     lines = proc.stdout.splitlines()
     header = [cell.strip() for cell in lines[0].strip("|").split("|")]
     assert header == ["n", "parts", "decompose", "reconstruct", "verify", "_apply", "_sum",
-                      "residuals", "certificate"]
+                      "residuals", "certificate", "held_kB"]
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
     assert [row[:2] for row in rows] == [["2", "3"], ["4", "19"]]
     assert all(float(cell) > 0.0 for row in rows for cell in row[2:])

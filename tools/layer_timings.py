@@ -10,7 +10,9 @@ Each row times, on one random tensor of its order with every cache built:
 * ``residuals``: the part residuals that ``verify`` reports
   (``_reported_residuals``);
 * ``certificate``: ``verify``'s orthogonality bound
-  (``_certified_cross_correlation``).
+  (``_certified_cross_correlation``);
+* ``held_kB``: the kilobytes that the ``_change_of_basis`` and ``_pair``
+  caches hold after the row's calls, which start from cleared caches.
 
 Each figure is the best over ``--repeat`` batches of the per-call time in a
 batch of calls that takes about 10 ms.  BLAS runs one thread (set before
@@ -40,12 +42,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from deviatoric import decompose, reconstruct, verify  # noqa: E402
 from deviatoric.decomposition import (  # noqa: E402
+    _DENSE_BASE,
     _apply,
     _certified_cross_correlation,
+    _change_of_basis,
     _coordinates,
+    _pair,
     _plan,
     _reported_residuals,
     _sum,
+    _zero_parts,
 )
 
 COLUMNS = ("decompose", "reconstruct", "verify", "_apply", "_sum", "residuals", "certificate")
@@ -57,6 +63,7 @@ def layers(n: int, seed: int = 0) -> dict:
     d = decompose(t)
     record = d._record
     c = _coordinates(record, n)
+    zero, hidden = _zero_parts(record, n, c)
     row = t.reshape(1, -1)
     return {
         "decompose": lambda: decompose(t),
@@ -64,9 +71,21 @@ def layers(n: int, seed: int = 0) -> dict:
         "verify": lambda: verify(d, t),
         "_apply": lambda: _apply(row, n),
         "_sum": lambda: _sum(c, n),
-        "residuals": lambda: _reported_residuals(record, n, c),
-        "certificate": lambda: _certified_cross_correlation(record, n, c),
+        "residuals": lambda: _reported_residuals(record, n, c, zero, hidden),
+        "certificate": lambda: _certified_cross_correlation(record, n, c, zero),
     }
+
+
+def held_kb(n: int) -> float:
+    """The kilobytes of the ``_change_of_basis`` and ``_pair`` caches after
+    the calls of an order-n row, from cleared caches: E_0 .. E_k, as each
+    E_m builds every lower one, and the pairs of orders n, n - 2, ... above
+    the dense base, the only ones that ``_apply`` and ``_apply_transposed``
+    take at order n."""
+    pairs = [_pair(m) for m in range(n, _DENSE_BASE, -2)]
+    assert _pair.cache_info().currsize == len(pairs)
+    dense = sum(9**m * 8 for m in range(_change_of_basis.cache_info().currsize))
+    return (dense + sum(p.row_at.nbytes + sum(g.nbytes for _, g, _ in p.maps) for p in pairs)) / 1e3
 
 
 def best_us(call, repeat: int, batch_s: float = 1e-2) -> float:
@@ -90,11 +109,13 @@ def main(argv=None) -> int:
                         help="tensor orders (default 2..8)")
     parser.add_argument("--repeat", type=int, default=7, help="batches per figure, best taken (default 7)")
     args = parser.parse_args(argv)
-    print("| n | parts | " + " | ".join(COLUMNS) + " |")
-    print("|---" * (len(COLUMNS) + 2) + "|")
+    print("| n | parts | " + " | ".join(COLUMNS) + " | held_kB |")
+    print("|---" * (len(COLUMNS) + 3) + "|")
     for n in args.orders:
+        for cache in (_change_of_basis, _pair):
+            cache.cache_clear()
         calls = layers(n)
-        figures = [f"{best_us(calls[name], args.repeat):.1f}" for name in COLUMNS]
+        figures = [f"{best_us(calls[name], args.repeat):.1f}" for name in COLUMNS] + [f"{held_kb(n):.1f}"]
         print(f"| {n} | {len(_plan(n).orders)} | " + " | ".join(figures) + " |", flush=True)
     return 0
 
