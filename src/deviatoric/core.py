@@ -17,6 +17,7 @@ All functions are pure and never modify their inputs.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -208,12 +209,23 @@ def frobenius(a, b) -> float:
 
 
 def frobenius_norm(t) -> float:
-    """Frobenius norm, the square root of ``frobenius(t, t)``, taken on
-    ``_scaled_rows`` of the flattened tensor, so the sum of squares neither
+    """Frobenius norm, the square root of ``frobenius(t, t)``, taken on the
+    flattened tensor divided exactly by the power of two of its largest
+    |entry|, as ``_scaled_rows`` divides it, so the sum of squares neither
     overflows nor underflows at any scale of ``t``; a norm beyond the float
-    range is ``inf``."""
-    scaled, exponent = _scaled_rows(as_tensor(t).reshape(1, -1))
-    return float(_scaled_back(exponent[0], np.linalg.norm(scaled[0]))[0])
+    range is ``inf``.  A NaN entry gives NaN and else an infinite entry
+    ``inf``, with no overflow warning from the finite ones."""
+    t = as_tensor(t).ravel()
+    top = float(np.abs(t).max())
+    if not math.isfinite(top):
+        return top
+    exponent = math.frexp(top)[1]
+    t = np.ldexp(t, -exponent)
+    try:
+        # the dot and square root of np.linalg.norm, without its dispatch
+        return math.ldexp(math.sqrt(t.dot(t)), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,16 +243,19 @@ def _project(
 ) -> tuple[np.ndarray, float]:
     """Coordinates ``rows @ to_coords`` of a 2-D array and the residual of
     ``coordinates @ from_coords`` relative to the rows' norm (absolute for
-    zero rows), both on ``_scaled_rows`` of the whole array; so a test
-    ``residual <= tol`` is scale-free and rejects NaN and inf entries."""
-    scaled, exponent = _scaled_rows(rows.reshape(1, -1))
-    scaled = scaled.reshape(rows.shape)
-    with np.errstate(invalid="ignore"):  # a non-finite entry gives a NaN residual
+    zero rows), both on the whole array divided as ``_scaled_rows`` divides
+    a row; so a test ``residual <= tol`` is scale-free and rejects NaN and
+    inf entries.  Rows already so scaled, whose exponent is 0, are taken as
+    they are."""
+    exponent = math.frexp(np.abs(rows).max())[1]  # 0 for a zero, NaN or +-inf entry
+    scaled = np.ldexp(rows, -exponent) if exponent else rows
+    # a non-finite entry, left unscaled, gives a NaN residual and may overflow
+    with np.errstate(invalid="ignore", over="ignore"):
         c = scaled @ to_coords
         residual = np.linalg.norm(c @ from_coords - scaled)
         norm = np.linalg.norm(scaled)
         residual = float(residual / norm if norm > 0.0 else residual)
-    return _scaled_back(exponent[0], c)[0], residual
+    return (_scaled_back(exponent, c)[0] if exponent else c), residual
 
 
 def _scaled_back(exponent: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -23,6 +23,14 @@ orthogonal, while parts of different deviator order still are.
 
 Voigt conversion is pure index relabeling (11, 22, 33, 23, 13, 12) -> 1..6
 with no factor weighting; the 6x6 matrix entries equal tensor components.
+
+Each of these maps is fixed and linear, so each call is one or two small
+products with a read-only matrix or one flat take with a read-only index:
+``_stiffness_split`` (20, 81) gives (lam, mu, D1, D2), ``_coupling_map``
+(27, 42) rebuilds the coupling tensor and ``_coupling_solver`` (42, 27)
+fits it, and the symmetry checks and the Voigt relabelling take flat
+indices.  Each matrix is its formula, written over a leading batch axis
+(``_stiffness_lower``, ``_coupling_sum``), evaluated once on the identity.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import lift_kernel4
-from .core import _project, _real_array, _scaled_back, _scaled_rows, as_tensor, epsilon
-from .harmonic import from_coords
+from .core import _orbit_map, _project, _real_array, _scaled_back, as_tensor, epsilon
+from .harmonic import build_basis
 
 __all__ = [
     "CouplingDeviators",
@@ -78,70 +86,122 @@ class CouplingDeviators:
 
     @property
     def v1(self) -> np.ndarray:
-        (v2, v3), exponent = _common_scaled(self.v2, self.v3)
-        return _scaled_back(exponent, 2.5 * v3 - v2)[0]
+        x, exponent = _common_scaled(np.concatenate((self.v2, self.v3), dtype=float))
+        return _scaled_back(exponent, 2.5 * x[3:6] - x[0:3])[0]
 
     @property
     def d2(self) -> np.ndarray:
         return -(2.0 / 3.0) * self.d1
 
 
-def _common_scaled(*arrays) -> tuple[list[np.ndarray], int]:
-    """The arrays divided exactly by 2**e, e the binary exponent of their
-    largest |entry|, and e; ``_scaled_back`` undoes it.  Raises
-    ``ValueError`` for a NaN or +-inf entry, which has no exponent."""
-    top = np.abs(np.concatenate([np.ravel(a) for a in arrays])).max()
+def _common_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """The entries ``x``, a new flat array, divided in place and exactly by
+    2**e, e the binary exponent of their largest |entry|, and e;
+    ``_scaled_back`` undoes it.  Raises ``ValueError`` for a NaN or +-inf
+    entry, which has no exponent."""
+    top = float(np.abs(x).max())
     if not math.isfinite(top):
         raise ValueError("a deviator has a non-finite entry")
     exponent = math.frexp(top)[1]
-    return [np.ldexp(a, -exponent) for a in arrays], exponent
+    return np.ldexp(x, -exponent, out=x), exponent
 
 
-def _check_symmetries(a: np.ndarray, what: str, *checks: tuple[tuple[int, ...], str]) -> None:
-    """Raise ``ValueError(message)`` unless ``a`` equals ``a.transpose(axes)``
-    within ``SYMMETRY_TOL`` of its largest |entry|, for each (axes, message)
-    of ``checks``; NaN and +-inf entries fail.  Compared on ``a`` divided
-    exactly by the power of two of that entry, so no difference overflows."""
+def _orbit_firsts(*orders: int) -> np.ndarray:
+    """Read-only index that takes the flattened totally symmetric tensors
+    of ``orders``, side by side, to copies in which every entry is the
+    first of its orbit (``core._orbit_map``), so each is exactly symmetric,
+    whatever the rounding of the products that gave them."""
+    starts = np.cumsum([0] + [3**s for s in orders])
+    index = np.concatenate(
+        [start + _orbit_map(s, tuple(range(s)))[0] for start, s in zip(starts, orders)]
+    )
+    index.flags.writeable = False
+    return index
+
+
+def _symmetries(shape: tuple[int, ...], *checks: tuple[tuple[int, ...], str]) -> tuple:
+    """The (axes, message) ``checks`` of arrays of ``shape`` as one read-only
+    (k, size) flat index, whose row r takes a flattened array to its
+    ``transpose(axes)`` of check r, and the k messages."""
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    index = np.stack([flat.transpose(axes).ravel() for axes, _ in checks])
+    index.flags.writeable = False
+    return index, tuple(message for _, message in checks)
+
+
+def _check_symmetries(a: np.ndarray, what: str, symmetries: tuple) -> tuple[np.ndarray, int]:
+    """Raise ``ValueError`` with the message of the first check of
+    ``symmetries`` (``_symmetries``) under which ``a`` differs from its
+    transpose by more than ``SYMMETRY_TOL`` of its largest |entry|; NaN and
+    +-inf entries fail.  Compared on ``a`` divided exactly by the power of
+    two of that entry, so no difference overflows: one take of every
+    check's transpose, one subtraction and one maximum per check.  Returns
+    the flattened scaled entries and the exponent, the bits of
+    ``_scaled_rows`` of ``a.reshape(1, -1)``."""
     top = float(np.abs(a).max())
     if not math.isfinite(top):
         raise ValueError(f"{what} has a non-finite entry")
     exponent = math.frexp(top)[1]
-    scaled = np.ldexp(a, -exponent)
+    scaled = np.ldexp(a.ravel(), -exponent)
     bound = SYMMETRY_TOL * math.ldexp(top, -exponent)
-    for axes, message in checks:
-        if not np.abs(scaled - scaled.transpose(axes)).max() <= bound:
+    index, messages = symmetries
+    worst = np.abs(scaled.take(index) - scaled).max(axis=1)
+    for message, difference in zip(messages, worst.tolist()):
+        if not difference <= bound:
             raise ValueError(message)
+    return scaled, exponent
+
+
+_COUPLING_SYMMETRY = _symmetries(
+    (3,) * 3, ((1, 0, 2), "tensor violates the coupling symmetry H_ijk = H_jik")
+)
 
 
 def validate_coupling(h) -> np.ndarray:
     """Check the symmetry H_ijk = H_jik, relative to the largest entry, and
     return the tensor; the zero tensor passes, NaN and +-inf entries fail."""
     h = as_tensor(h, order=3)
-    symmetry = ((1, 0, 2), "tensor violates the coupling symmetry H_ijk = H_jik")
-    _check_symmetries(h, "coupling tensor", symmetry)
+    _check_symmetries(h, "coupling tensor", _COUPLING_SYMMETRY)
     return h
 
 
-def coupling_reconstruct(cd: CouplingDeviators) -> np.ndarray:
-    """Rebuild the coupling tensor from (v2, v3, D1, D3), summed on
-    ``_common_scaled`` deviators: +-inf beyond the float range, no warning.
-    Raises ``ValueError`` for a NaN or +-inf deviator entry."""
-    (v2, v3, d1, d3), exponent = _common_scaled(
-        as_tensor(cd.v2, order=1), as_tensor(cd.v3, order=1),
-        as_tensor(cd.d1, order=2), as_tensor(cd.d3, order=3),
-    )
-    l4 = lift_kernel4()
-    h = (
-        np.einsum("jkt,tis,s->ijk", _EPS, _EPS, v2)
-        - np.einsum("jk,i->ijk", _EYE, v2)
-        + 2.5 * np.einsum("jk,i->ijk", _EYE, v3)
-        + np.einsum("ijks,s->ijk", l4, v3)
-        + np.einsum("jks,si->ijk", _EPS, d1)
+def _coupling_sum(x: np.ndarray) -> np.ndarray:
+    """The reconstruction display over a leading batch axis: the coupling
+    tensors, shape (N, 3, 3, 3), of the rows of ``x``, shape (N, 42), each
+    row the entries of (v2, v3, D1, D3) flattened."""
+    v2, v3 = x[:, 0:3], x[:, 3:6]
+    d1, d3 = x[:, 6:15].reshape(-1, 3, 3), x[:, 15:42].reshape(-1, 3, 3, 3)
+    return (
+        np.einsum("jkt,tis,ns->nijk", _EPS, _EPS, v2)
+        - np.einsum("jk,ni->nijk", _EYE, v2)
+        + 2.5 * np.einsum("jk,ni->nijk", _EYE, v3)
+        + np.einsum("ijks,ns->nijk", lift_kernel4(), v3)
+        + np.einsum("jks,nsi->nijk", _EPS, d1)
         - (1.0 / 3.0)
-        * (np.einsum("isj,ks->ijk", _EPS, d1) + np.einsum("isk,js->ijk", _EPS, d1))
+        * (np.einsum("isj,nks->nijk", _EPS, d1) + np.einsum("isk,njs->nijk", _EPS, d1))
         + d3
     )
-    return _scaled_back(exponent, h)[0]
+
+
+@lru_cache(maxsize=None)
+def _coupling_map() -> np.ndarray:
+    """Read-only (27, 42) matrix of ``_coupling_sum``: the flattened coupling
+    tensor of the flattened (v2, v3, D1, D3)."""
+    matrix = np.ascontiguousarray(_coupling_sum(np.eye(42)).reshape(42, 27).T)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def coupling_reconstruct(cd: CouplingDeviators) -> np.ndarray:
+    """Rebuild the coupling tensor from (v2, v3, D1, D3), one product of
+    ``_coupling_map`` with their ``_common_scaled`` entries: +-inf beyond
+    the float range, no warning.  Raises ``ValueError`` for a NaN or +-inf
+    deviator entry."""
+    x, exponent = _common_scaled(np.concatenate((
+        as_tensor(cd.v2, order=1), as_tensor(cd.v3, order=1),
+        as_tensor(cd.d1, order=2).ravel(), as_tensor(cd.d3, order=3).ravel(),
+    )))
+    return _scaled_back(exponent, (_coupling_map() @ x).reshape(3, 3, 3))[0]
 
 
 def _printed_coupling_tables(h: np.ndarray) -> CouplingDeviators:
@@ -211,47 +271,54 @@ def _printed_coupling_tables(h: np.ndarray) -> CouplingDeviators:
     return CouplingDeviators(v2=v2, v3=v3, d1=d1, d3=d3)
 
 
-def _coupling_parts(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(v2, v3, D1, D3) of the 18 coupling coordinates ``x``."""
-    return x[0:3], x[3:6], from_coords(x[6:11], 2), from_coords(x[11:18], 3)
+_COUPLING_ENTRIES = _orbit_firsts(1, 1, 2, 3)
 
 
 @lru_cache(maxsize=None)
-def _coupling_solver() -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse of the reconstruction display over its 18 deviator
-    coordinates, plus the forward matrix."""
-    columns = [coupling_reconstruct(CouplingDeviators(*_coupling_parts(x))) for x in np.eye(18)]
-    forward = np.stack([c.ravel() for c in columns], axis=1)
-    pinv = np.linalg.pinv(forward)
-    pinv.flags.writeable = False
-    forward.flags.writeable = False
-    return pinv, forward
+def _coupling_solver() -> np.ndarray:
+    """Read-only (42, 27) matrix of the fitted decomposition: the entries of
+    (v2, v3, D1, D3) of the flattened coupling tensor.  It is the
+    pseudo-inverse of the reconstruction display over the 18 deviator
+    coordinates (``_coupling_map`` times their lift to entries), lifted to
+    entries.  The display has full column rank (condition number 6), so
+    the pseudo-inverse is R^-1 Q^T of its QR factors; that rounds the round
+    trip about four times closer than ``np.linalg.pinv``'s SVD form."""
+    lift = np.zeros((42, 18))
+    lift[0:6, 0:6] = np.eye(6)
+    lift[6:15, 6:11] = build_basis(2).flat.T
+    lift[15:42, 11:18] = build_basis(3).flat.T
+    q, r = np.linalg.qr(_coupling_map() @ lift)
+    solver = lift @ np.linalg.solve(r, q.T)
+    solver.flags.writeable = False
+    return solver
 
 
 def coupling_decompose(h, coefficients: str = "fitted") -> CouplingDeviators:
     """Deviators of a coupling tensor.
 
     ``coefficients`` selects the published tables ("printed") or the exact
-    inversion of the reconstruction display ("fitted"), either one taken on
-    ``_scaled_rows`` of the tensor and scaled back, exact up to the float limit.
+    inversion of the reconstruction display ("fitted": one product with
+    ``_coupling_solver`` and one take, ``_COUPLING_ENTRIES``, so D1 and D3
+    are exactly symmetric; the four deviators are views of one new array),
+    either one taken on the tensor divided by the power of two of its
+    largest |entry| (as ``_scaled_rows`` divides it) and scaled back, exact
+    up to the float limit.
     """
-    h = validate_coupling(h)
+    h = as_tensor(h, order=3)
+    scaled, exponent = _check_symmetries(h, "coupling tensor", _COUPLING_SYMMETRY)
     if coefficients not in ("printed", "fitted"):
         raise ValueError(f"coefficients must be 'printed' or 'fitted', got {coefficients!r}")
-    scaled, exponent = _scaled_rows(h.reshape(1, -1))
     if coefficients == "printed":
         cd = _printed_coupling_tables(scaled.reshape(h.shape))
-        parts = (cd.v2, cd.v3, cd.d1, cd.d3)
-    else:
-        pinv, forward = _coupling_solver()
-        x, residual = _project(scaled, pinv.T, forward.T)
-        if not residual <= 1e-9:  # the zero tensor is representable
-            raise ValueError(
-                "tensor is not representable by the four coupling deviators (relative "
-                f"residual {residual:.3e}); is the coupling symmetry satisfied?"
-            )
-        parts = _coupling_parts(x[0])
-    return CouplingDeviators(*_scaled_back(exponent[0], *parts))
+        return CouplingDeviators(*_scaled_back(exponent, cd.v2, cd.v3, cd.d1, cd.d3))
+    x, residual = _project(scaled.reshape(1, -1), _coupling_solver().T, _coupling_map().T)
+    if not residual <= 1e-9:  # the zero tensor is representable
+        raise ValueError(
+            "tensor is not representable by the four coupling deviators (relative "
+            f"residual {residual:.3e}); is the coupling symmetry satisfied?"
+        )
+    x = _scaled_back(exponent, x[0].take(_COUPLING_ENTRIES))[0]
+    return CouplingDeviators(x[0:3], x[3:6], x[6:15].reshape(3, 3), x[15:42].reshape(3, 3, 3))
 
 
 def coupling_coefficient_diff(tol: float = 1e-9) -> dict:
@@ -328,18 +395,20 @@ class StiffnessDeviators:
     d4: np.ndarray
 
 
+_STIFFNESS_SYMMETRIES = _symmetries(
+    (3,) * 4,
+    ((1, 0, 2, 3), "tensor violates the minor symmetry C_ijkl = C_jikl"),
+    ((0, 1, 3, 2), "tensor violates the minor symmetry C_ijkl = C_ijlk"),
+    ((2, 3, 0, 1), "tensor violates the major symmetry C_ijkl = C_klij"),
+)
+
+
 def validate_stiffness(c) -> np.ndarray:
     """Check minor (ijkl = jikl = ijlk) and major (ijkl = klij) symmetries,
     relative to the largest entry; the zero tensor passes, NaN and +-inf
     entries fail."""
     c = as_tensor(c, order=4)
-    _check_symmetries(
-        c,
-        "stiffness tensor",
-        ((1, 0, 2, 3), "tensor violates the minor symmetry C_ijkl = C_jikl"),
-        ((0, 1, 3, 2), "tensor violates the minor symmetry C_ijkl = C_ijlk"),
-        ((2, 3, 0, 1), "tensor violates the major symmetry C_ijkl = C_klij"),
-    )
+    _check_symmetries(c, "stiffness tensor", _STIFFNESS_SYMMETRIES)
     return c
 
 
@@ -376,28 +445,54 @@ def _stiffness_base(lam: float, mu: float, d1: np.ndarray, d2: np.ndarray) -> np
     return terms.sum(axis=0)  # over the outer axis numpy adds one term at a time
 
 
+def _stiffness_lower(s: np.ndarray) -> np.ndarray:
+    """(lam, mu, D1, D2) of stiffness tensors over a leading batch axis:
+    rows (N, 20) of ``s``, shape (N, 3, 3, 3, 3), each row lam, mu and the
+    entries of D1 and D2."""
+    c_iikk = np.einsum("niikk->n", s)
+    c_ikik = np.einsum("nikik->n", s)
+    lam = (2.0 * c_iikk - c_ikik) / 15.0
+    mu = (3.0 * c_ikik - c_iikk) / 30.0
+    dilat = np.einsum("nkkij->nij", s) - (c_iikk / 3.0)[:, None, None] * _EYE
+    voigt_tr = np.einsum("nkikj->nij", s) - (c_ikik / 3.0)[:, None, None] * _EYE
+    d1 = (5.0 / 7.0) * dilat - (4.0 / 7.0) * voigt_tr
+    d2 = (3.0 / 7.0) * voigt_tr - (2.0 / 7.0) * dilat
+    return np.concatenate((lam[:, None], mu[:, None], d1.reshape(-1, 9), d2.reshape(-1, 9)), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _stiffness_split() -> np.ndarray:
+    """Read-only (20, 81) matrix of ``_stiffness_lower``: (lam, mu, D1, D2)
+    of the flattened stiffness tensor."""
+    matrix = np.ascontiguousarray(_stiffness_lower(np.eye(81).reshape((81,) + (3,) * 4)).T)
+    matrix.flags.writeable = False
+    return matrix
+
+
+_STIFFNESS_ENTRIES = _orbit_firsts(0, 0, 2, 2)
+
+
 def stiffness_decompose(c) -> StiffnessDeviators:
     """Lame coefficients plus deviators of a stiffness tensor.
 
-    The order-4 part is the remainder after subtracting the lower-order
-    slots, so reconstruction is exact by construction.  Taken on
-    ``_scaled_rows`` of the tensor and scaled back, exact up to the float
-    limit, as ``coupling_decompose`` is.
+    (lam, mu, D1, D2) are one product of ``_stiffness_split`` with the
+    entries scaled by the symmetry check, as ``_scaled_rows`` scales them,
+    and one take (``_STIFFNESS_ENTRIES``), so D1 and D2 are exactly symmetric;
+    the order-4 part is the remainder after subtracting the lower-order
+    slots, so reconstruction is exact by construction.  Scaled back, exact
+    up to the float limit, as ``coupling_decompose`` is.  D1, D2 and D4 are
+    views of one new array.
     """
-    c = validate_stiffness(c)
-    scaled, exponent = _scaled_rows(c.reshape(1, -1))
-    s = scaled.reshape(c.shape)
-    c_iikk = float(np.einsum("iikk->", s))
-    c_ikik = float(np.einsum("ikik->", s))
-    lam = (2.0 * c_iikk - c_ikik) / 15.0
-    mu = (3.0 * c_ikik - c_iikk) / 30.0
-    dilat = np.einsum("kkij->ij", s) - (c_iikk / 3.0) * _EYE
-    voigt_tr = np.einsum("kikj->ij", s) - (c_ikik / 3.0) * _EYE
-    d1 = (5.0 / 7.0) * dilat - (4.0 / 7.0) * voigt_tr
-    d2 = (3.0 / 7.0) * voigt_tr - (2.0 / 7.0) * dilat
-    d4 = s - _stiffness_base(lam, mu, d1, d2)
-    lam, mu, d1, d2, d4 = _scaled_back(exponent[0], lam, mu, d1, d2, d4)
-    return StiffnessDeviators(lam=float(lam), mu=float(mu), d1=d1, d2=d2, d4=d4)
+    c = as_tensor(c, order=4)
+    s, exponent = _check_symmetries(c, "stiffness tensor", _STIFFNESS_SYMMETRIES)
+    parts = np.empty(101)  # lam, mu, D1, D2 and D4, flattened, scaled back at once
+    x = np.dot(_stiffness_split(), s).take(_STIFFNESS_ENTRIES, out=parts[:20])
+    np.subtract(s, _stiffness_base(x[0], x[1], x[2:11], x[11:20]).ravel(), out=parts[20:])
+    parts = _scaled_back(exponent, parts)[0]
+    return StiffnessDeviators(
+        lam=float(parts[0]), mu=float(parts[1]), d1=parts[2:11].reshape(3, 3),
+        d2=parts[11:20].reshape(3, 3), d4=parts[20:].reshape(c.shape),
+    )
 
 
 def stiffness_reconstruct(sd: StiffnessDeviators) -> np.ndarray:
@@ -406,11 +501,12 @@ def stiffness_reconstruct(sd: StiffnessDeviators) -> np.ndarray:
     beyond the float range, no warning.  Raises ``ValueError`` for a NaN or
     +-inf deviator entry, such as one that ``stiffness_decompose`` gives
     beyond the float range."""
-    (lam, mu, d1, d2, d4), exponent = _common_scaled(
-        float(sd.lam), float(sd.mu), as_tensor(sd.d1, order=2),
-        as_tensor(sd.d2, order=2), as_tensor(sd.d4, order=4),
-    )
-    return _scaled_back(exponent, _stiffness_base(lam, mu, d1, d2) + d4)[0]
+    x, exponent = _common_scaled(np.concatenate((
+        (float(sd.lam), float(sd.mu)), as_tensor(sd.d1, order=2).ravel(),
+        as_tensor(sd.d2, order=2).ravel(), as_tensor(sd.d4, order=4).ravel(),
+    )))
+    c = _stiffness_base(x[0], x[1], x[2:11], x[11:20]) + x[20:].reshape((3,) * 4)
+    return _scaled_back(exponent, c)[0]
 
 
 def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
@@ -422,9 +518,9 @@ def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
     for name, value in (("lam", lam), ("mu", mu)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    (lam, mu), exponent = _common_scaled(lam, mu)
+    x, exponent = _common_scaled(np.array([lam, mu]))
     zero = np.zeros((3, 3))
-    return _scaled_back(exponent, _stiffness_base(lam, mu, zero, zero))[0]
+    return _scaled_back(exponent, _stiffness_base(x[0], x[1], zero, zero))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +528,21 @@ def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
 
 VOIGT_PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
 
-_VOIGT_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
 _VOIGT_FIRST, _VOIGT_SECOND = np.array(VOIGT_PAIRS).T  # tensor index pair of each Voigt index
+_VOIGT_INDEX = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])  # Voigt index of each tensor index pair
+# flat index of every Voigt entry in the stiffness tensor, and of every
+# tensor entry in the Voigt matrix: each relabelling is one take
+_TENSOR_OF_VOIGT = np.ravel_multi_index(
+    (_VOIGT_FIRST[:, None], _VOIGT_SECOND[:, None], _VOIGT_FIRST, _VOIGT_SECOND), (3,) * 4
+)
+_VOIGT_OF_TENSOR = np.ravel_multi_index((_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX), (6, 6))
+_TENSOR_OF_VOIGT.flags.writeable = _VOIGT_OF_TENSOR.flags.writeable = False
+_VOIGT_SYMMETRY = _symmetries((6, 6), ((1, 0), "Voigt matrix must be symmetric"))
 
 
 def tensor_to_voigt(c) -> np.ndarray:
     """6x6 Voigt matrix of a stiffness tensor; pure relabeling, no weights."""
-    c = validate_stiffness(c)
-    return c[_VOIGT_FIRST[:, None], _VOIGT_SECOND[:, None], _VOIGT_FIRST, _VOIGT_SECOND]
+    return validate_stiffness(c).take(_TENSOR_OF_VOIGT)
 
 
 def voigt_to_tensor(m) -> np.ndarray:
@@ -451,5 +554,5 @@ def voigt_to_tensor(m) -> np.ndarray:
     m = _real_array(m, "Voigt matrix")
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
-    _check_symmetries(m, "Voigt matrix", ((1, 0), "Voigt matrix must be symmetric"))
-    return m[_VOIGT_INDEX[:, :, None, None], _VOIGT_INDEX[None, None, :, :]]
+    _check_symmetries(m, "Voigt matrix", _VOIGT_SYMMETRY)
+    return m.take(_VOIGT_OF_TENSOR)

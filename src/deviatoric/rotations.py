@@ -14,17 +14,20 @@ from .core import _real_array, _scaled_rows, as_tensor
 __all__ = ["check_rotation", "rotate", "rotation_about", "random_rotation"]
 
 _ORTHO_TOL = 1e-12
+_EYE = np.eye(3)
 
 
 def check_rotation(r) -> np.ndarray:
     """Validate a proper rotation matrix and return it as float64; a
-    complex matrix is rejected."""
+    complex matrix is rejected.  The determinant is the triple product of
+    the rows, so a NaN entry fails both checks."""
     r = _real_array(r, "rotation")
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    if not np.max(np.abs(r @ r.T - np.eye(3))) <= _ORTHO_TOL:
+    if not np.abs(r @ r.T - _EYE).max() <= _ORTHO_TOL:
         raise ValueError("matrix is not orthogonal")
-    if not abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL:
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    if not abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0) <= _ORTHO_TOL:
         raise ValueError("matrix is not a proper rotation (det != +1)")
     return r
 
@@ -37,11 +40,15 @@ def rotate(t, r) -> np.ndarray:
     """
     t = as_tensor(t)
     r = check_rotation(r)
-    for _ in range(t.ndim):
-        # contract axis 0 with r and append the rotated axis at the end;
-        # after ndim passes every axis is rotated and back in place
-        t = np.tensordot(t, r, axes=([0], [1]))
-    return t.copy() if t.ndim == 0 else t
+    if t.ndim == 0:
+        return t.copy()
+    shape, rt = t.shape, r.T
+    for _ in shape:
+        # contract axis 0 with r and append the rotated axis at the end, the
+        # product of np.tensordot(t, r, axes=([0], [1])) without its
+        # transposes; after ndim passes every axis is rotated and back in place
+        t = np.dot(t.reshape(3, -1).T, rt)
+    return t.reshape(shape)
 
 
 def rotation_about(axis, angle: float) -> np.ndarray:

@@ -248,3 +248,63 @@ def test_project_is_exact_under_power_of_two_scaling(exponent):
     assert residual == 0.0 and not coords.any()
     for bad in (np.nan, np.inf):
         assert math.isnan(_project(np.full((2, 9), bad), to_coords, from_coords)[1])
+
+
+def scaled_rows_frobenius_norm(t):
+    """The norm as ``_scaled_rows`` and ``_scaled_back`` took it: the row's
+    power of two from ``np.frexp``, undone by ``np.ldexp``."""
+    rows = as_tensor(t).reshape(1, -1)
+    exponent = np.frexp(np.max(np.abs(rows), axis=1))[1]
+    scaled = np.ldexp(rows, -exponent[:, None])
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(scaled[0]), exponent[0]))
+
+
+def scaled_rows_project(rows, to_coords, from_coords):
+    """``_project`` as it scaled every input with ``_scaled_rows``."""
+    exponent = np.frexp(np.max(np.abs(rows.reshape(1, -1)), axis=1))[1]
+    scaled = np.ldexp(rows, -exponent[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = scaled @ to_coords
+        residual = np.linalg.norm(c @ from_coords - scaled)
+        norm = np.linalg.norm(scaled)
+        residual = float(residual / norm if norm > 0.0 else residual)
+        return np.ldexp(c, exponent[0]), residual
+
+
+@st.composite
+def tensors_at_any_scale(draw):
+    """A tensor of order 0 to 4 with entries in (-1, 1) times 2^k, k from
+    -1074 to 1023 (so from subnormal to the float limit), with some entries
+    set to 0, NaN or +-inf."""
+    order = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    t = np.ldexp(rng.uniform(-1.0, 1.0, (3,) * order), draw(st.integers(-1074, 1023)))
+    for value in draw(st.lists(st.sampled_from([0.0, np.nan, np.inf, -np.inf]), max_size=3)):
+        t.flat[rng.integers(t.size)] = value
+    return t
+
+
+def same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensors_at_any_scale())
+def test_frobenius_norm_has_the_bits_of_the_scaled_rows_form(t):
+    assert same_float(frobenius_norm(t), scaled_rows_frobenius_norm(t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensors_at_any_scale())
+def test_project_has_the_bits_of_the_scaled_rows_form(t):
+    # rows already scaled (exponent 0) skip the scaling; every other input is
+    # scaled and scaled back as before
+    rng = np.random.default_rng(63)
+    rows = t.reshape(1, -1)
+    to_coords = np.linalg.qr(rng.standard_normal((rows.shape[1], rows.shape[1])))[0][:, :1]
+    coords, residual = _project(rows, to_coords, to_coords.T)
+    want_coords, want_residual = scaled_rows_project(rows, to_coords, to_coords.T)
+    assert coords.tobytes() == want_coords.tobytes()
+    assert same_float(residual, want_residual)

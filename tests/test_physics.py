@@ -1,20 +1,28 @@
 """Coupling-tensor and stiffness-tensor decompositions, Voigt conversion."""
 
 import json
+import time
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deviatoric import (
     CouplingDeviators,
+    build_basis,
     coupling_coefficient_diff,
     coupling_decompose,
     coupling_reconstruct,
     decompose,
+    epsilon,
     isotropic_stiffness,
+    lift_kernel4,
+    random_rotation,
+    rotate,
     stiffness_decompose,
     stiffness_reconstruct,
     symmetrize,
@@ -25,6 +33,7 @@ from deviatoric import (
     voigt_to_tensor,
 )
 from deviatoric import physics
+from deviatoric.core import _scaled_rows
 from deviatoric.physics import StiffnessDeviators
 
 
@@ -545,3 +554,216 @@ def test_symmetry_checks_at_the_float_limit(check, first, second):
             with pytest.raises(ValueError, match="symmetr"):
                 check(x)
 
+
+# ---------------------------------------------------------------------------
+# the cached linear maps against per-call einsum forms
+
+EYE = np.eye(3)
+EPS = epsilon()
+
+
+def einsum_stiffness_lower(c):
+    """lam, mu, D1 and D2 of one stiffness tensor, flattened, by per-call
+    traces."""
+    c_iikk = float(np.einsum("iikk->", c))
+    c_ikik = float(np.einsum("ikik->", c))
+    lam = (2.0 * c_iikk - c_ikik) / 15.0
+    mu = (3.0 * c_ikik - c_iikk) / 30.0
+    dilat = np.einsum("kkij->ij", c) - (c_iikk / 3.0) * EYE
+    voigt_tr = np.einsum("kikj->ij", c) - (c_ikik / 3.0) * EYE
+    d1 = (5.0 / 7.0) * dilat - (4.0 / 7.0) * voigt_tr
+    d2 = (3.0 / 7.0) * voigt_tr - (2.0 / 7.0) * dilat
+    return np.concatenate(([lam, mu], d1.ravel(), d2.ravel()))
+
+
+def einsum_coupling_sum(v2, v3, d1, d3):
+    """The reconstruction display of one coupling tensor, term by term."""
+    return (
+        np.einsum("jkt,tis,s->ijk", EPS, EPS, v2)
+        - np.einsum("jk,i->ijk", EYE, v2)
+        + 2.5 * np.einsum("jk,i->ijk", EYE, v3)
+        + np.einsum("ijks,s->ijk", lift_kernel4(), v3)
+        + np.einsum("jks,si->ijk", EPS, d1)
+        - (1.0 / 3.0) * (np.einsum("isj,ks->ijk", EPS, d1) + np.einsum("isk,js->ijk", EPS, d1))
+        + d3
+    )
+
+
+def einsum_coupling_fit(h):
+    """The entries of (v2, v3, D1, D3) of the least-squares fit of the
+    reconstruction display over the 18 deviator coordinates, built per call."""
+    b2, b3 = build_basis(2).flat, build_basis(3).flat
+
+    def parts(x):
+        return x[0:3], x[3:6], (x[6:11] @ b2).reshape(3, 3), (x[11:18] @ b3).reshape(3, 3, 3)
+
+    forward = np.stack([einsum_coupling_sum(*parts(x)).ravel() for x in np.eye(18)], axis=1)
+    x = np.linalg.lstsq(forward, h.ravel(), rcond=None)[0]
+    return np.concatenate([np.ravel(p) for p in parts(x)])
+
+
+def entries(*arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def assert_relative(got, want, tol):
+    # norms of the entries divided by the power of two of want's largest:
+    # 2^900 squared overflows
+    k = np.frexp(np.max(np.abs(want)))[1]
+    assert np.linalg.norm(np.ldexp(got - want, -k)) <= tol * np.linalg.norm(np.ldexp(want, -k))
+
+
+seeds = st.integers(0, 2**32 - 1)
+wide_exponents = st.integers(-900, 900)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, wide_exponents)
+def test_stiffness_split_matches_the_per_call_traces(seed, k):
+    c = np.ldexp(random_stiffness(np.random.default_rng(seed)), k)
+    sd = stiffness_decompose(c)
+    want = einsum_stiffness_lower(c)
+    assert_relative(entries(sd.lam, sd.mu, sd.d1, sd.d2), want, 1e-14)
+    base = einsum_stiffness_base(want[0], want[1], want[2:11].reshape(3, 3), want[11:].reshape(3, 3))
+    assert_relative(sd.d4, c - base, 1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, wide_exponents)
+def test_coupling_map_matches_the_per_call_einsums(seed, k):
+    # any four arrays, deviators or not: the display is linear in each
+    rng = np.random.default_rng(seed)
+    parts = [np.ldexp(rng.standard_normal(shape), k) for shape in ((3,), (3,), (3, 3), (3, 3, 3))]
+    assert_relative(coupling_reconstruct(CouplingDeviators(*parts)), einsum_coupling_sum(*parts), 1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, wide_exponents)
+def test_coupling_solver_matches_the_per_call_fit(seed, k):
+    h = np.ldexp(random_coupling(np.random.default_rng(seed)), k)
+    cd = coupling_decompose(h)
+    assert_relative(entries(cd.v2, cd.v3, cd.d1, cd.d3), einsum_coupling_fit(h), 1e-14)
+
+
+def cached_arrays():
+    return {
+        "_stiffness_split": physics._stiffness_split(),
+        "_STIFFNESS_ENTRIES": physics._STIFFNESS_ENTRIES,
+        "_coupling_map": physics._coupling_map(),
+        "_coupling_solver": physics._coupling_solver(),
+        "_COUPLING_ENTRIES": physics._COUPLING_ENTRIES,
+        "_STIFFNESS_SYMMETRIES": physics._STIFFNESS_SYMMETRIES[0],
+        "_COUPLING_SYMMETRY": physics._COUPLING_SYMMETRY[0],
+        "_VOIGT_SYMMETRY": physics._VOIGT_SYMMETRY[0],
+        "_TENSOR_OF_VOIGT": physics._TENSOR_OF_VOIGT,
+        "_VOIGT_OF_TENSOR": physics._VOIGT_OF_TENSOR,
+    }
+
+
+def test_cached_maps_are_read_only():
+    shapes = {"_stiffness_split": (20, 81), "_STIFFNESS_ENTRIES": (20,), "_coupling_map": (27, 42),
+              "_coupling_solver": (42, 27), "_COUPLING_ENTRIES": (42,),
+              "_STIFFNESS_SYMMETRIES": (3, 81), "_COUPLING_SYMMETRY": (1, 27),
+              "_VOIGT_SYMMETRY": (1, 36), "_TENSOR_OF_VOIGT": (6, 6), "_VOIGT_OF_TENSOR": (3, 3, 3, 3)}
+    for name, array in cached_arrays().items():
+        assert array.shape == shapes[name], name
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0
+
+
+def test_each_map_builds_cold_within_2_ms():
+    # best of five cold builds, each on the warm maps and bases it reads
+    for build in (physics._stiffness_split, physics._coupling_map, physics._coupling_solver):
+        best = float("inf")
+        for _ in range(5):
+            build.cache_clear()
+            start = time.perf_counter()
+            build()
+            best = min(best, time.perf_counter() - start)
+        assert best <= 2e-3, build.__name__
+
+
+def test_symmetry_check_scales_as_scaled_rows():
+    rng = np.random.default_rng(38)
+    for k in (-1074, -1000, -30, 0, 30, 1000, 1023):
+        c = np.ldexp(random_stiffness(rng) / 4.0, k)
+        scaled, exponent = physics._check_symmetries(c, "stiffness tensor", physics._STIFFNESS_SYMMETRIES)
+        want, want_exponent = _scaled_rows(c.reshape(1, -1))
+        assert scaled.tobytes() == want[0].tobytes() and exponent == want_exponent[0]
+
+
+def test_symmetry_check_raises_the_first_failing_message():
+    c = random_stiffness(np.random.default_rng(39))
+    major = c.copy()
+    major[0, 1, 0, 2] = major[1, 0, 0, 2] = major[0, 1, 2, 0] = major[1, 0, 2, 0] = 5.0
+    with pytest.raises(ValueError, match="major symmetry"):
+        validate_stiffness(major)
+    second = c.copy()
+    second[0, 1, 0, 2] = second[1, 0, 0, 2] = 5.0
+    with pytest.raises(ValueError, match="C_ijkl = C_ijlk"):
+        validate_stiffness(second)
+    with pytest.raises(ValueError, match="C_ijkl = C_jikl"):
+        validate_stiffness(np.random.default_rng(40).standard_normal((3, 3, 3, 3)))
+
+
+def test_split_deviators_are_exactly_symmetric():
+    # each order-2 and order-3 deviator is taken from one value per orbit
+    # (before, D1 and D2 were, but the fitted D3 missed in 55 of 200)
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        sd = stiffness_decompose(random_stiffness(rng))
+        for d in (sd.d1, sd.d2):
+            assert np.array_equal(d, d.T)
+        cd = coupling_decompose(random_coupling(rng))
+        assert np.array_equal(cd.d1, cd.d1.T)
+        for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)):
+            assert np.array_equal(cd.d3, cd.d3.transpose(axes))
+
+
+def test_voigt_takes_are_the_index_relabelling():
+    rng = np.random.default_rng(41)
+    pairs = np.array(physics.VOIGT_PAIRS)
+    voigt_of = np.array([[0, 5, 4], [5, 1, 3], [4, 3, 2]])
+    c = random_stiffness(rng)
+    want = c[pairs[:, 0, None], pairs[:, 1, None], pairs[:, 0], pairs[:, 1]]
+    assert tensor_to_voigt(c).tobytes() == want.tobytes()
+    m = rng.standard_normal((6, 6))
+    m = m + m.T
+    assert voigt_to_tensor(m).tobytes() == m[voigt_of[:, :, None, None], voigt_of].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(-300, 300))
+def test_stiffness_split_is_rotation_equivariant(seed, k):
+    rng = np.random.default_rng(seed)
+    c, r = np.ldexp(random_stiffness(rng), k), random_rotation(rng)
+    sd, turned = stiffness_decompose(c), stiffness_decompose(rotate(c, r))
+    tol = 1e-13 * np.max(np.abs(c))
+    assert abs(turned.lam - sd.lam) <= tol and abs(turned.mu - sd.mu) <= tol
+    for name in ("d1", "d2", "d4"):
+        assert np.max(np.abs(getattr(turned, name) - rotate(getattr(sd, name), r))) <= tol, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds, st.integers(-300, 300))
+def test_coupling_split_is_rotation_equivariant(seed, k):
+    rng = np.random.default_rng(seed)
+    h, r = np.ldexp(random_coupling(rng), k), random_rotation(rng)
+    cd, turned = coupling_decompose(h), coupling_decompose(rotate(h, r))
+    tol = 1e-13 * np.max(np.abs(h))
+    for name in ("v2", "v3", "d1", "d3"):
+        assert np.max(np.abs(getattr(turned, name) - rotate(getattr(cd, name), r))) <= tol, name
+
+
+def test_fitted_round_trip_is_within_a_few_ulps():
+    # the solver is the QR form of the pseudo-inverse: the largest relative
+    # round-trip error over these tensors is about 5e-16 (2.8e-15 with the
+    # SVD form of np.linalg.pinv)
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for _ in range(300):
+        h = random_coupling(rng)
+        back = coupling_reconstruct(coupling_decompose(h))
+        worst = max(worst, np.linalg.norm(back - h) / np.linalg.norm(h))
+    assert worst <= 1e-15

@@ -124,3 +124,52 @@ def test_random_rotation_seeded_and_proper():
         r = random_rotation(rng)
         assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
+
+
+def tensordot_rotate(t, r):
+    """The rotation as one ``np.tensordot`` per axis."""
+    for _ in range(t.ndim):
+        t = np.tensordot(t, r, axes=([0], [1]))
+    return t.copy() if t.ndim == 0 else t
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_rotate_is_the_tensordot_loop_bit_for_bit(order):
+    # one 2-D product per axis on the same operands: the same arithmetic,
+    # so the same bits, at every order and scale
+    rng = np.random.default_rng(100 + order)
+    for k in (-1000, -20, 0, 20, 1000):
+        for _ in range(3):
+            t = np.ldexp(rng.standard_normal((3,) * order), k)
+            r = random_rotation(rng)
+            got = rotate(t, r)
+            assert got.shape == t.shape
+            assert got.tobytes() == tensordot_rotate(t, r).tobytes()
+
+
+def test_check_rotation_rejects_reflections_shears_nan_and_complex():
+    rng = np.random.default_rng(11)
+    r = random_rotation(rng)
+    reflections = [np.diag([1.0, 1.0, -1.0]), -np.eye(3), -r, r[[1, 0, 2]]]
+    for m in reflections:
+        with pytest.raises(ValueError, match=r"det != \+1"):
+            check_rotation(m)
+    for shear in (1e-11, 1e-6, 0.5):
+        sheared = r.copy()
+        sheared[0, 1] += shear
+        with pytest.raises(ValueError, match="not orthogonal"):
+            check_rotation(sheared)
+    for bad in (np.nan, np.inf, -np.inf):
+        for index in np.ndindex(3, 3):
+            spoiled = r.copy()
+            spoiled[index] = bad
+            with pytest.raises(ValueError, match="not orthogonal"):
+                check_rotation(spoiled)
+    with pytest.raises(ValueError, match="rotation must be real"):
+        check_rotation(r.astype(complex))
+    # det is the triple product of the rows, as np.linalg.det measures it
+    for _ in range(50):
+        r = random_rotation(rng)
+        assert check_rotation(r) is r
+        (a, b, c) = r
+        assert abs(a @ np.cross(b, c) - np.linalg.det(r)) <= 1e-15

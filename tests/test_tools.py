@@ -122,3 +122,18 @@ def test_layer_timings_prints_one_row_per_order():
     rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[2:]]
     assert [row[:2] for row in rows] == [["2", "3"], ["4", "19"]]
     assert all(float(cell) > 0.0 for row in rows for cell in row[2:])
+
+
+def test_layer_timings_prints_the_material_row():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "layer_timings.py"), "--material", "--repeat", "1"],
+        capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    header = [cell.strip() for cell in lines[0].strip("|").split("|")]
+    assert header == ["voigt_to_tensor", "rotate", "stiffness_decompose", "stiffness_reconstruct",
+                      "tensor_to_voigt", "coupling_decompose", "coupling_reconstruct",
+                      "stiffness_op", "coupling_op", "held_B"]
+    assert len(lines) == 3
+    row = [cell.strip() for cell in lines[2].strip("|").split("|")]
+    assert len(row) == len(header) and all(float(cell) > 0.0 for cell in row)

@@ -14,12 +14,23 @@ Each row times, on one random tensor of its order with every cache built:
 * ``held_kB``: the kilobytes that the ``_change_of_basis`` and ``_pair``
   caches hold after the row's calls, which start from cleared caches.
 
+With ``--material`` it prints one row for the material tensors instead, on
+the inputs of the benchmark's grains workload (a positive definite Voigt
+matrix, a random rotation, a symmetric coupling tensor):
+
+* the seven calls of its stiffness and coupling ops: ``voigt_to_tensor``,
+  ``rotate`` (order 4), ``stiffness_decompose``, ``stiffness_reconstruct``,
+  ``tensor_to_voigt``, ``coupling_decompose`` and ``coupling_reconstruct``;
+* ``stiffness_op`` and ``coupling_op``: each op as a whole;
+* ``held_B``: the bytes of the cached maps and indices those calls read.
+
 Each figure is the best over ``--repeat`` batches of the per-call time in a
 batch of calls that takes about 10 ms.  BLAS runs one thread (set before
 numpy is imported), as in the benchmark.
 
     python tools/layer_timings.py                  # orders 2-8, best of 7
     python tools/layer_timings.py --orders 7 --repeat 21
+    python tools/layer_timings.py --material
 
 The package is imported from the ``src`` directory next to this file.  Only
 the standard library and numpy are used.
@@ -40,7 +51,7 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from deviatoric import decompose, reconstruct, verify  # noqa: E402
+from deviatoric import decompose, physics, reconstruct, rotations, verify  # noqa: E402
 from deviatoric.decomposition import (  # noqa: E402
     _DENSE_BASE,
     _apply,
@@ -55,6 +66,10 @@ from deviatoric.decomposition import (  # noqa: E402
 )
 
 COLUMNS = ("decompose", "reconstruct", "verify", "_apply", "_sum", "residuals", "certificate")
+MATERIAL_COLUMNS = (
+    "voigt_to_tensor", "rotate", "stiffness_decompose", "stiffness_reconstruct", "tensor_to_voigt",
+    "coupling_decompose", "coupling_reconstruct", "stiffness_op", "coupling_op",
+)
 
 
 def layers(n: int, seed: int = 0) -> dict:
@@ -74,6 +89,45 @@ def layers(n: int, seed: int = 0) -> dict:
         "residuals": lambda: _reported_residuals(record, n, c, zero, hidden),
         "certificate": lambda: _certified_cross_correlation(record, n, c, zero),
     }
+
+
+def material_calls(seed: int = 0) -> dict:
+    """The zero-argument call of each material column, on inputs made as
+    the grains workload makes them."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((6, 6))
+    voigt, rotation = a @ a.T + 6.0 * np.eye(6), rotations.random_rotation(rng)
+    h = rng.standard_normal((3, 3, 3))
+    h = h + h.swapaxes(0, 1)
+    c = rotations.rotate(physics.voigt_to_tensor(voigt), rotation)
+    sd, cd = physics.stiffness_decompose(c), physics.coupling_decompose(h)
+
+    def stiffness_op():
+        turned = rotations.rotate(physics.voigt_to_tensor(voigt), rotation)
+        return physics.tensor_to_voigt(physics.stiffness_reconstruct(physics.stiffness_decompose(turned)))
+
+    return {
+        "voigt_to_tensor": lambda: physics.voigt_to_tensor(voigt),
+        "rotate": lambda: rotations.rotate(c, rotation),
+        "stiffness_decompose": lambda: physics.stiffness_decompose(c),
+        "stiffness_reconstruct": lambda: physics.stiffness_reconstruct(sd),
+        "tensor_to_voigt": lambda: physics.tensor_to_voigt(c),
+        "coupling_decompose": lambda: physics.coupling_decompose(h),
+        "coupling_reconstruct": lambda: physics.coupling_reconstruct(cd),
+        "stiffness_op": stiffness_op,
+        "coupling_op": lambda: physics.coupling_reconstruct(physics.coupling_decompose(h)),
+    }
+
+
+def material_held_bytes() -> int:
+    """The bytes of the cached maps and indices that the material calls read."""
+    arrays = (
+        physics._stiffness_split(), physics._STIFFNESS_ENTRIES, physics._coupling_map(),
+        physics._coupling_solver(), physics._COUPLING_ENTRIES,
+        physics._STIFFNESS_SYMMETRIES[0], physics._COUPLING_SYMMETRY[0], physics._VOIGT_SYMMETRY[0],
+        physics._TENSOR_OF_VOIGT, physics._VOIGT_OF_TENSOR,
+    )
+    return sum(a.nbytes for a in arrays)
 
 
 def held_kb(n: int) -> float:
@@ -108,7 +162,16 @@ def main(argv=None) -> int:
     parser.add_argument("--orders", type=int, nargs="+", default=list(range(2, 9)),
                         help="tensor orders (default 2..8)")
     parser.add_argument("--repeat", type=int, default=7, help="batches per figure, best taken (default 7)")
+    parser.add_argument("--material", action="store_true",
+                        help="print the row of the stiffness and coupling calls instead")
     args = parser.parse_args(argv)
+    if args.material:
+        calls = material_calls()
+        print("| " + " | ".join(MATERIAL_COLUMNS) + " | held_B |")
+        print("|---" * (len(MATERIAL_COLUMNS) + 1) + "|")
+        figures = [f"{best_us(calls[name], args.repeat):.1f}" for name in MATERIAL_COLUMNS]
+        print("| " + " | ".join(figures + [str(material_held_bytes())]) + " |")
+        return 0
     print("| n | parts | " + " | ".join(COLUMNS) + " | held_kB |")
     print("|---" * (len(COLUMNS) + 3) + "|")
     for n in args.orders:
