@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,11 @@ def _real_array(values, what: str) -> np.ndarray:
             raise ValueError(f"{what} must be real, got dtype {a.dtype}")
         a = a.astype(float)
     return a
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def as_tensor(values, order: int | None = None) -> np.ndarray:
@@ -125,25 +131,31 @@ def _orbit_map(ndim: int, axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     index[list(axes)] = np.sort(index[list(axes)], axis=0)
     code = 3 ** np.arange(ndim - 1, -1, -1) @ index  # row-major flat index
     weight = 1.0 / np.maximum(np.bincount(code, minlength=3**ndim), 1)
-    code.flags.writeable = False
-    weight.flags.writeable = False
+    _read_only(code, weight)
     return code, weight
 
 
+class _Orbits(NamedTuple):
+    """The orbits of the entries of an order-s tensor under all permutations
+    of its indices, numbered by their first members: sorted multi-indices,
+    whose flat indices increase in their lexicographic order, so orbit o is
+    that of x^a y^b z^c for the o-th (a, b, c) with a falling, then b."""
+
+    firsts: np.ndarray  # (orbits,) the flat index of each orbit's first member
+    orbit: np.ndarray  # (3^s,) the orbit of each entry
+    sizes: np.ndarray  # (orbits,) the members of each orbit, s! / (a! b! c!)
+
+
 @lru_cache(maxsize=None)
-def _orbit_basis(s: int) -> np.ndarray:
-    """Read-only (3^s, orbits) orthonormal basis M_s of the totally
-    symmetric order-s tensors: column o is 1/sqrt(|o|) on the members of
-    orbit o of ``_orbit_map`` and 0 elsewhere, so x M_s M_s^T is
-    ``symmetrize`` of a flattened x, the mean over each orbit.  Sorted
-    multi-indices in lexicographic order have increasing flat indices, so
-    the columns follow the orbits' sorted members in that order."""
-    code, weight = _orbit_map(s, tuple(range(s)))
-    canonical = np.flatnonzero(code == np.arange(code.size))
-    basis = np.zeros((code.size, canonical.size))
-    basis[np.arange(code.size), np.searchsorted(canonical, code)] = np.sqrt(weight[code])
-    basis.flags.writeable = False
-    return basis
+def _orbits(s: int) -> _Orbits:
+    """The read-only ``_Orbits`` of order s, (s + 1)(s + 2)/2 of them; a
+    totally symmetric tensor x is ``x.ravel()[firsts][orbit]``."""
+    code = _orbit_map(s, tuple(range(s)))[0]
+    firsts = np.flatnonzero(code == np.arange(code.size))
+    orbit = np.searchsorted(firsts, code)
+    orbits = _Orbits(firsts, orbit, np.bincount(orbit))
+    _read_only(*orbits)
+    return orbits
 
 
 def symmetrize(t, positions=None) -> np.ndarray:

@@ -88,10 +88,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    _orbit_map, _project, _scaled_back, _scaled_rows, as_tensor, epsilon, frobenius_norm,
-    symmetrize,
+    _orbits, _project, _read_only, _real_array, _scaled_back, _scaled_rows, as_tensor,
+    epsilon, frobenius_norm, symmetrize,
 )
-from .harmonic import build_basis, coords, from_coords
+from .harmonic import _harmonics, build_basis, coords, from_coords
 
 __all__ = [
     "trinomial",
@@ -299,7 +299,7 @@ class VerifyReport:
     deviator with an entry that is not finite has symmetry and trace
     residual inf.  Every other part of order s >= 2 reports a trace
     residual of at least tau_s, a certified bound on that of the deviators
-    ``decompose`` builds (``_trace_bound``: 1.7e-15 at s = 2, 6.1e-15 at
+    ``decompose`` builds (``_trace_bound``: 1.6e-15 at s = 2, 3.3e-15 at
     s = 7), so that every form of the same deviators reports the same.
     The part residuals of ``decompose`` output whose ``parts`` were never
     read are not measured but known: symmetry 0, as its deviators are
@@ -382,12 +382,15 @@ def combine_deviator_triple(lo, mid, hi) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _split_solver(n: int) -> np.ndarray:
-    """Pseudo-inverse of the combine map in deviator coordinates.  The
-    map's column for a basis deviator of slot n-1, n or n+1 is that
-    deviator's row of ``_regroup(n)``."""
-    pinv = np.linalg.pinv(_regroup(n).reshape(-1, 3 * (2 * n + 1)).T)
-    pinv.flags.writeable = False
-    return pinv
+    """Inverse of the combine map in deviator coordinates.  The map's column
+    for a basis deviator of slot n-1, n or n+1 is that deviator's row of
+    ``_regroup(n)``; those rows F are orthogonal (Schur's lemma, as in
+    ``_plan``'s lambda), so the inverse of F^T is F with each row divided by
+    its squared norm."""
+    f = _regroup(n).reshape(-1, 3 * (2 * n + 1))
+    solver = f / np.einsum("ij,ij->i", f, f)[:, None]
+    solver.flags.writeable = False
+    return solver
 
 
 def split_deviator_triple(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -444,20 +447,6 @@ def _regroup(s: int) -> np.ndarray:
                   for c in _children(s) for b in build_basis(c)])
     f.flags.writeable = False
     return f
-
-
-@lru_cache(maxsize=None)
-def _orbit_rows(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """B_s on the orbits of the index permutations (``core._orbit_map``):
-    the read-only (2s+1, orbits) values of B_s on the first member of each
-    orbit, and the (3^s,) orbit of each entry, so that B_s is
-    ``values[:, orbit]``, bit for bit, since ``build_basis`` gives every
-    member of an orbit the same value."""
-    code, _ = _orbit_map(s, tuple(range(s)))
-    first = np.flatnonzero(code == np.arange(code.size))
-    values, orbit = build_basis(s).flat[:, first], np.searchsorted(first, code)
-    _read_only(values, orbit)
-    return values, orbit
 
 
 @lru_cache(maxsize=None)
@@ -531,11 +520,6 @@ class _Plan(NamedTuple):
     part: np.ndarray  # (parts,) each part's index in traversal order
     starts: np.ndarray  # (parts,) the first of each part's 2s+1 coordinates
     record_at: np.ndarray  # (parts,) the record position of the part of each image row, in plan order
-
-
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
@@ -867,9 +851,10 @@ def decompose(t) -> Decomposition:
     ``reconstruct`` and ``verify`` read them in place, and the images, 98%
     of the doubles of the parts, are built only when ``parts`` is read.
     Each order's deviators are its coordinates c times B_s on the orbits
-    of the index permutations (``_orbit_rows``), one small product, then
-    gathered to all 3^s entries, so every deviator is exactly symmetric,
-    bit for bit.  Raises ``ValueError`` for a NaN or +-inf entry.
+    of the index permutations (``harmonic._harmonics``), one small
+    product, then gathered to all 3^s entries (``core._orbits``), so every
+    deviator is exactly symmetric, bit for bit.  Raises ``ValueError`` for
+    a NaN or +-inf entry.
     """
     t = as_tensor(t)
     if not np.isfinite(t).all():
@@ -880,8 +865,8 @@ def decompose(t) -> Decomposition:
     for s, index, rows, _ in plan.deviators:
         stack = c[rows].reshape(len(index), -1)
         if s > 1:  # B_0 and B_1 are identities (``build_basis``)
-            values, orbit = _orbit_rows(s)
-            stack = stack.dot(values).take(orbit, axis=1)  # methods: np.take's wrapper costs 1 us
+            # methods: np.take's wrapper costs 1 us
+            stack = stack.dot(_harmonics(s)).take(_orbits(s).orbit, axis=1)
         stacks.append((s, index, stack if s > 1 else stack.copy()))
     own = _deviator_coordinates(plan, stacks, t.ndim)
     own.flags.writeable = False
@@ -930,15 +915,17 @@ def _record_of(d: Decomposition, images: bool = True) -> _Record:
 def _stack(tensors, order: int) -> np.ndarray:
     """New (k, 3^order) array whose row i is the i-th of the k given
     tensors, converted as ``as_tensor`` converts it; raises the error of
-    ``as_tensor`` for the first one of another shape."""
+    ``as_tensor`` for the first complex one, then the first one of another
+    shape."""
     shape = (3,) * order
-    if not all([np.shape(x) == shape for x in tensors]):  # before 3^order doubles are taken
+    tensors = [_real_array(x, "tensor") for x in tensors]
+    if not all([x.shape == shape for x in tensors]):  # before 3^order doubles are taken
         for x in tensors:
             as_tensor(x, order=order)
         raise ValueError(f"expected {len(tensors)} order-{order} tensors")
     stack = np.empty((len(tensors), 3**order))
     if tensors:
-        np.stack(tensors, out=stack.reshape((len(tensors),) + shape), casting="unsafe")
+        np.stack(tensors, out=stack.reshape((len(tensors),) + shape))
     return stack
 
 
@@ -1208,7 +1195,7 @@ class _Entries(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _entries(n: int) -> _Entries:
-    """The ``_Entries`` of an order-n record, from ``core._orbit_map`` and
+    """The ``_Entries`` of an order-n record, from ``core._orbits`` and
     ``_plan(n).deviators``, one vectorised step per deviator order s.
     Orbits are numbered over all parts, part after part, so no orbit sum
     mixes two parts.  Entry (i, i, k) of an order-s part lies i (3^(s-1) +
@@ -1218,15 +1205,13 @@ def _entries(n: int) -> _Entries:
     entry = orbit = 0
     for s, index, _, _ in plan.deviators:
         count, size = len(index), 3**s
-        code, weight = _orbit_map(s, tuple(range(s)))
-        canonical = np.flatnonzero(code == np.arange(size))
-        parts = np.arange(count)[:, None]
-        orbits.append((orbit + parts * len(canonical) + np.searchsorted(canonical, code)).ravel())
-        weights.append(np.tile(weight[canonical], count))
-        firsts.append((entry + parts * size + canonical).ravel())
+        own, parts = _orbits(s), np.arange(count)[:, None]
+        orbits.append((orbit + parts * len(own.sizes) + own.orbit).ravel())
+        weights.append(np.tile(1.0 / own.sizes, count))
+        firsts.append((entry + parts * size + own.firsts).ravel())
         first = (entry + parts * size + np.arange(size // 9)).ravel()
         diagonal.append(first + 4 * (size // 9) * np.arange(3)[:, None])
-        entry, orbit = entry + count * size, orbit + count * len(canonical)
+        entry, orbit = entry + count * size, orbit + count * len(own.sizes)
     orders = np.array([s for s, index, _, _ in plan.deviators for _ in index])
     sizes, traced = 3**orders, 3 ** (orders[orders >= 2] - 2)
     entries = _Entries(
@@ -1337,15 +1322,11 @@ def _trace_bound(s: int) -> float:
     if s < 2:
         return 0.0
     u, wide, w = 2.0**-53, np.finfo(np.longdouble).eps / 2, 2 * s + 1
-    values, orbit = _orbit_rows(s)
-    b, sizes = values.astype(np.longdouble), np.bincount(orbit)  # sizes: of each orbit
-    code = _orbit_map(s - 2, tuple(range(s - 2)))[0]
-    first = np.flatnonzero(code == np.arange(code.size))
-    diagonal = build_basis(s).flat.reshape(w, 3, 3, -1)[:, np.arange(3), np.arange(3)][:, :, first]
-    diagonal = diagonal.astype(np.longdouble)  # (w, 3, orbits of order s - 2)
-    spread, lower = np.abs(diagonal).sum(axis=1), np.bincount(code)[first]
-    spread = _orbit_norm(spread, lower)
-    trace = _orbit_norm(diagonal.sum(axis=1), lower) + _gamma(2, wide) * spread
+    b, sizes, lower = _harmonics(s).astype(np.longdouble), _orbits(s).sizes, _orbits(s - 2)
+    diagonal = build_basis(s).flat.reshape(w, 3, 3, -1)[:, np.arange(3), np.arange(3)]
+    diagonal = diagonal[:, :, lower.firsts].astype(np.longdouble)  # (w, 3, orbits of order s - 2)
+    spread = _orbit_norm(np.abs(diagonal).sum(axis=1), lower.sizes)
+    trace = _orbit_norm(diagonal.sum(axis=1), lower.sizes) + _gamma(2, wide) * spread
     stretch = _orbit_norm(np.abs(b), sizes)
     gram = np.dot(b * sizes, b.T) - np.eye(w)
     defect = np.sqrt(np.sum(gram * gram)) + _gamma(len(sizes) + 1, wide) * stretch**2

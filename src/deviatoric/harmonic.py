@@ -1,20 +1,19 @@
 """Deviator spaces: totally symmetric traceless tensors of a given order.
 
 The space of order-s deviators has dimension 2s + 1.  ``build_basis``
-constructs a Frobenius-orthonormal basis once per order and caches it, in
-the orbit coordinates of the totally symmetric tensors:
+gives a Frobenius-orthonormal basis B_s of it, cached per order.  For
+s >= 2, row m + s of B_s (m = -s..s) is the real solid harmonic S_{s,m}
+written as a unit deviator (Applequist, J. Phys. A 22, 1989; Schlegel &
+Frisch, Int. J. Quantum Chem. 54, 1995): with k = |m|, the polynomial
 
-1. the orthonormal orbit basis M_s (``core._orbit_basis``) spans the
-   totally symmetric order-s tensors, one column per orbit of index
-   permutations, (s + 1)(s + 2)/2 in all;
-2. in those coordinates the (1,2)-trace into the symmetric order-(s - 2)
-   tensors is the small matrix A = tr(M_s) M_{s-2}, one row per orbit of
-   order s; its left null space has dimension 2s + 1, and its last 2s + 1
-   left singular vectors are orthonormal rows N that span it;
-3. the basis is B_s = N M_s^T, orthonormal because N and M_s are.
+    sum_j (-1)^j (x^2 + y^2)^j z^(s-k-2j) / (4^j j! (k+j)! (s-k-2j)!)
 
-The construction involves no randomness, so repeated calls return the same
-cached, read-only arrays.
+times Re (m >= 0) or Im (m < 0) of (x + iy)^k.  Its entry on the orbit of
+x^a y^b z^c under index permutations (``core._orbits``) is the
+polynomial's coefficient of that monomial over s! / (a! b! c!).  Scaled
+by 4^s (s!)^2 the entries are integers, and so is their squared norm over
+all 3^s entries, so each unit entry is rounded once, from integers alone:
+B_s is the same bits on every platform.  B_0 and B_1 are identities.
 
 Membership in a deviator space is decided by ``core._project`` on the
 tensor divided exactly by a power of two, so up to the float limit it does
@@ -25,12 +24,13 @@ a deviator; a tensor with a NaN entry is not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import _orbit_basis, _project, as_tensor
+from .core import _orbits, _project, _real_array, as_tensor
 
 __all__ = [
     "DeviatorBasis",
@@ -70,17 +70,42 @@ class DeviatorBasis:
 
 
 @lru_cache(maxsize=None)
+def _harmonics(s: int) -> np.ndarray:
+    """Read-only (2s+1, orbits) values of B_s on the orbits of
+    ``core._orbits(s)``: row m + s is the unit real solid harmonic S_{s,m}
+    (see the module docstring), each entry rounded once from exact
+    integers; the identity below order 2."""
+    if s < 2:
+        values = np.eye(2 * s + 1)
+    else:
+        f = [math.factorial(i) for i in range(s + 1)]
+        digits = np.array(np.unravel_index(_orbits(s).firsts, (3,) * s))  # (s, orbits)
+        exponents = [tuple(c) for c in (digits[:, :, None] == np.arange(3)).sum(axis=0).tolist()]
+        column = {(a, b): o for o, (a, b, _) in enumerate(exponents)}
+        values = np.empty((2 * s + 1, len(exponents)))
+        for m, row in zip(range(-s, s + 1), values):
+            k, poly = abs(m), [0] * len(exponents)  # coefficients times 4^s s!
+            for j in range((s - k) // 2 + 1):
+                term = (-1) ** j * 4 ** (s - j) * f[s] // (f[j] * f[k + j] * f[s - k - 2 * j])
+                for p in range(j + 1):  # (x^2 + y^2)^j
+                    for q in range(m < 0, k + 1, 2):  # the real or imaginary terms of (x + iy)^k
+                        poly[column[2 * p + k - q, 2 * (j - p) + q]] += (
+                            term * math.comb(j, p) * math.comb(k, q) * (-1) ** (q // 2))
+            # entries times 4^s (s!)^2, and their squared norm over all 3^s entries
+            entries = [x * f[a] * f[b] * f[c] for x, (a, b, c) in zip(poly, exponents)]
+            norm = sum(x * x * f[s] // (f[a] * f[b] * f[c]) for x, (a, b, c) in zip(entries, exponents))
+            row[:] = [math.copysign(math.isqrt((x * x << 240) // norm) / 2.0**120, x) for x in entries]
+    values.flags.writeable = False
+    return values
+
+
+@lru_cache(maxsize=None)
 def build_basis(order: int) -> DeviatorBasis:
-    """Return the cached orthonormal deviator basis for the given order."""
+    """Return the cached orthonormal deviator basis for the given order:
+    ``_harmonics(order)`` gathered to the 3^order entries, C-contiguous."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    if order < 2:  # every symmetric tensor of order 0 or 1 is traceless
-        stack = np.eye(2 * order + 1)
-    else:
-        orbits = _orbit_basis(order)
-        traces = np.trace(orbits.T.reshape(-1, 3, 3, 3 ** (order - 2)), axis1=1, axis2=2)
-        null = np.linalg.svd(traces @ _orbit_basis(order - 2))[0][:, -(2 * order + 1) :]
-        stack = null.T @ orbits.T
+    stack = np.ascontiguousarray(_harmonics(order).take(_orbits(order).orbit, axis=1))
     tensors = stack.reshape((2 * order + 1,) + (3,) * order)
     tensors.flags.writeable = False
     return DeviatorBasis(order=order, tensors=tensors)
@@ -114,7 +139,7 @@ def coords(t) -> np.ndarray:
 def from_coords(c, order: int) -> np.ndarray:
     """Deviator of the given order with the given coordinates."""
     flat = build_basis(order).flat
-    c = np.asarray(c, dtype=float)
+    c = _real_array(c, "coordinates")
     if c.shape != (len(flat),):
         raise ValueError(f"expected {len(flat)} coordinates, got shape {c.shape}")
     return (c @ flat).reshape((3,) * order)

@@ -42,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .closedform import lift_kernel4
-from .core import _orbit_map, _project, _real_array, _scaled_back, as_tensor, epsilon
+from .core import _orbits, _project, _real_array, _scaled_back, as_tensor, epsilon
 from .harmonic import build_basis
 
 __all__ = [
@@ -109,12 +109,10 @@ def _common_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
 def _orbit_firsts(*orders: int) -> np.ndarray:
     """Read-only index that takes the flattened totally symmetric tensors
     of ``orders``, side by side, to copies in which every entry is the
-    first of its orbit (``core._orbit_map``), so each is exactly symmetric,
+    first of its orbit (``core._orbits``), so each is exactly symmetric,
     whatever the rounding of the products that gave them."""
     starts = np.cumsum([0] + [3**s for s in orders])
-    index = np.concatenate(
-        [start + _orbit_map(s, tuple(range(s)))[0] for start, s in zip(starts, orders)]
-    )
+    index = np.concatenate([start + _orbits(s).firsts[_orbits(s).orbit] for start, s in zip(starts, orders)])
     index.flags.writeable = False
     return index
 
@@ -257,17 +255,8 @@ def _printed_coupling_tables(h: np.ndarray) -> CouplingDeviators:
         - f15 * h[0, 0, 2] + 4 * f15 * h[1, 1, 2],
         (0, 1, 2): (h[0, 1, 2] + h[0, 2, 1] + h[1, 2, 0]) / 3.0,
     }
-    d3 = np.zeros((3, 3, 3))
-    for orbit, value in orbit_values.items():
-        for perm in {
-            (orbit[0], orbit[1], orbit[2]),
-            (orbit[0], orbit[2], orbit[1]),
-            (orbit[1], orbit[0], orbit[2]),
-            (orbit[1], orbit[2], orbit[0]),
-            (orbit[2], orbit[0], orbit[1]),
-            (orbit[2], orbit[1], orbit[0]),
-        }:
-            d3[perm] = value
+    firsts = zip(*np.unravel_index(_orbits(3).firsts, (3, 3, 3)))
+    d3 = np.array([orbit_values[first] for first in firsts])[_orbits(3).orbit].reshape(3, 3, 3)
     return CouplingDeviators(v2=v2, v3=v3, d1=d1, d3=d3)
 
 

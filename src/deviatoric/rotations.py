@@ -56,7 +56,7 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     nonzero, finite length (Rodrigues formula)."""
     if not np.isfinite(angle):
         raise ValueError("angle must be finite")
-    axis = np.asarray(axis, dtype=float)
+    axis = _real_array(axis, "axis")
     if axis.shape != (3,):
         raise ValueError(f"axis must be a 3-vector, got shape {axis.shape}")
     scaled = _scaled_rows(axis.reshape(1, 3))[0][0]

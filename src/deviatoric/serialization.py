@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .core import as_tensor
+from .core import _real_array, as_tensor
 from .decomposition import Decomposition, _from_record, _plan, _record_of, _stacked
 
 __all__ = [
@@ -254,7 +254,7 @@ def load_decomposition(path) -> Decomposition:
 # Voigt matrices
 
 def _as_voigt(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = _real_array(m, "Voigt matrix")
     if m.shape != (6, 6):
         raise ValueError(f"Voigt matrix must be 6x6, got shape {m.shape}")
     return m

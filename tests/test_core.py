@@ -1,5 +1,6 @@
 """Dense tensor primitives: construction, contraction, symmetrization."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,19 +11,27 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from deviatoric import (
+    Decomposition,
     as_tensor,
     contract_complete,
     contract_double,
     contract_single,
+    decompose,
     delta,
     epsilon,
     frobenius,
     frobenius_norm,
+    from_coords,
     outer,
+    rotation_about,
     symmetrize,
     trace_pair,
+    verify,
+    voigt_to_json,
+    voigt_to_text,
 )
-from deviatoric.core import _orbit_basis, _orbit_map, _project
+from deviatoric.core import _orbit_map, _orbits, _project
+from orbit_basis import orbit_basis
 
 V = np.array([1.0, 2.0, 3.0])
 
@@ -54,6 +63,34 @@ def test_as_tensor_rejects_complex_input(values):
         as_tensor(values)
     with pytest.raises(ValueError, match="must be real"):
         frobenius_norm(values)
+
+
+def hand_built_with_complex_image():
+    """``verify`` of a hand-built order-2 decomposition whose last image has
+    an imaginary part; dropped, the image would be exact."""
+    t = np.random.default_rng(5).standard_normal((3, 3))
+    parts = list(decompose(t).parts)
+    parts[-1] = dataclasses.replace(parts[-1], embedded=parts[-1].embedded + 1j)
+    return verify(Decomposition(2, tuple(parts)), t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        hand_built_with_complex_image,
+        lambda: from_coords(np.ones(5) + 1j, 2),
+        lambda: rotation_about((0.0, 0.0, 1.0 + 1j), 0.3),
+        lambda: voigt_to_json(np.eye(6) + 1j),
+        lambda: voigt_to_text(np.eye(6) + 1j),
+    ],
+    ids=["hand-built parts", "from_coords", "rotation axis", "voigt_to_json", "voigt_to_text"],
+)
+def test_boundaries_reject_complex_input(call):
+    """Every boundary that takes floats raises the ``ValueError`` of
+    ``as_tensor`` for a complex input, rather than drop its imaginary part
+    with a warning."""
+    with pytest.raises(ValueError, match="must be real, got dtype complex"):
+        call()
 
 
 def test_as_tensor_keeps_a_float64_array():
@@ -165,16 +202,33 @@ def test_orbit_map_of_order_0():
     code, weight = _orbit_map(0, ())
     np.testing.assert_array_equal(code, [0])
     np.testing.assert_array_equal(weight, [1.0])
-    np.testing.assert_array_equal(_orbit_basis(0), [[1.0]])
+    np.testing.assert_array_equal(orbit_basis(0), [[1.0]])
+    assert [a.tolist() for a in _orbits(0)] == [[0], [0], [1]]
 
 
 @pytest.mark.parametrize("order", range(6))
 def test_orbit_basis_is_orthonormal_and_symmetrizes(order):
-    basis = _orbit_basis(order)
+    """The orbit index ``_orbits`` is that of the dense orbit basis M_s:
+    orbit o holds the entries of column o, the first of them at
+    ``firsts[o]``, a sorted multi-index, and ``sizes[o]`` of them, the
+    multinomial s! / (a! b! c!); so M_s built from it is orthonormal and
+    symmetrizes, and a symmetric tensor is its values at the firsts,
+    gathered."""
+    basis, orbits = orbit_basis(order), _orbits(order)
     assert basis.shape == (3**order, (order + 1) * (order + 2) // 2)
+    np.testing.assert_array_equal(np.argmax(basis, axis=1), orbits.orbit)
+    np.testing.assert_array_equal(np.argmax(basis, axis=0), orbits.firsts)
+    for first, size in zip(orbits.firsts, orbits.sizes):
+        index = np.unravel_index(first, (3,) * order)
+        assert list(index) == sorted(index)
+        counts = [list(index).count(i) for i in range(3)]
+        assert size == math.factorial(order) // math.prod(map(math.factorial, counts))
     assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-15)
     t = np.random.default_rng(order).standard_normal((3,) * order)
     assert_allclose(t.ravel() @ basis @ basis.T, symmetrize(t).ravel(), rtol=0, atol=1e-15)
+    x = symmetrize(t).ravel()
+    np.testing.assert_array_equal(x[orbits.firsts][orbits.orbit], x[orbits.firsts[orbits.orbit]])
+    assert_allclose(x[orbits.firsts][orbits.orbit], x, rtol=0, atol=1e-15)
 
 
 def test_symmetrize_validates_positions():

@@ -4,12 +4,16 @@ with the paper's per-input recursion."""
 import copy
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -40,7 +44,7 @@ from deviatoric import (
     verify,
 )
 from deviatoric import decomposition, serialization
-from deviatoric.core import _orbit_basis, _orbit_map, frobenius_norm
+from deviatoric.core import _orbit_map, frobenius_norm
 from deviatoric.decomposition import (
     _certified_cross_correlation,
     _apply,
@@ -62,6 +66,7 @@ from deviatoric.decomposition import (
     _rows_of,
     _regroup,
     _span_defects,
+    _split_solver,
     _stacked,
     _sum,
     _trace_bound,
@@ -391,6 +396,18 @@ def test_combine_split_round_trip(n):
         assert np.linalg.norm((lo2 - lo).ravel()) <= 1e-11 * scale
         assert np.linalg.norm((mid2 - mid).ravel()) <= 1e-11 * scale
         assert np.linalg.norm((hi2 - hi).ravel()) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_split_solver_recovers_coordinates_to_1e_15(n):
+    """The split solver inverts the combine map F^T by its orthogonal rows,
+    F divided row by row by their squared norms: over 300 random
+    coordinate vectors x, the solver applied to x F gives x back within
+    1e-15 |x| (6.7e-16 here; 6.8e-15 with ``np.linalg.pinv``)."""
+    f = _regroup(n).reshape(-1, 3 * (2 * n + 1))
+    x = np.random.default_rng(n).standard_normal((300, len(f)))
+    back = (x @ f) @ _split_solver(n).T
+    assert (np.linalg.norm(back - x, axis=1) <= 1e-15 * np.linalg.norm(x, axis=1)).all()
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -1286,17 +1303,43 @@ def test_part_norms_round_as_the_certificate_assumes(order):
         assert moved.tobytes() == np.ldexp(norms, shift.astype(int)).tobytes()
 
 
+# builds the bases of orders 0, 1, ..., 8 in turn in a fresh process and
+# prints, after each, the peak of the memory traced so far and the bytes of
+# the bases built so far
+COLD_BASES = """
+import tracemalloc
+from deviatoric import build_basis
+tracemalloc.start()
+held = 0
+for s in range(9):
+    held += build_basis(s).tensors.nbytes
+    print(tracemalloc.get_traced_memory()[1], held)
+"""
+
+
+@lru_cache(maxsize=None)
+def cold_basis_peaks() -> list:
+    """(peak, bases) in bytes of the cold build of B_0 .. B_s, per s."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_BASES], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(map(int, line.split())) for line in proc.stdout.splitlines()]
+
+
 @pytest.mark.parametrize("order", range(2, 9))
 def test_verify_reads_no_dense_orbit_basis(order):
-    """The part residuals take orbit sums over the index of ``_entries``,
-    not products with the dense orbit bases M_s: with the plan built and
-    the cache of ``core._orbit_basis`` cleared, ``verify`` leaves it empty."""
-    t = np.random.default_rng(1500 + order).standard_normal((3,) * order)
-    d = decompose(t)
-    _plan(order)
-    _orbit_basis.cache_clear()
-    assert verify(d, t).passes(1e-10)
-    assert _orbit_basis.cache_info().currsize == 0
+    """No dense orbit basis M_s, a (3^s, orbits) array, is built for the
+    bases that ``decompose`` and ``verify`` read: ``build_basis`` gathers
+    B_s from its values on the orbits (``harmonic._harmonics``,
+    ``core._orbits``).  In a fresh process, building B_0 .. B_order traces
+    at most 1.6 times the bytes of those bases, plus 64 KiB; with M_s and
+    the SVD the peak was 3.5 to 3.9 times at orders 6 to 8."""
+    peak, held = cold_basis_peaks()[order]
+    assert peak <= 1.6 * held + 2**16
 
 
 def test_the_entry_index_is_small():
@@ -1386,7 +1429,7 @@ def test_certified_bound_is_above_the_exact_value(order):
     fails it, a known defect (its vanishing parts hold subnormal rounding
     noise, whose built images are far from orthogonal).  The order-8 bound
     is that tight only where long double is wider than float64: elsewhere
-    kappa_7 is 6.1e-14 and the bound about 1.0e-13.  At 2^900 and
+    kappa_7 is 2.7e-14 and the bound about 6.5e-14.  At 2^900 and
     2^-900 the squared coordinates leave ``_GRAM_RANGE``, and the bound is
     the one at scale 1, bit for bit."""
     t = np.random.default_rng(480 + order).standard_normal((3,) * order)
@@ -2491,9 +2534,9 @@ def test_trace_bound_is_above_the_measured_trace_residual(order, seed, k, symmet
 
 
 def test_trace_bound_is_small():
-    """tau_s is at most 1e-14 up to s = 10 (1.7e-15 at s = 2, 6.1e-15 at
-    s = 7 and 9.9e-15 at s = 10), where the measured trace residuals of
-    ``decompose`` output are at most about 5e-16.  It takes the traces of
+    """tau_s is at most 1e-14 up to s = 10 (1.6e-15 at s = 2, 3.3e-15 at
+    s = 7 and 4.8e-15 at s = 10), where the measured trace residuals of
+    ``decompose`` output are at most about 1.3e-16.  It takes the traces of
     B_s in long double; where long double is float64, their rounding adds
     up to 1e-15."""
     bounds = [_trace_bound(s) for s in range(11)]

@@ -1,5 +1,6 @@
 """Orthonormal bases of the deviator spaces and projection onto them."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -22,10 +23,12 @@ from deviatoric import (
     project_deviator,
     random_rotation,
     rotate,
+    rotation_about,
     symmetrize,
     trace_pair,
 )
-from deviatoric.core import _orbit_basis, _orbit_map
+from deviatoric.core import _orbit_map
+from orbit_basis import orbit_basis
 
 
 @pytest.mark.parametrize("s", range(11))
@@ -57,9 +60,10 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_bases_up_to_order_10_take_under_64_mb():
-    """The bases up to order 10, the orbit bases M_s they are built from
-    and the build's temporaries stay under 64 MB; the 3^8-square V of a
-    full SVD of the order-10 trace would take 344 MB alone."""
+    """The bases up to order 10 (14 MB) and the build's temporaries stay
+    under 32 MB, as no dense orbit basis M_s is built (19 MB here; 62 MB
+    when B_s came from M_s and an SVD); the 3^8-square V of a full SVD of
+    the order-10 trace would take 344 MB alone."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -67,7 +71,37 @@ def test_bases_up_to_order_10_take_under_64_mb():
         [sys.executable, "-c", BUILD_ALL], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 64 * 2**20
+    assert int(proc.stdout) <= 32 * 10**6
+
+
+# the first 16 hex digits of the SHA-256 of the bytes of B_s, s = 0..10: the
+# same on every platform, as B_s is rounded from exact integers
+BASIS_DIGESTS = [
+    "6c3c396ed6b5c36d", "1332df685c45a61a", "5763fc6fd2c61c67", "2cb2c5fec23d7c11",
+    "4f29a074640190d2", "1a1be68a53943c91", "26e002207aa44100", "3a8fe8575c61c750",
+    "5812f0d9cf4fefd7", "8864659576e45c1a", "c31c48cdbc5063c1",
+]
+
+
+@pytest.mark.parametrize("s", range(11))
+def test_basis_bits_are_pinned(s):
+    """B_s is the closed form, bit for bit, whatever the BLAS, its threads
+    or the numpy version; a C-contiguous stack."""
+    tensors = build_basis(s).tensors
+    assert tensors.flags.c_contiguous
+    assert hashlib.sha256(tensors.tobytes()).hexdigest()[:16] == BASIS_DIGESTS[s]
+
+
+@pytest.mark.parametrize("s", range(2, 11))
+def test_basis_rows_are_real_solid_harmonics_in_m_order(s):
+    """Row m + s of B_s is S_{s,m}: turned by phi about z, rows m and -m
+    mix as cos(m phi) e_m + sin(m phi) e_{-m}, and row m = 0 is fixed."""
+    phi, m = 0.7, np.arange(-s, s + 1)
+    turn = rotation_about((0, 0, 1), phi)
+    got = np.array([coords(rotate(b, turn)) for b in build_basis(s)])
+    want = np.diag(np.cos(m * phi))
+    want[m + s, s - m] += np.sin(m * phi)
+    assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_basis_is_cached_and_read_only():
@@ -220,22 +254,23 @@ def reference_monomial(index):
 def orbit_trace_map(s):
     """The (1,2)-trace from the symmetric order-s tensors to the order-(s-2)
     ones in the orbit coordinates of both, the count_s x count_{s-2}
-    matrix A that ``build_basis`` factors."""
-    columns = [trace_pair(m.reshape((3,) * s), 0, 1).ravel() for m in _orbit_basis(s).T]
-    return np.stack(columns) @ _orbit_basis(s - 2)
+    matrix A, whose left null space is the deviator space."""
+    columns = [trace_pair(m.reshape((3,) * s), 0, 1).ravel() for m in orbit_basis(s).T]
+    return np.stack(columns) @ orbit_basis(s - 2)
 
 
 @pytest.mark.parametrize("s", range(2, 11))
 def test_trace_map_has_a_null_space_of_dimension_2s_plus_1(s):
     """A has full column rank count_s - (2s + 1), far from singular, so its
     left null space has dimension 2s + 1; the last 2s + 1 left singular
-    vectors, which ``build_basis`` takes as that null space, annihilate A
-    to rounding."""
+    vectors annihilate A to rounding, and so do the 2s + 1 rows of B_s in
+    the orbit coordinates."""
     a = orbit_trace_map(s)
     u, sigma, _ = np.linalg.svd(a)
     rank = len(a) - (2 * s + 1)
     assert len(sigma) == rank and sigma[rank - 1] >= 1e-2 * sigma[0]
     assert np.linalg.norm(u[:, rank:].T @ a, 2) <= 1e-15 * sigma[0]
+    assert np.linalg.norm(build_basis(s).flat @ orbit_basis(s) @ a, 2) <= 1e-15 * sigma[0]
 
 
 def gram_schmidt(rows):

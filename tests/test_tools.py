@@ -58,16 +58,19 @@ def test_prints_each_file_and_the_total(tmp_path):
 
 
 def test_sweep_digest_prints_one_line_per_case_and_form():
-    """Orders 0-2: 6 cases at orders 0 and 1 (random tensors, three
-    scales, two seeds) and 12 at order 2 (with their symmetrizations), each
-    in three forms.  Every case passes ``verify``, and its three forms hold
-    the same arrays, so each digests alike.  The certificate has its own
-    digest, apart from the rest of the report."""
+    """A first line with the digest of the bases B_0 .. B_10, pinned as
+    their bits are; then orders 0-2: 6 cases at orders 0 and 1 (random
+    tensors, three scales, two seeds) and 12 at order 2 (with their
+    symmetrizations), each in three forms.  Every case passes ``verify``,
+    and its three forms hold the same arrays, so each digests alike.  The
+    certificate has its own digest, apart from the rest of the report."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "sweep_digest.py"), "--orders", "0", "1", "2"],
         capture_output=True, text=True, check=True,
     )
-    lines = [dict(field.split("=", 1) for field in line.split()) for line in proc.stdout.splitlines()]
+    bases, *rest = proc.stdout.splitlines()
+    assert bases == "bases=286fb6f36634dafa"
+    lines = [dict(field.split("=", 1) for field in line.split()) for line in rest]
     assert len(lines) == 3 * (6 + 6 + 12)
     assert [line["form"] for line in lines[:3]] == ["decompose", "json", "hand-built"]
     assert list(lines[0]) == ["order", "kind", "scale", "seed", "form", "passes", "deviators",
@@ -99,7 +102,7 @@ def test_sweep_digest_forms_agree_at_orders_3_to_6():
         capture_output=True, text=True, check=True,
     )
     cases = {}
-    for line in proc.stdout.splitlines():
+    for line in proc.stdout.splitlines()[1:]:  # after the line of the bases
         fields = dict(field.split("=", 1) for field in line.split())
         case = tuple(fields.pop(key) for key in ("order", "kind", "scale", "seed"))
         fields.pop("form")

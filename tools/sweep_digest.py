@@ -1,7 +1,9 @@
 """Print one digest line per case of a fixed sweep of the library's outputs,
 so that two checkouts can be compared with one ``diff``.
 
-The cases are orders 0-8, random standard-normal tensors and their
+The first line, ``bases=``, is the digest of the deviator bases B_0 ..
+B_10 (``build_basis``), so that two checkouts or two machines can compare
+the bits of the bases alone.  The cases are orders 0-8, random standard-normal tensors and their
 symmetrizations (orders >= 2), at scales 1e-300, 1 and 1e300, from two
 seeds; each is read in three forms: ``decompose`` output (verified
 before its parts are read), its JSON read back, and a hand-built copy of
@@ -38,7 +40,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from deviatoric import Decomposition, decompose, reconstruct, symmetrize, verify  # noqa: E402
+from deviatoric import (  # noqa: E402
+    Decomposition, build_basis, decompose, reconstruct, symmetrize, verify,
+)
 from deviatoric.serialization import (  # noqa: E402
     decomposition_from_json,
     decomposition_to_json,
@@ -104,6 +108,7 @@ def main(argv=None) -> int:
     parser.add_argument("--orders", type=int, nargs="+", default=list(range(9)),
                         help="tensor orders to sweep (default 0..8)")
     args = parser.parse_args(argv)
+    print(f"bases={digest(*[build_basis(s).tensors for s in range(11)])}", flush=True)
     for order in args.orders:
         for line in lines(order):
             print(line, flush=True)
