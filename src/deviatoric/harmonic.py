@@ -79,9 +79,10 @@ def _harmonics(s: int) -> np.ndarray:
         values = np.eye(2 * s + 1)
     else:
         f = [math.factorial(i) for i in range(s + 1)]
-        digits = np.array(np.unravel_index(_orbits(s).firsts, (3,) * s))  # (s, orbits)
-        exponents = [tuple(c) for c in (digits[:, :, None] == np.arange(3)).sum(axis=0).tolist()]
+        # (a, b, c) of x^a y^b z^c on each orbit, in the order of ``core._orbits``
+        exponents = [(s - n, n - c, c) for n in range(s + 1) for c in range(n + 1)]
         column = {(a, b): o for o, (a, b, _) in enumerate(exponents)}
+        products = [f[a] * f[b] * f[c] for a, b, c in exponents]  # s! over each orbit's size
         values = np.empty((2 * s + 1, len(exponents)))
         for m, row in zip(range(-s, s + 1), values):
             k, poly = abs(m), [0] * len(exponents)  # coefficients times 4^s s!
@@ -92,8 +93,8 @@ def _harmonics(s: int) -> np.ndarray:
                         poly[column[2 * p + k - q, 2 * (j - p) + q]] += (
                             term * math.comb(j, p) * math.comb(k, q) * (-1) ** (q // 2))
             # entries times 4^s (s!)^2, and their squared norm over all 3^s entries
-            entries = [x * f[a] * f[b] * f[c] for x, (a, b, c) in zip(poly, exponents)]
-            norm = sum(x * x * f[s] // (f[a] * f[b] * f[c]) for x, (a, b, c) in zip(entries, exponents))
+            entries = [x * g for x, g in zip(poly, products)]
+            norm = f[s] * sum(x * y for x, y in zip(poly, entries))
             row[:] = [math.copysign(math.isqrt((x * x << 240) // norm) / 2.0**120, x) for x in entries]
     values.flags.writeable = False
     return values

@@ -3,11 +3,11 @@ so that two checkouts can be compared with one ``diff``.
 
 The first line, ``bases=``, is the digest of the deviator bases B_0 ..
 B_10 (``build_basis``), so that two checkouts or two machines can compare
-the bits of the bases alone.  The cases are orders 0-8, random standard-normal tensors and their
-symmetrizations (orders >= 2), at scales 1e-300, 1 and 1e300, from two
-seeds; each is read in three forms: ``decompose`` output (verified
-before its parts are read), its JSON read back, and a hand-built copy of
-its parts.  Each line names the case and
+the bits of the bases alone.  The cases are orders 0-8, random
+standard-normal tensors and their symmetrizations (orders >= 2), at
+scales 1e-300, 1 and 1e300, from two seeds; each is read in three forms:
+``decompose`` output (verified before its parts are read), its JSON read
+back, and a hand-built copy of its parts.  Each line names the case and
 gives the ``passes`` verdict at 1e-10 and a short SHA-256 digest of the
 bytes of each output:
 
